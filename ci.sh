@@ -7,6 +7,12 @@ cargo test -q
 cargo fmt --check
 cargo clippy -- -D warnings
 
+# The benchmark package (perf/) is a workspace of its own, so the root
+# `cargo test` never compiles it — yet it pins the JSON compatibility paths
+# (`spacea_harness::json`, `spacea_obs::json::Value`). Test and smoke it.
+cargo test --offline --manifest-path perf/Cargo.toml
+cargo run --offline --release --manifest-path perf/Cargo.toml -- --smoke
+
 # Static analysis: the workspace must be clean modulo the committed baseline,
 # and the baseline itself may only shrink (the ratchet). The second check is
 # skipped on the first commit that introduces the baseline.

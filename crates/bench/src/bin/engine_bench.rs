@@ -22,8 +22,8 @@
 //!   --write" hint), so the snapshot always matches HEAD (CI runs this).
 
 use spacea_arch::{HwConfig, Machine, RunSpec};
-use spacea_harness::json::{parse, Json};
 use spacea_mapping::{LocalityMapping, MappingStrategy};
+use spacea_obs::json::{parse, Json};
 use spacea_sim::engine::reference::HeapQueue;
 use spacea_sim::engine::EventQueue;
 use spacea_sim::workload::{run_workload, standard_workloads, Workload};

@@ -13,7 +13,7 @@
 //!   against the snapshot; improvements also fail, with a "refresh with
 //!   --write" hint, so the snapshot always matches HEAD (CI runs this).
 
-use spacea_harness::json::{parse, Json};
+use spacea_obs::json::{parse, Json};
 use spacea_serve::{seeded_vector, ServeConfig, ServeEngine};
 use std::time::Instant;
 

@@ -19,15 +19,24 @@
 //!   and fails the soak;
 //! * a **second life** of the daemon over the same cache directory —
 //!   with the plan's mapping-corruption faults biting at startup — heals
-//!   the damage and answers every journaled request correctly again.
+//!   the damage and answers every journaled request correctly again;
+//! * in **both lives**, hostile request lines get their coded reply and a
+//!   clean close, and the next request is still acked bitwise.
 //!
 //! `serve_chaos --seeds 8` runs seeds 0..8 (the CI smoke);
 //! `serve_chaos --seed K` replays one failing seed deterministically.
 
+use spacea_matrix::Csr;
+use spacea_obs::json::{parse, Json};
+use spacea_serve::client::read_port;
+use spacea_serve::protocol::{code_of, is_ok};
 use spacea_serve::{
-    run_daemon, seeded_vector, vec_hash, AckJournal, CallError, ChaosPlan, Client, ServeConfig,
+    run_daemon, seeded_vector, vec_hash, AckJournal, CallError, ChaosPlan, Client, Request,
+    ServeConfig, MAX_LINE_BYTES,
 };
 use std::collections::BTreeMap;
+use std::io::{BufRead, BufReader, Write};
+use std::net::{Shutdown, TcpStream};
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -175,6 +184,8 @@ fn soak_seed(seed: u64, requests: usize, root: &Path) -> Result<String, String> 
             .collect()
     });
 
+    // The probes' submits are journaled like any other request.
+    truth.extend(hostile_lines(&dir, keys[0].0, &offline[0])?);
     with_retry(&dir, Client::shutdown).map_err(|e| format!("shutdown: {e}"))?;
     join_daemon(daemon)?;
 
@@ -263,8 +274,7 @@ fn soak_seed(seed: u64, requests: usize, root: &Path) -> Result<String, String> 
     }
     if corrupted {
         let stat = with_retry(&dir, Client::stat).map_err(|e| format!("life 2 stat: {e}"))?;
-        let healed =
-            stat.get("mappings_healed").and_then(spacea_harness::json::Json::as_u64).unwrap_or(0);
+        let healed = stat.get("mappings_healed").and_then(Json::as_u64).unwrap_or(0);
         if healed == 0 {
             return Err("life 2 startup corruption was armed but nothing was healed".into());
         }
@@ -286,6 +296,7 @@ fn soak_seed(seed: u64, requests: usize, root: &Path) -> Result<String, String> 
         }
         replayed += 1;
     }
+    hostile_lines(&dir, keys[0].0, &offline[0]).map_err(|e| format!("life 2 {e}"))?;
     with_retry(&dir, Client::shutdown).map_err(|e| format!("life 2 shutdown: {e}"))?;
     join_daemon(daemon)?;
 
@@ -294,6 +305,67 @@ fn soak_seed(seed: u64, requests: usize, root: &Path) -> Result<String, String> 
          bitwise after restart",
         load.records.len()
     ))
+}
+
+/// Sends hostile request lines, each raw on its own connection: a
+/// 100,000-deep `[` nest and a line past [`MAX_LINE_BYTES`] must get a
+/// coded `bad-request`, a request split by a pause longer than the daemon's
+/// 200 ms read timeout an answer. After each, a submit on a fresh
+/// connection must be acked bitwise; returns those submits as
+/// `(x_hash, (key, y))`.
+fn hostile_lines(dir: &Path, key: u64, a: &Csr) -> Result<Vec<(u64, (u64, Vec<f64>))>, String> {
+    let (deep, long) = ("[".repeat(100_000) + "\n", "x".repeat(MAX_LINE_BYTES + 1));
+    let cases: [(&str, &[&str], &str); 3] = [
+        ("100,000-deep nesting", &[&deep], "bad-request"),
+        ("over-long line", &[&long], "bad-request"),
+        ("request split by a 500 ms pause", &["{\"cmd\":", "\"ping\"}\n"], "ok"),
+    ];
+    let mut probes = Vec::new();
+    for (i, (what, parts, want)) in cases.into_iter().enumerate() {
+        match send_raw(dir, parts) {
+            Ok(got) if got == want => {}
+            other => return Err(format!("{what}: expected a {want} reply, got {other:?}")),
+        }
+        let seed = (1 << 32) + i as u64;
+        let x = seeded_vector(a.cols(), seed);
+        let y = a.spmv(&x);
+        // A life-1 plan may still hold a one-shot batch fault, which
+        // rejects with a code; the retry runs clean.
+        let out = (0..4)
+            .find_map(|_| with_retry(dir, |c| c.submit_within(key, seed, 5_000)).ok())
+            .ok_or_else(|| format!("no request acknowledged after {what}"))?;
+        if vec_hash(&out.y) != vec_hash(&y) {
+            return Err(format!("request after {what} acknowledged WRONG"));
+        }
+        probes.push((vec_hash(&x), (key, y)));
+    }
+    Ok(probes)
+}
+
+/// Writes `parts`, 500 ms apart, on a fresh connection that has answered a
+/// ping (so a chaos-dropped accept never eats a probe). Returns the reply's
+/// `ok` or error code once the daemon has closed the connection cleanly.
+fn send_raw(dir: &Path, parts: &[&str]) -> Result<String, String> {
+    let mut conn = (0..4)
+        .find_map(|_| {
+            let stream = TcpStream::connect(("127.0.0.1", read_port(dir).ok()?)).ok()?;
+            let mut conn = BufReader::new(stream);
+            writeln!(conn.get_mut(), "{}", Request::Ping.to_line()).ok()?;
+            (conn.read_line(&mut String::new()).ok()? > 0).then_some(conn)
+        })
+        .ok_or("no connection answered a ping")?;
+    for (i, part) in parts.iter().enumerate() {
+        std::thread::sleep(Duration::from_millis(if i > 0 { 500 } else { 0 }));
+        conn.get_mut().write_all(part.as_bytes()).map_err(|e| e.to_string())?;
+    }
+    let (mut reply, mut rest) = (String::new(), String::new());
+    conn.read_line(&mut reply).map_err(|e| e.to_string())?;
+    let _ = conn.get_ref().shutdown(Shutdown::Write);
+    if conn.read_line(&mut rest).map_err(|e| e.to_string())? != 0 {
+        return Err(format!("no clean close after the reply: {rest:?}"));
+    }
+    let v = parse(reply.trim())?;
+    Ok(if is_ok(&v) { "ok".into() } else { code_of(&v).to_string() })
 }
 
 /// Runs one call against a fresh connection, retrying transport failures

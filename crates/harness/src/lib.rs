@@ -42,7 +42,6 @@
 
 pub mod exec;
 pub mod job;
-pub mod json;
 pub mod mapstore;
 pub mod store;
 pub mod sweep;
@@ -56,9 +55,11 @@ pub use exec::{
 pub use job::{GraphOperand, JobKey, JobSpec, MatrixSource};
 pub use mapstore::{MappingStats, MappingStore};
 pub use store::{
-    CacheOutcome, CacheStats, GcPolicy, GcReport, IndexEntry, JobResult, ResultStore, ScenarioRec,
-    INDEX_FILE, QUARANTINE_DIR,
+    write_atomic, CacheOutcome, CacheStats, GcPolicy, GcReport, IndexEntry, JobResult, ResultStore,
+    ScenarioRec, INDEX_FILE, QUARANTINE_DIR,
 };
+// The benchmark package (`perf/`) still imports `spacea_harness::json`.
+pub use spacea_obs::json;
 pub use sweep::{dedup_points, shard_range, PointKind, SweepBase, SweepPoint, SweepSpec};
 pub use telemetry::{JobRecord, JobStatus, RunManifest};
 pub use timeline::TimelineConfig;

@@ -15,9 +15,10 @@
 //! compute (which overwrites it).
 
 use crate::job::Fnv;
-use crate::json::{parse, Json};
+use crate::store::write_atomic;
 use spacea_mapping::{MachineShape, MapKind, Mapping, Placement, RowAssignment};
 use spacea_matrix::Csr;
+use spacea_obs::json::{parse, Json};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -135,7 +136,7 @@ impl MappingStore {
             self.healed.fetch_add(1, Ordering::Relaxed);
         }
         if let Some(path) = self.path_for(key) {
-            if let Err(e) = save_mapping(&path, &m) {
+            if let Err(e) = write_atomic(&path, &encode_mapping(&m).to_text()) {
                 eprintln!("spacea-harness: could not persist mapping {key:016x}: {e}");
             }
         }
@@ -143,7 +144,7 @@ impl MappingStore {
     }
 }
 
-/// Encodes a mapping as the harness JSON dialect.
+/// Encodes a mapping as JSON (row and slot indices as `U64`).
 fn encode_mapping(m: &Mapping) -> Json {
     let rows_of: Vec<Json> = (0..m.assignment.num_pes())
         .map(|p| Json::Arr(m.assignment.rows_of(p).iter().map(|&r| Json::U64(r as u64)).collect()))
@@ -213,17 +214,6 @@ fn load_mapping(path: &Path, a: &Csr, shape: &MachineShape) -> LoadOutcome {
         .ok()
         .and_then(|v| decode_mapping(&v, a, shape))
         .map_or(LoadOutcome::Corrupt, LoadOutcome::Loaded)
-}
-
-fn save_mapping(path: &Path, m: &Mapping) -> std::io::Result<()> {
-    let dir = path.parent().unwrap_or_else(|| Path::new("."));
-    std::fs::create_dir_all(dir)?;
-    // Tmp-file + rename: a concurrent reader (another shard, a restarted
-    // daemon) never observes a torn artifact.
-    let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("mapping.json");
-    let tmp = dir.join(format!(".{name}.{}.tmp", std::process::id()));
-    std::fs::write(&tmp, encode_mapping(m).to_text())?;
-    std::fs::rename(&tmp, path)
 }
 
 #[cfg(test)]

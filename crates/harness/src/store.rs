@@ -2,10 +2,10 @@
 //! with a persisted per-key index (`index.json`) driving cache GC.
 
 use crate::job::JobKey;
-use crate::json::{self, Json};
 use spacea_arch::SimReport;
 use spacea_gpu::GpuRun;
 use spacea_model::ActivitySummary;
+use spacea_obs::json::{self, Json};
 use spacea_sim::stats::{CamCounters, LdqCounters, SramCounters};
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
@@ -335,9 +335,7 @@ impl ResultStore {
             ("schema", Json::Str("spacea-cache-index-v1".into())),
             ("entries", Json::Arr(rows)),
         ]);
-        let tmp = dir.join(format!(".index.{}.tmp", std::process::id()));
-        std::fs::write(&tmp, doc.to_text())?;
-        std::fs::rename(&tmp, dir.join(INDEX_FILE))
+        write_atomic(&dir.join(INDEX_FILE), &doc.to_text())
     }
 
     /// The current index, sorted by key (tests and doctors).
@@ -539,6 +537,21 @@ pub const INDEX_FILE: &str = "index.json";
 /// never protected).
 pub const QUARANTINE_DIR: &str = "quarantine";
 
+/// Writes `text` to `path` via a tmp file in the same directory (created if
+/// missing) and a rename, so a concurrent reader never sees a torn file. The
+/// tmp name is unique per write (pid + sequence), so two writers of one path
+/// never rename each other's tmp file away.
+pub fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let dir = path.parent().unwrap_or_else(|| Path::new("."));
+    std::fs::create_dir_all(dir)?;
+    let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("file");
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    let tmp = dir.join(format!(".{name}.{}.{seq}.tmp", std::process::id()));
+    std::fs::write(&tmp, text)?;
+    std::fs::rename(&tmp, path)
+}
+
 fn cache_path(dir: &Path, key: JobKey) -> PathBuf {
     dir.join(format!("{key}.json"))
 }
@@ -574,12 +587,8 @@ fn load_from_disk(dir: &Path, key: JobKey) -> DiskRead {
 }
 
 fn save_to_disk(dir: &Path, key: JobKey, result: &JobResult) -> std::io::Result<u64> {
-    let path = cache_path(dir, key);
-    // Write-then-rename so concurrent readers never see a torn file.
-    let tmp = dir.join(format!(".{key}.{}.tmp", std::process::id()));
     let text = encode_result(result).to_text();
-    std::fs::write(&tmp, &text)?;
-    std::fs::rename(&tmp, &path)?;
+    write_atomic(&cache_path(dir, key), &text)?;
     Ok(text.len() as u64)
 }
 
@@ -610,7 +619,7 @@ fn load_index(dir: &Path) -> HashMap<u64, IndexEntry> {
 // --- serialization -------------------------------------------------------
 //
 // One JSON object per result. Floats are stored as IEEE-754 bit patterns
-// (see `crate::json`), so a rehydrated result is bit-identical to the
+// (see `spacea_obs::json`), so a rehydrated result is bit-identical to the
 // computed one — with one deliberate exception: `SimReport::output` (the
 // simulated result vector, ~rows × 8 bytes) is elided, because nothing
 // downstream of validation reads it and it dominates the file size. The
@@ -870,9 +879,8 @@ mod tests {
         assert_eq!(back, JobResult::Gpu(run));
     }
 
-    #[test]
-    fn scenario_round_trips_exactly() {
-        let rec = ScenarioRec {
+    fn sample_scenario() -> ScenarioRec {
+        ScenarioRec {
             cycles: 9001,
             time_s: 2.0e-5 / 3.0,
             stream_bytes: 65_536,
@@ -881,7 +889,12 @@ mod tests {
             reorder_stalls: 42,
             y_hash: 0xdead_beef_cafe_f00d,
             bitwise_ok: true,
-        };
+        }
+    }
+
+    #[test]
+    fn scenario_round_trips_exactly() {
+        let rec = sample_scenario();
         let back = decode_result(
             &json::parse(&encode_result(&JobResult::Scenario(rec.clone())).to_text()).unwrap(),
         )
@@ -1083,6 +1096,25 @@ mod tests {
         // And the slot is usable again.
         store.insert(key, JobResult::Gpu(sample_gpu()));
         assert_eq!(store.lookup(key).unwrap().1, CacheOutcome::MemoryHit);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn float_or_negative_counters_are_quarantined_as_corrupt() {
+        // The parser reads `1.5` and `-3` as numbers; only the decoders'
+        // `as_u64` rejects them, which must still make the entry corrupt.
+        let dir = tmp_dir("non-u64");
+        let store = ResultStore::with_disk(&dir).unwrap();
+        let good = encode_result(&JobResult::Scenario(sample_scenario())).to_text();
+        assert!(good.contains("\"cycles\":9001"), "{good}");
+        for (i, bad) in ["1.5", "-3"].into_iter().enumerate() {
+            let key = JobKey(0x100 + i as u64);
+            let text = good.replace("\"cycles\":9001", &format!("\"cycles\":{bad}"));
+            std::fs::write(cache_path(&dir, key), text).unwrap();
+            assert!(store.lookup(key).is_none(), "{bad} must not decode as a u64");
+            assert!(dir.join(QUARANTINE_DIR).join(format!("{key}.json")).exists(), "{bad}");
+        }
+        assert_eq!(store.stats().corrupt, 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

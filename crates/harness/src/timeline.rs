@@ -23,8 +23,10 @@
 //! removes the chunk directory.
 
 use crate::job::JobKey;
+use crate::store::write_atomic;
 use spacea_arch::{ObserveConfig, SampleFlush};
-use spacea_obs::{json, Cycle, MetricKey, Series, Timeline};
+use spacea_obs::json::{self, Json};
+use spacea_obs::{Cycle, MetricKey, Series, Timeline};
 use std::path::{Path, PathBuf};
 
 /// Where timeline artifacts go and what an observed run records.
@@ -72,12 +74,9 @@ impl TimelineConfig {
     ///
     /// Propagates directory-creation and write failures.
     pub fn write(&self, key: JobKey, timeline: &Timeline) -> std::io::Result<PathBuf> {
-        std::fs::create_dir_all(&self.dir)?;
         let path = self.path_for(key);
         // Write-then-rename so a concurrent shard never reads a torn file.
-        let tmp = self.dir.join(format!(".{key}.{}.tmp", std::process::id()));
-        std::fs::write(&tmp, timeline.to_chrome_trace())?;
-        std::fs::rename(&tmp, &path)?;
+        write_atomic(&path, &timeline.to_chrome_trace())?;
         let _ = std::fs::remove_dir_all(self.chunk_dir(key));
         Ok(path)
     }
@@ -96,9 +95,9 @@ impl TimelineConfig {
             .map_err(|e| format!("no chunk index under {}: {e}", dir.display()))?;
         let index = json::parse(&text)?;
         let field = |name: &str| {
-            index.get(name).and_then(|v| v.as_num()).ok_or(format!("index missing {name}"))
+            index.get(name).and_then(Json::as_u64).ok_or(format!("index missing {name}"))
         };
-        let every = field("every")? as Cycle;
+        let every = field("every")?;
         let capacity = field("capacity")? as usize;
         let chunks = field("chunks")? as usize;
         let mut series: Vec<(MetricKey, Series)> = Vec::new();
@@ -108,8 +107,8 @@ impl TimelineConfig {
             let chunk = json::parse(&text)?;
             let cycle = chunk
                 .get("cycle")
-                .and_then(|v| v.as_num())
-                .ok_or(format!("chunk {i} missing cycle"))? as Cycle;
+                .and_then(Json::as_u64)
+                .ok_or(format!("chunk {i} missing cycle"))?;
             let samples = chunk
                 .get("samples")
                 .and_then(|v| v.as_arr())
@@ -122,7 +121,7 @@ impl TimelineConfig {
                 };
                 let metric = MetricKey {
                     component: text_field("component")?.into(),
-                    vault: s.get("vault").and_then(|v| v.as_num()).map(|v| v as u32),
+                    vault: s.get("vault").and_then(Json::as_u64).map(|v| v as u32),
                     name: text_field("name")?.into(),
                 };
                 let value = s
@@ -181,34 +180,26 @@ impl ChunkSink {
 
     fn try_append(&mut self, flush: &SampleFlush<'_>) -> std::io::Result<()> {
         std::fs::create_dir_all(&self.dir)?;
-        let mut body = format!("{{\"cycle\":{},\"samples\":[", flush.cycle);
-        for (i, (key, value)) in flush.samples.iter().enumerate() {
-            if i > 0 {
-                body.push(',');
-            }
-            body.push_str(&format!("{{\"component\":\"{}\",", json::escape(&key.component)));
-            if let Some(v) = key.vault {
-                body.push_str(&format!("\"vault\":{v},"));
-            }
-            body.push_str(&format!(
-                "\"name\":\"{}\",\"value\":{}}}",
-                json::escape(&key.name),
-                json::fmt_num(*value)
-            ));
-        }
-        body.push_str("]}");
-        std::fs::write(self.dir.join(format!("chunk-{}.json", self.chunks)), body)?;
+        let samples = flush.samples.iter().map(|(key, value)| {
+            let mut fields = vec![("component", Json::Str(key.component.clone()))];
+            fields.extend(key.vault.map(|v| ("vault", Json::U64(v.into()))));
+            fields.push(("name", Json::Str(key.name.clone())));
+            fields.push(("value", Json::Num(*value)));
+            Json::obj(fields)
+        });
+        let body = Json::obj(vec![
+            ("cycle", Json::U64(flush.cycle)),
+            ("samples", Json::Arr(samples.collect())),
+        ]);
+        std::fs::write(self.dir.join(format!("chunk-{}.json", self.chunks)), body.to_text())?;
         // The index rename is the commit point: it only ever counts chunks
         // that are fully on disk.
-        let tmp = self.dir.join(format!(".index.{}.tmp", std::process::id()));
-        let index = format!(
-            "{{\"every\":{},\"capacity\":{},\"chunks\":{}}}",
-            self.every,
-            self.capacity,
-            self.chunks + 1
-        );
-        std::fs::write(&tmp, index)?;
-        std::fs::rename(&tmp, self.dir.join("index.json"))?;
+        let index = Json::obj(vec![
+            ("every", Json::U64(self.every)),
+            ("capacity", Json::U64(self.capacity as u64)),
+            ("chunks", Json::U64(self.chunks as u64 + 1)),
+        ]);
+        write_atomic(&self.dir.join("index.json"), &index.to_text())?;
         self.chunks += 1;
         Ok(())
     }

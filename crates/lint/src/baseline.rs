@@ -9,7 +9,7 @@
 //! the committed baseline may never grow between revisions.
 
 use crate::rules::Violation;
-use spacea_obs::json::{self, Value};
+use spacea_obs::json::{self, Json};
 use std::collections::BTreeMap;
 use std::fmt::Write as _;
 
@@ -72,36 +72,34 @@ impl Baseline {
     /// Parses a baseline document produced by [`Baseline::to_json`].
     pub fn parse(text: &str) -> Result<Self, String> {
         let root = json::parse(text)?;
-        match root.get("schema").and_then(Value::as_str) {
+        match root.get("schema").and_then(Json::as_str) {
             Some(SCHEMA) => {}
             Some(other) => return Err(format!("unknown baseline schema {other:?}")),
             None => return Err("missing \"schema\" field".into()),
         }
-        let list = root.get("entries").and_then(Value::as_arr).ok_or("missing \"entries\"")?;
+        let list = root.get("entries").and_then(Json::as_arr).ok_or("missing \"entries\"")?;
         let mut entries = BTreeMap::new();
         for (i, e) in list.iter().enumerate() {
             let rule = e
                 .get("rule")
-                .and_then(Value::as_str)
+                .and_then(Json::as_str)
                 .ok_or_else(|| format!("entry {i}: missing \"rule\""))?;
             let file = e
                 .get("file")
-                .and_then(Value::as_str)
+                .and_then(Json::as_str)
                 .ok_or_else(|| format!("entry {i}: missing \"file\""))?;
             let count = e
                 .get("count")
-                .and_then(Value::as_num)
-                .ok_or_else(|| format!("entry {i}: missing \"count\""))?;
-            if count < 1.0 || count != count.trunc() {
-                return Err(format!("entry {i}: count must be a positive integer"));
-            }
-            if entries.insert((rule.to_string(), file.to_string()), count as u64).is_some() {
+                .and_then(Json::as_u64)
+                .filter(|&c| c > 0)
+                .ok_or_else(|| format!("entry {i}: \"count\" must be a positive integer"))?;
+            if entries.insert((rule.to_string(), file.to_string()), count).is_some() {
                 return Err(format!("entry {i}: duplicate key ({rule}, {file})"));
             }
         }
         let parsed = Baseline { entries };
-        if let Some(total) = root.get("total").and_then(Value::as_num) {
-            if total as u64 != parsed.total() {
+        if let Some(total) = root.get("total").and_then(Json::as_u64) {
+            if total != parsed.total() {
                 return Err(format!(
                     "total {} does not match the sum of entries ({})",
                     total,

@@ -943,10 +943,10 @@ impl Machine {
         let json = g.to_json();
         let parsed = spacea_obs::json::parse(&json).expect("graph JSON must parse");
         assert_eq!(
-            parsed.get("schema").and_then(spacea_obs::json::Value::as_str),
+            parsed.get("schema").and_then(spacea_obs::json::Json::as_str),
             Some("spacea-lint-graph-v1")
         );
-        let defs = parsed.get("defs").and_then(spacea_obs::json::Value::as_arr).unwrap();
+        let defs = parsed.get("defs").and_then(spacea_obs::json::Json::as_arr).unwrap();
         assert_eq!(defs.len(), g.defs.len());
     }
 

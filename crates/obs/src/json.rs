@@ -1,13 +1,20 @@
-//! Minimal JSON support for timeline export.
+//! The workspace's one JSON module (the build is offline: no serde).
 //!
-//! The harness' JSON dialect is integer-only (cache keys and counters), but
-//! Chrome trace events carry fractional timestamps and gauge values, so this
-//! module provides a float-capable writer plus a small recursive-descent
-//! reader used by the `timeline --validate` bin to check exported files
-//! without any external dependency.
+//! [`Json::U64`] carries the integers the harness and the service persist
+//! — counters, content keys, and `f64` values as IEEE-754 bit patterns
+//! ([`Json::f64_bits`]) — at full precision. Only a digits-only literal
+//! that fits in `u64` parses as `U64`, and [`Json::as_u64`] accepts nothing
+//! else, so cache and wire decoders reject floats and negatives.
+//! [`Json::Num`] carries every other number: the fractional timestamps and
+//! gauge values of Chrome traces and timeline chunks ([`Json::as_num`]
+//! reads both). Object keys keep insertion order, so output is byte-stable,
+//! and [`parse`] rejects nesting deeper than [`MAX_DEPTH`], so untrusted
+//! input cannot exhaust the stack.
 
-use std::collections::BTreeMap;
 use std::fmt::Write as _;
+
+/// The deepest array/object nesting [`parse`] accepts (the workspace writes a few).
+pub const MAX_DEPTH: usize = 128;
 
 /// Formats a number the way trace viewers expect: integers without a
 /// fractional part, everything else via Rust's shortest round-trip `{}`
@@ -42,204 +49,281 @@ pub fn escape(s: &str) -> String {
     out
 }
 
-/// A parsed JSON value. Objects use a sorted map, which is all the
-/// validator needs; key order is not round-tripped.
+/// A JSON value.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Value {
+pub enum Json {
     /// `null`.
     Null,
     /// `true` / `false`.
     Bool(bool),
-    /// Any JSON number, held as `f64`.
+    /// An unsigned integer written with digits only.
+    U64(u64),
+    /// Any other number: signed, fractional, exponent, or beyond `u64`.
     Num(f64),
     /// A string, unescaped.
     Str(String),
     /// An array.
-    Arr(Vec<Value>),
-    /// An object.
-    Obj(BTreeMap<String, Value>),
+    Arr(Vec<Json>),
+    /// An object with keys in insertion order.
+    Obj(Vec<(String, Json)>),
 }
 
-impl Value {
-    /// Member lookup on objects (`None` on other variants).
-    pub fn get(&self, key: &str) -> Option<&Value> {
+/// The old name of [`Json`], still imported by the benchmark package (`perf/`).
+pub type Value = Json;
+
+impl Json {
+    /// Builds an object from `(key, value)` pairs.
+    pub fn obj(pairs: Vec<(&str, Json)>) -> Json {
+        Json::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+    }
+
+    /// Stores an `f64` as its exact bit pattern.
+    pub fn f64_bits(v: f64) -> Json {
+        Json::U64(v.to_bits())
+    }
+
+    /// Looks up a key in an object (the first match; `None` elsewhere).
+    pub fn get(&self, key: &str) -> Option<&Json> {
         match self {
-            Value::Obj(m) => m.get(key),
+            Json::Obj(pairs) => pairs.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
         }
     }
 
-    /// The string payload, if this is a string.
-    pub fn as_str(&self) -> Option<&str> {
+    /// The value as `u64`, if it is a [`Json::U64`].
+    pub fn as_u64(&self) -> Option<u64> {
         match self {
-            Value::Str(s) => Some(s),
+            Json::U64(v) => Some(*v),
             _ => None,
         }
     }
 
-    /// The numeric payload, if this is a number.
+    /// The value as `f64`, if it is any number.
     pub fn as_num(&self) -> Option<f64> {
         match self {
-            Value::Num(n) => Some(*n),
+            Json::U64(v) => Some(*v as f64),
+            Json::Num(v) => Some(*v),
             _ => None,
         }
     }
 
-    /// The element list, if this is an array.
-    pub fn as_arr(&self) -> Option<&[Value]> {
+    /// The value as `f64`, decoding the bit-pattern convention.
+    pub fn as_f64_bits(&self) -> Option<f64> {
+        self.as_u64().map(f64::from_bits)
+    }
+
+    /// The value as `bool`, if it is one.
+    pub fn as_bool(&self) -> Option<bool> {
         match self {
-            Value::Arr(v) => Some(v),
+            Json::Bool(v) => Some(*v),
             _ => None,
+        }
+    }
+
+    /// The value as `&str`, if it is a string.
+    pub fn as_str(&self) -> Option<&str> {
+        match self {
+            Json::Str(s) => Some(s),
+            _ => None,
+        }
+    }
+
+    /// The value as an array slice, if it is one.
+    pub fn as_arr(&self) -> Option<&[Json]> {
+        match self {
+            Json::Arr(v) => Some(v),
+            _ => None,
+        }
+    }
+
+    /// Serializes to compact JSON text.
+    pub fn to_text(&self) -> String {
+        let mut out = String::new();
+        self.write(&mut out);
+        out
+    }
+
+    fn write(&self, out: &mut String) {
+        match self {
+            Json::Null => out.push_str("null"),
+            Json::Bool(v) => out.push_str(if *v { "true" } else { "false" }),
+            Json::U64(v) => {
+                let _ = write!(out, "{v}");
+            }
+            Json::Num(v) => out.push_str(&fmt_num(*v)),
+            Json::Str(s) => write_str(out, s),
+            Json::Arr(items) => {
+                out.push('[');
+                for (i, v) in items.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    v.write(out);
+                }
+                out.push(']');
+            }
+            Json::Obj(pairs) => {
+                out.push('{');
+                for (i, (k, v)) in pairs.iter().enumerate() {
+                    if i > 0 {
+                        out.push(',');
+                    }
+                    write_str(out, k);
+                    out.push(':');
+                    v.write(out);
+                }
+                out.push('}');
+            }
         }
     }
 }
 
-/// Parses a complete JSON document, rejecting trailing garbage.
-pub fn parse(text: &str) -> Result<Value, String> {
-    let bytes = text.as_bytes();
-    let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
-        return Err(format!("trailing garbage at byte {pos}"));
-    }
-    Ok(value)
+fn write_str(out: &mut String, s: &str) {
+    out.push('"');
+    out.push_str(&escape(s));
+    out.push('"');
 }
 
-fn skip_ws(b: &[u8], pos: &mut usize) {
-    while *pos < b.len() && matches!(b[*pos], b' ' | b'\t' | b'\n' | b'\r') {
-        *pos += 1;
+/// Parses a complete JSON document, rejecting trailing data and nesting
+/// deeper than [`MAX_DEPTH`].
+pub fn parse(text: &str) -> Result<Json, String> {
+    let mut p = Parser { b: text.as_bytes(), pos: 0, depth: 0 };
+    let v = p.value()?;
+    p.skip_ws();
+    if p.pos != p.b.len() {
+        return Err(format!("trailing data at byte {}", p.pos));
     }
+    Ok(v)
 }
 
-fn parse_value(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-    skip_ws(b, pos);
-    match b.get(*pos) {
-        None => Err("unexpected end of input".into()),
-        Some(b'{') => parse_obj(b, pos),
-        Some(b'[') => parse_arr(b, pos),
-        Some(b'"') => parse_str(b, pos).map(Value::Str),
-        Some(b't') => parse_lit(b, pos, "true", Value::Bool(true)),
-        Some(b'f') => parse_lit(b, pos, "false", Value::Bool(false)),
-        Some(b'n') => parse_lit(b, pos, "null", Value::Null),
-        Some(_) => parse_num(b, pos),
-    }
+struct Parser<'a> {
+    b: &'a [u8],
+    pos: usize,
+    depth: usize,
 }
 
-fn parse_lit(b: &[u8], pos: &mut usize, lit: &str, value: Value) -> Result<Value, String> {
-    if b[*pos..].starts_with(lit.as_bytes()) {
-        *pos += lit.len();
+impl Parser<'_> {
+    fn skip_ws(&mut self) {
+        while matches!(self.b.get(self.pos), Some(b' ' | b'\t' | b'\n' | b'\r')) {
+            self.pos += 1;
+        }
+    }
+
+    /// Skips whitespace and returns the next byte without consuming it.
+    fn peek(&mut self) -> Result<u8, String> {
+        self.skip_ws();
+        self.b.get(self.pos).copied().ok_or_else(|| "unexpected end of input".to_string())
+    }
+
+    fn consume(&mut self, byte: u8) -> Result<(), String> {
+        if self.peek()? != byte {
+            return Err(format!("expected '{}' at byte {}", byte as char, self.pos));
+        }
+        self.pos += 1;
+        Ok(())
+    }
+
+    fn value(&mut self) -> Result<Json, String> {
+        match self.peek()? {
+            b'{' => self.container(b'}'),
+            b'[' => self.container(b']'),
+            b'"' => self.string().map(Json::Str),
+            b't' => self.literal("true", Json::Bool(true)),
+            b'f' => self.literal("false", Json::Bool(false)),
+            b'n' => self.literal("null", Json::Null),
+            _ => self.number(),
+        }
+    }
+
+    fn literal(&mut self, word: &str, value: Json) -> Result<Json, String> {
+        if !self.b[self.pos..].starts_with(word.as_bytes()) {
+            return Err(format!("invalid literal at byte {}", self.pos));
+        }
+        self.pos += word.len();
         Ok(value)
-    } else {
-        Err(format!("invalid literal at byte {pos}", pos = *pos))
     }
-}
 
-fn parse_num(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-    let start = *pos;
-    while *pos < b.len() && matches!(b[*pos], b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E') {
-        *pos += 1;
+    fn number(&mut self) -> Result<Json, String> {
+        let start = self.pos;
+        while matches!(self.b.get(self.pos), Some(b'0'..=b'9' | b'-' | b'+' | b'.' | b'e' | b'E')) {
+            self.pos += 1;
+        }
+        let text = std::str::from_utf8(&self.b[start..self.pos]).map_err(|e| e.to_string())?;
+        match text.parse() {
+            Ok(v) if text.bytes().all(|c| c.is_ascii_digit()) => Ok(Json::U64(v)),
+            _ => text.parse().map(Json::Num).map_err(|_| format!("bad number {text:?} at {start}")),
+        }
     }
-    let text = std::str::from_utf8(&b[start..*pos]).map_err(|e| e.to_string())?;
-    text.parse::<f64>().map(Value::Num).map_err(|_| format!("bad number {text:?} at byte {start}"))
-}
 
-fn parse_str(b: &[u8], pos: &mut usize) -> Result<String, String> {
-    debug_assert_eq!(b[*pos], b'"');
-    *pos += 1;
-    let mut out = Vec::new();
-    while let Some(&c) = b.get(*pos) {
-        *pos += 1;
-        match c {
-            b'"' => {
-                return String::from_utf8(out).map_err(|e| e.to_string());
+    fn string(&mut self) -> Result<String, String> {
+        self.consume(b'"')?;
+        let mut out = Vec::new();
+        while let Some(&c) = self.b.get(self.pos) {
+            self.pos += 1;
+            match c {
+                b'"' => return String::from_utf8(out).map_err(|e| e.to_string()),
+                b'\\' => {
+                    let esc = *self.b.get(self.pos).ok_or("unterminated escape")?;
+                    self.pos += 1;
+                    let ch = match esc {
+                        b'"' | b'\\' | b'/' => esc as char,
+                        b'n' => '\n',
+                        b'r' => '\r',
+                        b't' => '\t',
+                        b'b' => '\u{8}',
+                        b'f' => '\u{c}',
+                        b'u' => {
+                            let hex = self.b.get(self.pos..self.pos + 4).unwrap_or_default();
+                            let hex = std::str::from_utf8(hex).unwrap_or_default();
+                            let code =
+                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
+                            self.pos += 4;
+                            // The writer never emits surrogates; a lone one decodes as U+FFFD.
+                            char::from_u32(code).unwrap_or('\u{fffd}')
+                        }
+                        other => return Err(format!("unknown escape \\{}", other as char)),
+                    };
+                    out.extend_from_slice(ch.encode_utf8(&mut [0u8; 4]).as_bytes());
+                }
+                c => out.push(c),
             }
-            b'\\' => {
-                let esc = *b.get(*pos).ok_or("unterminated escape")?;
-                *pos += 1;
-                match esc {
-                    b'"' => out.push(b'"'),
-                    b'\\' => out.push(b'\\'),
-                    b'/' => out.push(b'/'),
-                    b'n' => out.push(b'\n'),
-                    b'r' => out.push(b'\r'),
-                    b't' => out.push(b'\t'),
-                    b'b' => out.push(0x08),
-                    b'f' => out.push(0x0c),
-                    b'u' => {
-                        let hex = b
-                            .get(*pos..*pos + 4)
-                            .and_then(|h| std::str::from_utf8(h).ok())
-                            .ok_or("truncated \\u escape")?;
-                        let code =
-                            u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape digits")?;
-                        *pos += 4;
-                        // Surrogate pairs are not produced by our writer;
-                        // map lone surrogates to U+FFFD instead of failing.
-                        let ch = char::from_u32(code).unwrap_or('\u{fffd}');
-                        let mut buf = [0u8; 4];
-                        out.extend_from_slice(ch.encode_utf8(&mut buf).as_bytes());
+        }
+        Err("unterminated string".into())
+    }
+
+    /// An array (`close` is `]`) or object (`close` is `}`), one nesting
+    /// level deeper than its parent.
+    fn container(&mut self, close: u8) -> Result<Json, String> {
+        self.depth += 1;
+        if self.depth > MAX_DEPTH {
+            return Err(format!("nesting deeper than {MAX_DEPTH} at byte {}", self.pos));
+        }
+        self.pos += 1;
+        let (mut items, mut pairs) = (Vec::new(), Vec::new());
+        if self.peek()? != close {
+            loop {
+                if close == b']' {
+                    items.push(self.value()?);
+                } else {
+                    let key = self.string()?;
+                    self.consume(b':')?;
+                    pairs.push((key, self.value()?));
+                }
+                match self.peek()? {
+                    b',' => self.pos += 1,
+                    c if c == close => break,
+                    _ => {
+                        return Err(format!(
+                            "expected ',' or '{}' at byte {}",
+                            close as char, self.pos
+                        ))
                     }
-                    other => return Err(format!("unknown escape \\{}", other as char)),
                 }
             }
-            c => out.push(c),
         }
-    }
-    Err("unterminated string".into())
-}
-
-fn parse_arr(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-    *pos += 1; // consume '['
-    let mut items = Vec::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b']') {
-        *pos += 1;
-        return Ok(Value::Arr(items));
-    }
-    loop {
-        items.push(parse_value(b, pos)?);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b']') => {
-                *pos += 1;
-                return Ok(Value::Arr(items));
-            }
-            _ => return Err(format!("expected ',' or ']' at byte {pos}", pos = *pos)),
-        }
-    }
-}
-
-fn parse_obj(b: &[u8], pos: &mut usize) -> Result<Value, String> {
-    *pos += 1; // consume '{'
-    let mut map = BTreeMap::new();
-    skip_ws(b, pos);
-    if b.get(*pos) == Some(&b'}') {
-        *pos += 1;
-        return Ok(Value::Obj(map));
-    }
-    loop {
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b'"') {
-            return Err(format!("expected object key at byte {pos}", pos = *pos));
-        }
-        let key = parse_str(b, pos)?;
-        skip_ws(b, pos);
-        if b.get(*pos) != Some(&b':') {
-            return Err(format!("expected ':' at byte {pos}", pos = *pos));
-        }
-        *pos += 1;
-        map.insert(key, parse_value(b, pos)?);
-        skip_ws(b, pos);
-        match b.get(*pos) {
-            Some(b',') => *pos += 1,
-            Some(b'}') => {
-                *pos += 1;
-                return Ok(Value::Obj(map));
-            }
-            _ => return Err(format!("expected ',' or '}}' at byte {pos}", pos = *pos)),
-        }
+        self.pos += 1;
+        self.depth -= 1;
+        Ok(if close == b']' { Json::Arr(items) } else { Json::Obj(pairs) })
     }
 }
 
@@ -264,28 +348,28 @@ pub struct TraceSummary {
 pub fn validate_chrome_trace(text: &str) -> Result<TraceSummary, String> {
     let root = parse(text)?;
     let events =
-        root.get("traceEvents").and_then(Value::as_arr).ok_or("missing \"traceEvents\" array")?;
+        root.get("traceEvents").and_then(Json::as_arr).ok_or("missing \"traceEvents\" array")?;
     let mut summary = TraceSummary::default();
     for (i, ev) in events.iter().enumerate() {
         let ph = ev
             .get("ph")
-            .and_then(Value::as_str)
+            .and_then(Json::as_str)
             .ok_or_else(|| format!("event {i}: missing \"ph\""))?;
         let name = ev
             .get("name")
-            .and_then(Value::as_str)
+            .and_then(Json::as_str)
             .ok_or_else(|| format!("event {i}: missing \"name\""))?;
         match ph {
             "M" => summary.metadata_events += 1,
             "C" => {
                 ev.get("ts")
-                    .and_then(Value::as_num)
+                    .and_then(Json::as_num)
                     .ok_or_else(|| format!("event {i} ({name}): counter without numeric ts"))?;
                 let args =
                     ev.get("args").ok_or_else(|| format!("event {i} ({name}): missing args"))?;
                 let value = args
                     .get("value")
-                    .and_then(Value::as_num)
+                    .and_then(Json::as_num)
                     .ok_or_else(|| format!("event {i} ({name}): counter without args.value"))?;
                 if !value.is_finite() {
                     return Err(format!("event {i} ({name}): non-finite counter value"));
@@ -298,11 +382,11 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceSummary, String> {
             "X" => {
                 let ts = ev
                     .get("ts")
-                    .and_then(Value::as_num)
+                    .and_then(Json::as_num)
                     .ok_or_else(|| format!("event {i} ({name}): slice without numeric ts"))?;
                 let dur = ev
                     .get("dur")
-                    .and_then(Value::as_num)
+                    .and_then(Json::as_num)
                     .ok_or_else(|| format!("event {i} ({name}): slice without numeric dur"))?;
                 if ts < 0.0 || dur < 0.0 {
                     return Err(format!("event {i} ({name}): negative ts/dur"));
@@ -320,33 +404,83 @@ mod tests {
     use super::*;
 
     #[test]
-    fn numbers_round_trip_compactly() {
+    fn round_trips_nested_values() {
+        let v = Json::obj(vec![
+            ("kind", Json::Str("sim".into())),
+            ("bits", Json::f64_bits(-1.5)),
+            ("max", Json::U64(u64::MAX)),
+            ("work", Json::Arr(vec![Json::U64(1), Json::Num(-2.5), Json::Null])),
+            ("ok", Json::Bool(true)),
+            ("empty", Json::Obj(vec![])),
+        ]);
+        assert_eq!(parse(&v.to_text()).unwrap(), v);
+        for x in [0.0, -0.0, 1.0 / 3.0, f64::MAX, f64::MIN_POSITIVE, 2.5e-300] {
+            let back = parse(&Json::f64_bits(x).to_text()).unwrap().as_f64_bits().unwrap();
+            assert_eq!(back.to_bits(), x.to_bits());
+        }
+    }
+
+    #[test]
+    fn keys_keep_insertion_order() {
+        let text = r#"{"b":1,"a":{"z":true,"y":null}}"#;
+        assert_eq!(parse(text).unwrap().to_text(), text);
+    }
+
+    #[test]
+    fn strings_escape_and_parse() {
+        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
+        assert_eq!(escape("\u{1}"), "\\u0001");
+        let v = Json::Str("a\"b\\c\nd\u{1}é\t".into());
+        assert_eq!(parse(&v.to_text()).unwrap(), v);
+        assert_eq!(parse(r#""\/\b\f\u0041""#).unwrap().as_str(), Some("/\u{8}\u{c}A"));
+    }
+
+    #[test]
+    fn numbers_split_into_u64_and_num() {
+        assert_eq!(parse("18446744073709551615").unwrap(), Json::U64(u64::MAX));
+        assert_eq!(parse("18446744073709551616").unwrap(), Json::Num(18446744073709551616.0));
+        assert_eq!(parse("-3").unwrap(), Json::Num(-3.0));
+        assert_eq!(parse("1.5").unwrap(), Json::Num(1.5));
+        assert_eq!(parse("2e3").unwrap(), Json::Num(2000.0));
+        assert_eq!(parse("1.5").unwrap().as_u64(), None, "as_u64 rejects floats");
+        assert_eq!(parse("-3").unwrap().as_u64(), None, "as_u64 rejects negatives");
+        assert_eq!(parse("7").unwrap().as_num(), Some(7.0), "as_num reads both variants");
+    }
+
+    #[test]
+    fn fmt_num_is_compact_and_round_trips() {
         assert_eq!(fmt_num(3.0), "3");
         assert_eq!(fmt_num(0.5), "0.5");
         assert_eq!(fmt_num(-12.0), "-12");
         assert_eq!(fmt_num(f64::NAN), "0");
         assert_eq!(fmt_num(f64::INFINITY), "0");
         for v in [0.1, 123.456, 1.0e-9, 9.5e15] {
-            let parsed = parse(&fmt_num(v)).unwrap().as_num().unwrap();
-            assert_eq!(parsed, v);
+            assert_eq!(parse(&fmt_num(v)).unwrap().as_num(), Some(v));
         }
     }
 
     #[test]
-    fn escape_handles_controls_and_quotes() {
-        assert_eq!(escape("a\"b\\c\nd"), "a\\\"b\\\\c\\nd");
-        assert_eq!(escape("\u{1}"), "\\u0001");
-        assert_eq!(parse("\"a\\\"b\\\\c\\nd\\u0041\"").unwrap().as_str(), Some("a\"b\\c\ndA"));
+    fn whitespace_tolerated() {
+        let v = parse(" { \"a\" : [ 1 , true ] } ").unwrap();
+        assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 2);
     }
 
     #[test]
-    fn parser_reads_nested_documents() {
-        let v = parse(r#"{"a": [1, 2.5, "x"], "b": {"c": true, "d": null}}"#).unwrap();
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap().len(), 3);
-        assert_eq!(v.get("a").unwrap().as_arr().unwrap()[1].as_num(), Some(2.5));
-        assert_eq!(v.get("b").unwrap().get("c"), Some(&Value::Bool(true)));
-        assert!(parse("{\"a\": 1} junk").is_err());
-        assert!(parse("[1, 2,]").is_err());
+    fn rejects_garbage() {
+        for bad in ["", "{", "[1,]", "[1, 2,]", "{}x", "{\"a\": 1} junk", "tru", "-", "\"\\q\""] {
+            assert!(parse(bad).is_err(), "{bad:?}");
+        }
+    }
+
+    #[test]
+    fn nesting_is_bounded() {
+        let deep = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&deep(MAX_DEPTH)).is_ok());
+        assert!(parse(&deep(MAX_DEPTH + 1)).is_err());
+        let err = parse(&"[".repeat(100_000)).unwrap_err();
+        assert!(err.contains("nesting"), "{err}");
+        let objects = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH + 1), "}".repeat(MAX_DEPTH + 1));
+        assert!(parse(&objects).is_err());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! daemon's startup, and losing that race is a reason to wait, not fail.
 
 use crate::protocol::{self, Request, PORT_FILE};
-use spacea_harness::json::Json;
+use spacea_obs::json::Json;
 use std::fmt;
 use std::io::{BufRead, BufReader, Write};
 use std::net::TcpStream;
@@ -183,7 +183,7 @@ impl Client {
         if n == 0 {
             return Err(CallError::transport("daemon hung up"));
         }
-        let v = spacea_harness::json::parse(line.trim()).map_err(CallError::transport)?;
+        let v = spacea_obs::json::parse(line.trim()).map_err(CallError::transport)?;
         if protocol::is_ok(&v) {
             Ok(v)
         } else {

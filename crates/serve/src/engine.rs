@@ -13,14 +13,14 @@ use crate::chaos::{ChaosPlan, ChaosState};
 use crate::error::ServeError;
 use crate::journal::{AckJournal, CompactionStats};
 use spacea_arch::{HwConfig, Machine, RunSpec, SpmmReport};
-use spacea_harness::json::Json;
 use spacea_harness::mapstore::{mapping_key, matrix_key};
-use spacea_harness::{MappingStats, MappingStore, MatrixSource};
+use spacea_harness::{write_atomic, MappingStats, MappingStore, MatrixSource};
 use spacea_mapping::{MapKind, Mapping};
 use spacea_matrix::Csr;
+use spacea_obs::json::Json;
 use spacea_obs::{MetricKey, Series, Timeline};
 use std::collections::BTreeMap;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Duration;
@@ -500,26 +500,11 @@ impl ServeEngine {
     }
 }
 
-/// Tmp-file + rename write in the target's directory. The tmp name is
-/// unique per write (pid + sequence), not just per process: concurrent
-/// handler threads flush the manifest, and a shared tmp name would let
-/// one thread rename the file out from under the other.
-pub(crate) fn write_atomic(path: &Path, text: &str) -> std::io::Result<()> {
-    static SEQ: AtomicU64 = AtomicU64::new(0);
-    let dir = path.parent().unwrap_or_else(|| Path::new("."));
-    std::fs::create_dir_all(dir)?;
-    let name = path.file_name().and_then(|n| n.to_str()).unwrap_or("serve.json");
-    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
-    let tmp = dir.join(format!(".{name}.{}.{seq}.tmp", std::process::id()));
-    std::fs::write(&tmp, text)?;
-    std::fs::rename(&tmp, path)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::protocol::seeded_vector;
-    use spacea_harness::json::parse;
+    use spacea_obs::json::parse;
 
     fn tmp_dir(tag: &str) -> PathBuf {
         std::env::temp_dir().join(format!("spacea-serve-engine-{tag}-{}", std::process::id()))

@@ -18,9 +18,9 @@
 //! `y_hash` differs: a journal can prove an answer lost, late, or
 //! rejected, but never wrong.
 
-use crate::engine::write_atomic;
 use spacea_harness::job::Fnv;
-use spacea_harness::json::{parse, Json};
+use spacea_harness::write_atomic;
+use spacea_obs::json::{parse, Json};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 

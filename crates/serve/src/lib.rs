@@ -21,9 +21,10 @@
 //!   corresponding solo SpMV result, independent of batch composition
 //!   and arrival order.
 //! * [`protocol`] / [`server`] / [`client`] — a tiny line/JSON protocol
-//!   (the `spacea_harness::json` dialect: floats travel as IEEE-754 bit
-//!   patterns) over localhost TCP, with `serve start/submit/stat/shutdown`
-//!   CLI verbs in `spacea-bench`.
+//!   (`spacea_obs::json`: floats travel as IEEE-754 bit patterns; line
+//!   length and nesting are capped, a breach is a coded `bad-request`) over
+//!   localhost TCP, with `serve start/submit/stat/shutdown` CLI verbs in
+//!   `spacea-bench`.
 //!
 //! Per-request telemetry — queue wait, fused batch width, cycles per
 //! request, queue depth, plus the shed/retry/deadline fault counters — is
@@ -63,6 +64,6 @@ pub use client::{CallError, Client, CompactReply};
 pub use engine::{EngineStats, RegisterInfo, ServeConfig, ServeEngine};
 pub use error::ServeError;
 pub use journal::{vec_hash, AckJournal, AckRecord, CompactionStats, JournalLoad};
-pub use protocol::{seeded_vector, Request, PORT_FILE};
+pub use protocol::{seeded_vector, Request, MAX_LINE_BYTES, PORT_FILE};
 pub use server::run_daemon;
 pub use service::{Service, SubmitReply};

@@ -1,18 +1,24 @@
 //! The line/JSON wire protocol between the `serve` CLI and the daemon.
 //!
-//! Each request is one line of `spacea_harness::json` text with a `"cmd"`
+//! Each request is one line of `spacea_obs::json` text with a `"cmd"`
 //! discriminator; each response is one line with an `"ok"` boolean.
 //! Floats — the response vectors — travel as IEEE-754 bit patterns
 //! (`u64`), so the protocol preserves the simulator's bitwise guarantees
 //! end to end: what the client decodes is exactly what the machine
-//! produced, including negative zeros.
+//! produced, including negative zeros. A request line longer than
+//! [`MAX_LINE_BYTES`] gets a `bad-request` and the connection closes; JSON
+//! nested deeper than [`spacea_obs::json::MAX_DEPTH`] is a `bad-request`.
 
-use spacea_harness::json::Json;
+use spacea_obs::json::Json;
 
 /// Name of the file (under the daemon's cache directory) that holds the
 /// bound TCP port, written once the listener is up. Doubles as the
 /// "daemon is ready" signal for scripts.
 pub const PORT_FILE: &str = "serve.port";
+
+/// The longest request line the daemon reads (newline excluded): room for
+/// a `register-mtx` body.
+pub const MAX_LINE_BYTES: usize = 16 << 20;
 
 /// A parsed client request.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -105,7 +111,7 @@ impl Request {
     /// Returns a message for malformed JSON, an unknown `cmd`, or missing
     /// fields.
     pub fn parse(text: &str) -> Result<Request, String> {
-        let v = spacea_harness::json::parse(text)?;
+        let v = spacea_obs::json::parse(text)?;
         let cmd = v
             .get("cmd")
             .and_then(Json::as_str)

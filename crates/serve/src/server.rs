@@ -15,12 +15,13 @@
 //! damage, deterministically.
 
 use crate::chaos::ConnFault;
-use crate::engine::{write_atomic, ServeConfig, ServeEngine};
+use crate::engine::{ServeConfig, ServeEngine};
 use crate::error::ServeError;
-use crate::protocol::{self, Request, PORT_FILE};
+use crate::protocol::{self, Request, MAX_LINE_BYTES, PORT_FILE};
 use crate::service::Service;
-use spacea_harness::json::Json;
-use std::io::{BufRead, BufReader, ErrorKind, Write};
+use spacea_harness::write_atomic;
+use spacea_obs::json::Json;
+use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
 use std::net::{TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -96,7 +97,8 @@ pub fn run_daemon(cfg: ServeConfig, port: u16) -> std::io::Result<()> {
 }
 
 /// Serves one connection: a loop of request lines, one response line
-/// each, until EOF, a protocol-level hangup, or daemon shutdown.
+/// each, until EOF, a protocol-level hangup, an over-long line, or daemon
+/// shutdown.
 fn handle_connection(stream: TcpStream, service: &Service, stop: &AtomicBool) {
     let Ok(writer) = stream.try_clone() else { return };
     let mut writer = writer;
@@ -104,11 +106,14 @@ fn handle_connection(stream: TcpStream, service: &Service, stop: &AtomicBool) {
     // instead of pinning the scope join on an idle client.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
     let mut reader = BufReader::new(stream);
-    let mut line = String::new();
+    let mut line = Vec::new();
     loop {
-        line.clear();
-        match reader.read_line(&mut line) {
-            Ok(0) => return, // client hung up
+        // Bytes read before a timeout stay in `line`: a request split by a
+        // pause is completed by the next read, and the cap counts the
+        // whole line.
+        let room = (MAX_LINE_BYTES + 1 - line.len()) as u64;
+        match reader.by_ref().take(room).read_until(b'\n', &mut line) {
+            Ok(0) if line.is_empty() => return, // client hung up
             Ok(_) => {}
             Err(e) if e.kind() == ErrorKind::WouldBlock || e.kind() == ErrorKind::TimedOut => {
                 if stop.load(Ordering::SeqCst) {
@@ -118,13 +123,24 @@ fn handle_connection(stream: TcpStream, service: &Service, stop: &AtomicBool) {
             }
             Err(_) => return,
         }
-        if line.trim().is_empty() {
+        let body = line.strip_suffix(b"\n").unwrap_or(&line);
+        if body.len() > MAX_LINE_BYTES {
+            // No newline within the cap: the rest of the stream cannot be
+            // resynchronised to a line boundary, so reply and close.
+            let msg = format!("request line exceeds {MAX_LINE_BYTES} bytes");
+            let _ = writeln!(writer, "{}", protocol::err_code("bad-request", &msg).to_text());
+            return;
+        }
+        let text = std::str::from_utf8(body).map_err(|e| format!("request is not UTF-8: {e}"));
+        if text.as_ref().is_ok_and(|t| t.trim().is_empty()) {
+            line.clear();
             continue;
         }
-        let response = match Request::parse(line.trim()) {
+        let response = match text.and_then(|t| Request::parse(t.trim())) {
             Ok(req) => dispatch(req, service, stop),
             Err(e) => protocol::err_code("bad-request", &e),
         };
+        line.clear();
         if writeln!(writer, "{}", response.to_text()).is_err() {
             return;
         }

@@ -30,7 +30,7 @@ fn start_daemon(dir: &Path) -> std::thread::JoinHandle<()> {
 
 fn manifest_counts(dir: &Path) -> (u64, u64) {
     let text = std::fs::read_to_string(dir.join("serve-manifest.json")).expect("manifest exists");
-    let v = spacea_harness::json::parse(&text).expect("manifest parses");
+    let v = spacea_obs::json::parse(&text).expect("manifest parses");
     let maps = v.get("mappings").expect("mappings field");
     (
         maps.get("computed").and_then(|j| j.as_u64()).expect("computed"),
