@@ -5,7 +5,7 @@ set -eu
 cargo build --release
 cargo test -q
 cargo fmt --check
-cargo clippy -- -D warnings
+cargo clippy --workspace --all-targets -- -D warnings
 
 # The benchmark package (perf/) is a workspace of its own, so the root
 # `cargo test` never compiles it — yet it pins the JSON compatibility paths

@@ -1003,13 +1003,13 @@ impl<'a> Sim<'a> {
 
     fn row_loaded(&mut self, pe: u32, row_id: u32, t: Cycle) {
         let p = pe as usize;
-        let r = row_id as usize;
+        let a = self.a;
         let state = &mut self.pes[p];
-        let matrix_row = state.dram_rows[r].matrix_row;
-        let n = state.dram_rows[r].entries.len();
+        let spec = state.dram_rows[row_id as usize];
+        let (matrix_row, n) = (spec.matrix_row, spec.len);
         state.queue.push_back(crate::pe::LoadedRow { id: row_id, remaining: n });
-        for i in 0..n {
-            let (col, val) = state.dram_rows[r].entries[i];
+        for i in spec.range() {
+            let (col, val) = (a.col_idx()[i], a.vals()[i]);
             state.fresh.push_back(PeEntry { row_id, matrix_row, col, val });
         }
         state.load_in_flight = false;

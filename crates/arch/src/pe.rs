@@ -10,15 +10,27 @@
 //! [`machine`](crate::machine) drive them.
 
 use std::collections::VecDeque;
+use std::ops::Range;
 
-/// One packed matrix DRAM row: a row-index header plus `(col, value)` pairs
-/// of a single matrix row (Section III-B's alignment rule).
-#[derive(Debug, Clone, PartialEq)]
+/// One packed matrix DRAM row: a row-index header plus up to
+/// `nnz_per_dram_row` non-zeros of a single matrix row (Section III-B's
+/// alignment rule). The non-zeros are not copied: the spec is a range into
+/// the `col_idx`/`vals` arrays of the CSR matrix the run borrows.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct DramRowSpec {
     /// The matrix row index all entries in this DRAM row belong to.
     pub matrix_row: u32,
-    /// The packed `(column, value)` pairs (at most `nnz_per_dram_row`).
-    pub entries: Vec<(u32, f64)>,
+    /// Index of the first packed entry in the CSR `col_idx`/`vals` arrays.
+    pub start: usize,
+    /// Number of packed entries (at most `nnz_per_dram_row`).
+    pub len: usize,
+}
+
+impl DramRowSpec {
+    /// The packed entries' positions in the CSR `col_idx`/`vals` arrays.
+    pub fn range(&self) -> Range<usize> {
+        self.start..self.start + self.len
+    }
 }
 
 /// Packs the CSR rows assigned to one PE into DRAM rows.
@@ -32,11 +44,13 @@ pub fn pack_rows(
     nnz_per_dram_row: usize,
 ) -> Vec<DramRowSpec> {
     assert!(nnz_per_dram_row > 0, "DRAM row must hold at least one non-zero");
+    let row_ptr = csr.row_ptr();
     let mut out = Vec::new();
     for &r in assigned_rows {
-        let entries: Vec<(u32, f64)> = csr.row(r as usize).collect();
-        for chunk in entries.chunks(nnz_per_dram_row) {
-            out.push(DramRowSpec { matrix_row: r, entries: chunk.to_vec() });
+        let (first, end) = (row_ptr[r as usize], row_ptr[r as usize + 1]);
+        for start in (first..end).step_by(nnz_per_dram_row) {
+            let len = nnz_per_dram_row.min(end - start);
+            out.push(DramRowSpec { matrix_row: r, start, len });
         }
     }
     out
@@ -112,8 +126,8 @@ impl ProductPe {
         let mut table: Vec<(u32, usize)> = Vec::new();
         for spec in &dram_rows {
             match table.last_mut() {
-                Some((row, n)) if *row == spec.matrix_row => *n += spec.entries.len(),
-                _ => table.push((spec.matrix_row, spec.entries.len())),
+                Some((row, n)) if *row == spec.matrix_row => *n += spec.len,
+                _ => table.push((spec.matrix_row, spec.len)),
             }
         }
         table.sort_unstable_by_key(|&(row, _)| row);
@@ -130,7 +144,7 @@ impl ProductPe {
 
     /// Total non-zeros this PE must process.
     pub fn total_nnz(&self) -> usize {
-        self.dram_rows.iter().map(|r| r.entries.len()).sum()
+        self.dram_rows.iter().map(|r| r.len).sum()
     }
 
     /// Whether the PE has scan work available right now.
@@ -169,6 +183,8 @@ impl ProductPe {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
+    use proptest::strategy::Just;
     use spacea_matrix::Csr;
 
     fn csr() -> Csr {
@@ -181,11 +197,44 @@ mod tests {
         let rows = pack_rows(&csr(), &[0, 2], 2);
         // row 0 (3 nnz) → 2 DRAM rows; row 2 (2 nnz) → 1 DRAM row.
         assert_eq!(rows.len(), 3);
-        assert_eq!(rows[0].matrix_row, 0);
-        assert_eq!(rows[0].entries.len(), 2);
-        assert_eq!(rows[1].matrix_row, 0);
-        assert_eq!(rows[1].entries.len(), 1);
-        assert_eq!(rows[2].matrix_row, 2);
+        assert_eq!(rows[0], DramRowSpec { matrix_row: 0, start: 0, len: 2 });
+        assert_eq!(rows[1], DramRowSpec { matrix_row: 0, start: 2, len: 1 });
+        assert_eq!(rows[2], DramRowSpec { matrix_row: 2, start: 3, len: 2 });
+    }
+
+    proptest! {
+        /// Over random matrices, row subsets and DRAM-row capacities, the
+        /// packed ranges of each assigned row concatenate to exactly
+        /// `Csr::row(r)`, in assignment order, and no chunk overflows its
+        /// DRAM row.
+        #[test]
+        fn packed_ranges_concatenate_to_each_assigned_row(
+            (rows, cols, triples) in (1usize..24, 1usize..24).prop_flat_map(|(rows, cols)| {
+                let entry = (0..rows, 0..cols, -8i32..8);
+                (Just(rows), Just(cols), proptest::collection::vec(entry, 0..120))
+            }),
+            pick in proptest::collection::vec(any::<bool>(), 24),
+            cap in 1usize..8,
+        ) {
+            let mut coo = spacea_matrix::Coo::new(rows, cols);
+            for (r, c, v) in triples {
+                coo.push(r, c, f64::from(v)).unwrap();
+            }
+            let a = coo.to_csr();
+            let assigned: Vec<u32> = (0..rows as u32).filter(|&r| pick[r as usize]).rev().collect();
+            let packed = pack_rows(&a, &assigned, cap);
+            let mut next = packed.iter().peekable();
+            for &r in &assigned {
+                let mut got = Vec::new();
+                while let Some(spec) = next.next_if(|s| s.matrix_row == r) {
+                    prop_assert!(spec.len >= 1 && spec.len <= cap, "{spec:?}");
+                    let range = spec.range();
+                    got.extend(a.col_idx()[range.clone()].iter().copied().zip(a.vals()[range].iter().copied()));
+                }
+                prop_assert_eq!(got, a.row(r as usize).collect::<Vec<_>>());
+            }
+            prop_assert!(next.next().is_none(), "chunks for unassigned rows");
+        }
     }
 
     #[test]
@@ -195,9 +244,11 @@ mod tests {
     }
 
     #[test]
-    fn pack_preserves_values() {
-        let rows = pack_rows(&csr(), &[2], 4);
-        assert_eq!(rows[0].entries, vec![(3, 1.0), (4, 1.0)]);
+    fn pack_ranges_address_the_csr_entries() {
+        let a = csr();
+        let rows = pack_rows(&a, &[2], 4);
+        let r = rows[0].range();
+        assert_eq!((&a.col_idx()[r.clone()], &a.vals()[r]), (&[3, 4][..], &[1.0, 1.0][..]));
     }
 
     #[test]

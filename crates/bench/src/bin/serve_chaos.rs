@@ -26,6 +26,7 @@
 //! `serve_chaos --seeds 8` runs seeds 0..8 (the CI smoke);
 //! `serve_chaos --seed K` replays one failing seed deterministically.
 
+use spacea_matrix::mmio::MAX_MTX_DIM;
 use spacea_matrix::Csr;
 use spacea_obs::json::{parse, Json};
 use spacea_serve::client::read_port;
@@ -97,6 +98,9 @@ fn main() {
     }
 }
 
+/// The offline answer to one request: `(matrix key, y)`.
+type Answer = (u64, Vec<f64>);
+
 /// One request the soak fired: enough to recompute the offline truth.
 #[derive(Debug, Clone)]
 struct Shot {
@@ -129,7 +133,7 @@ fn soak_seed(seed: u64, requests: usize, root: &Path) -> Result<String, String> 
         .map_err(|e| format!("cannot spawn daemon thread: {e}"))?;
 
     // Register through the chaos (a dropped admin connection is retried).
-    let mut truth: BTreeMap<u64, (u64, Vec<f64>)> = BTreeMap::new(); // x_hash -> (matrix, y)
+    let mut truth: BTreeMap<u64, Answer> = BTreeMap::new(); // keyed by x_hash
     let mut keys = Vec::new();
     let mut offline = Vec::new();
     for (id, scale) in MATRICES {
@@ -308,16 +312,21 @@ fn soak_seed(seed: u64, requests: usize, root: &Path) -> Result<String, String> 
 }
 
 /// Sends hostile request lines, each raw on its own connection: a
-/// 100,000-deep `[` nest and a line past [`MAX_LINE_BYTES`] must get a
-/// coded `bad-request`, a request split by a pause longer than the daemon's
-/// 200 ms read timeout an answer. After each, a submit on a fresh
-/// connection must be acked bitwise; returns those submits as
-/// `(x_hash, (key, y))`.
-fn hostile_lines(dir: &Path, key: u64, a: &Csr) -> Result<Vec<(u64, (u64, Vec<f64>))>, String> {
+/// 100,000-deep `[` nest, a line past [`MAX_LINE_BYTES`] and a
+/// `register-mtx` whose MatrixMarket header declares a matrix far past
+/// [`MAX_MTX_DIM`] must get a coded `bad-request`, a request split by a
+/// pause longer than the daemon's 200 ms read timeout an answer. After
+/// each, a submit on a fresh connection must be acked bitwise; returns
+/// those submits as `(x_hash, (key, y))`.
+fn hostile_lines(dir: &Path, key: u64, a: &Csr) -> Result<Vec<(u64, Answer)>, String> {
     let (deep, long) = ("[".repeat(100_000) + "\n", "x".repeat(MAX_LINE_BYTES + 1));
-    let cases: [(&str, &[&str], &str); 3] = [
+    let huge = 1_000_000 * MAX_MTX_DIM;
+    let text = format!("%%MatrixMarket matrix coordinate real general\n{huge} {huge} 1\n1 1 1\n");
+    let false_header = Request::RegisterMtx { text }.to_line() + "\n";
+    let cases: [(&str, &[&str], &str); 4] = [
         ("100,000-deep nesting", &[&deep], "bad-request"),
         ("over-long line", &[&long], "bad-request"),
+        ("false MatrixMarket header", &[&false_header], "bad-request"),
         ("request split by a 500 ms pause", &["{\"cmd\":", "\"ping\"}\n"], "ok"),
     ];
     let mut probes = Vec::new();
@@ -350,7 +359,7 @@ fn send_raw(dir: &Path, parts: &[&str]) -> Result<String, String> {
         .find_map(|_| {
             let stream = TcpStream::connect(("127.0.0.1", read_port(dir).ok()?)).ok()?;
             let mut conn = BufReader::new(stream);
-            writeln!(conn.get_mut(), "{}", Request::Ping.to_line()).ok()?;
+            conn.get_mut().write_all((Request::Ping.to_line() + "\n").as_bytes()).ok()?;
             (conn.read_line(&mut String::new()).ok()? > 0).then_some(conn)
         })
         .ok_or("no connection answered a ping")?;

@@ -165,7 +165,7 @@ struct FileItems {
     sinks: Vec<Vec<SinkUse>>,
 }
 
-fn ident_at<'t>(tokens: &'t [Token], i: usize) -> Option<&'t str> {
+fn ident_at(tokens: &[Token], i: usize) -> Option<&str> {
     match tokens.get(i).map(|t| &t.kind) {
         Some(TokKind::Ident(s)) => Some(s.as_str()),
         _ => None,
@@ -571,8 +571,8 @@ impl CallGraph {
         let mut parent: BTreeMap<usize, usize> = BTreeMap::new();
         let mut queue: std::collections::VecDeque<usize> = std::collections::VecDeque::new();
         for &r in &roots {
-            if !parent.contains_key(&r) {
-                parent.insert(r, r);
+            if let std::collections::btree_map::Entry::Vacant(e) = parent.entry(r) {
+                e.insert(r);
                 queue.push_back(r);
             }
         }

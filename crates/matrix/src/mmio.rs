@@ -39,12 +39,19 @@ enum Symmetry {
     Symmetric,
 }
 
+/// The largest row or column count a Matrix Market header may declare:
+/// 2^22 = 4,194,304, over four times the largest Table I matrix at scale 1
+/// (webbase-1M, 1,000,005 rows). The check runs before anything is sized
+/// from the header, so a lying header cannot make the reader allocate for
+/// it.
+pub const MAX_MTX_DIM: usize = 1 << 22;
+
 /// Reads a Matrix Market matrix from a string.
 ///
 /// # Errors
 ///
 /// Returns [`MatrixError::Parse`] on malformed input (bad header, wrong entry
-/// count, out-of-range coordinates).
+/// count, out-of-range coordinates, or dimensions above [`MAX_MTX_DIM`]).
 pub fn read_str(text: &str) -> Result<Csr, MatrixError> {
     let mut lines = text.lines().enumerate();
 
@@ -83,9 +90,21 @@ pub fn read_str(text: &str) -> Result<Csr, MatrixError> {
         return Err(parse_err(size_line_no + 1, "size line must be 'rows cols nnz'"));
     }
     let (rows, cols, nnz) = (dims[0], dims[1], dims[2]);
+    if rows > MAX_MTX_DIM || cols > MAX_MTX_DIM {
+        return Err(parse_err(
+            size_line_no + 1,
+            &format!("declared size {rows}x{cols} exceeds the {MAX_MTX_DIM} dimension cap"),
+        ));
+    }
+    let per_line = if symmetry == Symmetry::Symmetric { 2 } else { 1 };
+    let declared = nnz
+        .checked_mul(per_line)
+        .ok_or_else(|| parse_err(size_line_no + 1, "declared entry count overflows"))?;
 
     let mut coo = Coo::new(rows, cols);
-    coo.reserve(if symmetry == Symmetry::Symmetric { nnz * 2 } else { nnz });
+    // An entry line takes at least 4 bytes ("r c\n"), so the text itself
+    // bounds the reservation, whatever the header claims.
+    coo.reserve(declared.min(text.len() / 4 * per_line));
     let mut seen = 0usize;
     for (idx, line) in lines {
         let line = line.trim();
@@ -226,6 +245,26 @@ mod tests {
     fn rejects_wrong_count() {
         let text = "%%MatrixMarket matrix coordinate real general\n2 2 2\n1 1 1\n";
         assert!(matches!(read_str(text), Err(MatrixError::Parse { .. })));
+    }
+
+    #[test]
+    fn rejects_lying_headers_before_allocating() {
+        let header = "%%MatrixMarket matrix coordinate real general\n";
+        let huge = MAX_MTX_DIM + 1;
+        for size in [format!("{huge} 2 1"), format!("2 {huge} 1"), format!("{} 1 1", usize::MAX)] {
+            let e = read_str(&format!("{header}{size}\n1 1 1\n")).unwrap_err();
+            assert!(e.to_string().contains("dimension cap"), "{size}: {e}");
+        }
+        let sym = "%%MatrixMarket matrix coordinate real symmetric\n";
+        let e = read_str(&format!("{sym}2 2 {}\n1 1 1\n", usize::MAX)).unwrap_err();
+        assert!(e.to_string().contains("overflows"), "{e}");
+        // A declared count far past what the text holds reserves only what
+        // the text can carry, then fails on the count check.
+        let e = read_str(&format!("{header}2 2 {}\n1 1 1\n", usize::MAX / 2)).unwrap_err();
+        assert!(e.to_string().contains("declared"), "{e}");
+        // The cap itself is accepted.
+        let csr = read_str(&format!("{header}{MAX_MTX_DIM} 1 1\n1 1 1\n")).unwrap();
+        assert_eq!(csr.rows(), MAX_MTX_DIM);
     }
 
     #[test]

@@ -3,7 +3,7 @@
 //! [`ChaosPlan`] extends the PR 3 simulator fault-injection philosophy
 //! ([`spacea_arch::FaultPlan`]) one layer up: instead of dropping NoC
 //! packets inside the machine, a chaos plan drops connections at the
-//! listener, kills or wedges the batcher mid-batch, stalls individual
+//! listener, kills or wedges a batch worker mid-batch, stalls individual
 //! admitted requests, and corrupts persisted mapping artifacts at daemon
 //! startup. Like `FaultPlan`, every fault is addressed by an ordinal
 //! counter, never a probability, so a plan replays exactly: the Nth
@@ -43,7 +43,7 @@ pub struct ChaosPlan {
     /// milliseconds before the first read (a slow-start client).
     pub delay_conn: Option<(u64, u64)>,
     /// Fail the Nth batch execution attempt (0-based) with a *transient*
-    /// fault before the simulator runs — the batcher's bounded retry must
+    /// fault before the simulator runs — the worker's bounded retry must
     /// absorb it and still answer every member correctly.
     pub kill_batch: Option<u64>,
     /// Fail the Nth batch execution attempt with a *hang-class* fault.

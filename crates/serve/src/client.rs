@@ -120,6 +120,11 @@ impl Client {
         let stream = TcpStream::connect(("127.0.0.1", port)).map_err(|e| {
             CallError::transport(format!("cannot reach daemon on port {port}: {e}"))
         })?;
+        // Each request is one write of a whole line; without this, Nagle's
+        // algorithm would hold it back waiting on the daemon's delayed ACK.
+        stream
+            .set_nodelay(true)
+            .map_err(|e| CallError::transport(format!("cannot set TCP_NODELAY: {e}")))?;
         let writer = stream
             .try_clone()
             .map_err(|e| CallError::transport(format!("cannot clone stream: {e}")))?;
@@ -173,7 +178,10 @@ impl Client {
     /// Returns a `transport`-coded error for connection failures, or the
     /// daemon's coded error when the response reports `ok: false`.
     pub fn call(&mut self, req: &Request) -> Result<Json, CallError> {
-        writeln!(self.writer, "{}", req.to_line())
+        let mut request = req.to_line();
+        request.push('\n');
+        self.writer
+            .write_all(request.as_bytes())
             .map_err(|e| CallError::transport(format!("send failed: {e}")))?;
         let mut line = String::new();
         let n = self

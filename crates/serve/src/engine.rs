@@ -57,7 +57,7 @@ pub struct ServeConfig {
     /// requests already waiting is rejected with an explicit
     /// `overloaded` error instead of queued.
     pub shed_mark: usize,
-    /// How long the batcher waits after the first request of a batch for
+    /// How long the dispatcher waits after the first request of a batch for
     /// concurrent requests to arrive and fuse — when more work is
     /// already queued behind it.
     pub gather_window: Duration,

@@ -38,14 +38,15 @@ pub enum ServeError {
     Sim(SimError),
     /// A chaos-plan fault injected at the service layer (testing only).
     Injected {
-        /// Transient faults are retried by the batcher; wedges are not.
+        /// Transient faults are retried by the batch worker; wedges are not.
         transient: bool,
         /// Which directive fired.
         what: String,
     },
-    /// The batcher disappeared while the request was in flight. This is
-    /// the one code that should never be seen in a healthy daemon: the
-    /// lifecycle guarantee is that every admitted request gets a reply.
+    /// The dispatcher or batch worker holding the request died while it
+    /// was in flight. This is the one code that should never be seen in a
+    /// healthy daemon: the lifecycle guarantee is that every admitted
+    /// request gets a reply.
     Lost,
 }
 
@@ -101,7 +102,7 @@ impl fmt::Display for ServeError {
                 let kind = if *transient { "transient" } else { "wedge" };
                 write!(f, "chaos-injected {kind} fault: {what}")
             }
-            ServeError::Lost => write!(f, "request lost in the service (batcher died)"),
+            ServeError::Lost => write!(f, "request lost (its dispatcher or worker died)"),
         }
     }
 }

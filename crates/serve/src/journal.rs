@@ -1,7 +1,7 @@
 //! The write-ahead acknowledgment journal: proof of every answered
 //! request that survives a daemon crash.
 //!
-//! Before the batcher sends a success reply to any submitter, it appends
+//! Before a batch worker sends a success reply to any submitter, it appends
 //! one journal entry per fused member to `<cache-dir>/journal/` — a
 //! single `ack-<seq>.json` file per batch, written tmp-file + atomic
 //! rename. The ordering is the contract: **journal first, acknowledge
@@ -23,6 +23,7 @@ use spacea_harness::write_atomic;
 use spacea_obs::json::{parse, Json};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{PoisonError, RwLock};
 
 /// FNV content hash of a float vector over exact IEEE-754 bit patterns —
 /// the identity requests and responses are journaled under.
@@ -101,11 +102,19 @@ pub struct CompactionStats {
 }
 
 /// An append-only acknowledgment journal over one directory.
+///
+/// Appends run concurrently (the sequence number is atomic); a compaction
+/// pass excludes every append and every other pass. Without that, two
+/// passes could both count the same files into the watermark, and a pass
+/// could set the watermark above a sequence number whose file an append
+/// had not yet renamed into place — losing that file from the count.
 #[derive(Debug)]
 pub struct AckJournal {
     dir: PathBuf,
     seq: AtomicU64,
     acked: AtomicU64,
+    /// Shared by appends and `stat` reads, exclusive to [`AckJournal::compact`].
+    compaction: RwLock<()>,
 }
 
 impl AckJournal {
@@ -135,7 +144,12 @@ impl AckJournal {
                 .map_or(0, |max| max + 1),
             Err(_) => 0,
         };
-        AckJournal { dir, seq: AtomicU64::new(next.max(floor)), acked: AtomicU64::new(0) }
+        AckJournal {
+            dir,
+            seq: AtomicU64::new(next.max(floor)),
+            acked: AtomicU64::new(0),
+            compaction: RwLock::new(()),
+        }
     }
 
     /// The journal directory.
@@ -157,6 +171,7 @@ impl AckJournal {
     /// Propagates directory-creation and write failures; on error nothing
     /// was journaled (the tmp file never became visible).
     pub fn append(&self, records: &[AckRecord]) -> std::io::Result<PathBuf> {
+        let _shared = self.compaction.read().unwrap_or_else(PoisonError::into_inner);
         let seq = self.seq.fetch_add(1, Ordering::Relaxed);
         let path = self.dir.join(format!("ack-{seq:08}.json"));
         let body = Json::obj(vec![
@@ -198,6 +213,7 @@ impl AckJournal {
     /// The live journal footprint on disk: `(records, files)` past the
     /// compaction watermark — what the `stat` verb reports.
     pub fn disk_counts(&self) -> (u64, u64) {
+        let _shared = self.compaction.read().unwrap_or_else(PoisonError::into_inner);
         let load = AckJournal::load(&self.dir);
         let floor = watermark(&self.dir).map(|(seq, _)| seq);
         let files = match std::fs::read_dir(&self.dir) {
@@ -223,6 +239,7 @@ impl AckJournal {
     /// Propagates the watermark write failure; on error no journal file
     /// was removed.
     pub fn compact(&self, retain: usize) -> std::io::Result<CompactionStats> {
+        let _exclusive = self.compaction.write().unwrap_or_else(PoisonError::into_inner);
         let prior = watermark(&self.dir);
         let floor = prior.map(|(seq, _)| seq);
         let Ok(entries) = std::fs::read_dir(&self.dir) else {
@@ -426,6 +443,44 @@ mod tests {
         assert_eq!(load.records, vec![rec(1, 3)]);
         assert_eq!(load.dropped, 3, "2 carried + 1 newly dropped");
         assert!(!dir.join("ack-00000000.json").exists(), "leftover swept");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_appends_and_compactions_account_for_every_record() {
+        let dir = tmp_dir("race");
+        let _ = std::fs::remove_dir_all(&dir);
+        let j = AckJournal::open(&dir);
+        let (appenders, per_thread) = (4u64, 100u64);
+        let appending = std::sync::atomic::AtomicU64::new(appenders);
+        std::thread::scope(|scope| {
+            for t in 0..appenders {
+                let (j, appending) = (&j, &appending);
+                scope.spawn(move || {
+                    for i in 0..per_thread {
+                        j.append(&[rec(t, i), rec(t, 1000 + i)]).unwrap();
+                    }
+                    appending.fetch_sub(1, Ordering::SeqCst);
+                });
+            }
+            for retain in [0, 3] {
+                let (j, appending) = (&j, &appending);
+                scope.spawn(move || {
+                    while appending.load(Ordering::SeqCst) > 0 {
+                        j.compact(retain).unwrap();
+                    }
+                });
+            }
+        });
+        let load = AckJournal::load(&dir);
+        assert_eq!(load.corrupt_files, 0);
+        assert_eq!(
+            load.dropped + load.records.len() as u64,
+            appenders * per_thread * 2,
+            "watermark {} + live {}",
+            load.dropped,
+            load.records.len()
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

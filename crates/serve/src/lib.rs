@@ -14,9 +14,11 @@
 //!   `<cache-dir>/mappings/<key>.json`, so Phase I/II is paid once per
 //!   matrix *ever*, not once per process. Restarting the daemon performs
 //!   zero mapping computations for previously seen matrices.
-//! * [`service::Service`] — a bounded admission queue plus a batcher thread
-//!   that fuses concurrent requests against the same matrix into one
-//!   simulated SpMM pass ([`spacea_arch::RunSpec::spmm`]). Fusing is
+//! * [`service::Service`] — a bounded admission queue plus a dispatcher
+//!   thread that fuses concurrent requests against the same matrix into
+//!   one simulated SpMM pass ([`spacea_arch::RunSpec::spmm`]), and a
+//!   persistent pool of one batch worker per core that runs those passes,
+//!   so batches for different matrices simulate concurrently. Fusing is
 //!   safe because each fused output vector is bitwise-identical to the
 //!   corresponding solo SpMV result, independent of batch composition
 //!   and arrival order.
@@ -24,7 +26,8 @@
 //!   (`spacea_obs::json`: floats travel as IEEE-754 bit patterns; line
 //!   length and nesting are capped, a breach is a coded `bad-request`) over
 //!   localhost TCP, with `serve start/submit/stat/shutdown` CLI verbs in
-//!   `spacea-bench`.
+//!   `spacea-bench`. Both ends set `TCP_NODELAY` and send each line with
+//!   one write, so a round trip never waits on a delayed ACK.
 //!
 //! Per-request telemetry — queue wait, fused batch width, cycles per
 //! request, queue depth, plus the shed/retry/deadline fault counters — is

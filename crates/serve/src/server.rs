@@ -100,8 +100,10 @@ pub fn run_daemon(cfg: ServeConfig, port: u16) -> std::io::Result<()> {
 /// each, until EOF, a protocol-level hangup, an over-long line, or daemon
 /// shutdown.
 fn handle_connection(stream: TcpStream, service: &Service, stop: &AtomicBool) {
-    let Ok(writer) = stream.try_clone() else { return };
-    let mut writer = writer;
+    // Replies go out as one write of a whole line each; TCP_NODELAY then
+    // sends it at once instead of holding it for the client's delayed ACK.
+    let _ = stream.set_nodelay(true);
+    let Ok(mut writer) = stream.try_clone() else { return };
     // A finite read timeout lets handler threads notice daemon shutdown
     // instead of pinning the scope join on an idle client.
     let _ = stream.set_read_timeout(Some(Duration::from_millis(200)));
@@ -128,7 +130,7 @@ fn handle_connection(stream: TcpStream, service: &Service, stop: &AtomicBool) {
             // No newline within the cap: the rest of the stream cannot be
             // resynchronised to a line boundary, so reply and close.
             let msg = format!("request line exceeds {MAX_LINE_BYTES} bytes");
-            let _ = writeln!(writer, "{}", protocol::err_code("bad-request", &msg).to_text());
+            let _ = send_line(&mut writer, &protocol::err_code("bad-request", &msg));
             return;
         }
         let text = std::str::from_utf8(body).map_err(|e| format!("request is not UTF-8: {e}"));
@@ -141,13 +143,20 @@ fn handle_connection(stream: TcpStream, service: &Service, stop: &AtomicBool) {
             Err(e) => protocol::err_code("bad-request", &e),
         };
         line.clear();
-        if writeln!(writer, "{}", response.to_text()).is_err() {
+        if send_line(&mut writer, &response).is_err() {
             return;
         }
         if stop.load(Ordering::SeqCst) {
             return;
         }
     }
+}
+
+/// Writes `response` and its newline as one line in a single write.
+fn send_line(writer: &mut TcpStream, response: &Json) -> std::io::Result<()> {
+    let mut line = response.to_text();
+    line.push('\n');
+    writer.write_all(line.as_bytes())
 }
 
 /// A wire error response from a [`ServeError`]: stable code plus message.

@@ -1,12 +1,26 @@
-//! The batching service: a bounded admission queue in front of a single
-//! batcher thread that fuses concurrent same-matrix requests into one
-//! simulated SpMM pass.
+//! The batching service: a bounded admission queue in front of one
+//! dispatcher thread that fuses concurrent same-matrix requests into one
+//! simulated SpMM pass, and a persistent pool of batch workers that run
+//! those passes.
 //!
 //! Fusing is correctness-free by construction: the engine guarantees each
 //! fused output vector is bitwise what a solo SpMV run of that vector
 //! returns (see the `spmm_equivalence` property tests in `spacea-arch`),
-//! so the batcher is pure scheduling — it only decides *latency*, never
+//! so the dispatcher is pure scheduling — it only decides *latency*, never
 //! *values*.
+//!
+//! # Concurrency
+//!
+//! The pool holds one worker per available core
+//! ([`std::thread::available_parallelism`]), spawned once. The dispatcher
+//! takes a free-worker token *before* it gathers a batch: while every
+//! worker is busy, new requests wait in the admission queue and fuse into
+//! the next batch exactly as they would behind a single batcher. Batches
+//! for different matrices then simulate concurrently
+//! ([`spacea_arch::Machine::run`] takes `&self`). Each worker journals its
+//! own batch before replying, so the journal-first order holds per batch;
+//! journal files are numbered by an atomic sequence in completion order,
+//! not admission order.
 //!
 //! # Request lifecycle guarantees
 //!
@@ -23,16 +37,18 @@
 //!    retry budget (transient faults retried with splitmix-jittered
 //!    exponential backoff; hang-class never retried, mirroring the PR 3
 //!    supervision policy).
-//! 3. **[`ServeError::Lost`]** — the batcher thread died. This code
-//!    existing is what makes "silently lost" impossible: a request that
-//!    cannot be answered still gets a reply naming that fact.
+//! 3. **[`ServeError::Lost`]** — the dispatcher or the worker running its
+//!    batch died. This code existing is what makes "silently lost"
+//!    impossible: a request that cannot be answered still gets a reply
+//!    naming that fact.
 
 use crate::engine::ServeEngine;
 use crate::error::ServeError;
 use crate::journal::{vec_hash, AckRecord};
 use std::collections::VecDeque;
+use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -77,6 +93,14 @@ struct Pending {
     reply: mpsc::Sender<Result<SubmitReply, ServeError>>,
 }
 
+/// One fused batch on its way from the dispatcher to a worker.
+struct Batch {
+    matrix: u64,
+    members: Vec<Pending>,
+    /// Requests still queued behind this batch when it left the dispatcher.
+    queued_behind: usize,
+}
+
 /// A running batching service over a [`ServeEngine`].
 ///
 /// [`Service::submit`] blocks the calling thread until its request has
@@ -88,7 +112,8 @@ struct Pending {
 pub struct Service {
     engine: Arc<ServeEngine>,
     tx: Mutex<Option<SyncSender<Pending>>>,
-    worker: Mutex<Option<JoinHandle<()>>>,
+    /// The batch workers and the dispatcher; joined by `stop`.
+    threads: Mutex<Vec<JoinHandle<()>>>,
     /// Requests admitted but not yet finished (replied or cancelled).
     depth: Arc<AtomicUsize>,
     /// Admission ordinal counter for chaos stall addressing.
@@ -96,28 +121,55 @@ pub struct Service {
 }
 
 impl Service {
-    /// Starts the batcher thread over an existing engine.
+    /// Starts the dispatcher and one batch worker per available core over
+    /// an existing engine.
     pub fn over(engine: Arc<ServeEngine>) -> Self {
         let (tx, rx) = mpsc::sync_channel::<Pending>(engine.config().queue_depth.max(1));
         let depth = Arc::new(AtomicUsize::new(0));
-        let worker_engine = Arc::clone(&engine);
-        let worker_depth = Arc::clone(&depth);
-        let spawned = std::thread::Builder::new()
-            .name("serve-batcher".into())
-            .spawn(move || batcher_loop(&worker_engine, &rx, &worker_depth));
-        let (tx, worker) = match spawned {
-            Ok(handle) => (Some(tx), Some(handle)),
+        let (batch_tx, batch_rx) = mpsc::channel::<Batch>();
+        let batch_rx = Arc::new(Mutex::new(batch_rx));
+        // One token per live worker: a worker hands its token back after
+        // each batch, and a worker that dies takes its token with it.
+        let (token_tx, token_rx) = mpsc::channel::<()>();
+        let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        let mut threads = Vec::with_capacity(workers + 1);
+        for i in 0..workers {
+            let (engine, depth) = (Arc::clone(&engine), Arc::clone(&depth));
+            let (batches, tokens) = (Arc::clone(&batch_rx), token_tx.clone());
+            let spawned = std::thread::Builder::new()
+                .name(format!("serve-worker-{i}"))
+                .spawn(move || worker_loop(&engine, &depth, &batches, &tokens));
+            match spawned {
+                Ok(handle) => {
+                    let _ = token_tx.send(());
+                    threads.push(handle);
+                }
+                Err(e) => eprintln!("serve: failed to spawn batch worker {i}: {e}"),
+            }
+        }
+        drop((token_tx, batch_rx));
+        let (dispatch_engine, dispatch_depth) = (Arc::clone(&engine), Arc::clone(&depth));
+        let spawned =
+            std::thread::Builder::new().name("serve-dispatcher".into()).spawn(move || {
+                dispatcher_loop(&dispatch_engine, &rx, &dispatch_depth, &token_rx, &batch_tx)
+            });
+        let tx = match spawned {
+            Ok(handle) => {
+                threads.push(handle);
+                Some(tx)
+            }
             Err(e) => {
-                // Without a batcher the service is stopped from birth:
-                // dropping `tx` here makes every submit fail cleanly.
-                eprintln!("serve: failed to spawn batcher thread: {e}");
-                (None, None)
+                // Without a dispatcher the service is stopped from birth:
+                // dropping `tx` here makes every submit fail cleanly, and
+                // the workers exit once their batch channel hangs up.
+                eprintln!("serve: failed to spawn dispatcher thread: {e}");
+                None
             }
         };
         Service {
             engine,
             tx: Mutex::new(tx),
-            worker: Mutex::new(worker),
+            threads: Mutex::new(threads),
             depth,
             admitted: AtomicU64::new(0),
         }
@@ -151,7 +203,7 @@ impl Service {
     /// [`ServeError::Overloaded`] when shed at admission,
     /// [`ServeError::DeadlineExceeded`] when the deadline elapses first,
     /// [`ServeError::Stopped`] after [`Service::stop`],
-    /// [`ServeError::Lost`] if the batcher died mid-flight, and the
+    /// [`ServeError::Lost`] if its dispatcher or worker died, and the
     /// engine's own errors for unknown matrices or simulator failures.
     pub fn submit_within(
         &self,
@@ -175,7 +227,7 @@ impl Service {
             deadline: now + deadline,
             reply: reply_tx,
         };
-        // Admitted requests own one unit of depth until the batcher
+        // Admitted requests own one unit of depth until the service
         // finishes them (reply or cancellation); rejected sends give the
         // unit straight back.
         let depth_now = self.depth.fetch_add(1, Ordering::Relaxed) + 1;
@@ -195,7 +247,7 @@ impl Service {
         drop(tx);
         match reply_rx.recv_timeout(deadline) {
             Ok(result) => result,
-            // The batcher still owns the request and will cancel (or
+            // The service still owns the request and will cancel (or
             // late-answer into this closed channel and journal) it; either
             // way the submitter leaves with an explicit coded error now.
             Err(RecvTimeoutError::Timeout) => {
@@ -205,11 +257,13 @@ impl Service {
         }
     }
 
-    /// Stops the batcher: hangs up the admission queue, drains what is
-    /// already enqueued, and joins the thread. Idempotent.
+    /// Stops the service: hangs up the admission queue, lets the
+    /// dispatcher drain what is already enqueued and the workers finish
+    /// every batch, and joins all threads. Idempotent.
     pub fn stop(&self) {
         *lock(&self.tx) = None;
-        if let Some(handle) = lock(&self.worker).take() {
+        let threads = std::mem::take(&mut *lock(&self.threads));
+        for handle in threads {
             let _ = handle.join();
         }
     }
@@ -221,19 +275,61 @@ impl Drop for Service {
     }
 }
 
-/// The batcher: waits for a request, gathers concurrent ones for a short
-/// window, fuses the same-matrix prefix-by-arrival into one SpMM pass,
-/// and replies to every member.
-fn batcher_loop(engine: &ServeEngine, rx: &mpsc::Receiver<Pending>, depth: &AtomicUsize) {
+/// The dispatcher: takes a free-worker token, then gathers and fuses the
+/// next batch and hands it to the pool. Returns once the admission queue
+/// is hung up and drained, or once every worker is gone.
+fn dispatcher_loop(
+    engine: &ServeEngine,
+    rx: &Receiver<Pending>,
+    depth: &AtomicUsize,
+    tokens: &Receiver<()>,
+    batches: &Sender<Batch>,
+) {
+    let mut pending: VecDeque<Pending> = VecDeque::new();
+    // Taking the token *before* gathering keeps fusion under saturation
+    // what it is with a single batcher: requests that arrive while every
+    // worker is busy fuse into the next batch instead of waiting behind
+    // one already formed.
+    while tokens.recv().is_ok() {
+        let Some(batch) = next_batch(engine, rx, depth, &mut pending) else { return };
+        if batches.send(batch).is_err() {
+            return; // every worker died; dropping the batch replies `Lost`
+        }
+    }
+}
+
+/// A batch worker: runs the batches the dispatcher hands it, returning its
+/// token after each, until the dispatcher hangs up.
+fn worker_loop(
+    engine: &ServeEngine,
+    depth: &AtomicUsize,
+    batches: &Mutex<Receiver<Batch>>,
+    tokens: &Sender<()>,
+) {
+    loop {
+        // The guard drops at the end of this statement, so one idle worker
+        // waiting here never blocks another from executing.
+        let next = lock(batches).recv();
+        let Ok(Batch { matrix, members, queued_behind }) = next else { return };
+        execute_batch(engine, depth, matrix, members, queued_behind);
+        let _ = tokens.send(());
+    }
+}
+
+/// Waits for a request, gathers concurrent ones for a short window, and
+/// fuses the same-matrix prefix-by-arrival into the next batch. `None`
+/// once the admission queue is hung up and fully drained.
+fn next_batch(
+    engine: &ServeEngine,
+    rx: &Receiver<Pending>,
+    depth: &AtomicUsize,
+    pending: &mut VecDeque<Pending>,
+) -> Option<Batch> {
     let cfg = engine.config();
     let max_batch = cfg.max_batch.max(1);
-    let mut pending: VecDeque<Pending> = VecDeque::new();
     loop {
         if pending.is_empty() {
-            match rx.recv() {
-                Ok(p) => pending.push_back(p),
-                Err(_) => return, // hung up and fully drained
-            }
+            pending.push_back(rx.recv().ok()?);
             // Drain whatever already queued up behind it without waiting.
             while pending.len() < max_batch {
                 match rx.try_recv() {
@@ -268,20 +364,20 @@ fn batcher_loop(engine: &ServeEngine, rx: &mpsc::Receiver<Pending>, depth: &Atom
             cancel(engine, depth, first);
             continue;
         }
-        let key = first.matrix;
-        let mut batch = vec![first];
+        let matrix = first.matrix;
+        let mut members = vec![first];
         let mut rest = VecDeque::with_capacity(pending.len());
         for p in pending.drain(..) {
             if p.deadline <= now {
                 cancel(engine, depth, p);
-            } else if p.matrix == key && batch.len() < max_batch {
-                batch.push(p);
+            } else if p.matrix == matrix && members.len() < max_batch {
+                members.push(p);
             } else {
                 rest.push_back(p);
             }
         }
-        pending = rest;
-        execute_batch(engine, depth, key, batch, pending.len());
+        *pending = rest;
+        return Some(Batch { matrix, members, queued_behind: pending.len() });
     }
 }
 
@@ -518,7 +614,7 @@ mod tests {
         let e = service.submit_within(info.key, x, Duration::from_millis(40)).unwrap_err();
         assert_eq!(e.code(), "deadline-exceeded", "{e}");
         assert!(start.elapsed() < Duration::from_millis(280), "released before the stall ended");
-        service.stop(); // joins the batcher, so the cancellation is counted
+        service.stop(); // joins the pool, so the cancellation is counted
         let s = engine.stats();
         assert_eq!(s.deadline_miss, 1, "{s:?}");
         assert_eq!(s.requests, 0, "a cancelled request never executed");
@@ -577,7 +673,7 @@ mod tests {
     fn idle_queue_uses_the_short_gather_window() {
         let dir = tmp_dir("idle");
         let _ = std::fs::remove_dir_all(&dir);
-        // A pathological full window: if the batcher waited it out for a
+        // A pathological full window: if the dispatcher waited it out for a
         // lone request, this test would take > 2 s. The adaptive window
         // must answer an idle-queue submit in a fraction of that.
         let cfg = ServeConfig {
@@ -596,6 +692,65 @@ mod tests {
             start.elapsed()
         );
         service.stop();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_stalled_batch_does_not_block_another_matrix() {
+        if std::thread::available_parallelism().map_or(1, NonZeroUsize::get) < 2 {
+            eprintln!("skipped: needs two cores for two batch workers");
+            return;
+        }
+        let dir = tmp_dir("concurrent");
+        let _ = std::fs::remove_dir_all(&dir);
+        // Request 0 (matrix A) stalls its worker for 400 ms. A gather
+        // window wide enough for threads to meet in makes fusion of the
+        // matrix-B submits deterministic.
+        let cfg = ServeConfig {
+            gather_idle: Duration::from_millis(50),
+            gather_window: Duration::from_millis(50),
+            chaos: ChaosPlan::parse("stall-req=0@400").unwrap(),
+            ..ServeConfig::quick(&dir)
+        };
+        let engine = Arc::new(ServeEngine::new(cfg));
+        let a = engine.register_suite(1, 256).unwrap();
+        let b = engine.register_suite(2, 256).unwrap();
+        let service = Arc::new(Service::over(Arc::clone(&engine)));
+        let start = Instant::now();
+        let stalled = {
+            let service = Arc::clone(&service);
+            let x = seeded_vector(a.cols, 0);
+            std::thread::spawn(move || service.submit(a.key, x))
+        };
+        while service.depth() == 0 {
+            std::thread::yield_now();
+        }
+        let replies: Vec<(Vec<f64>, SubmitReply)> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (1..=4u64)
+                .map(|seed| {
+                    let service = &service;
+                    scope.spawn(move || {
+                        let x = seeded_vector(b.cols, seed);
+                        (x.clone(), service.submit(b.key, x).unwrap())
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
+        });
+        let b_done = start.elapsed();
+        assert!(!stalled.is_finished(), "matrix A must still be stalled");
+        assert!(b_done < Duration::from_millis(400), "matrix B waited {b_done:?} behind the stall");
+        let matrix_b = engine.matrix(b.key).unwrap();
+        for (x, reply) in &replies {
+            let got: Vec<u64> = reply.y.iter().map(|v| v.to_bits()).collect();
+            let want: Vec<u64> = matrix_b.spmv(x).iter().map(|v| v.to_bits()).collect();
+            assert_eq!(got, want, "a concurrent batch must answer bitwise the solo SpMV");
+        }
+        assert!(replies.iter().any(|(_, r)| r.batch > 1), "same-matrix submits must still fuse");
+        let reply = stalled.join().unwrap().unwrap();
+        assert_eq!(reply.y, engine.matrix(a.key).unwrap().spmv(&seeded_vector(a.cols, 0)));
+        service.stop();
+        assert_eq!(AckJournal::load(engine.journal().dir()).records.len(), 5);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
