@@ -66,6 +66,12 @@ cmp target/sweep-merged.csv target/sweep-full.csv
 cargo run --release -p spacea-bench --bin sweep -- --cache-dir "$SWEEP_CACHE" --gc --gc-max-kb 2
 cargo run --release -p spacea-bench --bin sweep -- $SWEEP_ARGS > target/sweep-regc.csv
 cmp target/sweep-regc.csv target/sweep-full.csv
+# The index is written once per run (manifest write, gc or store drop), so
+# after the run it must list exactly the <16-hex>.json result files.
+ls "$SWEEP_CACHE" | grep -E '^[0-9a-f]{16}\.json$' | sed 's/\.json$//' | sort > target/sweep-files.txt
+grep -oE '"key":"[0-9a-f]{16}"' "$SWEEP_CACHE/index.json" | cut -d'"' -f4 | sort > target/sweep-index.txt
+test -s target/sweep-files.txt
+cmp target/sweep-index.txt target/sweep-files.txt
 
 # Scenario-matrix smoke test: a tiny backend x format x partitioning grid
 # (every cell is bitwise-verified against the CSR reference inside the

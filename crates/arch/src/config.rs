@@ -1,7 +1,7 @@
 //! Hardware configuration (paper Section V-A, "Hardware Configuration").
 
 use spacea_mapping::MachineShape;
-use spacea_sim::cam::CamConfig;
+use spacea_sim::cam::{CamConfig, MAX_WAYS};
 use spacea_sim::dram::DramTiming;
 use spacea_sim::fault::{FaultPlan, WatchdogConfig};
 use spacea_sim::Cycle;
@@ -219,6 +219,14 @@ impl HwConfig {
         if self.l_p == 0 {
             return Err("L_p must be at least one cycle".into());
         }
+        for (level, cam) in [("L1", &self.l1_cam), ("L2", &self.l2_cam)] {
+            if cam.sets == 0 || !(1..=MAX_WAYS).contains(&cam.ways) {
+                return Err(format!(
+                    "{level} CAM needs at least one set and 1 to {MAX_WAYS} ways, got {} x {}",
+                    cam.sets, cam.ways
+                ));
+            }
+        }
         if self.l1_cam.way_bytes != 32 {
             return Err(format!(
                 "the block-based data path assumes 32-byte (4-element) CAM ways, got {}",
@@ -338,5 +346,33 @@ mod tests {
         assert!(c4.validate().is_err(), "stalling a non-existent vault must be rejected");
         c4.faults.stall_vault = Some((0, 0));
         assert!(c4.validate().is_ok());
+    }
+
+    #[test]
+    fn validate_rejects_cam_geometries_the_cam_cannot_build() {
+        for level in ["L1", "L2"] {
+            for (sets, ways) in [(0, 4), (32, 0), (32, MAX_WAYS + 1)] {
+                let mut c = HwConfig::tiny();
+                let cam = if level == "L1" { &mut c.l1_cam } else { &mut c.l2_cam };
+                (cam.sets, cam.ways) = (sets, ways);
+                let Err(err) = c.validate() else {
+                    panic!("{level} CAM {sets} x {ways} passed validation");
+                };
+                assert!(err.contains(&format!("{level} CAM")), "{err}");
+            }
+        }
+        let mut widest = HwConfig::tiny();
+        widest.l1_cam.ways = MAX_WAYS;
+        widest.l2_cam.ways = MAX_WAYS;
+        assert!(widest.validate().is_ok());
+
+        // A run refuses such a config in preflight instead of panicking
+        // while it builds the CAMs.
+        let mut c = HwConfig::tiny();
+        c.l2_cam.ways = 0;
+        let a = spacea_matrix::Csr::from_dense(&[vec![2.0]]);
+        let mapping = spacea_mapping::MapKind::Naive.strategy().map(&a, &c.shape);
+        let run = crate::Machine::new(c).run(crate::RunSpec::spmv(&a, &[1.0], &mapping));
+        assert!(matches!(run, Err(crate::SimError::BadConfig(_))));
     }
 }

@@ -1,5 +1,15 @@
 //! The shared result store: in-memory map plus optional on-disk JSON cache,
 //! with a persisted per-key index (`index.json`) driving cache GC.
+//!
+//! Result files are written as they are computed; the index is not.
+//! Inserts and disk hits update the in-memory index and mark it dirty, and
+//! the file is written at the store's commit points: an explicit
+//! [`ResultStore::persist_index`] (the harness calls it when it writes the
+//! run manifest), every [`ResultStore::gc`] pass, and the store's drop if
+//! the index is still dirty. The index is advisory bookkeeping for GC, so
+//! a run killed before its commit leaves the previous index; result files
+//! it does not list are sized and dated from file metadata by the next
+//! `gc`, which rewrites the index to exactly the files on disk.
 
 use crate::job::JobKey;
 use spacea_arch::SimReport;
@@ -9,7 +19,7 @@ use spacea_obs::json::{self, Json};
 use spacea_sim::stats::{CamCounters, LdqCounters, SramCounters};
 use std::collections::{HashMap, HashSet};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{SystemTime, UNIX_EPOCH};
 
@@ -173,11 +183,15 @@ impl GcReport {
 /// Job results keyed by content hash, shared by every worker and every
 /// experiment in a process; optionally persisted to a directory with one
 /// JSON file per key plus an `index.json` recording per-entry size and
-/// recency for [`ResultStore::gc`].
+/// recency for [`ResultStore::gc`] (written at the commit points the module
+/// docs list, not per insert).
 pub struct ResultStore {
     mem: Mutex<HashMap<u64, JobResult>>,
     disk: Option<PathBuf>,
     index: Mutex<HashMap<u64, IndexEntry>>,
+    /// The index changed since it was last written. Set and cleared only
+    /// while the `index` lock is held, so a write never loses a change.
+    index_dirty: AtomicBool,
     /// Keys this process hit or wrote — never evicted by `gc` in this run.
     touched: Mutex<HashSet<u64>>,
     corrupt_paths: Mutex<Vec<PathBuf>>,
@@ -198,6 +212,7 @@ impl ResultStore {
             mem: Mutex::new(HashMap::new()),
             disk: None,
             index: Mutex::new(HashMap::new()),
+            index_dirty: AtomicBool::new(false),
             touched: Mutex::new(HashSet::new()),
             corrupt_paths: Mutex::new(Vec::new()),
             mem_hits: AtomicU64::new(0),
@@ -261,7 +276,10 @@ impl ResultStore {
                     }
                     self.corrupt.fetch_add(1, Ordering::Relaxed);
                     lock(&self.corrupt_paths).push(path);
-                    lock(&self.index).remove(&key.0);
+                    let mut index = lock(&self.index);
+                    if index.remove(&key.0).is_some() {
+                        self.index_dirty.store(true, Ordering::Relaxed);
+                    }
                 }
                 DiskRead::Missing => {}
             }
@@ -271,6 +289,8 @@ impl ResultStore {
     }
 
     /// Inserts a computed result, persisting it if a disk cache is enabled.
+    /// The index records the entry in memory; the file follows at the next
+    /// commit point.
     ///
     /// Disk write failures are reported on stderr and otherwise ignored: the
     /// cache is an accelerator, not a correctness dependency.
@@ -283,8 +303,7 @@ impl ResultStore {
                     let mut index = lock(&self.index);
                     let created = index.get(&key.0).map(|e| e.created).unwrap_or(now);
                     index.insert(key.0, IndexEntry { bytes, created, last_hit: now });
-                    drop(index);
-                    let _ = self.persist_index();
+                    self.index_dirty.store(true, Ordering::Relaxed);
                 }
                 Err(e) => eprintln!("spacea-harness: failed to persist job {key}: {e}"),
             }
@@ -306,20 +325,18 @@ impl ResultStore {
             last_hit: now,
         });
         entry.last_hit = now;
-        drop(index);
-        let _ = self.persist_index();
+        self.index_dirty.store(true, Ordering::Relaxed);
     }
 
-    /// Writes `index.json` (sorted by key, write-then-rename). No-op for
-    /// in-memory stores.
+    /// Writes `index.json` (sorted by key, write-then-rename) and clears the
+    /// dirty mark. No-op for in-memory stores. The index stays locked until
+    /// the rename, so concurrent commits land in the order they read the
+    /// index and the file never goes back to an older snapshot.
     pub fn persist_index(&self) -> std::io::Result<()> {
         let Some(dir) = &self.disk else { return Ok(()) };
-        let entries = {
-            let index = lock(&self.index);
-            let mut entries: Vec<(u64, IndexEntry)> = index.iter().map(|(&k, &e)| (k, e)).collect();
-            entries.sort_unstable_by_key(|(k, _)| *k);
-            entries
-        };
+        let index = lock(&self.index);
+        let mut entries: Vec<(u64, IndexEntry)> = index.iter().map(|(&k, &e)| (k, e)).collect();
+        entries.sort_unstable_by_key(|(k, _)| *k);
         let rows: Vec<Json> = entries
             .iter()
             .map(|(k, e)| {
@@ -335,7 +352,10 @@ impl ResultStore {
             ("schema", Json::Str("spacea-cache-index-v1".into())),
             ("entries", Json::Arr(rows)),
         ]);
-        write_atomic(&dir.join(INDEX_FILE), &doc.to_text())
+        let written = write_atomic(&dir.join(INDEX_FILE), &doc.to_text());
+        // A failed write leaves the index dirty, so the drop retries it.
+        self.index_dirty.store(written.is_err(), Ordering::Relaxed);
+        written
     }
 
     /// The current index, sorted by key (tests and doctors).
@@ -525,6 +545,18 @@ impl ResultStore {
     /// Whether the in-memory map is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+}
+
+impl Drop for ResultStore {
+    /// The last commit point: writes the index if anything changed since
+    /// the last write. A write failure is reported, never raised.
+    fn drop(&mut self) {
+        if *self.index_dirty.get_mut() {
+            if let Err(e) = self.persist_index() {
+                eprintln!("spacea-harness: could not write the cache index: {e}");
+            }
+        }
     }
 }
 
@@ -978,6 +1010,89 @@ mod tests {
         assert_eq!(snap[0].0, JobKey(1));
         assert_eq!(snap[0].1.bytes, entry_bytes(&dir, JobKey(1)));
         assert!(snap[0].1.created > 0 && snap[0].1.last_hit >= snap[0].1.created);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    fn indexed_keys(dir: &Path) -> Vec<u64> {
+        let mut keys: Vec<u64> = load_index(dir).into_keys().collect();
+        keys.sort_unstable();
+        keys
+    }
+
+    #[test]
+    fn index_is_written_at_drop_not_per_insert_or_disk_hit() {
+        let dir = tmp_dir("index-commit");
+        let index_path = dir.join(INDEX_FILE);
+        {
+            let store = ResultStore::with_disk(&dir).unwrap();
+            for k in 1..=3u64 {
+                store.insert(JobKey(k), JobResult::Gpu(sample_gpu()));
+            }
+            assert!(!index_path.exists(), "inserts must not write the index");
+        }
+        // The drop wrote it, with every entry.
+        assert_eq!(indexed_keys(&dir), [1, 2, 3]);
+
+        let store = ResultStore::with_disk(&dir).unwrap();
+        std::fs::remove_file(&index_path).unwrap();
+        for k in 1..=3u64 {
+            assert_eq!(store.lookup(JobKey(k)).unwrap().1, CacheOutcome::DiskHit);
+        }
+        assert!(!index_path.exists(), "disk hits must not write the index");
+        drop(store);
+        assert_eq!(indexed_keys(&dir), [1, 2, 3], "the drop writes the hits' entries");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_commit_clears_the_index_so_the_drop_writes_nothing() {
+        let dir = tmp_dir("index-commit-once");
+        let index_path = dir.join(INDEX_FILE);
+        let store = ResultStore::with_disk(&dir).unwrap();
+        store.insert(JobKey(1), JobResult::Gpu(sample_gpu()));
+        // What the harness does when it writes the run manifest.
+        store.persist_index().unwrap();
+        assert_eq!(indexed_keys(&dir), [1]);
+        std::fs::remove_file(&index_path).unwrap();
+        drop(store);
+        assert!(!index_path.exists(), "a clean store must not write the index again");
+        // A gc pass is a commit point too, even with nothing to evict.
+        let store = ResultStore::with_disk(&dir).unwrap();
+        store.gc(&GcPolicy::default()).unwrap();
+        assert_eq!(indexed_keys(&dir), [1]);
+        std::fs::remove_file(&index_path).unwrap();
+        drop(store);
+        assert!(!index_path.exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_killed_run_leaves_the_previous_index_and_gc_repairs_it() {
+        let dir = tmp_dir("index-killed");
+        let index_path = dir.join(INDEX_FILE);
+        {
+            let store = ResultStore::with_disk(&dir).unwrap();
+            store.insert(JobKey(1), JobResult::Gpu(sample_gpu()));
+        }
+        let previous = std::fs::read_to_string(&index_path).unwrap();
+        // A run that dies before any commit point (SIGKILL): its result
+        // files are on disk, its index never is.
+        let killed = ResultStore::with_disk(&dir).unwrap();
+        killed.insert(JobKey(2), JobResult::Gpu(sample_gpu()));
+        killed.insert(JobKey(3), JobResult::Gpu(sample_gpu()));
+        std::mem::forget(killed);
+        assert_eq!(std::fs::read_to_string(&index_path).unwrap(), previous);
+
+        let fresh = ResultStore::with_disk(&dir).unwrap();
+        assert_eq!(fresh.index_snapshot().len(), 1);
+        let report = fresh.gc(&GcPolicy::default()).unwrap();
+        let bytes: u64 = (1..=3u64).map(|k| entry_bytes(&dir, JobKey(k))).sum();
+        assert_eq!((report.scanned, report.kept, report.evicted), (3, 3, 0), "{report:?}");
+        assert_eq!(report.kept_bytes, bytes);
+        for (key, entry) in fresh.index_snapshot() {
+            assert_eq!(entry.bytes, entry_bytes(&dir, key), "{key} is sized from its file");
+        }
+        assert_eq!(indexed_keys(&dir), [1, 2, 3]);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -46,17 +46,24 @@ impl CamConfig {
     }
 }
 
-#[derive(Debug, Clone, Copy)]
-struct Way<V> {
-    key: u64,
-    value: V,
-    /// Monotone timestamp for LRU ordering.
-    last_use: u64,
-}
+/// The most ways a set may have: the per-set fill count is a `u8`.
+pub const MAX_WAYS: usize = u8::MAX as usize;
 
 /// A set-associative CAM with LRU replacement.
 ///
 /// Keys are block indices (`u64`); values are the cached block payloads.
+///
+/// # Layout
+///
+/// Every way lives in one set-major `sets × ways` table of `(key, last
+/// use)` tags, allocated zeroed in one piece, plus a per-set fill count
+/// saying how many ways of the set are resident. Building a CAM therefore
+/// costs the same two allocations whatever its geometry, and sets that are
+/// never touched never reach physical memory. Ways fill in order and are
+/// only replaced in place, so the resident ways of a set are always its
+/// first `fill` slots. Payloads sit in a parallel table sized on the first
+/// insert; for a zero-sized `V` (the machine's presence-only CAMs) that
+/// table never allocates.
 ///
 /// # Example
 ///
@@ -71,7 +78,13 @@ struct Way<V> {
 #[derive(Debug, Clone)]
 pub struct Cam<V> {
     config: CamConfig,
-    sets: Vec<Vec<Way<V>>>,
+    /// `(key, last_use)` per way; set `s` owns slots `s·ways .. (s+1)·ways`.
+    /// `last_use` is a monotone timestamp for LRU ordering.
+    tags: Vec<(u64, u64)>,
+    /// Resident ways per set (at most [`MAX_WAYS`]).
+    fill: Vec<u8>,
+    /// Payloads, slot for slot with `tags`; empty until the first insert.
+    values: Vec<V>,
     tick: u64,
     counters: CamCounters,
 }
@@ -81,13 +94,16 @@ impl<V: Copy> Cam<V> {
     ///
     /// # Panics
     ///
-    /// Panics if `sets` or `ways` is zero.
+    /// Panics if `sets` or `ways` is zero, or `ways` exceeds [`MAX_WAYS`].
     pub fn new(config: CamConfig) -> Self {
         assert!(config.sets > 0, "CAM needs at least one set");
         assert!(config.ways > 0, "CAM needs at least one way");
+        assert!(config.ways <= MAX_WAYS, "CAM sets hold at most {MAX_WAYS} ways");
         Cam {
             config,
-            sets: (0..config.sets).map(|_| Vec::with_capacity(config.ways)).collect(),
+            tags: vec![(0, 0); config.sets * config.ways],
+            fill: vec![0; config.sets],
+            values: Vec::new(),
             tick: 0,
             counters: CamCounters::default(),
         }
@@ -103,20 +119,27 @@ impl<V: Copy> Cam<V> {
         &self.counters
     }
 
+    /// The set `key` maps to.
     fn set_index(&self, key: u64) -> usize {
         (key % self.config.sets as u64) as usize
+    }
+
+    /// The table slot holding `key`, if it is resident.
+    fn find(&self, key: u64) -> Option<usize> {
+        let set = self.set_index(key);
+        let base = set * self.config.ways;
+        let resident = &self.tags[base..base + self.fill[set] as usize];
+        resident.iter().position(|&(k, _)| k == key).map(|way| base + way)
     }
 
     /// Searches for `key`, updating LRU state and hit/miss counters.
     pub fn lookup(&mut self, key: u64) -> Option<V> {
         self.tick += 1;
-        let tick = self.tick;
-        let set = self.set_index(key);
-        match self.sets[set].iter_mut().find(|w| w.key == key) {
-            Some(way) => {
-                way.last_use = tick;
+        match self.find(key) {
+            Some(slot) => {
+                self.tags[slot].1 = self.tick;
                 self.counters.hits += 1;
-                Some(way.value)
+                Some(self.values[slot])
             }
             None => {
                 self.counters.misses += 1;
@@ -128,8 +151,7 @@ impl<V: Copy> Cam<V> {
     /// Searches for `key` without disturbing LRU order or counters (used by
     /// tests and by response paths that only need presence information).
     pub fn peek(&self, key: u64) -> Option<&V> {
-        let set = self.set_index(key);
-        self.sets[set].iter().find(|w| w.key == key).map(|w| &w.value)
+        self.find(key).map(|slot| &self.values[slot])
     }
 
     /// Inserts or refreshes `key`, evicting the LRU way if the set is full.
@@ -137,44 +159,46 @@ impl<V: Copy> Cam<V> {
     /// Returns the evicted `(key, value)` pair, if any.
     pub fn insert(&mut self, key: u64, value: V) -> Option<(u64, V)> {
         self.tick += 1;
-        let tick = self.tick;
-        let set_ix = self.set_index(key);
-        let ways = self.config.ways;
-        let set = &mut self.sets[set_ix];
         self.counters.fills += 1;
-        if let Some(way) = set.iter_mut().find(|w| w.key == key) {
-            way.value = value;
-            way.last_use = tick;
-            return None;
+        if self.values.is_empty() {
+            self.values = vec![value; self.tags.len()];
         }
-        if set.len() < ways {
-            set.push(Way { key, value, last_use: tick });
-            return None;
-        }
-        // The set is full (the non-full case returned above), so a victim
-        // always exists; an empty set degrades to a plain insert.
-        let Some(victim_ix) =
-            set.iter().enumerate().min_by_key(|(_, w)| w.last_use).map(|(i, _)| i)
-        else {
-            set.push(Way { key, value, last_use: tick });
-            return None;
+        let set = self.set_index(key);
+        let base = set * self.config.ways;
+        let fill = self.fill[set] as usize;
+        let resident = &self.tags[base..base + fill];
+        let (slot, evicted) = match resident.iter().position(|&(k, _)| k == key) {
+            Some(way) => (base + way, None),
+            None if fill < self.config.ways => {
+                self.fill[set] += 1;
+                (base + fill, None)
+            }
+            None => {
+                // The set is full: evict the least recently used way.
+                // Stamps are unique, so the victim is too.
+                let mut victim = base;
+                for slot in base + 1..base + fill {
+                    if self.tags[slot].1 < self.tags[victim].1 {
+                        victim = slot;
+                    }
+                }
+                self.counters.evictions += 1;
+                (victim, Some((self.tags[victim].0, self.values[victim])))
+            }
         };
-        let victim = set[victim_ix];
-        set[victim_ix] = Way { key, value, last_use: tick };
-        self.counters.evictions += 1;
-        Some((victim.key, victim.value))
+        self.tags[slot] = (key, self.tick);
+        self.values[slot] = value;
+        evicted
     }
 
     /// Removes every entry but keeps the counters.
     pub fn clear(&mut self) {
-        for set in &mut self.sets {
-            set.clear();
-        }
+        self.fill.fill(0);
     }
 
     /// Number of currently resident entries.
     pub fn len(&self) -> usize {
-        self.sets.iter().map(Vec::len).sum()
+        self.fill.iter().map(|&f| f as usize).sum()
     }
 
     /// Returns `true` if no entries are resident.
@@ -268,5 +292,36 @@ mod tests {
     #[should_panic(expected = "at least one set")]
     fn zero_sets_panics() {
         let _: Cam<u8> = Cam::new(CamConfig { sets: 0, ways: 1, way_bytes: 8 });
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 255 ways")]
+    fn more_ways_than_the_fill_count_holds_panics() {
+        let _: Cam<()> = Cam::new(CamConfig { sets: 1, ways: MAX_WAYS + 1, way_bytes: 32 });
+    }
+
+    #[test]
+    fn widest_set_fills_and_evicts() {
+        let mut cam: Cam<u32> = Cam::new(CamConfig { sets: 1, ways: MAX_WAYS, way_bytes: 32 });
+        for k in 0..MAX_WAYS as u64 {
+            assert!(cam.insert(k, k as u32).is_none());
+        }
+        assert_eq!(cam.len(), MAX_WAYS);
+        assert_eq!(cam.insert(999, 9), Some((0, 0)));
+        assert_eq!(cam.len(), MAX_WAYS);
+    }
+
+    #[test]
+    fn clear_then_refill_reuses_slots_in_order() {
+        let mut cam = tiny();
+        cam.insert(0, 1);
+        cam.insert(2, 2);
+        cam.clear();
+        assert_eq!(cam.lookup(0), None, "cleared entries are gone");
+        cam.insert(4, 4);
+        cam.insert(6, 6);
+        assert_eq!(cam.len(), 2);
+        // The set is full again: the older of the two new keys goes.
+        assert_eq!(cam.insert(8, 8), Some((4, 4)));
     }
 }

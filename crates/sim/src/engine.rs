@@ -21,13 +21,15 @@
 //!
 //! # Tie-break contract
 //!
-//! Every scheduled event gets a monotonically increasing sequence number.
-//! Within one cycle, events are delivered in sequence order — exactly the
-//! order `schedule` was called — and an event scheduled *while* draining
-//! cycle `t` for cycle `t` lands after everything already pending at `t`
-//! (its sequence number is larger than all of theirs). This makes
-//! [`EventQueue::drain_cycle`] observationally identical to a `pop` loop:
-//! the batch boundary is invisible to the model.
+//! Within one cycle, events are delivered in scheduling order — exactly
+//! the order `schedule` was called. Each cycle's events sit in one deque
+//! (a wheel bucket or an overflow entry) that only ever appends, and
+//! overflow events migrate into the wheel before any later wheel insert at
+//! their cycle, so deque order *is* scheduling order and no per-event
+//! sequence number is needed. An event scheduled *while* draining cycle
+//! `t` for cycle `t` lands after everything already pending at `t`. This
+//! makes [`EventQueue::drain_cycle`] observationally identical to a `pop`
+//! loop: the batch boundary is invisible to the model.
 
 use crate::Cycle;
 use std::collections::{BTreeMap, VecDeque};
@@ -126,17 +128,16 @@ pub struct EventQueue<E> {
     /// One deque per wheel bucket; bucket `c % WHEEL_BUCKETS` holds only
     /// events at cycle `c` (the horizon is shorter than the wheel, so two
     /// distinct pending cycles never share a bucket).
-    wheel: Vec<VecDeque<(u64, E)>>,
+    wheel: Vec<VecDeque<E>>,
     /// One occupancy bit per bucket, scanned 64 buckets per probe.
     occupied: [u64; WHEEL_WORDS],
     /// Events currently in the wheel.
     wheel_len: usize,
     /// Events beyond the horizon, keyed by cycle; each deque is in
     /// scheduling order. Invariant: every key is `>= now + WHEEL_BUCKETS`.
-    overflow: BTreeMap<Cycle, VecDeque<(u64, E)>>,
+    overflow: BTreeMap<Cycle, VecDeque<E>>,
     /// Events currently in the overflow tree.
     overflow_len: usize,
-    seq: u64,
     now: Cycle,
     scheduled: u64,
     processed: u64,
@@ -157,7 +158,6 @@ impl<E> EventQueue<E> {
             wheel_len: 0,
             overflow: BTreeMap::new(),
             overflow_len: 0,
-            seq: 0,
             now: 0,
             scheduled: 0,
             processed: 0,
@@ -212,16 +212,14 @@ impl<E> EventQueue<E> {
     /// events.
     pub fn schedule(&mut self, at: Cycle, event: E) {
         let at = at.max(self.now);
-        let seq = self.seq;
-        self.seq += 1;
         self.scheduled += 1;
         if at - self.now < WHEEL_BUCKETS as Cycle {
             let bucket = Self::bucket_of(at);
-            self.wheel[bucket].push_back((seq, event));
+            self.wheel[bucket].push_back(event);
             self.set_bit(bucket);
             self.wheel_len += 1;
         } else {
-            self.overflow.entry(at).or_default().push_back((seq, event));
+            self.overflow.entry(at).or_default().push_back(event);
             self.overflow_len += 1;
         }
     }
@@ -298,7 +296,7 @@ impl<E> EventQueue<E> {
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
         let at = self.seek_next()?;
         let bucket = Self::bucket_of(at);
-        let (_, event) = self.wheel[bucket].pop_front()?;
+        let event = self.wheel[bucket].pop_front()?;
         if self.wheel[bucket].is_empty() {
             self.clear_bit(bucket);
         }
@@ -315,14 +313,14 @@ impl<E> EventQueue<E> {
     /// processed are not lost: they land in the (now empty) bucket and the
     /// next `drain_cycle` call returns the same cycle again with just those
     /// follow-ups — in exactly the order a `pop` loop would have delivered,
-    /// since their sequence numbers exceed every drained event's.
+    /// since they were scheduled after every drained event.
     pub fn drain_cycle(&mut self, sink: &mut Vec<E>) -> Option<Cycle> {
         let at = self.seek_next()?;
         let bucket = Self::bucket_of(at);
         let batch = &mut self.wheel[bucket];
         let n = batch.len();
         sink.reserve(n);
-        sink.extend(batch.drain(..).map(|(_, event)| event));
+        sink.extend(batch.drain(..));
         self.clear_bit(bucket);
         self.wheel_len -= n;
         self.processed += n as u64;
@@ -681,9 +679,8 @@ mod tests {
     #[test]
     fn overflow_preserves_fifo_against_later_wheel_inserts() {
         // An event parked in overflow for cycle c must still precede an
-        // event scheduled for c *later* (higher seq), even though the
-        // latter may be inserted directly into the wheel after the horizon
-        // has moved.
+        // event scheduled for c *later*, even though the latter may be
+        // inserted directly into the wheel after the horizon has moved.
         let mut q = EventQueue::new();
         let c = WHEEL_BUCKETS as Cycle + 100;
         q.schedule(c, "first");

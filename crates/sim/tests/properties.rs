@@ -25,13 +25,16 @@ impl RefLru {
         Some(self.entries[0].1)
     }
 
-    fn insert(&mut self, key: u64, value: u32) {
+    /// Inserts or refreshes `key`, returning the evicted entry, if any.
+    fn insert(&mut self, key: u64, value: u32) -> Option<(u64, u32)> {
+        let mut evicted = None;
         if let Some(pos) = self.entries.iter().position(|&(k, _)| k == key) {
             self.entries.remove(pos);
         } else if self.entries.len() == self.ways {
-            self.entries.pop();
+            evicted = self.entries.pop();
         }
         self.entries.insert(0, (key, value));
+        evicted
     }
 }
 
@@ -39,16 +42,33 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
     #[test]
-    fn cam_matches_reference_lru(ops in proptest::collection::vec((0u64..24, any::<bool>(), any::<u32>()), 1..200)) {
-        // Single-set CAM so every key collides: the hardest LRU case.
-        let mut cam: Cam<u32> = Cam::new(CamConfig { sets: 1, ways: 4, way_bytes: 32 });
-        let mut reference = RefLru { ways: 4, ..Default::default() };
-        for (key, is_insert, value) in ops {
-            if is_insert {
-                cam.insert(key, value);
-                reference.insert(key, value);
-            } else {
-                prop_assert_eq!(cam.lookup(key), reference.lookup(key), "key {}", key);
+    fn cam_matches_reference_lru(ops in proptest::collection::vec((0u64..1024, any::<bool>(), any::<u32>()), 1..400)) {
+        // Every geometry replays the same operations against one reference
+        // LRU per set. A single set makes every key collide (the hardest
+        // LRU case); several sets catch a wrong set offset in the CAM's
+        // flat table. Each set sees `ways + 2` distinct keys, so sets fill,
+        // evict and refresh.
+        for sets in [1usize, 3, 32] {
+            for ways in [1usize, 2, 4, 8] {
+                let mut cam: Cam<u32> = Cam::new(CamConfig { sets, ways, way_bytes: 32 });
+                let mut reference: Vec<RefLru> =
+                    (0..sets).map(|_| RefLru { ways, ..Default::default() }).collect();
+                let keys = (sets * (ways + 2)) as u64;
+                for &(raw, is_insert, value) in &ops {
+                    let key = raw % keys;
+                    let set = &mut reference[(key % sets as u64) as usize];
+                    if is_insert {
+                        prop_assert_eq!(cam.insert(key, value), set.insert(key, value),
+                            "{}x{}: insert {}", sets, ways, key);
+                    } else {
+                        prop_assert_eq!(cam.lookup(key), set.lookup(key),
+                            "{}x{}: lookup {}", sets, ways, key);
+                    }
+                    let resident = set.entries.iter().find(|e| e.0 == key).map(|e| e.1);
+                    prop_assert_eq!(cam.peek(key).copied(), resident, "{}x{}: peek {}", sets, ways, key);
+                }
+                let resident: usize = reference.iter().map(|r| r.entries.len()).sum();
+                prop_assert_eq!(cam.len(), resident, "{}x{}", sets, ways);
             }
         }
     }
