@@ -4,6 +4,9 @@ set -eu
 
 cargo build --release
 cargo test -q
+# The root `cargo test` covers only the root package; this runs every
+# crate's unit and integration tests (determinism, properties, serve).
+cargo test --workspace -q
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 
@@ -50,6 +53,25 @@ if cargo run --release -p spacea-lint -- \
   exit 1
 fi
 cargo run --release -p spacea-bench --bin all_experiments -- --quick --jobs 4 > /dev/null
+
+# Experiment entrypoint: `experiment ID` for every registry id, each output
+# followed by one blank line, must concatenate to exactly what
+# all_experiments prints over the same cache; an unknown id must fail.
+EXP_CACHE=target/spacea-cache-experiment
+rm -rf "$EXP_CACHE"
+cargo run --release -p spacea-bench --bin all_experiments -- --quick --csv \
+  --cache-dir "$EXP_CACHE" > target/experiments-all.csv
+: > target/experiments-each.csv
+for id in table1 fig2 fig5 table2 fig6 fig7 fig8 fig9 fig10 table3 graphs formats; do
+  cargo run --release -p spacea-bench --bin experiment -- "$id" --quick --csv \
+    --cache-dir "$EXP_CACHE" >> target/experiments-each.csv
+  echo >> target/experiments-each.csv
+done
+cmp target/experiments-each.csv target/experiments-all.csv
+if cargo run --release -p spacea-bench --bin experiment -- nosuch; then
+  echo "ci.sh: experiment accepted an unknown id" >&2
+  exit 1
+fi
 
 # Sweep smoke test: a tiny 2-axis grid run whole and as 2 shards sharing a
 # cache must merge byte-identically, and GC must respect its byte budget.

@@ -49,6 +49,7 @@ pub use config::HwConfig;
 pub use layout::{DataLayout, SlotId};
 pub use machine::{Machine, ObserveConfig, RunInput, RunOutput, RunSpec, SampleFlush, SimError};
 pub use report::{SimReport, SpmmReport};
+pub use spacea_sim::fault;
 pub use spacea_sim::fault::{
     FaultPlan, OccupancyHistory, OccupancySample, StallDiagnosis, VaultOccupancy, WatchdogConfig,
 };

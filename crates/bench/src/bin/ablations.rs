@@ -17,7 +17,6 @@ use spacea_core::table::{fmt, geo_mean, Table};
 
 fn main() {
     let mut session = spacea_bench::harness();
-    let csv = session.csv;
     let cache = &mut session.cache;
     let base_hw = cache.cfg.hw.clone();
     let ids: Vec<u8> = cache.entries().iter().map(|e| e.id).collect();
@@ -111,9 +110,5 @@ fn main() {
     table.push_note(
         "chunked-mapping = contiguous equal-nnz row chunks: inherits ordering locality but cannot regroup rows",
     );
-    if csv {
-        print!("{}", table.to_csv());
-    } else {
-        print!("{}", table.to_text());
-    }
+    session.emit_table(&table);
 }

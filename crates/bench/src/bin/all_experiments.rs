@@ -25,7 +25,7 @@ fn main() {
         session.emit(out);
         println!();
     }
-    if !session.csv {
+    if !session.opts.csv {
         println!("## Paper vs measured summary");
         for out in &outputs {
             for (name, paper, measured) in &out.headline {

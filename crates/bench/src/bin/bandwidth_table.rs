@@ -9,7 +9,6 @@ use spacea_core::table::{fmt, Table};
 
 fn main() {
     let session = spacea_bench::harness();
-    let csv = session.csv;
     let cache = &session.cache;
     let hw = &cache.cfg.hw;
     let shape = hw.shape;
@@ -53,9 +52,5 @@ fn main() {
         banks_per_cube,
         fmt(bank_gbs, 1)
     ));
-    if csv {
-        print!("{}", t.to_csv());
-    } else {
-        print!("{}", t.to_text());
-    }
+    session.emit_table(&t);
 }

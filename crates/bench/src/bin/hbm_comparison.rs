@@ -11,7 +11,6 @@ use spacea_core::table::{fmt, geo_mean, Table};
 
 fn main() {
     let mut session = spacea_bench::harness();
-    let csv = session.csv;
     let cache = &mut session.cache;
     let hmc = cache.cfg.hw.clone();
     let hbm = HwConfig::hbm_like();
@@ -47,9 +46,5 @@ fn main() {
         "the paper (Section VII) argues both memory technologies give similar performance; \
          a geo-mean ratio near 1.0 confirms it in this model",
     );
-    if csv {
-        print!("{}", table.to_csv());
-    } else {
-        print!("{}", table.to_text());
-    }
+    session.emit_table(&table);
 }

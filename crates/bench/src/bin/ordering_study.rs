@@ -26,7 +26,6 @@ fn shuffled(a: &Csr, seed: u64) -> Csr {
 
 fn main() {
     let mut session = spacea_bench::harness();
-    let csv = session.csv;
     let cache = &mut session.cache;
     let hw = cache.cfg.hw.clone();
     let machine = Machine::new(hw.clone());
@@ -85,9 +84,5 @@ fn main() {
     table.push_note(
         "both degrade under shuffling because a symmetric permutation also scatters column ids,          killing the 4-element-block spatial locality the CAMs cache; RCM restores it",
     );
-    if csv {
-        print!("{}", table.to_csv());
-    } else {
-        print!("{}", table.to_text());
-    }
+    session.emit_table(&table);
 }

@@ -13,7 +13,6 @@ use spacea_core::table::{pct, Table};
 
 fn main() {
     let mut session = spacea_bench::harness();
-    let csv = session.csv;
     let cache = &mut session.cache;
     let mut table = Table::new(
         "Component busy fractions (proposed mapping)",
@@ -39,9 +38,5 @@ fn main() {
          (the paper singles out matrices 7, 12, 13 in its Figure 8 discussion)",
         if idle_heavy.is_empty() { "none".to_string() } else { idle_heavy.join(", ") }
     ));
-    if csv {
-        print!("{}", table.to_csv());
-    } else {
-        print!("{}", table.to_text());
-    }
+    session.emit_table(&table);
 }

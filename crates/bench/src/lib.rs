@@ -1,8 +1,9 @@
 //! Shared plumbing for the experiment harness binaries.
 //!
-//! Every paper table/figure has a binary in `src/bin/` (run with
-//! `cargo run --release -p spacea-bench --bin fig5`); all of them accept the
-//! same flags:
+//! Every paper table/figure is an entry of
+//! `spacea_core::experiments::registry()`, run by id through one binary
+//! (`cargo run --release -p spacea-bench --bin experiment -- fig5`); it and
+//! the study binaries accept the same flags:
 //!
 //! * `--scale N` — Table I matrix down-scale factor (default 8)
 //! * `--graph-scale N` — Table III graph down-scale factor (default 256)
@@ -19,22 +20,22 @@
 //!
 //! Flags parse through [`HarnessOptions::from_args`]; unknown flags are
 //! [`ArgError`]s carrying a usage string, and binaries with extra flags (the
-//! sweep grid, sharding, cache GC — see [`SweepCli`]) plug them into the
-//! same parser via [`HarnessOptions::from_args_with`] instead of
-//! hand-rolling a second one.
+//! experiment id, the sweep grid, sharding, cache GC — see [`SweepCli`])
+//! plug them into the same parser via [`HarnessOptions::from_args_with`]
+//! instead of hand-rolling a second one.
 //!
 //! Each binary starts from a [`HarnessSession`] — the named successor of the
 //! old `(SuiteCache, bool)` tuple — via [`harness`] (parse args, open the
-//! store) or [`harness_for`] (additionally pre-warm one experiment's jobs in
-//! parallel). The figure/table binaries first enumerate the jobs their
-//! experiment consumes (see `spacea_core::experiments::Experiment::jobs`),
-//! compute them in parallel through [`spacea_harness::run_jobs`] into a
+//! store) or [`HarnessSession::from_opts`]. Experiments first enumerate the
+//! jobs they consume (see `spacea_core::experiments::Experiment::jobs`),
+//! compute them in parallel through [`HarnessSession::prewarm`] into a
 //! content-addressed [`ResultStore`], and only then render — rendering is
 //! pure lookup, so the output is byte-identical for any `--jobs` value.
 
 #![warn(missing_docs)]
 
 use spacea_core::experiments::{ExpConfig, ExpOutput, SuiteCache};
+use spacea_core::table::Table;
 use spacea_harness::{
     FaultPlan, GcPolicy, JobCtx, JobSpec, PointKind, ResultStore, RunManifest, SupervisionPolicy,
     SweepPoint, SweepSpec, TimelineConfig, DEFAULT_CACHE_DIR,
@@ -187,33 +188,12 @@ impl HarnessOptions {
     }
 }
 
-/// Opens the result store: disk-backed under [`HarnessOptions::cache_dir`]
-/// unless `--no-cache` was given (or the directory cannot be created).
-pub fn open_store(opts: &HarnessOptions) -> Arc<ResultStore> {
-    if opts.no_cache {
-        return Arc::new(ResultStore::in_memory());
-    }
-    let dir = opts.cache_dir();
-    match ResultStore::with_disk(&dir) {
-        Ok(store) => Arc::new(store),
-        Err(e) => {
-            eprintln!(
-                "harness: cannot open cache dir {} ({e}); continuing without disk cache",
-                dir.display()
-            );
-            Arc::new(ResultStore::in_memory())
-        }
-    }
-}
-
 /// One configured harness run: the shared computation cache, the resolved
 /// options, and where its run manifest goes. Replaces the anonymous
 /// `(SuiteCache, bool)` tuples the binaries used to destructure.
 pub struct HarnessSession {
     /// Store-backed access to matrices, mappings and results.
     pub cache: SuiteCache,
-    /// Emit CSV instead of aligned text (mirror of `opts.csv`).
-    pub csv: bool,
     /// The fully resolved options this session was built from.
     pub opts: HarnessOptions,
     /// Where [`HarnessSession::write_manifest`] persists run telemetry.
@@ -225,41 +205,96 @@ pub struct HarnessSession {
 
 impl HarnessSession {
     /// Builds a session from parsed options. Unless `--no-cache` was given,
-    /// the job context persists computed mappings under
-    /// `<cache-dir>/mappings/` so Phase I/II is paid once per matrix *ever*
+    /// results persist under [`HarnessOptions::cache_dir`] (in memory only if
+    /// that directory cannot be opened) and computed mappings under
+    /// `<cache-dir>/mappings/`, so Phase I/II is paid once per matrix *ever*
     /// (warm restarts load them from disk).
     pub fn from_opts(opts: HarnessOptions) -> Self {
-        let ctx = if opts.no_cache {
-            JobCtx::new()
+        let dir = opts.cache_dir();
+        let (store, ctx) = if opts.no_cache {
+            (ResultStore::in_memory(), JobCtx::new())
         } else {
-            JobCtx::with_mapping_dir(opts.cache_dir().join("mappings"))
+            let store = ResultStore::with_disk(&dir).unwrap_or_else(|e| {
+                eprintln!(
+                    "harness: cannot open cache dir {} ({e}); continuing without disk cache",
+                    dir.display()
+                );
+                ResultStore::in_memory()
+            });
+            (store, JobCtx::with_mapping_dir(dir.join("mappings")))
         };
-        let cache = SuiteCache::with_store(opts.cfg.clone(), open_store(&opts), Arc::new(ctx));
-        let manifest_path = opts.cache_dir().join("last-run.json");
-        HarnessSession { cache, csv: opts.csv, opts, manifest_path, timeline: None }
+        let cache = SuiteCache::with_store(opts.cfg.clone(), Arc::new(store), Arc::new(ctx));
+        HarnessSession { cache, opts, manifest_path: dir.join("last-run.json"), timeline: None }
     }
 
     /// Computes `jobs` (deduplicated) in parallel on this session's worker
-    /// count, filling the cache's store, and returns the run telemetry.
-    /// With [`HarnessSession::timeline`] set, sim jobs also export
-    /// per-job timeline artifacts.
+    /// count under the default [`SupervisionPolicy`], filling the cache's
+    /// store, and returns the run telemetry. A panicking or hung job ends up
+    /// as a failure record in the manifest; the rest still completes. With
+    /// [`HarnessSession::timeline`] set, sim jobs run observed and each
+    /// success writes a Chrome-trace artifact (see [`TimelineConfig`]).
     pub fn prewarm(&self, jobs: Vec<JobSpec>) -> RunManifest {
-        prewarm_observed(&self.cache, jobs, self.opts.jobs, self.timeline.as_ref())
+        let cache = &self.cache;
+        let jobs = spacea_harness::dedup_jobs(jobs);
+        let started = Instant::now();
+        let out = spacea_harness::run_jobs_supervised(
+            &jobs,
+            cache.store(),
+            cache.ctx(),
+            self.opts.jobs,
+            &SupervisionPolicy::default(),
+            self.timeline.as_ref(),
+        );
+        RunManifest {
+            workers: self.opts.jobs,
+            total_wall_ms: started.elapsed().as_secs_f64() * 1e3,
+            records: out.records,
+            stats: cache.store().stats(),
+            mappings: cache.ctx().mapping_stats(),
+            corrupt_paths: cache
+                .store()
+                .corrupt_paths()
+                .iter()
+                .map(|p| p.display().to_string())
+                .collect(),
+            abandoned: out.abandoned,
+        }
+    }
+
+    /// One experiment's tables in this session's format: what
+    /// [`HarnessSession::emit`] prints.
+    pub fn render(&self, out: &ExpOutput) -> String {
+        let mut s = self.render_table(&out.table);
+        for t in &out.extra_tables {
+            s.push('\n');
+            s += &self.render_table(t);
+        }
+        if !out.headline.is_empty() && !self.opts.csv {
+            s += "\npaper vs measured:\n";
+            for (name, paper, measured) in &out.headline {
+                s += &format!("  {name}: paper {paper:.3} | measured {measured:.3}\n");
+            }
+        }
+        s
     }
 
     /// Prints one experiment's tables in this session's format.
     pub fn emit(&self, out: &ExpOutput) {
-        emit(out, self.csv)
+        print!("{}", self.render(out));
     }
 
     /// Prints a single table in this session's format. CSV mode emits only
     /// the header and rows (no title/notes), which is what makes per-shard
     /// sweep output concatenable into the unsharded output.
-    pub fn emit_table(&self, table: &spacea_core::table::Table) {
-        if self.csv {
-            print!("{}", table.to_csv());
+    pub fn emit_table(&self, table: &Table) {
+        print!("{}", self.render_table(table));
+    }
+
+    fn render_table(&self, table: &Table) -> String {
+        if self.opts.csv {
+            table.to_csv()
         } else {
-            print!("{}", table.to_text());
+            table.to_text()
         }
     }
 
@@ -275,87 +310,10 @@ impl HarnessSession {
     }
 }
 
-/// Computes `jobs` (deduplicated) on `workers` threads under the default
-/// [`SupervisionPolicy`], filling the cache's store, and returns the run
-/// telemetry. A panicking or hung job ends up as a failure record in the
-/// manifest; the rest of the sweep still completes.
-pub fn prewarm(cache: &SuiteCache, jobs: Vec<JobSpec>, workers: usize) -> RunManifest {
-    prewarm_observed(cache, jobs, workers, None)
-}
-
-/// [`prewarm`] with optional timeline export: when `timeline` is set, sim
-/// jobs run observed and each success writes a Chrome-trace JSON artifact
-/// under the timeline directory (see [`TimelineConfig`]).
-pub fn prewarm_observed(
-    cache: &SuiteCache,
-    jobs: Vec<JobSpec>,
-    workers: usize,
-    timeline: Option<&TimelineConfig>,
-) -> RunManifest {
-    let jobs = spacea_harness::dedup_jobs(jobs);
-    let started = Instant::now();
-    let out = spacea_harness::run_jobs_observed(
-        &jobs,
-        cache.store(),
-        cache.ctx(),
-        workers,
-        &SupervisionPolicy::default(),
-        timeline,
-    );
-    RunManifest {
-        workers,
-        total_wall_ms: started.elapsed().as_secs_f64() * 1e3,
-        records: out.records,
-        stats: cache.store().stats(),
-        mappings: cache.ctx().mapping_stats(),
-        corrupt_paths: cache
-            .store()
-            .corrupt_paths()
-            .iter()
-            .map(|p| p.display().to_string())
-            .collect(),
-        abandoned: out.abandoned,
-    }
-}
-
-/// Parses the process arguments and builds the session (no job pre-warming
-/// — for binaries whose work is not expressible as jobs).
+/// Parses the process arguments and builds the session.
 pub fn harness() -> HarnessSession {
     let opts = HarnessOptions::from_args(std::env::args().skip(1)).unwrap_or_else(|e| e.exit());
     HarnessSession::from_opts(opts)
-}
-
-/// Parses the process arguments, builds the session, and pre-warms one
-/// experiment's jobs in parallel; the run summary goes to stderr.
-pub fn harness_for(jobs_of: fn(&ExpConfig) -> Vec<JobSpec>) -> HarnessSession {
-    let session = harness();
-    let manifest = session.prewarm(jobs_of(&session.opts.cfg));
-    eprint!("{}", manifest.summary());
-    session
-}
-
-/// Prints one experiment's tables in the selected format.
-pub fn emit(out: &ExpOutput, csv: bool) {
-    if csv {
-        print!("{}", out.table.to_csv());
-        for t in &out.extra_tables {
-            println!();
-            print!("{}", t.to_csv());
-        }
-    } else {
-        print!("{}", out.table.to_text());
-        for t in &out.extra_tables {
-            println!();
-            print!("{}", t.to_text());
-        }
-    }
-    if !out.headline.is_empty() && !csv {
-        println!();
-        println!("paper vs measured:");
-        for (name, paper, measured) in &out.headline {
-            println!("  {name}: paper {paper:.3} | measured {measured:.3}");
-        }
-    }
 }
 
 /// The sweep binary's extra flags — grid axes, sharding, cache GC — in a

@@ -12,7 +12,7 @@ use crate::mapstore::{MappingStats, MappingStore};
 use crate::store::{CacheOutcome, JobResult, ResultStore, ScenarioRec};
 use crate::telemetry::{JobRecord, JobStatus};
 use crate::timeline::{ChunkSink, TimelineConfig};
-use spacea_arch::{Machine, ObserveConfig, RunSpec, SampleFlush, SimError};
+use spacea_arch::{Machine, RunSpec, SampleFlush, SimError};
 use spacea_backend::hbm::hbm_timeline;
 use spacea_backend::{BackendKind, HbmBackend, ScenarioSpec};
 use spacea_gpu::simulate_csrmv;
@@ -204,33 +204,23 @@ pub fn execute(spec: &JobSpec, ctx: &JobCtx) -> Result<JobResult, ExecFailure> {
     execute_observed(spec, ctx, None).map(|(result, _)| result)
 }
 
-/// [`execute`] with optional gauge observation: with an [`ObserveConfig`],
-/// sim jobs run under [`RunSpec::observed`] and return the
-/// collected [`Timeline`] alongside the result. GPU model jobs have no
-/// event loop to sample and always return `None`. Observation is
-/// timing-neutral, so the [`JobResult`] is identical either way — cached
-/// results stay valid whether or not the run was observed.
+/// [`execute`] with optional observation. With a [`TimelineConfig`], sim
+/// jobs run under [`RunSpec::observed`] at its cadence and return the
+/// collected [`Timeline`] alongside the result; every completed sampler
+/// window also appends one chunk to `timelines/<key>.d/` through a
+/// [`ChunkSink`] (O(gauges) per window; the chunk index commits by atomic
+/// rename), so a run killed mid-flight leaves a replayable truncated
+/// timeline instead of nothing. The final artifact — with duration slices
+/// attached — is written by the caller from the returned [`Timeline`],
+/// which also clears the chunk set. HBM scenario cells return their
+/// per-channel timeline; other jobs have no event loop to sample and
+/// return `None`. Observation is timing-neutral, so the [`JobResult`] is
+/// identical either way — cached results stay valid whether or not the run
+/// was observed.
 pub fn execute_observed(
     spec: &JobSpec,
     ctx: &JobCtx,
-    observe: Option<ObserveConfig>,
-) -> Result<(JobResult, Option<Timeline>), ExecFailure> {
-    execute_observed_flushed(spec, ctx, observe, None)
-}
-
-/// [`execute_observed`] with incremental artifact flushing: when `flush`
-/// names a [`TimelineConfig`] and job key, every completed sampler window
-/// appends one chunk to `timelines/<key>.d/` through a [`ChunkSink`]
-/// (O(gauges) per window; the chunk index commits by atomic rename), so a
-/// run killed mid-flight leaves a replayable truncated timeline instead of
-/// nothing. The final artifact — with duration slices attached — is still
-/// written by the caller from the returned [`Timeline`], which also clears
-/// the chunk set.
-pub fn execute_observed_flushed(
-    spec: &JobSpec,
-    ctx: &JobCtx,
-    observe: Option<ObserveConfig>,
-    flush: Option<(TimelineConfig, crate::job::JobKey)>,
+    timeline: Option<&TimelineConfig>,
 ) -> Result<(JobResult, Option<Timeline>), ExecFailure> {
     let source = spec.source();
     source.validate().map_err(|message| ExecFailure::Error { message })?;
@@ -244,15 +234,13 @@ pub fn execute_observed_flushed(
             let mapping = ctx.mapping(source, *kind, hw.shape);
             let x = input_vector(a.cols());
             let machine = Machine::new(hw.clone());
-            match observe {
-                Some(obs) => {
-                    let mut sink = flush.map(|(cfg, key)| ChunkSink::new(&cfg, key));
-                    let mut cb = sink.as_mut().map(|s| move |f: &SampleFlush<'_>| s.append(f));
-                    let mut spec_run = RunSpec::spmv(&a, &x, &mapping).observed(obs);
-                    if let Some(cb) = cb.as_mut() {
-                        spec_run = spec_run.flushing(cb);
-                    }
-                    let out = machine.run(spec_run).map_err(ExecFailure::from_sim)?;
+            match timeline {
+                Some(cfg) => {
+                    let mut sink = ChunkSink::new(cfg, spec.key());
+                    let mut flush = |f: &SampleFlush<'_>| sink.append(f);
+                    let run = RunSpec::spmv(&a, &x, &mapping).observed(cfg.observe);
+                    let out =
+                        machine.run(run.flushing(&mut flush)).map_err(ExecFailure::from_sim)?;
                     Ok((JobResult::Sim(Arc::new(out.report)), out.timeline))
                 }
                 None => {
@@ -285,7 +273,7 @@ pub fn execute_observed_flushed(
                     let (run, detail) = HbmBackend { spec: *hbm }
                         .run_detailed(&scenario)
                         .map_err(|message| ExecFailure::Error { message })?;
-                    (run, observe.map(|_| hbm_timeline(&detail)))
+                    (run, timeline.map(|_| hbm_timeline(&detail)))
                 }
                 _ => {
                     let run = backend
@@ -335,13 +323,12 @@ pub fn execute_observed_flushed(
 fn guarded_execute(
     spec: &JobSpec,
     ctx: &JobCtx,
-    observe: Option<ObserveConfig>,
-    flush: Option<(TimelineConfig, crate::job::JobKey)>,
+    timeline: Option<&TimelineConfig>,
 ) -> Result<(JobResult, Option<Timeline>), ExecFailure> {
     // AssertUnwindSafe: the only state shared across the boundary is the
     // JobCtx memo (poison-tolerant locks over OnceLock cells; an interrupted
     // init leaves the cell empty and retryable) and the panic payload itself.
-    match catch_unwind(AssertUnwindSafe(|| execute_observed_flushed(spec, ctx, observe, flush))) {
+    match catch_unwind(AssertUnwindSafe(|| execute_observed(spec, ctx, timeline))) {
         Ok(r) => r,
         Err(payload) => Err(ExecFailure::Error {
             message: format!("job panicked: {}", panic_message(payload.as_ref())),
@@ -369,16 +356,16 @@ fn attempt(
     spec: &JobSpec,
     ctx: &Arc<JobCtx>,
     wall_budget: Option<Duration>,
-    observe: Option<ObserveConfig>,
-    flush: Option<(TimelineConfig, crate::job::JobKey)>,
+    timeline: Option<&TimelineConfig>,
 ) -> Result<(JobResult, Option<Timeline>), ExecFailure> {
-    let Some(limit) = wall_budget else { return guarded_execute(spec, ctx, observe, flush) };
+    let Some(limit) = wall_budget else { return guarded_execute(spec, ctx, timeline) };
     let (tx, rx) = mpsc::channel();
     let thread_spec = spec.clone();
     let thread_ctx = Arc::clone(ctx);
+    let thread_timeline = timeline.cloned();
     let handle =
         std::thread::Builder::new().name(format!("spacea-job:{}", spec.label())).spawn(move || {
-            let _ = tx.send(guarded_execute(&thread_spec, &thread_ctx, observe, flush));
+            let _ = tx.send(guarded_execute(&thread_spec, &thread_ctx, thread_timeline.as_ref()));
         });
     let handle = match handle {
         Ok(h) => h,
@@ -423,8 +410,9 @@ impl Default for SupervisionPolicy {
 /// randomness, so a given job retries on the same schedule in every
 /// process). Cooperating shards sweep disjoint grid ranges, so their
 /// concurrently-retrying jobs have different keys and therefore different
-/// backoff phases instead of racing in lockstep.
-fn jitter_factor(key: u64, attempt: u32) -> f64 {
+/// backoff phases instead of racing in lockstep. The serve daemon's batch
+/// retries use it too, keyed by matrix.
+pub fn jitter_factor(key: u64, attempt: u32) -> f64 {
     let mut z = key ^ (attempt as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
@@ -439,14 +427,13 @@ fn supervise(
     spec: &JobSpec,
     ctx: &Arc<JobCtx>,
     policy: &SupervisionPolicy,
-    observe: Option<ObserveConfig>,
-    flush: Option<&TimelineConfig>,
+    timeline: Option<&TimelineConfig>,
 ) -> (Option<(JobResult, Option<Timeline>)>, JobStatus) {
     let key = spec.key();
     let mut attempts = 0u32;
     loop {
         attempts += 1;
-        match attempt(spec, ctx, policy.wall_budget, observe, flush.map(|c| (c.clone(), key))) {
+        match attempt(spec, ctx, policy.wall_budget, timeline) {
             Ok(result) => {
                 let status =
                     if attempts == 1 { JobStatus::Ok } else { JobStatus::Retried { attempts } };
@@ -499,34 +486,25 @@ pub fn run_jobs(
     ctx: &Arc<JobCtx>,
     workers: usize,
 ) -> Vec<JobRecord> {
-    run_jobs_supervised(jobs, store, ctx, workers, &SupervisionPolicy::default()).records
+    run_jobs_supervised(jobs, store, ctx, workers, &SupervisionPolicy::default(), None).records
 }
 
-/// [`run_jobs`] with an explicit [`SupervisionPolicy`].
+/// [`run_jobs`] with an explicit [`SupervisionPolicy`] and optional per-job
+/// timeline artifacts.
 ///
 /// A panicking, erroring, or hung job never takes the sweep down: its record
 /// carries a failure [`JobStatus`] and every other job still runs. Workers
 /// that cannot deliver a record (channel closed) park it in a side buffer
 /// instead of dropping it; any job that still ends up without a record gets
 /// a synthesized failure record so the accounting is always complete.
-pub fn run_jobs_supervised(
-    jobs: &[JobSpec],
-    store: &ResultStore,
-    ctx: &Arc<JobCtx>,
-    workers: usize,
-    policy: &SupervisionPolicy,
-) -> RunOutput {
-    run_jobs_observed(jobs, store, ctx, workers, policy, None)
-}
-
-/// [`run_jobs_supervised`] with per-job timeline artifacts: sim jobs run
-/// observed (gauge sampling + trace slices) and each success writes a
-/// Chrome-trace JSON next to the cached result (see [`TimelineConfig`]).
-/// A cache hit whose artifact is missing re-runs the job observed to
-/// regenerate it — observation is timing-neutral and sims deterministic,
+///
+/// With a [`TimelineConfig`], sim jobs run observed (gauge sampling + trace
+/// slices) and each success writes a Chrome-trace JSON next to the cached
+/// result. A cache hit whose artifact is missing re-runs the job observed
+/// to regenerate it — observation is timing-neutral and sims deterministic,
 /// so the regenerated timeline matches what the original run would have
 /// produced, and the cached result is returned untouched.
-pub fn run_jobs_observed(
+pub fn run_jobs_supervised(
     jobs: &[JobSpec],
     store: &ResultStore,
     ctx: &Arc<JobCtx>,
@@ -617,7 +595,6 @@ fn run_one(
 ) -> JobRecord {
     let key = spec.key();
     let started = Instant::now();
-    let observe = timeline.map(|t| t.observe);
     let (result, outcome, status) = match store.lookup(key) {
         Some((result, outcome)) => {
             // A hit with its timeline artifact missing (older sweep, pruned
@@ -625,9 +602,7 @@ fn run_one(
             // the cached result authoritative.
             if let Some(cfg) = timeline {
                 if matches!(spec, JobSpec::Sim { .. }) && !cfg.path_for(key).exists() {
-                    if let (Some((_, Some(tl))), _) =
-                        supervise(spec, ctx, policy, observe, timeline)
-                    {
+                    if let (Some((_, Some(tl))), _) = supervise(spec, ctx, policy, timeline) {
                         write_timeline(cfg, key, spec, &tl);
                     }
                 }
@@ -635,7 +610,7 @@ fn run_one(
             (Some(result), outcome, JobStatus::Ok)
         }
         None => {
-            let (outcome, status) = supervise(spec, ctx, policy, observe, timeline);
+            let (outcome, status) = supervise(spec, ctx, policy, timeline);
             let result = match outcome {
                 Some((r, tl)) => {
                     // Only successes are cached: a failure must be
@@ -728,7 +703,8 @@ mod tests {
     fn observed_hbm_scenario_returns_a_registered_timeline() {
         let ctx = JobCtx::new();
         let spec = quick_scenario(BackendKind::Hbm, FormatKind::Sell);
-        let (result, tl) = execute_observed(&spec, &ctx, Some(ObserveConfig::default())).unwrap();
+        let cfg = TimelineConfig::new(&std::env::temp_dir().join("spacea-exec-hbm-unused"));
+        let (result, tl) = execute_observed(&spec, &ctx, Some(&cfg)).unwrap();
         assert!(matches!(result, JobResult::Scenario(_)));
         let tl = tl.expect("observed HBM scenario collects a timeline");
         assert!(!tl.series.is_empty());
@@ -863,7 +839,7 @@ mod tests {
         let store = ResultStore::in_memory();
         let ctx = Arc::new(JobCtx::new());
         let policy = SupervisionPolicy::default();
-        let out = run_jobs_observed(&jobs, &store, &ctx, 2, &policy, Some(&cfg));
+        let out = run_jobs_supervised(&jobs, &store, &ctx, 2, &policy, Some(&cfg));
         assert!(out.records.iter().all(|r| r.status == JobStatus::Ok));
         for job in &jobs {
             let path = cfg.path_for(job.key());
@@ -876,7 +852,7 @@ mod tests {
         let key = jobs[0].key();
         let (cached, _) = store.lookup(key).unwrap();
         std::fs::remove_file(cfg.path_for(key)).unwrap();
-        let out = run_jobs_observed(&jobs, &store, &ctx, 1, &policy, Some(&cfg));
+        let out = run_jobs_supervised(&jobs, &store, &ctx, 1, &policy, Some(&cfg));
         assert!(out.records.iter().all(|r| r.outcome == CacheOutcome::MemoryHit));
         assert!(cfg.path_for(key).exists(), "missing artifact not regenerated");
         let (after, _) = store.lookup(key).unwrap();
@@ -894,9 +870,7 @@ mod tests {
         let spec = quick_sim(1);
         let key = spec.key();
         let ctx = JobCtx::new();
-        let (result, timeline) =
-            execute_observed_flushed(&spec, &ctx, Some(cfg.observe), Some((cfg.clone(), key)))
-                .unwrap();
+        let (result, timeline) = execute_observed(&spec, &ctx, Some(&cfg)).unwrap();
         assert!(matches!(result, JobResult::Sim(_)));
         let live = timeline.expect("observed run collects a timeline");
         // The crash-safety contract: this caller never wrote the final

@@ -19,7 +19,8 @@
 //!   panic-guarded, hung simulations are cut off by the sim watchdog or a
 //!   per-attempt wall-clock budget, transient errors retry with backoff, and
 //!   each job ends with an explicit [`JobStatus`] so one bad job never takes
-//!   a sweep down.
+//!   a sweep down. Given a [`TimelineConfig`], it also writes one Perfetto
+//!   timeline per sim job.
 //! * [`ResultStore`] optionally persists every result as one JSON file per
 //!   key (default directory `target/spacea-cache/`), so a re-run only
 //!   simulates what changed. Floats are stored as IEEE-754 bit patterns and
@@ -49,8 +50,8 @@ pub mod telemetry;
 pub mod timeline;
 
 pub use exec::{
-    dedup_jobs, input_vector, run_jobs, run_jobs_observed, run_jobs_supervised, ExecFailure,
-    JobCtx, RunOutput, SupervisionPolicy,
+    dedup_jobs, input_vector, run_jobs, run_jobs_supervised, ExecFailure, JobCtx, RunOutput,
+    SupervisionPolicy,
 };
 pub use job::{GraphOperand, JobKey, JobSpec, MatrixSource};
 pub use mapstore::{MappingStats, MappingStore};

@@ -234,11 +234,6 @@ impl ResultStore {
         Ok(store)
     }
 
-    /// The persistence directory, if any.
-    pub fn disk_dir(&self) -> Option<&Path> {
-        self.disk.as_deref()
-    }
-
     /// Looks up a result, recording a hit or miss in the stats.
     ///
     /// A disk hit is promoted into the in-memory map so later lookups are

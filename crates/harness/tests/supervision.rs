@@ -89,6 +89,7 @@ fn panicking_job_is_isolated_from_the_rest_of_the_sweep() {
         &Arc::new(JobCtx::new()),
         2,
         &SupervisionPolicy::default(),
+        None,
     );
     assert_eq!(out.records.len(), 3);
     assert_eq!(out.records[0].status.tag(), "failed");
@@ -115,6 +116,7 @@ fn stalled_vault_times_out_with_a_diagnosis_naming_the_vault() {
         &Arc::new(JobCtx::new()),
         2,
         &SupervisionPolicy::default(),
+        None,
     );
     assert_eq!(out.records[0].status.tag(), "timed-out");
     let diagnosis = out.records[0].status.failure().unwrap();
@@ -153,6 +155,7 @@ fn rerun_over_disk_cache_retries_only_the_failed_job() {
             &Arc::new(JobCtx::new()),
             2,
             &SupervisionPolicy { max_retries: 0, ..SupervisionPolicy::default() },
+            None,
         )
     };
     let first = ResultStore::with_disk(&dir).unwrap();
@@ -199,6 +202,7 @@ fn wall_clock_budget_abandons_a_slow_attempt() {
         &Arc::new(JobCtx::new()),
         1,
         &policy,
+        None,
     );
     assert_eq!(out.records[0].status.tag(), "timed-out");
     assert!(

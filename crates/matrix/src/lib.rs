@@ -31,7 +31,6 @@
 #![warn(missing_docs)]
 
 mod coo;
-mod csc;
 mod csr;
 mod error;
 pub mod formats;
@@ -43,7 +42,6 @@ pub mod stats;
 pub mod suite;
 
 pub use coo::Coo;
-pub use csc::Csc;
 pub use csr::Csr;
 pub use error::MatrixError;
 pub use formats::{FormatKind, SparseFormat};

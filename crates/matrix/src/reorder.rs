@@ -45,11 +45,6 @@ impl Permutation {
         self.perm.is_empty()
     }
 
-    /// The old index at new position `new`.
-    pub fn old_of(&self, new: usize) -> usize {
-        self.perm[new] as usize
-    }
-
     /// The inverse map: `inv[old_index] = new_index`.
     pub fn inverse_table(&self) -> Vec<u32> {
         let mut inv = vec![0u32; self.perm.len()];

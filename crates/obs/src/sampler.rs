@@ -170,18 +170,6 @@ impl<C: ?Sized> Sampler<C> {
     pub fn last_samples(&self) -> impl Iterator<Item = (&MetricKey, f64)> {
         self.gauges.iter().filter_map(|g| g.series.last().map(|v| (&g.key, v)))
     }
-
-    /// A copy of the series collected so far, without consuming the
-    /// sampler. Producers call this at window boundaries to flush an
-    /// incremental timeline artifact to disk, so a killed run still leaves
-    /// a valid (truncated) timeline. Slices are derived from the event
-    /// trace only at run end, so snapshots carry none.
-    pub fn timeline_snapshot(&self) -> Timeline {
-        Timeline {
-            series: self.gauges.iter().map(|g| (g.key.clone(), g.series.clone())).collect(),
-            slices: Vec::new(),
-        }
-    }
 }
 
 /// A duration slice on a vault's timeline track, derived by the producer

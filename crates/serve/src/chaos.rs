@@ -16,6 +16,7 @@
 //! and an accepted request is never silently lost — chaos may slow,
 //! reject, or error a request, but never corrupt or swallow one.
 
+use spacea_arch::fault::{parse_at, parse_directives, parse_u64, write_directives};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
@@ -79,34 +80,31 @@ impl ChaosPlan {
     /// * `corrupt-map=N` — garbage the Nth persisted mapping at startup
     /// * `truncate-map=N` — truncate the Nth persisted mapping at startup
     ///
-    /// Directives never contain `:`, matching the `FaultPlan` grammar.
+    /// The grammar is the simulator fault plan's
+    /// ([`spacea_arch::fault::parse_directives`]).
     ///
     /// # Errors
     ///
     /// Returns a message naming the offending directive when one is
-    /// unknown or malformed.
+    /// unknown, malformed or repeated.
     pub fn parse(s: &str) -> Result<ChaosPlan, String> {
         let mut plan = ChaosPlan::default();
-        for directive in s.split(',').map(str::trim).filter(|d| !d.is_empty()) {
-            match directive.split_once('=') {
-                Some(("drop-conn", n)) => plan.drop_conn = Some(parse_u64("drop-conn", n)?),
-                Some(("delay-conn", v)) => plan.delay_conn = Some(parse_at("delay-conn", v)?),
-                Some(("kill-batch", n)) => plan.kill_batch = Some(parse_u64("kill-batch", n)?),
-                Some(("wedge-batch", n)) => plan.wedge_batch = Some(parse_u64("wedge-batch", n)?),
-                Some(("stall-req", v)) => plan.stall_req = Some(parse_at("stall-req", v)?),
-                Some(("corrupt-map", n)) => plan.corrupt_map = Some(parse_u64("corrupt-map", n)?),
-                Some(("truncate-map", n)) => {
-                    plan.truncate_map = Some(parse_u64("truncate-map", n)?)
-                }
-                _ => {
-                    return Err(format!(
-                        "unknown chaos directive '{directive}' (expected drop-conn=N, \
-                         delay-conn=N@MS, kill-batch=N, wedge-batch=N, stall-req=N@MS, \
-                         corrupt-map=N, or truncate-map=N)"
-                    ))
-                }
+        let expected = "drop-conn=N, delay-conn=N@MS, kill-batch=N, wedge-batch=N, \
+                        stall-req=N@MS, corrupt-map=N, or truncate-map=N";
+        parse_directives(s, "chaos", expected, |name, value| {
+            let Some(v) = value else { return Ok(false) };
+            match name {
+                "drop-conn" => plan.drop_conn = Some(parse_u64(name, v)?),
+                "delay-conn" => plan.delay_conn = Some(parse_at(name, v)?),
+                "kill-batch" => plan.kill_batch = Some(parse_u64(name, v)?),
+                "wedge-batch" => plan.wedge_batch = Some(parse_u64(name, v)?),
+                "stall-req" => plan.stall_req = Some(parse_at(name, v)?),
+                "corrupt-map" => plan.corrupt_map = Some(parse_u64(name, v)?),
+                "truncate-map" => plan.truncate_map = Some(parse_u64(name, v)?),
+                _ => return Ok(false),
             }
-        }
+            Ok(true)
+        })?;
         Ok(plan)
     }
 
@@ -156,48 +154,19 @@ impl ChaosPlan {
 
 impl std::fmt::Display for ChaosPlan {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let mut sep = "";
-        let mut part = |f: &mut std::fmt::Formatter<'_>, s: String| {
-            let r = write!(f, "{sep}{s}");
-            sep = ",";
-            r
-        };
-        if let Some(n) = self.drop_conn {
-            part(f, format!("drop-conn={n}"))?;
-        }
-        if let Some((n, ms)) = self.delay_conn {
-            part(f, format!("delay-conn={n}@{ms}"))?;
-        }
-        if let Some(n) = self.kill_batch {
-            part(f, format!("kill-batch={n}"))?;
-        }
-        if let Some(n) = self.wedge_batch {
-            part(f, format!("wedge-batch={n}"))?;
-        }
-        if let Some((n, ms)) = self.stall_req {
-            part(f, format!("stall-req={n}@{ms}"))?;
-        }
-        if let Some(n) = self.corrupt_map {
-            part(f, format!("corrupt-map={n}"))?;
-        }
-        if let Some(n) = self.truncate_map {
-            part(f, format!("truncate-map={n}"))?;
-        }
-        if sep.is_empty() {
-            write!(f, "none")?;
-        }
-        Ok(())
+        write_directives(
+            f,
+            [
+                self.drop_conn.map(|n| format!("drop-conn={n}")),
+                self.delay_conn.map(|(n, ms)| format!("delay-conn={n}@{ms}")),
+                self.kill_batch.map(|n| format!("kill-batch={n}")),
+                self.wedge_batch.map(|n| format!("wedge-batch={n}")),
+                self.stall_req.map(|(n, ms)| format!("stall-req={n}@{ms}")),
+                self.corrupt_map.map(|n| format!("corrupt-map={n}")),
+                self.truncate_map.map(|n| format!("truncate-map={n}")),
+            ],
+        )
     }
-}
-
-fn parse_u64(what: &str, v: &str) -> Result<u64, String> {
-    v.trim().parse().map_err(|_| format!("{what} needs an unsigned integer, got '{v}'"))
-}
-
-fn parse_at(what: &str, v: &str) -> Result<(u64, u64), String> {
-    let (a, b) =
-        v.split_once('@').ok_or_else(|| format!("{what} needs the form N@M, got '{v}'"))?;
-    Ok((parse_u64(what, a)?, parse_u64(what, b)?))
 }
 
 /// What a chaos plan does to one accepted connection.
@@ -325,6 +294,7 @@ mod tests {
         let plan = ChaosPlan::parse("").unwrap();
         assert!(plan.is_empty());
         assert_eq!(plan.to_string(), "none");
+        assert_eq!(ChaosPlan::parse("none"), Ok(plan), "the printed empty plan parses back");
         let state = ChaosState::new(plan);
         assert_eq!(state.on_connection(), None);
         assert!(state.on_batch_attempt().is_none());
@@ -358,7 +328,13 @@ mod tests {
 
     #[test]
     fn malformed_directives_are_named_in_the_error() {
-        for bad in ["drop-conn=x", "stall-req=5", "warp-core-breach", "kill-batch"] {
+        for bad in [
+            "drop-conn=x",
+            "stall-req=5",
+            "warp-core-breach",
+            "kill-batch",
+            "kill-batch=0,kill-batch=3",
+        ] {
             let err = ChaosPlan::parse(bad).unwrap_err();
             assert!(!err.is_empty(), "no message for '{bad}'");
         }

@@ -45,6 +45,7 @@
 use crate::engine::ServeEngine;
 use crate::error::ServeError;
 use crate::journal::{vec_hash, AckRecord};
+use spacea_harness::exec::jitter_factor;
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -55,18 +56,6 @@ use std::time::{Duration, Instant};
 
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
-/// Deterministic backoff jitter in `[0.5, 1.5)` from the matrix key and
-/// attempt number — the same splitmix64 mixing (and the same range) as the
-/// harness supervisor's, so concurrent retries spread out instead of
-/// thundering in lockstep, without any wall-clock randomness.
-fn jitter_factor(key: u64, attempt: u32) -> f64 {
-    let mut z = key ^ u64::from(attempt).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    0.5 + (z >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// What one completed request returns to its submitter.
@@ -752,16 +741,5 @@ mod tests {
         service.stop();
         assert_eq!(AckJournal::load(engine.journal().dir()).records.len(), 5);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn jitter_is_deterministic_and_bounded() {
-        for key in [0u64, 7, u64::MAX] {
-            for attempt in 1..=4u32 {
-                let a = jitter_factor(key, attempt);
-                assert_eq!(a, jitter_factor(key, attempt));
-                assert!((0.5..1.5).contains(&a), "{a}");
-            }
-        }
     }
 }

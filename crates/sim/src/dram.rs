@@ -39,11 +39,6 @@ impl DramTiming {
     pub fn beats_per_row(&self) -> usize {
         self.row_bytes.div_ceil(self.beat_bytes)
     }
-
-    /// Cycles to stream `bytes` with an open row.
-    pub fn burst_cycles(&self, bytes: usize) -> Cycle {
-        (bytes.div_ceil(self.beat_bytes) as Cycle) * self.t_ccd
-    }
 }
 
 /// Whether a bank access read or wrote the row.

@@ -57,77 +57,107 @@ impl FaultPlan {
     /// * `flip-accum=N` — corrupt the Nth accumulator update
     /// * `panic` — panic at run start
     ///
-    /// Directives never contain `:`, so callers can prefix a plan with an
-    /// index (`3:stall-vault=0@100`) unambiguously.
+    /// The grammar is [`parse_directives`]'s, shared with the service
+    /// layer's chaos plans.
     ///
     /// # Errors
     ///
     /// Returns a message naming the offending directive when one is
-    /// unknown or malformed.
+    /// unknown, malformed or repeated.
     pub fn parse(s: &str) -> Result<FaultPlan, String> {
         let mut plan = FaultPlan::default();
-        for directive in s.split(',').map(str::trim).filter(|d| !d.is_empty()) {
-            match directive.split_once('=') {
-                None if directive == "panic" => plan.panic_on_run = true,
-                Some(("drop-noc", n)) => plan.drop_noc_packet = Some(parse_u64("drop-noc", n)?),
-                Some(("delay-noc", v)) => plan.delay_noc = Some(parse_at("delay-noc", v)?),
-                Some(("stall-vault", v)) => {
-                    let (vault, from) = parse_at("stall-vault", v)?;
+        let expected = "drop-noc=N, delay-noc=N@D, stall-vault=V@T, flip-accum=N, or panic";
+        parse_directives(s, "fault", expected, |name, value| {
+            match (name, value) {
+                ("panic", None) => plan.panic_on_run = true,
+                ("drop-noc", Some(n)) => plan.drop_noc_packet = Some(parse_u64(name, n)?),
+                ("delay-noc", Some(v)) => plan.delay_noc = Some(parse_at(name, v)?),
+                ("stall-vault", Some(v)) => {
+                    let (vault, from) = parse_at(name, v)?;
                     plan.stall_vault = Some((vault as usize, from));
                 }
-                Some(("flip-accum", n)) => {
-                    plan.flip_accum_update = Some(parse_u64("flip-accum", n)?)
-                }
-                _ => {
-                    return Err(format!(
-                        "unknown fault directive '{directive}' (expected drop-noc=N, \
-                         delay-noc=N@D, stall-vault=V@T, flip-accum=N, or panic)"
-                    ))
-                }
+                ("flip-accum", Some(n)) => plan.flip_accum_update = Some(parse_u64(name, n)?),
+                _ => return Ok(false),
             }
-        }
+            Ok(true)
+        })?;
         Ok(plan)
     }
 }
 
 impl fmt::Display for FaultPlan {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut sep = "";
-        let mut part = |f: &mut fmt::Formatter<'_>, s: String| {
-            let r = write!(f, "{sep}{s}");
-            sep = ",";
-            r
-        };
-        if let Some(n) = self.drop_noc_packet {
-            part(f, format!("drop-noc={n}"))?;
-        }
-        if let Some((n, d)) = self.delay_noc {
-            part(f, format!("delay-noc={n}@{d}"))?;
-        }
-        if let Some((v, t)) = self.stall_vault {
-            part(f, format!("stall-vault={v}@{t}"))?;
-        }
-        if let Some(n) = self.flip_accum_update {
-            part(f, format!("flip-accum={n}"))?;
-        }
-        if self.panic_on_run {
-            part(f, "panic".to_string())?;
-        }
-        if sep.is_empty() {
-            write!(f, "none")?;
-        }
-        Ok(())
+        write_directives(
+            f,
+            [
+                self.drop_noc_packet.map(|n| format!("drop-noc={n}")),
+                self.delay_noc.map(|(n, d)| format!("delay-noc={n}@{d}")),
+                self.stall_vault.map(|(v, t)| format!("stall-vault={v}@{t}")),
+                self.flip_accum_update.map(|n| format!("flip-accum={n}")),
+                self.panic_on_run.then(|| "panic".to_string()),
+            ],
+        )
     }
 }
 
-fn parse_u64(what: &str, v: &str) -> Result<u64, String> {
+/// Parses a directive's `N` value.
+pub fn parse_u64(what: &str, v: &str) -> Result<u64, String> {
     v.trim().parse().map_err(|_| format!("{what} needs an unsigned integer, got '{v}'"))
 }
 
-fn parse_at(what: &str, v: &str) -> Result<(u64, Cycle), String> {
+/// Parses a directive's `N@M` value.
+pub fn parse_at(what: &str, v: &str) -> Result<(u64, u64), String> {
     let (a, b) =
         v.split_once('@').ok_or_else(|| format!("{what} needs the form N@M, got '{v}'"))?;
     Ok((parse_u64(what, a)?, parse_u64(what, b)?))
+}
+
+/// Parses a fault spec: comma-separated directives of the form `name`,
+/// `name=N` or `name=N@M`, surrounding whitespace and empty entries
+/// ignored. `none` alone is the empty spec, so every plan's [`fmt::Display`]
+/// (see [`write_directives`]) parses back. Directives never contain `:`, so
+/// callers can prefix a plan with an index (`3:stall-vault=0@100`)
+/// unambiguously.
+///
+/// `apply(name, value)` sets one directive's field and returns `Ok(false)`
+/// for a name it does not know, which becomes an "unknown `kind` directive"
+/// error listing `expected`. A name given twice is an error.
+pub fn parse_directives<'a>(
+    s: &'a str,
+    kind: &str,
+    expected: &str,
+    mut apply: impl FnMut(&'a str, Option<&'a str>) -> Result<bool, String>,
+) -> Result<(), String> {
+    if s.trim() == "none" {
+        return Ok(());
+    }
+    let mut seen: Vec<&str> = Vec::new();
+    for directive in s.split(',').map(str::trim).filter(|d| !d.is_empty()) {
+        let (name, value) = match directive.split_once('=') {
+            Some((name, value)) => (name, Some(value)),
+            None => (directive, None),
+        };
+        if seen.contains(&name) {
+            return Err(format!("{kind} directive '{name}' given more than once"));
+        }
+        seen.push(name);
+        if !apply(name, value)? {
+            return Err(format!("unknown {kind} directive '{directive}' (expected {expected})"));
+        }
+    }
+    Ok(())
+}
+
+/// Writes the present directives joined by `,`, or `none` if there are none.
+pub fn write_directives(
+    f: &mut fmt::Formatter<'_>,
+    directives: impl IntoIterator<Item = Option<String>>,
+) -> fmt::Result {
+    let present: Vec<String> = directives.into_iter().flatten().collect();
+    if present.is_empty() {
+        return f.write_str("none");
+    }
+    f.write_str(&present.join(","))
 }
 
 /// Forward-progress budgets for the machine run loop.
@@ -271,6 +301,7 @@ mod tests {
         let plan = FaultPlan::parse("").unwrap();
         assert!(plan.is_empty());
         assert_eq!(plan.to_string(), "none");
+        assert_eq!(FaultPlan::parse(" none "), Ok(plan), "the printed empty plan parses back");
     }
 
     #[test]
@@ -294,7 +325,16 @@ mod tests {
 
     #[test]
     fn malformed_directives_are_named_in_the_error() {
-        for bad in ["drop-noc=x", "delay-noc=5", "stall-vault=1", "warp-core-breach", "panic=1"] {
+        for bad in [
+            "drop-noc=x",
+            "delay-noc=5",
+            "stall-vault=1",
+            "warp-core-breach",
+            "panic=1",
+            "drop-noc=1,drop-noc=5",
+            "panic,panic",
+            "none,panic",
+        ] {
             let err = FaultPlan::parse(bad).unwrap_err();
             assert!(!err.is_empty(), "no message for '{bad}'");
         }
