@@ -112,6 +112,21 @@ cmp target/scn-merged.csv target/scn-full.csv
 test "$(wc -l < target/scn-full.csv)" -eq 14  # header + 1 sim point + 12 cells
 ! grep -qE "failed|timed-out" target/scn-full.csv
 
+# Simulation memo: the full backend x format x partitioning grid over two
+# matrices renders byte-identically on 1 and 4 workers with no failed cell,
+# and each run simulates only the 2 distinct runs per matrix (one for the
+# plain, CSR, COO and SELL mapping, one for BCSR's) and reuses the other 14.
+MEMO_ARGS="--quick --ids 1,13 --scales 256 --backend all --format all --partition all --csv"
+for j in 1 4; do
+  MEMO_CACHE=target/spacea-cache-memo-$j
+  rm -rf "$MEMO_CACHE"
+  cargo run --release -p spacea-bench --bin sweep -- $MEMO_ARGS --jobs $j \
+    --cache-dir "$MEMO_CACHE" > target/sweep-memo-$j.csv
+  grep -q '"simulations":{"run":4,"reused":14}' "$MEMO_CACHE/last-run.json"
+done
+cmp target/sweep-memo-1.csv target/sweep-memo-4.csv
+! grep -qE "failed|timed-out" target/sweep-memo-1.csv
+
 # Fault-injection smoke test: a sweep with a deliberately stalled vault and a
 # panicking job must still exit 0, render every row, and record the failures
 # (with the watchdog's diagnosis naming the vault) in the manifest.

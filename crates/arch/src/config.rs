@@ -12,7 +12,7 @@ use spacea_sim::Cycle;
 /// shrinks the cube count (not the per-cube structure) so that cycle-level
 /// simulation of the scaled Table I suite stays laptop-feasible, and
 /// [`HwConfig::tiny`] is a miniature for unit tests.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct HwConfig {
     /// Cube/vault/layer/bank structure (shared with the mapping crate).
     pub shape: MachineShape,

@@ -28,12 +28,13 @@ pub mod hbm;
 
 pub use hbm::{HbmBackend, HbmDetail, HbmSpec};
 
-use spacea_arch::{HwConfig, Machine, RunSpec};
+use spacea_arch::{HwConfig, Machine, RunSpec, SimReport};
 use spacea_gpu::spec::Dgx1CpuSpec;
 use spacea_gpu::{simulate_csrmv, TitanXpSpec};
 use spacea_mapping::Mapping;
 use spacea_matrix::formats::SparseFormat;
 use spacea_matrix::Csr;
+use std::sync::Arc;
 
 /// Bytes of useful payload per logical non-zero (4 B column index + 8 B
 /// value), the unit behind every backend's effective-bandwidth metric.
@@ -213,32 +214,55 @@ pub struct SpaceaBackend {
     pub hw: HwConfig,
 }
 
-impl Backend for SpaceaBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Spacea
-    }
-
-    fn run(&self, spec: &ScenarioSpec<'_>) -> Result<ScenarioRun, String> {
+impl SpaceaBackend {
+    /// Prices one SpaceA cell from the single-vector run of `spec.a` and
+    /// `spec.x` under `spec.mapping` that `simulate` returns, after the
+    /// dimension and mapping checks every cell gets.
+    ///
+    /// The machine streams the logical non-zeros whatever the format, so
+    /// the run depends on the format only through the mapping: a caller
+    /// may hand back one shared report for every cell whose mapping is
+    /// equal (the harness memoises them). The format still prices the
+    /// stream bytes.
+    ///
+    /// # Errors
+    ///
+    /// As [`Backend::run`], plus whatever `simulate` reports.
+    pub fn run_with(
+        spec: &ScenarioSpec<'_>,
+        simulate: impl FnOnce(&Mapping) -> Result<Arc<SimReport>, String>,
+    ) -> Result<ScenarioRun, String> {
         check_dims(spec)?;
         let mapping = spec.mapping.ok_or("the spacea backend requires a mapping")?;
-        let out = Machine::new(self.hw.clone())
-            .run(RunSpec::spmv(spec.a, spec.x, mapping))
-            .map_err(|e| e.to_string())?;
-        let report = out.report;
-        let y = out.outputs.into_iter().next().ok_or("machine produced no output vector")?;
+        let report = simulate(mapping)?;
         let effective_bw = if report.seconds > 0.0 {
             (spec.a.nnz() as u64 * NNZ_BYTES) as f64 / report.seconds
         } else {
             0.0
         };
         Ok(ScenarioRun {
-            y,
+            y: report.output.clone(),
             cycles: report.cycles,
             time_s: report.seconds,
             stream_bytes: spec.format.bytes() as u64,
             effective_bw,
             bytes_per_nnz: spec.format.bytes_per_nnz(),
             reorder_stalls: 0,
+        })
+    }
+}
+
+impl Backend for SpaceaBackend {
+    fn kind(&self) -> BackendKind {
+        BackendKind::Spacea
+    }
+
+    fn run(&self, spec: &ScenarioSpec<'_>) -> Result<ScenarioRun, String> {
+        SpaceaBackend::run_with(spec, |mapping| {
+            let out = Machine::new(self.hw.clone())
+                .run(RunSpec::spmv(spec.a, spec.x, mapping))
+                .map_err(|e| e.to_string())?;
+            Ok(Arc::new(out.report))
         })
     }
 }

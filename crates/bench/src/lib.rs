@@ -251,6 +251,7 @@ impl HarnessSession {
             records: out.records,
             stats: cache.store().stats(),
             mappings: cache.ctx().mapping_stats(),
+            simulations: cache.ctx().simulation_stats(),
             corrupt_paths: cache
                 .store()
                 .corrupt_paths()

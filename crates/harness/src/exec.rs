@@ -12,9 +12,9 @@ use crate::mapstore::{MappingStats, MappingStore};
 use crate::store::{CacheOutcome, JobResult, ResultStore, ScenarioRec};
 use crate::telemetry::{JobRecord, JobStatus};
 use crate::timeline::{ChunkSink, TimelineConfig};
-use spacea_arch::{Machine, RunSpec, SampleFlush, SimError};
+use spacea_arch::{HwConfig, Machine, RunSpec, SampleFlush, SimError, SimReport};
 use spacea_backend::hbm::hbm_timeline;
-use spacea_backend::{BackendKind, HbmBackend, ScenarioSpec};
+use spacea_backend::{BackendKind, HbmBackend, ScenarioSpec, SpaceaBackend};
 use spacea_gpu::simulate_csrmv;
 use spacea_mapping::{MachineShape, MapKind, Mapping};
 use spacea_matrix::formats::FormatKind;
@@ -22,14 +22,15 @@ use spacea_matrix::Csr;
 use spacea_obs::Timeline;
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::{Duration, Instant};
 
 /// Locks a memo mutex, recovering from poisoning: the maps only hold
-/// [`OnceLock`] cells (an interrupted init leaves the cell empty and
-/// retryable), so a worker that panicked cannot leave torn state behind.
+/// [`OnceLock`] cells and run slots that are filled only on success (an
+/// interrupted computation leaves its cell empty and retryable), so a
+/// worker that panicked cannot leave torn state behind.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -45,15 +46,38 @@ pub fn input_vector(n: usize) -> Vec<f64> {
 
 type Memo<K, V> = Mutex<HashMap<K, Arc<OnceLock<Arc<V>>>>>;
 
-/// Shared in-process memoization of the *inputs* to jobs: generated
-/// matrices and computed mappings.
+/// What decides an unobserved single-vector run of [`input_vector`]: the
+/// operand, the mapping's *content* and the whole machine. That includes
+/// the watchdog budgets, which the job key leaves out on purpose: a budget
+/// cannot change a successful result, but it decides whether a run
+/// succeeds, so a run may only be lent to a job with the same budgets.
+type RunKey = (MatrixSource, Arc<Mapping>, HwConfig);
+
+/// One run's memo slot, filled only by a successful run: a failed run
+/// leaves it empty, so the next job with that key simulates for itself.
+type RunSlot = Mutex<Option<Arc<SimReport>>>;
+
+/// How many single-vector simulations a [`JobCtx`] ran versus answered
+/// from its memo of earlier runs.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct SimulationStats {
+    /// `Machine::run` calls made, observed runs and failed attempts
+    /// included.
+    pub run: u64,
+    /// Unobserved runs answered from the memo instead of simulated again.
+    pub reused: u64,
+}
+
+/// Shared in-process memoization of the *inputs* to jobs (generated
+/// matrices, computed mappings, reference SpMVs) and of the single-vector
+/// simulations several jobs share.
 ///
 /// These are not part of the [`ResultStore`] because they are intermediate
 /// artifacts, re-derivable and often large; but they must be shared across
 /// workers so that two jobs on the same matrix don't generate it twice.
-/// Each entry is a [`OnceLock`]: the first worker to need an artifact
-/// computes it while later workers block on that entry only (not on the
-/// whole map).
+/// Each entry is a [`OnceLock`] (a run, a `RunSlot`): the first worker
+/// to need an artifact computes it while later workers block on that entry
+/// only (not on the whole map).
 ///
 /// Mapping computation goes through a [`MappingStore`]: with
 /// [`JobCtx::with_mapping_dir`], the in-process memo warms from persisted
@@ -62,8 +86,12 @@ type Memo<K, V> = Mutex<HashMap<K, Arc<OnceLock<Arc<V>>>>>;
 #[derive(Default)]
 pub struct JobCtx {
     matrices: Memo<MatrixSource, Csr>,
+    references: Memo<MatrixSource, Vec<f64>>,
     mappings: Memo<(MatrixSource, MapKind, MachineShape), Mapping>,
     format_mappings: Memo<(MatrixSource, FormatKind, MapKind, MachineShape), Mapping>,
+    runs: Mutex<HashMap<RunKey, Arc<RunSlot>>>,
+    sims_run: AtomicU64,
+    sims_reused: AtomicU64,
     mapstore: MappingStore,
 }
 
@@ -88,6 +116,14 @@ impl JobCtx {
     /// How many mappings this context computed versus warmed from disk.
     pub fn mapping_stats(&self) -> MappingStats {
         self.mapstore.stats()
+    }
+
+    /// How many single-vector simulations this context ran versus reused.
+    pub fn simulation_stats(&self) -> SimulationStats {
+        SimulationStats {
+            run: self.sims_run.load(Ordering::Relaxed),
+            reused: self.sims_reused.load(Ordering::Relaxed),
+        }
     }
 
     /// The (memoized) matrix for a source.
@@ -156,6 +192,48 @@ impl JobCtx {
             let pattern = format.build(&a).storage_pattern();
             Arc::new(self.mapstore.get_or_compute(&pattern, kind, &shape))
         }))
+    }
+
+    /// The (memoized) reference `Csr::spmv` of a source's matrix on
+    /// [`input_vector`]: the bitwise oracle of every scenario cell.
+    pub fn reference(&self, source: &MatrixSource) -> Arc<Vec<f64>> {
+        let cell = Arc::clone(lock(&self.references).entry(*source).or_default());
+        Arc::clone(cell.get_or_init(|| {
+            let a = self.matrix(source);
+            Arc::new(a.spmv(&input_vector(a.cols())))
+        }))
+    }
+
+    /// The (memoized) unobserved single-vector run of a source's matrix on
+    /// [`input_vector`] under `mapping` on `hw`.
+    ///
+    /// Runs are keyed by mapping content (see `RunKey`), so a matrix's
+    /// plain simulation point and every scenario cell whose format maps it
+    /// the same way share one run. A second caller of a run in flight
+    /// waits for it; a failed run is not kept.
+    ///
+    /// # Errors
+    ///
+    /// Whatever [`Machine::run`] reports.
+    pub fn spmv_report(
+        &self,
+        source: &MatrixSource,
+        mapping: &Arc<Mapping>,
+        hw: &HwConfig,
+    ) -> Result<Arc<SimReport>, SimError> {
+        let key = (*source, Arc::clone(mapping), hw.clone());
+        let slot = Arc::clone(lock(&self.runs).entry(key).or_default());
+        let mut slot = lock(&slot);
+        if let Some(report) = slot.as_ref() {
+            self.sims_reused.fetch_add(1, Ordering::Relaxed);
+            return Ok(Arc::clone(report));
+        }
+        let a = self.matrix(source);
+        let x = input_vector(a.cols());
+        self.sims_run.fetch_add(1, Ordering::Relaxed);
+        let report = Arc::new(Machine::new(hw.clone()).run(RunSpec::spmv(&a, &x, mapping))?.report);
+        *slot = Some(Arc::clone(&report));
+        Ok(report)
     }
 }
 
@@ -230,24 +308,24 @@ pub fn execute_observed(
             Ok((JobResult::Gpu(simulate_csrmv(spec, &a)), None))
         }
         JobSpec::Sim { source, kind, hw, .. } => {
-            let a = ctx.matrix(source);
             let mapping = ctx.mapping(source, *kind, hw.shape);
-            let x = input_vector(a.cols());
-            let machine = Machine::new(hw.clone());
             match timeline {
                 Some(cfg) => {
+                    let a = ctx.matrix(source);
+                    let x = input_vector(a.cols());
                     let mut sink = ChunkSink::new(cfg, spec.key());
                     let mut flush = |f: &SampleFlush<'_>| sink.append(f);
                     let run = RunSpec::spmv(&a, &x, &mapping).observed(cfg.observe);
-                    let out =
-                        machine.run(run.flushing(&mut flush)).map_err(ExecFailure::from_sim)?;
+                    ctx.sims_run.fetch_add(1, Ordering::Relaxed);
+                    let out = Machine::new(hw.clone())
+                        .run(run.flushing(&mut flush))
+                        .map_err(ExecFailure::from_sim)?;
                     Ok((JobResult::Sim(Arc::new(out.report)), out.timeline))
                 }
                 None => {
-                    let out = machine
-                        .run(RunSpec::spmv(&a, &x, &mapping))
-                        .map_err(ExecFailure::from_sim)?;
-                    Ok((JobResult::Sim(Arc::new(out.report)), None))
+                    let report =
+                        ctx.spmv_report(source, &mapping, hw).map_err(ExecFailure::from_sim)?;
+                    Ok((JobResult::Sim(report), None))
                 }
             }
         }
@@ -268,12 +346,21 @@ pub fn execute_observed(
             // The HBM backend is run through its detailed entrypoint so an
             // observed job can hand back the per-channel timeline; the other
             // backends have no event stream to sample.
-            let (run, tl) = match backend {
-                BackendKind::Hbm => {
+            let (run, tl) = match (backend, &mapping) {
+                (BackendKind::Hbm, _) => {
                     let (run, detail) = HbmBackend { spec: *hbm }
                         .run_detailed(&scenario)
                         .map_err(|message| ExecFailure::Error { message })?;
                     (run, timeline.map(|_| hbm_timeline(&detail)))
+                }
+                // A SpaceA cell takes its run from the memo, keyed by the
+                // shared `Arc` of the very mapping `run_with` hands over.
+                (BackendKind::Spacea, Some(mapping)) => {
+                    let run = SpaceaBackend::run_with(&scenario, |_| {
+                        ctx.spmv_report(source, mapping, hw).map_err(|e| e.to_string())
+                    })
+                    .map_err(|message| ExecFailure::Error { message })?;
+                    (run, None)
                 }
                 _ => {
                     let run = backend
@@ -286,9 +373,9 @@ pub fn execute_observed(
             // Every cell must reproduce the CSR reference bit for bit; a
             // divergent cell is a failed job (never cached), so any cached
             // ScenarioRec proves its backend × format pair was verified.
-            let reference = a.spmv(&x);
+            let reference = ctx.reference(source);
             let bitwise_ok = run.y.len() == reference.len()
-                && run.y.iter().zip(&reference).all(|(l, r)| l.to_bits() == r.to_bits());
+                && run.y.iter().zip(reference.iter()).all(|(l, r)| l.to_bits() == r.to_bits());
             if !bitwise_ok {
                 return Err(ExecFailure::Error {
                     message: format!(
@@ -326,8 +413,8 @@ fn guarded_execute(
     timeline: Option<&TimelineConfig>,
 ) -> Result<(JobResult, Option<Timeline>), ExecFailure> {
     // AssertUnwindSafe: the only state shared across the boundary is the
-    // JobCtx memo (poison-tolerant locks over OnceLock cells; an interrupted
-    // init leaves the cell empty and retryable) and the panic payload itself.
+    // JobCtx memo (poison-tolerant locks over cells an interrupted
+    // computation leaves empty and retryable) and the panic payload itself.
     match catch_unwind(AssertUnwindSafe(|| execute_observed(spec, ctx, timeline))) {
         Ok(r) => r,
         Err(payload) => Err(ExecFailure::Error {
@@ -727,6 +814,36 @@ mod tests {
         // must keep them distinct either way.
         let c = ctx.format_mapping(&src, FormatKind::Csr, MapKind::Proposed, MachineShape::tiny());
         assert!(!Arc::ptr_eq(&a, &c));
+    }
+
+    #[test]
+    fn spmv_reports_are_shared_by_mapping_content() {
+        let ctx = JobCtx::new();
+        let src = MatrixSource::Suite { id: 1, scale: 256 };
+        let hw = HwConfig::tiny();
+        let report = |m: &Arc<Mapping>, hw: &HwConfig| ctx.spmv_report(&src, m, hw).unwrap();
+        let plain_mapping = ctx.mapping(&src, MapKind::Proposed, hw.shape);
+        let plain = report(&plain_mapping, &hw);
+        // CSR, COO and SELL store exactly the matrix pattern, so their
+        // footprint mappings equal the plain one and lend it their run.
+        for format in [FormatKind::Csr, FormatKind::Coo, FormatKind::Sell] {
+            let m = ctx.format_mapping(&src, format, MapKind::Proposed, hw.shape);
+            assert!(!Arc::ptr_eq(&m, &plain_mapping), "{format}: a separate memo entry");
+            assert!(Arc::ptr_eq(&report(&m, &hw), &plain), "{format} must reuse the plain run");
+        }
+        let bcsr_mapping = ctx.format_mapping(&src, FormatKind::Bcsr, MapKind::Proposed, hw.shape);
+        let bcsr = report(&bcsr_mapping, &hw);
+        assert!(!Arc::ptr_eq(&bcsr, &plain), "block padding maps BCSR differently");
+        let mut other = hw.clone();
+        other.l2_cam.sets *= 2;
+        let third = report(&plain_mapping, &other);
+        assert!(!Arc::ptr_eq(&third, &plain) && !Arc::ptr_eq(&third, &bcsr));
+        assert_eq!(ctx.simulation_stats(), SimulationStats { run: 3, reused: 3 });
+        // A scenario cell serves the memoised output, still bitwise-checked.
+        let cell = quick_scenario(BackendKind::Spacea, FormatKind::Sell);
+        let JobResult::Scenario(rec) = execute(&cell, &ctx).unwrap() else { panic!() };
+        assert_eq!(rec.cycles, plain.cycles);
+        assert_eq!(ctx.simulation_stats(), SimulationStats { run: 3, reused: 4 });
     }
 
     #[test]

@@ -27,7 +27,11 @@
 //!   round-trip exactly.
 //! * [`RunManifest`] records per-job telemetry — wall time, simulated
 //!   cycles, events processed, cache hit/miss — as JSON plus a
-//!   human-readable summary.
+//!   human-readable summary, with the run's mapping and simulation counts.
+//! * [`JobCtx`] shares what jobs have in common within one process:
+//!   matrices, mappings, reference SpMVs, and single-vector simulations,
+//!   which it keys by mapping content so that scenario cells differing only
+//!   in a format that maps the same way share one run.
 //! * [`SweepSpec`] names a grid over the design space (matrices, scales,
 //!   mappings, machine variants, cube counts, CAM sizes, energy parameters)
 //!   and enumerates it deterministically into deduped job lists;
@@ -51,7 +55,7 @@ pub mod timeline;
 
 pub use exec::{
     dedup_jobs, input_vector, run_jobs, run_jobs_supervised, ExecFailure, JobCtx, RunOutput,
-    SupervisionPolicy,
+    SimulationStats, SupervisionPolicy,
 };
 pub use job::{GraphOperand, JobKey, JobSpec, MatrixSource};
 pub use mapstore::{MappingStats, MappingStore};

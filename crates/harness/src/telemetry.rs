@@ -1,6 +1,7 @@
 //! Run telemetry: per-job records, the JSON run manifest, and the
 //! human-readable summary.
 
+use crate::exec::SimulationStats;
 use crate::job::JobKey;
 use crate::mapstore::MappingStats;
 use crate::store::{CacheOutcome, CacheStats};
@@ -99,6 +100,9 @@ pub struct RunManifest {
     /// from persisted artifacts. Zero `computed` after a restart is the
     /// warm-mapping-cache guarantee.
     pub mappings: MappingStats,
+    /// Single-vector simulations this run made versus reused from the
+    /// in-process memo (jobs whose runs have equal inputs share one).
+    pub simulations: SimulationStats,
 }
 
 impl RunManifest {
@@ -161,6 +165,13 @@ impl RunManifest {
                     ("computed", Json::U64(self.mappings.computed)),
                     ("disk_hits", Json::U64(self.mappings.disk_hits)),
                     ("healed", Json::U64(self.mappings.healed)),
+                ]),
+            ),
+            (
+                "simulations",
+                Json::obj(vec![
+                    ("run", Json::U64(self.simulations.run)),
+                    ("reused", Json::U64(self.simulations.reused)),
                 ]),
             ),
             (
@@ -272,6 +283,7 @@ mod tests {
             corrupt_paths: Vec::new(),
             abandoned: Vec::new(),
             mappings: MappingStats { computed: 1, disk_hits: 0, healed: 0 },
+            simulations: SimulationStats { run: 1, reused: 2 },
         }
     }
 
@@ -292,6 +304,9 @@ mod tests {
         let maps = v.get("mappings").unwrap();
         assert_eq!(maps.get("computed").unwrap().as_u64(), Some(1));
         assert_eq!(maps.get("disk_hits").unwrap().as_u64(), Some(0));
+        let sims = v.get("simulations").unwrap();
+        assert_eq!(sims.get("run").unwrap().as_u64(), Some(1));
+        assert_eq!(sims.get("reused").unwrap().as_u64(), Some(2));
     }
 
     #[test]

@@ -7,8 +7,8 @@
 use proptest::prelude::*;
 use spacea_harness::exec::execute;
 use spacea_harness::{
-    input_vector, run_jobs_supervised, CacheOutcome, JobCtx, JobResult, JobSpec, MappingStats,
-    MatrixSource, ResultStore, RunManifest, SupervisionPolicy,
+    input_vector, run_jobs, run_jobs_supervised, CacheOutcome, JobCtx, JobResult, JobSpec,
+    MappingStats, MatrixSource, ResultStore, RunManifest, SimulationStats, SupervisionPolicy,
 };
 use spacea_mapping::MapKind;
 use spacea_model::EnergyParams;
@@ -29,13 +29,17 @@ fn watched_sim(id: u8) -> JobSpec {
     }
 }
 
-fn faults_of(spec: &mut JobSpec) -> &mut spacea_arch::FaultPlan {
+fn hw_of(spec: &mut JobSpec) -> &mut spacea_arch::HwConfig {
     match spec {
-        JobSpec::Sim { hw, .. } => &mut hw.faults,
+        JobSpec::Sim { hw, .. } => hw,
         JobSpec::Gpu { .. } | JobSpec::Scenario { .. } => {
             unreachable!("tests only inject into sim jobs")
         }
     }
+}
+
+fn faults_of(spec: &mut JobSpec) -> &mut spacea_arch::FaultPlan {
+    &mut hw_of(spec).faults
 }
 
 proptest! {
@@ -130,6 +134,7 @@ fn stalled_vault_times_out_with_a_diagnosis_naming_the_vault() {
         records: out.records,
         stats: store.stats(),
         mappings: MappingStats::default(),
+        simulations: SimulationStats::default(),
         corrupt_paths: Vec::new(),
         abandoned: out.abandoned,
     };
@@ -179,6 +184,41 @@ fn rerun_over_disk_cache_retries_only_the_failed_job() {
         "the failed job must be re-attempted, not served from cache"
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// The in-process run memo keys on the whole machine, watchdog budgets
+/// included (the job key leaves them out): a run one job completed is
+/// never lent to a twin whose budget cuts it off, a cut-off run never
+/// stands in for the completed one, and a faulted run and its fault-free
+/// twin never share a run either, whichever of the two comes first.
+#[test]
+fn memoised_runs_are_never_lent_across_a_budget_or_a_fault() {
+    let healthy = watched_sim(1);
+    let cycles = match execute(&healthy, &JobCtx::new()) {
+        Ok(JobResult::Sim(report)) => report.cycles,
+        other => panic!("the healthy run must succeed: {other:?}"),
+    };
+    let mut budgeted = healthy.clone();
+    hw_of(&mut budgeted).watchdog.max_cycles = Some(cycles / 2);
+    assert_eq!(budgeted.key(), healthy.key(), "budgets are not part of the job key");
+    let mut faulted = healthy.clone();
+    faults_of(&mut faulted).flip_accum_update = Some(0);
+    for (twin, twin_status) in [(&budgeted, "timed-out"), (&faulted, "failed")] {
+        for twin_first in [false, true] {
+            let ctx = Arc::new(JobCtx::new());
+            // A fresh store per job: the budget twins share a job key, so a
+            // shared store alone would hand both the first one's result.
+            let status = |job: &JobSpec| {
+                run_jobs(std::slice::from_ref(job), &ResultStore::in_memory(), &ctx, 1)[0]
+                    .status
+                    .tag()
+            };
+            let (first, second) = if twin_first { (twin, &healthy) } else { (&healthy, twin) };
+            let got = [status(first), status(second)];
+            let want = if twin_first { [twin_status, "ok"] } else { ["ok", twin_status] };
+            assert_eq!(got, want, "{twin_status} twin submitted first: {twin_first}");
+        }
+    }
 }
 
 #[test]

@@ -2,7 +2,7 @@
 ///
 /// Invariant: every matrix row appears in exactly one PE's list (validated by
 /// [`RowAssignment::validate`] and by property tests).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct RowAssignment {
     rows_of: Vec<Vec<u32>>,
     total_rows: usize,

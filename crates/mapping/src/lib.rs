@@ -53,7 +53,7 @@ use spacea_matrix::Csr;
 
 /// A complete mapping: which rows each logical PE processes, and where each
 /// logical PE sits in the machine.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Mapping {
     /// Phase I output: rows per logical PE.
     pub assignment: RowAssignment,

@@ -21,7 +21,7 @@ use std::collections::BTreeSet;
 /// Physical slots are linearized as
 /// `((cube · V + vault) · L + layer_bg) · B + bank`, matching the
 /// architecture crate's bank enumeration.
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct Placement {
     slot_to_logical: Vec<u32>,
 }

@@ -36,7 +36,7 @@
 //! stall model from this stream — which is exactly where SELL-C-σ's
 //! C-way row interleaving pays off.
 
-use crate::{Coo, Csr};
+use crate::Csr;
 
 /// Stream marker for a padding slot: occupies storage and stream
 /// bandwidth but accumulates into no output row.
@@ -319,24 +319,40 @@ impl BcsrFormat {
         let mut block_col = Vec::new();
         let mut mask = Vec::new();
         let mut vals = Vec::new();
+        // Scratch over block columns: the index of a block column's block in
+        // `block_col` while its block row is being filled (re-indexed once
+        // the row's block columns are sorted), `NONE` otherwise.
+        const NONE: usize = usize::MAX;
+        let mut block_of = vec![NONE; a.cols().div_ceil(bc)];
         for bi in 0..block_rows {
             let base = bi * br;
-            // Gather this block row's entries keyed by block column.
-            let mut blocks: std::collections::BTreeMap<u32, (u64, Vec<f64>)> =
-                std::collections::BTreeMap::new();
-            for r in base..(base + br).min(a.rows()) {
-                for (c, v) in a.row(r) {
-                    let bj = c / bc as u32;
-                    let slot = (r - base) * bc + (c as usize % bc);
-                    let entry = blocks.entry(bj).or_insert_with(|| (0u64, vec![0.0; br * bc]));
-                    entry.0 |= 1u64 << slot;
-                    entry.1[slot] = v;
+            let rows = base..(base + br).min(a.rows());
+            let first = block_col.len();
+            for r in rows.clone() {
+                for &c in a.row_cols(r) {
+                    let bj = c as usize / bc;
+                    if block_of[bj] == NONE {
+                        block_of[bj] = block_col.len();
+                        block_col.push(bj as u32);
+                    }
                 }
             }
-            for (bj, (m, v)) in blocks {
-                block_col.push(bj);
-                mask.push(m);
-                vals.extend(v);
+            block_col[first..].sort_unstable();
+            for (b, &bj) in block_col.iter().enumerate().skip(first) {
+                block_of[bj as usize] = b;
+            }
+            mask.resize(block_col.len(), 0u64);
+            vals.resize(block_col.len() * br * bc, 0.0);
+            for r in rows {
+                for (c, v) in a.row(r) {
+                    let b = block_of[c as usize / bc];
+                    let slot = (r - base) * bc + (c as usize % bc);
+                    mask[b] |= 1u64 << slot;
+                    vals[b * br * bc + slot] = v;
+                }
+            }
+            for &bj in &block_col[first..] {
+                block_of[bj as usize] = NONE;
             }
             block_row_ptr[bi + 1] = block_col.len();
         }
@@ -448,26 +464,25 @@ impl SparseFormat for BcsrFormat {
     fn storage_pattern(&self) -> Csr {
         // The full footprint of every stored block, padding included:
         // blocking a row widens its stored footprint, and the mapping
-        // phase should see that.
-        let mut coo = Coo::new(self.rows, self.cols);
+        // phase should see that. A block row's blocks are in ascending
+        // column order, so each matrix row's cells come out in CSR order.
+        let mut row_ptr = Vec::with_capacity(self.rows + 1);
+        row_ptr.push(0);
+        let mut col_idx = Vec::new();
         for bi in 0..self.block_row_ptr.len() - 1 {
-            let base = bi * self.br;
-            for b in self.block_row_ptr[bi]..self.block_row_ptr[bi + 1] {
-                for rr in 0..self.br {
-                    let r = base + rr;
-                    if r >= self.rows {
-                        continue;
-                    }
-                    for cc in 0..self.bc {
-                        let c = self.block_col[b] as usize * self.bc + cc;
-                        if c < self.cols {
-                            let _ = coo.push(r, c, 1.0);
-                        }
-                    }
+            let blocks = &self.block_col[self.block_row_ptr[bi]..self.block_row_ptr[bi + 1]];
+            for _ in (bi * self.br)..((bi + 1) * self.br).min(self.rows) {
+                for &bj in blocks {
+                    let c0 = bj as usize * self.bc;
+                    col_idx.extend((c0..(c0 + self.bc).min(self.cols)).map(|c| c as u32));
                 }
+                row_ptr.push(col_idx.len());
             }
         }
-        coo.to_csr()
+        let ones = vec![1.0; col_idx.len()];
+        Csr::from_parts(self.rows, self.cols, row_ptr, col_idx, ones)
+            // lint:allow(R1) whole in-bounds block cells in ascending columns form a valid Csr
+            .expect("BCSR footprint is a valid Csr")
     }
 }
 
@@ -671,6 +686,7 @@ mod tests {
     use super::*;
     use crate::gen::{banded, rmat, BandedConfig, RmatConfig};
     use crate::suite;
+    use crate::Coo;
 
     fn sample() -> Csr {
         banded(&BandedConfig { n: 97, mean_row_nnz: 7.0, seed: 3, ..Default::default() })

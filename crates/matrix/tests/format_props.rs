@@ -1,12 +1,14 @@
 //! Property tests for the format subsystem contracts (DESIGN.md §8):
 //! every `SparseFormat` round-trips through every other format losslessly,
 //! and each format's reference `spmv` is bitwise-equal to `Csr::spmv` on
-//! the generator suite.
+//! the generator suite. BCSR is also checked at every block shape, its
+//! stored footprint against an oracle.
 
 use proptest::prelude::*;
-use spacea_matrix::formats::{convert, FormatKind};
+use spacea_matrix::formats::{convert, BcsrFormat, FormatKind, SparseFormat, PAD};
 use spacea_matrix::gen::{banded, rmat, uniform_random, BandedConfig, RmatConfig, UniformConfig};
-use spacea_matrix::Csr;
+use spacea_matrix::{Coo, Csr};
+use std::collections::BTreeSet;
 
 /// One generator-suite matrix per shape family, parameterized by the
 /// proptest case.
@@ -26,6 +28,33 @@ fn generated(family: u8, n: usize, seed: u64) -> Csr {
 
 fn bits(v: &[f64]) -> Vec<u64> {
     v.iter().map(|x| x.to_bits()).collect()
+}
+
+/// Matrix sizes that no block dimension from 2 to 64 divides (primes above
+/// 64), so every block shape but `1` leaves a partial last block row and
+/// block column.
+const RAGGED_SIZES: [usize; 6] = [67, 71, 89, 97, 131, 193];
+
+/// Every BCSR block shape the 64-bit occupancy mask admits (`br·bc ≤ 64`).
+fn block_shapes() -> impl Iterator<Item = (usize, usize)> {
+    (1..=64usize).flat_map(|br| (1..=64 / br).map(move |bc| (br, bc)))
+}
+
+/// The BCSR footprint oracle: every in-bounds cell of each `br × bc`
+/// block that holds a non-zero of `a`, as a unit-valued pattern.
+fn bcsr_footprint(a: &Csr, br: usize, bc: usize) -> Csr {
+    let blocks: BTreeSet<(usize, usize)> = (0..a.rows())
+        .flat_map(|r| a.row_cols(r).iter().map(move |&c| (r / br, c as usize / bc)))
+        .collect();
+    let mut coo = Coo::new(a.rows(), a.cols());
+    for (bi, bj) in blocks {
+        for r in bi * br..((bi + 1) * br).min(a.rows()) {
+            for c in bj * bc..((bj + 1) * bc).min(a.cols()) {
+                coo.push(r, c, 1.0).unwrap();
+            }
+        }
+    }
+    coo.to_csr()
 }
 
 proptest! {
@@ -84,6 +113,38 @@ proptest! {
             let pattern = f.storage_pattern();
             prop_assert!(pattern.nnz() >= a.nnz(), "{}", kind);
             prop_assert_eq!((pattern.rows(), pattern.cols()), (a.rows(), a.cols()), "{}", kind);
+        }
+    }
+
+    /// BCSR at every block shape, on matrices whose sizes leave ragged
+    /// edge blocks: the stored footprint is exactly the touched blocks
+    /// (clipped to the matrix), and the round-trip, bitwise-SpMV and stream
+    /// contracts hold at every shape, not just the default 4×4.
+    #[test]
+    fn bcsr_footprint_is_exactly_the_touched_blocks_at_every_shape(
+        family in 0u8..3,
+        n in (0..RAGGED_SIZES.len()).prop_map(|i| RAGGED_SIZES[i]),
+        seed in 0u64..1000,
+    ) {
+        let a = generated(family, n, seed);
+        let x: Vec<f64> = (0..a.cols()).map(|i| 1.0 + (i % 7) as f64 * 0.25).collect();
+        let want = bits(&a.spmv(&x));
+        for (br, bc) in block_shapes() {
+            let f = BcsrFormat::with_block(&a, br, bc);
+            prop_assert_eq!(f.block(), (br, bc));
+            prop_assert_eq!(&f.to_csr(), &a, "{}x{} round trip", br, bc);
+            prop_assert_eq!(&bits(&f.spmv(&x)), &want, "{}x{} spmv", br, bc);
+            let stream = f.stream_rows();
+            prop_assert_eq!(stream.len(), f.stored_slots(), "{}x{}", br, bc);
+            let live = stream.iter().filter(|&&r| r != PAD).count();
+            prop_assert_eq!(live, f.nnz(), "{}x{} stream must name each nnz once", br, bc);
+            prop_assert_eq!(
+                f.storage_pattern(),
+                bcsr_footprint(&a, br, bc),
+                "{}x{} footprint",
+                br,
+                bc
+            );
         }
     }
 }

@@ -14,7 +14,7 @@
 use crate::stats::CamCounters;
 
 /// Geometry of a CAM.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct CamConfig {
     /// Number of sets (paper defaults: 32 for L1, 2048 for L2).
     pub sets: usize,

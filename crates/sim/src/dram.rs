@@ -10,7 +10,7 @@
 use crate::Cycle;
 
 /// DRAM bank timing parameters, in cycles of the 1 GHz internal clock.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct DramTiming {
     /// Row activation latency: cycles from ACT until the row is usable in the
     /// row buffer (the paper's `tRAS` in Section III-B).

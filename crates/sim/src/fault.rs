@@ -23,7 +23,7 @@ use std::fmt;
 /// Faults are addressed by event ordinals, not probabilities, so a plan
 /// reproduces exactly: the Nth routed NoC packet, the Nth accumulator
 /// update, a named vault from a given cycle.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct FaultPlan {
     /// Drop the Nth cross-vault NoC packet (0-based). The lost message
     /// strands its waiters, so the run ends in a diagnosed deadlock.
@@ -161,7 +161,7 @@ pub fn write_directives(
 }
 
 /// Forward-progress budgets for the machine run loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct WatchdogConfig {
     /// Abort when simulated time passes this cycle count. `None` (the
     /// default) leaves total time unbounded — the stall window alone
