@@ -138,6 +138,8 @@ grep -q "timed-out" target/sweep-faults.csv
 grep -q "failed" target/sweep-faults.csv
 grep -q '"status":"timed-out"' "$FAULT_CACHE/last-run.json"
 grep -q "vault 0" "$FAULT_CACHE/last-run.json"
+# Each job runs once, failed ones included: three jobs, three simulations.
+grep -q '"simulations":{"run":3,"reused":0}' "$FAULT_CACHE/last-run.json"
 
 # Timeline smoke test: a sweep with one stalled and one healthy job must
 # export a Perfetto-loadable timeline for the healthy job, and the stalled

@@ -73,11 +73,6 @@ impl DataLayout {
         (j / self.elems_per_block) as u64
     }
 
-    /// First element index of `block`.
-    pub fn first_element_of_block(&self, block: u64) -> usize {
-        block as usize * self.elems_per_block
-    }
-
     /// The vector bank holding `block` (block-cyclic distribution).
     pub fn home_bank_of_block(&self, block: u64) -> usize {
         (block % self.vector_banks as u64) as usize
@@ -147,7 +142,6 @@ mod tests {
         assert_eq!(l.block_of_element(0), 0);
         assert_eq!(l.block_of_element(3), 0);
         assert_eq!(l.block_of_element(4), 1);
-        assert_eq!(l.first_element_of_block(2), 8);
     }
 
     #[test]

@@ -51,15 +51,15 @@ fn main() {
          unsharded run) and cache garbage collection (`--gc` with size/age \
          budgets over the store's `index.json`). See the README's \
          \"Sweeps\" section.\n\n\
-         Execution is supervised: every job finishes with a status — `ok`, \
-         `retried`, `failed`, or `timed-out` — reported as the last column \
-         of sweep CSV output and, with the failure message (including the \
-         sim watchdog's stall diagnosis) and attempt count, in the run \
-         manifest (`last-run.json`, plus an `abandoned` list for attempts \
-         cut off by the wall-clock budget). Failures are never cached, so a \
-         re-run retries exactly the failed jobs; `--faults` injects \
-         deterministic faults to drill this. See the README's \
-         \"Robustness\" section.\n\n\
+         Execution is guarded: every job runs once, behind a panic guard \
+         and the sim watchdog, and finishes with a status — `ok`, `failed`, \
+         or `timed-out` — reported as the last column of sweep CSV output \
+         and, with the failure message (including the sim watchdog's stall \
+         diagnosis), in the run manifest (`last-run.json`). A job's failure \
+         follows from its inputs, so it is not retried; failures are never \
+         cached, so a re-run re-attempts exactly the failed jobs. \
+         `--faults` injects deterministic faults to drill this. See the \
+         README's \"Robustness\" section.\n\n\
          Observability: `sweep --timeline[=EVERY-CYCLES]` runs every sim \
          point with the cycle-windowed sampler armed and writes one \
          Chrome-trace JSON per successful job under \

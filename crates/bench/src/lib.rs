@@ -37,8 +37,8 @@
 use spacea_core::experiments::{ExpConfig, ExpOutput, SuiteCache};
 use spacea_core::table::Table;
 use spacea_harness::{
-    FaultPlan, GcPolicy, JobCtx, JobSpec, PointKind, ResultStore, RunManifest, SupervisionPolicy,
-    SweepPoint, SweepSpec, TimelineConfig, DEFAULT_CACHE_DIR,
+    FaultPlan, GcPolicy, JobCtx, JobSpec, PointKind, ResultStore, RunManifest, SweepPoint,
+    SweepSpec, TimelineConfig, DEFAULT_CACHE_DIR,
 };
 use spacea_obs::Cycle;
 use std::path::{Path, PathBuf};
@@ -228,27 +228,26 @@ impl HarnessSession {
     }
 
     /// Computes `jobs` (deduplicated) in parallel on this session's worker
-    /// count under the default [`SupervisionPolicy`], filling the cache's
-    /// store, and returns the run telemetry. A panicking or hung job ends up
-    /// as a failure record in the manifest; the rest still completes. With
-    /// [`HarnessSession::timeline`] set, sim jobs run observed and each
-    /// success writes a Chrome-trace artifact (see [`TimelineConfig`]).
+    /// count, filling the cache's store, and returns the run telemetry. A
+    /// panicking or hung job ends up as a failure record in the manifest;
+    /// the rest still completes. With [`HarnessSession::timeline`] set, sim
+    /// jobs run observed and each success writes a Chrome-trace artifact
+    /// (see [`TimelineConfig`]).
     pub fn prewarm(&self, jobs: Vec<JobSpec>) -> RunManifest {
         let cache = &self.cache;
         let jobs = spacea_harness::dedup_jobs(jobs);
         let started = Instant::now();
-        let out = spacea_harness::run_jobs_supervised(
+        let records = spacea_harness::run_jobs(
             &jobs,
             cache.store(),
             cache.ctx(),
             self.opts.jobs,
-            &SupervisionPolicy::default(),
             self.timeline.as_ref(),
         );
         RunManifest {
             workers: self.opts.jobs,
             total_wall_ms: started.elapsed().as_secs_f64() * 1e3,
-            records: out.records,
+            records,
             stats: cache.store().stats(),
             mappings: cache.ctx().mapping_stats(),
             simulations: cache.ctx().simulation_stats(),
@@ -258,7 +257,6 @@ impl HarnessSession {
                 .iter()
                 .map(|p| p.display().to_string())
                 .collect(),
-            abandoned: out.abandoned,
         }
     }
 

@@ -286,8 +286,8 @@ impl SuiteCache {
     /// # Panics
     ///
     /// Panics if the job fails. Rendering runs on the serial path with
-    /// trusted experiment definitions; supervised sweeps go through
-    /// [`spacea_harness::run_jobs_supervised`] instead.
+    /// trusted experiment definitions; sweeps go through
+    /// [`spacea_harness::run_jobs`] instead.
     pub fn run_job(&mut self, job: &JobSpec) -> JobResult {
         let key = job.key();
         if let Some((result, _)) = self.store.lookup(key) {

@@ -41,7 +41,7 @@ fn jobs() -> Vec<JobSpec> {
 fn run_once(workers: usize) -> (Vec<JobRecord>, Arc<ResultStore>) {
     let store = Arc::new(ResultStore::in_memory());
     let ctx = Arc::new(JobCtx::new());
-    let records = run_jobs(&jobs(), &store, &ctx, workers);
+    let records = run_jobs(&jobs(), &store, &ctx, workers, None);
     (records, store)
 }
 

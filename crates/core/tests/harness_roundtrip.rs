@@ -34,7 +34,7 @@ fn prewarmed_store_covers_every_render_lookup() {
     let store = Arc::new(ResultStore::in_memory());
     let ctx = Arc::new(JobCtx::new());
     let jobs = experiments::all_jobs(&cfg);
-    run_jobs(&jobs, &store, &ctx, 4);
+    run_jobs(&jobs, &store, &ctx, 4, None);
     let misses_before = store.stats().misses;
     let mut cache = SuiteCache::with_store(cfg, Arc::clone(&store), ctx);
     let text = render(&mut cache);
@@ -52,7 +52,7 @@ fn four_workers_render_byte_identical_to_one_worker() {
         let cfg = ExpConfig::quick();
         let store = Arc::new(ResultStore::in_memory());
         let ctx = Arc::new(JobCtx::new());
-        run_jobs(&experiments::all_jobs(&cfg), &store, &ctx, workers);
+        run_jobs(&experiments::all_jobs(&cfg), &store, &ctx, workers, None);
         let mut cache = SuiteCache::with_store(cfg, store, ctx);
         render(&mut cache)
     };
@@ -65,8 +65,8 @@ fn second_run_over_a_warm_store_is_all_hits() {
     let store = Arc::new(ResultStore::in_memory());
     let ctx = Arc::new(JobCtx::new());
     let jobs = experiments::all_jobs(&cfg);
-    run_jobs(&jobs, &store, &ctx, 2);
-    let records = run_jobs(&jobs, &store, &ctx, 2);
+    run_jobs(&jobs, &store, &ctx, 2, None);
+    let records = run_jobs(&jobs, &store, &ctx, 2, None);
     assert!(
         records.iter().all(|r| r.outcome == spacea_harness::CacheOutcome::MemoryHit),
         "second run must be served entirely from the store"

@@ -1,11 +1,11 @@
-//! Job execution: shared in-process caches and the supervised worker pool.
+//! Job execution: shared in-process caches and the worker pool.
 //!
-//! Workers never let one bad job take down a sweep: every attempt runs under
-//! [`std::panic::catch_unwind`], hangs are cut off by the sim watchdog or an
-//! optional per-attempt wall-clock budget, and transient errors are retried
-//! with exponential backoff. [`run_jobs_supervised`] always returns one
-//! [`JobRecord`] per submitted job — failed jobs carry a
-//! [`JobStatus`] explaining what happened instead of a result.
+//! Workers never let one bad job take down a sweep: every job runs once
+//! under [`std::panic::catch_unwind`], and the sim watchdog cuts off hangs.
+//! A job's failure follows from its inputs — the simulator is deterministic
+//! and every output is checked — so a failed job is not retried.
+//! [`run_jobs`] always returns one [`JobRecord`] per submitted job — failed
+//! jobs carry a [`JobStatus`] explaining what happened instead of a result.
 
 use crate::job::{Fnv, JobSpec, MatrixSource};
 use crate::mapstore::{MappingStats, MappingStore};
@@ -23,14 +23,14 @@ use spacea_obs::Timeline;
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// Locks a memo mutex, recovering from poisoning: the maps only hold
+/// Locks a mutex, recovering from poisoning: the memo maps only hold
 /// [`OnceLock`] cells and run slots that are filled only on success (an
-/// interrupted computation leaves its cell empty and retryable), so a
-/// worker that panicked cannot leave torn state behind.
+/// interrupted computation leaves its cell empty and retryable), and the
+/// record list only ever gains whole records, so a worker that panicked
+/// cannot leave torn state behind.
 fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
@@ -61,8 +61,7 @@ type RunSlot = Mutex<Option<Arc<SimReport>>>;
 /// from its memo of earlier runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SimulationStats {
-    /// `Machine::run` calls made, observed runs and failed attempts
-    /// included.
+    /// `Machine::run` calls made, observed and failed runs included.
     pub run: u64,
     /// Unobserved runs answered from the memo instead of simulated again.
     pub reused: u64,
@@ -105,12 +104,6 @@ impl JobCtx {
     /// matrix-content × kind × shape key).
     pub fn with_mapping_dir(dir: impl Into<std::path::PathBuf>) -> Self {
         JobCtx { mapstore: MappingStore::with_dir(dir), ..JobCtx::default() }
-    }
-
-    /// The mapping cache (serve registers content-addressed matrices
-    /// directly against it, bypassing [`MatrixSource`]).
-    pub fn mapstore(&self) -> &MappingStore {
-        &self.mapstore
     }
 
     /// How many mappings this context computed versus warmed from disk.
@@ -237,17 +230,16 @@ impl JobCtx {
     }
 }
 
-/// Why one execution attempt produced no result.
+/// Why executing a job produced no result.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExecFailure {
-    /// The attempt hung — the sim watchdog tripped (deadlock, livelock, or
-    /// cycle budget) or the wall-clock budget expired. Hangs are
-    /// deterministic for a fixed job, so the supervisor never retries them.
+    /// The job hung — the sim watchdog tripped (deadlock, livelock, or
+    /// cycle budget).
     Hang {
-        /// The watchdog's diagnosis, or the wall-budget message.
+        /// The watchdog's diagnosis.
         diagnosis: String,
     },
-    /// The attempt failed with an error or a panic; possibly transient.
+    /// The job failed with an error or a panic.
     Error {
         /// What went wrong.
         message: String,
@@ -433,113 +425,6 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> &str {
     }
 }
 
-/// One execution attempt, optionally bounded by a wall-clock budget.
-///
-/// With a budget, the job runs on its own (named) thread and the worker
-/// waits at most `limit`; on expiry the attempt is reported as a
-/// [`ExecFailure::Hang`] and the thread is abandoned (detached) — it keeps
-/// the CPU it already holds but can no longer block the sweep.
-fn attempt(
-    spec: &JobSpec,
-    ctx: &Arc<JobCtx>,
-    wall_budget: Option<Duration>,
-    timeline: Option<&TimelineConfig>,
-) -> Result<(JobResult, Option<Timeline>), ExecFailure> {
-    let Some(limit) = wall_budget else { return guarded_execute(spec, ctx, timeline) };
-    let (tx, rx) = mpsc::channel();
-    let thread_spec = spec.clone();
-    let thread_ctx = Arc::clone(ctx);
-    let thread_timeline = timeline.cloned();
-    let handle =
-        std::thread::Builder::new().name(format!("spacea-job:{}", spec.label())).spawn(move || {
-            let _ = tx.send(guarded_execute(&thread_spec, &thread_ctx, thread_timeline.as_ref()));
-        });
-    let handle = match handle {
-        Ok(h) => h,
-        Err(e) => {
-            return Err(ExecFailure::Error { message: format!("failed to spawn job thread: {e}") })
-        }
-    };
-    match rx.recv_timeout(limit) {
-        Ok(result) => {
-            let _ = handle.join();
-            result
-        }
-        Err(_) => Err(ExecFailure::Hang {
-            diagnosis: format!(
-                "wall-clock budget of {:.3}s exceeded; attempt abandoned on its detached thread",
-                limit.as_secs_f64()
-            ),
-        }),
-    }
-}
-
-/// Retry and budget policy for supervised job execution.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SupervisionPolicy {
-    /// Wall-clock budget per attempt; `None` runs attempts inline on the
-    /// worker with no budget (the sim watchdog still bounds simulations).
-    pub wall_budget: Option<Duration>,
-    /// How many times a failed (not hung) attempt is retried.
-    pub max_retries: u32,
-    /// Backoff slept before the first retry; doubled for each further one.
-    pub backoff: Duration,
-}
-
-impl Default for SupervisionPolicy {
-    fn default() -> Self {
-        SupervisionPolicy { wall_budget: None, max_retries: 1, backoff: Duration::from_millis(20) }
-    }
-}
-
-/// Deterministic backoff jitter in `[0.5, 1.5)`, derived from the job key
-/// and the attempt number (splitmix64-style bit mixing — no wall-clock
-/// randomness, so a given job retries on the same schedule in every
-/// process). Cooperating shards sweep disjoint grid ranges, so their
-/// concurrently-retrying jobs have different keys and therefore different
-/// backoff phases instead of racing in lockstep. The serve daemon's batch
-/// retries use it too, keyed by matrix.
-pub fn jitter_factor(key: u64, attempt: u32) -> f64 {
-    let mut z = key ^ (attempt as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
-    // Top 53 bits give a uniform f64 in [0, 1).
-    0.5 + (z >> 11) as f64 / (1u64 << 53) as f64
-}
-
-/// Runs attempts under `policy` until one succeeds, the retry budget is
-/// spent, or the job hangs (hangs are deterministic: never retried).
-fn supervise(
-    spec: &JobSpec,
-    ctx: &Arc<JobCtx>,
-    policy: &SupervisionPolicy,
-    timeline: Option<&TimelineConfig>,
-) -> (Option<(JobResult, Option<Timeline>)>, JobStatus) {
-    let key = spec.key();
-    let mut attempts = 0u32;
-    loop {
-        attempts += 1;
-        match attempt(spec, ctx, policy.wall_budget, timeline) {
-            Ok(result) => {
-                let status =
-                    if attempts == 1 { JobStatus::Ok } else { JobStatus::Retried { attempts } };
-                return (Some(result), status);
-            }
-            Err(ExecFailure::Hang { diagnosis }) => {
-                return (None, JobStatus::TimedOut { diagnosis });
-            }
-            Err(ExecFailure::Error { message }) => {
-                if attempts > policy.max_retries {
-                    return (None, JobStatus::Failed { error: message });
-                }
-                let base = policy.backoff.saturating_mul(1u32 << (attempts - 1).min(16));
-                std::thread::sleep(base.mul_f64(jitter_factor(key.0, attempts)));
-            }
-        }
-    }
-}
-
 /// Removes jobs whose key already appeared earlier in the list, preserving
 /// order. Experiments share work (fig5 and fig6 need the same sims), so the
 /// concatenated job list routinely contains duplicates; deduplicating up
@@ -549,41 +434,17 @@ pub fn dedup_jobs(jobs: Vec<JobSpec>) -> Vec<JobSpec> {
     jobs.into_iter().filter(|j| seen.insert(j.key())).collect()
 }
 
-/// What [`run_jobs_supervised`] produced.
-#[derive(Debug, Clone, PartialEq)]
-pub struct RunOutput {
-    /// One record per submitted job, in input order. Failed jobs are
-    /// present with a failure [`JobStatus`], not dropped.
-    pub records: Vec<JobRecord>,
-    /// Labels of jobs whose worker could not deliver its record (the result
-    /// channel closed under it) — the record is still in `records`, this
-    /// list flags that the delivery path broke.
-    pub abandoned: Vec<String>,
-}
-
-/// Runs a job list on `workers` threads with the default
-/// [`SupervisionPolicy`], filling `store`.
+/// Runs a job list on `workers` threads, filling `store`.
 ///
 /// Returns one [`JobRecord`] per job **in input order**, regardless of which
 /// worker ran what when — combined with results living in the content-keyed
 /// store, parallel runs are observationally identical to serial ones.
-pub fn run_jobs(
-    jobs: &[JobSpec],
-    store: &ResultStore,
-    ctx: &Arc<JobCtx>,
-    workers: usize,
-) -> Vec<JobRecord> {
-    run_jobs_supervised(jobs, store, ctx, workers, &SupervisionPolicy::default(), None).records
-}
-
-/// [`run_jobs`] with an explicit [`SupervisionPolicy`] and optional per-job
-/// timeline artifacts.
 ///
-/// A panicking, erroring, or hung job never takes the sweep down: its record
-/// carries a failure [`JobStatus`] and every other job still runs. Workers
-/// that cannot deliver a record (channel closed) park it in a side buffer
-/// instead of dropping it; any job that still ends up without a record gets
-/// a synthesized failure record so the accounting is always complete.
+/// Each job runs once. A panicking, erroring, or hung job never takes the
+/// sweep down: its record carries a failure [`JobStatus`] and every other job
+/// still runs. Running a failed job again would fail it the same way, since
+/// its failure follows from its inputs; it is not cached either, so the next
+/// run that needs it attempts it afresh.
 ///
 /// With a [`TimelineConfig`], sim jobs run observed (gauge sampling + trace
 /// slices) and each success writes a Chrome-trace JSON next to the cached
@@ -591,77 +452,29 @@ pub fn run_jobs(
 /// to regenerate it — observation is timing-neutral and sims deterministic,
 /// so the regenerated timeline matches what the original run would have
 /// produced, and the cached result is returned untouched.
-pub fn run_jobs_supervised(
+pub fn run_jobs(
     jobs: &[JobSpec],
     store: &ResultStore,
-    ctx: &Arc<JobCtx>,
+    ctx: &JobCtx,
     workers: usize,
-    policy: &SupervisionPolicy,
     timeline: Option<&TimelineConfig>,
-) -> RunOutput {
+) -> Vec<JobRecord> {
     let workers = workers.max(1).min(jobs.len().max(1));
     let next = AtomicUsize::new(0);
-    let (tx, rx) = mpsc::channel::<(usize, JobRecord)>();
-    let stranded: Mutex<Vec<(usize, JobRecord)>> = Mutex::new(Vec::new());
-
+    let records = Mutex::new(Vec::with_capacity(jobs.len()));
     std::thread::scope(|scope| {
         for _ in 0..workers {
-            let tx = tx.clone();
-            let next = &next;
-            let stranded = &stranded;
-            scope.spawn(move || loop {
+            scope.spawn(|| loop {
                 let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= jobs.len() {
-                    break;
-                }
-                let record = run_one(i, &jobs[i], store, ctx, policy, timeline);
-                if let Err(e) = tx.send((i, record)) {
-                    // The receiver is gone. Keep the record instead of
-                    // dropping the evidence; the merge below logs it.
-                    lock(stranded).push(e.0);
-                    break;
-                }
+                let Some(spec) = jobs.get(i) else { break };
+                let record = run_one(i, spec, store, ctx, timeline);
+                lock(&records).push(record);
             });
         }
-        drop(tx);
     });
-
-    let mut ordered: Vec<Option<JobRecord>> = (0..jobs.len()).map(|_| None).collect();
-    for (i, record) in rx {
-        ordered[i] = Some(record);
-    }
-    let mut abandoned = Vec::new();
-    for (i, record) in lock(&stranded).drain(..) {
-        abandoned.push(record.label.clone());
-        ordered[i] = Some(record);
-    }
-    let mut records = Vec::with_capacity(jobs.len());
-    for (i, slot) in ordered.into_iter().enumerate() {
-        records.push(match slot {
-            Some(r) => r,
-            None => {
-                // A worker died without reporting at all (should be
-                // impossible — attempts are panic-guarded). Synthesize a
-                // failure so the sweep's accounting stays complete.
-                let label = jobs[i].label();
-                eprintln!("spacea-harness: job {label} abandoned by its worker");
-                abandoned.push(label.clone());
-                JobRecord {
-                    index: i,
-                    label,
-                    key: jobs[i].key(),
-                    outcome: CacheOutcome::Computed,
-                    status: JobStatus::Failed {
-                        error: "worker abandoned the job without reporting".into(),
-                    },
-                    wall_ms: 0.0,
-                    cycles: None,
-                    events: None,
-                }
-            }
-        });
-    }
-    RunOutput { records, abandoned }
+    let mut records = records.into_inner().unwrap_or_else(PoisonError::into_inner);
+    records.sort_by_key(|r| r.index);
+    records
 }
 
 /// Writes a collected timeline artifact, logging (not failing) on I/O
@@ -676,8 +489,7 @@ fn run_one(
     index: usize,
     spec: &JobSpec,
     store: &ResultStore,
-    ctx: &Arc<JobCtx>,
-    policy: &SupervisionPolicy,
+    ctx: &JobCtx,
     timeline: Option<&TimelineConfig>,
 ) -> JobRecord {
     let key = spec.key();
@@ -689,7 +501,7 @@ fn run_one(
             // the cached result authoritative.
             if let Some(cfg) = timeline {
                 if matches!(spec, JobSpec::Sim { .. }) && !cfg.path_for(key).exists() {
-                    if let (Some((_, Some(tl))), _) = supervise(spec, ctx, policy, timeline) {
+                    if let Ok((_, Some(tl))) = guarded_execute(spec, ctx, timeline) {
                         write_timeline(cfg, key, spec, &tl);
                     }
                 }
@@ -697,9 +509,8 @@ fn run_one(
             (Some(result), outcome, JobStatus::Ok)
         }
         None => {
-            let (outcome, status) = supervise(spec, ctx, policy, timeline);
-            let result = match outcome {
-                Some((r, tl)) => {
+            let (result, status) = match guarded_execute(spec, ctx, timeline) {
+                Ok((r, tl)) => {
                     // Only successes are cached: a failure must be
                     // re-attempted (and its cause visible) on every run
                     // that needs it.
@@ -707,14 +518,14 @@ fn run_one(
                     if let (Some(cfg), Some(tl)) = (timeline, &tl) {
                         write_timeline(cfg, key, spec, tl);
                     }
-                    Some(r)
+                    (Some(r), JobStatus::Ok)
                 }
-                None => {
-                    let reason = status.failure().unwrap_or("unknown");
-                    eprintln!("spacea-harness: job {} {}: {reason}", spec.label(), status.tag());
-                    None
-                }
+                Err(ExecFailure::Hang { diagnosis }) => (None, JobStatus::TimedOut { diagnosis }),
+                Err(ExecFailure::Error { message }) => (None, JobStatus::Failed { error: message }),
             };
+            if let Some(reason) = status.failure() {
+                eprintln!("spacea-harness: job {} {}: {reason}", spec.label(), status.tag());
+            }
             (result, CacheOutcome::Computed, status)
         }
     };
@@ -759,13 +570,13 @@ mod tests {
 
     #[test]
     fn scenario_cells_execute_verified_and_cache() {
-        let ctx = Arc::new(JobCtx::new());
+        let ctx = JobCtx::new();
         let store = ResultStore::in_memory();
         let jobs: Vec<JobSpec> = BackendKind::ALL
             .iter()
             .flat_map(|b| FormatKind::ALL.iter().map(|f| quick_scenario(*b, *f)))
             .collect();
-        let records = run_jobs(&jobs, &store, &ctx, 4);
+        let records = run_jobs(&jobs, &store, &ctx, 4, None);
         for r in &records {
             assert_eq!(r.status, JobStatus::Ok, "{} failed", r.label);
             assert!(r.cycles.unwrap() > 0, "{}: no cycle count", r.label);
@@ -782,7 +593,7 @@ mod tests {
         }
         assert_eq!(hashes.len(), 1, "backends disagree on the output vector");
         // Second pass hits the cache for every cell.
-        let records = run_jobs(&jobs, &store, &ctx, 2);
+        let records = run_jobs(&jobs, &store, &ctx, 2, None);
         assert!(records.iter().all(|r| r.outcome == CacheOutcome::MemoryHit));
     }
 
@@ -886,8 +697,8 @@ mod tests {
     fn parallel_records_in_input_order_and_store_filled() {
         let jobs: Vec<JobSpec> = (1..=4).map(quick_sim).collect();
         let store = ResultStore::in_memory();
-        let ctx = Arc::new(JobCtx::new());
-        let records = run_jobs(&jobs, &store, &ctx, 4);
+        let ctx = JobCtx::new();
+        let records = run_jobs(&jobs, &store, &ctx, 4, None);
         assert_eq!(records.len(), 4);
         for (i, r) in records.iter().enumerate() {
             assert_eq!(r.index, i);
@@ -898,7 +709,7 @@ mod tests {
         }
         assert_eq!(store.len(), 4);
         // Second pass: everything hits.
-        let records = run_jobs(&jobs, &store, &ctx, 2);
+        let records = run_jobs(&jobs, &store, &ctx, 2, None);
         assert!(records.iter().all(|r| r.outcome == CacheOutcome::MemoryHit));
     }
 
@@ -909,7 +720,7 @@ mod tests {
             *source = MatrixSource::Suite { id: 99, scale: 256 };
         }
         let store = ResultStore::in_memory();
-        let records = run_jobs(&jobs, &store, &Arc::new(JobCtx::new()), 1);
+        let records = run_jobs(&jobs, &store, &JobCtx::new(), 1, None);
         assert_eq!(records[0].status.tag(), "failed");
         assert!(records[0].status.failure().unwrap().contains("99"), "{:?}", records[0].status);
         assert!(store.is_empty(), "failures must never be cached");
@@ -919,32 +730,14 @@ mod tests {
     fn parallel_equals_serial_bit_for_bit() {
         let jobs: Vec<JobSpec> = (1..=6).map(quick_sim).collect();
         let serial_store = ResultStore::in_memory();
-        run_jobs(&jobs, &serial_store, &Arc::new(JobCtx::new()), 1);
+        run_jobs(&jobs, &serial_store, &JobCtx::new(), 1, None);
         let parallel_store = ResultStore::in_memory();
-        run_jobs(&jobs, &parallel_store, &Arc::new(JobCtx::new()), 4);
+        run_jobs(&jobs, &parallel_store, &JobCtx::new(), 4, None);
         for job in &jobs {
             let (a, _) = serial_store.lookup(job.key()).unwrap();
             let (b, _) = parallel_store.lookup(job.key()).unwrap();
             assert_eq!(a, b, "parallel result differs for {}", job.label());
         }
-    }
-
-    #[test]
-    fn jitter_is_deterministic_bounded_and_spread() {
-        for key in [0u64, 1, 0xdead_beef, u64::MAX] {
-            for attempt in 1..=5u32 {
-                let a = jitter_factor(key, attempt);
-                let b = jitter_factor(key, attempt);
-                assert_eq!(a, b, "same (key, attempt) must jitter identically");
-                assert!((0.5..1.5).contains(&a), "factor {a} out of range");
-            }
-        }
-        // Distinct keys and distinct attempts should not all collapse onto
-        // one factor — that would defeat the point of jitter.
-        let across_keys: Vec<f64> = (0..8).map(|k| jitter_factor(k, 1)).collect();
-        assert!(across_keys.windows(2).any(|w| w[0] != w[1]));
-        let across_attempts: Vec<f64> = (1..=8).map(|a| jitter_factor(42, a)).collect();
-        assert!(across_attempts.windows(2).any(|w| w[0] != w[1]));
     }
 
     #[test]
@@ -954,10 +747,9 @@ mod tests {
         let cfg = TimelineConfig::new(&dir);
         let jobs = vec![quick_sim(1), quick_sim(2)];
         let store = ResultStore::in_memory();
-        let ctx = Arc::new(JobCtx::new());
-        let policy = SupervisionPolicy::default();
-        let out = run_jobs_supervised(&jobs, &store, &ctx, 2, &policy, Some(&cfg));
-        assert!(out.records.iter().all(|r| r.status == JobStatus::Ok));
+        let ctx = JobCtx::new();
+        let records = run_jobs(&jobs, &store, &ctx, 2, Some(&cfg));
+        assert!(records.iter().all(|r| r.status == JobStatus::Ok));
         for job in &jobs {
             let path = cfg.path_for(job.key());
             let text = std::fs::read_to_string(&path).unwrap();
@@ -969,8 +761,8 @@ mod tests {
         let key = jobs[0].key();
         let (cached, _) = store.lookup(key).unwrap();
         std::fs::remove_file(cfg.path_for(key)).unwrap();
-        let out = run_jobs_supervised(&jobs, &store, &ctx, 1, &policy, Some(&cfg));
-        assert!(out.records.iter().all(|r| r.outcome == CacheOutcome::MemoryHit));
+        let records = run_jobs(&jobs, &store, &ctx, 1, Some(&cfg));
+        assert!(records.iter().all(|r| r.outcome == CacheOutcome::MemoryHit));
         assert!(cfg.path_for(key).exists(), "missing artifact not regenerated");
         let (after, _) = store.lookup(key).unwrap();
         assert_eq!(cached, after);

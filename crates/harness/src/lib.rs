@@ -14,13 +14,12 @@
 //! * [`run_jobs`] shards a job list across `std::thread` workers. Results
 //!   land in a shared [`ResultStore`] keyed by [`JobKey`]; because rendering
 //!   reads results from the store (serially), table output is bit-for-bit
-//!   identical whatever the worker count or completion order.
-//! * [`run_jobs_supervised`] adds crash isolation on top: every attempt is
-//!   panic-guarded, hung simulations are cut off by the sim watchdog or a
-//!   per-attempt wall-clock budget, transient errors retry with backoff, and
-//!   each job ends with an explicit [`JobStatus`] so one bad job never takes
-//!   a sweep down. Given a [`TimelineConfig`], it also writes one Perfetto
-//!   timeline per sim job.
+//!   identical whatever the worker count or completion order. Each job runs
+//!   once behind a panic guard, with the sim watchdog cutting off hung
+//!   simulations, and ends with an explicit [`JobStatus`], so one bad job
+//!   never takes a sweep down; a job's failure follows from its inputs, so
+//!   it is not retried. Given a [`TimelineConfig`], it also writes one
+//!   Perfetto timeline per sim job.
 //! * [`ResultStore`] optionally persists every result as one JSON file per
 //!   key (default directory `target/spacea-cache/`), so a re-run only
 //!   simulates what changed. Floats are stored as IEEE-754 bit patterns and
@@ -53,10 +52,7 @@ pub mod sweep;
 pub mod telemetry;
 pub mod timeline;
 
-pub use exec::{
-    dedup_jobs, input_vector, run_jobs, run_jobs_supervised, ExecFailure, JobCtx, RunOutput,
-    SimulationStats, SupervisionPolicy,
-};
+pub use exec::{dedup_jobs, input_vector, run_jobs, ExecFailure, JobCtx, SimulationStats};
 pub use job::{GraphOperand, JobKey, JobSpec, MatrixSource};
 pub use mapstore::{MappingStats, MappingStore};
 pub use store::{

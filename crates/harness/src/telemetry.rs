@@ -7,25 +7,19 @@ use crate::mapstore::MappingStats;
 use crate::store::{CacheOutcome, CacheStats};
 use spacea_obs::json::Json;
 
-/// How one supervised job ended.
+/// How one job ended.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum JobStatus {
-    /// The job produced a result on its first attempt (or from cache).
+    /// The job produced a result (computed, or from cache).
     Ok,
-    /// The job produced a result after one or more failed attempts.
-    Retried {
-        /// Total attempts, including the final successful one.
-        attempts: u32,
-    },
-    /// Every attempt failed; no result exists for this job.
+    /// The job failed with an error or a panic; no result exists for it.
     Failed {
-        /// The last attempt's error message.
+        /// The error message.
         error: String,
     },
-    /// The job hung (sim watchdog or wall-clock budget); hangs are
-    /// deterministic for a fixed job, so it was not retried.
+    /// The sim watchdog cut the job off as hung; no result exists for it.
     TimedOut {
-        /// The watchdog's stall diagnosis, or the wall-budget message.
+        /// The watchdog's stall diagnosis.
         diagnosis: String,
     },
 }
@@ -35,7 +29,6 @@ impl JobStatus {
     pub fn tag(&self) -> &'static str {
         match self {
             JobStatus::Ok => "ok",
-            JobStatus::Retried { .. } => "retried",
             JobStatus::Failed { .. } => "failed",
             JobStatus::TimedOut { .. } => "timed-out",
         }
@@ -43,7 +36,7 @@ impl JobStatus {
 
     /// Whether a result exists for this job.
     pub fn is_success(&self) -> bool {
-        matches!(self, JobStatus::Ok | JobStatus::Retried { .. })
+        matches!(self, JobStatus::Ok)
     }
 
     /// The failure message, if the job did not produce a result.
@@ -51,7 +44,7 @@ impl JobStatus {
         match self {
             JobStatus::Failed { error } => Some(error),
             JobStatus::TimedOut { diagnosis } => Some(diagnosis),
-            _ => None,
+            JobStatus::Ok => None,
         }
     }
 }
@@ -92,10 +85,6 @@ pub struct RunManifest {
     /// On-disk cache entries that failed to decode (treated as misses); the
     /// run summary surfaces them so silent cache damage is visible.
     pub corrupt_paths: Vec<String>,
-    /// Labels of jobs whose worker could not report back (the result channel
-    /// closed under it). Their records are synthesized as failures; this list
-    /// makes the abandonment itself visible.
-    pub abandoned: Vec<String>,
     /// Phase I/II mapping work this run: computed-from-scratch versus warmed
     /// from persisted artifacts. Zero `computed` after a restart is the
     /// warm-mapping-cache guarantee.
@@ -131,9 +120,6 @@ impl RunManifest {
                     ("status", Json::Str(r.status.tag().into())),
                     ("wall_us", Json::U64((r.wall_ms * 1e3) as u64)),
                 ];
-                if let JobStatus::Retried { attempts } = r.status {
-                    pairs.push(("attempts", Json::U64(attempts as u64)));
-                }
                 if let Some(f) = r.status.failure() {
                     pairs.push(("failure", Json::Str(f.to_string())));
                 }
@@ -178,7 +164,6 @@ impl RunManifest {
                 "corrupt_paths",
                 Json::Arr(self.corrupt_paths.iter().map(|p| Json::Str(p.clone())).collect()),
             ),
-            ("abandoned", Json::Arr(self.abandoned.iter().map(|l| Json::Str(l.clone())).collect())),
             ("jobs", Json::Arr(jobs)),
         ])
         .to_text()
@@ -206,23 +191,13 @@ impl RunManifest {
         ));
         let failed = self.records.iter().filter(|r| r.status.tag() == "failed").count();
         let timed_out = self.records.iter().filter(|r| r.status.tag() == "timed-out").count();
-        let retried = self.records.iter().filter(|r| r.status.tag() == "retried").count();
-        if failed + timed_out + retried > 0 {
-            out.push_str(&format!(
-                "harness: {failed} failed, {timed_out} timed out, {retried} retried\n"
-            ));
+        if failed + timed_out > 0 {
+            out.push_str(&format!("harness: {failed} failed, {timed_out} timed out\n"));
             for r in &self.records {
                 if let Some(f) = r.status.failure() {
                     out.push_str(&format!("harness:   {}: {} — {f}\n", r.status.tag(), r.label));
                 }
             }
-        }
-        if !self.abandoned.is_empty() {
-            out.push_str(&format!(
-                "harness: {} job(s) abandoned by their worker: {}\n",
-                self.abandoned.len(),
-                self.abandoned.join(", ")
-            ));
         }
         let mut slowest: Vec<&JobRecord> =
             self.records.iter().filter(|r| r.outcome == CacheOutcome::Computed).collect();
@@ -281,7 +256,6 @@ mod tests {
             ],
             stats: CacheStats { mem_hits: 0, disk_hits: 1, misses: 1, corrupt: 0 },
             corrupt_paths: Vec::new(),
-            abandoned: Vec::new(),
             mappings: MappingStats { computed: 1, disk_hits: 0, healed: 0 },
             simulations: SimulationStats { run: 1, reused: 2 },
         }
@@ -329,30 +303,14 @@ mod tests {
         m.records[0].status =
             JobStatus::TimedOut { diagnosis: "no retirement in 1000 cycles; vault 2".into() };
         m.records[1].status = JobStatus::Failed { error: "job panicked: boom".into() };
-        m.abandoned = vec!["sim:m9/8:proposed".into()];
         let v = json::parse(&m.to_json()).unwrap();
         let jobs = v.get("jobs").unwrap().as_arr().unwrap();
         assert_eq!(jobs[0].get("status").unwrap().as_str(), Some("timed-out"));
         assert!(jobs[0].get("failure").unwrap().as_str().unwrap().contains("vault 2"));
         assert_eq!(jobs[1].get("status").unwrap().as_str(), Some("failed"));
-        let abandoned = v.get("abandoned").unwrap().as_arr().unwrap();
-        assert_eq!(abandoned[0].as_str(), Some("sim:m9/8:proposed"));
         let s = m.summary();
-        assert!(s.contains("1 failed, 1 timed out, 0 retried"), "{s}");
+        assert!(s.contains("1 failed, 1 timed out\n"), "{s}");
         assert!(s.contains("vault 2"), "{s}");
-        assert!(s.contains("abandoned by their worker"), "{s}");
-    }
-
-    #[test]
-    fn retried_status_reports_attempts() {
-        let mut m = manifest();
-        m.records[0].status = JobStatus::Retried { attempts: 3 };
-        assert!(m.records[0].status.is_success());
-        let v = json::parse(&m.to_json()).unwrap();
-        let job = &v.get("jobs").unwrap().as_arr().unwrap()[0];
-        assert_eq!(job.get("status").unwrap().as_str(), Some("retried"));
-        assert_eq!(job.get("attempts").unwrap().as_u64(), Some(3));
-        assert!(job.get("failure").is_none());
     }
 
     #[test]

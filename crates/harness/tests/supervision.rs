@@ -1,19 +1,17 @@
-//! Supervised execution end-to-end: injected faults either produce a
-//! correct result or a structured failure (never a wrong-but-successful
-//! run), a panicking or livelocked job cannot take a sweep down, failures
-//! are never cached (healthy jobs re-run from disk, failed ones retry), and
-//! wall-clock budgets cut off runaway attempts.
+//! Guarded execution end-to-end: injected faults either produce a correct
+//! result or a structured failure (never a wrong-but-successful run), the
+//! same every time, so each job is attempted once; a panicking or
+//! livelocked job cannot take a sweep down, and failures are never cached
+//! (healthy jobs re-run from disk, failed ones are re-attempted).
 
 use proptest::prelude::*;
 use spacea_harness::exec::execute;
 use spacea_harness::{
-    input_vector, run_jobs, run_jobs_supervised, CacheOutcome, JobCtx, JobResult, JobSpec,
-    MappingStats, MatrixSource, ResultStore, RunManifest, SimulationStats, SupervisionPolicy,
+    input_vector, run_jobs, CacheOutcome, JobCtx, JobResult, JobSpec, MappingStats, MatrixSource,
+    ResultStore, RunManifest, SimulationStats,
 };
 use spacea_mapping::MapKind;
 use spacea_model::EnergyParams;
-use std::sync::Arc;
-use std::time::Duration;
 
 /// A quick sim job over Table I matrix `id`, with watchdog budgets tight
 /// enough that injected hangs resolve in well under a second.
@@ -47,7 +45,9 @@ proptest! {
 
     /// The headline robustness property: whatever single fault is injected,
     /// the job either completes with the reference-SpMV output or reports a
-    /// structured failure. It must never succeed with wrong numbers.
+    /// structured failure. It must never succeed with wrong numbers, and
+    /// executing it again gives the identical outcome — which is why the
+    /// harness attempts each job once.
     #[test]
     fn injected_single_fault_is_never_wrong_but_successful(kind in 0usize..5, n in 0u64..8) {
         let mut spec = watched_sim(1);
@@ -60,7 +60,10 @@ proptest! {
             _ => {} // healthy control
         }
         let ctx = JobCtx::new();
-        match execute(&spec, &ctx) {
+        let outcome = execute(&spec, &ctx);
+        let again = execute(&spec, &JobCtx::new());
+        prop_assert_eq!(&again, &outcome, "a re-execution must repeat the outcome");
+        match outcome {
             Ok(JobResult::Sim(report)) => {
                 let a = ctx.matrix(&MatrixSource::Suite { id: 1, scale: 256 });
                 let want = a.spmv(&input_vector(a.cols()));
@@ -87,26 +90,26 @@ fn panicking_job_is_isolated_from_the_rest_of_the_sweep() {
     let mut jobs = vec![watched_sim(1), watched_sim(2), watched_sim(3)];
     faults_of(&mut jobs[0]).panic_on_run = true;
     let store = ResultStore::in_memory();
-    let out = run_jobs_supervised(
-        &jobs,
-        &store,
-        &Arc::new(JobCtx::new()),
-        2,
-        &SupervisionPolicy::default(),
-        None,
-    );
-    assert_eq!(out.records.len(), 3);
-    assert_eq!(out.records[0].status.tag(), "failed");
-    assert!(
-        out.records[0].status.failure().unwrap().contains("panic"),
-        "{:?}",
-        out.records[0].status
-    );
-    for r in &out.records[1..] {
+    let records = run_jobs(&jobs, &store, &JobCtx::new(), 2, None);
+    assert_eq!(records.len(), 3);
+    assert_eq!(records[0].status.tag(), "failed");
+    assert!(records[0].status.failure().unwrap().contains("panic"), "{:?}", records[0].status);
+    for r in &records[1..] {
         assert!(r.status.is_success(), "healthy jobs must complete: {:?}", r.status);
     }
     assert_eq!(store.len(), 2, "only the two healthy results are stored");
-    assert!(out.abandoned.is_empty());
+}
+
+/// A job's failure follows from its inputs, so the harness attempts each
+/// job once: a faulted job ends `failed` after a single simulation.
+#[test]
+fn a_failing_job_is_attempted_once() {
+    let mut job = watched_sim(1);
+    faults_of(&mut job).flip_accum_update = Some(0);
+    let ctx = JobCtx::new();
+    let records = run_jobs(std::slice::from_ref(&job), &ResultStore::in_memory(), &ctx, 1, None);
+    assert_eq!(records[0].status.tag(), "failed", "{:?}", records[0].status);
+    assert_eq!(ctx.simulation_stats().run, 1, "a failed job must not be simulated again");
 }
 
 #[test]
@@ -114,29 +117,21 @@ fn stalled_vault_times_out_with_a_diagnosis_naming_the_vault() {
     let mut jobs = vec![watched_sim(1), watched_sim(2)];
     faults_of(&mut jobs[0]).stall_vault = Some((0, 100));
     let store = ResultStore::in_memory();
-    let out = run_jobs_supervised(
-        &jobs,
-        &store,
-        &Arc::new(JobCtx::new()),
-        2,
-        &SupervisionPolicy::default(),
-        None,
-    );
-    assert_eq!(out.records[0].status.tag(), "timed-out");
-    let diagnosis = out.records[0].status.failure().unwrap();
+    let records = run_jobs(&jobs, &store, &JobCtx::new(), 2, None);
+    assert_eq!(records[0].status.tag(), "timed-out");
+    let diagnosis = records[0].status.failure().unwrap();
     assert!(diagnosis.contains("vault 0"), "diagnosis must name the stalled vault: {diagnosis}");
-    assert!(out.records[1].status.is_success());
+    assert!(records[1].status.is_success());
 
     // The manifest carries the per-job statuses and the diagnosis.
     let manifest = RunManifest {
         workers: 2,
         total_wall_ms: 1.0,
-        records: out.records,
+        records,
         stats: store.stats(),
         mappings: MappingStats::default(),
         simulations: SimulationStats::default(),
         corrupt_paths: Vec::new(),
-        abandoned: out.abandoned,
     };
     let json = manifest.to_json();
     assert!(json.contains("\"status\":\"timed-out\""), "{json}");
@@ -144,7 +139,7 @@ fn stalled_vault_times_out_with_a_diagnosis_naming_the_vault() {
 }
 
 /// The acceptance scenario: after a sweep with one failing job, a re-run
-/// over the same disk cache answers the healthy jobs from disk and retries
+/// over the same disk cache answers the healthy jobs from disk and re-attempts
 /// only the failed one — failures are never cached.
 #[test]
 fn rerun_over_disk_cache_retries_only_the_failed_job() {
@@ -153,33 +148,24 @@ fn rerun_over_disk_cache_retries_only_the_failed_job() {
     let mut jobs = vec![watched_sim(1), watched_sim(2)];
     faults_of(&mut jobs[0]).flip_accum_update = Some(0);
 
-    let run = |store: &ResultStore| {
-        run_jobs_supervised(
-            &jobs,
-            store,
-            &Arc::new(JobCtx::new()),
-            2,
-            &SupervisionPolicy { max_retries: 0, ..SupervisionPolicy::default() },
-            None,
-        )
-    };
+    let run = |store: &ResultStore| run_jobs(&jobs, store, &JobCtx::new(), 2, None);
     let first = ResultStore::with_disk(&dir).unwrap();
-    let out = run(&first);
-    assert_eq!(out.records[0].status.tag(), "failed", "{:?}", out.records[0].status);
-    assert_eq!(out.records[0].outcome, CacheOutcome::Computed);
-    assert!(out.records[1].status.is_success());
+    let records = run(&first);
+    assert_eq!(records[0].status.tag(), "failed", "{:?}", records[0].status);
+    assert_eq!(records[0].outcome, CacheOutcome::Computed);
+    assert!(records[1].status.is_success());
 
     // Fresh process (fresh memory) over the same cache directory.
     let second = ResultStore::with_disk(&dir).unwrap();
-    let out = run(&second);
+    let records = run(&second);
     assert_eq!(
-        out.records[1].outcome,
+        records[1].outcome,
         CacheOutcome::DiskHit,
         "the healthy job must be answered from disk"
     );
-    assert_eq!(out.records[0].status.tag(), "failed", "the faulted job fails again");
+    assert_eq!(records[0].status.tag(), "failed", "the faulted job fails again");
     assert_eq!(
-        out.records[0].outcome,
+        records[0].outcome,
         CacheOutcome::Computed,
         "the failed job must be re-attempted, not served from cache"
     );
@@ -205,11 +191,11 @@ fn memoised_runs_are_never_lent_across_a_budget_or_a_fault() {
     faults_of(&mut faulted).flip_accum_update = Some(0);
     for (twin, twin_status) in [(&budgeted, "timed-out"), (&faulted, "failed")] {
         for twin_first in [false, true] {
-            let ctx = Arc::new(JobCtx::new());
+            let ctx = JobCtx::new();
             // A fresh store per job: the budget twins share a job key, so a
             // shared store alone would hand both the first one's result.
             let status = |job: &JobSpec| {
-                run_jobs(std::slice::from_ref(job), &ResultStore::in_memory(), &ctx, 1)[0]
+                run_jobs(std::slice::from_ref(job), &ResultStore::in_memory(), &ctx, 1, None)[0]
                     .status
                     .tag()
             };
@@ -219,36 +205,4 @@ fn memoised_runs_are_never_lent_across_a_budget_or_a_fault() {
             assert_eq!(got, want, "{twin_status} twin submitted first: {twin_first}");
         }
     }
-}
-
-#[test]
-fn wall_clock_budget_abandons_a_slow_attempt() {
-    // Scale 64 is ~16x more work than the quick configuration — far more
-    // than a 1 ms budget allows on any machine.
-    let job = JobSpec::Sim {
-        source: MatrixSource::Suite { id: 1, scale: 64 },
-        kind: MapKind::Proposed,
-        hw: spacea_arch::HwConfig::tiny(),
-        energy: EnergyParams::default(),
-    };
-    let store = ResultStore::in_memory();
-    let policy = SupervisionPolicy {
-        wall_budget: Some(Duration::from_millis(1)),
-        ..SupervisionPolicy::default()
-    };
-    let out = run_jobs_supervised(
-        std::slice::from_ref(&job),
-        &store,
-        &Arc::new(JobCtx::new()),
-        1,
-        &policy,
-        None,
-    );
-    assert_eq!(out.records[0].status.tag(), "timed-out");
-    assert!(
-        out.records[0].status.failure().unwrap().contains("wall-clock"),
-        "{:?}",
-        out.records[0].status
-    );
-    assert!(store.lookup(job.key()).is_none(), "abandoned attempts must not populate the store");
 }

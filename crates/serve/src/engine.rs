@@ -47,15 +47,12 @@ pub struct ServeConfig {
     pub cache_dir: PathBuf,
     /// The machine every request is simulated on.
     pub hw: HwConfig,
-    /// The mapping strategy applied to registered matrices.
-    pub kind: MapKind,
     /// Largest number of requests fused into one SpMM pass.
     pub max_batch: usize,
-    /// Bound of the admission queue channel.
-    pub queue_depth: usize,
     /// Load-shedding high-water mark: a submit that finds this many
     /// requests already waiting is rejected with an explicit
-    /// `overloaded` error instead of queued.
+    /// `overloaded` error instead of queued. It also bounds the admission
+    /// queue channel.
     pub shed_mark: usize,
     /// How long the dispatcher waits after the first request of a batch for
     /// concurrent requests to arrive and fuse — when more work is
@@ -98,9 +95,7 @@ impl ServeConfig {
         ServeConfig {
             cache_dir: cache_dir.into(),
             hw: HwConfig::default(),
-            kind: MapKind::Proposed,
             max_batch: 16,
-            queue_depth: 64,
             shed_mark: 64,
             gather_window: Duration::from_millis(2),
             gather_idle: Duration::from_micros(100),
@@ -306,13 +301,14 @@ impl ServeEngine {
         lock(&self.matrices).get(&key).cloned()
     }
 
-    /// The (memoized, disk-warmed) mapping of a registered matrix.
+    /// The (memoized, disk-warmed) mapping of a registered matrix: the
+    /// paper's proposed two-phase mapping, the only one the daemon serves.
     fn mapping_for(&self, key: u64, a: &Csr) -> Arc<Mapping> {
-        let mk = mapping_key(key, self.cfg.kind, &self.cfg.hw.shape);
+        let mk = mapping_key(key, MapKind::Proposed, &self.cfg.hw.shape);
         if let Some(m) = lock(&self.mappings).get(&mk) {
             return Arc::clone(m);
         }
-        let m = Arc::new(self.store.get_or_compute(a, self.cfg.kind, &self.cfg.hw.shape));
+        let m = Arc::new(self.store.get_or_compute(a, MapKind::Proposed, &self.cfg.hw.shape));
         lock(&self.mappings).entry(mk).or_insert_with(|| Arc::clone(&m));
         m
     }

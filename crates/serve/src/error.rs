@@ -74,8 +74,7 @@ impl ServeError {
     /// True when a bounded retry may succeed: transient injected faults
     /// and non-hang simulator errors. Hang-class failures (deadlock,
     /// livelock, cycle budget) are deterministic — retrying one burns the
-    /// same budget again — so they are never retried, mirroring the PR 3
-    /// supervision policy in `spacea-harness`.
+    /// same budget again — so they are never retried.
     pub fn retryable(&self) -> bool {
         match self {
             ServeError::Injected { transient, .. } => *transient,

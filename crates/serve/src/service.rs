@@ -35,8 +35,7 @@
 //!    [`ServeError::DeadlineExceeded`] when the per-request deadline
 //!    elapses first, or a simulator/injection error after the bounded
 //!    retry budget (transient faults retried with splitmix-jittered
-//!    exponential backoff; hang-class never retried, mirroring the PR 3
-//!    supervision policy).
+//!    exponential backoff; hang-class never retried).
 //! 3. **[`ServeError::Lost`]** — the dispatcher or the worker running its
 //!    batch died. This code existing is what makes "silently lost"
 //!    impossible: a request that cannot be answered still gets a reply
@@ -45,7 +44,6 @@
 use crate::engine::ServeEngine;
 use crate::error::ServeError;
 use crate::journal::{vec_hash, AckRecord};
-use spacea_harness::exec::jitter_factor;
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
@@ -113,7 +111,7 @@ impl Service {
     /// Starts the dispatcher and one batch worker per available core over
     /// an existing engine.
     pub fn over(engine: Arc<ServeEngine>) -> Self {
-        let (tx, rx) = mpsc::sync_channel::<Pending>(engine.config().queue_depth.max(1));
+        let (tx, rx) = mpsc::sync_channel::<Pending>(engine.config().shed_mark.max(1));
         let depth = Arc::new(AtomicUsize::new(0));
         let (batch_tx, batch_rx) = mpsc::channel::<Batch>();
         let batch_rx = Arc::new(Mutex::new(batch_rx));
@@ -474,6 +472,20 @@ fn execute_batch(
     }
 }
 
+/// Deterministic backoff jitter in `[0.5, 1.5)`, derived from the matrix
+/// key and the attempt number (splitmix64-style bit mixing — no wall-clock
+/// randomness, so a given batch retries on the same schedule in every
+/// process). Batches of different matrices that fail together back off on
+/// different phases instead of retrying in lockstep.
+fn jitter_factor(key: u64, attempt: u32) -> f64 {
+    let mut z = key ^ (attempt as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^= z >> 31;
+    // Top 53 bits give a uniform f64 in [0, 1).
+    0.5 + (z >> 11) as f64 / (1u64 << 53) as f64
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -741,5 +753,23 @@ mod tests {
         service.stop();
         assert_eq!(AckJournal::load(engine.journal().dir()).records.len(), 5);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn jitter_is_deterministic_bounded_and_spread() {
+        for key in [0u64, 1, 0xdead_beef, u64::MAX] {
+            for attempt in 1..=5u32 {
+                let a = jitter_factor(key, attempt);
+                let b = jitter_factor(key, attempt);
+                assert_eq!(a, b, "same (key, attempt) must jitter identically");
+                assert!((0.5..1.5).contains(&a), "factor {a} out of range");
+            }
+        }
+        // Distinct keys and distinct attempts should not all collapse onto
+        // one factor — that would defeat the point of jitter.
+        let across_keys: Vec<f64> = (0..8).map(|k| jitter_factor(k, 1)).collect();
+        assert!(across_keys.windows(2).any(|w| w[0] != w[1]));
+        let across_attempts: Vec<f64> = (1..=8).map(|a| jitter_factor(42, a)).collect();
+        assert!(across_attempts.windows(2).any(|w| w[0] != w[1]));
     }
 }

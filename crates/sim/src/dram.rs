@@ -34,13 +34,6 @@ impl Default for DramTiming {
     }
 }
 
-impl DramTiming {
-    /// Beats needed to stream one full row buffer.
-    pub fn beats_per_row(&self) -> usize {
-        self.row_bytes.div_ceil(self.beat_bytes)
-    }
-}
-
 /// Whether a bank access read or wrote the row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessKind {
@@ -236,7 +229,6 @@ mod tests {
     #[test]
     fn full_row_stream_takes_eight_beats() {
         let t = timing();
-        assert_eq!(t.beats_per_row(), 8);
         let mut bank = DramBank::new(t);
         let done = bank.access(0, 0, t.row_bytes, AccessKind::Read);
         assert_eq!(done, t.t_ras + 8 * t.t_ccd);

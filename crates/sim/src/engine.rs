@@ -224,11 +224,6 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Schedules `event` to fire `delay` cycles after the current time.
-    pub fn schedule_after(&mut self, delay: Cycle, event: E) {
-        self.schedule(self.now.saturating_add(delay), event);
-    }
-
     /// The earliest occupied cycle in the wheel, scanning the occupancy
     /// bitmap from `now` forward (with wrap). `None` when the wheel is
     /// empty.
@@ -576,15 +571,6 @@ mod tests {
         q.pop();
         q.schedule(3, "late");
         assert_eq!(q.pop(), Some((10, "late")));
-    }
-
-    #[test]
-    fn schedule_after_is_relative() {
-        let mut q = EventQueue::new();
-        q.schedule(10, "first");
-        q.pop();
-        q.schedule_after(5, "second");
-        assert_eq!(q.pop(), Some((15, "second")));
     }
 
     #[test]

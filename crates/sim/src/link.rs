@@ -71,11 +71,6 @@ impl Link {
         self.latency
     }
 
-    /// Changes the per-transfer latency (used by the Figure 9 TSV sweep).
-    pub fn set_latency(&mut self, latency: Cycle) {
-        self.latency = latency;
-    }
-
     /// Bandwidth in bytes per cycle.
     pub fn bytes_per_cycle(&self) -> usize {
         self.bytes_per_cycle
@@ -148,14 +143,6 @@ mod tests {
     fn partial_word_rounds_up() {
         let mut l = Link::new(0, 16);
         assert_eq!(l.transfer(0, 1), 1);
-    }
-
-    #[test]
-    fn set_latency_applies() {
-        let mut l = Link::new(1, 16);
-        l.set_latency(16);
-        assert_eq!(l.latency(), 16);
-        assert_eq!(l.transfer(0, 16), 16 + 1);
     }
 
     #[test]
