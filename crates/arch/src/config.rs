@@ -175,17 +175,6 @@ impl HwConfig {
         (self.timing.row_bytes - 4) / 12
     }
 
-    /// Register-file entries: "the same size as the number of non-zero
-    /// elements stored in a PE queue".
-    pub fn register_file_entries(&self) -> usize {
-        self.pe_queue_rows * self.nnz_per_dram_row()
-    }
-
-    /// Output-vector elements per DRAM row in a vector bank.
-    pub fn y_per_dram_row(&self) -> usize {
-        self.timing.row_bytes / 8
-    }
-
     /// Total vector banks (one Accumulation-PE each): the bottom DRAM layer.
     pub fn vector_banks(&self) -> usize {
         self.shape.cubes * self.shape.vaults_per_cube * self.shape.banks_per_bg
@@ -273,8 +262,6 @@ mod tests {
         let c = HwConfig::tiny();
         // (256 - 4) / 12 = 21 non-zeros per DRAM row.
         assert_eq!(c.nnz_per_dram_row(), 21);
-        assert_eq!(c.register_file_entries(), 8 * 21);
-        assert_eq!(c.y_per_dram_row(), 32);
     }
 
     #[test]

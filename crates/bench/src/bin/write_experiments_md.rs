@@ -49,7 +49,7 @@ fn main() {
          parameters), with sharded execution (`--shard K/N`; shards share \
          the cache and their outputs concatenate byte-identically to the \
          unsharded run) and cache garbage collection (`--gc` with size/age \
-         budgets over the store's `index.json`). See the README's \
+         budgets over each cached file's size and mtime). See the README's \
          \"Sweeps\" section.\n\n\
          Execution is guarded: every job runs once, behind a panic guard \
          and the sim watchdog, and finishes with a status — `ok`, `failed`, \

@@ -37,8 +37,8 @@
 use spacea_core::experiments::{ExpConfig, ExpOutput, SuiteCache};
 use spacea_core::table::Table;
 use spacea_harness::{
-    FaultPlan, GcPolicy, JobCtx, JobSpec, PointKind, ResultStore, RunManifest, SweepPoint,
-    SweepSpec, TimelineConfig, DEFAULT_CACHE_DIR,
+    write_atomic, FaultPlan, GcPolicy, JobCtx, JobSpec, PointKind, ResultStore, RunManifest,
+    SweepPoint, SweepSpec, TimelineConfig, DEFAULT_CACHE_DIR,
 };
 use spacea_obs::Cycle;
 use std::path::{Path, PathBuf};
@@ -298,13 +298,10 @@ impl HarnessSession {
     }
 
     /// Writes the run manifest JSON to [`HarnessSession::manifest_path`]
-    /// (also flushing the cache's GC index) and returns that path.
+    /// (tmp file + rename, so concurrent shards never leave a torn file) and
+    /// returns that path.
     pub fn write_manifest(&self, manifest: &RunManifest) -> std::io::Result<PathBuf> {
-        if let Some(dir) = self.manifest_path.parent() {
-            std::fs::create_dir_all(dir)?;
-        }
-        self.cache.store().persist_index()?;
-        std::fs::write(&self.manifest_path, manifest.to_json())?;
+        write_atomic(&self.manifest_path, &manifest.to_json())?;
         Ok(self.manifest_path.clone())
     }
 }

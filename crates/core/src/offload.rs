@@ -38,15 +38,6 @@ impl PcieModel {
     }
 }
 
-/// Host-side preprocessing cost model: the mapping algorithm runs on the CPU
-/// at an effective rate of score evaluations per second.
-///
-/// Algorithm 1 is `O(P · nnz · log nnz)` in the paper's bound; the measured
-/// wall time of this crate's implementation is used directly (it *is* a CPU
-/// implementation), so no synthetic model is needed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct HostPreprocess;
-
 /// The cost breakdown of one offloaded SpMV workload.
 #[derive(Debug, Clone, PartialEq)]
 pub struct OffloadReport {

@@ -36,7 +36,7 @@
 //!   and enumerates it deterministically into deduped job lists;
 //!   [`shard_range`] splits the grid across cooperating processes, and
 //!   [`ResultStore::gc`] keeps the shared disk cache within size/age
-//!   budgets using the persisted per-key index.
+//!   budgets, reading each entry's size and recency from its own file.
 //!
 //! The crate sits *below* the experiment definitions: it knows how to
 //! execute a job, not which jobs a figure needs (that enumeration lives
@@ -56,8 +56,8 @@ pub use exec::{dedup_jobs, input_vector, run_jobs, ExecFailure, JobCtx, Simulati
 pub use job::{GraphOperand, JobKey, JobSpec, MatrixSource};
 pub use mapstore::{MappingStats, MappingStore};
 pub use store::{
-    write_atomic, CacheOutcome, CacheStats, GcPolicy, GcReport, IndexEntry, JobResult, ResultStore,
-    ScenarioRec, INDEX_FILE, QUARANTINE_DIR,
+    write_atomic, CacheOutcome, CacheStats, GcPolicy, GcReport, JobResult, ResultStore,
+    ScenarioRec, QUARANTINE_DIR,
 };
 // The benchmark package (`perf/`) still imports `spacea_harness::json`.
 pub use spacea_obs::json;

@@ -1,15 +1,11 @@
 //! The shared result store: in-memory map plus optional on-disk JSON cache,
-//! with a persisted per-key index (`index.json`) driving cache GC.
+//! one file per key.
 //!
-//! Result files are written as they are computed; the index is not.
-//! Inserts and disk hits update the in-memory index and mark it dirty, and
-//! the file is written at the store's commit points: an explicit
-//! [`ResultStore::persist_index`] (the harness calls it when it writes the
-//! run manifest), every [`ResultStore::gc`] pass, and the store's drop if
-//! the index is still dirty. The index is advisory bookkeeping for GC, so
-//! a run killed before its commit leaves the previous index; result files
-//! it does not list are sized and dated from file metadata by the next
-//! `gc`, which rewrites the index to exactly the files on disk.
+//! The cache directory is its own index. Each result file is written as
+//! its job finishes, which sets the file's mtime, and a disk hit refreshes
+//! that mtime, so [`ResultStore::gc`] reads an entry's size and recency from
+//! the entry's own file. The store writes nothing else, so processes sharing
+//! one directory (sweep shards) never overwrite each other's bookkeeping.
 
 use crate::job::JobKey;
 use spacea_arch::SimReport;
@@ -17,9 +13,10 @@ use spacea_gpu::GpuRun;
 use spacea_model::ActivitySummary;
 use spacea_obs::json::{self, Json};
 use spacea_sim::stats::{CamCounters, LdqCounters, SramCounters};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
+use std::fs::{File, Metadata};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{SystemTime, UNIX_EPOCH};
 
@@ -117,19 +114,6 @@ impl CacheStats {
     }
 }
 
-/// Per-key bookkeeping persisted as `index.json` next to the cached
-/// results: entry size plus creation and last-hit times (unix seconds).
-/// [`ResultStore::gc`] reads it to order evictions by recency.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct IndexEntry {
-    /// Size of the persisted entry in bytes.
-    pub bytes: u64,
-    /// When the entry was first persisted (unix seconds).
-    pub created: u64,
-    /// When the entry was last served from disk or (re)written.
-    pub last_hit: u64,
-}
-
 /// Eviction budgets for [`ResultStore::gc`]. `None` disables that budget.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GcPolicy {
@@ -182,27 +166,41 @@ impl GcReport {
 
 /// Job results keyed by content hash, shared by every worker and every
 /// experiment in a process; optionally persisted to a directory with one
-/// JSON file per key plus an `index.json` recording per-entry size and
-/// recency for [`ResultStore::gc`] (written at the commit points the module
-/// docs list, not per insert).
+/// JSON file per key, whose size and mtime [`ResultStore::gc`] reads.
 pub struct ResultStore {
+    /// Every result this process computed or loaded. Its keys are the
+    /// entries `gc` never evicts in this run.
     mem: Mutex<HashMap<u64, JobResult>>,
     disk: Option<PathBuf>,
-    index: Mutex<HashMap<u64, IndexEntry>>,
-    /// The index changed since it was last written. Set and cleared only
-    /// while the `index` lock is held, so a write never loses a change.
-    index_dirty: AtomicBool,
-    /// Keys this process hit or wrote — never evicted by `gc` in this run.
-    touched: Mutex<HashSet<u64>>,
     corrupt_paths: Mutex<Vec<PathBuf>>,
     mem_hits: AtomicU64,
     disk_hits: AtomicU64,
     misses: AtomicU64,
-    corrupt: AtomicU64,
 }
 
 fn now_secs() -> u64 {
     SystemTime::now().duration_since(UNIX_EPOCH).map(|d| d.as_secs()).unwrap_or(0)
+}
+
+/// A file's mtime in whole unix seconds, or `now` if it has none.
+fn mtime_secs(meta: &Metadata, now: u64) -> u64 {
+    meta.modified()
+        .ok()
+        .and_then(|t| t.duration_since(UNIX_EPOCH).ok())
+        .map(|d| d.as_secs())
+        .unwrap_or(now)
+}
+
+/// One file [`ResultStore::gc`] may remove. The derived order is the
+/// eviction order: quarantined files before live entries, then oldest
+/// mtime first, then path (for a live entry, its key).
+#[derive(PartialEq, Eq, PartialOrd, Ord)]
+struct GcFile {
+    live: bool,
+    mtime: u64,
+    path: PathBuf,
+    bytes: u64,
+    protected: bool,
 }
 
 impl ResultStore {
@@ -211,27 +209,18 @@ impl ResultStore {
         ResultStore {
             mem: Mutex::new(HashMap::new()),
             disk: None,
-            index: Mutex::new(HashMap::new()),
-            index_dirty: AtomicBool::new(false),
-            touched: Mutex::new(HashSet::new()),
             corrupt_paths: Mutex::new(Vec::new()),
             mem_hits: AtomicU64::new(0),
             disk_hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
-            corrupt: AtomicU64::new(0),
         }
     }
 
-    /// A store persisting results under `dir` (created if missing). A
-    /// pre-existing `index.json` is loaded; a missing or unreadable one is
-    /// rebuilt over time from file metadata.
+    /// A store persisting results under `dir` (created if missing).
     pub fn with_disk(dir: impl Into<PathBuf>) -> std::io::Result<Self> {
         let dir = dir.into();
         std::fs::create_dir_all(&dir)?;
-        let mut store = ResultStore::in_memory();
-        store.index = Mutex::new(load_index(&dir));
-        store.disk = Some(dir);
-        Ok(store)
+        Ok(ResultStore { disk: Some(dir), ..ResultStore::in_memory() })
     }
 
     /// Looks up a result, recording a hit or miss in the stats.
@@ -242,16 +231,13 @@ impl ResultStore {
     pub fn lookup(&self, key: JobKey) -> Option<(JobResult, CacheOutcome)> {
         if let Some(r) = lock(&self.mem).get(&key.0) {
             self.mem_hits.fetch_add(1, Ordering::Relaxed);
-            lock(&self.touched).insert(key.0);
             return Some((r.clone(), CacheOutcome::MemoryHit));
         }
         if let Some(dir) = &self.disk {
             match load_from_disk(dir, key) {
                 DiskRead::Hit(r) => {
                     self.disk_hits.fetch_add(1, Ordering::Relaxed);
-                    lock(&self.touched).insert(key.0);
                     lock(&self.mem).insert(key.0, r.clone());
-                    self.note_hit(key);
                     return Some((r, CacheOutcome::DiskHit));
                 }
                 DiskRead::Corrupt(reason) => {
@@ -269,12 +255,7 @@ impl ResultStore {
                             path.display()
                         ),
                     }
-                    self.corrupt.fetch_add(1, Ordering::Relaxed);
                     lock(&self.corrupt_paths).push(path);
-                    let mut index = lock(&self.index);
-                    if index.remove(&key.0).is_some() {
-                        self.index_dirty.store(true, Ordering::Relaxed);
-                    }
                 }
                 DiskRead::Missing => {}
             }
@@ -284,82 +265,18 @@ impl ResultStore {
     }
 
     /// Inserts a computed result, persisting it if a disk cache is enabled.
-    /// The index records the entry in memory; the file follows at the next
-    /// commit point.
+    /// The key enters the in-memory map before the file is written, so a
+    /// concurrent [`ResultStore::gc`] never finds the new file unprotected.
     ///
     /// Disk write failures are reported on stderr and otherwise ignored: the
     /// cache is an accelerator, not a correctness dependency.
     pub fn insert(&self, key: JobKey, result: JobResult) {
-        lock(&self.touched).insert(key.0);
+        lock(&self.mem).insert(key.0, result.clone());
         if let Some(dir) = &self.disk {
-            match save_to_disk(dir, key, &result) {
-                Ok(bytes) => {
-                    let now = now_secs();
-                    let mut index = lock(&self.index);
-                    let created = index.get(&key.0).map(|e| e.created).unwrap_or(now);
-                    index.insert(key.0, IndexEntry { bytes, created, last_hit: now });
-                    self.index_dirty.store(true, Ordering::Relaxed);
-                }
-                Err(e) => eprintln!("spacea-harness: failed to persist job {key}: {e}"),
+            if let Err(e) = write_atomic(&cache_path(dir, key), &encode_result(&result).to_text()) {
+                eprintln!("spacea-harness: failed to persist job {key}: {e}");
             }
         }
-        lock(&self.mem).insert(key.0, result);
-    }
-
-    fn note_hit(&self, key: JobKey) {
-        let now = now_secs();
-        let mut index = lock(&self.index);
-        let entry = index.entry(key.0).or_insert(IndexEntry {
-            bytes: self
-                .disk
-                .as_ref()
-                .and_then(|d| std::fs::metadata(cache_path(d, key)).ok())
-                .map(|m| m.len())
-                .unwrap_or(0),
-            created: now,
-            last_hit: now,
-        });
-        entry.last_hit = now;
-        self.index_dirty.store(true, Ordering::Relaxed);
-    }
-
-    /// Writes `index.json` (sorted by key, write-then-rename) and clears the
-    /// dirty mark. No-op for in-memory stores. The index stays locked until
-    /// the rename, so concurrent commits land in the order they read the
-    /// index and the file never goes back to an older snapshot.
-    pub fn persist_index(&self) -> std::io::Result<()> {
-        let Some(dir) = &self.disk else { return Ok(()) };
-        let index = lock(&self.index);
-        let mut entries: Vec<(u64, IndexEntry)> = index.iter().map(|(&k, &e)| (k, e)).collect();
-        entries.sort_unstable_by_key(|(k, _)| *k);
-        let rows: Vec<Json> = entries
-            .iter()
-            .map(|(k, e)| {
-                Json::obj(vec![
-                    ("key", Json::Str(JobKey(*k).to_string())),
-                    ("bytes", Json::U64(e.bytes)),
-                    ("created", Json::U64(e.created)),
-                    ("last_hit", Json::U64(e.last_hit)),
-                ])
-            })
-            .collect();
-        let doc = Json::obj(vec![
-            ("schema", Json::Str("spacea-cache-index-v1".into())),
-            ("entries", Json::Arr(rows)),
-        ]);
-        let written = write_atomic(&dir.join(INDEX_FILE), &doc.to_text());
-        // A failed write leaves the index dirty, so the drop retries it.
-        self.index_dirty.store(written.is_err(), Ordering::Relaxed);
-        written
-    }
-
-    /// The current index, sorted by key (tests and doctors).
-    pub fn index_snapshot(&self) -> Vec<(JobKey, IndexEntry)> {
-        let index = lock(&self.index);
-        let mut entries: Vec<(JobKey, IndexEntry)> =
-            index.iter().map(|(&k, &e)| (JobKey(k), e)).collect();
-        entries.sort_unstable_by_key(|(k, _)| k.0);
-        entries
     }
 
     /// Paths of on-disk entries that failed to decode this run.
@@ -374,151 +291,99 @@ impl ResultStore {
     /// — a running sweep cannot lose its own results. In-memory copies are
     /// untouched (they stay valid; gc manages the disk footprint only).
     ///
-    /// The index is rewritten to exactly the surviving files, so a gc pass
-    /// also repairs a stale or missing `index.json`.
+    /// An entry's size is its file's length and its last hit is its file's
+    /// mtime in whole seconds (ties broken by key). Only `<16-hex>.json`
+    /// files are entries; anything else in the directory is ignored.
     ///
     /// Files under [`QUARANTINE_DIR`] (corrupt entries moved aside by
     /// [`ResultStore::lookup`]) count against the same budgets: the age pass
     /// removes old ones by file mtime, and the size pass evicts them before
     /// any live entry — corrupt bytes never outcompete real results.
     pub fn gc(&self, policy: &GcPolicy) -> std::io::Result<GcReport> {
-        let Some(dir) = self.disk.clone() else { return Ok(GcReport::default()) };
+        let Some(dir) = &self.disk else { return Ok(GcReport::default()) };
         let now = now_secs();
-        // Snapshot the disk contents: (key, bytes, last_hit), recency from
-        // the index with file mtime as the fallback for unindexed entries.
-        let mut on_disk: Vec<(u64, u64, u64)> = Vec::new();
-        {
-            let index = lock(&self.index);
-            for entry in std::fs::read_dir(&dir)? {
-                let entry = entry?;
-                let name = entry.file_name();
-                let Some(name) = name.to_str() else { continue };
-                let Some(stem) = name.strip_suffix(".json") else { continue };
-                if stem.len() != 16 {
-                    continue; // index.json, last-run.json, foreign files
-                }
-                let Ok(key) = u64::from_str_radix(stem, 16) else { continue };
-                let meta = entry.metadata()?;
-                let last_hit = index.get(&key).map(|e| e.last_hit).unwrap_or_else(|| {
-                    meta.modified()
-                        .ok()
-                        .and_then(|t| t.duration_since(UNIX_EPOCH).ok())
-                        .map(|d| d.as_secs())
-                        .unwrap_or(now)
-                });
-                on_disk.push((key, meta.len(), last_hit));
+        let mut entries: Vec<(u64, Metadata)> = Vec::new();
+        for entry in std::fs::read_dir(dir)? {
+            let entry = entry?;
+            let name = entry.file_name();
+            let Some(name) = name.to_str() else { continue };
+            let Some(stem) = name.strip_suffix(".json") else { continue };
+            if stem.len() != 16 {
+                continue; // last-run.json, foreign files
             }
+            let Ok(key) = u64::from_str_radix(stem, 16) else { continue };
+            entries.push((key, entry.metadata()?));
         }
-        // Deterministic LRU order: oldest hit first, key as the tie-break.
-        on_disk.sort_unstable_by_key(|&(key, _, last_hit)| (last_hit, key));
-        let touched = lock(&self.touched).clone();
-
-        // Quarantined (corrupt) files live under the same budgets: recency is
-        // their file mtime, they are never protected, and the size pass
-        // removes them before any live entry.
-        let mut quarantined: Vec<(PathBuf, u64, u64)> = Vec::new();
+        // Protection is read after the scan: `insert` puts a key in `mem`
+        // before it writes the file, so every file this process wrote that
+        // the scan saw is protected.
+        let mem = lock(&self.mem);
+        let mut files: Vec<GcFile> = entries
+            .into_iter()
+            .map(|(key, meta)| GcFile {
+                live: true,
+                mtime: mtime_secs(&meta, now),
+                path: cache_path(dir, JobKey(key)),
+                bytes: meta.len(),
+                protected: mem.contains_key(&key),
+            })
+            .collect();
+        drop(mem);
         if let Ok(entries) = std::fs::read_dir(dir.join(QUARANTINE_DIR)) {
             for entry in entries.flatten() {
                 let Ok(meta) = entry.metadata() else { continue };
-                if !meta.is_file() {
-                    continue;
+                if meta.is_file() {
+                    files.push(GcFile {
+                        live: false,
+                        mtime: mtime_secs(&meta, now),
+                        path: entry.path(),
+                        bytes: meta.len(),
+                        protected: false,
+                    });
                 }
-                let mtime = meta
-                    .modified()
-                    .ok()
-                    .and_then(|t| t.duration_since(UNIX_EPOCH).ok())
-                    .map(|d| d.as_secs())
-                    .unwrap_or(now);
-                quarantined.push((entry.path(), meta.len(), mtime));
             }
         }
-        quarantined.sort_unstable_by(|a, b| (a.2, &a.0).cmp(&(b.2, &b.0)));
+        files.sort_unstable();
 
         let mut report = GcReport {
-            scanned: on_disk.len() + quarantined.len(),
-            scanned_bytes: on_disk.iter().map(|&(_, b, _)| b).sum::<u64>()
-                + quarantined.iter().map(|&(_, b, _)| b).sum::<u64>(),
-            protected: on_disk.iter().filter(|&&(k, _, _)| touched.contains(&k)).count(),
+            scanned: files.len(),
+            scanned_bytes: files.iter().map(|f| f.bytes).sum(),
+            protected: files.iter().filter(|f| f.protected).count(),
             ..GcReport::default()
         };
         let mut total = report.scanned_bytes;
-        let mut evict: HashSet<u64> = HashSet::new();
-        let mut q_evict: HashSet<usize> = HashSet::new();
+        let mut evict = vec![false; files.len()];
         if let Some(max_age) = policy.max_age_secs {
-            for (i, &(_, bytes, mtime)) in quarantined.iter().enumerate() {
-                if now.saturating_sub(mtime) > max_age {
-                    q_evict.insert(i);
-                    total -= bytes;
-                }
-            }
-            for &(key, bytes, last_hit) in &on_disk {
-                if now.saturating_sub(last_hit) > max_age && !touched.contains(&key) {
-                    evict.insert(key);
-                    total -= bytes;
+            for (f, e) in files.iter().zip(&mut evict) {
+                if now.saturating_sub(f.mtime) > max_age && !f.protected {
+                    *e = true;
+                    total -= f.bytes;
                 }
             }
         }
         if let Some(max_bytes) = policy.max_bytes {
-            for (i, &(_, bytes, _)) in quarantined.iter().enumerate() {
-                if total <= max_bytes {
-                    break;
-                }
-                if q_evict.contains(&i) {
-                    continue;
-                }
-                q_evict.insert(i);
-                total -= bytes;
-            }
-            for &(key, bytes, _) in &on_disk {
+            for (f, e) in files.iter().zip(&mut evict) {
                 if total <= max_bytes {
                     break; // budget met: never evict more than needed
                 }
-                if touched.contains(&key) || evict.contains(&key) {
-                    continue;
+                if !f.protected && !*e {
+                    *e = true;
+                    total -= f.bytes;
                 }
-                evict.insert(key);
-                total -= bytes;
             }
         }
 
-        for (i, (path, bytes, _)) in quarantined.iter().enumerate() {
-            if q_evict.contains(&i) {
-                std::fs::remove_file(path)?;
+        for (f, &e) in files.iter().zip(&evict) {
+            if e {
+                std::fs::remove_file(&f.path)?;
                 report.evicted += 1;
-                report.evicted_bytes += bytes;
-                report.quarantined += 1;
+                report.evicted_bytes += f.bytes;
+                report.quarantined += usize::from(!f.live);
             } else {
                 report.kept += 1;
-                report.kept_bytes += bytes;
+                report.kept_bytes += f.bytes;
             }
         }
-        for &(key, bytes, _) in &on_disk {
-            if evict.contains(&key) {
-                std::fs::remove_file(cache_path(&dir, JobKey(key)))?;
-                report.evicted += 1;
-                report.evicted_bytes += bytes;
-            } else {
-                report.kept += 1;
-                report.kept_bytes += bytes;
-            }
-        }
-
-        // Rewrite the index to exactly the surviving files.
-        {
-            let mut index = lock(&self.index);
-            let survivors: HashMap<u64, (u64, u64)> = on_disk
-                .iter()
-                .filter(|(k, _, _)| !evict.contains(k))
-                .map(|&(k, b, lh)| (k, (b, lh)))
-                .collect();
-            index.retain(|k, _| survivors.contains_key(k));
-            for (&key, &(bytes, last_hit)) in &survivors {
-                let entry =
-                    index.entry(key).or_insert(IndexEntry { bytes, created: last_hit, last_hit });
-                entry.bytes = bytes;
-            }
-        }
-        self.persist_index()?;
         Ok(report)
     }
 
@@ -528,7 +393,7 @@ impl ResultStore {
             mem_hits: self.mem_hits.load(Ordering::Relaxed),
             disk_hits: self.disk_hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
-            corrupt: self.corrupt.load(Ordering::Relaxed),
+            corrupt: lock(&self.corrupt_paths).len() as u64,
         }
     }
 
@@ -542,21 +407,6 @@ impl ResultStore {
         self.len() == 0
     }
 }
-
-impl Drop for ResultStore {
-    /// The last commit point: writes the index if anything changed since
-    /// the last write. A write failure is reported, never raised.
-    fn drop(&mut self) {
-        if *self.index_dirty.get_mut() {
-            if let Err(e) = self.persist_index() {
-                eprintln!("spacea-harness: could not write the cache index: {e}");
-            }
-        }
-    }
-}
-
-/// The index file name inside a cache directory.
-pub const INDEX_FILE: &str = "index.json";
 
 /// Subdirectory of a cache directory holding corrupt entries moved aside by
 /// [`ResultStore::lookup`]. Swept by [`ResultStore::gc`] under the same
@@ -603,44 +453,19 @@ enum DiskRead {
     Corrupt(String),
 }
 
+/// Reads and decodes one entry. A hit refreshes the file's mtime through
+/// the handle it read, since the mtime is the entry's recency for
+/// [`ResultStore::gc`]; a failure to set it is ignored.
 fn load_from_disk(dir: &Path, key: JobKey) -> DiskRead {
-    let Ok(text) = std::fs::read_to_string(cache_path(dir, key)) else {
-        return DiskRead::Missing;
-    };
+    let Ok(file) = File::open(cache_path(dir, key)) else { return DiskRead::Missing };
+    let Ok(text) = std::io::read_to_string(&file) else { return DiskRead::Missing };
     match json::parse(&text).and_then(|v| decode_result(&v)) {
-        Ok(r) => DiskRead::Hit(r),
+        Ok(r) => {
+            let _ = file.set_modified(SystemTime::now());
+            DiskRead::Hit(r)
+        }
         Err(e) => DiskRead::Corrupt(e),
     }
-}
-
-fn save_to_disk(dir: &Path, key: JobKey, result: &JobResult) -> std::io::Result<u64> {
-    let text = encode_result(result).to_text();
-    write_atomic(&cache_path(dir, key), &text)?;
-    Ok(text.len() as u64)
-}
-
-fn load_index(dir: &Path) -> HashMap<u64, IndexEntry> {
-    let mut out = HashMap::new();
-    let Ok(text) = std::fs::read_to_string(dir.join(INDEX_FILE)) else { return out };
-    let Ok(doc) = json::parse(&text) else { return out };
-    let Some(rows) = doc.get("entries").and_then(Json::as_arr) else { return out };
-    for row in rows {
-        let Some(key) =
-            row.get("key").and_then(Json::as_str).and_then(|s| u64::from_str_radix(s, 16).ok())
-        else {
-            continue;
-        };
-        let field = |name: &str| row.get(name).and_then(Json::as_u64).unwrap_or(0);
-        out.insert(
-            key,
-            IndexEntry {
-                bytes: field("bytes"),
-                created: field("created"),
-                last_hit: field("last_hit"),
-            },
-        );
-    }
-    out
 }
 
 // --- serialization -------------------------------------------------------
@@ -992,106 +817,6 @@ mod tests {
     }
 
     #[test]
-    fn index_round_trips_across_stores() {
-        let dir = tmp_dir("index-rt");
-        {
-            let store = ResultStore::with_disk(&dir).unwrap();
-            store.insert(JobKey(1), JobResult::Gpu(sample_gpu()));
-            store.insert(JobKey(2), JobResult::Gpu(sample_gpu()));
-        }
-        let store = ResultStore::with_disk(&dir).unwrap();
-        let snap = store.index_snapshot();
-        assert_eq!(snap.len(), 2);
-        assert_eq!(snap[0].0, JobKey(1));
-        assert_eq!(snap[0].1.bytes, entry_bytes(&dir, JobKey(1)));
-        assert!(snap[0].1.created > 0 && snap[0].1.last_hit >= snap[0].1.created);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    fn indexed_keys(dir: &Path) -> Vec<u64> {
-        let mut keys: Vec<u64> = load_index(dir).into_keys().collect();
-        keys.sort_unstable();
-        keys
-    }
-
-    #[test]
-    fn index_is_written_at_drop_not_per_insert_or_disk_hit() {
-        let dir = tmp_dir("index-commit");
-        let index_path = dir.join(INDEX_FILE);
-        {
-            let store = ResultStore::with_disk(&dir).unwrap();
-            for k in 1..=3u64 {
-                store.insert(JobKey(k), JobResult::Gpu(sample_gpu()));
-            }
-            assert!(!index_path.exists(), "inserts must not write the index");
-        }
-        // The drop wrote it, with every entry.
-        assert_eq!(indexed_keys(&dir), [1, 2, 3]);
-
-        let store = ResultStore::with_disk(&dir).unwrap();
-        std::fs::remove_file(&index_path).unwrap();
-        for k in 1..=3u64 {
-            assert_eq!(store.lookup(JobKey(k)).unwrap().1, CacheOutcome::DiskHit);
-        }
-        assert!(!index_path.exists(), "disk hits must not write the index");
-        drop(store);
-        assert_eq!(indexed_keys(&dir), [1, 2, 3], "the drop writes the hits' entries");
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn a_commit_clears_the_index_so_the_drop_writes_nothing() {
-        let dir = tmp_dir("index-commit-once");
-        let index_path = dir.join(INDEX_FILE);
-        let store = ResultStore::with_disk(&dir).unwrap();
-        store.insert(JobKey(1), JobResult::Gpu(sample_gpu()));
-        // What the harness does when it writes the run manifest.
-        store.persist_index().unwrap();
-        assert_eq!(indexed_keys(&dir), [1]);
-        std::fs::remove_file(&index_path).unwrap();
-        drop(store);
-        assert!(!index_path.exists(), "a clean store must not write the index again");
-        // A gc pass is a commit point too, even with nothing to evict.
-        let store = ResultStore::with_disk(&dir).unwrap();
-        store.gc(&GcPolicy::default()).unwrap();
-        assert_eq!(indexed_keys(&dir), [1]);
-        std::fs::remove_file(&index_path).unwrap();
-        drop(store);
-        assert!(!index_path.exists());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn a_killed_run_leaves_the_previous_index_and_gc_repairs_it() {
-        let dir = tmp_dir("index-killed");
-        let index_path = dir.join(INDEX_FILE);
-        {
-            let store = ResultStore::with_disk(&dir).unwrap();
-            store.insert(JobKey(1), JobResult::Gpu(sample_gpu()));
-        }
-        let previous = std::fs::read_to_string(&index_path).unwrap();
-        // A run that dies before any commit point (SIGKILL): its result
-        // files are on disk, its index never is.
-        let killed = ResultStore::with_disk(&dir).unwrap();
-        killed.insert(JobKey(2), JobResult::Gpu(sample_gpu()));
-        killed.insert(JobKey(3), JobResult::Gpu(sample_gpu()));
-        std::mem::forget(killed);
-        assert_eq!(std::fs::read_to_string(&index_path).unwrap(), previous);
-
-        let fresh = ResultStore::with_disk(&dir).unwrap();
-        assert_eq!(fresh.index_snapshot().len(), 1);
-        let report = fresh.gc(&GcPolicy::default()).unwrap();
-        let bytes: u64 = (1..=3u64).map(|k| entry_bytes(&dir, JobKey(k))).sum();
-        assert_eq!((report.scanned, report.kept, report.evicted), (3, 3, 0), "{report:?}");
-        assert_eq!(report.kept_bytes, bytes);
-        for (key, entry) in fresh.index_snapshot() {
-            assert_eq!(entry.bytes, entry_bytes(&dir, key), "{key} is sized from its file");
-        }
-        assert_eq!(indexed_keys(&dir), [1, 2, 3]);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
     fn gc_never_evicts_below_the_byte_budget() {
         let dir = tmp_dir("gc-budget");
         {
@@ -1125,8 +850,6 @@ mod tests {
             })
             .count();
         assert_eq!(served, 2);
-        // Index lists exactly the surviving files.
-        assert_eq!(store.index_snapshot().len(), 2);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1146,47 +869,53 @@ mod tests {
         let fresh = ResultStore::with_disk(&dir).unwrap();
         let report = fresh.gc(&GcPolicy { max_bytes: Some(0), max_age_secs: None }).unwrap();
         assert_eq!(report.evicted, 2);
-        assert_eq!(fresh.index_snapshot().len(), 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// Sets `path`'s mtime `secs` seconds into the past.
+    fn backdate(path: &Path, secs: u64) {
+        let old = SystemTime::now() - std::time::Duration::from_secs(secs);
+        File::options()
+            .write(true)
+            .open(path)
+            .unwrap()
+            .set_times(std::fs::FileTimes::new().set_modified(old))
+            .unwrap();
+    }
+
     #[test]
-    fn gc_age_budget_uses_index_recency() {
+    fn gc_age_budget_dates_entries_by_mtime_and_a_disk_hit_refreshes_it() {
         let dir = tmp_dir("gc-age");
         {
             let store = ResultStore::with_disk(&dir).unwrap();
             store.insert(JobKey(1), JobResult::Gpu(sample_gpu()));
             store.insert(JobKey(2), JobResult::Gpu(sample_gpu()));
         }
-        // Backdate entry 1 in the index: last hit in 1970.
-        let store = ResultStore::with_disk(&dir).unwrap();
-        {
-            let mut index = store.index.lock().unwrap();
-            index.get_mut(&1).unwrap().last_hit = 1;
-        }
-        store.persist_index().unwrap();
-        let reopened = ResultStore::with_disk(&dir).unwrap();
-        let report = reopened.gc(&GcPolicy { max_bytes: None, max_age_secs: Some(3600) }).unwrap();
-        assert_eq!(report.evicted, 1, "{report:?}");
-        assert!(reopened.lookup(JobKey(1)).is_none());
-        assert!(reopened.lookup(JobKey(2)).is_some());
+        backdate(&cache_path(&dir, JobKey(1)), 7200);
+        backdate(&cache_path(&dir, JobKey(2)), 7200);
+        // A later run's disk hit makes entry 2 recent again.
+        let hit = ResultStore::with_disk(&dir).unwrap();
+        assert_eq!(hit.lookup(JobKey(2)).unwrap().1, CacheOutcome::DiskHit);
+        drop(hit);
+        // A fresh store protects nothing, so only recency decides.
+        let fresh = ResultStore::with_disk(&dir).unwrap();
+        let report = fresh.gc(&GcPolicy { max_bytes: None, max_age_secs: Some(3600) }).unwrap();
+        assert_eq!((report.evicted, report.kept, report.protected), (1, 1, 0), "{report:?}");
+        assert!(!cache_path(&dir, JobKey(1)).exists());
+        assert!(cache_path(&dir, JobKey(2)).exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn gc_without_budgets_is_a_no_op_and_repairs_the_index() {
+    fn gc_without_budgets_is_a_no_op() {
         let dir = tmp_dir("gc-noop");
         {
             let store = ResultStore::with_disk(&dir).unwrap();
             store.insert(JobKey(1), JobResult::Gpu(sample_gpu()));
         }
-        // Lose the index; gc must rebuild it from the directory.
-        std::fs::remove_file(dir.join(INDEX_FILE)).unwrap();
         let store = ResultStore::with_disk(&dir).unwrap();
         let report = store.gc(&GcPolicy::default()).unwrap();
         assert_eq!((report.scanned, report.evicted, report.kept), (1, 0, 1));
-        assert_eq!(store.index_snapshot().len(), 1);
-        assert!(dir.join(INDEX_FILE).exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1258,13 +987,7 @@ mod tests {
         let qfile = dir.join(QUARANTINE_DIR).join(format!("{bad}.json"));
         // Backdate the quarantined file two hours; a one-hour age budget
         // must sweep it while leaving a fresh one alone.
-        let old = SystemTime::now() - std::time::Duration::from_secs(7200);
-        std::fs::File::options()
-            .write(true)
-            .open(&qfile)
-            .unwrap()
-            .set_times(std::fs::FileTimes::new().set_modified(old))
-            .unwrap();
+        backdate(&qfile, 7200);
         let fresh = JobKey(0x4444);
         std::fs::write(cache_path(&dir, fresh), "{not json").unwrap();
         assert!(store.lookup(fresh).is_none());
@@ -1279,12 +1002,16 @@ mod tests {
     fn gc_ignores_foreign_files() {
         let dir = tmp_dir("gc-foreign");
         let store = ResultStore::with_disk(&dir).unwrap();
-        std::fs::write(dir.join("last-run.json"), "{}").unwrap();
-        std::fs::write(dir.join("notes.txt"), "keep me").unwrap();
+        // `index.json` is what older versions of the store kept here.
+        let foreign = ["last-run.json", "index.json", "notes.txt"];
+        for name in foreign {
+            std::fs::write(dir.join(name), "{}").unwrap();
+        }
         let report = store.gc(&GcPolicy { max_bytes: Some(0), max_age_secs: Some(0) }).unwrap();
         assert_eq!(report.scanned, 0);
-        assert!(dir.join("last-run.json").exists());
-        assert!(dir.join("notes.txt").exists());
+        for name in foreign {
+            assert!(dir.join(name).exists(), "{name}");
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -1,12 +1,15 @@
 //! Property tests for cache GC: the size pass never evicts below the byte
 //! budget, never removes entries touched during the current run, follows
-//! the documented LRU order exactly, and is idempotent.
+//! the documented LRU order (file mtime, then key) exactly, and is
+//! idempotent.
 
 use proptest::prelude::*;
 use spacea_gpu::GpuRun;
 use spacea_harness::{GcPolicy, JobKey, JobResult, ResultStore};
 use std::collections::HashSet;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::time::{Duration, SystemTime, UNIX_EPOCH};
 
 static CASE: AtomicUsize = AtomicUsize::new(0);
 
@@ -16,6 +19,10 @@ fn scratch_dir() -> std::path::PathBuf {
         std::process::id(),
         CASE.fetch_add(1, Ordering::Relaxed)
     ))
+}
+
+fn entry_path(dir: &Path, key: u64) -> PathBuf {
+    dir.join(format!("{}.json", JobKey(key)))
 }
 
 fn gpu(i: u64) -> GpuRun {
@@ -42,6 +49,7 @@ proptest! {
         n in 1u64..10,
         touch_mask in 0u64..1024,
         budget_pct in 0u64..101,
+        hours_old in proptest::collection::vec(0u64..4, 10),
     ) {
         let dir = scratch_dir();
         let _ = std::fs::remove_dir_all(&dir);
@@ -52,6 +60,15 @@ proptest! {
                 store.insert(JobKey(i + 1), JobResult::Gpu(gpu(i)));
             }
         }
+        // …age the entries by whole hours, so recency is not just key order…
+        for i in 0..n {
+            let mtime = SystemTime::now() - Duration::from_secs(3600 * hours_old[i as usize]);
+            std::fs::File::options()
+                .write(true)
+                .open(entry_path(&dir, i + 1))
+                .and_then(|f| f.set_times(std::fs::FileTimes::new().set_modified(mtime)))
+                .expect("backdate entry");
+        }
         // …then gc from a second one that only touched a subset.
         let store = ResultStore::with_disk(&dir).expect("reopen store");
         let touched: HashSet<u64> =
@@ -60,26 +77,32 @@ proptest! {
             prop_assert!(store.lookup(JobKey(key)).is_some());
         }
 
-        // Predict the survivors by replaying the documented policy: walk
-        // entries oldest-hit first (key as tie-break), skip touched, stop
-        // the moment the running total fits the budget.
-        let index = store.index_snapshot();
-        prop_assert_eq!(index.len() as u64, n, "index covers every entry");
-        let total: u64 = index.iter().map(|(_, e)| e.bytes).sum();
+        // Predict the survivors by replaying the documented policy over the
+        // files themselves: walk entries oldest mtime first (whole seconds,
+        // key as tie-break), skip touched, stop the moment the running total
+        // fits the budget.
+        let mut order: Vec<(u64, u64, u64)> = (1..=n)
+            .map(|key| {
+                let meta = std::fs::metadata(entry_path(&dir, key)).expect("entry on disk");
+                let mtime = meta.modified().expect("mtime");
+                let secs = mtime.duration_since(UNIX_EPOCH).expect("after 1970").as_secs();
+                (secs, key, meta.len())
+            })
+            .collect();
+        order.sort_unstable();
+        let total: u64 = order.iter().map(|&(_, _, bytes)| bytes).sum();
         let budget = total * budget_pct / 100;
-        let mut order = index.clone();
-        order.sort_by_key(|(k, e)| (e.last_hit, k.0));
         let mut expect_kept = total;
         let mut expect_evicted: HashSet<u64> = HashSet::new();
-        for (k, e) in &order {
+        for &(_, key, bytes) in &order {
             if expect_kept <= budget {
                 break;
             }
-            if touched.contains(&k.0) {
+            if touched.contains(&key) {
                 continue;
             }
-            expect_evicted.insert(k.0);
-            expect_kept -= e.bytes;
+            expect_evicted.insert(key);
+            expect_kept -= bytes;
         }
 
         let policy = GcPolicy { max_bytes: Some(budget), max_age_secs: None };
@@ -89,7 +112,7 @@ proptest! {
         prop_assert_eq!(report.protected, touched.len());
         for i in 0..n {
             let key = i + 1;
-            let on_disk = dir.join(format!("{}.json", JobKey(key))).exists();
+            let on_disk = entry_path(&dir, key).exists();
             prop_assert_eq!(on_disk, !expect_evicted.contains(&key), "key {}", key);
             if touched.contains(&key) {
                 prop_assert!(on_disk, "touched key {} must survive", key);

@@ -210,30 +210,6 @@ impl Csr {
         y
     }
 
-    /// Accumulating SpMV: computes `y = y + A x` (the paper's formulation).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`MatrixError::DimensionMismatch`] if the vector lengths do
-    /// not match the matrix dimensions.
-    #[allow(clippy::needless_range_loop)]
-    pub fn spmv_acc(&self, x: &[f64], y: &mut [f64]) -> Result<(), MatrixError> {
-        if x.len() != self.cols {
-            return Err(MatrixError::DimensionMismatch { expected: self.cols, actual: x.len() });
-        }
-        if y.len() != self.rows {
-            return Err(MatrixError::DimensionMismatch { expected: self.rows, actual: y.len() });
-        }
-        for i in 0..self.rows {
-            let mut acc = 0.0;
-            for (c, v) in self.row(i) {
-                acc += v * x[c as usize];
-            }
-            y[i] += acc;
-        }
-        Ok(())
-    }
-
     /// Returns the transpose as a new CSR matrix.
     ///
     /// Graph algorithms formulated as SpMV (Section V-F) multiply by the
@@ -373,23 +349,6 @@ mod tests {
         let csr = sample();
         assert_eq!(csr.spmv(&[1.0, 1.0, 1.0]), vec![3.0, 0.0, 7.0]);
         assert_eq!(csr.spmv(&[1.0, 0.0, 0.0]), vec![1.0, 0.0, 3.0]);
-    }
-
-    #[test]
-    fn spmv_acc_accumulates() {
-        let csr = sample();
-        let mut y = vec![10.0, 10.0, 10.0];
-        csr.spmv_acc(&[1.0, 1.0, 1.0], &mut y).unwrap();
-        assert_eq!(y, vec![13.0, 10.0, 17.0]);
-    }
-
-    #[test]
-    fn spmv_acc_checks_dims() {
-        let csr = sample();
-        let mut y = vec![0.0; 2];
-        assert!(csr.spmv_acc(&[1.0, 1.0, 1.0], &mut y).is_err());
-        let mut y3 = vec![0.0; 3];
-        assert!(csr.spmv_acc(&[1.0, 1.0], &mut y3).is_err());
     }
 
     #[test]

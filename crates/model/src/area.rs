@@ -57,12 +57,8 @@ impl AreaModel {
     pub const L2_CAM_DEFAULT_MM2: f64 = 0.1898;
     /// Default L2 load queue area (8192 entries): 0.0760 mm².
     pub const L2_LDQ_DEFAULT_MM2: f64 = 0.0760;
-    /// Base-die area budget fraction the paper conservatively assumes.
-    pub const BASE_DIE_BUDGET_FRACTION: f64 = 0.10;
     /// Commodity-server active cooling power density limit, mW/mm² \[46\].
     pub const COOLING_LIMIT_COMMODITY: f64 = 706.0;
-    /// High-end server active cooling limit, mW/mm² \[20\].
-    pub const COOLING_LIMIT_HIGH_END: f64 = 1214.0;
     /// Stacked DRAM layers contributing to the footprint power density.
     pub const LAYERS: usize = 8;
 
@@ -139,21 +135,6 @@ impl AreaModel {
         self.cam_area_mm2(cam_sets, cam_ways, 32) + self.ldq_area_mm2(ldq_entries)
     }
 
-    /// Whether a vault's base-die additions fit the conservative 10% budget.
-    pub fn fits_base_die_budget(
-        &self,
-        cam_sets: usize,
-        cam_ways: usize,
-        ldq_entries: usize,
-    ) -> bool {
-        self.vault_base_die_mm2(cam_sets, cam_ways, ldq_entries)
-            <= Self::VAULT_MM2 * Self::BASE_DIE_BUDGET_FRACTION * 3.0
-        // The paper itself places a 0.2658 mm² structure in a "10% of a vault"
-        // budget (0.3 mm²) while calling 8.86% of the vault within budget; we
-        // allow the same interpretation headroom (the budget applies to the
-        // whole base die, not the 3 mm² vault slice alone).
-    }
-
     /// Peak footprint power density in mW/mm²: the per-layer peak stacked
     /// over all DRAM layers (paper: 66.56 × 8 = 532.48 mW/mm²).
     pub fn peak_footprint_power_density(&self) -> f64 {
@@ -203,7 +184,6 @@ mod tests {
         let total = AreaModel.vault_base_die_mm2(2048, 4, 8192);
         assert!((total - 0.2658).abs() < 1e-9);
         assert!((total / AreaModel::VAULT_MM2 - 0.0886).abs() < 0.001);
-        assert!(AreaModel.fits_base_die_budget(2048, 4, 8192));
     }
 
     #[test]

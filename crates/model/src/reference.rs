@@ -70,25 +70,6 @@ pub fn claimed_speedups(workload: GraphWorkload, dataset: GraphDataset) -> Claim
     }
 }
 
-/// Shape of a case-study input graph (published SNAP sizes).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GraphShape {
-    /// Vertex count.
-    pub vertices: usize,
-    /// Directed edge count.
-    pub edges: usize,
-}
-
-/// Published sizes of the case-study graphs \[36\].
-pub fn graph_shape(dataset: GraphDataset) -> GraphShape {
-    match dataset {
-        // wiki-Talk: 2.39 M vertices, 5.02 M edges.
-        GraphDataset::Wiki => GraphShape { vertices: 2_394_385, edges: 5_021_410 },
-        // soc-LiveJournal1: 4.85 M vertices, 69 M edges.
-        GraphDataset::LiveJournal => GraphShape { vertices: 4_847_571, edges: 68_993_773 },
-    }
-}
-
 /// The paper's headline results (Section V-B), used by EXPERIMENTS.md to
 /// record paper-vs-measured deltas.
 pub mod paper_headline {
@@ -150,11 +131,5 @@ mod tests {
     fn display_labels() {
         assert_eq!(GraphWorkload::PageRank.to_string(), "PR");
         assert_eq!(GraphDataset::LiveJournal.to_string(), "LJ");
-    }
-
-    #[test]
-    fn graph_shapes_are_published_sizes() {
-        assert_eq!(graph_shape(GraphDataset::Wiki).vertices, 2_394_385);
-        assert!(graph_shape(GraphDataset::LiveJournal).edges > 60_000_000);
     }
 }

@@ -62,12 +62,6 @@ pub struct ServeConfig {
     /// queue: there is nothing to fuse with, so waiting the full window
     /// only adds latency.
     pub gather_idle: Duration,
-    /// Per-request deadline: a request not answered within this budget is
-    /// cancelled with an explicit `deadline-exceeded` error.
-    pub deadline: Duration,
-    /// Bounded retry budget for transient batch failures (hang-class
-    /// failures are never retried).
-    pub max_retries: u32,
     /// Base backoff before the first retry; doubled per further attempt
     /// and jittered deterministically from the matrix key.
     pub retry_backoff: Duration,
@@ -89,8 +83,8 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// The default configuration over `cache_dir`: the paper machine,
-    /// proposed mapping, batches of up to 16 fused requests, a 30 s
-    /// deadline, shedding at a full admission queue.
+    /// proposed mapping, batches of up to 16 fused requests, shedding at a
+    /// full admission queue.
     pub fn new(cache_dir: impl Into<PathBuf>) -> Self {
         ServeConfig {
             cache_dir: cache_dir.into(),
@@ -99,8 +93,6 @@ impl ServeConfig {
             shed_mark: 64,
             gather_window: Duration::from_millis(2),
             gather_idle: Duration::from_micros(100),
-            deadline: Duration::from_secs(30),
-            max_retries: 2,
             retry_backoff: Duration::from_millis(10),
             flush_every: 8,
             compact_every: 0,

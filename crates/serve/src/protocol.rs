@@ -40,9 +40,9 @@ pub enum Request {
         matrix: u64,
         /// Seed of the input vector (see [`seeded_vector`]).
         seed: u64,
-        /// Per-request deadline override in milliseconds; `None` uses the
-        /// daemon's configured default. A request not answered in time is
-        /// rejected with the `deadline-exceeded` code.
+        /// Per-request deadline override in milliseconds; `None` uses
+        /// [`crate::service::DEFAULT_DEADLINE`]. A request not answered in
+        /// time is rejected with the `deadline-exceeded` code.
         deadline_ms: Option<u64>,
     },
     /// Register a matrix from MatrixMarket text (the file body travels

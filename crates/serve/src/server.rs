@@ -18,7 +18,7 @@ use crate::chaos::ConnFault;
 use crate::engine::{ServeConfig, ServeEngine};
 use crate::error::ServeError;
 use crate::protocol::{self, Request, MAX_LINE_BYTES, PORT_FILE};
-use crate::service::Service;
+use crate::service::{Service, DEFAULT_DEADLINE};
 use spacea_harness::write_atomic;
 use spacea_obs::json::Json;
 use std::io::{BufRead, BufReader, ErrorKind, Read, Write};
@@ -186,7 +186,7 @@ fn dispatch(req: Request, service: &Service, stop: &AtomicBool) -> Json {
                 return err_of(&ServeError::UnknownMatrix(matrix));
             };
             let x = protocol::seeded_vector(a.cols(), seed);
-            let deadline = deadline_ms.map_or(engine.config().deadline, Duration::from_millis);
+            let deadline = deadline_ms.map_or(DEFAULT_DEADLINE, Duration::from_millis);
             match service.submit_within(matrix, x, deadline) {
                 Ok(reply) => {
                     note_flush(engine);

@@ -56,6 +56,15 @@ fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
     m.lock().unwrap_or_else(PoisonError::into_inner)
 }
 
+/// The deadline of a request submitted without one ([`Service::submit`], or
+/// a wire `Submit` with no `deadline_ms`): a request not answered within it
+/// is cancelled with an explicit `deadline-exceeded` error.
+pub const DEFAULT_DEADLINE: Duration = Duration::from_secs(30);
+
+/// Retries of a batch after a transient failure (hang-class failures are
+/// never retried).
+const MAX_RETRIES: u32 = 2;
+
 /// What one completed request returns to its submitter.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SubmitReply {
@@ -172,14 +181,14 @@ impl Service {
         self.depth.load(Ordering::Relaxed)
     }
 
-    /// Submits one request under the configured default deadline.
+    /// Submits one request under [`DEFAULT_DEADLINE`].
     ///
     /// # Errors
     ///
     /// Every failure is a coded [`ServeError`]; see the module docs for
     /// the lifecycle contract.
     pub fn submit(&self, matrix: u64, x: Vec<f64>) -> Result<SubmitReply, ServeError> {
-        self.submit_within(matrix, x, self.engine.config().deadline)
+        self.submit_within(matrix, x, DEFAULT_DEADLINE)
     }
 
     /// Submits one request and blocks until it is answered, rejected, or
@@ -416,7 +425,7 @@ fn execute_batch(
             // Transient failures get a bounded, deterministically-jittered
             // exponential backoff; hang-class failures are never retryable
             // (ServeError::retryable), so they fall straight through.
-            Err(e) if e.retryable() && attempt < cfg.max_retries => {
+            Err(e) if e.retryable() && attempt < MAX_RETRIES => {
                 attempt += 1;
                 engine.note_retry(attempt);
                 let base = cfg.retry_backoff.saturating_mul(1u32 << (attempt - 1).min(16));

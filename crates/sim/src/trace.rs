@@ -50,11 +50,6 @@ impl<R> TraceLog<R> {
         self.capacity > 0
     }
 
-    /// Whether the log still has room.
-    pub fn has_room(&self) -> bool {
-        self.records.len() < self.capacity
-    }
-
     /// Appends a record, or counts it as dropped when full/disabled.
     pub fn push(&mut self, record: R) {
         if self.records.len() < self.capacity {
@@ -131,13 +126,5 @@ mod tests {
         });
         assert!(!called, "builder must not run when the log is full");
         assert_eq!(log.dropped(), 1);
-    }
-
-    #[test]
-    fn has_room_tracks_capacity() {
-        let mut log = TraceLog::new(1);
-        assert!(log.has_room());
-        log.push(());
-        assert!(!log.has_room());
     }
 }
