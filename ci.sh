@@ -7,6 +7,9 @@ cargo test -q
 # The root `cargo test` covers only the root package; this runs every
 # crate's unit and integration tests (determinism, properties, serve).
 cargo test --workspace -q
+# The simulator's slab index arithmetic, also with debug assertions and
+# overflow checks off.
+cargo test --release -q -p spacea-sim -p spacea-arch
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
 

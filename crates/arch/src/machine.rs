@@ -480,6 +480,9 @@ struct Sim<'a> {
     l1_ldq: Vec<LoadQueue<PeWaiter>>,
     l2_cam: Vec<Cam<()>>,
     l2_ldq: Vec<LoadQueue<Requester>>,
+    // The waiters an L1 or L2 fill wakes, reused from fill to fill.
+    l1_woken: Vec<PeWaiter>,
+    l2_woken: Vec<Requester>,
     tsv: Vec<Link>,
     nocs: Vec<MeshNoc>,
     serdes: Option<MeshNoc>,
@@ -585,6 +588,8 @@ impl<'a> Sim<'a> {
                 .collect(),
             l2_cam: (0..vaults).map(|_| Cam::new(cfg.l2_cam)).collect(),
             l2_ldq: (0..vaults).map(|_| LoadQueue::new(cfg.l2_ldq_entries)).collect(),
+            l1_woken: Vec::new(),
+            l2_woken: Vec::new(),
             tsv: (0..vaults)
                 .map(|_| Link::new_bus(cfg.tsv_latency, cfg.tsv_bytes_per_cycle))
                 .collect(),
@@ -1186,9 +1191,12 @@ impl<'a> Sim<'a> {
     fn vault_x_resp(&mut self, vault: u32, block: u64, t: Cycle) {
         let v = vault as usize;
         self.l2_cam[v].insert(block, ());
-        for waiter in self.l2_ldq[v].complete(block) {
+        let mut woken = std::mem::take(&mut self.l2_woken);
+        self.l2_ldq[v].complete(block, &mut woken);
+        for waiter in woken.drain(..) {
             self.respond(v, block, waiter, t);
         }
+        self.l2_woken = woken;
     }
 
     /// X request at the owning vector bank: L1 CAM, then the bank (one
@@ -1215,13 +1223,16 @@ impl<'a> Sim<'a> {
         let g = bg as usize;
         self.prod_l1[g].insert(block, ());
         let k = self.k();
-        for PeWaiter { pe, entry } in self.l1_ldq[g].complete(block) {
+        let mut woken = std::mem::take(&mut self.l1_woken);
+        self.l1_ldq[g].complete(block, &mut woken);
+        for PeWaiter { pe, entry } in woken.drain(..) {
             self.rf.writes += k;
             let state = &mut self.pes[pe as usize];
             state.pending -= 1;
             state.ready.push_back(entry);
             self.wake(pe, t);
         }
+        self.l1_woken = woken;
     }
 
     /// Type III at the home vault: forward down the TSV to the vector bank.

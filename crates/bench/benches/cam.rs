@@ -51,11 +51,13 @@ fn bench_cam(c: &mut Criterion) {
         b.iter_batched(
             || LoadQueue::<u32>::new(512),
             |mut ldq| {
+                let mut woken = Vec::new();
                 for i in 0..N {
                     let key = i % 400;
-                    ldq.push_forced(key, i as u32);
+                    ldq.push_forced_at(key, i as u32, i);
                     if i % 3 == 0 {
-                        ldq.complete(key);
+                        woken.clear();
+                        ldq.complete(key, &mut woken);
                     }
                 }
                 ldq

@@ -13,24 +13,31 @@
 //! covering the near future `[now, now + WHEEL_BUCKETS)`, an occupancy
 //! bitmap (one bit per bucket, scanned a 64-bucket word at a time), and a
 //! sorted overflow tree for events beyond the horizon (watchdog-scale
-//! timers, far-future retries, deeply backlogged banks). Scheduling and
-//! popping inside the horizon are O(1) amortized — a push to a bucket deque
-//! and a bitmap probe — versus the O(log n) sift of the previous
-//! `BinaryHeap` engine (kept as [`reference::HeapQueue`], the oracle the
-//! equivalence proptests and `engine_bench` compare against).
+//! timers, far-future retries, deeply backlogged banks). Every wheel event
+//! sits in one slot of a single slab, and each bucket is a FIFO list
+//! threaded through that slab (a head and a tail slot index); freed slots
+//! go on a free list and are reused before the slab grows. The wheel's
+//! memory is therefore its peak pending count, not one buffer per bucket
+//! touched. Scheduling and popping inside the horizon are O(1) — a list
+//! append or unlink and a bitmap probe — versus the O(log n) sift of the
+//! previous `BinaryHeap` engine (kept as [`reference::HeapQueue`], the
+//! oracle the equivalence proptests and `engine_bench` compare against).
 //!
 //! # Tie-break contract
 //!
 //! Within one cycle, events are delivered in scheduling order — exactly
-//! the order `schedule` was called. Each cycle's events sit in one deque
-//! (a wheel bucket or an overflow entry) that only ever appends, and
-//! overflow events migrate into the wheel before any later wheel insert at
-//! their cycle, so deque order *is* scheduling order and no per-event
-//! sequence number is needed. An event scheduled *while* draining cycle
+//! the order `schedule` was called. Each cycle's events sit in one FIFO
+//! (a wheel bucket's slot list or an overflow entry's deque) that only
+//! ever appends at its tail, and overflow events migrate into their
+//! (empty) bucket before any later wheel insert at their cycle, so list
+//! order *is* scheduling order and no per-event sequence number is needed.
+//! Which slab slot an event occupies never matters: only the list links
+//! order delivery. An event scheduled *while* draining cycle
 //! `t` for cycle `t` lands after everything already pending at `t`. This
 //! makes [`EventQueue::drain_cycle`] observationally identical to a `pop`
 //! loop: the batch boundary is invisible to the model.
 
+use crate::slab::{List, Slab};
 use crate::Cycle;
 use std::collections::{BTreeMap, VecDeque};
 
@@ -125,10 +132,12 @@ pub trait DesQueue<E> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
-    /// One deque per wheel bucket; bucket `c % WHEEL_BUCKETS` holds only
-    /// events at cycle `c` (the horizon is shorter than the wheel, so two
-    /// distinct pending cycles never share a bucket).
-    wheel: Vec<VecDeque<E>>,
+    /// One slot list per wheel bucket; bucket `c % WHEEL_BUCKETS` holds
+    /// only events at cycle `c` (the horizon is shorter than the wheel, so
+    /// two distinct pending cycles never share a bucket).
+    buckets: Vec<List>,
+    /// The slab every wheel event lives in.
+    slab: Slab<E>,
     /// One occupancy bit per bucket, scanned 64 buckets per probe.
     occupied: [u64; WHEEL_WORDS],
     /// Events currently in the wheel.
@@ -153,7 +162,8 @@ impl<E> EventQueue<E> {
     /// Creates an empty queue at cycle 0.
     pub fn new() -> Self {
         EventQueue {
-            wheel: (0..WHEEL_BUCKETS).map(|_| VecDeque::new()).collect(),
+            buckets: vec![List::EMPTY; WHEEL_BUCKETS],
+            slab: Slab::new(),
             occupied: [0; WHEEL_WORDS],
             wheel_len: 0,
             overflow: BTreeMap::new(),
@@ -215,7 +225,7 @@ impl<E> EventQueue<E> {
         self.scheduled += 1;
         if at - self.now < WHEEL_BUCKETS as Cycle {
             let bucket = Self::bucket_of(at);
-            self.wheel[bucket].push_back(event);
+            self.slab.push_back(&mut self.buckets[bucket], event);
             self.set_bit(bucket);
             self.wheel_len += 1;
         } else {
@@ -260,16 +270,21 @@ impl<E> EventQueue<E> {
             if at >= horizon {
                 break;
             }
-            let Some(mut events) = self.overflow.remove(&at) else { break };
+            let Some(events) = self.overflow.remove(&at) else { break };
             self.overflow_len -= events.len();
             self.wheel_len += events.len();
             let bucket = Self::bucket_of(at);
+            // Wheel events lie in `[to, old horizon)` and migrating cycles
+            // in `[old horizon, horizon)`: one window of WHEEL_BUCKETS
+            // cycles, so no two of them share a bucket.
             debug_assert!(
-                self.wheel[bucket].is_empty() || self.wheel[bucket].front().is_some(),
-                "bucket holds one cycle at a time"
+                self.buckets[bucket].is_empty(),
+                "an overflow cycle migrates into an empty bucket"
             );
             self.set_bit(bucket);
-            self.wheel[bucket].append(&mut events);
+            for event in events {
+                self.slab.push_back(&mut self.buckets[bucket], event);
+            }
         }
     }
 
@@ -291,8 +306,8 @@ impl<E> EventQueue<E> {
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
         let at = self.seek_next()?;
         let bucket = Self::bucket_of(at);
-        let event = self.wheel[bucket].pop_front()?;
-        if self.wheel[bucket].is_empty() {
+        let event = self.slab.pop_front(&mut self.buckets[bucket])?;
+        if self.buckets[bucket].is_empty() {
             self.clear_bit(bucket);
         }
         self.wheel_len -= 1;
@@ -312,10 +327,12 @@ impl<E> EventQueue<E> {
     pub fn drain_cycle(&mut self, sink: &mut Vec<E>) -> Option<Cycle> {
         let at = self.seek_next()?;
         let bucket = Self::bucket_of(at);
-        let batch = &mut self.wheel[bucket];
-        let n = batch.len();
-        sink.reserve(n);
-        sink.extend(batch.drain(..));
+        let start = sink.len();
+        let list = &mut self.buckets[bucket];
+        while let Some(event) = self.slab.pop_front(list) {
+            sink.push(event);
+        }
+        let n = sink.len() - start;
         self.clear_bit(bucket);
         self.wheel_len -= n;
         self.processed += n as u64;

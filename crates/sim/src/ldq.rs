@@ -7,12 +7,21 @@
 //! as waiters and woken when the response arrives.
 //!
 //! The queues are fully associative with a fixed capacity (512 entries for
-//! L1, 8192 for L2 in the default configuration). A full queue back-pressures
-//! the requestor, which retries on its next scan — the same behaviour as the
-//! paper's cyclic PE queue revisit.
+//! L1, 8192 for L2 in the default configuration). The requestor never
+//! waits for room: the non-blocking PE control unit has already moved on
+//! when it misses, so a key that arrives at a full queue is still admitted
+//! and the overflow is counted in
+//! [`rejected_full`](crate::stats::LdqCounters::rejected_full).
+//!
+//! An ordered map from key to entry slot is the associative search (D1
+//! keeps hash maps out of the model). Entries and their waiters live in
+//! two slabs, each entry's waiters as a FIFO list, so admitting a key or
+//! parking a waiter reuses a freed slot instead of allocating, and
+//! [`LoadQueue::complete`] hands the waiters to a buffer the caller keeps.
 
+use crate::slab::{List, Slab};
 use crate::stats::LdqCounters;
-use std::collections::BTreeMap;
+use std::collections::{btree_map, BTreeMap};
 
 /// Outcome of pushing a request into a load queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,8 +30,6 @@ pub enum LdqPush {
     NewRequest,
     /// The key is already in flight: the waiter was parked, no new request.
     Deduplicated,
-    /// The queue is full; the requestor must retry later.
-    Full,
 }
 
 /// A fully-associative load queue tracking in-flight keys and their waiters.
@@ -36,23 +43,30 @@ pub enum LdqPush {
 /// use spacea_sim::ldq::{LdqPush, LoadQueue};
 ///
 /// let mut ldq: LoadQueue<&str> = LoadQueue::new(2);
-/// assert_eq!(ldq.push(10, "pe0"), LdqPush::NewRequest);
-/// assert_eq!(ldq.push(10, "pe1"), LdqPush::Deduplicated);
-/// assert_eq!(ldq.complete(10), vec!["pe0", "pe1"]);
+/// assert_eq!(ldq.push_forced_at(10, "pe0", 0), LdqPush::NewRequest);
+/// assert_eq!(ldq.push_forced_at(10, "pe1", 3), LdqPush::Deduplicated);
+/// let mut woken = Vec::new();
+/// ldq.complete(10, &mut woken);
+/// assert_eq!(woken, ["pe0", "pe1"]);
 /// ```
 #[derive(Debug, Clone)]
 pub struct LoadQueue<W> {
     capacity: usize,
-    pending: BTreeMap<u64, Entry<W>>,
+    /// Each in-flight key's slot in `entries`.
+    index: BTreeMap<u64, usize>,
+    entries: Slab<Entry>,
+    /// Every parked waiter, in its entry's list.
+    waiters: Slab<W>,
     counters: LdqCounters,
 }
 
-/// One in-flight key: its waiters plus the simulated cycle it was admitted
-/// at (the latency-probe timestamp behind the `queue-age` gauge).
-#[derive(Debug, Clone)]
-struct Entry<W> {
+/// One in-flight key: the simulated cycle it was admitted at (the
+/// latency-probe timestamp behind the `queue-age` gauge) and its waiters
+/// in arrival order.
+#[derive(Debug, Clone, Copy)]
+struct Entry {
     since: u64,
-    waiters: Vec<W>,
+    waiters: List,
 }
 
 impl<W> LoadQueue<W> {
@@ -63,7 +77,13 @@ impl<W> LoadQueue<W> {
     /// Panics if `capacity` is zero.
     pub fn new(capacity: usize) -> Self {
         assert!(capacity > 0, "load queue capacity must be positive");
-        LoadQueue { capacity, pending: BTreeMap::new(), counters: LdqCounters::default() }
+        LoadQueue {
+            capacity,
+            index: BTreeMap::new(),
+            entries: Slab::new(),
+            waiters: Slab::new(),
+            counters: LdqCounters::default(),
+        }
     }
 
     /// Maximum number of distinct in-flight keys.
@@ -73,17 +93,17 @@ impl<W> LoadQueue<W> {
 
     /// Number of keys currently in flight.
     pub fn len(&self) -> usize {
-        self.pending.len()
+        self.index.len()
     }
 
     /// Returns `true` if no keys are in flight.
     pub fn is_empty(&self) -> bool {
-        self.pending.is_empty()
+        self.index.is_empty()
     }
 
     /// Returns `true` if `key` is currently in flight.
     pub fn contains(&self, key: u64) -> bool {
-        self.pending.contains_key(&key)
+        self.index.contains_key(&key)
     }
 
     /// Activity counters accumulated so far.
@@ -91,74 +111,51 @@ impl<W> LoadQueue<W> {
         &self.counters
     }
 
-    /// Registers `waiter` for `key`.
+    /// Registers `waiter` for `key` at simulated cycle `now`, admitting the
+    /// key even when the queue is at capacity.
     ///
     /// Returns [`LdqPush::NewRequest`] if this is the first request for the
-    /// key (the caller must send it downstream), [`LdqPush::Deduplicated`] if
-    /// the key was already pending, or [`LdqPush::Full`] if the queue cannot
-    /// accept a new key (the waiter is *not* registered in that case).
-    pub fn push(&mut self, key: u64, waiter: W) -> LdqPush {
-        self.push_at(key, waiter, 0)
-    }
-
-    /// [`push`](LoadQueue::push) with an admission timestamp: `now` is the
-    /// simulated cycle, recorded for new keys so
-    /// [`oldest_age`](LoadQueue::oldest_age) can report how long the
-    /// longest-waiting request has been in flight.
-    pub fn push_at(&mut self, key: u64, waiter: W, now: u64) -> LdqPush {
-        if let Some(entry) = self.pending.get_mut(&key) {
-            entry.waiters.push(waiter);
-            self.counters.deduplicated += 1;
-            return LdqPush::Deduplicated;
-        }
-        if self.pending.len() >= self.capacity {
-            self.counters.rejected_full += 1;
-            return LdqPush::Full;
-        }
-        self.pending.insert(key, Entry { since: now, waiters: vec![waiter] });
-        self.counters.new_requests += 1;
-        LdqPush::NewRequest
-    }
-
-    /// Registers `waiter` for `key`, admitting the key even when the queue
-    /// is over capacity.
-    ///
-    /// Structural overflow is counted in
-    /// [`rejected_full`](crate::stats::LdqCounters::rejected_full) but the
-    /// waiter is always parked; never returns [`LdqPush::Full`]. Used where
-    /// dropping the request would require a retry loop the caller cannot
-    /// express (the requestor has already moved on, as the non-blocking PE
-    /// control unit does).
-    pub fn push_forced(&mut self, key: u64, waiter: W) -> LdqPush {
-        self.push_forced_at(key, waiter, 0)
-    }
-
-    /// [`push_forced`](LoadQueue::push_forced) with an admission timestamp
-    /// (see [`push_at`](LoadQueue::push_at)).
+    /// key (the caller must send it downstream; `now` is recorded so
+    /// [`oldest_age`](LoadQueue::oldest_age) can report how long the key
+    /// waits) or [`LdqPush::Deduplicated`] if the key was already pending.
+    /// A new key admitted while `capacity` keys are in flight counts in
+    /// [`rejected_full`](crate::stats::LdqCounters::rejected_full): the
+    /// structural overflow a blocking requestor would have retried.
     pub fn push_forced_at(&mut self, key: u64, waiter: W, now: u64) -> LdqPush {
-        if let Some(entry) = self.pending.get_mut(&key) {
-            entry.waiters.push(waiter);
-            self.counters.deduplicated += 1;
-            return LdqPush::Deduplicated;
+        let in_flight = self.index.len();
+        match self.index.entry(key) {
+            btree_map::Entry::Occupied(slot) => {
+                let entry = self.entries.get_mut(*slot.get());
+                debug_assert!(entry.is_some(), "an in-flight key names a live entry");
+                if let Some(entry) = entry {
+                    self.waiters.push_back(&mut entry.waiters, waiter);
+                }
+                self.counters.deduplicated += 1;
+                LdqPush::Deduplicated
+            }
+            btree_map::Entry::Vacant(slot) => {
+                if in_flight >= self.capacity {
+                    self.counters.rejected_full += 1;
+                }
+                let mut waiters = List::EMPTY;
+                self.waiters.push_back(&mut waiters, waiter);
+                slot.insert(self.entries.insert(Entry { since: now, waiters }));
+                self.counters.new_requests += 1;
+                LdqPush::NewRequest
+            }
         }
-        if self.pending.len() >= self.capacity {
-            self.counters.rejected_full += 1;
-        }
-        self.pending.insert(key, Entry { since: now, waiters: vec![waiter] });
-        self.counters.new_requests += 1;
-        LdqPush::NewRequest
     }
 
-    /// Completes `key`, removing it and returning its waiters in arrival
-    /// order. Returns an empty vector if the key was not pending.
-    pub fn complete(&mut self, key: u64) -> Vec<W> {
-        match self.pending.remove(&key) {
-            Some(entry) => {
-                self.counters.completed += 1;
-                entry.waiters
-            }
-            None => Vec::new(),
+    /// Completes `key`, removing it and appending its waiters to `woken` in
+    /// arrival order. Appends nothing if the key was not pending.
+    pub fn complete(&mut self, key: u64, woken: &mut Vec<W>) {
+        let Some(mut entry) = self.index.remove(&key).and_then(|ix| self.entries.remove(ix)) else {
+            return;
+        };
+        while let Some(waiter) = self.waiters.pop_front(&mut entry.waiters) {
+            woken.push(waiter);
         }
+        self.counters.completed += 1;
     }
 
     /// Age in cycles of the longest-waiting in-flight key at cycle `now`,
@@ -166,7 +163,12 @@ impl<W> LoadQueue<W> {
     /// occupancy is the signature of a stuck (not merely deep) queue —
     /// the stall-diagnosis signal occupancy gauges cannot provide.
     pub fn oldest_age(&self, now: u64) -> u64 {
-        self.pending.values().map(|e| now.saturating_sub(e.since)).max().unwrap_or(0)
+        self.index
+            .values()
+            .filter_map(|&ix| self.entries.get(ix))
+            .map(|e| now.saturating_sub(e.since))
+            .max()
+            .unwrap_or(0)
     }
 }
 
@@ -177,7 +179,7 @@ mod tests {
     #[test]
     fn first_push_is_new_request() {
         let mut q: LoadQueue<u32> = LoadQueue::new(4);
-        assert_eq!(q.push(1, 100), LdqPush::NewRequest);
+        assert_eq!(q.push_forced_at(1, 100, 0), LdqPush::NewRequest);
         assert!(q.contains(1));
         assert_eq!(q.len(), 1);
     }
@@ -185,41 +187,25 @@ mod tests {
     #[test]
     fn duplicate_pushes_dedupe() {
         let mut q: LoadQueue<u32> = LoadQueue::new(4);
-        q.push(1, 100);
-        assert_eq!(q.push(1, 101), LdqPush::Deduplicated);
-        assert_eq!(q.push(1, 102), LdqPush::Deduplicated);
+        q.push_forced_at(1, 100, 0);
+        assert_eq!(q.push_forced_at(1, 101, 0), LdqPush::Deduplicated);
+        assert_eq!(q.push_forced_at(1, 102, 0), LdqPush::Deduplicated);
         assert_eq!(q.len(), 1, "dedup must not consume capacity");
         assert_eq!(q.counters().deduplicated, 2);
     }
 
     #[test]
-    fn complete_returns_waiters_in_order() {
+    fn complete_appends_waiters_in_order() {
         let mut q: LoadQueue<&str> = LoadQueue::new(4);
-        q.push(9, "a");
-        q.push(9, "b");
-        assert_eq!(q.complete(9), vec!["a", "b"]);
+        q.push_forced_at(9, "a", 0);
+        q.push_forced_at(9, "b", 0);
+        let mut woken = vec!["kept"];
+        q.complete(9, &mut woken);
+        assert_eq!(woken, ["kept", "a", "b"]);
         assert!(!q.contains(9));
-        assert_eq!(q.complete(9), Vec::<&str>::new());
-    }
-
-    #[test]
-    fn full_queue_rejects_new_keys_only() {
-        let mut q: LoadQueue<u32> = LoadQueue::new(2);
-        q.push(1, 0);
-        q.push(2, 0);
-        assert_eq!(q.push(3, 0), LdqPush::Full);
-        // Existing keys still accept waiters when full.
-        assert_eq!(q.push(1, 1), LdqPush::Deduplicated);
-        assert_eq!(q.counters().rejected_full, 1);
-    }
-
-    #[test]
-    fn completion_frees_capacity() {
-        let mut q: LoadQueue<u32> = LoadQueue::new(1);
-        q.push(1, 0);
-        assert_eq!(q.push(2, 0), LdqPush::Full);
-        q.complete(1);
-        assert_eq!(q.push(2, 0), LdqPush::NewRequest);
+        q.complete(9, &mut woken);
+        assert_eq!(woken.len(), 3, "completing an idle key appends nothing");
+        assert_eq!(q.counters().completed, 1);
     }
 
     #[test]
@@ -231,30 +217,32 @@ mod tests {
     #[test]
     fn oldest_age_tracks_the_longest_waiting_key() {
         let mut q: LoadQueue<u32> = LoadQueue::new(4);
+        let mut woken = Vec::new();
         assert_eq!(q.oldest_age(100), 0, "empty queue has no age");
-        q.push_at(1, 0, 10);
-        q.push_at(2, 0, 30);
+        q.push_forced_at(1, 0, 10);
+        q.push_forced_at(2, 0, 30);
         assert_eq!(q.oldest_age(50), 40);
         // Deduplicated waiters do not reset the admission stamp.
-        q.push_at(1, 1, 45);
+        q.push_forced_at(1, 1, 45);
         assert_eq!(q.oldest_age(50), 40);
         // Completing the oldest key leaves the younger one's age.
-        q.complete(1);
+        q.complete(1, &mut woken);
         assert_eq!(q.oldest_age(50), 20);
-        // Forced pushes stamp too.
         q.push_forced_at(3, 0, 48);
         assert_eq!(q.oldest_age(50), 20);
-        q.complete(2);
+        q.complete(2, &mut woken);
         assert_eq!(q.oldest_age(50), 2);
     }
 
     #[test]
     fn push_forced_overflows_but_registers() {
         let mut q: LoadQueue<u32> = LoadQueue::new(1);
-        assert_eq!(q.push_forced(1, 0), LdqPush::NewRequest);
-        assert_eq!(q.push_forced(2, 0), LdqPush::NewRequest);
+        assert_eq!(q.push_forced_at(1, 0, 0), LdqPush::NewRequest);
+        assert_eq!(q.push_forced_at(2, 0, 0), LdqPush::NewRequest);
         assert_eq!(q.len(), 2, "forced push admits over capacity");
         assert_eq!(q.counters().rejected_full, 1);
-        assert_eq!(q.complete(2), vec![0]);
+        let mut woken = Vec::new();
+        q.complete(2, &mut woken);
+        assert_eq!(woken, [0]);
     }
 }

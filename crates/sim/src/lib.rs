@@ -46,6 +46,7 @@ pub mod fault;
 pub mod ldq;
 pub mod link;
 pub mod noc;
+mod slab;
 pub mod stats;
 pub mod trace;
 pub mod workload;

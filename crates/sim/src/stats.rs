@@ -58,7 +58,8 @@ pub struct LdqCounters {
     pub deduplicated: u64,
     /// Keys completed by a response.
     pub completed: u64,
-    /// Pushes rejected because the queue was full.
+    /// New keys admitted while the queue was already at capacity: the
+    /// pushes a blocking requestor would have had to retry.
     pub rejected_full: u64,
 }
 

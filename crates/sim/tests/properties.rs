@@ -9,6 +9,8 @@ use spacea_sim::engine::EventQueue;
 use spacea_sim::ldq::{LdqPush, LoadQueue};
 use spacea_sim::link::Link;
 use spacea_sim::noc::MeshNoc;
+use spacea_sim::stats::LdqCounters;
+use std::collections::BTreeMap;
 
 /// Reference LRU model for one CAM set: a vector ordered most-recent-first.
 #[derive(Default)]
@@ -101,22 +103,57 @@ proptest! {
     }
 
     #[test]
-    fn ldq_waiters_conserved(ops in proptest::collection::vec((0u64..16, any::<bool>()), 1..200)) {
-        let mut ldq: LoadQueue<u32> = LoadQueue::new(8);
-        let mut pushed = 0u64;
-        let mut returned = 0u64;
-        for (i, (key, complete)) in ops.into_iter().enumerate() {
+    fn ldq_matches_reference_model(ops in proptest::collection::vec((0u64..12, any::<bool>(), 0u64..5), 1..300)) {
+        // The reference keeps each in-flight key's admission cycle and its
+        // waiters in arrival order. Twelve keys against a capacity of four
+        // keep the queue over capacity often, so `rejected_full` counts.
+        const CAPACITY: usize = 4;
+        let mut ldq: LoadQueue<u32> = LoadQueue::new(CAPACITY);
+        let mut reference: BTreeMap<u64, (u64, Vec<u32>)> = BTreeMap::new();
+        let mut counters = LdqCounters::default();
+        let mut now = 0u64;
+        for (i, (key, complete, dt)) in ops.into_iter().enumerate() {
+            now += dt;
             if complete {
-                returned += ldq.complete(key).len() as u64;
-            } else if ldq.push(key, i as u32) != LdqPush::Full {
-                pushed += 1;
+                // `complete` appends: the sentinel already in the buffer stays first.
+                let mut expected = vec![u32::MAX];
+                if let Some((_, waiters)) = reference.remove(&key) {
+                    expected.extend(waiters);
+                    counters.completed += 1;
+                }
+                let mut woken = vec![u32::MAX];
+                ldq.complete(key, &mut woken);
+                prop_assert_eq!(woken, expected, "complete {}", key);
+            } else {
+                let waiter = i as u32;
+                let push = ldq.push_forced_at(key, waiter, now);
+                if let Some((_, waiters)) = reference.get_mut(&key) {
+                    waiters.push(waiter);
+                    counters.deduplicated += 1;
+                    prop_assert_eq!(push, LdqPush::Deduplicated, "push {}", key);
+                } else {
+                    counters.rejected_full += u64::from(reference.len() >= CAPACITY);
+                    counters.new_requests += 1;
+                    reference.insert(key, (now, vec![waiter]));
+                    prop_assert_eq!(push, LdqPush::NewRequest, "push {}", key);
+                }
             }
+            prop_assert_eq!(ldq.len(), reference.len());
+            prop_assert_eq!(ldq.is_empty(), reference.is_empty());
+            for k in 0..12 {
+                prop_assert_eq!(ldq.contains(k), reference.contains_key(&k), "contains {}", k);
+            }
+            let oldest = reference.values().map(|&(since, _)| now - since).max().unwrap_or(0);
+            prop_assert_eq!(ldq.oldest_age(now), oldest);
+            prop_assert_eq!(ldq.counters(), &counters);
         }
-        // Drain everything still pending.
-        for key in 0..16 {
-            returned += ldq.complete(key).len() as u64;
+        // Draining every key returns each remaining key's waiters once.
+        for (key, (_, waiters)) in std::mem::take(&mut reference) {
+            let mut woken = Vec::new();
+            ldq.complete(key, &mut woken);
+            prop_assert_eq!(woken, waiters, "drain {}", key);
         }
-        prop_assert_eq!(pushed, returned, "no waiter may be lost or duplicated");
+        prop_assert!(ldq.is_empty());
     }
 
     #[test]
