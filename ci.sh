@@ -1,5 +1,6 @@
 #!/bin/sh
-# Local mirror of .github/workflows/ci.yml — run before pushing.
+# The CI: .github/workflows/ci.yml only sets up the toolchain and runs this
+# script, so every check is defined here, once. Run it before pushing.
 set -eu
 
 cargo build --release
@@ -55,7 +56,32 @@ if cargo run --release -p spacea-lint -- \
   echo "ci.sh: --compare-baselines accepted a grown baseline" >&2
   exit 1
 fi
-cargo run --release -p spacea-bench --bin all_experiments -- --quick --jobs 4 > /dev/null
+
+# Warm pass: all_experiments cold into a fresh cache, then again over it.
+# The two stdouts must be byte-identical, and the warm run must answer
+# every job from disk: no cache miss, no simulation run or reused.
+WARM_CACHE=target/spacea-cache-warm
+rm -rf "$WARM_CACHE"
+cargo run --release -p spacea-bench --bin all_experiments -- --quick --jobs 4 \
+  --cache-dir "$WARM_CACHE" > target/experiments-cold.txt
+cargo run --release -p spacea-bench --bin all_experiments -- --quick --jobs 4 \
+  --cache-dir "$WARM_CACHE" > target/experiments-warm.txt
+cmp target/experiments-cold.txt target/experiments-warm.txt
+grep -q '"misses":0,' "$WARM_CACHE/last-run.json"
+grep -q '"simulations":{"run":0,"reused":0}' "$WARM_CACHE/last-run.json"
+
+# The study and tool binaries nothing else runs: each must exit 0 and
+# print something at --quick.
+SMOKE_CACHE=target/spacea-cache-smoke
+rm -rf "$SMOKE_CACHE"
+for bin in ablations bandwidth_table hbm_comparison ordering_study utilization trace_dump; do
+  cargo run --release -p spacea-bench --bin "$bin" -- --quick \
+    --cache-dir "$SMOKE_CACHE" > "target/smoke-$bin.txt"
+  test -s "target/smoke-$bin.txt"
+done
+cargo run --release -p spacea-bench --bin run_mtx -- crates/matrix/tests/fixtures/bar5.mtx \
+  --quick --cache-dir "$SMOKE_CACHE" > target/smoke-run_mtx.txt
+test -s target/smoke-run_mtx.txt
 
 # Experiment entrypoint: `experiment ID` for every registry id, each output
 # followed by one blank line, must concatenate to exactly what
@@ -113,7 +139,11 @@ head -n 1 target/scn-s0.csv > target/scn-merged.csv
 tail -n +2 -q target/scn-s0.csv target/scn-s1.csv >> target/scn-merged.csv
 cmp target/scn-merged.csv target/scn-full.csv
 test "$(wc -l < target/scn-full.csv)" -eq 14  # header + 1 sim point + 12 cells
-! grep -qE "failed|timed-out" target/scn-full.csv
+# `! grep` would not stop a `set -e` script, hence the explicit exits.
+if grep -qE "failed|timed-out" target/scn-full.csv; then
+  echo "ci.sh: a scenario cell failed" >&2
+  exit 1
+fi
 
 # Simulation memo: the full backend x format x partitioning grid over two
 # matrices renders byte-identically on 1 and 4 workers with no failed cell,
@@ -128,7 +158,10 @@ for j in 1 4; do
   grep -q '"simulations":{"run":4,"reused":14}' "$MEMO_CACHE/last-run.json"
 done
 cmp target/sweep-memo-1.csv target/sweep-memo-4.csv
-! grep -qE "failed|timed-out" target/sweep-memo-1.csv
+if grep -qE "failed|timed-out" target/sweep-memo-1.csv; then
+  echo "ci.sh: a memo sweep cell failed" >&2
+  exit 1
+fi
 
 # Fault-injection smoke test: a sweep with a deliberately stalled vault and a
 # panicking job must still exit 0, render every row, and record the failures

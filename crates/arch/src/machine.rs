@@ -1013,9 +1013,8 @@ impl<'a> Sim<'a> {
         let spec = state.dram_rows[row_id as usize];
         let (matrix_row, n) = (spec.matrix_row, spec.len);
         state.queue.push_back(crate::pe::LoadedRow { id: row_id, remaining: n });
-        for i in spec.range() {
-            let (col, val) = (a.col_idx()[i], a.vals()[i]);
-            state.fresh.push_back(PeEntry { row_id, matrix_row, col, val });
+        for &col in &a.col_idx()[spec.range()] {
+            state.fresh.push_back(PeEntry { row_id, matrix_row, col });
         }
         state.load_in_flight = false;
         self.queue_sram.writes += n as u64;

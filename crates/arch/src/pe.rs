@@ -56,8 +56,9 @@ pub fn pack_rows(
     out
 }
 
-/// An entry travelling through the PE pipeline.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// An entry travelling through the PE pipeline. It carries no value: a
+/// finished row is reduced from the CSR matrix in canonical order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PeEntry {
     /// Id of the loaded DRAM row this entry came from.
     pub row_id: u32,
@@ -65,8 +66,6 @@ pub struct PeEntry {
     pub matrix_row: u32,
     /// Column index (selects `X_col`).
     pub col: u32,
-    /// The non-zero value `A_ij`.
-    pub val: f64,
 }
 
 /// A DRAM row resident in the PE queue.

@@ -89,7 +89,7 @@ fn main() {
         for (k, &id) in ids.iter().enumerate() {
             let a = cache.matrix(id);
             let mapping = ChunkedMapping.map(&a, &base_hw.shape);
-            let x = cache.cfg.input_vector(a.cols());
+            let x = spacea_harness::input_vector(a.cols());
             let r = spacea_arch::Machine::new(base_hw.clone())
                 .run(spacea_arch::RunSpec::spmv(&a, &x, &mapping))
                 .map(|out| out.into_report())

@@ -20,10 +20,14 @@
 //! * `engine_bench --check BENCH_engine.json` — fail on any drift from the
 //!   snapshot (regressions and improvements alike, with a "refresh with
 //!   --write" hint), so the snapshot always matches HEAD (CI runs this).
+//!
+//! Entries pair up by `workload`; the flags, file format and exact-match
+//! rule are [`spacea_bench::snapshot`]'s, shared with `serve_bench`.
 
 use spacea_arch::{HwConfig, Machine, RunSpec};
+use spacea_bench::snapshot::Ratchet;
 use spacea_mapping::{LocalityMapping, MappingStrategy};
-use spacea_obs::json::{parse, Json};
+use spacea_obs::json::Json;
 use spacea_sim::engine::reference::HeapQueue;
 use spacea_sim::engine::EventQueue;
 use spacea_sim::workload::{run_workload, standard_workloads, Workload};
@@ -40,46 +44,18 @@ const SUITE: (u8, usize) = (1, 256);
 /// filters scheduler noise out of the speedup ratio.
 const REPS: usize = 3;
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Entry {
-    workload: String,
-    events: u64,
-    checksum: u64,
+fn main() {
+    Ratchet { bin: "engine_bench", file: "BENCH_engine.json", identity: &["workload"] }
+        .run(measure);
 }
 
-fn main() {
-    let mut write = false;
-    let mut check: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--write" => write = true,
-            "--check" => {
-                check = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("engine_bench: --check needs a snapshot file");
-                    std::process::exit(2);
-                }))
-            }
-            other => {
-                eprintln!("engine_bench: unknown flag '{other}' (flags: --write | --check FILE)");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    let entries = measure();
-    if let Some(path) = check {
-        check_snapshot(&entries, &path);
-        println!("engine_bench: snapshot {path} matches");
-        return;
-    }
-    if write {
-        std::fs::write("BENCH_engine.json", snapshot_json(&entries)).unwrap_or_else(|e| {
-            eprintln!("engine_bench: cannot write BENCH_engine.json: {e}");
-            std::process::exit(1);
-        });
-        println!("engine_bench: BENCH_engine.json refreshed");
-    }
+/// One snapshot entry: a workload's event count and replay checksum.
+fn entry(workload: String, events: u64, checksum: u64) -> Json {
+    Json::obj(vec![
+        ("workload", Json::Str(workload)),
+        ("events", Json::U64(events)),
+        ("checksum", Json::U64(checksum)),
+    ])
 }
 
 /// Fastest-of-[`REPS`] wall time for one workload on one engine,
@@ -109,7 +85,7 @@ where
 
 /// Runs the synthetic grid on both engines plus the suite-matrix machine
 /// run; prints the table and asserts the speedup bar.
-fn measure() -> Vec<Entry> {
+fn measure() -> Vec<Json> {
     println!(
         "{:<12} {:>10} {:>18} {:>14} {:>14} {:>8}",
         "workload", "events", "checksum", "cal Mev/s", "heap Mev/s", "speedup"
@@ -137,7 +113,7 @@ fn measure() -> Vec<Entry> {
         cal_events += events;
         cal_secs += cal;
         heap_secs += heap;
-        entries.push(Entry { workload: w.name.to_string(), events, checksum });
+        entries.push(entry(w.name.to_string(), events, checksum));
     }
     let speedup = heap_secs / cal_secs;
     println!(
@@ -163,7 +139,7 @@ fn measure() -> Vec<Entry> {
 /// The full-machine workload: one suite-matrix SpMV through `Machine::run`.
 /// Cycles and events-processed are deterministic; events/sec is printed for
 /// context only.
-fn suite_entry() -> Entry {
+fn suite_entry() -> Json {
     let (id, scale) = SUITE;
     let source = spacea_harness::MatrixSource::Suite { id, scale };
     if let Err(e) = source.validate() {
@@ -173,7 +149,7 @@ fn suite_entry() -> Entry {
     let a = source.generate();
     let hw = HwConfig::tiny();
     let mapping = LocalityMapping::default().map(&a, &hw.shape);
-    let x: Vec<f64> = (0..a.cols()).map(|i| 1.0 + (i % 7) as f64 * 0.25).collect();
+    let x = spacea_harness::input_vector(a.cols());
     let machine = Machine::new(hw);
     let mut best = f64::INFINITY;
     let mut report = None;
@@ -201,80 +177,5 @@ fn suite_entry() -> Entry {
     );
     // The suite row rides the same exact-match ratchet: `events` is the
     // machine's events-processed count and `checksum` its cycle count.
-    Entry { workload: label, events: report.events_processed, checksum: report.cycles }
-}
-
-fn snapshot_json(entries: &[Entry]) -> String {
-    let arr = entries
-        .iter()
-        .map(|e| {
-            Json::obj(vec![
-                ("workload", Json::Str(e.workload.clone())),
-                ("events", Json::U64(e.events)),
-                ("checksum", Json::U64(e.checksum)),
-            ])
-        })
-        .collect();
-    let mut text =
-        Json::obj(vec![("version", Json::U64(1)), ("entries", Json::Arr(arr))]).to_text();
-    text.push('\n');
-    text
-}
-
-fn load_snapshot(path: &str) -> Vec<Entry> {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("engine_bench: cannot read {path}: {e} (generate it with --write)");
-        std::process::exit(1);
-    });
-    let v = parse(&text).unwrap_or_else(|e| {
-        eprintln!("engine_bench: {path} is not valid JSON: {e}");
-        std::process::exit(1);
-    });
-    let Some(arr) = v.get("entries").and_then(Json::as_arr) else {
-        eprintln!("engine_bench: {path} has no \"entries\" array");
-        std::process::exit(1);
-    };
-    arr.iter()
-        .filter_map(|e| {
-            Some(Entry {
-                workload: e.get("workload")?.as_str()?.to_string(),
-                events: e.get("events")?.as_u64()?,
-                checksum: e.get("checksum")?.as_u64()?,
-            })
-        })
-        .collect()
-}
-
-/// The ratchet: HEAD's deterministic numbers must match the snapshot
-/// exactly; any drift (either direction) fails with a refresh hint so the
-/// committed snapshot always documents the current behaviour.
-fn check_snapshot(entries: &[Entry], path: &str) {
-    let old = load_snapshot(path);
-    let mut failures = 0usize;
-    for e in entries {
-        let Some(prev) = old.iter().find(|o| o.workload == e.workload) else {
-            eprintln!("engine_bench: {path} lacks workload {} — refresh with --write", e.workload);
-            failures += 1;
-            continue;
-        };
-        if (e.events, e.checksum) != (prev.events, prev.checksum) {
-            eprintln!(
-                "engine_bench: DRIFT {}: {} events / {:016x}, snapshot {} / {:016x} — \
-                 refresh with --write if intended",
-                e.workload, e.events, e.checksum, prev.events, prev.checksum
-            );
-            failures += 1;
-        }
-    }
-    if entries.len() != old.len() {
-        eprintln!(
-            "engine_bench: entry count changed ({} vs {}) — refresh with --write",
-            entries.len(),
-            old.len()
-        );
-        failures += 1;
-    }
-    if failures > 0 {
-        std::process::exit(1);
-    }
+    entry(label, report.events_processed, report.cycles)
 }

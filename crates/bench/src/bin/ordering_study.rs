@@ -55,7 +55,7 @@ fn main() {
         for (k, &id) in ids.iter().enumerate() {
             let a0 = cache.matrix(id);
             let a = transform(&a0);
-            let x = cache.cfg.input_vector(a.cols());
+            let x = spacea_harness::input_vector(a.cols());
             let run = |mapping: &spacea_mapping::Mapping| {
                 let r = machine.run(RunSpec::spmv(&a, &x, mapping)).unwrap_or_else(|e| {
                     eprintln!("ordering_study: run failed: {e}");

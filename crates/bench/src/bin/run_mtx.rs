@@ -36,7 +36,7 @@ fn main() {
         hw.shape.product_pes()
     );
 
-    let x = opts.cfg.input_vector(a.cols());
+    let x = spacea_harness::input_vector(a.cols());
     let machine = Machine::new(hw.clone());
     let mut table = Table::new(
         "SpaceA simulation",

@@ -12,58 +12,26 @@
 //! * `serve_bench --check BENCH_serve.json` — fail on any cycle regression
 //!   against the snapshot; improvements also fail, with a "refresh with
 //!   --write" hint, so the snapshot always matches HEAD (CI runs this).
+//!
+//! Entries pair up by `matrix` and `batch`; the flags, file format and
+//! exact-match rule are [`spacea_bench::snapshot`]'s, shared with
+//! `engine_bench`.
 
-use spacea_obs::json::{parse, Json};
+use spacea_bench::snapshot::Ratchet;
+use spacea_obs::json::Json;
 use spacea_serve::{seeded_vector, ServeConfig, ServeEngine};
 use std::time::Instant;
 
 const MATRICES: [(u8, usize); 2] = [(1, 256), (3, 256)];
 const BATCHES: [usize; 3] = [1, 4, 16];
 
-#[derive(Debug, Clone, PartialEq, Eq)]
-struct Entry {
-    matrix: String,
-    batch: usize,
-    cycles: u64,
-}
-
 fn main() {
-    let mut write = false;
-    let mut check: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--write" => write = true,
-            "--check" => {
-                check = Some(args.next().unwrap_or_else(|| {
-                    eprintln!("serve_bench: --check needs a snapshot file");
-                    std::process::exit(2);
-                }))
-            }
-            other => {
-                eprintln!("serve_bench: unknown flag '{other}' (flags: --write | --check FILE)");
-                std::process::exit(2);
-            }
-        }
-    }
-
-    let entries = measure();
-    if let Some(path) = check {
-        check_snapshot(&entries, &path);
-        println!("serve_bench: snapshot {path} matches");
-        return;
-    }
-    if write {
-        std::fs::write("BENCH_serve.json", snapshot_json(&entries)).unwrap_or_else(|e| {
-            eprintln!("serve_bench: cannot write BENCH_serve.json: {e}");
-            std::process::exit(1);
-        });
-        println!("serve_bench: BENCH_serve.json refreshed");
-    }
+    Ratchet { bin: "serve_bench", file: "BENCH_serve.json", identity: &["matrix", "batch"] }
+        .run(measure);
 }
 
 /// Runs the grid and prints the table; asserts batching amortizes.
-fn measure() -> Vec<Entry> {
+fn measure() -> Vec<Json> {
     let cache_dir = std::path::PathBuf::from("target/spacea-serve-bench");
     let _ = std::fs::remove_dir_all(&cache_dir);
     let engine = ServeEngine::new(ServeConfig::quick(&cache_dir));
@@ -99,7 +67,11 @@ fn measure() -> Vec<Entry> {
                 cpr_first = cpr;
             }
             cpr_last = cpr;
-            entries.push(Entry { matrix: label.clone(), batch, cycles });
+            entries.push(Json::obj(vec![
+                ("matrix", Json::Str(label.clone())),
+                ("batch", Json::U64(batch as u64)),
+                ("cycles", Json::U64(cycles)),
+            ]));
         }
         if cpr_last >= cpr_first {
             eprintln!(
@@ -110,87 +82,4 @@ fn measure() -> Vec<Entry> {
         }
     }
     entries
-}
-
-fn snapshot_json(entries: &[Entry]) -> String {
-    let arr = entries
-        .iter()
-        .map(|e| {
-            Json::obj(vec![
-                ("matrix", Json::Str(e.matrix.clone())),
-                ("batch", Json::U64(e.batch as u64)),
-                ("cycles", Json::U64(e.cycles)),
-            ])
-        })
-        .collect();
-    let mut text =
-        Json::obj(vec![("version", Json::U64(1)), ("entries", Json::Arr(arr))]).to_text();
-    text.push('\n');
-    text
-}
-
-fn load_snapshot(path: &str) -> Vec<Entry> {
-    let text = std::fs::read_to_string(path).unwrap_or_else(|e| {
-        eprintln!("serve_bench: cannot read {path}: {e} (generate it with --write)");
-        std::process::exit(1);
-    });
-    let v = parse(&text).unwrap_or_else(|e| {
-        eprintln!("serve_bench: {path} is not valid JSON: {e}");
-        std::process::exit(1);
-    });
-    let Some(arr) = v.get("entries").and_then(Json::as_arr) else {
-        eprintln!("serve_bench: {path} has no \"entries\" array");
-        std::process::exit(1);
-    };
-    arr.iter()
-        .filter_map(|e| {
-            Some(Entry {
-                matrix: e.get("matrix")?.as_str()?.to_string(),
-                batch: e.get("batch")?.as_u64()? as usize,
-                cycles: e.get("cycles")?.as_u64()?,
-            })
-        })
-        .collect()
-}
-
-/// The ratchet: HEAD must match the snapshot exactly. Regressions fail
-/// outright; improvements fail too, with a refresh hint, so the committed
-/// snapshot always documents the current cost.
-fn check_snapshot(entries: &[Entry], path: &str) {
-    let old = load_snapshot(path);
-    let mut failures = 0usize;
-    for e in entries {
-        let Some(prev) = old.iter().find(|o| o.matrix == e.matrix && o.batch == e.batch) else {
-            eprintln!(
-                "serve_bench: {path} lacks {}/batch {} — refresh with --write",
-                e.matrix, e.batch
-            );
-            failures += 1;
-            continue;
-        };
-        if e.cycles > prev.cycles {
-            eprintln!(
-                "serve_bench: REGRESSION {} batch {}: {} cycles, snapshot {}",
-                e.matrix, e.batch, e.cycles, prev.cycles
-            );
-            failures += 1;
-        } else if e.cycles < prev.cycles {
-            eprintln!(
-                "serve_bench: improvement {} batch {}: {} cycles, snapshot {} — refresh with --write",
-                e.matrix, e.batch, e.cycles, prev.cycles
-            );
-            failures += 1;
-        }
-    }
-    if entries.len() != old.len() {
-        eprintln!(
-            "serve_bench: entry count changed ({} vs {}) — refresh with --write",
-            entries.len(),
-            old.len()
-        );
-        failures += 1;
-    }
-    if failures > 0 {
-        std::process::exit(1);
-    }
 }

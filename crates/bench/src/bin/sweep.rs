@@ -39,7 +39,9 @@
 
 use spacea_bench::{HarnessOptions, HarnessSession, SweepCli, SWEEP_USAGE};
 use spacea_core::table::{fmt, pct, Table};
-use spacea_harness::{shard_range, JobRecord, JobResult, PointKind, SweepBase, SweepPoint};
+use spacea_harness::{
+    shard_range, JobRecord, JobResult, JobSpec, MatrixSource, SweepBase, SweepPoint,
+};
 use std::collections::HashMap;
 
 fn main() {
@@ -97,7 +99,7 @@ fn main() {
     }
 
     if !shard_points.is_empty() {
-        let manifest = session.prewarm(shard_points.iter().map(|p| p.job()).collect());
+        let manifest = session.prewarm(shard_points.iter().map(SweepPoint::job).collect());
         let mut table = sweep_table(&session, shard_points, &manifest.records);
         if let Some((_, n)) = cli.shard {
             table.push_note(format!(
@@ -140,15 +142,20 @@ fn sweep_table(session: &HarnessSession, points: &[SweepPoint], records: &[JobRe
         ],
     );
     for p in points {
-        let job = p.job();
+        let key = p.job.key();
         // Points answered purely from an earlier run's cache (e.g. rendered
         // by a shard that did not run them) default to "ok" so shard merges
         // stay byte-stable.
-        let status = by_key.get(&job.key().0).map(|r| r.status.tag()).unwrap_or("ok").to_string();
-        let mut row = vec![p.id.to_string(), p.matrix_name().into(), p.scale.to_string()];
+        let status = by_key.get(&key.0).map(|r| r.status.tag()).unwrap_or("ok").to_string();
+        // Sweeps enumerate Table I matrices only.
+        let (id, scale) = match *p.job.source() {
+            MatrixSource::Suite { id, scale } => (id.to_string(), scale),
+            MatrixSource::Graph { scale, .. } => ("-".into(), scale),
+        };
+        let mut row = vec![id, p.matrix_name().into(), scale.to_string()];
         row.extend(identity_columns(p));
-        match session.cache.store().lookup(job.key()) {
-            Some((JobResult::Sim(r), _)) if matches!(p.kind, PointKind::Sim { .. }) => {
+        match session.cache.store().lookup(key) {
+            Some((JobResult::Sim(r), _)) if matches!(p.job, JobSpec::Sim { .. }) => {
                 row.extend([
                     r.cycles.to_string(),
                     fmt(r.seconds * 1e6, 2),
@@ -156,10 +163,10 @@ fn sweep_table(session: &HarnessSession, points: &[SweepPoint], records: &[JobRe
                     pct(r.l1_hit_rate),
                 ]);
             }
-            Some((JobResult::Gpu(g), _)) if matches!(p.kind, PointKind::Gpu { .. }) => {
+            Some((JobResult::Gpu(g), _)) if matches!(p.job, JobSpec::Gpu { .. }) => {
                 row.extend(["-".into(), fmt(g.time_s * 1e6, 2), "-".into(), "-".into()]);
             }
-            Some((JobResult::Scenario(s), _)) if matches!(p.kind, PointKind::Scenario { .. }) => {
+            Some((JobResult::Scenario(s), _)) if matches!(p.job, JobSpec::Scenario { .. }) => {
                 row.extend([s.cycles.to_string(), fmt(s.time_s * 1e6, 2), "-".into(), "-".into()]);
             }
             // No result (the job failed — failures are never cached), or a
@@ -176,21 +183,21 @@ fn sweep_table(session: &HarnessSession, points: &[SweepPoint], records: &[JobRe
 /// The identity columns (Map, HW, Cubes, L1, L2, E) of a grid point —
 /// renderable whether or not the point's job produced a result.
 fn identity_columns(p: &SweepPoint) -> Vec<String> {
-    match &p.kind {
-        PointKind::Sim { kind, hw_name, hw, energy_scale, .. } => vec![
+    match &p.job {
+        JobSpec::Sim { kind, hw, .. } => vec![
             kind.label().to_string(),
-            hw_name.clone(),
+            p.hw_name.clone(),
             hw.shape.cubes.to_string(),
             hw.l1_cam.sets.to_string(),
             hw.l2_cam.sets.to_string(),
-            fmt(*energy_scale, 2),
+            fmt(p.energy_scale, 2),
         ],
-        PointKind::Gpu { .. } => {
-            vec!["gpu".into(), "titan-xp".into(), "-".into(), "-".into(), "-".into(), "-".into()]
+        JobSpec::Gpu { .. } => {
+            vec!["gpu".into(), p.hw_name.clone(), "-".into(), "-".into(), "-".into(), "-".into()]
         }
         // Scenario cells reuse the columns: Map carries the storage format,
         // HW the backend, Cubes the stream partitioning.
-        PointKind::Scenario { backend, format, partition, .. } => vec![
+        JobSpec::Scenario { backend, format, partition, .. } => vec![
             format.label().to_string(),
             backend.label().to_string(),
             partition.label().to_string(),

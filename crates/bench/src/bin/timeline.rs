@@ -66,7 +66,7 @@ fn main() {
     let cache = &mut session.cache;
     let a = cache.matrix(id);
     let mapping = cache.mapping(id, kind);
-    let x = cache.cfg.input_vector(a.cols());
+    let x = spacea_harness::input_vector(a.cols());
     let machine = Machine::new(cache.cfg.hw.clone());
     let out = machine.run(RunSpec::spmv(&a, &x, &mapping).observed(observe)).unwrap_or_else(|e| {
         eprintln!("timeline: observed run failed: {e}");

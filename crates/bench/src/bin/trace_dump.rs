@@ -12,7 +12,7 @@ fn main() {
     let id = 1u8; // bcsstk32
     let a = cache.matrix(id);
     let mapping = cache.mapping(id, MapKind::Proposed);
-    let x = cache.cfg.input_vector(a.cols());
+    let x = spacea_harness::input_vector(a.cols());
     let machine = Machine::new(cache.cfg.hw.clone());
     let out = machine.run(RunSpec::spmv(&a, &x, &mapping).traced(120)).unwrap_or_else(|e| {
         eprintln!("trace_dump: traced simulation failed: {e}");

@@ -31,14 +31,21 @@
 //! compute them in parallel through [`HarnessSession::prewarm`] into a
 //! content-addressed [`ResultStore`], and only then render — rendering is
 //! pure lookup, so the output is byte-identical for any `--jobs` value.
+//!
+//! The two CI ratchets, `engine_bench` (`BENCH_engine.json`: event counts
+//! and replay checksums) and `serve_bench` (`BENCH_serve.json`: cycles per
+//! fused batch), share one `--write | --check FILE` checker, [`snapshot`]:
+//! one file format and one exact-match rule.
 
 #![warn(missing_docs)]
+
+pub mod snapshot;
 
 use spacea_core::experiments::{ExpConfig, ExpOutput, SuiteCache};
 use spacea_core::table::Table;
 use spacea_harness::{
-    write_atomic, FaultPlan, GcPolicy, JobCtx, JobSpec, PointKind, ResultStore, RunManifest,
-    SweepPoint, SweepSpec, TimelineConfig, DEFAULT_CACHE_DIR,
+    write_atomic, FaultPlan, GcPolicy, JobCtx, JobSpec, ResultStore, RunManifest, SweepPoint,
+    SweepSpec, TimelineConfig, DEFAULT_CACHE_DIR,
 };
 use spacea_obs::Cycle;
 use std::path::{Path, PathBuf};
@@ -448,15 +455,15 @@ impl SweepCli {
             match idx {
                 None => {
                     for p in points.iter_mut() {
-                        if let PointKind::Sim { hw, .. } = &mut p.kind {
+                        if let JobSpec::Sim { hw, .. } = &mut p.job {
                             hw.faults = *plan;
                         }
                     }
                 }
                 Some(i) => match points.get_mut(*i) {
-                    Some(p) => match &mut p.kind {
-                        PointKind::Sim { hw, .. } => hw.faults = *plan,
-                        PointKind::Gpu { .. } | PointKind::Scenario { .. } => eprintln!(
+                    Some(p) => match &mut p.job {
+                        JobSpec::Sim { hw, .. } => hw.faults = *plan,
+                        JobSpec::Gpu { .. } | JobSpec::Scenario { .. } => eprintln!(
                             "sweep: --faults index {i} names a non-sim point; fault ignored"
                         ),
                     },

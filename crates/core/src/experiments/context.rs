@@ -110,12 +110,6 @@ impl ExpConfig {
         Dgx1CpuSpec { mem_bw: full.mem_bw * self.baseline_fraction(), ..full }
     }
 
-    /// The deterministic input vector used by every SpMV experiment
-    /// (delegates to the harness so cached job results stay valid).
-    pub fn input_vector(&self, n: usize) -> Vec<f64> {
-        spacea_harness::input_vector(n)
-    }
-
     /// The [`MatrixSource`] naming Table I matrix `id` at this
     /// configuration's scale.
     pub fn source(&self, id: u8) -> MatrixSource {
@@ -471,15 +465,5 @@ mod tests {
         let sc = ExpConfig::static_config_for(&MachineShape::tiny());
         assert_eq!(sc.banks, 24);
         assert_eq!(sc.vaults, 4);
-    }
-
-    #[test]
-    fn input_vector_deterministic() {
-        let cfg = ExpConfig::quick();
-        assert_eq!(cfg.input_vector(10), cfg.input_vector(10));
-        assert_eq!(cfg.input_vector(3).len(), 3);
-        // Must match the harness function exactly: cached sim results depend
-        // on it.
-        assert_eq!(cfg.input_vector(20), spacea_harness::input_vector(20));
     }
 }

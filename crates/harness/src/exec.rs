@@ -569,6 +569,13 @@ mod tests {
     }
 
     #[test]
+    fn input_vector_deterministic() {
+        // Cached sim results depend on every run using this exact input.
+        assert_eq!(input_vector(10), input_vector(10));
+        assert_eq!(input_vector(3).len(), 3);
+    }
+
+    #[test]
     fn scenario_cells_execute_verified_and_cache() {
         let ctx = JobCtx::new();
         let store = ResultStore::in_memory();

@@ -61,7 +61,7 @@ pub use store::{
 };
 // The benchmark package (`perf/`) still imports `spacea_harness::json`.
 pub use spacea_obs::json;
-pub use sweep::{dedup_points, shard_range, PointKind, SweepBase, SweepPoint, SweepSpec};
+pub use sweep::{dedup_points, shard_range, SweepBase, SweepPoint, SweepSpec};
 pub use telemetry::{JobRecord, JobStatus, RunManifest};
 pub use timeline::TimelineConfig;
 

@@ -79,7 +79,7 @@ pub struct SweepSpec {
     /// Also enumerate the GPU baseline per (matrix, scale) point (key `gpu`).
     pub gpu: bool,
     /// Scenario-matrix backends (axis key `backends`; `all` expands to every
-    /// backend). Setting any scenario axis appends one [`PointKind::Scenario`]
+    /// backend). Setting any scenario axis appends one [`JobSpec::Scenario`]
     /// cell per (matrix, scale, backend, format, partition); leaving all
     /// three empty keeps the legacy sim/GPU enumeration byte-identical.
     pub backends: Vec<BackendKind>,
@@ -273,19 +273,18 @@ impl SweepSpec {
                                             machine = machine.with_l2_cam_sets(s);
                                         }
                                         points.push(SweepPoint {
-                                            id,
-                                            scale,
-                                            kind: PointKind::Sim {
+                                            job: JobSpec::Sim {
+                                                source: MatrixSource::Suite { id, scale },
                                                 kind,
-                                                hw_name: hw_name.clone(),
-                                                hw: Box::new(machine),
+                                                hw: machine,
                                                 energy: if es == 1.0 {
                                                     base.energy
                                                 } else {
                                                     base.energy.scaled(es)
                                                 },
-                                                energy_scale: es,
                                             },
+                                            hw_name: hw_name.clone(),
+                                            energy_scale: es,
                                         });
                                     }
                                 }
@@ -299,9 +298,12 @@ impl SweepSpec {
             for &id in &ids {
                 for &scale in &scales {
                     points.push(SweepPoint {
-                        id,
-                        scale,
-                        kind: PointKind::Gpu { spec: base.gpu_spec },
+                        job: JobSpec::Gpu {
+                            source: MatrixSource::Suite { id, scale },
+                            spec: base.gpu_spec,
+                        },
+                        hw_name: "titan-xp".into(),
+                        energy_scale: 1.0,
                     });
                 }
             }
@@ -323,18 +325,18 @@ impl SweepSpec {
                         for &format in &formats {
                             for &partition in &partitions {
                                 points.push(SweepPoint {
-                                    id,
-                                    scale,
-                                    kind: PointKind::Scenario {
+                                    job: JobSpec::Scenario {
+                                        source: MatrixSource::Suite { id, scale },
                                         backend,
                                         format,
                                         partition,
                                         kind,
-                                        hw_name: hw_name.clone(),
-                                        hw: Box::new(hw_base.clone()),
+                                        hw: hw_base.clone(),
                                         gpu: base.gpu_spec,
                                         hbm: base.hbm_spec,
                                     },
+                                    hw_name: hw_name.clone(),
+                                    energy_scale: 1.0,
                                 });
                             }
                         }
@@ -362,89 +364,32 @@ fn parse_positive_list(key: &str, value: &str) -> Result<Vec<usize>, String> {
     Ok(list)
 }
 
-/// What one grid point runs: a SpaceA simulation at a resolved machine and
-/// energy configuration, or the GPU baseline model.
-#[derive(Debug, Clone, PartialEq)]
-pub enum PointKind {
-    /// A cycle-level SpaceA simulation.
-    Sim {
-        /// The mapping algorithm.
-        kind: MapKind,
-        /// Name of the machine variant this point was derived from.
-        hw_name: String,
-        /// The fully resolved machine (variant + cube/CAM overrides).
-        /// Boxed: `HwConfig` dwarfs the GPU variant's payload.
-        hw: Box<HwConfig>,
-        /// The resolved energy parameters.
-        energy: EnergyParams,
-        /// The energy scale factor that produced them (for display).
-        energy_scale: f64,
-    },
-    /// The GPU baseline model run.
-    Gpu {
-        /// The baseline's (iso-area scaled) parameters.
-        spec: TitanXpSpec,
-    },
-    /// One backend × format × partitioning scenario cell.
-    Scenario {
-        /// Which execution model runs the cell.
-        backend: BackendKind,
-        /// The storage format streamed by the backend.
-        format: FormatKind,
-        /// How the stream is split across parallel resources.
-        partition: Partition,
-        /// The mapping algorithm (SpaceA backend only).
-        kind: MapKind,
-        /// Name of the machine variant behind the SpaceA backend.
-        hw_name: String,
-        /// The machine behind the SpaceA backend (boxed like Sim's).
-        hw: Box<HwConfig>,
-        /// The GPU baseline parameters behind the GPU backend.
-        gpu: TitanXpSpec,
-        /// The HBM accelerator parameters behind the HBM backend.
-        hbm: HbmSpec,
-    },
-}
-
-/// One concrete grid point: a Table I matrix at a scale, plus what to run
-/// on it.
+/// One concrete grid point: the job it runs on a Table I matrix, plus the
+/// display fields the job does not carry.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SweepPoint {
-    /// Table I matrix id.
-    pub id: u8,
-    /// Matrix down-scale factor.
-    pub scale: usize,
-    /// What this point runs.
-    pub kind: PointKind,
+    /// The content-addressed job computing this point.
+    pub job: JobSpec,
+    /// Name of the machine variant the point runs on (`titan-xp` for the
+    /// GPU baseline).
+    pub hw_name: String,
+    /// The energy scale factor behind a sim point's energy parameters (1.0
+    /// for points that have none).
+    pub energy_scale: f64,
 }
 
 impl SweepPoint {
-    /// The content-addressed job computing this point.
+    /// An owned copy of the point's job, for building job lists.
     pub fn job(&self) -> JobSpec {
-        let source = MatrixSource::Suite { id: self.id, scale: self.scale };
-        match &self.kind {
-            PointKind::Sim { kind, hw, energy, .. } => {
-                JobSpec::Sim { source, kind: *kind, hw: hw.as_ref().clone(), energy: *energy }
-            }
-            PointKind::Gpu { spec } => JobSpec::Gpu { source, spec: *spec },
-            PointKind::Scenario { backend, format, partition, kind, hw, gpu, hbm, .. } => {
-                JobSpec::Scenario {
-                    source,
-                    backend: *backend,
-                    format: *format,
-                    partition: *partition,
-                    kind: *kind,
-                    hw: hw.as_ref().clone(),
-                    gpu: *gpu,
-                    hbm: *hbm,
-                }
-            }
-        }
+        self.job.clone()
     }
 
-    /// The Table I matrix name.
+    /// The Table I matrix name (`?` for any other source).
     pub fn matrix_name(&self) -> &'static str {
-        suite::entry_by_id(self.id).map(|e| e.name).unwrap_or("?")
+        match self.job.source() {
+            MatrixSource::Suite { id, .. } => suite::entry_by_id(*id).map_or("?", |e| e.name),
+            MatrixSource::Graph { .. } => "?",
+        }
     }
 }
 
@@ -453,7 +398,7 @@ impl SweepPoint {
 /// the same machine must not run (or render) twice.
 pub fn dedup_points(points: Vec<SweepPoint>) -> Vec<SweepPoint> {
     let mut seen = std::collections::HashSet::new();
-    points.into_iter().filter(|p| seen.insert(p.job().key())).collect()
+    points.into_iter().filter(|p| seen.insert(p.job.key())).collect()
 }
 
 /// The contiguous slice of `total` grid points that shard `k` of `n` owns:
@@ -582,14 +527,14 @@ mod tests {
         let base = quick_base();
         let points = s.points(&base);
         assert_eq!(points.len(), 1);
-        let SweepPoint { id, scale, kind: PointKind::Sim { kind, hw_name, hw, .. } } = &points[0]
+        let SweepPoint { job: JobSpec::Sim { source, kind, hw, .. }, hw_name, .. } = &points[0]
         else {
             panic!("expected a sim point")
         };
-        assert_eq!((*id, *scale), (3, 256));
+        assert_eq!(*source, MatrixSource::Suite { id: 3, scale: 256 });
         assert_eq!(*kind, MapKind::Proposed);
         assert_eq!(hw_name, "tiny");
-        assert_eq!(**hw, HwConfig::tiny());
+        assert_eq!(*hw, HwConfig::tiny());
     }
 
     #[test]
@@ -600,11 +545,10 @@ mod tests {
         s.set("gpu", "true").unwrap();
         let points = s.points(&quick_base());
         assert_eq!(points.len(), 2 * 2 + 2);
-        let gpus: Vec<_> =
-            points.iter().filter(|p| matches!(p.kind, PointKind::Gpu { .. })).collect();
+        let gpus: Vec<_> = points.iter().filter(|p| matches!(p.job, JobSpec::Gpu { .. })).collect();
         assert_eq!(gpus.len(), 2);
         assert!(
-            points[points.len() - 2..].iter().all(|p| matches!(p.kind, PointKind::Gpu { .. })),
+            points[points.len() - 2..].iter().all(|p| matches!(p.job, JobSpec::Gpu { .. })),
             "GPU baselines enumerate last"
         );
     }
@@ -675,7 +619,7 @@ mod tests {
         let points = s.points(&quick_base());
         // 2 legacy sim points (one per id) + 2*2*2*2 scenario cells.
         let cells: Vec<_> =
-            points.iter().filter(|p| matches!(p.kind, PointKind::Scenario { .. })).collect();
+            points.iter().filter(|p| matches!(p.job, JobSpec::Scenario { .. })).collect();
         assert_eq!(cells.len(), 16);
         assert_eq!(points.len(), 2 + 16);
         let keys: std::collections::HashSet<_> = points.iter().map(|p| p.job().key()).collect();
@@ -690,8 +634,8 @@ mod tests {
         let points = s.points(&quick_base());
         let cell = points
             .iter()
-            .find_map(|p| match &p.kind {
-                PointKind::Scenario { backend, format, partition, .. } => {
+            .find_map(|p| match &p.job {
+                JobSpec::Scenario { backend, format, partition, .. } => {
                     Some((*backend, *format, *partition))
                 }
                 _ => None,
@@ -708,7 +652,7 @@ mod tests {
         s.set("gpu", "true").unwrap();
         let points = s.points(&quick_base());
         assert!(
-            points.iter().all(|p| !matches!(p.kind, PointKind::Scenario { .. })),
+            points.iter().all(|p| !matches!(p.job, JobSpec::Scenario { .. })),
             "legacy grids must enumerate byte-identically to before the scenario axes"
         );
     }
