@@ -185,7 +185,20 @@ rm -rf "$TL_CACHE"
 cargo run --release -p spacea-bench --bin sweep -- --quick --ids 1,2 --csv --jobs 2 \
   --cache-dir "$TL_CACHE" --timeline --faults "1:stall-vault=0@100" > target/sweep-timeline.csv
 grep -q "timed-out" target/sweep-timeline.csv
-for f in "$TL_CACHE"/timelines/*.json; do
+# An observed run writes one file, its final artifact: timelines/ holds one
+# <16-hex>.json file per ok row and nothing else, so the timed-out job
+# leaves nothing behind.
+TL_DIR="$TL_CACHE/timelines"
+TL_OK=$(grep -c ',ok$' target/sweep-timeline.csv)
+if [ "$TL_OK" -ne 1 ] \
+  || [ "$(ls -A "$TL_DIR" | wc -l)" -ne "$TL_OK" ] \
+  || [ "$(ls -A "$TL_DIR" | grep -cE '^[0-9a-f]{16}\.json$')" -ne "$TL_OK" ] \
+  || [ -n "$(find "$TL_DIR" -mindepth 1 ! -type f)" ]; then
+  echo "ci.sh: $TL_DIR must hold one <16-hex>.json file per ok row and nothing else:" >&2
+  ls -A "$TL_DIR" >&2
+  exit 1
+fi
+for f in "$TL_DIR"/*.json; do
   cargo run --release -p spacea-bench --bin timeline -- --validate "$f"
 done
 grep -q "occupancy history" "$TL_CACHE/last-run.json"

@@ -201,9 +201,9 @@ impl Machine {
     }
 
     /// Runs the simulation described by `spec` — the single entrypoint for
-    /// every workload shape: plain SpMV, fused SpMM, traced, observed, and
-    /// incrementally flushed runs are all one [`RunSpec`] with different
-    /// options.
+    /// every workload shape: plain SpMV, fused SpMM, traced and observed
+    /// runs are all one [`RunSpec`] with different options. The spec holds
+    /// data only, so the event loop runs no code its caller passes in.
     ///
     /// # Errors
     ///
@@ -214,8 +214,8 @@ impl Machine {
     /// hang-class error carrying a [`StallDiagnosis`] when the
     /// forward-progress watchdog aborts the run (deadlock, stall window, or
     /// cycle budget — see [`spacea_sim::fault::WatchdogConfig`]).
-    pub fn run<'a>(&'a self, spec: RunSpec<'a>) -> Result<RunOutput, SimError> {
-        let RunSpec { a, input, mapping, trace_capacity, observe, flush } = spec;
+    pub fn run(&self, spec: RunSpec<'_>) -> Result<RunOutput, SimError> {
+        let RunSpec { a, input, mapping, trace_capacity, observe } = spec;
         let single = matches!(input, RunInput::Single(_));
         let xs: Vec<&[f64]> = match input {
             RunInput::Single(x) => vec![x],
@@ -225,15 +225,13 @@ impl Machine {
         let mut sim = Sim::build(&self.cfg, a, xs, mapping);
         // Observed runs keep a bounded trace too (duration slices derive
         // from it); an explicit `traced` capacity takes precedence.
-        if let Some(cap) = trace_capacity.or(observe.map(|o| o.trace_capacity)) {
+        if let Some(cap) = trace_capacity.or(observe.map(|_| OBSERVED_TRACE_CAPACITY)) {
             sim.trace = TraceLog::new(cap);
         }
         if let Some(obs) = observe {
-            sim.arm_sampler(SamplerConfig { every: obs.every, capacity: obs.capacity });
-            sim.flush_cb = flush;
+            sim.arm_sampler(obs);
         }
         sim.run()?;
-        sim.flush_cb = None;
         let timeline = if observe.is_some() {
             // Final snapshot at the end cycle so short runs still get a
             // series. The sampler was armed above; an empty timeline is the
@@ -278,35 +276,25 @@ pub enum RunInput<'a> {
     Batch(&'a [Vec<f64>]),
 }
 
-/// One completed sampler window, handed to a [`RunSpec::flushing`] hook:
-/// the sample cycle plus the value every gauge recorded there, in gauge
-/// registration order.
-///
-/// Each window boundary records exactly one value per gauge, so a sink that
-/// appends these ticks can reconstruct every series exactly by replaying
-/// them — O(gauges) per window, instead of rewriting a whole artifact.
-#[derive(Debug)]
-pub struct SampleFlush<'t> {
-    /// The cycle this window's samples were recorded at.
-    pub cycle: Cycle,
-    /// `(gauge key, recorded value)` pairs in registration order.
-    pub samples: &'t [(&'t MetricKey, f64)],
-}
+/// Bounded event-trace prefix an observed run keeps for its duration
+/// slices, unless [`RunSpec::traced`] sets a capacity explicitly.
+const OBSERVED_TRACE_CAPACITY: usize = 65_536;
 
 /// What one simulation should compute and record. [`Machine::run`] is the
 /// only entrypoint; this spec composes the input shape (single vector or
-/// fused batch) with tracing, observation, and flush hooks as options — the
-/// next recording feature adds a field here, not another `run_*` method.
+/// fused batch) with tracing and observation as options — the next
+/// recording feature adds a field here, not another `run_*` method. The
+/// spec is plain data: it holds no closure, so everything a run records
+/// comes back in its [`RunOutput`].
 ///
 /// Build with [`RunSpec::spmv`] or [`RunSpec::spmm`], then chain
-/// [`RunSpec::traced`], [`RunSpec::observed`], [`RunSpec::flushing`].
+/// [`RunSpec::traced`] and [`RunSpec::observed`].
 pub struct RunSpec<'a> {
     a: &'a Csr,
     input: RunInput<'a>,
     mapping: &'a Mapping,
     trace_capacity: Option<usize>,
-    observe: Option<ObserveConfig>,
-    flush: Option<&'a mut dyn FnMut(&SampleFlush<'_>)>,
+    observe: Option<SamplerConfig>,
 }
 
 impl<'a> RunSpec<'a> {
@@ -327,7 +315,7 @@ impl<'a> RunSpec<'a> {
 
     /// A run over an explicit [`RunInput`].
     pub fn with_input(a: &'a Csr, input: RunInput<'a>, mapping: &'a Mapping) -> Self {
-        RunSpec { a, input, mapping, trace_capacity: None, observe: None, flush: None }
+        RunSpec { a, input, mapping, trace_capacity: None, observe: None }
     }
 
     /// Record the first `capacity` machine events (the paper's "detailed
@@ -339,28 +327,17 @@ impl<'a> RunSpec<'a> {
     }
 
     /// Sample per-component gauges (queue occupancy, CAM and row-buffer hit
-    /// rates, TSV/NoC traffic) on the configured cadence into
-    /// [`RunOutput::timeline`], with duration slices derived from the
-    /// bounded event trace. The [`Timeline`] exports to CSV or
-    /// Perfetto-loadable Chrome trace JSON (see `spacea-obs`).
+    /// rates, TSV/NoC traffic) every `obs.every` cycles, at most
+    /// `obs.capacity` windows per series, into [`RunOutput::timeline`], with
+    /// duration slices derived from a bounded event-trace prefix (65,536
+    /// events unless [`RunSpec::traced`] sets the capacity). The
+    /// [`Timeline`] exports to CSV or Perfetto-loadable Chrome trace JSON
+    /// (see `spacea-obs`).
     ///
     /// Observation is pure reading: an observed run retires in exactly the
     /// same cycles as a plain one.
-    pub fn observed(mut self, obs: ObserveConfig) -> Self {
+    pub fn observed(mut self, obs: SamplerConfig) -> Self {
         self.observe = Some(obs);
-        self
-    }
-
-    /// Invoke `flush` each time a sampler window completes (meaningful only
-    /// together with [`RunSpec::observed`]; ignored otherwise). Callers
-    /// persist the ticks (chunk appends + tmp-file/rename index) so a run
-    /// killed mid-flight leaves a valid truncated timeline artifact instead
-    /// of nothing.
-    ///
-    /// Flushing is a pure read of the sampler state: simulated timing and
-    /// the final timeline are identical with or without a hook.
-    pub fn flushing(mut self, flush: &'a mut dyn FnMut(&SampleFlush<'_>)) -> Self {
-        self.flush = Some(flush);
         self
     }
 }
@@ -396,24 +373,6 @@ impl RunOutput {
     /// Repackages a fused multi-vector run as a [`SpmmReport`].
     pub fn into_spmm(self) -> SpmmReport {
         SpmmReport { report: self.report, outputs: self.outputs }
-    }
-}
-
-/// What an observed run ([`RunSpec::observed`]) records.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ObserveConfig {
-    /// Sample every gauge each N cycles (clamped to ≥ 1).
-    pub every: Cycle,
-    /// Maximum windows kept per gauge series; beyond that the series
-    /// downsamples, so memory stays flat however long the run is.
-    pub capacity: usize,
-    /// Bounded event-trace prefix length the duration slices derive from.
-    pub trace_capacity: usize,
-}
-
-impl Default for ObserveConfig {
-    fn default() -> Self {
-        ObserveConfig { every: 4096, capacity: 256, trace_capacity: 65_536 }
     }
 }
 
@@ -528,10 +487,6 @@ struct Sim<'a> {
     /// one cycle at batch boundaries).
     obs_cycle: Cycle,
     sampler: Option<Sampler<Sim<'a>>>,
-    /// Invoked with the just-completed window's samples each time a sampler
-    /// window closes (incremental timeline persistence). Pure reader: never
-    /// touches simulation state.
-    flush_cb: Option<&'a mut dyn FnMut(&SampleFlush<'_>)>,
 }
 
 impl<'a> Sim<'a> {
@@ -619,7 +574,6 @@ impl<'a> Sim<'a> {
             occ_next: 0,
             obs_cycle: 0,
             sampler: None,
-            flush_cb: None,
         }
     }
 
@@ -630,8 +584,8 @@ impl<'a> Sim<'a> {
 
     /// Registers the full gauge set on a fresh sampler: per-vault queue
     /// occupancy, CAM and DRAM row-buffer hit rates and TSV traffic, plus
-    /// machine-wide NoC utilization. Probes capture only index lists, so
-    /// they stay `'static` while reading any `Sim`.
+    /// machine-wide NoC utilization. The probe closures capture only index
+    /// lists, so they stay `'static` while reading any `Sim`.
     fn arm_sampler(&mut self, cfg: SamplerConfig) {
         // Pin each closure to a higher-ranked signature; without this the
         // compiler would tie it to this `Sim`'s lifetime and reject the
@@ -863,13 +817,6 @@ impl<'a> Sim<'a> {
                 if let Some(mut sampler) = self.sampler.take() {
                     self.obs_cycle = t;
                     sampler.tick(t, self);
-                    // Window boundary: hand the caller this window's
-                    // samples to persist. Reads the sampler only —
-                    // simulated timing is unchanged.
-                    if let Some(cb) = self.flush_cb.as_mut() {
-                        let samples: Vec<(&MetricKey, f64)> = sampler.last_samples().collect();
-                        cb(&SampleFlush { cycle: t, samples: &samples });
-                    }
                     self.sampler = Some(sampler);
                 }
             }
@@ -1665,7 +1612,7 @@ mod tests {
         let mapping = LocalityMapping::default().map(&a, &cfg.shape);
         let machine = Machine::new(cfg.clone());
         let plain = machine.run(RunSpec::spmv(&a, &x, &mapping)).unwrap().into_report();
-        let obs = ObserveConfig { every: 64, capacity: 32, trace_capacity: 2000 };
+        let obs = SamplerConfig { every: 64, capacity: 32 };
         let out = machine.run(RunSpec::spmv(&a, &x, &mapping).observed(obs)).unwrap();
         let timeline = out.timeline.expect("an observed spec must yield a timeline");
         assert_eq!(plain.cycles, out.report.cycles, "observation must not perturb timing");

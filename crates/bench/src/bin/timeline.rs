@@ -14,11 +14,11 @@
 //! printing the event and track counts — the CI smoke test runs this over
 //! every artifact a sweep produced.
 
-use spacea_arch::{Machine, ObserveConfig, RunSpec};
+use spacea_arch::{Machine, RunSpec};
 use spacea_bench::{ArgError, HarnessOptions};
 use spacea_core::experiments::MapKind;
 use spacea_obs::json::validate_chrome_trace;
-use spacea_obs::Cycle;
+use spacea_obs::{Cycle, SamplerConfig};
 
 const TIMELINE_USAGE: &str = "timeline: --validate FILE | --id N | --kind naive|proposed | \
      --every CYCLES | --capacity WINDOWS | --out FILE";
@@ -27,7 +27,7 @@ fn main() {
     let mut validate: Option<String> = None;
     let mut id = 1u8;
     let mut kind = MapKind::Proposed;
-    let mut observe = ObserveConfig::default();
+    let mut observe = SamplerConfig::default();
     let mut out_path = String::from("timeline.json");
     let opts = HarnessOptions::from_args_with(std::env::args().skip(1), |flag, args| {
         match flag {

@@ -695,7 +695,7 @@ mod tests {
         assert_eq!(cli.timeline, Some(0));
         let cfg = cli.timeline_config(Path::new("c")).unwrap();
         assert_eq!(cfg.dir(), Path::new("c/timelines"));
-        assert_eq!(cfg.observe, spacea_harness::ObserveConfig::default());
+        assert_eq!(cfg.observe, spacea_obs::SamplerConfig::default());
 
         let (_, cli) = sweep(&["--timeline=512"]);
         assert_eq!(cli.timeline, Some(512));

@@ -1,5 +1,6 @@
 //! The public accelerator API.
 
+use crate::experiments::ExpConfig;
 use spacea_arch::{HwConfig, Machine, RunSpec, SimError, SimReport};
 use spacea_mapping::{LocalityMapping, Mapping, MappingStrategy, NaiveMapping};
 use spacea_matrix::Csr;
@@ -148,14 +149,7 @@ impl Accelerator {
 
     /// The structure counts the static-power model needs for this machine.
     pub fn static_config(&self) -> StaticConfig {
-        let shape = self.config().shape;
-        let layers_per_vault = shape.product_bgs_per_vault + 1; // + vector layer
-        StaticConfig {
-            banks: shape.vaults() * layers_per_vault * shape.banks_per_bg,
-            bank_groups: shape.vaults() * layers_per_vault,
-            vaults: shape.vaults(),
-            cubes: shape.cubes,
-        }
+        ExpConfig::static_config_for(&self.config().shape)
     }
 }
 

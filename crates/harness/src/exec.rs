@@ -11,8 +11,8 @@ use crate::job::{Fnv, JobSpec, MatrixSource};
 use crate::mapstore::{MappingStats, MappingStore};
 use crate::store::{CacheOutcome, JobResult, ResultStore, ScenarioRec};
 use crate::telemetry::{JobRecord, JobStatus};
-use crate::timeline::{ChunkSink, TimelineConfig};
-use spacea_arch::{HwConfig, Machine, RunSpec, SampleFlush, SimError, SimReport};
+use crate::timeline::TimelineConfig;
+use spacea_arch::{HwConfig, Machine, RunSpec, SimError, SimReport};
 use spacea_backend::hbm::hbm_timeline;
 use spacea_backend::{BackendKind, HbmBackend, ScenarioSpec, SpaceaBackend};
 use spacea_gpu::simulate_csrmv;
@@ -275,18 +275,14 @@ pub fn execute(spec: &JobSpec, ctx: &JobCtx) -> Result<JobResult, ExecFailure> {
 }
 
 /// [`execute`] with optional observation. With a [`TimelineConfig`], sim
-/// jobs run under [`RunSpec::observed`] at its cadence and return the
-/// collected [`Timeline`] alongside the result; every completed sampler
-/// window also appends one chunk to `timelines/<key>.d/` through a
-/// [`ChunkSink`] (O(gauges) per window; the chunk index commits by atomic
-/// rename), so a run killed mid-flight leaves a replayable truncated
-/// timeline instead of nothing. The final artifact — with duration slices
-/// attached — is written by the caller from the returned [`Timeline`],
-/// which also clears the chunk set. HBM scenario cells return their
-/// per-channel timeline; other jobs have no event loop to sample and
-/// return `None`. Observation is timing-neutral, so the [`JobResult`] is
-/// identical either way — cached results stay valid whether or not the run
-/// was observed.
+/// jobs run under [`RunSpec::observed`] with its sampler config and return
+/// the collected [`Timeline`] (gauge series plus duration slices) alongside
+/// the result. Nothing is written while the run is in flight: the caller
+/// writes the one artifact from the returned [`Timeline`]. HBM scenario
+/// cells return their per-channel timeline; other jobs have no event loop
+/// to sample and return `None`. Observation is timing-neutral, so the
+/// [`JobResult`] is identical either way — cached results stay valid
+/// whether or not the run was observed.
 pub fn execute_observed(
     spec: &JobSpec,
     ctx: &JobCtx,
@@ -305,12 +301,9 @@ pub fn execute_observed(
                 Some(cfg) => {
                     let a = ctx.matrix(source);
                     let x = input_vector(a.cols());
-                    let mut sink = ChunkSink::new(cfg, spec.key());
-                    let mut flush = |f: &SampleFlush<'_>| sink.append(f);
-                    let run = RunSpec::spmv(&a, &x, &mapping).observed(cfg.observe);
                     ctx.sims_run.fetch_add(1, Ordering::Relaxed);
                     let out = Machine::new(hw.clone())
-                        .run(run.flushing(&mut flush))
+                        .run(RunSpec::spmv(&a, &x, &mapping).observed(cfg.observe))
                         .map_err(ExecFailure::from_sim)?;
                     Ok((JobResult::Sim(Arc::new(out.report)), out.timeline))
                 }
@@ -752,64 +745,46 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("spacea-exec-obs-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cfg = TimelineConfig::new(&dir);
-        let jobs = vec![quick_sim(1), quick_sim(2)];
+        // Two healthy jobs and one whose vault 0 wedges at cycle 100, with a
+        // stall window short enough that the watchdog trips quickly.
+        let mut stalled = quick_sim(1);
+        if let JobSpec::Sim { hw, .. } = &mut stalled {
+            hw.faults.stall_vault = Some((0, 100));
+            hw.watchdog.stall_window = Some(20_000);
+        }
+        let jobs = vec![quick_sim(1), quick_sim(2), stalled];
+        let ok = &jobs[..2];
         let store = ResultStore::in_memory();
         let ctx = JobCtx::new();
         let records = run_jobs(&jobs, &store, &ctx, 2, Some(&cfg));
-        assert!(records.iter().all(|r| r.status == JobStatus::Ok));
-        for job in &jobs {
+        assert!(records[..2].iter().all(|r| r.status == JobStatus::Ok));
+        assert_eq!(records[2].status.tag(), "timed-out", "{:?}", records[2].status);
+        for job in ok {
             let path = cfg.path_for(job.key());
             let text = std::fs::read_to_string(&path).unwrap();
             let summary = spacea_obs::json::validate_chrome_trace(&text).unwrap();
             assert!(summary.counter_events > 0, "{}: no counter events", job.label());
         }
+        // The ok jobs' artifacts are the only files: the failed job leaves
+        // nothing behind.
+        let mut files: Vec<String> = std::fs::read_dir(cfg.dir())
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        files.sort();
+        let mut want: Vec<String> = ok.iter().map(|j| format!("{}.json", j.key())).collect();
+        want.sort();
+        assert_eq!(files, want);
         // A cache hit with its artifact missing regenerates it without
         // disturbing the cached result.
         let key = jobs[0].key();
         let (cached, _) = store.lookup(key).unwrap();
         std::fs::remove_file(cfg.path_for(key)).unwrap();
-        let records = run_jobs(&jobs, &store, &ctx, 1, Some(&cfg));
+        let records = run_jobs(ok, &store, &ctx, 1, Some(&cfg));
         assert!(records.iter().all(|r| r.outcome == CacheOutcome::MemoryHit));
         assert!(cfg.path_for(key).exists(), "missing artifact not regenerated");
         let (after, _) = store.lookup(key).unwrap();
         assert_eq!(cached, after);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn incremental_flush_leaves_a_valid_artifact_without_the_final_write() {
-        let dir = std::env::temp_dir().join(format!("spacea-exec-flush-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
-        // A small sampling window so several flush boundaries fire during
-        // even the tiny smoke simulation.
-        let cfg = TimelineConfig::new(&dir).with_every(64);
-        let spec = quick_sim(1);
-        let key = spec.key();
-        let ctx = JobCtx::new();
-        let (result, timeline) = execute_observed(&spec, &ctx, Some(&cfg)).unwrap();
-        assert!(matches!(result, JobResult::Sim(_)));
-        let live = timeline.expect("observed run collects a timeline");
-        // The crash-safety contract: this caller never wrote the final
-        // artifact, yet the chunk set on disk replays into exactly the
-        // series the live sampler held — minus only the end-of-run
-        // snapshot, which no window boundary ever flushed.
-        let replayed = cfg.load_chunks(key).expect("chunk set must replay");
-        assert!(!replayed.series.is_empty(), "no windows were flushed");
-        assert_eq!(replayed.series.len(), live.series.len());
-        for (metric, series) in &replayed.series {
-            let live_s = live.series(metric).expect("replayed gauge must exist live");
-            assert_eq!(
-                series.total_count() + 1,
-                live_s.total_count(),
-                "{metric}: replay must hold every window except the final snapshot"
-            );
-        }
-        // The replay exports like any finished timeline.
-        let summary = spacea_obs::json::validate_chrome_trace(&replayed.to_chrome_trace()).unwrap();
-        assert!(summary.counter_events > 0, "flushed chunks have no samples");
-        // The final artifact write supersedes and clears the chunks.
-        cfg.write(key, &live).unwrap();
-        assert!(!cfg.chunk_dir(key).exists(), "final write must clear the chunk set");
         let _ = std::fs::remove_dir_all(&dir);
     }
 }

@@ -65,9 +65,9 @@ pub use sweep::{dedup_points, shard_range, SweepBase, SweepPoint, SweepSpec};
 pub use telemetry::{JobRecord, JobStatus, RunManifest};
 pub use timeline::TimelineConfig;
 
-// Fault-injection, watchdog and observation knobs, re-exported so harness
-// users (the sweep binary, tests) need not depend on the arch crate directly.
-pub use spacea_arch::{FaultPlan, ObserveConfig, StallDiagnosis, WatchdogConfig};
+// Fault-injection and watchdog knobs, re-exported so harness users (the
+// sweep binary, tests) need not depend on the arch crate directly.
+pub use spacea_arch::{FaultPlan, StallDiagnosis, WatchdogConfig};
 
 /// The default on-disk cache location, relative to the workspace root.
 pub const DEFAULT_CACHE_DIR: &str = "target/spacea-cache";

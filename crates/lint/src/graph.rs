@@ -31,9 +31,11 @@
 //!   `Self::f()` uses the enclosing `impl`'s type. Unresolvable qualifiers
 //!   (`Vec::new`) produce no edge.
 //! - **Dynamic dispatch through closures and `dyn` trait objects is not
-//!   traced.** An injected callback (e.g. `RunSpec::flushing`'s flush
-//!   hook) executes with the *caller's* obligations: the crate that builds
-//!   the closure owns its effects, and that crate's own rules cover it.
+//!   traced.** A closure executes with the obligations of the crate that
+//!   builds it, whose own rules cover it: the sampler's gauge probes, for
+//!   example, are closures `arch` builds. `Machine::run` takes no closure
+//!   from its caller, so every closure its event loop calls is built in
+//!   `arch`.
 //! - Macro-generated code is invisible; the workspace bans such codegen in
 //!   deterministic crates anyway.
 

@@ -6,10 +6,10 @@
 //! that fits in `u64` parses as `U64`, and [`Json::as_u64`] accepts nothing
 //! else, so cache and wire decoders reject floats and negatives.
 //! [`Json::Num`] carries every other number: the fractional timestamps and
-//! gauge values of Chrome traces and timeline chunks ([`Json::as_num`]
-//! reads both). Object keys keep insertion order, so output is byte-stable,
-//! and [`parse`] rejects nesting deeper than [`MAX_DEPTH`], so untrusted
-//! input cannot exhaust the stack.
+//! gauge values of Chrome traces ([`Json::as_num`] reads both). Object keys
+//! keep insertion order, so output is byte-stable, and [`parse`] rejects
+//! nesting deeper than [`MAX_DEPTH`], so untrusted input cannot exhaust the
+//! stack.
 
 use std::fmt::Write as _;
 

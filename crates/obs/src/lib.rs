@@ -28,7 +28,7 @@ pub mod sampler;
 pub mod series;
 
 pub use export::sparkline;
-pub use sampler::{MetricKey, Probe, Sampler, SamplerConfig, Slice, Timeline};
+pub use sampler::{MetricKey, Sampler, SamplerConfig, Slice, Timeline};
 pub use series::{Series, Window};
 
 /// Simulated clock tick, re-exported from `spacea-sim` so probe authors

@@ -1,11 +1,11 @@
 //! Gauge registration and cycle-cadenced sampling.
 //!
 //! A [`Sampler`] owns a registry of gauges keyed by
-//! `(component, vault, name)` ([`MetricKey`]). Each gauge is a [`Probe`] —
+//! `(component, vault, name)` ([`MetricKey`]). Each gauge is a probe —
 //! any `Fn(&Ctx) -> f64` — read against the producer's context every time
 //! [`Sampler::tick`] finds the sampling cadence due. Samples land in one
 //! bounded [`Series`] per gauge, so sampling cost and memory are flat in
-//! simulated time. Probes only *read* the context; ticking a sampler must
+//! simulated time. A probe only *reads* the context; ticking a sampler must
 //! never perturb what it observes.
 
 use crate::series::Series;
@@ -52,21 +52,6 @@ impl fmt::Display for MetricKey {
     }
 }
 
-/// A gauge readable against a context of type `C`.
-///
-/// Blanket-implemented for every `Fn(&C) -> f64`, so producers register
-/// plain closures capturing component indices.
-pub trait Probe<C: ?Sized> {
-    /// Reads the gauge's current value. Must not mutate the observed state.
-    fn read(&self, ctx: &C) -> f64;
-}
-
-impl<C: ?Sized, F: Fn(&C) -> f64> Probe<C> for F {
-    fn read(&self, ctx: &C) -> f64 {
-        self(ctx)
-    }
-}
-
 /// Sampling cadence and per-series memory bound.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SamplerConfig {
@@ -84,7 +69,7 @@ impl Default for SamplerConfig {
 
 struct Gauge<C: ?Sized> {
     key: MetricKey,
-    probe: Box<dyn Probe<C>>,
+    probe: Box<dyn Fn(&C) -> f64>,
     series: Series,
 }
 
@@ -104,14 +89,16 @@ impl<C: ?Sized> Sampler<C> {
         Sampler { cfg, next: 0, gauges: Vec::new(), seen: HashSet::new() }
     }
 
-    /// Registers a gauge under `key`.
+    /// Registers a gauge under `key`: `probe` reads its current value from
+    /// the context and must not mutate the observed state. Producers pass
+    /// plain closures capturing component indices.
     ///
     /// # Panics
     ///
     /// Panics if `key` is already registered — two probes under one key
     /// would silently interleave into the same series, which is always a
     /// producer bug.
-    pub fn register<P: Probe<C> + 'static>(&mut self, key: MetricKey, probe: P) {
+    pub fn register(&mut self, key: MetricKey, probe: impl Fn(&C) -> f64 + 'static) {
         assert!(self.seen.insert(key.clone()), "duplicate metric key {key}");
         let series = Series::new(self.cfg.capacity, self.cfg.every);
         self.gauges.push(Gauge { key, probe: Box::new(probe), series });
@@ -147,7 +134,7 @@ impl<C: ?Sized> Sampler<C> {
     /// run end, so short runs still produce non-empty series).
     pub fn sample_now(&mut self, t: Cycle, ctx: &C) {
         for g in &mut self.gauges {
-            g.series.record(t, g.probe.read(ctx));
+            g.series.record(t, (g.probe)(ctx));
         }
     }
 
@@ -158,17 +145,6 @@ impl<C: ?Sized> Sampler<C> {
             series: self.gauges.into_iter().map(|g| (g.key, g.series)).collect(),
             slices: Vec::new(),
         }
-    }
-
-    /// The value each gauge recorded at its most recent sample point, in
-    /// registration order (gauges that never sampled are skipped).
-    ///
-    /// Every tick records exactly one value per gauge, so a producer that
-    /// streams these `(key, value)` pairs at each window boundary hands an
-    /// incremental flush sink everything needed to reconstruct the series
-    /// exactly — O(gauges) per window instead of cloning whole series.
-    pub fn last_samples(&self) -> impl Iterator<Item = (&MetricKey, f64)> {
-        self.gauges.iter().filter_map(|g| g.series.last().map(|v| (&g.key, v)))
     }
 }
 

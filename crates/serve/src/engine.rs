@@ -67,7 +67,7 @@ pub struct ServeConfig {
     pub retry_backoff: Duration,
     /// Flush the telemetry timeline to disk every this many completed
     /// requests (in addition to the shutdown flush), so a crashed daemon
-    /// still leaves a loadable artifact. `0` disables periodic flushing.
+    /// still leaves a loadable artifact. `0` disables the periodic flush.
     pub flush_every: u64,
     /// Compact the acknowledgment journal automatically every this many
     /// acknowledged (journaled) batches, retaining the newest
