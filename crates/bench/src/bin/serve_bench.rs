@@ -3,8 +3,7 @@
 //!
 //! Drives the [`spacea_serve::ServeEngine`] directly (no TCP, no queue
 //! jitter) so the cycle numbers are exactly the simulator's and therefore
-//! deterministic: the snapshot in `BENCH_serve.json` is a ratchet the same
-//! way `lint-baseline.json` is. Run:
+//! deterministic: `BENCH_serve.json` snapshots them exactly. Run:
 //!
 //! * `serve_bench` — print the table and assert batching amortizes
 //!   (cycles/request at batch 16 below batch 1).

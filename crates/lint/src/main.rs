@@ -1,21 +1,16 @@
 //! The `spacea-lint` command-line driver.
 //!
 //! ```text
-//! spacea-lint --check [--baseline FILE] [--root DIR]   # lint the workspace
-//! spacea-lint --update-baseline FILE [--root DIR]      # rewrite the baseline
-//! spacea-lint --compare-baselines OLD NEW              # CI ratchet guard
-//! spacea-lint --graph dot|json [--root DIR]            # export the call graph
-//! spacea-lint --why SYMBOL [--root DIR]                # trace a call chain
-//! spacea-lint --explain RULE                           # contributor docs
-//! spacea-lint --list                                   # enumerate rules
+//! spacea-lint --check [--root DIR]              # lint the workspace
+//! spacea-lint --graph dot|json [--root DIR]     # export the call graph
+//! spacea-lint --why SYMBOL [--root DIR]         # trace a call chain
+//! spacea-lint --explain RULE                    # contributor docs
+//! spacea-lint --list                            # enumerate rules
 //! ```
 //!
-//! Exit codes: `0` clean, `1` violations / ratchet failure, `2` usage or
-//! I/O error.
+//! Exit codes: `0` clean, `1` violations, `2` usage or I/O error.
 
-use spacea_lint::baseline::{self, Baseline};
 use spacea_lint::rules::RuleId;
-use std::fs;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -23,9 +18,7 @@ const USAGE: &str = "\
 spacea-lint: determinism & robustness static analysis for the SpaceA workspace
 
 USAGE:
-  spacea-lint --check [--baseline FILE] [--root DIR]
-  spacea-lint --update-baseline FILE [--root DIR]
-  spacea-lint --compare-baselines OLD NEW
+  spacea-lint --check [--root DIR]
   spacea-lint --graph dot|json [--root DIR]
   spacea-lint --why SYMBOL [--root DIR]
   spacea-lint --explain RULE
@@ -33,8 +26,7 @@ USAGE:
 
 Rules: D1 D2 D3 D4 D5 R1 S1 (see --explain). Suppress a deliberate site
 inline with `// lint:allow(RULE) reason` on the offending line or the line
-above; carry pre-existing debt in a committed baseline, which CI only lets
-shrink.
+above; --check fails on every other violation.
 
 --graph exports the deterministic workspace call graph (the D5 substrate)
 as GraphViz DOT or JSON on stdout. --why SYMBOL (`name`, `Type::name`, or
@@ -43,9 +35,7 @@ reachable from the PDES roots (Machine::run, the DesQueue impls, the
 Backend::run impls) and the full call chain when it is.";
 
 enum Mode {
-    Check { baseline: Option<PathBuf> },
-    Update { baseline: PathBuf },
-    Compare { old: PathBuf, new: PathBuf },
+    Check,
     Graph { format: String },
     Why { symbol: String },
     Explain { rule: String },
@@ -70,23 +60,7 @@ fn parse_args() -> Result<Args, String> {
     };
     while let Some(arg) = it.next() {
         match arg.as_str() {
-            "--check" => set(Mode::Check { baseline: None }, &mut mode)?,
-            "--baseline" => {
-                let file = it.next().ok_or("--baseline needs a FILE")?;
-                match mode {
-                    Some(Mode::Check { ref mut baseline }) => *baseline = Some(file.into()),
-                    _ => return Err("--baseline only applies after --check".into()),
-                }
-            }
-            "--update-baseline" => {
-                let file = it.next().ok_or("--update-baseline needs a FILE")?;
-                set(Mode::Update { baseline: file.into() }, &mut mode)?;
-            }
-            "--compare-baselines" => {
-                let old = it.next().ok_or("--compare-baselines needs OLD NEW")?;
-                let new = it.next().ok_or("--compare-baselines needs OLD NEW")?;
-                set(Mode::Compare { old: old.into(), new: new.into() }, &mut mode)?;
-            }
+            "--check" => set(Mode::Check, &mut mode)?,
             "--graph" => {
                 let format = it.next().ok_or("--graph needs a FORMAT (dot|json)")?;
                 if format != "dot" && format != "json" {
@@ -164,74 +138,18 @@ fn run(args: Args) -> Result<bool, String> {
             }
             Ok(true)
         }
-        Mode::Compare { old, new } => {
-            let load = |p: &PathBuf| -> Result<Baseline, String> {
-                let text = fs::read_to_string(p).map_err(|e| format!("{}: {e}", p.display()))?;
-                Baseline::parse(&text).map_err(|e| format!("{}: {e}", p.display()))
-            };
-            let problems = baseline::compare(&load(&old)?, &load(&new)?);
-            for p in &problems {
-                eprintln!("ratchet: {p}");
-            }
-            if problems.is_empty() {
-                println!(
-                    "ratchet ok: baseline total {} -> {}",
-                    load(&old)?.total(),
-                    load(&new)?.total()
-                );
-            }
-            Ok(problems.is_empty())
-        }
-        Mode::Update { baseline: path } => {
+        Mode::Check => {
             let violations = spacea_lint::lint_workspace(&args.root).map_err(|e| e.to_string())?;
-            let b = Baseline::from_violations(&violations);
-            fs::write(&path, b.to_json()).map_err(|e| format!("{}: {e}", path.display()))?;
-            println!(
-                "wrote {} ({} entries, {} violations)",
-                path.display(),
-                b.entries.len(),
-                b.total()
-            );
-            Ok(true)
-        }
-        Mode::Check { baseline: path } => {
-            let violations = spacea_lint::lint_workspace(&args.root).map_err(|e| e.to_string())?;
-            let base = match &path {
-                Some(p) => {
-                    let text =
-                        fs::read_to_string(p).map_err(|e| format!("{}: {e}", p.display()))?;
-                    Baseline::parse(&text).map_err(|e| format!("{}: {e}", p.display()))?
-                }
-                None => Baseline::default(),
-            };
-            let report = baseline::check_against(&violations, &base);
-            for (rule, file, current, baselined) in &report.regressions {
-                eprintln!("{rule} {file}: {current} violation(s), baseline allows {baselined}:");
-                for v in violations.iter().filter(|v| v.rule.name() == rule && &v.file == file) {
-                    eprintln!("  {}:{}: {} [{}]", v.file, v.line, v.what, rule);
-                }
+            for v in &violations {
+                eprintln!("{}:{}: {} [{}]", v.file, v.line, v.what, v.rule.name());
             }
-            for (rule, file, current, baselined) in &report.stale {
-                println!(
-                    "note: stale baseline entry ({rule}, {file}): {baselined} baselined, {current} remain — run --update-baseline"
-                );
-            }
-            let baselined: u64 = violations.len() as u64
-                - report.regressions.iter().map(|(_, _, c, b)| c - b).sum::<u64>();
-            if report.ok() {
-                println!(
-                    "spacea-lint: ok ({} violation(s), all baselined; {} baseline entries)",
-                    baselined,
-                    base.entries.len()
-                );
+            if violations.is_empty() {
+                println!("spacea-lint: ok (no violations)");
             } else {
-                eprintln!(
-                    "spacea-lint: FAIL ({} new violation(s) beyond the baseline)",
-                    report.regressions.iter().map(|(_, _, c, b)| c - b).sum::<u64>()
-                );
+                eprintln!("spacea-lint: FAIL ({} violation(s))", violations.len());
                 eprintln!("fix them, suppress with `// lint:allow(RULE) reason`, or see --explain");
             }
-            Ok(report.ok())
+            Ok(violations.is_empty())
         }
     }
 }

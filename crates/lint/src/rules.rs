@@ -17,7 +17,7 @@
 //! Test code never counts: `#[cfg(test)]` / `#[test]` items are masked out
 //! of the token stream, and `tests/` / `benches/` directories are not
 //! walked at all. Remaining deliberate sites carry
-//! `// lint:allow(RULE) reason` or live in the ratcheting baseline.
+//! `// lint:allow(RULE) reason`.
 
 use crate::scanner::{is_float_literal, Allow, ScanOutput, TokKind, Token};
 
@@ -45,8 +45,8 @@ impl RuleId {
     pub const ALL: [RuleId; 7] =
         [RuleId::D1, RuleId::D2, RuleId::D3, RuleId::D4, RuleId::D5, RuleId::R1, RuleId::S1];
 
-    /// The rule's short name as used in reports, baselines, and
-    /// `lint:allow(...)` directives.
+    /// The rule's short name as used in reports and `lint:allow(...)`
+    /// directives.
     pub fn name(self) -> &'static str {
         match self {
             RuleId::D1 => "D1",
@@ -175,8 +175,7 @@ impl RuleId {
                  \n\
                  Fix: propagate with `?` and a SimError (or a local error enum).\n\
                  By-construction invariants that genuinely cannot fail carry\n\
-                 `// lint:allow(R1) reason`, and pre-existing debt lives in\n\
-                 lint-baseline.json, which only ratchets downward."
+                 `// lint:allow(R1) reason`."
             }
             RuleId::S1 => {
                 "S1: every metric key must be registered\n\

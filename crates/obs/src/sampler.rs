@@ -209,7 +209,7 @@ mod tests {
         let tl = s.into_timeline();
         let series = tl.series(&MetricKey::vault("ldq", 0, "occupancy")).unwrap();
         assert_eq!(series.total_count(), 10, "every=100 over 1000 cycles is 10 samples");
-        assert_eq!(series.last(), Some(900.0));
+        assert_eq!(series.windows().last().map(|w| w.last), Some(900.0));
         assert_eq!(tl.vaults(), vec![0]);
     }
 

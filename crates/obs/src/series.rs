@@ -154,11 +154,6 @@ impl Series {
         }
     }
 
-    /// The most recently recorded value, if any.
-    pub fn last(&self) -> Option<f64> {
-        self.windows.last().map(|w| w.last)
-    }
-
     /// Start cycle of the first window, if any.
     pub fn first_start(&self) -> Option<Cycle> {
         self.windows.first().map(|w| w.start)
@@ -185,7 +180,7 @@ mod tests {
         assert_eq!(s.windows()[0].count, 2);
         assert_eq!(s.windows()[0].mean(), 2.0);
         assert_eq!(s.windows()[1].start, 10);
-        assert_eq!(s.last(), Some(5.0));
+        assert_eq!(s.windows().last().map(|w| w.last), Some(5.0));
         assert_eq!(s.mean(), 3.0);
     }
 
@@ -198,7 +193,7 @@ mod tests {
         }
         assert_eq!(s.total_count(), 1000);
         assert!(s.window_len() >= 256, "1000 samples over 4 windows need len ≥ 256");
-        assert_eq!(s.last(), Some(999.0));
+        assert_eq!(s.windows().last().map(|w| w.last), Some(999.0));
         assert_eq!(s.first_start(), Some(0));
         let exact_mean = (0..1000).sum::<u64>() as f64 / 1000.0;
         assert!((s.mean() - exact_mean).abs() < 1e-9);
@@ -247,7 +242,7 @@ mod tests {
             let first = first_cycle.unwrap();
             prop_assert!(s.first_start().unwrap() <= first);
             prop_assert!(s.first_start().unwrap() + s.window_len() > first);
-            prop_assert_eq!(s.last().unwrap(), last_value);
+            prop_assert_eq!(s.windows().last().unwrap().last, last_value);
             // Windows stay ordered and aligned.
             for w in s.windows().windows(2) {
                 prop_assert!(w[0].start < w[1].start);
