@@ -208,6 +208,19 @@ impl HwConfig {
         if self.l_p == 0 {
             return Err("L_p must be at least one cycle".into());
         }
+        if self.l1_ldq_entries == 0 || self.l2_ldq_entries == 0 {
+            return Err(format!(
+                "load queues need at least one entry, got L1 {} and L2 {}",
+                self.l1_ldq_entries, self.l2_ldq_entries
+            ));
+        }
+        let links = [("TSV", self.tsv_bytes_per_cycle), ("NoC", self.noc_bytes_per_cycle)];
+        let serdes = (self.shape.cubes > 1).then_some(("SerDes", self.serdes_bytes_per_cycle));
+        for (link, bytes) in links.into_iter().chain(serdes) {
+            if bytes == 0 {
+                return Err(format!("{link} links need a positive bandwidth, got 0 bytes/cycle"));
+            }
+        }
         for (level, cam) in [("L1", &self.l1_cam), ("L2", &self.l2_cam)] {
             if cam.sets == 0 || !(1..=MAX_WAYS).contains(&cam.ways) {
                 return Err(format!(
@@ -333,6 +346,35 @@ mod tests {
         assert!(c4.validate().is_err(), "stalling a non-existent vault must be rejected");
         c4.faults.stall_vault = Some((0, 0));
         assert!(c4.validate().is_ok());
+
+        // Zero sizes the machine would otherwise panic on while building
+        // its load queues and links.
+        let mut two_cubes = HwConfig::tiny();
+        two_cubes.shape.cubes = 2;
+        assert!(two_cubes.validate().is_ok());
+        let mut zeroed = vec![two_cubes; 5];
+        zeroed[0].l1_ldq_entries = 0;
+        zeroed[1].l2_ldq_entries = 0;
+        zeroed[2].tsv_bytes_per_cycle = 0;
+        zeroed[3].noc_bytes_per_cycle = 0;
+        zeroed[4].serdes_bytes_per_cycle = 0;
+        for (c, what) in zeroed.iter().zip(["load queue", "load queue", "TSV", "NoC", "SerDes"]) {
+            let Err(err) = c.validate() else { panic!("a zero {what} size passed validation") };
+            assert!(err.contains(what), "{err}");
+        }
+        // One cube has no SerDes links, so their bandwidth is not checked.
+        let mut one_cube = HwConfig::tiny();
+        one_cube.serdes_bytes_per_cycle = 0;
+        assert!(one_cube.validate().is_ok());
+
+        // A run refuses such a config in preflight instead of panicking
+        // while it builds the load queues.
+        let mut c = HwConfig::tiny();
+        c.l1_ldq_entries = 0;
+        let a = spacea_matrix::Csr::from_dense(&[vec![2.0]]);
+        let mapping = spacea_mapping::MapKind::Naive.strategy().map(&a, &c.shape);
+        let run = crate::Machine::new(c).run(crate::RunSpec::spmv(&a, &[1.0], &mapping));
+        assert!(matches!(run, Err(crate::SimError::BadConfig(_))), "{run:?}");
     }
 
     #[test]

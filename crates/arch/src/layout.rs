@@ -58,16 +58,6 @@ impl DataLayout {
         }
     }
 
-    /// Vector elements per 32-byte block.
-    pub fn elems_per_block(&self) -> usize {
-        self.elems_per_block
-    }
-
-    /// Number of vector banks.
-    pub fn vector_banks(&self) -> usize {
-        self.vector_banks
-    }
-
     /// The block index holding vector element `j`.
     pub fn block_of_element(&self, j: usize) -> u64 {
         (j / self.elems_per_block) as u64

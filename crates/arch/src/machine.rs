@@ -1038,13 +1038,13 @@ impl<'a> Sim<'a> {
         self.fpu_ops += self.k();
         self.rf.reads += self.k();
 
-        let flush = match self.pes[p].row_remaining_mut(entry.matrix_row) {
+        let flush = match self.pes[p].row_remaining_mut(entry.row_id) {
             Some(remaining) => {
                 *remaining -= 1;
                 *remaining == 0
             }
             None => {
-                debug_assert!(false, "computed entry's matrix row must be in the PE's row table");
+                debug_assert!(false, "computed entry's DRAM row must be one of the PE's");
                 false
             }
         };

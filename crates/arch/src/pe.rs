@@ -95,17 +95,16 @@ pub struct ProductPe {
     pub ready: VecDeque<PeEntry>,
     /// Entries waiting on an outstanding X request.
     pub pending: usize,
-    /// Matrix-row ids this PE owns (non-empty rows only), sorted for
-    /// binary search, parallel to `row_remaining`. Built once at
-    /// construction so the hot compute path indexes a dense table instead
-    /// of growing a tree.
-    pub row_ids: Vec<u32>,
-    /// Non-zeros of each owned matrix row not yet multiplied, parallel to
-    /// `row_ids`. A whole matrix row belongs to exactly one PE, so when a
-    /// count reaches zero the machine flushes that row's dot product,
-    /// computed in canonical CSR entry order — which makes the result
-    /// independent of the arrival order of X responses and
-    /// bitwise-identical to the software oracle.
+    /// Slot in `row_remaining` of each DRAM row's matrix row, parallel to
+    /// `dram_rows`, so a computed entry finds its row's count through its
+    /// [`PeEntry::row_id`] without a search.
+    pub row_slots: Vec<u32>,
+    /// Non-zeros of each owned (non-empty) matrix row not yet multiplied,
+    /// one slot per row in DRAM-row order. A whole matrix row belongs to
+    /// exactly one PE, so when a count reaches zero the machine flushes
+    /// that row's dot product, computed in canonical CSR entry order —
+    /// which makes the result independent of the arrival order of X
+    /// responses and bitwise-identical to the software oracle.
     pub row_remaining: Vec<usize>,
     /// Whether a `PeStep` event is scheduled.
     pub step_scheduled: bool,
@@ -120,25 +119,26 @@ impl ProductPe {
     /// Creates a PE with its packed work list.
     pub fn new(dram_rows: Vec<DramRowSpec>) -> Self {
         // DRAM rows of one matrix row are consecutive (`pack_rows` packs
-        // each assigned row before moving on), so one pass accumulates the
-        // per-row non-zero totals; sorting then enables binary search.
-        let mut table: Vec<(u32, usize)> = Vec::new();
-        for spec in &dram_rows {
-            match table.last_mut() {
-                Some((row, n)) if *row == spec.matrix_row => *n += spec.len,
-                _ => table.push((spec.matrix_row, spec.len)),
+        // each assigned row before moving on), so a new matrix row opens a
+        // new slot and one pass accumulates every row's non-zero total.
+        let mut row_slots = Vec::with_capacity(dram_rows.len());
+        let mut row_remaining: Vec<usize> = Vec::new();
+        for (i, spec) in dram_rows.iter().enumerate() {
+            if i == 0 || dram_rows[i - 1].matrix_row != spec.matrix_row {
+                row_remaining.push(0);
             }
+            let slot = row_remaining.len() - 1;
+            row_remaining[slot] += spec.len;
+            row_slots.push(slot as u32);
         }
-        table.sort_unstable_by_key(|&(row, _)| row);
-        let (row_ids, row_remaining) = table.into_iter().unzip();
-        ProductPe { dram_rows, row_ids, row_remaining, ..Default::default() }
+        ProductPe { dram_rows, row_slots, row_remaining, ..Default::default() }
     }
 
-    /// Mutable remaining-count slot for `matrix_row`, or `None` when this
-    /// PE does not own the row.
-    pub fn row_remaining_mut(&mut self, matrix_row: u32) -> Option<&mut usize> {
-        let ix = self.row_ids.binary_search(&matrix_row).ok()?;
-        self.row_remaining.get_mut(ix)
+    /// Mutable remaining-count slot of the matrix row that DRAM row
+    /// `row_id` belongs to, or `None` when this PE has no such DRAM row.
+    pub fn row_remaining_mut(&mut self, row_id: u32) -> Option<&mut usize> {
+        let slot = *self.row_slots.get(row_id as usize)?;
+        self.row_remaining.get_mut(slot as usize)
     }
 
     /// Total non-zeros this PE must process.
@@ -165,8 +165,14 @@ impl ProductPe {
     /// from the queue front and returns how many were popped, or `None`
     /// when the row is not resident (a completion for a row the queue never
     /// loaded — the caller decides whether that is an invariant breach).
+    ///
+    /// Rows load one at a time in id order and pop only from the front, so
+    /// the resident ids are consecutive and row `row_id` sits at position
+    /// `row_id - front.id`.
     pub fn complete_entry(&mut self, row_id: u32) -> Option<usize> {
-        let row = self.queue.iter_mut().find(|r| r.id == row_id)?;
+        let front = self.queue.front()?.id;
+        let ix = row_id.checked_sub(front)? as usize;
+        let row = self.queue.get_mut(ix).filter(|r| r.id == row_id)?;
         debug_assert!(row.remaining > 0);
         row.remaining -= 1;
         self.work += 1;
@@ -205,7 +211,9 @@ mod tests {
         /// Over random matrices, row subsets and DRAM-row capacities, the
         /// packed ranges of each assigned row concatenate to exactly
         /// `Csr::row(r)`, in assignment order, and no chunk overflows its
-        /// DRAM row.
+        /// DRAM row. Each non-empty row gets the next count slot, every one
+        /// of its DRAM rows points at that slot, and the slot starts at the
+        /// row's non-zero count.
         #[test]
         fn packed_ranges_concatenate_to_each_assigned_row(
             (rows, cols, triples) in (1usize..24, 1usize..24).prop_flat_map(|(rows, cols)| {
@@ -222,17 +230,26 @@ mod tests {
             let a = coo.to_csr();
             let assigned: Vec<u32> = (0..rows as u32).filter(|&r| pick[r as usize]).rev().collect();
             let packed = pack_rows(&a, &assigned, cap);
-            let mut next = packed.iter().peekable();
+            let pe = ProductPe::new(packed.clone());
+            prop_assert_eq!(pe.row_slots.len(), packed.len());
+            let mut next = packed.iter().zip(&pe.row_slots).peekable();
+            let mut slot = 0;
             for &r in &assigned {
                 let mut got = Vec::new();
-                while let Some(spec) = next.next_if(|s| s.matrix_row == r) {
+                while let Some((spec, &spec_slot)) = next.next_if(|(s, _)| s.matrix_row == r) {
                     prop_assert!(spec.len >= 1 && spec.len <= cap, "{spec:?}");
+                    prop_assert_eq!(spec_slot as usize, slot, "{:?}", spec);
                     let range = spec.range();
                     got.extend(a.col_idx()[range.clone()].iter().copied().zip(a.vals()[range].iter().copied()));
+                }
+                if !got.is_empty() {
+                    prop_assert_eq!(pe.row_remaining[slot], a.row_nnz(r as usize), "row {}", r);
+                    slot += 1;
                 }
                 prop_assert_eq!(got, a.row(r as usize).collect::<Vec<_>>());
             }
             prop_assert!(next.next().is_none(), "chunks for unassigned rows");
+            prop_assert_eq!(pe.row_remaining.len(), slot, "one slot per non-empty row");
         }
     }
 
@@ -272,6 +289,34 @@ mod tests {
         // silently counted.
         assert_eq!(pe.complete_entry(7), None);
         assert_eq!(pe.work, 2);
+    }
+
+    #[test]
+    fn complete_entry_finds_rows_after_the_queue_has_moved_on() {
+        // A two-row PE queue streams rows 0..6, popping each front row
+        // once it is done, so rows 4 and 5 are resident at the end.
+        const QUEUE_ROWS: usize = 2;
+        let mut pe = ProductPe::default();
+        for id in 0..6 {
+            if pe.queue.len() == QUEUE_ROWS {
+                let front = pe.queue[0].id;
+                assert_eq!(pe.complete_entry(front), Some(0));
+                assert_eq!(pe.complete_entry(front), Some(1), "row {front} pops when done");
+            }
+            pe.queue.push_back(LoadedRow { id, remaining: 2 });
+        }
+        assert_eq!(pe.queue.iter().map(|r| r.id).collect::<Vec<_>>(), [4, 5]);
+        // Popped and not-yet-loaded rows are not resident.
+        assert_eq!(pe.complete_entry(3), None);
+        assert_eq!(pe.complete_entry(6), None);
+        // The back row finishes first without touching the front row.
+        assert_eq!(pe.complete_entry(5), Some(0));
+        assert_eq!(pe.complete_entry(5), Some(0));
+        assert_eq!(pe.queue[0].remaining, 2);
+        assert_eq!(pe.complete_entry(4), Some(0));
+        assert_eq!(pe.complete_entry(4), Some(2), "finishing the front pops both");
+        assert!(pe.queue.is_empty());
+        assert_eq!(pe.work, 12);
     }
 
     #[test]

@@ -191,11 +191,6 @@ impl<V: Copy> Cam<V> {
         evicted
     }
 
-    /// Removes every entry but keeps the counters.
-    pub fn clear(&mut self) {
-        self.fill.fill(0);
-    }
-
     /// Number of currently resident entries.
     pub fn len(&self) -> usize {
         self.fill.iter().map(|&f| f as usize).sum()
@@ -272,16 +267,6 @@ mod tests {
     }
 
     #[test]
-    fn clear_keeps_counters() {
-        let mut cam = tiny();
-        cam.insert(0, 5);
-        cam.lookup(0);
-        cam.clear();
-        assert!(cam.is_empty());
-        assert_eq!(cam.counters().hits, 1);
-    }
-
-    #[test]
     fn paper_default_capacities() {
         assert_eq!(CamConfig::l1_default().capacity_bytes(), 4 * 1024);
         assert_eq!(CamConfig::l2_default().capacity_bytes(), 256 * 1024);
@@ -309,19 +294,5 @@ mod tests {
         assert_eq!(cam.len(), MAX_WAYS);
         assert_eq!(cam.insert(999, 9), Some((0, 0)));
         assert_eq!(cam.len(), MAX_WAYS);
-    }
-
-    #[test]
-    fn clear_then_refill_reuses_slots_in_order() {
-        let mut cam = tiny();
-        cam.insert(0, 1);
-        cam.insert(2, 2);
-        cam.clear();
-        assert_eq!(cam.lookup(0), None, "cleared entries are gone");
-        cam.insert(4, 4);
-        cam.insert(6, 6);
-        assert_eq!(cam.len(), 2);
-        // The set is full again: the older of the two new keys goes.
-        assert_eq!(cam.insert(8, 8), Some((4, 4)));
     }
 }

@@ -11,31 +11,47 @@
 //!
 //! The queue is a timing wheel of [`WHEEL_BUCKETS`] one-cycle buckets
 //! covering the near future `[now, now + WHEEL_BUCKETS)`, an occupancy
-//! bitmap (one bit per bucket, scanned a 64-bucket word at a time), and a
-//! sorted overflow tree for events beyond the horizon (watchdog-scale
-//! timers, far-future retries, deeply backlogged banks). Every wheel event
-//! sits in one slot of a single slab, and each bucket is a FIFO list
-//! threaded through that slab (a head and a tail slot index); freed slots
-//! go on a free list and are reused before the slab grows. The wheel's
-//! memory is therefore its peak pending count, not one buffer per bucket
-//! touched. Scheduling and popping inside the horizon are O(1) — a list
-//! append or unlink and a bitmap probe — versus the O(log n) sift of the
-//! previous `BinaryHeap` engine (kept as [`reference::HeapQueue`], the
-//! oracle the equivalence proptests and `engine_bench` compare against).
+//! bitmap (one bit per bucket, scanned a 64-bucket word at a time), a
+//! next-cycle lane, and a sorted overflow tree for events beyond the
+//! horizon (watchdog-scale timers, far-future retries, deeply backlogged
+//! banks). Every wheel event sits in one slot of a single slab, and each
+//! bucket is a FIFO list threaded through that slab (a head and a tail
+//! slot index); freed slots go on a free list and are reused before the
+//! slab grows. The wheel's memory is therefore its peak pending count, not
+//! one buffer per bucket touched. Scheduling and popping inside the
+//! horizon are O(1) — a list append or unlink and a bitmap probe — versus
+//! the O(log n) sift of the previous `BinaryHeap` engine (kept as
+//! [`reference::HeapQueue`], the oracle the equivalence proptests and
+//! `engine_bench` compare against).
+//!
+//! Most events are scheduled exactly one cycle ahead (a PE stepping again
+//! at `L_p = 1`), so those skip the slab: an event for `now + 1` is pushed
+//! onto the lane, a `Vec` reused across cycles. [`EventQueue::drain_cycle`]
+//! appends the lane behind the bucket's list when that cycle comes due, and
+//! [`EventQueue::pop`] first links a due lane behind the bucket, so both
+//! delivery paths see one list per cycle.
 //!
 //! # Tie-break contract
 //!
 //! Within one cycle, events are delivered in scheduling order — exactly
-//! the order `schedule` was called. Each cycle's events sit in one FIFO
-//! (a wheel bucket's slot list or an overflow entry's deque) that only
-//! ever appends at its tail, and overflow events migrate into their
-//! (empty) bucket before any later wheel insert at their cycle, so list
-//! order *is* scheduling order and no per-event sequence number is needed.
-//! Which slab slot an event occupies never matters: only the list links
-//! order delivery. An event scheduled *while* draining cycle
-//! `t` for cycle `t` lands after everything already pending at `t`. This
-//! makes [`EventQueue::drain_cycle`] observationally identical to a `pop`
-//! loop: the batch boundary is invisible to the model.
+//! the order `schedule` was called. Each cycle's events sit in FIFOs that
+//! only ever append at their tail, and they come out in the order the
+//! FIFOs were filled, so no per-event sequence number is needed:
+//!
+//! - every wheel event for cycle `c` was scheduled while the clock read
+//!   `c − 2` or earlier, or migrated from the overflow tree; overflow
+//!   events migrate into their (empty) bucket before any later wheel
+//!   insert at their cycle;
+//! - every lane event for `c` was scheduled while the clock read `c − 1`;
+//! - an event scheduled *while* draining cycle `c` for cycle `c` lands in
+//!   the emptied bucket, after everything already delivered at `c`, and
+//!   comes out in the next drain of `c`.
+//!
+//! So delivering the bucket, then the lane, then the same-cycle follow-ups
+//! *is* scheduling order. Which slab slot an event occupies never matters:
+//! only the list links order delivery. This makes
+//! [`EventQueue::drain_cycle`] observationally identical to a `pop` loop:
+//! the batch boundary is invisible to the model.
 
 use crate::slab::{List, Slab};
 use crate::Cycle;
@@ -147,6 +163,11 @@ pub struct EventQueue<E> {
     overflow: BTreeMap<Cycle, VecDeque<E>>,
     /// Events currently in the overflow tree.
     overflow_len: usize,
+    /// The next-cycle lane: events for `now + 1` scheduled while the clock
+    /// read `now`, in scheduling order. Whenever it is non-empty its events
+    /// are due at `now + 1`, since the clock cannot pass that cycle without
+    /// delivering them.
+    lane: Vec<E>,
     now: Cycle,
     scheduled: u64,
     processed: u64,
@@ -168,6 +189,7 @@ impl<E> EventQueue<E> {
             wheel_len: 0,
             overflow: BTreeMap::new(),
             overflow_len: 0,
+            lane: Vec::new(),
             now: 0,
             scheduled: 0,
             processed: 0,
@@ -181,7 +203,7 @@ impl<E> EventQueue<E> {
 
     /// Number of events currently pending.
     pub fn len(&self) -> usize {
-        self.wheel_len + self.overflow_len
+        self.wheel_len + self.overflow_len + self.lane.len()
     }
 
     /// Returns `true` if no events are pending.
@@ -214,16 +236,25 @@ impl<E> EventQueue<E> {
         self.occupied[bucket / 64] &= !(1u64 << (bucket % 64));
     }
 
+    #[inline]
+    fn bit(&self, bucket: usize) -> bool {
+        self.occupied[bucket / 64] & (1u64 << (bucket % 64)) != 0
+    }
+
     /// Schedules `event` to fire at absolute cycle `at`.
     ///
     /// Scheduling in the past is clamped to `now`: a component reacting to an
     /// event at cycle `t` may trigger follow-up work "immediately", which
     /// lands at `t` and is delivered after all earlier-scheduled cycle-`t`
-    /// events.
+    /// events. An event for the next cycle goes to the lane, every other
+    /// one inside the horizon to its wheel bucket.
     pub fn schedule(&mut self, at: Cycle, event: E) {
         let at = at.max(self.now);
         self.scheduled += 1;
-        if at - self.now < WHEEL_BUCKETS as Cycle {
+        let ahead = at - self.now;
+        if ahead == 1 {
+            self.lane.push(event);
+        } else if ahead < WHEEL_BUCKETS as Cycle {
             let bucket = Self::bucket_of(at);
             self.slab.push_back(&mut self.buckets[bucket], event);
             self.set_bit(bucket);
@@ -288,24 +319,50 @@ impl<E> EventQueue<E> {
         }
     }
 
+    /// The earliest cycle pending in the wheel or the lane. A non-empty
+    /// lane is due at `now + 1`, so then only bucket `now` needs a look.
+    fn next_near_cycle(&self) -> Option<Cycle> {
+        if self.lane.is_empty() {
+            self.next_wheel_cycle()
+        } else if self.bit(Self::bucket_of(self.now)) {
+            Some(self.now)
+        } else {
+            Some(self.now + 1)
+        }
+    }
+
     /// Positions the clock on the next occupied cycle, pulling from the
-    /// overflow tree when the wheel is empty. Returns that cycle.
-    fn seek_next(&mut self) -> Option<Cycle> {
-        if self.wheel_len == 0 {
+    /// overflow tree when the wheel and the lane are empty. Returns that
+    /// cycle and whether the lane is due at it.
+    fn seek_next(&mut self) -> Option<(Cycle, bool)> {
+        if self.wheel_len == 0 && self.lane.is_empty() {
             let (&at, _) = self.overflow.first_key_value()?;
             self.advance_to(at);
         }
-        let next = self.next_wheel_cycle()?;
-        if next > self.now {
-            self.advance_to(next);
+        let next = self.next_near_cycle()?;
+        if next == self.now {
+            return Some((next, false));
         }
-        Some(next)
+        // A non-empty lane is due at `now + 1` and nothing pending lies
+        // beyond it, so the clock moves exactly onto the lane's cycle.
+        let lane_due = !self.lane.is_empty();
+        self.advance_to(next);
+        Some((next, lane_due))
     }
 
     /// Pops the next event, advancing the clock to its cycle.
     pub fn pop(&mut self) -> Option<(Cycle, E)> {
-        let at = self.seek_next()?;
+        let (at, lane_due) = self.seek_next()?;
         let bucket = Self::bucket_of(at);
+        if lane_due {
+            // Lane events were scheduled after every event already in the
+            // bucket and before any later one: link them in between.
+            self.wheel_len += self.lane.len();
+            self.set_bit(bucket);
+            for event in self.lane.drain(..) {
+                self.slab.push_back(&mut self.buckets[bucket], event);
+            }
+        }
         let event = self.slab.pop_front(&mut self.buckets[bucket])?;
         if self.buckets[bucket].is_empty() {
             self.clear_bit(bucket);
@@ -317,7 +374,7 @@ impl<E> EventQueue<E> {
 
     /// Moves every event pending at the next occupied cycle into `sink`
     /// (appending, in scheduling order), advances the clock to that cycle,
-    /// and returns it.
+    /// and returns it. The bucket's list comes first, then a due lane.
     ///
     /// Events scheduled *for the drained cycle* while the batch is being
     /// processed are not lost: they land in the (now empty) bucket and the
@@ -325,26 +382,25 @@ impl<E> EventQueue<E> {
     /// follow-ups — in exactly the order a `pop` loop would have delivered,
     /// since they were scheduled after every drained event.
     pub fn drain_cycle(&mut self, sink: &mut Vec<E>) -> Option<Cycle> {
-        let at = self.seek_next()?;
+        let (at, lane_due) = self.seek_next()?;
         let bucket = Self::bucket_of(at);
         let start = sink.len();
         let list = &mut self.buckets[bucket];
         while let Some(event) = self.slab.pop_front(list) {
             sink.push(event);
         }
-        let n = sink.len() - start;
         self.clear_bit(bucket);
-        self.wheel_len -= n;
-        self.processed += n as u64;
+        self.wheel_len -= sink.len() - start;
+        if lane_due {
+            sink.append(&mut self.lane);
+        }
+        self.processed += (sink.len() - start) as u64;
         Some(at)
     }
 
     /// The cycle of the next pending event without popping it.
     pub fn peek_time(&self) -> Option<Cycle> {
-        match self.next_wheel_cycle() {
-            Some(wheel_next) => Some(wheel_next),
-            None => self.overflow.first_key_value().map(|(&at, _)| at),
-        }
+        self.next_near_cycle().or_else(|| self.overflow.first_key_value().map(|(&at, _)| at))
     }
 
     /// Asserts the counter invariant `scheduled − processed == len`.

@@ -13,15 +13,20 @@
 //! and the overflow is counted in
 //! [`rejected_full`](crate::stats::LdqCounters::rejected_full).
 //!
-//! An ordered map from key to entry slot is the associative search (D1
-//! keeps hash maps out of the model). Entries and their waiters live in
-//! two slabs, each entry's waiters as a FIFO list, so admitting a key or
-//! parking a waiter reuses a freed slot instead of allocating, and
-//! [`LoadQueue::complete`] hands the waiters to a buffer the caller keeps.
+//! The associative search is a small open-addressed table from key to
+//! entry slot: a fixed multiplicative hash, linear probing and
+//! backward-shift deletion, allocated on the first admission and doubled
+//! at half load. It is not a `HashMap` (D1 keeps those out of the model):
+//! it has no per-process hash seed, so its layout depends only on the keys
+//! and the order they arrived in, and its one iteration
+//! ([`LoadQueue::oldest_age`]) takes a maximum, which no order can change.
+//! Entries and their waiters live in two slabs, each entry's waiters as a
+//! FIFO list, so admitting a key or parking a waiter reuses a freed slot
+//! instead of allocating, and [`LoadQueue::complete`] hands the waiters to
+//! a buffer the caller keeps.
 
 use crate::slab::{List, Slab};
 use crate::stats::LdqCounters;
-use std::collections::{btree_map, BTreeMap};
 
 /// Outcome of pushing a request into a load queue.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,7 +58,7 @@ pub enum LdqPush {
 pub struct LoadQueue<W> {
     capacity: usize,
     /// Each in-flight key's slot in `entries`.
-    index: BTreeMap<u64, usize>,
+    index: KeyIndex,
     entries: Slab<Entry>,
     /// Every parked waiter, in its entry's list.
     waiters: Slab<W>,
@@ -79,16 +84,11 @@ impl<W> LoadQueue<W> {
         assert!(capacity > 0, "load queue capacity must be positive");
         LoadQueue {
             capacity,
-            index: BTreeMap::new(),
+            index: KeyIndex::default(),
             entries: Slab::new(),
             waiters: Slab::new(),
             counters: LdqCounters::default(),
         }
-    }
-
-    /// Maximum number of distinct in-flight keys.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Number of keys currently in flight.
@@ -98,12 +98,12 @@ impl<W> LoadQueue<W> {
 
     /// Returns `true` if no keys are in flight.
     pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
+        self.index.len() == 0
     }
 
     /// Returns `true` if `key` is currently in flight.
     pub fn contains(&self, key: u64) -> bool {
-        self.index.contains_key(&key)
+        self.index.get(key).is_some()
     }
 
     /// Activity counters accumulated so far.
@@ -122,34 +122,30 @@ impl<W> LoadQueue<W> {
     /// [`rejected_full`](crate::stats::LdqCounters::rejected_full): the
     /// structural overflow a blocking requestor would have retried.
     pub fn push_forced_at(&mut self, key: u64, waiter: W, now: u64) -> LdqPush {
-        let in_flight = self.index.len();
-        match self.index.entry(key) {
-            btree_map::Entry::Occupied(slot) => {
-                let entry = self.entries.get_mut(*slot.get());
-                debug_assert!(entry.is_some(), "an in-flight key names a live entry");
-                if let Some(entry) = entry {
-                    self.waiters.push_back(&mut entry.waiters, waiter);
-                }
-                self.counters.deduplicated += 1;
-                LdqPush::Deduplicated
+        if let Some(ix) = self.index.get(key) {
+            let entry = self.entries.get_mut(ix);
+            debug_assert!(entry.is_some(), "an in-flight key names a live entry");
+            if let Some(entry) = entry {
+                self.waiters.push_back(&mut entry.waiters, waiter);
             }
-            btree_map::Entry::Vacant(slot) => {
-                if in_flight >= self.capacity {
-                    self.counters.rejected_full += 1;
-                }
-                let mut waiters = List::EMPTY;
-                self.waiters.push_back(&mut waiters, waiter);
-                slot.insert(self.entries.insert(Entry { since: now, waiters }));
-                self.counters.new_requests += 1;
-                LdqPush::NewRequest
-            }
+            self.counters.deduplicated += 1;
+            return LdqPush::Deduplicated;
         }
+        if self.index.len() >= self.capacity {
+            self.counters.rejected_full += 1;
+        }
+        let mut waiters = List::EMPTY;
+        self.waiters.push_back(&mut waiters, waiter);
+        let ix = self.entries.insert(Entry { since: now, waiters });
+        self.index.insert(key, ix);
+        self.counters.new_requests += 1;
+        LdqPush::NewRequest
     }
 
     /// Completes `key`, removing it and appending its waiters to `woken` in
     /// arrival order. Appends nothing if the key was not pending.
     pub fn complete(&mut self, key: u64, woken: &mut Vec<W>) {
-        let Some(mut entry) = self.index.remove(&key).and_then(|ix| self.entries.remove(ix)) else {
+        let Some(mut entry) = self.index.remove(key).and_then(|ix| self.entries.remove(ix)) else {
             return;
         };
         while let Some(waiter) = self.waiters.pop_front(&mut entry.waiters) {
@@ -164,11 +160,133 @@ impl<W> LoadQueue<W> {
     /// the stall-diagnosis signal occupancy gauges cannot provide.
     pub fn oldest_age(&self, now: u64) -> u64 {
         self.index
-            .values()
-            .filter_map(|&ix| self.entries.get(ix))
+            .slots()
+            .filter_map(|ix| self.entries.get(ix))
             .map(|e| now.saturating_sub(e.since))
             .max()
             .unwrap_or(0)
+    }
+}
+
+/// Marks a vacant cell of a [`KeyIndex`]. No slab holds `usize::MAX`
+/// slots, so no entry slot is ever this value, and every `u64` stays
+/// usable as a key.
+const VACANT: usize = usize::MAX;
+
+/// Cells a [`KeyIndex`] allocates on its first insert (a power of two).
+const FIRST_CELLS: usize = 16;
+
+/// One cell of a [`KeyIndex`]: a key and its entry slot, or [`VACANT`].
+#[derive(Debug, Clone, Copy)]
+struct Cell {
+    key: u64,
+    slot: usize,
+}
+
+/// An open-addressed table from in-flight key to entry slot.
+///
+/// A key's probe chain starts at its multiplicative (Fibonacci) hash and
+/// runs forward to the first vacant cell. The table stays at most half
+/// full, so every chain ends. Deleting shifts the rest of the chain back
+/// into the hole, so no tombstones build up. A queue that never misses
+/// never allocates the table.
+#[derive(Debug, Clone, Default)]
+struct KeyIndex {
+    /// A power-of-two number of cells, or none before the first insert.
+    cells: Vec<Cell>,
+    len: usize,
+}
+
+impl KeyIndex {
+    /// Number of keys held.
+    fn len(&self) -> usize {
+        self.len
+    }
+
+    /// The cell `key`'s probe chain starts at. The table must have cells.
+    fn home(&self, key: u64) -> usize {
+        let bits = self.cells.len().trailing_zeros();
+        (key.wrapping_mul(0x9E37_79B9_7F4A_7C15) >> (64 - bits)) as usize
+    }
+
+    /// `Ok` with the cell holding `key`, or `Err` with the vacant cell
+    /// that ends its probe chain. The table must have cells.
+    fn find(&self, key: u64) -> Result<usize, usize> {
+        let mask = self.cells.len() - 1;
+        let mut ix = self.home(key);
+        loop {
+            let cell = self.cells[ix];
+            if cell.slot == VACANT {
+                return Err(ix);
+            }
+            if cell.key == key {
+                return Ok(ix);
+            }
+            ix = (ix + 1) & mask;
+        }
+    }
+
+    /// The entry slot of `key`, if it is held.
+    fn get(&self, key: u64) -> Option<usize> {
+        if self.cells.is_empty() {
+            return None;
+        }
+        self.find(key).ok().map(|ix| self.cells[ix].slot)
+    }
+
+    /// Adds `key` with entry slot `slot`. The key must not be held.
+    fn insert(&mut self, key: u64, slot: usize) {
+        if 2 * (self.len + 1) > self.cells.len() {
+            self.grow();
+        }
+        let found = self.find(key);
+        debug_assert!(found.is_err(), "key {key} is already held");
+        if let Err(ix) = found {
+            self.cells[ix] = Cell { key, slot };
+            self.len += 1;
+        }
+    }
+
+    /// Doubles the table (or allocates it) and re-inserts every key in
+    /// cell order.
+    fn grow(&mut self) {
+        let cells = (2 * self.cells.len()).max(FIRST_CELLS);
+        let old = std::mem::replace(&mut self.cells, vec![Cell { key: 0, slot: VACANT }; cells]);
+        for cell in old.into_iter().filter(|c| c.slot != VACANT) {
+            if let Err(ix) = self.find(cell.key) {
+                self.cells[ix] = cell;
+            }
+        }
+    }
+
+    /// Removes `key` and returns its entry slot, if it was held.
+    fn remove(&mut self, key: u64) -> Option<usize> {
+        if self.cells.is_empty() {
+            return None;
+        }
+        let mut hole = self.find(key).ok()?;
+        let slot = self.cells[hole].slot;
+        let mask = self.cells.len() - 1;
+        let mut ix = (hole + 1) & mask;
+        while self.cells[ix].slot != VACANT {
+            // The cell may move back into the hole unless its chain starts
+            // after the hole: probe distance from its home at least the
+            // distance from the hole.
+            let home = self.home(self.cells[ix].key);
+            if ix.wrapping_sub(home) & mask >= ix.wrapping_sub(hole) & mask {
+                self.cells[hole] = self.cells[ix];
+                hole = ix;
+            }
+            ix = (ix + 1) & mask;
+        }
+        self.cells[hole].slot = VACANT;
+        self.len -= 1;
+        Some(slot)
+    }
+
+    /// Every held entry slot, in cell order.
+    fn slots(&self) -> impl Iterator<Item = usize> + '_ {
+        self.cells.iter().map(|c| c.slot).filter(|&slot| slot != VACANT)
     }
 }
 

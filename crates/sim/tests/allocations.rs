@@ -1,6 +1,7 @@
 //! The event queue and the load queues must not allocate per event: both
-//! keep their entries in slabs that grow to the peak pending count and then
-//! reuse freed slots.
+//! keep their entries in slabs, and the queue's next-cycle lane and the
+//! load queues' key index in buffers, that grow to the peak pending count
+//! and then reuse freed room.
 //!
 //! The test binary installs a global allocator that counts allocations and
 //! reallocations made on the calling thread, so tests running on other
@@ -53,31 +54,39 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static COUNTING: Counting = Counting;
 
-/// Allocations made by a fresh queue that carries one event forward one
-/// cycle at a time for `cycles` cycles, drained the way the machine drains.
-fn carry_one_event(cycles: u64) -> u64 {
+/// Allocations made by a fresh queue that carries one event forward `hop`
+/// cycles at a time for `hops` hops, drained the way the machine drains.
+fn carry_one_event(hops: u64, hop: u64) -> u64 {
     let mut batch = Vec::with_capacity(1);
     let before = allocations();
     let mut q = EventQueue::new();
     q.schedule(0, 0u64);
     while let Some(t) = q.drain_cycle(&mut batch) {
-        for hop in batch.drain(..) {
-            if hop + 1 < cycles {
-                q.schedule(t + 1, hop + 1);
+        for n in batch.drain(..) {
+            if n + 1 < hops {
+                q.schedule(t + hop, n + 1);
             }
         }
     }
-    assert_eq!(q.processed_count(), cycles);
+    assert_eq!(q.processed_count(), hops);
     allocations() - before
 }
 
 #[test]
 fn event_queue_allocations_do_not_grow_with_buckets_touched() {
-    // 200 cycles touch 200 wheel buckets; 20,000 cycles touch all 4,096
-    // several times over.
-    let short = carry_one_event(200);
-    let long = carry_one_event(20_000);
-    assert_eq!(short, long, "allocations: {short} over 200 cycles, {long} over 20,000");
+    // A one-cycle hop goes through the next-cycle lane, so the wheel is
+    // walked with a hop of 3: 200 hops touch 200 wheel buckets, and 20,000
+    // hops touch all 4,096 (3 is coprime to 4,096) several times over.
+    let short = carry_one_event(200, 3);
+    let long = carry_one_event(20_000, 3);
+    assert_eq!(short, long, "wheel allocations: {short} over 200 hops, {long} over 20,000");
+}
+
+#[test]
+fn event_queue_allocations_do_not_grow_with_lane_cycles() {
+    let short = carry_one_event(200, 1);
+    let long = carry_one_event(20_000, 1);
+    assert_eq!(short, long, "lane allocations: {short} over 200 hops, {long} over 20,000");
 }
 
 #[test]

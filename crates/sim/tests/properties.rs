@@ -40,6 +40,20 @@ impl RefLru {
     }
 }
 
+/// Keys the load-queue model test draws from, by index.
+const LDQ_KEYS: usize = 42;
+
+/// Load-queue test key `ix`: `0`, `u64::MAX`, twenty multiples of
+/// `1 << 16`, then twenty small block numbers like the machine's.
+fn ldq_key(ix: usize) -> u64 {
+    match ix {
+        0 => 0,
+        1 => u64::MAX,
+        2..=21 => (ix as u64 - 1) << 16,
+        _ => ix as u64 - 21,
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
@@ -103,18 +117,26 @@ proptest! {
     }
 
     #[test]
-    fn ldq_matches_reference_model(ops in proptest::collection::vec((0u64..12, any::<bool>(), 0u64..5), 1..300)) {
+    fn ldq_matches_reference_model(
+        ops in proptest::collection::vec((any::<u8>(), 0usize..LDQ_KEYS, 0u64..5), 1..400),
+        drain_order in proptest::collection::vec(any::<u64>(), LDQ_KEYS),
+    ) {
         // The reference keeps each in-flight key's admission cycle and its
-        // waiters in arrival order. Twelve keys against a capacity of four
-        // keep the queue over capacity often, so `rejected_full` counts.
+        // waiters in arrival order. The keys include `0`, `u64::MAX` and
+        // multiples of `1 << 16`, whose hashes crowd into shared probe
+        // chains. Completions hit keys in random order, so deletions land
+        // in the middle of chains. One op in three completes, so the
+        // in-flight set grows far past the capacity of four: `rejected_full`
+        // counts and forced admissions make the key index grow.
         const CAPACITY: usize = 4;
         let mut ldq: LoadQueue<u32> = LoadQueue::new(CAPACITY);
         let mut reference: BTreeMap<u64, (u64, Vec<u32>)> = BTreeMap::new();
         let mut counters = LdqCounters::default();
         let mut now = 0u64;
-        for (i, (key, complete, dt)) in ops.into_iter().enumerate() {
+        for (i, (selector, key_ix, dt)) in ops.into_iter().enumerate() {
+            let key = ldq_key(key_ix);
             now += dt;
-            if complete {
+            if selector % 3 == 0 {
                 // `complete` appends: the sentinel already in the buffer stays first.
                 let mut expected = vec![u32::MAX];
                 if let Some((_, waiters)) = reference.remove(&key) {
@@ -140,18 +162,25 @@ proptest! {
             }
             prop_assert_eq!(ldq.len(), reference.len());
             prop_assert_eq!(ldq.is_empty(), reference.is_empty());
-            for k in 0..12 {
+            for k in (0..LDQ_KEYS).map(ldq_key) {
                 prop_assert_eq!(ldq.contains(k), reference.contains_key(&k), "contains {}", k);
             }
             let oldest = reference.values().map(|&(since, _)| now - since).max().unwrap_or(0);
             prop_assert_eq!(ldq.oldest_age(now), oldest);
             prop_assert_eq!(ldq.counters(), &counters);
         }
-        // Draining every key returns each remaining key's waiters once.
-        for (key, (_, waiters)) in std::mem::take(&mut reference) {
+        // Draining every key, in random order, returns each remaining
+        // key's waiters once and leaves the others findable.
+        let mut order: Vec<usize> = (0..LDQ_KEYS).collect();
+        order.sort_by_key(|&ix| drain_order[ix]);
+        for key in order.into_iter().map(ldq_key) {
+            let Some((_, waiters)) = reference.remove(&key) else { continue };
             let mut woken = Vec::new();
             ldq.complete(key, &mut woken);
             prop_assert_eq!(woken, waiters, "drain {}", key);
+            for &k in reference.keys() {
+                prop_assert!(ldq.contains(k), "{} lost after completing {}", k, key);
+            }
         }
         prop_assert!(ldq.is_empty());
     }
