@@ -127,6 +127,11 @@ fi
 # matrices renders byte-identically on 1 and 4 workers with no failed cell,
 # and each run simulates only the 2 distinct runs per matrix (one for the
 # plain, CSR, COO and SELL mapping, one for BCSR's) and reuses the other 14.
+# Mappings are stored by sparsity pattern, so Phase I/II also runs twice per
+# matrix (the logical pattern and BCSR's footprint) and the CSR, COO and
+# SELL cells read the logical pattern's artifact back from disk. On 4
+# workers two cells can both miss before either writes, so only the total
+# of 10 is fixed there.
 MEMO_ARGS="--quick --ids 1,13 --scales 256 --backend all --format all --partition all --csv"
 for j in 1 4; do
   MEMO_CACHE=target/spacea-cache-memo-$j
@@ -134,6 +139,16 @@ for j in 1 4; do
   cargo run --release -p spacea-bench --bin sweep -- $MEMO_ARGS --jobs $j \
     --cache-dir "$MEMO_CACHE" > target/sweep-memo-$j.csv
   grep -q '"simulations":{"run":4,"reused":14}' "$MEMO_CACHE/last-run.json"
+  MAPS=$(grep -o '"mappings":{"computed":[0-9]*,"disk_hits":[0-9]*' "$MEMO_CACHE/last-run.json" \
+    | tr -c '0-9' ' ')
+  set -- $MAPS
+  if [ "$#" -ne 2 ] || [ "$(($1 + $2))" -ne 10 ]; then
+    echo "ci.sh: the memo sweep on $j workers obtained mappings $MAPS, not 10 in all" >&2
+    exit 1
+  fi
+  if [ "$j" -eq 1 ]; then
+    grep -q '"mappings":{"computed":4,"disk_hits":6' "$MEMO_CACHE/last-run.json"
+  fi
 done
 cmp target/sweep-memo-1.csv target/sweep-memo-4.csv
 if grep -qE "failed|timed-out" target/sweep-memo-1.csv; then

@@ -72,10 +72,10 @@ fn main() {
          see the README's \"Observability\" section.\n\n\
          Job-cache reuse across processes: computed mappings (Phase I/II, \
          the expensive row→PE placement) persist to \
-         `<cache-dir>/mappings/<key>.json`, keyed by matrix content hash × \
+         `<cache-dir>/mappings/<key>.json`, keyed by sparsity-pattern hash × \
          mapping kind × machine shape. Every harness run warms its `JobCtx` \
          from that store, and the `spacea-serve` daemon registers matrices \
-         directly against it — so Phase I/II is paid once per matrix *ever*, \
+         directly against it — so Phase I/II is paid once per pattern *ever*, \
          not once per process, and a restarted daemon reports \
          `mappings.computed: 0` in its `serve-manifest.json` (CI asserts \
          this). `--no-cache` opts a run out; corrupt or stale entries are \

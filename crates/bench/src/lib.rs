@@ -214,8 +214,8 @@ impl HarnessSession {
     /// Builds a session from parsed options. Unless `--no-cache` was given,
     /// results persist under [`HarnessOptions::cache_dir`] (in memory only if
     /// that directory cannot be opened) and computed mappings under
-    /// `<cache-dir>/mappings/`, so Phase I/II is paid once per matrix *ever*
-    /// (warm restarts load them from disk).
+    /// `<cache-dir>/mappings/`, so Phase I/II is paid once per sparsity
+    /// pattern *ever* (warm restarts load them from disk).
     pub fn from_opts(opts: HarnessOptions) -> Self {
         let dir = opts.cache_dir();
         let (store, ctx) = if opts.no_cache {

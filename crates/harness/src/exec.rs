@@ -80,7 +80,7 @@ pub struct SimulationStats {
 ///
 /// Mapping computation goes through a [`MappingStore`]: with
 /// [`JobCtx::with_mapping_dir`], the in-process memo warms from persisted
-/// artifacts, so Phase I/II runs once per matrix content *ever*, not once
+/// artifacts, so Phase I/II runs once per sparsity pattern *ever*, not once
 /// per process.
 #[derive(Default)]
 pub struct JobCtx {
@@ -101,7 +101,7 @@ impl JobCtx {
     }
 
     /// A context whose mappings persist under `dir` (one JSON artifact per
-    /// matrix-content × kind × shape key).
+    /// sparsity-pattern × kind × shape key).
     pub fn with_mapping_dir(dir: impl Into<std::path::PathBuf>) -> Self {
         JobCtx { mapstore: MappingStore::with_dir(dir), ..JobCtx::default() }
     }
@@ -168,8 +168,9 @@ impl JobCtx {
     /// format's stored footprint ([`spacea_matrix::SparseFormat::storage_pattern`])
     /// rather than the logical pattern, so padding-heavy layouts (BCSR
     /// block fill) place the traffic they actually generate. Persists
-    /// through the same [`MappingStore`] as plain mappings — the pattern
-    /// matrix is content-addressed like any other operand.
+    /// through the same [`MappingStore`] as plain mappings, which keys by
+    /// pattern: a footprint equal to the logical pattern (CSR, COO, SELL)
+    /// shares the plain mapping's artifact.
     pub fn format_mapping(
         &self,
         source: &MatrixSource,

@@ -1,13 +1,20 @@
-//! Persistent mapping cache: Phase I/II paid once per matrix *ever*.
+//! Persistent mapping cache: Phase I/II paid once per sparsity pattern
+//! *ever*.
 //!
 //! Computing a [`Mapping`] (Algorithm 1 row assignment plus the Formula 1
 //! placement hierarchy) dominates the cost of small-matrix workloads, yet
-//! it depends only on the matrix *content*, the mapping kind and the
-//! machine shape — none of which change between processes. A
-//! [`MappingStore`] keys mappings by an FNV-1a content hash over the CSR
-//! arrays and persists each computed mapping as one JSON file under
-//! `<dir>/<key>.json`, so a daemon restart (or a fresh sweep process)
-//! warms the in-process memo from disk instead of re-running Phase I/II.
+//! it depends only on the matrix's sparsity *pattern*, the mapping kind and
+//! the machine shape — none of which change between processes. A
+//! [`MappingStore`] keys mappings by [`pattern_key`] (dimensions, row
+//! pointers and column indices, no values) and persists each computed
+//! mapping as one JSON file under `<dir>/<key>.json`, so a daemon restart
+//! (or a fresh sweep process) warms the in-process memo from disk instead
+//! of re-running Phase I/II, and a matrix shares its artifact with every
+//! copy of its pattern: the unit-valued footprints of its CSR, COO and
+//! SELL layouts, or the same matrix with other values. That is sound
+//! because a [`MappingStrategy`](spacea_mapping::MappingStrategy) reads
+//! only the pattern. [`matrix_key`], which hashes the values too, stays
+//! the identity of a registered matrix.
 //!
 //! Robustness mirrors [`crate::store::ResultStore`]: writes go through a
 //! tmp-file + atomic rename so concurrent processes never read a torn
@@ -48,7 +55,8 @@ pub struct MappingStore {
 
 /// Content hash of a CSR matrix: dimensions plus every structural array,
 /// values as exact IEEE-754 bit patterns. Two matrices with equal content
-/// share mappings regardless of how they were constructed.
+/// get one key regardless of how they were constructed; serve registers
+/// matrices under it.
 pub fn matrix_key(a: &Csr) -> u64 {
     let mut h = Fnv::new();
     h.str("spacea-matrix-v1");
@@ -66,7 +74,27 @@ pub fn matrix_key(a: &Csr) -> u64 {
     h.finish()
 }
 
-/// Cache key of one mapping: matrix content × mapping kind × machine shape.
+/// Hash of a CSR matrix's sparsity pattern: dimensions, row pointers and
+/// column indices (as 4-byte words), but no values. Every input a
+/// [`MappingStrategy`](spacea_mapping::MappingStrategy) reads, so two
+/// matrices with one key map identically.
+pub fn pattern_key(a: &Csr) -> u64 {
+    let mut h = Fnv::new();
+    h.str("spacea-pattern-v1");
+    h.usize(a.rows());
+    h.usize(a.cols());
+    for &p in a.row_ptr() {
+        h.usize(p);
+    }
+    for &c in a.col_idx() {
+        h.bytes(&c.to_le_bytes());
+    }
+    h.finish()
+}
+
+/// Cache key of one mapping: a matrix key × mapping kind × machine shape.
+/// The store keys by [`pattern_key`]; serve's in-process memo by
+/// [`matrix_key`].
 pub fn mapping_key(matrix_key: u64, kind: MapKind, shape: &MachineShape) -> u64 {
     let mut h = Fnv::new();
     h.str("spacea-mapping-v1");
@@ -113,9 +141,10 @@ impl MappingStore {
     }
 
     /// The mapping of `a` onto `shape` under `kind`: loaded from disk when
-    /// a valid artifact exists, computed (and persisted) otherwise.
+    /// a valid artifact for `a`'s pattern exists, computed (and persisted)
+    /// otherwise.
     pub fn get_or_compute(&self, a: &Csr, kind: MapKind, shape: &MachineShape) -> Mapping {
-        let key = mapping_key(matrix_key(a), kind, shape);
+        let key = mapping_key(pattern_key(a), kind, shape);
         let mut damaged = false;
         if let Some(path) = self.path_for(key) {
             match load_mapping(&path, a, shape) {
@@ -225,6 +254,11 @@ mod tests {
         std::env::temp_dir().join(format!("spacea-mapstore-{tag}-{}", std::process::id()))
     }
 
+    /// `a`'s pattern in a `cols`-wide matrix holding `vals`.
+    fn with_vals(a: &Csr, cols: usize, vals: Vec<f64>) -> Csr {
+        Csr::from_parts(a.rows(), cols, a.row_ptr().to_vec(), a.col_idx().to_vec(), vals).unwrap()
+    }
+
     #[test]
     fn matrix_key_tracks_content_not_identity() {
         let a = banded(&BandedConfig { n: 64, ..Default::default() });
@@ -232,6 +266,36 @@ mod tests {
         assert_eq!(matrix_key(&a), matrix_key(&b));
         let c = banded(&BandedConfig { n: 65, ..Default::default() });
         assert_ne!(matrix_key(&a), matrix_key(&c));
+    }
+
+    #[test]
+    fn pattern_key_ignores_values_but_not_structure() {
+        let a = banded(&BandedConfig { n: 64, ..Default::default() });
+        let scaled = with_vals(&a, a.cols(), a.vals().iter().map(|v| v * 2.0).collect());
+        assert_eq!(pattern_key(&a), pattern_key(&scaled));
+        assert_ne!(matrix_key(&a), matrix_key(&scaled));
+        let wider = with_vals(&a, a.cols() + 1, a.vals().to_vec());
+        assert_ne!(pattern_key(&a), pattern_key(&wider));
+        let c = banded(&BandedConfig { n: 65, ..Default::default() });
+        assert_ne!(pattern_key(&a), pattern_key(&c));
+    }
+
+    #[test]
+    fn a_matrix_and_its_unit_pattern_share_one_artifact() {
+        let dir = tmp_dir("pattern");
+        let _ = std::fs::remove_dir_all(&dir);
+        let a = rmat(&RmatConfig { n: 128, edges: 600, ..Default::default() });
+        let unit = with_vals(&a, a.cols(), vec![1.0; a.nnz()]);
+        assert_ne!(matrix_key(&a), matrix_key(&unit), "serve still tells them apart");
+        let shape = MachineShape::tiny();
+        let store = MappingStore::with_dir(&dir);
+        let m = store.get_or_compute(&a, MapKind::Proposed, &shape);
+        let from_pattern = store.get_or_compute(&unit, MapKind::Proposed, &shape);
+        assert_eq!(store.stats(), MappingStats { computed: 1, disk_hits: 1, healed: 0 });
+        assert_eq!(m, from_pattern);
+        let files = std::fs::read_dir(&dir).unwrap().count();
+        assert_eq!(files, 1, "one artifact for the pattern");
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -283,7 +347,7 @@ mod tests {
         let a = banded(&BandedConfig { n: 96, ..Default::default() });
         let shape = MachineShape::tiny();
         let store = MappingStore::with_dir(&dir);
-        let key = mapping_key(matrix_key(&a), MapKind::Proposed, &shape);
+        let key = mapping_key(pattern_key(&a), MapKind::Proposed, &shape);
         let path = store.path_for(key).unwrap();
         std::fs::create_dir_all(&dir).unwrap();
         std::fs::write(&path, "{ not json").unwrap();
@@ -307,10 +371,10 @@ mod tests {
         let m = store.get_or_compute(&a, MapKind::Proposed, &shape);
         // Copy the artifact onto the key of a *different* shape (simulating
         // a collision / stale file); the cross-check must reject it.
-        let key = mapping_key(matrix_key(&a), MapKind::Proposed, &shape);
+        let key = mapping_key(pattern_key(&a), MapKind::Proposed, &shape);
         let mut other = shape;
         other.vaults_per_cube *= 2;
-        let other_key = mapping_key(matrix_key(&a), MapKind::Proposed, &other);
+        let other_key = mapping_key(pattern_key(&a), MapKind::Proposed, &other);
         std::fs::copy(store.path_for(key).unwrap(), store.path_for(other_key).unwrap()).unwrap();
         let m2 = store.get_or_compute(&a, MapKind::Proposed, &other);
         assert_eq!(store.stats().computed, 2, "mismatched artifact must recompute");

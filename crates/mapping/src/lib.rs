@@ -62,10 +62,18 @@ pub struct Mapping {
 }
 
 /// A strategy that produces a complete [`Mapping`] for a matrix on a machine
-/// shape. Implemented by [`LocalityMapping`] (the paper's method) and
-/// [`NaiveMapping`] (the Section V-B baseline).
+/// shape. Implemented by [`LocalityMapping`] (the paper's method),
+/// [`NaiveMapping`] (the Section V-B baseline) and [`ChunkedMapping`].
+///
+/// **Contract: a strategy reads only the pattern.** `map` depends on the
+/// matrix's dimensions, row pointers and column indices, never on its
+/// values, so two matrices with one sparsity pattern map identically. The
+/// harness's mapping store relies on this: it keys persisted mappings by
+/// pattern, so a matrix and the unit-valued footprint of its CSR, COO or
+/// SELL layout share one Phase I/II run.
 pub trait MappingStrategy {
-    /// Maps `matrix` onto a machine of the given shape.
+    /// Maps `matrix` onto a machine of the given shape, reading only its
+    /// sparsity pattern.
     fn map(&self, matrix: &Csr, shape: &MachineShape) -> Mapping;
 
     /// A short human-readable name used in experiment output.

@@ -11,9 +11,10 @@
 //!
 //! * [`engine::ServeEngine`] — a matrix registry keyed by content hash
 //!   ([`spacea_harness::mapstore::matrix_key`]) whose mappings persist under
-//!   `<cache-dir>/mappings/<key>.json`, so Phase I/II is paid once per
-//!   matrix *ever*, not once per process. Restarting the daemon performs
-//!   zero mapping computations for previously seen matrices.
+//!   `<cache-dir>/mappings/<key>.json`, keyed by sparsity pattern
+//!   ([`spacea_harness::mapstore::pattern_key`]), so Phase I/II is paid once
+//!   per pattern *ever*, not once per process. Restarting the daemon
+//!   performs zero mapping computations for previously seen matrices.
 //! * [`service::Service`] — a bounded admission queue plus a dispatcher
 //!   thread that fuses concurrent requests against the same matrix into
 //!   one simulated SpMM pass ([`spacea_arch::RunSpec::spmm`]), and a

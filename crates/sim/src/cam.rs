@@ -58,12 +58,15 @@ pub const MAX_WAYS: usize = u8::MAX as usize;
 /// Every way lives in one set-major `sets × ways` table of `(key, last
 /// use)` tags, allocated zeroed in one piece, plus a per-set fill count
 /// saying how many ways of the set are resident. Building a CAM therefore
-/// costs the same two allocations whatever its geometry, and sets that are
-/// never touched never reach physical memory. Ways fill in order and are
-/// only replaced in place, so the resident ways of a set are always its
-/// first `fill` slots. Payloads sit in a parallel table sized on the first
-/// insert; for a zero-sized `V` (the machine's presence-only CAMs) that
-/// table never allocates.
+/// costs the same two allocations whatever its geometry, but not the same
+/// time: the zeroing is only free when the allocator maps fresh pages from
+/// the OS. A long-lived process that builds machine after machine gets
+/// freed heap back, which the allocator clears with `memset`, so every
+/// build writes all `16 · sets · ways` tag bytes, untouched sets included.
+/// Ways fill in order and are only replaced in place, so the resident ways
+/// of a set are always its first `fill` slots. Payloads sit in a parallel
+/// table sized on the first insert; for a zero-sized `V` (the machine's
+/// presence-only CAMs) that table never allocates.
 ///
 /// # Example
 ///
