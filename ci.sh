@@ -13,6 +13,9 @@ cargo test --workspace -q
 cargo test --release -q -p spacea-sim -p spacea-arch
 cargo fmt --check
 cargo clippy --workspace --all-targets -- -D warnings
+# The API docs build with every warning an error, so a doc link to a
+# deleted or out-of-scope item fails here.
+RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
 # The benchmark package (perf/) is a workspace of its own, so the root
 # `cargo test` never compiles it — yet it pins the JSON compatibility paths

@@ -47,7 +47,7 @@ pub mod trace;
 
 pub use config::HwConfig;
 pub use layout::{DataLayout, SlotId};
-pub use machine::{Machine, RunInput, RunOutput, RunSpec, SimError};
+pub use machine::{Machine, RunOutput, RunSpec, SimError};
 pub use report::{SimReport, SpmmReport};
 pub use spacea_sim::fault;
 pub use spacea_sim::fault::{

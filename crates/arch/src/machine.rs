@@ -264,7 +264,7 @@ impl Machine {
 /// The input side of a [`RunSpec`]: one vector (SpMV) or a fused batch
 /// (SpMM).
 #[derive(Debug, Clone, Copy)]
-pub enum RunInput<'a> {
+enum RunInput<'a> {
     /// Single-vector `y = A·x`.
     Single(&'a [f64]),
     /// Fused multi-vector pass `Y = A · [x_0 … x_{k-1}]`: the matrix is
@@ -300,7 +300,7 @@ pub struct RunSpec<'a> {
 impl<'a> RunSpec<'a> {
     /// A plain single-vector run `y = A·x` under `mapping`.
     pub fn spmv(a: &'a Csr, x: &'a [f64], mapping: &'a Mapping) -> Self {
-        RunSpec::with_input(a, RunInput::Single(x), mapping)
+        RunSpec { a, input: RunInput::Single(x), mapping, trace_capacity: None, observe: None }
     }
 
     /// A fused multi-vector run `Y = A · [x_0 … x_{k-1}]` under `mapping`.
@@ -310,12 +310,7 @@ impl<'a> RunSpec<'a> {
     /// canonical CSR entry order, independent of batch composition), which
     /// is what lets a batching service fuse concurrent requests safely.
     pub fn spmm(a: &'a Csr, xs: &'a [Vec<f64>], mapping: &'a Mapping) -> Self {
-        RunSpec::with_input(a, RunInput::Batch(xs), mapping)
-    }
-
-    /// A run over an explicit [`RunInput`].
-    pub fn with_input(a: &'a Csr, input: RunInput<'a>, mapping: &'a Mapping) -> Self {
-        RunSpec { a, input, mapping, trace_capacity: None, observe: None }
+        RunSpec { a, input: RunInput::Batch(xs), mapping, trace_capacity: None, observe: None }
     }
 
     /// Record the first `capacity` machine events (the paper's "detailed
@@ -433,11 +428,11 @@ struct Sim<'a> {
     matrix_banks: Vec<DramBank>,
     vector_banks: Vec<DramBank>,
     // The CAMs model presence/timing only: X values are read directly from
-    // `xs` where needed, so the cached payload is `()`.
-    prod_l1: Vec<Cam<()>>,
-    vec_l1: Vec<Cam<()>>,
+    // `xs` where needed, so a CAM keeps tags and no payload.
+    prod_l1: Vec<Cam>,
+    vec_l1: Vec<Cam>,
     l1_ldq: Vec<LoadQueue<PeWaiter>>,
-    l2_cam: Vec<Cam<()>>,
+    l2_cam: Vec<Cam>,
     l2_ldq: Vec<LoadQueue<Requester>>,
     // The waiters an L1 or L2 fill wakes, reused from fill to fill.
     l1_woken: Vec<PeWaiter>,
@@ -991,7 +986,7 @@ impl<'a> Sim<'a> {
             self.queue_sram.reads += 1;
             let block = self.layout.block_of_element(entry.col as usize);
             let bg = self.pe_slots[p].global_bank_group(self.cfg);
-            if self.prod_l1[bg].lookup(block).is_some() {
+            if self.prod_l1[bg].lookup(block) {
                 // Case II: X_j ready via the L1 CAM (one RF write per
                 // vector in the batch).
                 self.rf.writes += self.k();
@@ -1090,7 +1085,7 @@ impl<'a> Sim<'a> {
     fn vault_x_req(&mut self, vault: u32, block: u64, from: Requester, t: Cycle) {
         let v = vault as usize;
         let t_look = t + self.cfg.l2_cam_latency;
-        if self.l2_cam[v].lookup(block).is_some() {
+        if self.l2_cam[v].lookup(block) {
             self.respond(v, block, from, t_look);
             return;
         }
@@ -1136,7 +1131,7 @@ impl<'a> Sim<'a> {
     /// Type II: X response at a vault controller — fill L2, wake waiters.
     fn vault_x_resp(&mut self, vault: u32, block: u64, t: Cycle) {
         let v = vault as usize;
-        self.l2_cam[v].insert(block, ());
+        self.l2_cam[v].insert(block);
         let mut woken = std::mem::take(&mut self.l2_woken);
         self.l2_ldq[v].complete(block, &mut woken);
         for waiter in woken.drain(..) {
@@ -1151,13 +1146,13 @@ impl<'a> Sim<'a> {
         let b = bank as usize;
         let vault = self.layout.vault_of_vector_bank(b);
         let t_look = t + self.cfg.l1_cam_latency;
-        let t_ready = if self.vec_l1[vault].lookup(block).is_some() {
+        let t_ready = if self.vec_l1[vault].lookup(block) {
             t_look
         } else {
             let drow = self.layout.dram_row_of_block(block, self.cfg.timing.row_bytes);
             let done =
                 self.vector_banks[b].access(t_look, drow, 32 * self.xs.len(), AccessKind::Read);
-            self.vec_l1[vault].insert(block, ());
+            self.vec_l1[vault].insert(block);
             done
         };
         let t1 = self.tsv[vault].transfer(t_ready, size::x_response_bytes(self.xs.len()));
@@ -1167,7 +1162,7 @@ impl<'a> Sim<'a> {
     /// X response at a product bank group: fill L1 CAM, satisfy waiters.
     fn l1_fill(&mut self, bg: u32, block: u64, t: Cycle) {
         let g = bg as usize;
-        self.prod_l1[g].insert(block, ());
+        self.prod_l1[g].insert(block);
         let k = self.k();
         let mut woken = std::mem::take(&mut self.l1_woken);
         self.l1_ldq[g].complete(block, &mut woken);

@@ -18,11 +18,12 @@
 //!    space same-row elements `C` slots apart, which is exactly the
 //!    scheduling trick Serpens implements in hardware.
 //!
-//! The model consumes [`SparseFormat::stream_rows`] — the format's own
-//! slot emission order — so the format axis changes HBM cycle counts
-//! through two real mechanisms: storage footprint (bytes to stream) and
-//! stream schedule (stalls). Padding slots cost bandwidth but also space
-//! out live elements, the classic ELLPACK trade.
+//! The model consumes
+//! [`SparseFormat::stream_rows`](spacea_matrix::formats::SparseFormat::stream_rows)
+//! — the format's own slot emission order — so the format axis changes HBM
+//! cycle counts through two real mechanisms: storage footprint (bytes to
+//! stream) and stream schedule (stalls). Padding slots cost bandwidth but
+//! also space out live elements, the classic ELLPACK trade.
 
 use crate::{check_dims, Backend, BackendKind, Partition, ScenarioRun, ScenarioSpec, NNZ_BYTES};
 use spacea_matrix::formats::PAD;

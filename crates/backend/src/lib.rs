@@ -3,7 +3,8 @@
 //! Before this crate, the SpaceA machine (`spacea-arch`), the Titan Xp
 //! csrmv model and the DGX-1 CPU model (`spacea-gpu`) were special-cased
 //! call sites in `core` and `bench`. A [`Backend`] runs one
-//! [`ScenarioSpec`] — a matrix in a chosen [`FormatKind`] with a chosen
+//! [`ScenarioSpec`] — a matrix in a chosen
+//! [`FormatKind`](spacea_matrix::formats::FormatKind) with a chosen
 //! [`Partition`] — and returns a [`ScenarioRun`] whose output vector is
 //! bitwise-equal to the `Csr::spmv` reference, which makes the
 //! backend × format × partitioning grid sweepable through the harness

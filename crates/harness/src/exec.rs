@@ -18,7 +18,7 @@ use spacea_backend::{BackendKind, HbmBackend, ScenarioSpec, SpaceaBackend};
 use spacea_gpu::simulate_csrmv;
 use spacea_mapping::{MachineShape, MapKind, Mapping};
 use spacea_matrix::formats::FormatKind;
-use spacea_matrix::Csr;
+use spacea_matrix::{Csr, SparseFormat};
 use spacea_obs::Timeline;
 use std::collections::{HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -164,27 +164,26 @@ impl JobCtx {
         }))
     }
 
-    /// The (memoized) *format-aware* mapping: Phase I/II runs over the
-    /// format's stored footprint ([`spacea_matrix::SparseFormat::storage_pattern`])
-    /// rather than the logical pattern, so padding-heavy layouts (BCSR
-    /// block fill) place the traffic they actually generate. Persists
-    /// through the same [`MappingStore`] as plain mappings, which keys by
-    /// pattern: a footprint equal to the logical pattern (CSR, COO, SELL)
-    /// shares the plain mapping's artifact.
+    /// The (memoized) *format-aware* mapping of `format`, a built format
+    /// of `source`'s matrix, memoized by its [`SparseFormat::kind`]: Phase
+    /// I/II runs over the format's stored footprint
+    /// ([`SparseFormat::storage_pattern`]) rather than the logical pattern,
+    /// so padding-heavy layouts (BCSR block fill) place the traffic they
+    /// actually generate. Persists through the same [`MappingStore`] as
+    /// plain mappings, which keys by pattern: a footprint equal to the
+    /// logical pattern (CSR, COO, SELL) shares the plain mapping's
+    /// artifact.
     pub fn format_mapping(
         &self,
         source: &MatrixSource,
-        format: FormatKind,
+        format: &dyn SparseFormat,
         kind: MapKind,
         shape: MachineShape,
     ) -> Arc<Mapping> {
-        let cell = Arc::clone(
-            lock(&self.format_mappings).entry((*source, format, kind, shape)).or_default(),
-        );
+        let key = (*source, format.kind(), kind, shape);
+        let cell = Arc::clone(lock(&self.format_mappings).entry(key).or_default());
         Arc::clone(cell.get_or_init(|| {
-            let a = self.matrix(source);
-            let pattern = format.build(&a).storage_pattern();
-            Arc::new(self.mapstore.get_or_compute(&pattern, kind, &shape))
+            Arc::new(self.mapstore.get_or_compute(&format.storage_pattern(), kind, &shape))
         }))
     }
 
@@ -320,7 +319,7 @@ pub fn execute_observed(
             let built = format.build(&a);
             let mapping = backend
                 .needs_mapping()
-                .then(|| ctx.format_mapping(source, *format, *kind, hw.shape));
+                .then(|| ctx.format_mapping(source, built.as_ref(), *kind, hw.shape));
             let x = input_vector(a.cols());
             let scenario = ScenarioSpec {
                 a: &a,
@@ -619,12 +618,18 @@ mod tests {
     fn format_mapping_is_memoized_per_format() {
         let ctx = JobCtx::new();
         let src = MatrixSource::Suite { id: 1, scale: 256 };
-        let a = ctx.format_mapping(&src, FormatKind::Bcsr, MapKind::Proposed, MachineShape::tiny());
-        let b = ctx.format_mapping(&src, FormatKind::Bcsr, MapKind::Proposed, MachineShape::tiny());
+        let matrix = ctx.matrix(&src);
+        let map = |format: FormatKind| {
+            let built = format.build(&matrix);
+            ctx.format_mapping(&src, built.as_ref(), MapKind::Proposed, MachineShape::tiny())
+        };
+        // A second build of the same format is answered from the memo.
+        let a = map(FormatKind::Bcsr);
+        let b = map(FormatKind::Bcsr);
         assert!(Arc::ptr_eq(&a, &b));
         // BCSR's padded footprint may map differently from CSR's — the memo
         // must keep them distinct either way.
-        let c = ctx.format_mapping(&src, FormatKind::Csr, MapKind::Proposed, MachineShape::tiny());
+        let c = map(FormatKind::Csr);
         assert!(!Arc::ptr_eq(&a, &c));
     }
 
@@ -634,16 +639,20 @@ mod tests {
         let src = MatrixSource::Suite { id: 1, scale: 256 };
         let hw = HwConfig::tiny();
         let report = |m: &Arc<Mapping>, hw: &HwConfig| ctx.spmv_report(&src, m, hw).unwrap();
+        let matrix = ctx.matrix(&src);
+        let map = |format: FormatKind| {
+            ctx.format_mapping(&src, format.build(&matrix).as_ref(), MapKind::Proposed, hw.shape)
+        };
         let plain_mapping = ctx.mapping(&src, MapKind::Proposed, hw.shape);
         let plain = report(&plain_mapping, &hw);
         // CSR, COO and SELL store exactly the matrix pattern, so their
         // footprint mappings equal the plain one and lend it their run.
         for format in [FormatKind::Csr, FormatKind::Coo, FormatKind::Sell] {
-            let m = ctx.format_mapping(&src, format, MapKind::Proposed, hw.shape);
+            let m = map(format);
             assert!(!Arc::ptr_eq(&m, &plain_mapping), "{format}: a separate memo entry");
             assert!(Arc::ptr_eq(&report(&m, &hw), &plain), "{format} must reuse the plain run");
         }
-        let bcsr_mapping = ctx.format_mapping(&src, FormatKind::Bcsr, MapKind::Proposed, hw.shape);
+        let bcsr_mapping = map(FormatKind::Bcsr);
         let bcsr = report(&bcsr_mapping, &hw);
         assert!(!Arc::ptr_eq(&bcsr, &plain), "block padding maps BCSR differently");
         let mut other = hw.clone();

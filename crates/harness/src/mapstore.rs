@@ -92,13 +92,12 @@ pub fn pattern_key(a: &Csr) -> u64 {
     h.finish()
 }
 
-/// Cache key of one mapping: a matrix key × mapping kind × machine shape.
-/// The store keys by [`pattern_key`]; serve's in-process memo by
-/// [`matrix_key`].
-pub fn mapping_key(matrix_key: u64, kind: MapKind, shape: &MachineShape) -> u64 {
+/// Cache key of one mapping artifact: a [`pattern_key`] × mapping kind ×
+/// machine shape.
+fn mapping_key(pattern_key: u64, kind: MapKind, shape: &MachineShape) -> u64 {
     let mut h = Fnv::new();
     h.str("spacea-mapping-v1");
-    h.u64(matrix_key);
+    h.u64(pattern_key);
     h.u8(match kind {
         MapKind::Naive => 0,
         MapKind::Proposed => 1,

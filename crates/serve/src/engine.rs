@@ -13,7 +13,7 @@ use crate::chaos::{ChaosPlan, ChaosState};
 use crate::error::ServeError;
 use crate::journal::{AckJournal, CompactionStats};
 use spacea_arch::{HwConfig, Machine, RunSpec, SpmmReport};
-use spacea_harness::mapstore::{mapping_key, matrix_key};
+use spacea_harness::mapstore::matrix_key;
 use spacea_harness::{write_atomic, MappingStats, MappingStore, MatrixSource};
 use spacea_mapping::{MapKind, Mapping};
 use spacea_matrix::Csr;
@@ -22,7 +22,7 @@ use spacea_obs::{MetricKey, Series, Timeline};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Duration;
 
 /// The daemon's on-disk manifest file name (under the cache directory).
@@ -178,6 +178,14 @@ impl Telemetry {
     }
 }
 
+/// One registered matrix and its mapping. The first caller to need the
+/// mapping runs (or warms) Phase I/II; concurrent callers wait for that
+/// one computation instead of starting their own.
+struct Entry {
+    a: Arc<Csr>,
+    mapping: OnceLock<Mapping>,
+}
+
 /// The shared state of one serve instance. See the crate docs for the
 /// registry / warm-mapping / batching semantics.
 pub struct ServeEngine {
@@ -186,8 +194,8 @@ pub struct ServeEngine {
     store: MappingStore,
     chaos: ChaosState,
     journal: AckJournal,
-    matrices: Mutex<BTreeMap<u64, Arc<Csr>>>,
-    mappings: Mutex<BTreeMap<u64, Arc<Mapping>>>,
+    /// The registry, by matrix content key.
+    matrices: Mutex<BTreeMap<u64, Arc<Entry>>>,
     requests: AtomicU64,
     batches: AtomicU64,
     fused_max: AtomicU64,
@@ -216,7 +224,6 @@ impl ServeEngine {
             chaos,
             journal,
             matrices: Mutex::new(BTreeMap::new()),
-            mappings: Mutex::new(BTreeMap::new()),
             requests: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             fused_max: AtomicU64::new(0),
@@ -269,11 +276,15 @@ impl ServeEngine {
     /// Re-registering the same content is an idempotent cheap no-op.
     pub fn register(&self, a: Csr) -> RegisterInfo {
         let key = matrix_key(&a);
-        let a = Arc::clone(lock(&self.matrices).entry(key).or_insert_with(|| Arc::new(a)));
-        let info = RegisterInfo { key, rows: a.rows(), cols: a.cols(), nnz: a.nnz() };
+        let entry = Arc::clone(
+            lock(&self.matrices)
+                .entry(key)
+                .or_insert_with(|| Arc::new(Entry { a: Arc::new(a), mapping: OnceLock::new() })),
+        );
         // Registration pays (or warms) Phase I/II, so submits never do.
-        let _ = self.mapping_for(key, &a);
-        info
+        self.mapping(&entry);
+        let a = &entry.a;
+        RegisterInfo { key, rows: a.rows(), cols: a.cols(), nnz: a.nnz() }
     }
 
     /// Registers a Table I suite matrix by id and down-scale factor.
@@ -290,19 +301,15 @@ impl ServeEngine {
 
     /// The registered matrix under `key`, if any.
     pub fn matrix(&self, key: u64) -> Option<Arc<Csr>> {
-        lock(&self.matrices).get(&key).cloned()
+        lock(&self.matrices).get(&key).map(|entry| Arc::clone(&entry.a))
     }
 
-    /// The (memoized, disk-warmed) mapping of a registered matrix: the
-    /// paper's proposed two-phase mapping, the only one the daemon serves.
-    fn mapping_for(&self, key: u64, a: &Csr) -> Arc<Mapping> {
-        let mk = mapping_key(key, MapKind::Proposed, &self.cfg.hw.shape);
-        if let Some(m) = lock(&self.mappings).get(&mk) {
-            return Arc::clone(m);
-        }
-        let m = Arc::new(self.store.get_or_compute(a, MapKind::Proposed, &self.cfg.hw.shape));
-        lock(&self.mappings).entry(mk).or_insert_with(|| Arc::clone(&m));
-        m
+    /// The (disk-warmed) mapping of a registered matrix: the paper's
+    /// proposed two-phase mapping, the only one the daemon serves.
+    fn mapping<'e>(&self, entry: &'e Entry) -> &'e Mapping {
+        entry.mapping.get_or_init(|| {
+            self.store.get_or_compute(&entry.a, MapKind::Proposed, &self.cfg.hw.shape)
+        })
     }
 
     /// Runs one fused SpMM pass over `xs` against the registered matrix
@@ -315,9 +322,10 @@ impl ServeEngine {
     /// [`ServeError::Sim`] for preflight and simulator failures
     /// (mismatched vector lengths, empty batches, hangs).
     pub fn run_batch(&self, key: u64, xs: &[Vec<f64>]) -> Result<SpmmReport, ServeError> {
-        let a = self.matrix(key).ok_or(ServeError::UnknownMatrix(key))?;
-        let mapping = self.mapping_for(key, &a);
-        let report = self.machine.run(RunSpec::spmm(&a, xs, &mapping))?.into_spmm();
+        let entry =
+            lock(&self.matrices).get(&key).cloned().ok_or(ServeError::UnknownMatrix(key))?;
+        let report =
+            self.machine.run(RunSpec::spmm(&entry.a, xs, self.mapping(&entry)))?.into_spmm();
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.requests.fetch_add(xs.len() as u64, Ordering::Relaxed);
         self.fused_max.fetch_max(xs.len() as u64, Ordering::Relaxed);
@@ -512,6 +520,39 @@ mod tests {
         let e = engine.register_suite(99, 256).unwrap_err();
         assert_eq!(e.code(), "bad-request");
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_registrations_compute_one_mapping() {
+        // Eight threads register one matrix at once: one registry entry,
+        // and one Phase I/II run the other seven wait for. A registry that
+        // let two of them compute loses the race only sometimes, so four
+        // fresh engines each run it.
+        let a = MatrixSource::Suite { id: 1, scale: 256 }.generate();
+        for round in 0..4 {
+            let dir = tmp_dir(&format!("race{round}"));
+            let _ = std::fs::remove_dir_all(&dir);
+            let engine = ServeEngine::new(ServeConfig::quick(&dir));
+            let barrier = std::sync::Barrier::new(8);
+            let infos: Vec<RegisterInfo> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..8)
+                    .map(|_| {
+                        let a = a.clone();
+                        let (engine, barrier) = (&engine, &barrier);
+                        s.spawn(move || {
+                            barrier.wait();
+                            engine.register(a)
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            assert!(infos.iter().all(|info| *info == infos[0]));
+            let stats = engine.stats();
+            assert_eq!(stats.registered, 1);
+            assert_eq!(stats.mappings.computed, 1, "round {round}: {:?}", stats.mappings);
+            let _ = std::fs::remove_dir_all(&dir);
+        }
     }
 
     #[test]

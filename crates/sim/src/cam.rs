@@ -4,7 +4,9 @@
 //! controller (Sections III-B and III-C) as key-value stores from input-vector
 //! block index to block contents. Both levels share this implementation:
 //! configurable set count, associativity and way size, with LRU replacement
-//! inside a set.
+//! inside a set. The model keeps tags only — which blocks are resident — and
+//! never the block contents: the machine reads `X` from the input vector
+//! itself, so a CAM decides timing, not values.
 //!
 //! The paper's default configuration gives each way 32 bytes — four
 //! double-precision elements of the input vector — so the CAM caches
@@ -49,9 +51,10 @@ impl CamConfig {
 /// The most ways a set may have: the per-set fill count is a `u8`.
 pub const MAX_WAYS: usize = u8::MAX as usize;
 
-/// A set-associative CAM with LRU replacement.
+/// A set-associative, tag-only CAM with LRU replacement.
 ///
-/// Keys are block indices (`u64`); values are the cached block payloads.
+/// Keys are block indices (`u64`); a lookup answers whether the block is
+/// resident.
 ///
 /// # Layout
 ///
@@ -64,35 +67,31 @@ pub const MAX_WAYS: usize = u8::MAX as usize;
 /// freed heap back, which the allocator clears with `memset`, so every
 /// build writes all `16 · sets · ways` tag bytes, untouched sets included.
 /// Ways fill in order and are only replaced in place, so the resident ways
-/// of a set are always its first `fill` slots. Payloads sit in a parallel
-/// table sized on the first insert; for a zero-sized `V` (the machine's
-/// presence-only CAMs) that table never allocates.
+/// of a set are always its first `fill` slots.
 ///
 /// # Example
 ///
 /// ```
 /// use spacea_sim::cam::{Cam, CamConfig};
 ///
-/// let mut cam: Cam<[f64; 4]> = Cam::new(CamConfig::l1_default());
-/// assert!(cam.lookup(7).is_none());
-/// cam.insert(7, [1.0, 2.0, 3.0, 4.0]);
-/// assert_eq!(cam.lookup(7), Some([1.0, 2.0, 3.0, 4.0]));
+/// let mut cam = Cam::new(CamConfig::l1_default());
+/// assert!(!cam.lookup(7));
+/// assert_eq!(cam.insert(7), None);
+/// assert!(cam.lookup(7));
 /// ```
 #[derive(Debug, Clone)]
-pub struct Cam<V> {
+pub struct Cam {
     config: CamConfig,
     /// `(key, last_use)` per way; set `s` owns slots `s·ways .. (s+1)·ways`.
     /// `last_use` is a monotone timestamp for LRU ordering.
     tags: Vec<(u64, u64)>,
     /// Resident ways per set (at most [`MAX_WAYS`]).
     fill: Vec<u8>,
-    /// Payloads, slot for slot with `tags`; empty until the first insert.
-    values: Vec<V>,
     tick: u64,
     counters: CamCounters,
 }
 
-impl<V: Copy> Cam<V> {
+impl Cam {
     /// Creates an empty CAM with the given geometry.
     ///
     /// # Panics
@@ -106,15 +105,9 @@ impl<V: Copy> Cam<V> {
             config,
             tags: vec![(0, 0); config.sets * config.ways],
             fill: vec![0; config.sets],
-            values: Vec::new(),
             tick: 0,
             counters: CamCounters::default(),
         }
-    }
-
-    /// The geometry this CAM was built with.
-    pub fn config(&self) -> &CamConfig {
-        &self.config
     }
 
     /// Hit/miss counters accumulated so far.
@@ -135,37 +128,33 @@ impl<V: Copy> Cam<V> {
         resident.iter().position(|&(k, _)| k == key).map(|way| base + way)
     }
 
-    /// Searches for `key`, updating LRU state and hit/miss counters.
-    pub fn lookup(&mut self, key: u64) -> Option<V> {
+    /// Whether `key` is resident, updating LRU state and hit/miss counters.
+    pub fn lookup(&mut self, key: u64) -> bool {
         self.tick += 1;
         match self.find(key) {
             Some(slot) => {
                 self.tags[slot].1 = self.tick;
                 self.counters.hits += 1;
-                Some(self.values[slot])
+                true
             }
             None => {
                 self.counters.misses += 1;
-                None
+                false
             }
         }
     }
 
-    /// Searches for `key` without disturbing LRU order or counters (used by
-    /// tests and by response paths that only need presence information).
-    pub fn peek(&self, key: u64) -> Option<&V> {
-        self.find(key).map(|slot| &self.values[slot])
+    /// Whether `key` is resident, without disturbing LRU order or counters.
+    pub fn peek(&self, key: u64) -> bool {
+        self.find(key).is_some()
     }
 
     /// Inserts or refreshes `key`, evicting the LRU way if the set is full.
     ///
-    /// Returns the evicted `(key, value)` pair, if any.
-    pub fn insert(&mut self, key: u64, value: V) -> Option<(u64, V)> {
+    /// Returns the evicted key, if any.
+    pub fn insert(&mut self, key: u64) -> Option<u64> {
         self.tick += 1;
         self.counters.fills += 1;
-        if self.values.is_empty() {
-            self.values = vec![value; self.tags.len()];
-        }
         let set = self.set_index(key);
         let base = set * self.config.ways;
         let fill = self.fill[set] as usize;
@@ -186,11 +175,10 @@ impl<V: Copy> Cam<V> {
                     }
                 }
                 self.counters.evictions += 1;
-                (victim, Some((self.tags[victim].0, self.values[victim])))
+                (victim, Some(self.tags[victim].0))
             }
         };
         self.tags[slot] = (key, self.tick);
-        self.values[slot] = value;
         evicted
     }
 
@@ -209,16 +197,16 @@ impl<V: Copy> Cam<V> {
 mod tests {
     use super::*;
 
-    fn tiny() -> Cam<u32> {
+    fn tiny() -> Cam {
         Cam::new(CamConfig { sets: 2, ways: 2, way_bytes: 32 })
     }
 
     #[test]
     fn miss_then_hit() {
         let mut cam = tiny();
-        assert_eq!(cam.lookup(4), None);
-        cam.insert(4, 44);
-        assert_eq!(cam.lookup(4), Some(44));
+        assert!(!cam.lookup(4));
+        cam.insert(4);
+        assert!(cam.lookup(4));
         assert_eq!(cam.counters().hits, 1);
         assert_eq!(cam.counters().misses, 1);
     }
@@ -227,13 +215,13 @@ mod tests {
     fn keys_map_to_sets_by_modulo() {
         let mut cam = tiny();
         // Keys 0 and 2 share set 0; keys 1 and 3 share set 1.
-        cam.insert(0, 0);
-        cam.insert(2, 2);
-        cam.insert(1, 1);
-        cam.insert(3, 3);
+        cam.insert(0);
+        cam.insert(2);
+        cam.insert(1);
+        cam.insert(3);
         assert_eq!(cam.len(), 4);
         // A fifth key in set 0 must evict.
-        let evicted = cam.insert(4, 4);
+        let evicted = cam.insert(4);
         assert!(evicted.is_some());
         assert_eq!(cam.len(), 4);
     }
@@ -241,30 +229,30 @@ mod tests {
     #[test]
     fn lru_evicts_least_recent() {
         let mut cam = tiny();
-        cam.insert(0, 10);
-        cam.insert(2, 20);
+        cam.insert(0);
+        cam.insert(2);
         cam.lookup(0); // refresh key 0 → key 2 is now LRU
-        let evicted = cam.insert(4, 40).expect("set full");
-        assert_eq!(evicted, (2, 20));
-        assert_eq!(cam.lookup(0), Some(10));
-        assert_eq!(cam.lookup(4), Some(40));
+        assert_eq!(cam.insert(4), Some(2));
+        assert!(cam.lookup(0));
+        assert!(cam.lookup(4));
+        assert!(!cam.peek(2));
     }
 
     #[test]
     fn insert_refreshes_existing() {
         let mut cam = tiny();
-        cam.insert(0, 1);
-        assert!(cam.insert(0, 2).is_none());
-        assert_eq!(cam.lookup(0), Some(2));
+        cam.insert(0);
+        assert!(cam.insert(0).is_none());
+        assert!(cam.lookup(0));
         assert_eq!(cam.len(), 1);
     }
 
     #[test]
     fn peek_does_not_count() {
         let mut cam = tiny();
-        cam.insert(0, 5);
-        assert_eq!(cam.peek(0), Some(&5));
-        assert_eq!(cam.peek(1), None);
+        cam.insert(0);
+        assert!(cam.peek(0));
+        assert!(!cam.peek(1));
         assert_eq!(cam.counters().hits, 0);
         assert_eq!(cam.counters().misses, 0);
     }
@@ -279,23 +267,23 @@ mod tests {
     #[test]
     #[should_panic(expected = "at least one set")]
     fn zero_sets_panics() {
-        let _: Cam<u8> = Cam::new(CamConfig { sets: 0, ways: 1, way_bytes: 8 });
+        let _ = Cam::new(CamConfig { sets: 0, ways: 1, way_bytes: 8 });
     }
 
     #[test]
     #[should_panic(expected = "at most 255 ways")]
     fn more_ways_than_the_fill_count_holds_panics() {
-        let _: Cam<()> = Cam::new(CamConfig { sets: 1, ways: MAX_WAYS + 1, way_bytes: 32 });
+        let _ = Cam::new(CamConfig { sets: 1, ways: MAX_WAYS + 1, way_bytes: 32 });
     }
 
     #[test]
     fn widest_set_fills_and_evicts() {
-        let mut cam: Cam<u32> = Cam::new(CamConfig { sets: 1, ways: MAX_WAYS, way_bytes: 32 });
+        let mut cam = Cam::new(CamConfig { sets: 1, ways: MAX_WAYS, way_bytes: 32 });
         for k in 0..MAX_WAYS as u64 {
-            assert!(cam.insert(k, k as u32).is_none());
+            assert!(cam.insert(k).is_none());
         }
         assert_eq!(cam.len(), MAX_WAYS);
-        assert_eq!(cam.insert(999, 9), Some((0, 0)));
+        assert_eq!(cam.insert(999), Some(0));
         assert_eq!(cam.len(), MAX_WAYS);
     }
 }

@@ -124,11 +124,6 @@ impl DramBank {
         &self.timing
     }
 
-    /// The currently open row, if any.
-    pub fn open_row(&self) -> Option<u64> {
-        self.open_row
-    }
-
     /// Cycle at which the bank becomes free.
     pub fn busy_until(&self) -> Cycle {
         self.busy_until
@@ -214,7 +209,11 @@ mod tests {
         let d2 = bank.access(d1, 9, 32, AccessKind::Read);
         assert_eq!(d2 - d1, timing().t_rp + timing().t_ras + timing().t_ccd);
         assert_eq!(bank.counters().activates, 2);
-        assert_eq!(bank.open_row(), Some(9));
+        // Row 9 is now the open row: a third access to it is a row hit.
+        let d3 = bank.access(d2, 9, 32, AccessKind::Read);
+        assert_eq!(d3 - d2, timing().t_ccd);
+        assert_eq!(bank.counters().row_hits, 1);
+        assert_eq!(bank.counters().activates, 2);
     }
 
     #[test]

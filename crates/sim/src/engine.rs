@@ -1,8 +1,8 @@
 //! Deterministic discrete-event engine: a bucketed calendar queue.
 //!
 //! The engine is intentionally policy-free: it orders `(cycle, event)` pairs
-//! and hands them back either one at a time ([`EventQueue::pop`]) or as
-//! whole same-cycle batches ([`EventQueue::drain_cycle`]). The architecture
+//! and hands them back as whole same-cycle batches
+//! ([`EventQueue::drain_cycle`]), its only delivery path. The architecture
 //! model (the `spacea-arch` crate) owns all machine state and interprets the
 //! events. Events scheduled for the same cycle are delivered in scheduling
 //! (FIFO) order, which makes every simulation bit-for-bit reproducible.
@@ -18,25 +18,24 @@
 //! bucket is a FIFO list threaded through that slab (a head and a tail
 //! slot index); freed slots go on a free list and are reused before the
 //! slab grows. The wheel's memory is therefore its peak pending count, not
-//! one buffer per bucket touched. Scheduling and popping inside the
-//! horizon are O(1) — a list append or unlink and a bitmap probe — versus
-//! the O(log n) sift of the previous `BinaryHeap` engine (kept as
-//! [`reference::HeapQueue`], the oracle the equivalence proptests and
-//! `engine_bench` compare against).
+//! one buffer per bucket touched. Scheduling and draining inside the
+//! horizon cost O(1) per event — a list append or unlink and a bitmap
+//! probe — versus the O(log n) sift of the previous `BinaryHeap` engine
+//! (kept as [`reference::HeapQueue`], the one-at-a-time oracle the
+//! equivalence proptests and `engine_bench` compare against).
 //!
 //! Most events are scheduled exactly one cycle ahead (a PE stepping again
 //! at `L_p = 1`), so those skip the slab: an event for `now + 1` is pushed
-//! onto the lane, a `Vec` reused across cycles. [`EventQueue::drain_cycle`]
-//! appends the lane behind the bucket's list when that cycle comes due, and
-//! [`EventQueue::pop`] first links a due lane behind the bucket, so both
-//! delivery paths see one list per cycle.
+//! onto the lane, a `Vec` reused across cycles, and
+//! [`EventQueue::drain_cycle`] appends the lane behind the bucket's list
+//! when that cycle comes due.
 //!
 //! # Tie-break contract
 //!
 //! Within one cycle, events are delivered in scheduling order — exactly
 //! the order `schedule` was called. Each cycle's events sit in FIFOs that
-//! only ever append at their tail, and they come out in the order the
-//! FIFOs were filled, so no per-event sequence number is needed:
+//! only ever append at their tail, and a drain empties them in the order
+//! they were filled, so no per-event sequence number is needed:
 //!
 //! - every wheel event for cycle `c` was scheduled while the clock read
 //!   `c − 2` or earlier, or migrated from the overflow tree; overflow
@@ -49,9 +48,9 @@
 //!
 //! So delivering the bucket, then the lane, then the same-cycle follow-ups
 //! *is* scheduling order. Which slab slot an event occupies never matters:
-//! only the list links order delivery. This makes
-//! [`EventQueue::drain_cycle`] observationally identical to a `pop` loop:
-//! the batch boundary is invisible to the model.
+//! only the list links order delivery. A drain therefore hands back exactly
+//! the events a one-at-a-time heap would pop at that cycle, in the same
+//! order: the batch boundary is invisible to the model.
 
 use crate::slab::{List, Slab};
 use crate::Cycle;
@@ -68,14 +67,12 @@ const WHEEL_WORDS: usize = WHEEL_BUCKETS / 64;
 
 /// The queue operations every engine implementation provides.
 ///
-/// The heap-vs-calendar equivalence proptests and the `engine_bench`
-/// workloads drive both [`EventQueue`] and [`reference::HeapQueue`] through
-/// this trait, so a schedule replays identically on either engine.
+/// The `engine_bench` workloads drive both [`EventQueue`] and
+/// [`reference::HeapQueue`] through this trait, so a schedule replays
+/// identically on either engine.
 pub trait DesQueue<E> {
     /// Schedules `event` at absolute cycle `at` (clamped to `now`).
     fn schedule(&mut self, at: Cycle, event: E);
-    /// Pops the next event, advancing the clock to its cycle.
-    fn pop(&mut self) -> Option<(Cycle, E)>;
     /// Moves every event pending at the next occupied cycle into `sink`
     /// (appending, in scheduling order) and returns that cycle.
     fn drain_cycle(&mut self, sink: &mut Vec<E>) -> Option<Cycle>;
@@ -93,30 +90,21 @@ pub trait DesQueue<E> {
 ///
 /// # Example
 ///
-/// ```
-/// use spacea_sim::engine::EventQueue;
-///
-/// let mut q = EventQueue::new();
-/// q.schedule(10, "late");
-/// q.schedule(1, "early");
-/// assert_eq!(q.pop(), Some((1, "early")));
-/// assert_eq!(q.now(), 1);
-/// ```
-///
-/// Same-cycle batches can be drained whole; scheduling order is preserved
-/// and follow-up events scheduled for the drained cycle surface on the next
-/// drain of that cycle:
+/// Events come back one whole cycle at a time; scheduling order is
+/// preserved, and follow-up events scheduled for the drained cycle surface
+/// on the next drain of that cycle:
 ///
 /// ```
 /// use spacea_sim::engine::EventQueue;
 ///
 /// let mut q = EventQueue::new();
+/// q.schedule(9, "c");
 /// q.schedule(7, "a");
 /// q.schedule(7, "b");
-/// q.schedule(9, "c");
 /// let mut batch = Vec::new();
 /// assert_eq!(q.drain_cycle(&mut batch), Some(7));
 /// assert_eq!(batch, vec!["a", "b"]);
+/// assert_eq!(q.now(), 7);
 /// batch.clear();
 /// assert_eq!(q.drain_cycle(&mut batch), Some(9));
 /// assert_eq!(batch, vec!["c"]);
@@ -134,7 +122,7 @@ pub trait DesQueue<E> {
 /// exactly once — events are never dropped, duplicated, or conjured. Run
 /// telemetry (the `spacea-harness` manifest) relies on this to report
 /// events-processed counts that reconcile with queue occupancy; see
-/// [`EventQueue::check_counters`] and the `counter_invariant_*` tests.
+/// [`EventQueue::try_check_counters`] and the `counter_invariant_*` tests.
 ///
 /// ```
 /// use spacea_sim::engine::EventQueue;
@@ -142,9 +130,9 @@ pub trait DesQueue<E> {
 /// let mut q = EventQueue::new();
 /// q.schedule(3, "a");
 /// q.schedule(5, "b");
-/// q.pop();
+/// q.drain_cycle(&mut Vec::new());
 /// assert_eq!(q.scheduled_count() - q.processed_count(), q.len() as u64);
-/// q.check_counters(); // would panic if the invariant were violated
+/// assert!(q.try_check_counters().is_ok());
 /// ```
 #[derive(Debug, Clone)]
 pub struct EventQueue<E> {
@@ -331,58 +319,30 @@ impl<E> EventQueue<E> {
         }
     }
 
-    /// Positions the clock on the next occupied cycle, pulling from the
-    /// overflow tree when the wheel and the lane are empty. Returns that
-    /// cycle and whether the lane is due at it.
-    fn seek_next(&mut self) -> Option<(Cycle, bool)> {
-        if self.wheel_len == 0 && self.lane.is_empty() {
-            let (&at, _) = self.overflow.first_key_value()?;
-            self.advance_to(at);
-        }
-        let next = self.next_near_cycle()?;
-        if next == self.now {
-            return Some((next, false));
-        }
-        // A non-empty lane is due at `now + 1` and nothing pending lies
-        // beyond it, so the clock moves exactly onto the lane's cycle.
-        let lane_due = !self.lane.is_empty();
-        self.advance_to(next);
-        Some((next, lane_due))
-    }
-
-    /// Pops the next event, advancing the clock to its cycle.
-    pub fn pop(&mut self) -> Option<(Cycle, E)> {
-        let (at, lane_due) = self.seek_next()?;
-        let bucket = Self::bucket_of(at);
-        if lane_due {
-            // Lane events were scheduled after every event already in the
-            // bucket and before any later one: link them in between.
-            self.wheel_len += self.lane.len();
-            self.set_bit(bucket);
-            for event in self.lane.drain(..) {
-                self.slab.push_back(&mut self.buckets[bucket], event);
-            }
-        }
-        let event = self.slab.pop_front(&mut self.buckets[bucket])?;
-        if self.buckets[bucket].is_empty() {
-            self.clear_bit(bucket);
-        }
-        self.wheel_len -= 1;
-        self.processed += 1;
-        Some((at, event))
-    }
-
     /// Moves every event pending at the next occupied cycle into `sink`
     /// (appending, in scheduling order), advances the clock to that cycle,
-    /// and returns it. The bucket's list comes first, then a due lane.
+    /// and returns it. The bucket's list comes first, then a due lane. When
+    /// the wheel and the lane are empty, the next cycle comes from the
+    /// overflow tree.
     ///
     /// Events scheduled *for the drained cycle* while the batch is being
     /// processed are not lost: they land in the (now empty) bucket and the
     /// next `drain_cycle` call returns the same cycle again with just those
-    /// follow-ups — in exactly the order a `pop` loop would have delivered,
-    /// since they were scheduled after every drained event.
+    /// follow-ups — they were scheduled after every drained event, so
+    /// scheduling order holds across the two batches.
     pub fn drain_cycle(&mut self, sink: &mut Vec<E>) -> Option<Cycle> {
-        let (at, lane_due) = self.seek_next()?;
+        if self.wheel_len == 0 && self.lane.is_empty() {
+            let (&at, _) = self.overflow.first_key_value()?;
+            self.advance_to(at);
+        }
+        let at = self.next_near_cycle()?;
+        let mut lane_due = false;
+        if at != self.now {
+            // A non-empty lane is due at `now + 1` and nothing pending lies
+            // before it, so the clock moves exactly onto the lane's cycle.
+            lane_due = !self.lane.is_empty();
+            self.advance_to(at);
+        }
         let bucket = Self::bucket_of(at);
         let start = sink.len();
         let list = &mut self.buckets[bucket];
@@ -398,28 +358,15 @@ impl<E> EventQueue<E> {
         Some(at)
     }
 
-    /// The cycle of the next pending event without popping it.
+    /// The cycle of the next pending event without delivering it.
     pub fn peek_time(&self) -> Option<Cycle> {
         self.next_near_cycle().or_else(|| self.overflow.first_key_value().map(|(&at, _)| at))
     }
 
-    /// Asserts the counter invariant `scheduled − processed == len`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the invariant is violated, which would indicate a bug in
-    /// the queue itself (events lost or double-delivered).
-    pub fn check_counters(&self) {
-        if let Err(msg) = self.try_check_counters() {
-            // lint:allow(R1) documented panic; try_check_counters is the fallible twin
-            panic!("{msg}");
-        }
-    }
-
     /// Checks the counter invariant `scheduled − processed == len`,
-    /// returning the violation as a message instead of panicking — for
-    /// callers (the machine's supervised run path) that surface it as a
-    /// structured error.
+    /// returning the violation as a message — the machine's run path
+    /// surfaces it as a structured error. A violation would be a bug in the
+    /// queue itself (events lost or double-delivered).
     ///
     /// # Errors
     ///
@@ -443,9 +390,6 @@ impl<E> DesQueue<E> for EventQueue<E> {
     fn schedule(&mut self, at: Cycle, event: E) {
         EventQueue::schedule(self, at, event);
     }
-    fn pop(&mut self) -> Option<(Cycle, E)> {
-        EventQueue::pop(self)
-    }
     fn drain_cycle(&mut self, sink: &mut Vec<E>) -> Option<Cycle> {
         EventQueue::drain_cycle(self, sink)
     }
@@ -458,11 +402,13 @@ impl<E> DesQueue<E> for EventQueue<E> {
 }
 
 pub mod reference {
-    //! The previous `BinaryHeap`-backed engine, kept verbatim as the
-    //! reference implementation: the heap-vs-calendar equivalence proptests
-    //! replay arbitrary schedules on both engines and demand identical
-    //! delivery, and `engine_bench` measures the calendar queue's speedup
-    //! against this baseline.
+    //! The previous `BinaryHeap`-backed engine, kept as the reference
+    //! implementation. It still delivers one event at a time through its
+    //! inherent [`HeapQueue::pop`]: the heap-vs-calendar equivalence
+    //! proptests replay arbitrary schedules on both engines and demand that
+    //! every calendar drain equal the heap's pops at that cycle, and
+    //! `engine_bench` measures the calendar queue's speedup against this
+    //! baseline.
 
     use super::DesQueue;
     use crate::Cycle;
@@ -586,9 +532,6 @@ pub mod reference {
         fn schedule(&mut self, at: Cycle, event: E) {
             HeapQueue::schedule(self, at, event);
         }
-        fn pop(&mut self) -> Option<(Cycle, E)> {
-            HeapQueue::pop(self)
-        }
         fn drain_cycle(&mut self, sink: &mut Vec<E>) -> Option<Cycle> {
             HeapQueue::drain_cycle(self, sink)
         }
@@ -605,16 +548,29 @@ pub mod reference {
 mod tests {
     use super::*;
 
+    /// The next cycle's batch, with its cycle.
+    fn drain<E>(q: &mut EventQueue<E>) -> Option<(Cycle, Vec<E>)> {
+        let mut batch = Vec::new();
+        q.drain_cycle(&mut batch).map(|t| (t, batch))
+    }
+
+    /// Every pending event as `(cycle, event)`, drained a cycle at a time.
+    fn drain_all<E>(q: &mut EventQueue<E>) -> Vec<(Cycle, E)> {
+        let mut out = Vec::new();
+        while let Some((t, batch)) = drain(q) {
+            out.extend(batch.into_iter().map(|e| (t, e)));
+        }
+        out
+    }
+
     #[test]
     fn delivers_in_time_order() {
         let mut q = EventQueue::new();
         q.schedule(30, 3);
         q.schedule(10, 1);
         q.schedule(20, 2);
-        assert_eq!(q.pop(), Some((10, 1)));
-        assert_eq!(q.pop(), Some((20, 2)));
-        assert_eq!(q.pop(), Some((30, 3)));
-        assert_eq!(q.pop(), None);
+        assert_eq!(drain_all(&mut q), vec![(10, 1), (20, 2), (30, 3)]);
+        assert_eq!(drain(&mut q), None);
     }
 
     #[test]
@@ -623,17 +579,15 @@ mod tests {
         for i in 0..100 {
             q.schedule(7, i);
         }
-        for i in 0..100 {
-            assert_eq!(q.pop(), Some((7, i)));
-        }
+        assert_eq!(drain(&mut q), Some((7, (0..100).collect())));
     }
 
     #[test]
-    fn now_advances_with_pops() {
+    fn now_advances_with_drains() {
         let mut q = EventQueue::new();
         assert_eq!(q.now(), 0);
         q.schedule(5, ());
-        q.pop();
+        drain(&mut q);
         assert_eq!(q.now(), 5);
     }
 
@@ -641,9 +595,9 @@ mod tests {
     fn past_schedule_clamps_to_now() {
         let mut q = EventQueue::new();
         q.schedule(10, "a");
-        q.pop();
+        drain(&mut q);
         q.schedule(3, "late");
-        assert_eq!(q.pop(), Some((10, "late")));
+        assert_eq!(drain(&mut q), Some((10, vec!["late"])));
     }
 
     #[test]
@@ -651,7 +605,7 @@ mod tests {
         let mut q = EventQueue::new();
         q.schedule(1, ());
         q.schedule(2, ());
-        q.pop();
+        drain(&mut q);
         assert_eq!(q.scheduled_count(), 2);
         assert_eq!(q.processed_count(), 1);
         assert_eq!(q.len(), 1);
@@ -661,14 +615,14 @@ mod tests {
     #[test]
     fn counter_invariant_holds_throughout_lifetime() {
         let mut q = EventQueue::new();
-        q.check_counters();
+        assert_eq!(q.try_check_counters(), Ok(()));
         for i in 0..50 {
             q.schedule(i % 7, i);
-            q.check_counters();
+            assert_eq!(q.try_check_counters(), Ok(()));
             assert_eq!(q.scheduled_count() - q.processed_count(), q.len() as u64);
         }
-        while q.pop().is_some() {
-            q.check_counters();
+        while drain(&mut q).is_some() {
+            assert_eq!(q.try_check_counters(), Ok(()));
             assert_eq!(q.scheduled_count() - q.processed_count(), q.len() as u64);
         }
         assert_eq!(q.scheduled_count(), 50);
@@ -678,30 +632,24 @@ mod tests {
 
     #[test]
     fn counter_invariant_survives_interleaving() {
-        // Schedule-from-pop interleaving (the machine's actual usage
-        // pattern): follow-up events created while draining.
+        // Schedule-from-drain interleaving (the machine's actual usage
+        // pattern): follow-up events created while draining, one cycle
+        // ahead on the lane and two ahead in the wheel.
         let mut q = EventQueue::new();
         q.schedule(0, 0u64);
         let mut processed = 0u64;
-        while let Some((t, ev)) = q.pop() {
-            processed += 1;
-            if ev < 20 {
-                q.schedule(t + 1, ev + 1);
-                q.schedule(t + 2, ev + 2);
+        while let Some((t, batch)) = drain(&mut q) {
+            for ev in batch {
+                processed += 1;
+                if ev < 20 {
+                    q.schedule(t + 1, ev + 1);
+                    q.schedule(t + 2, ev + 2);
+                }
             }
-            q.check_counters();
+            assert_eq!(q.try_check_counters(), Ok(()));
         }
         assert_eq!(q.processed_count(), processed);
         assert_eq!(q.scheduled_count(), processed, "drained queue: all scheduled were processed");
-    }
-
-    #[test]
-    fn try_check_counters_reports_instead_of_panicking() {
-        let mut q = EventQueue::new();
-        q.schedule(1, ());
-        assert!(q.try_check_counters().is_ok());
-        q.pop();
-        assert!(q.try_check_counters().is_ok());
     }
 
     #[test]
@@ -717,7 +665,7 @@ mod tests {
         // f64 is not Ord; the queue must still work.
         let mut q = EventQueue::new();
         q.schedule(1, 2.5f64);
-        assert_eq!(q.pop(), Some((1, 2.5)));
+        assert_eq!(drain(&mut q), Some((1, vec![2.5])));
     }
 
     #[test]
@@ -728,11 +676,11 @@ mod tests {
         q.schedule(2, "near");
         assert_eq!(q.len(), 2);
         assert_eq!(q.peek_time(), Some(2));
-        assert_eq!(q.pop(), Some((2, "near")));
+        assert_eq!(drain(&mut q), Some((2, vec!["near"])));
         assert_eq!(q.peek_time(), Some(far));
-        assert_eq!(q.pop(), Some((far, "far")));
+        assert_eq!(drain(&mut q), Some((far, vec!["far"])));
         assert_eq!(q.now(), far);
-        q.check_counters();
+        assert_eq!(q.try_check_counters(), Ok(()));
     }
 
     #[test]
@@ -744,11 +692,10 @@ mod tests {
         let c = WHEEL_BUCKETS as Cycle + 100;
         q.schedule(c, "first");
         q.schedule(c - WHEEL_BUCKETS as Cycle, "mover");
-        assert_eq!(q.pop(), Some((c - WHEEL_BUCKETS as Cycle, "mover")));
+        assert_eq!(drain(&mut q), Some((c - WHEEL_BUCKETS as Cycle, vec!["mover"])));
         // Horizon now covers c; this insert goes straight to the wheel.
         q.schedule(c, "second");
-        assert_eq!(q.pop(), Some((c, "first")));
-        assert_eq!(q.pop(), Some((c, "second")));
+        assert_eq!(drain(&mut q), Some((c, vec!["first", "second"])));
     }
 
     #[test]
@@ -762,7 +709,7 @@ mod tests {
         assert_eq!(q.drain_cycle(&mut sink), Some(4));
         assert_eq!(sink, vec![1, 2, 3]);
         assert_eq!(q.now(), 4);
-        q.check_counters();
+        assert_eq!(q.try_check_counters(), Ok(()));
         sink.clear();
         assert_eq!(q.drain_cycle(&mut sink), Some(9));
         assert_eq!(sink, vec![4]);
@@ -782,7 +729,7 @@ mod tests {
         sink.clear();
         assert_eq!(q.drain_cycle(&mut sink), Some(5), "same cycle drains again");
         assert_eq!(sink, vec!["c", "d"]);
-        q.check_counters();
+        assert_eq!(q.try_check_counters(), Ok(()));
     }
 
     #[test]
@@ -796,20 +743,25 @@ mod tests {
             q.schedule(at, i);
             expect.push((at, i));
         }
-        let mut got = Vec::new();
-        while let Some(e) = q.pop() {
-            got.push(e);
-        }
-        assert_eq!(got, expect);
+        assert_eq!(drain_all(&mut q), expect);
     }
 
     #[test]
     fn matches_reference_heap_on_a_mixed_schedule() {
         // A quick inline cross-check (the full property test lives in
-        // tests/engine_equivalence.rs): interleaved schedules and pops with
-        // bursts and far-future outliers replay identically.
+        // tests/engine_equivalence.rs): interleaved schedules and drains
+        // with bursts and far-future outliers deliver, cycle by cycle,
+        // exactly what the heap pops one at a time.
         let mut cal: EventQueue<u64> = EventQueue::new();
         let mut heap: reference::HeapQueue<u64> = reference::HeapQueue::new();
+        let heap_batch = |heap: &mut reference::HeapQueue<u64>| {
+            let (t, first) = heap.pop()?;
+            let mut batch = vec![first];
+            while heap.peek_time() == Some(t) {
+                batch.extend(heap.pop().map(|(_, e)| e));
+            }
+            Some((t, batch))
+        };
         let mut state = 0x9E37_79B9u64;
         let mut step = move || {
             state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
@@ -834,11 +786,11 @@ mod tests {
                         heap.schedule(at, i + b);
                     }
                 }
-                _ => assert_eq!(cal.pop(), heap.pop()),
+                _ => assert_eq!(drain(&mut cal), heap_batch(&mut heap)),
             }
         }
         loop {
-            let (a, b) = (cal.pop(), heap.pop());
+            let (a, b) = (drain(&mut cal), heap_batch(&mut heap));
             assert_eq!(a, b);
             if a.is_none() {
                 break;

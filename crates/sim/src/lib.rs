@@ -6,8 +6,8 @@
 //! crate is that substrate, reusable by any component-level architecture
 //! model:
 //!
-//! * [`engine`] — a deterministic calendar-queue event engine with stable
-//!   FIFO ordering among simultaneous events and whole-cycle batch drain.
+//! * [`engine`] — a deterministic calendar-queue event engine that delivers
+//!   whole cycles at a time, simultaneous events in stable FIFO order.
 //! * [`dram`] — DRAM bank timing (row buffer, tRCD/tRAS/tCCD) and access
 //!   accounting.
 //! * [`cam`] — the set-associative content-addressable memories (L1/L2 CAM)
@@ -33,8 +33,13 @@
 //! q.schedule(5, "b");
 //! q.schedule(3, "a");
 //! q.schedule(5, "c"); // same cycle as "b": FIFO order preserved
-//! let order: Vec<_> = std::iter::from_fn(|| q.pop()).collect();
-//! assert_eq!(order, vec![(3, "a"), (5, "b"), (5, "c")]);
+//! let mut batch = Vec::new();
+//! assert_eq!(q.drain_cycle(&mut batch), Some(3));
+//! assert_eq!(batch, vec!["a"]);
+//! batch.clear();
+//! assert_eq!(q.drain_cycle(&mut batch), Some(5));
+//! assert_eq!(batch, vec!["b", "c"]);
+//! assert_eq!(q.drain_cycle(&mut batch), None);
 //! ```
 
 #![warn(missing_docs)]

@@ -29,7 +29,6 @@ use crate::Cycle;
 pub struct MeshNoc {
     width: usize,
     height: usize,
-    hop_latency: Cycle,
     /// One link per directed edge: `node * 4 + direction`
     /// (0 = +x, 1 = -x, 2 = +y, 3 = -y).
     links: Vec<Link>,
@@ -57,7 +56,7 @@ impl MeshNoc {
         assert!(width > 0 && height > 0, "mesh dimensions must be positive");
         let links =
             (0..width * height * 4).map(|_| Link::new(hop_latency, bytes_per_cycle)).collect();
-        MeshNoc { width, height, hop_latency, links, byte_hops: 0, packets: 0, bytes: 0 }
+        MeshNoc { width, height, links, byte_hops: 0, packets: 0, bytes: 0 }
     }
 
     /// Number of nodes in the mesh.
@@ -73,11 +72,6 @@ impl MeshNoc {
     /// Mesh height.
     pub fn height(&self) -> usize {
         self.height
-    }
-
-    /// Per-hop router/link latency.
-    pub fn hop_latency(&self) -> Cycle {
-        self.hop_latency
     }
 
     /// Accumulated traffic in bytes × hops (the paper's NoC traffic metric).

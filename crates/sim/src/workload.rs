@@ -16,9 +16,9 @@ use crate::Cycle;
 /// Shape of the synthetic schedule a workload generates.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkloadKind {
-    /// Classic hold model: pop one event, schedule one replacement a short
-    /// random delay ahead. Keeps queue occupancy constant and exercises the
-    /// steady-state schedule/pop path.
+    /// Classic hold model: each delivered event schedules one replacement a
+    /// short random delay ahead. Keeps queue occupancy constant and
+    /// exercises the steady-state schedule/drain path.
     Hold {
         /// Events resident in the queue throughout the run.
         population: usize,
@@ -65,7 +65,7 @@ pub struct Workload {
 /// Outcome of replaying a workload on some queue implementation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct WorkloadResult {
-    /// Total events delivered (popped or drained).
+    /// Total events delivered.
     pub events: u64,
     /// FNV-1a checksum over every delivered `(cycle, payload)` pair in
     /// delivery order.
@@ -123,31 +123,26 @@ fn fnv_fold(mut hash: u64, value: u64) -> u64 {
     hash
 }
 
+impl WorkloadResult {
+    /// Folds one delivered `(cycle, payload)` pair into the result.
+    fn deliver(&mut self, at: Cycle, payload: u64) {
+        self.events += 1;
+        self.checksum = fnv_fold(fnv_fold(self.checksum, at), payload);
+    }
+}
+
 /// Replays `workload` on `queue`, returning the delivered-event count and
 /// order-sensitive checksum. The queue must be freshly constructed.
+///
+/// Every event is delivered through [`DesQueue::drain_cycle`], a whole
+/// cycle at a time, and the queue ends empty.
 pub fn run_workload<Q: DesQueue<u64>>(workload: &Workload, queue: &mut Q) -> WorkloadResult {
     let mut rng = workload.seed;
-    let mut hash = FNV_OFFSET;
-    let mut events = 0u64;
+    let mut result = WorkloadResult { events: 0, checksum: FNV_OFFSET };
     let mut payload = 0u64;
-    match workload.kind {
-        WorkloadKind::Hold { population, max_delay } => {
-            for _ in 0..population {
-                let delay = splitmix64(&mut rng) % max_delay;
-                queue.schedule(delay, payload);
-                payload += 1;
-            }
-            for _ in 0..workload.rounds {
-                let Some((at, ev)) = queue.pop() else { break };
-                events += 1;
-                hash = fnv_fold(fnv_fold(hash, at), ev);
-                let delay = 1 + splitmix64(&mut rng) % max_delay;
-                queue.schedule(at + delay, payload);
-                payload += 1;
-            }
-        }
+    let mut sink = Vec::new();
+    let (population, max_delay, far) = match workload.kind {
         WorkloadKind::Burst { burst, max_gap } => {
-            let mut sink = Vec::with_capacity(burst);
             for _ in 0..workload.rounds {
                 let at = queue.now() + 1 + splitmix64(&mut rng) % max_gap;
                 for _ in 0..burst {
@@ -156,43 +151,92 @@ pub fn run_workload<Q: DesQueue<u64>>(workload: &Workload, queue: &mut Q) -> Wor
                 }
                 while let Some(cycle) = queue.drain_cycle(&mut sink) {
                     for ev in sink.drain(..) {
-                        events += 1;
-                        hash = fnv_fold(fnv_fold(hash, cycle), ev);
+                        result.deliver(cycle, ev);
                     }
                 }
             }
+            return result;
         }
+        WorkloadKind::Hold { population, max_delay } => (population, max_delay, None),
         WorkloadKind::FarFuture { population, max_delay, far_one_in, far_jump } => {
-            for _ in 0..population {
-                let delay = splitmix64(&mut rng) % max_delay;
-                queue.schedule(delay, payload);
-                payload += 1;
+            (population, max_delay, Some((far_one_in, far_jump)))
+        }
+    };
+    for _ in 0..population {
+        let delay = splitmix64(&mut rng) % max_delay;
+        queue.schedule(delay, payload);
+        payload += 1;
+    }
+    // Each delivery reschedules one event while rounds remain, so the
+    // population holds steady; a round limit may land mid-cycle, and the
+    // rest of that cycle and every later one drain without rescheduling.
+    let mut rounds = workload.rounds;
+    while let Some(at) = queue.drain_cycle(&mut sink) {
+        for ev in sink.drain(..) {
+            result.deliver(at, ev);
+            if rounds == 0 {
+                continue;
             }
-            for _ in 0..workload.rounds {
-                let Some((at, ev)) = queue.pop() else { break };
-                events += 1;
-                hash = fnv_fold(fnv_fold(hash, at), ev);
-                let draw = splitmix64(&mut rng);
-                let delay =
-                    if draw.is_multiple_of(far_one_in) { far_jump } else { 1 + draw % max_delay };
-                queue.schedule(at + delay, payload);
-                payload += 1;
-            }
+            rounds -= 1;
+            let draw = splitmix64(&mut rng);
+            let delay = match far {
+                Some((far_one_in, far_jump)) if draw.is_multiple_of(far_one_in) => far_jump,
+                _ => 1 + draw % max_delay,
+            };
+            queue.schedule(at + delay, payload);
+            payload += 1;
         }
     }
-    // Drain whatever is still pending so the checksum covers the complete
-    // delivery order and the queue ends empty (counter invariant checkable).
-    while let Some((at, ev)) = queue.pop() {
-        events += 1;
-        hash = fnv_fold(fnv_fold(hash, at), ev);
-    }
-    WorkloadResult { events, checksum: hash }
+    result
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::engine::{reference::HeapQueue, EventQueue};
+
+    /// The pop-by-pop replay of a hold or far-future workload that the
+    /// drain loop replaced, kept as its oracle and driven through the
+    /// heap's one-at-a-time `pop`: `rounds` deliver-and-reschedule steps,
+    /// then a tail that pops the rest. Also says whether the round limit
+    /// landed mid-cycle (the tail's first event shares the last round's
+    /// cycle).
+    fn pop_by_pop(workload: &Workload) -> (WorkloadResult, bool) {
+        let (population, max_delay, far) = match workload.kind {
+            WorkloadKind::Hold { population, max_delay } => (population, max_delay, None),
+            WorkloadKind::FarFuture { population, max_delay, far_one_in, far_jump } => {
+                (population, max_delay, Some((far_one_in, far_jump)))
+            }
+            WorkloadKind::Burst { .. } => unreachable!("bursts always drained"),
+        };
+        let mut queue = HeapQueue::new();
+        let mut rng = workload.seed;
+        let mut result = WorkloadResult { events: 0, checksum: FNV_OFFSET };
+        let mut payload = 0u64;
+        for _ in 0..population {
+            let delay = splitmix64(&mut rng) % max_delay;
+            queue.schedule(delay, payload);
+            payload += 1;
+        }
+        let mut last_round = None;
+        for _ in 0..workload.rounds {
+            let Some((at, ev)) = queue.pop() else { break };
+            result.deliver(at, ev);
+            last_round = Some(at);
+            let draw = splitmix64(&mut rng);
+            let delay = match far {
+                Some((far_one_in, far_jump)) if draw.is_multiple_of(far_one_in) => far_jump,
+                _ => 1 + draw % max_delay,
+            };
+            queue.schedule(at + delay, payload);
+            payload += 1;
+        }
+        let mid_cycle = last_round.is_some() && queue.peek_time() == last_round;
+        while let Some((at, ev)) = queue.pop() {
+            result.deliver(at, ev);
+        }
+        (result, mid_cycle)
+    }
 
     #[test]
     fn suite_is_deterministic_and_engine_agnostic() {
@@ -204,11 +248,44 @@ mod tests {
             let b = run_workload(&small, &mut heap);
             assert_eq!(a, b, "workload {} diverged between engines", small.name);
             assert!(a.events > 0);
-            cal.check_counters();
+            assert_eq!(cal.try_check_counters(), Ok(()));
             assert!(cal.is_empty() && heap.is_empty());
             // Replay is bit-identical.
             let mut again = EventQueue::new();
             assert_eq!(run_workload(&small, &mut again), a);
         }
+    }
+
+    #[test]
+    fn drain_loop_matches_pop_by_pop_at_every_round_limit() {
+        // A short delay range puts several events on most cycles, so round
+        // limits land mid-cycle; one far-future reschedule in three jumps
+        // past the wheel horizon.
+        let mut mid_cycle_limits = 0;
+        for population in [1usize, 5, 16] {
+            let n = population as u64;
+            let kinds = [
+                WorkloadKind::Hold { population, max_delay: 4 },
+                WorkloadKind::FarFuture {
+                    population,
+                    max_delay: 4,
+                    far_one_in: 3,
+                    far_jump: crate::engine::WHEEL_BUCKETS as Cycle + 7,
+                },
+            ];
+            for kind in kinds {
+                for rounds in [0, 1, 7, n - 1, n + 3] {
+                    let w = Workload { name: "boundary", seed: 0x5EED_00FF ^ n, rounds, kind };
+                    let (expect, mid_cycle) = pop_by_pop(&w);
+                    mid_cycle_limits += usize::from(mid_cycle);
+                    let mut cal = EventQueue::new();
+                    assert_eq!(run_workload(&w, &mut cal), expect, "{kind:?}, {rounds} rounds");
+                    assert_eq!(expect.events, n + rounds, "{kind:?}, {rounds} rounds");
+                    assert!(cal.is_empty());
+                    assert_eq!(run_workload(&w, &mut HeapQueue::new()), expect);
+                }
+            }
+        }
+        assert!(mid_cycle_limits > 0, "no round limit landed mid-cycle");
     }
 }

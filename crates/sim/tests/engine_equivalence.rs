@@ -2,21 +2,22 @@
 //! produce bitwise-identical delivery streams from both engines.
 //!
 //! The calendar queue ([`EventQueue`]) replaced the `BinaryHeap` engine
-//! (kept verbatim as [`reference::HeapQueue`]). Its correctness contract is
-//! "observably identical": same pop stream, same `drain_cycle` batches,
-//! same clock positions — including the tricky regions the wheel layout
-//! creates (same-cycle bursts inside one bucket, far-future events routed
-//! through the overflow tree and migrated back, past schedules clamped to
-//! now, next-cycle events on the lane meeting the wheel events of their
-//! cycle). These tests drive both engines in lockstep through arbitrary
-//! operation sequences and compare every observable.
+//! (kept as [`reference::HeapQueue`]). Its correctness contract is
+//! "observably identical": every `drain_cycle` batch is exactly what the
+//! heap pops, one event at a time, at that cycle, with the same clock
+//! positions — including the tricky regions the wheel layout creates
+//! (same-cycle bursts inside one bucket, far-future events routed through
+//! the overflow tree and migrated back, past schedules clamped to now,
+//! next-cycle events on the lane meeting the wheel events of their cycle).
+//! These tests drive both engines in lockstep through arbitrary operation
+//! sequences and compare every observable.
 
 use proptest::prelude::*;
 use spacea_sim::engine::reference::HeapQueue;
 use spacea_sim::engine::{EventQueue, WHEEL_BUCKETS};
 use spacea_sim::workload::{run_workload, standard_workloads};
 
-/// One step of an interleaved schedule/deliver sequence, decoded from a
+/// One step of an interleaved schedule/drain sequence, decoded from a
 /// generated `(selector, at, payload)` triple.
 #[derive(Debug, Clone, Copy)]
 enum Op {
@@ -28,8 +29,6 @@ enum Op {
     /// Schedule `payload` at `now + ahead`: `ahead == 1` goes to the
     /// calendar queue's next-cycle lane.
     ScheduleAhead { ahead: u64, payload: u32 },
-    /// Pop one event.
-    Pop,
     /// Drain the whole next cycle as a batch; for every drained event with
     /// an odd payload, schedule a follow-up *at the drained cycle* — the
     /// same-cycle re-entry pattern the machine's drain loop produces.
@@ -41,12 +40,11 @@ enum Op {
     DrainAhead,
 }
 
-/// Weighted decode: half schedules (so queues actually fill up), the rest
-/// split between pops and drains.
+/// Weighted decode: half schedules (so queues actually fill up), half
+/// drains.
 fn decode(selector: u8, at: u64, payload: u32) -> Op {
     match selector % 8 {
         0..=3 => Op::Schedule { at, payload },
-        4 | 5 => Op::Pop,
         _ => Op::Drain,
     }
 }
@@ -57,14 +55,47 @@ const AHEAD: [u64; 6] = [0, 1, 1, 2, WHEEL_BUCKETS as u64 - 1, WHEEL_BUCKETS as 
 
 /// Clock-relative decode: half schedules at an [`AHEAD`] offset (so the
 /// lane fills while the wheel still holds events for the same cycle), the
-/// rest pops and both kinds of drain.
+/// rest both kinds of drain.
 fn decode_relative(selector: u8, ahead: usize, payload: u32) -> Op {
     match selector % 8 {
         0..=3 => Op::ScheduleAhead { ahead: AHEAD[ahead % AHEAD.len()], payload },
-        4 | 5 => Op::Pop,
-        6 => Op::Drain,
+        4 | 5 => Op::Drain,
         _ => Op::DrainAhead,
     }
+}
+
+/// The calendar queue's next batch, with its cycle.
+fn cal_batch(cal: &mut EventQueue<u32>) -> (Option<u64>, Vec<u32>) {
+    let mut batch = Vec::new();
+    (cal.drain_cycle(&mut batch), batch)
+}
+
+/// The oracle of one drain: the heap's one-at-a-time pops at its next
+/// pending cycle.
+fn heap_batch(heap: &mut HeapQueue<u32>) -> (Option<u64>, Vec<u32>) {
+    let Some((at, first)) = heap.pop() else { return (None, Vec::new()) };
+    let mut batch = vec![first];
+    while heap.peek_time() == Some(at) {
+        batch.extend(heap.pop().map(|(_, ev)| ev));
+    }
+    (Some(at), batch)
+}
+
+/// Drains both engines and asserts the batches match; returns the batch.
+fn drain_both(cal: &mut EventQueue<u32>, heap: &mut HeapQueue<u32>) -> (Option<u64>, Vec<u32>) {
+    let (ct, cb) = cal_batch(cal);
+    let (ht, hb) = heap_batch(heap);
+    assert_eq!(ct, ht, "drain cycles diverged");
+    assert_eq!(cb, hb, "drain batches diverged at cycle {ct:?}");
+    assert_eq!(cal.now(), heap.now(), "clocks diverged");
+    (ct, cb)
+}
+
+/// Drains both engines to empty; the tails must agree too.
+fn drain_to_empty(cal: &mut EventQueue<u32>, heap: &mut HeapQueue<u32>) {
+    while drain_both(cal, heap).0.is_some() {}
+    assert!(cal.is_empty() && heap.is_empty());
+    assert_eq!(cal.try_check_counters(), Ok(()));
 }
 
 /// Applies one op to both engines and asserts every observable matches.
@@ -79,14 +110,8 @@ fn step(op: Op, cal: &mut EventQueue<u32>, heap: &mut HeapQueue<u32>) {
             cal.schedule(cal.now() + ahead, payload);
             heap.schedule(heap.now() + ahead, payload);
         }
-        Op::Pop => {
-            assert_eq!(cal.pop(), heap.pop(), "pop streams diverged");
-        }
         Op::DrainAhead => {
-            let (mut cb, mut hb) = (Vec::new(), Vec::new());
-            let (ct, ht) = (cal.drain_cycle(&mut cb), heap.drain_cycle(&mut hb));
-            assert_eq!(ct, ht, "drain cycles diverged");
-            assert_eq!(cb, hb, "drain batches diverged at cycle {ct:?}");
+            let (ct, cb) = drain_both(cal, heap);
             if let Some(t) = ct {
                 for &p in &cb {
                     let at = match p % 3 {
@@ -100,10 +125,7 @@ fn step(op: Op, cal: &mut EventQueue<u32>, heap: &mut HeapQueue<u32>) {
             }
         }
         Op::Drain => {
-            let (mut cb, mut hb) = (Vec::new(), Vec::new());
-            let (ct, ht) = (cal.drain_cycle(&mut cb), heap.drain_cycle(&mut hb));
-            assert_eq!(ct, ht, "drain cycles diverged");
-            assert_eq!(cb, hb, "drain batches diverged at cycle {ct:?}");
+            let (ct, cb) = drain_both(cal, heap);
             if let Some(t) = ct {
                 for &p in cb.iter().filter(|&&p| p % 2 == 1) {
                     // Same-cycle follow-up: must be delivered at cycle t,
@@ -130,15 +152,7 @@ proptest! {
         for (selector, at, payload) in ops {
             step(decode(selector, at, payload), &mut cal, &mut heap);
         }
-        // Drain both to empty: the tails must agree too.
-        loop {
-            let (c, h) = (cal.pop(), heap.pop());
-            prop_assert_eq!(c, h, "tail pop streams diverged");
-            if c.is_none() {
-                break;
-            }
-        }
-        cal.check_counters();
+        drain_to_empty(&mut cal, &mut heap);
     }
 
     #[test]
@@ -146,24 +160,14 @@ proptest! {
         ops in proptest::collection::vec((any::<u8>(), 0usize..64, any::<u32>()), 1..400)
     ) {
         // Schedules relative to the clock put events on the lane often,
-        // and drains add next-cycle follow-ups behind them, so pops and
-        // drains keep meeting a due lane next to the wheel bucket of the
-        // same cycle.
+        // and drains add next-cycle follow-ups behind them, so drains keep
+        // meeting a due lane next to the wheel bucket of the same cycle.
         let mut cal = EventQueue::new();
         let mut heap = HeapQueue::new();
         for (selector, ahead, payload) in ops {
             step(decode_relative(selector, ahead, payload), &mut cal, &mut heap);
         }
-        loop {
-            let (mut cb, mut hb) = (Vec::new(), Vec::new());
-            let (c, h) = (cal.drain_cycle(&mut cb), heap.drain_cycle(&mut hb));
-            prop_assert_eq!(c, h, "tail drain cycles diverged");
-            prop_assert_eq!(cb, hb, "tail drain batches diverged");
-            if c.is_none() {
-                break;
-            }
-        }
-        cal.check_counters();
+        drain_to_empty(&mut cal, &mut heap);
     }
 
     #[test]
@@ -180,11 +184,11 @@ proptest! {
             cal.schedule(at, p);
             heap.schedule(at, p);
         }
-        let (mut cb, mut hb) = (Vec::new(), Vec::new());
-        prop_assert_eq!(cal.drain_cycle(&mut cb), Some(at));
-        prop_assert_eq!(heap.drain_cycle(&mut hb), Some(at));
+        let (ct, cb) = cal_batch(&mut cal);
+        let (ht, hb) = heap_batch(&mut heap);
+        prop_assert_eq!((ct, ht), (Some(at), Some(at)));
         prop_assert_eq!(&cb, &burst, "calendar drain must be FIFO");
-        prop_assert_eq!(&hb, &burst, "heap drain must be FIFO");
+        prop_assert_eq!(&hb, &burst, "heap pops must be FIFO");
         prop_assert!(cal.is_empty() && heap.is_empty());
     }
 
@@ -194,7 +198,7 @@ proptest! {
         far in proptest::collection::vec((5_000u64..1_000_000, any::<u32>()), 1..50)
     ) {
         // Mix events inside the wheel horizon with events far beyond it
-        // (overflow tree), then pop everything: the merged stream must
+        // (overflow tree), then drain everything: the merged stream must
         // match the heap exactly, proving overflow migration preserves
         // both ordering and the FIFO tie-break.
         let mut cal = EventQueue::new();
@@ -203,13 +207,7 @@ proptest! {
             cal.schedule(at, p);
             heap.schedule(at, p);
         }
-        loop {
-            let (c, h) = (cal.pop(), heap.pop());
-            prop_assert_eq!(c, h, "overflow pop streams diverged");
-            if c.is_none() {
-                break;
-            }
-        }
+        drain_to_empty(&mut cal, &mut heap);
     }
 }
 

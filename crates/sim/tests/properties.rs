@@ -12,30 +12,31 @@ use spacea_sim::noc::MeshNoc;
 use spacea_sim::stats::LdqCounters;
 use std::collections::BTreeMap;
 
-/// Reference LRU model for one CAM set: a vector ordered most-recent-first.
+/// Reference LRU model for one CAM set: its resident keys, most recent
+/// first.
 #[derive(Default)]
 struct RefLru {
-    entries: Vec<(u64, u32)>,
+    keys: Vec<u64>,
     ways: usize,
 }
 
 impl RefLru {
-    fn lookup(&mut self, key: u64) -> Option<u32> {
-        let pos = self.entries.iter().position(|&(k, _)| k == key)?;
-        let e = self.entries.remove(pos);
-        self.entries.insert(0, e);
-        Some(self.entries[0].1)
+    fn lookup(&mut self, key: u64) -> bool {
+        let Some(pos) = self.keys.iter().position(|&k| k == key) else { return false };
+        self.keys.remove(pos);
+        self.keys.insert(0, key);
+        true
     }
 
-    /// Inserts or refreshes `key`, returning the evicted entry, if any.
-    fn insert(&mut self, key: u64, value: u32) -> Option<(u64, u32)> {
+    /// Inserts or refreshes `key`, returning the evicted key, if any.
+    fn insert(&mut self, key: u64) -> Option<u64> {
         let mut evicted = None;
-        if let Some(pos) = self.entries.iter().position(|&(k, _)| k == key) {
-            self.entries.remove(pos);
-        } else if self.entries.len() == self.ways {
-            evicted = self.entries.pop();
+        if let Some(pos) = self.keys.iter().position(|&k| k == key) {
+            self.keys.remove(pos);
+        } else if self.keys.len() == self.ways {
+            evicted = self.keys.pop();
         }
-        self.entries.insert(0, (key, value));
+        self.keys.insert(0, key);
         evicted
     }
 }
@@ -58,33 +59,42 @@ proptest! {
     #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
 
     #[test]
-    fn cam_matches_reference_lru(ops in proptest::collection::vec((0u64..1024, any::<bool>(), any::<u32>()), 1..400)) {
+    fn cam_matches_reference_lru(ops in proptest::collection::vec((0u64..1024, any::<bool>()), 1..400)) {
         // Every geometry replays the same operations against one reference
-        // LRU per set. A single set makes every key collide (the hardest
-        // LRU case); several sets catch a wrong set offset in the CAM's
-        // flat table. Each set sees `ways + 2` distinct keys, so sets fill,
-        // evict and refresh.
+        // LRU per set, checking residency, evicted keys and `len` after
+        // every step. A single set makes every key collide (the hardest LRU
+        // case); several sets catch a wrong set offset in the CAM's flat
+        // table. Each set sees `ways + 2` distinct keys, so sets fill, evict
+        // and refresh.
         for sets in [1usize, 3, 32] {
             for ways in [1usize, 2, 4, 8] {
-                let mut cam: Cam<u32> = Cam::new(CamConfig { sets, ways, way_bytes: 32 });
+                let mut cam = Cam::new(CamConfig { sets, ways, way_bytes: 32 });
                 let mut reference: Vec<RefLru> =
                     (0..sets).map(|_| RefLru { ways, ..Default::default() }).collect();
                 let keys = (sets * (ways + 2)) as u64;
-                for &(raw, is_insert, value) in &ops {
+                let set_of = |key: u64| (key % sets as u64) as usize;
+                for &(raw, is_insert) in &ops {
                     let key = raw % keys;
-                    let set = &mut reference[(key % sets as u64) as usize];
+                    let set = &mut reference[set_of(key)];
                     if is_insert {
-                        prop_assert_eq!(cam.insert(key, value), set.insert(key, value),
+                        let evicted = cam.insert(key);
+                        prop_assert_eq!(evicted, set.insert(key),
                             "{}x{}: insert {}", sets, ways, key);
+                        if let Some(old) = evicted {
+                            prop_assert!(!cam.peek(old), "{}x{}: {} evicted yet resident", sets, ways, old);
+                        }
                     } else {
                         prop_assert_eq!(cam.lookup(key), set.lookup(key),
                             "{}x{}: lookup {}", sets, ways, key);
                     }
-                    let resident = set.entries.iter().find(|e| e.0 == key).map(|e| e.1);
-                    prop_assert_eq!(cam.peek(key).copied(), resident, "{}x{}: peek {}", sets, ways, key);
+                    prop_assert_eq!(cam.peek(key), set.keys.contains(&key), "{}x{}: peek {}", sets, ways, key);
+                    let resident: usize = reference.iter().map(|r| r.keys.len()).sum();
+                    prop_assert_eq!(cam.len(), resident, "{}x{}", sets, ways);
                 }
-                let resident: usize = reference.iter().map(|r| r.entries.len()).sum();
-                prop_assert_eq!(cam.len(), resident, "{}x{}", sets, ways);
+                for key in 0..keys {
+                    let resident = reference[set_of(key)].keys.contains(&key);
+                    prop_assert_eq!(cam.peek(key), resident, "{}x{}: final peek {}", sets, ways, key);
+                }
             }
         }
     }
@@ -98,7 +108,12 @@ proptest! {
         let mut expected: Vec<(u64, u32)> = events.clone();
         // Stable sort by time reproduces FIFO-within-cycle semantics.
         expected.sort_by_key(|&(t, _)| t);
-        let drained: Vec<(u64, u32)> = std::iter::from_fn(|| q.pop()).collect();
+        let mut drained = Vec::new();
+        let mut batch = Vec::new();
+        while let Some(t) = q.drain_cycle(&mut batch) {
+            prop_assert!(drained.last().is_none_or(|&(last, _)| last < t), "cycle {} drained twice", t);
+            drained.extend(batch.drain(..).map(|p| (t, p)));
+        }
         prop_assert_eq!(drained, expected);
     }
 
