@@ -83,6 +83,16 @@ if cargo run --release -p spacea-bench --bin experiment -- nosuch; then
   exit 1
 fi
 
+# EXPERIMENTS.md is generated: regenerated at full scale in a directory of
+# its own, over a fresh cache, it must equal the committed file byte for
+# byte. (The slowest step: 33 s to 158 s on 2-vCPU hosts.)
+EXP_MD_DIR=target/experiments-md
+rm -rf "$EXP_MD_DIR"
+mkdir -p "$EXP_MD_DIR"
+(cd "$EXP_MD_DIR" && cargo run --release -p spacea-bench --bin write_experiments_md -- \
+  --cache-dir cache)
+cmp "$EXP_MD_DIR/EXPERIMENTS.md" EXPERIMENTS.md
+
 # Sweep smoke test: a tiny 2-axis grid run whole and as 2 shards running
 # concurrently over one cache must merge byte-identically (a failing shard
 # fails the check), and GC must respect its byte budget.

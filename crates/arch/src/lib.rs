@@ -14,7 +14,8 @@
 //! The simulation is validated the same way the paper validates its
 //! simulator: "the correctness of the event triggering mechanism is validated
 //! by the values of the output vector" — every run checks the simulated `y`
-//! against the software SpMV oracle.
+//! against the software SpMV oracle bit for bit, so a run that returns `Ok`
+//! computed exactly `Csr::spmv`.
 //!
 //! # Example
 //!
@@ -29,7 +30,7 @@
 //! let x = vec![1.0; a.cols()];
 //! let mapping = LocalityMapping::default().map(&a, &cfg.shape);
 //! let report = Machine::new(cfg).run(RunSpec::spmv(&a, &x, &mapping))?.into_report();
-//! assert!(report.validated);
+//! assert_eq!(report.output, a.spmv(&x));
 //! # Ok(())
 //! # }
 //! ```
@@ -48,7 +49,7 @@ pub mod trace;
 pub use config::HwConfig;
 pub use layout::{DataLayout, SlotId};
 pub use machine::{Machine, RunOutput, RunSpec, SimError};
-pub use report::{SimReport, SpmmReport};
+pub use report::SimReport;
 pub use spacea_sim::fault;
 pub use spacea_sim::fault::{
     FaultPlan, OccupancyHistory, OccupancySample, StallDiagnosis, VaultOccupancy, WatchdogConfig,

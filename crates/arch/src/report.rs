@@ -35,14 +35,15 @@ pub struct SimReport {
     pub matrix_bank_busy_fraction: f64,
     /// Mean busy fraction of the vector banks.
     pub vector_bank_busy_fraction: f64,
-    /// The simulated output vector.
+    /// The simulated output vector of a single-vector run, equal to
+    /// `Csr::spmv` bit for bit (a run whose output differs is an error, not
+    /// a report). Empty for fused runs, whose vectors are in
+    /// [`crate::RunOutput::outputs`].
     ///
     /// May be empty on reports rehydrated from the harness disk cache (the
     /// vector is large and nothing downstream of validation reads it); see
     /// `spacea-harness`.
     pub output: Vec<f64>,
-    /// Whether the output matched the software SpMV oracle.
-    pub validated: bool,
     /// Discrete events scheduled over the simulation (telemetry).
     pub events_scheduled: u64,
     /// Discrete events processed over the simulation (telemetry). Equals
@@ -50,35 +51,6 @@ pub struct SimReport {
     /// counter invariant (`scheduled − processed == pending`) with an empty
     /// final queue.
     pub events_processed: u64,
-}
-
-/// The result of a fused multi-vector run ([`crate::RunSpec::spmm`]):
-/// one simulated pass computing `Y = A · [x_0 … x_{k-1}]`.
-#[derive(Debug, Clone, PartialEq)]
-pub struct SpmmReport {
-    /// Timing and activity of the single fused pass. Its `output` field is
-    /// empty — the per-vector results live in [`SpmmReport::outputs`].
-    pub report: SimReport,
-    /// One output vector per input vector, in input order. Each is
-    /// bitwise-identical to what a solo [`crate::RunSpec::spmv`] run returns for
-    /// the same input vector alone.
-    pub outputs: Vec<Vec<f64>>,
-}
-
-impl SpmmReport {
-    /// The batch width `k` (number of fused vectors).
-    pub fn batch(&self) -> usize {
-        self.outputs.len()
-    }
-
-    /// Simulated cycles divided by the batch width: the per-request cost a
-    /// batching service pays for this pass.
-    pub fn cycles_per_vector(&self) -> f64 {
-        if self.outputs.is_empty() {
-            return 0.0;
-        }
-        self.report.cycles as f64 / self.outputs.len() as f64
-    }
 }
 
 impl SimReport {

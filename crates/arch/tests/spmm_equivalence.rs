@@ -50,9 +50,8 @@ proptest! {
         let machine = Machine::new(hw);
         let xs: Vec<Vec<f64>> = (0..k as u64).map(|s| vector(a.cols(), seed ^ s)).collect();
 
-        let fused = machine.run(RunSpec::spmm(&a, &xs, &mapping)).expect("fused pass runs").into_spmm();
+        let fused = machine.run(RunSpec::spmm(&a, &xs, &mapping)).expect("fused pass runs");
         prop_assert_eq!(fused.outputs.len(), k);
-        prop_assert_eq!(fused.batch(), k);
         for (v, x) in xs.iter().enumerate() {
             let solo = machine.run(RunSpec::spmv(&a, x, &mapping)).expect("solo pass runs").into_report();
             prop_assert_eq!(
@@ -82,9 +81,8 @@ proptest! {
         let rotated: Vec<Vec<f64>> =
             (0..k).map(|v| xs[(v + rot) % k].clone()).collect();
 
-        let base = machine.run(RunSpec::spmm(&a, &xs, &mapping)).expect("base pass runs").into_spmm();
-        let perm =
-            machine.run(RunSpec::spmm(&a, &rotated, &mapping)).expect("rotated pass runs").into_spmm();
+        let base = machine.run(RunSpec::spmm(&a, &xs, &mapping)).expect("base pass runs");
+        let perm = machine.run(RunSpec::spmm(&a, &rotated, &mapping)).expect("rotated pass runs");
         for v in 0..k {
             prop_assert_eq!(
                 bits(&perm.outputs[v]),

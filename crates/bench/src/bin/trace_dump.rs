@@ -5,6 +5,10 @@
 
 use spacea_arch::{Machine, RunSpec};
 use spacea_core::experiments::MapKind;
+use spacea_obs::SamplerConfig;
+
+/// How many of the observed run's trace records to print.
+const SHOWN: usize = 120;
 
 fn main() {
     let mut session = spacea_bench::harness();
@@ -14,23 +18,25 @@ fn main() {
     let mapping = cache.mapping(id, MapKind::Proposed);
     let x = spacea_harness::input_vector(a.cols());
     let machine = Machine::new(cache.cfg.hw.clone());
-    let out = machine.run(RunSpec::spmv(&a, &x, &mapping).traced(120)).unwrap_or_else(|e| {
-        eprintln!("trace_dump: traced simulation failed: {e}");
+    let spec = RunSpec::spmv(&a, &x, &mapping).observed(SamplerConfig::default());
+    let out = machine.run(spec).unwrap_or_else(|e| {
+        eprintln!("trace_dump: observed simulation failed: {e}");
         std::process::exit(1)
     });
     let report = &out.report;
     let Some(log) = out.trace else {
-        eprintln!("trace_dump: traced run yielded no trace");
+        eprintln!("trace_dump: observed run yielded no trace");
         std::process::exit(1)
     };
+    let shown = &log.records()[..log.records().len().min(SHOWN)];
 
     println!(
         "bcsstk32 (scaled): {} cycles total; showing the first {} of {} events",
         report.cycles,
-        log.records().len(),
+        shown.len(),
         log.offered()
     );
-    for record in log.records() {
+    for record in shown {
         println!("{record}");
     }
 }

@@ -137,8 +137,6 @@ fn main() {
         }
         md.push_str("```\n\n");
     }
-    let _ = writeln!(md, "_Total harness time: {:.1}s._", started.elapsed().as_secs_f64());
-
     std::fs::write("EXPERIMENTS.md", &md).unwrap_or_else(|e| {
         eprintln!("write_experiments_md: cannot write EXPERIMENTS.md: {e}");
         std::process::exit(1)

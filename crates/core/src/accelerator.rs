@@ -174,12 +174,9 @@ mod tests {
         let x = vec![1.0; a.cols()];
         let accel = Accelerator::builder().hw_config(HwConfig::tiny()).build().unwrap();
         let run = accel.spmv(&a, &x).unwrap();
-        assert!(run.report.validated);
         assert!(run.energy.total_j() > 0.0);
-        // Accumulation order differs from the oracle; compare with tolerance.
-        for (sim, exp) in run.report.output.iter().zip(a.spmv(&x)) {
-            assert!((sim - exp).abs() <= 1e-9 * exp.abs().max(1.0));
-        }
+        // The machine reduces each row in the oracle's order: exact output.
+        assert_eq!(run.report.output, a.spmv(&x));
     }
 
     #[test]

@@ -23,7 +23,7 @@
 //! let x = vec![1.0; a.cols()];
 //! let accel = Accelerator::builder().build()?;
 //! let run = accel.spmv(&a, &x)?;
-//! assert!(run.report.validated);
+//! assert_eq!(run.report.output, a.spmv(&x)); // checked bit for bit by the run
 //! assert!(run.energy.total_j() > 0.0);
 //! # Ok(())
 //! # }

@@ -84,7 +84,6 @@ fn double_run_is_bit_identical() {
                     "{}: output vectors differ bitwise",
                     r1.label
                 );
-                assert!(ra.validated && rb.validated, "{}: oracle mismatch", r1.label);
             }
             (spacea_harness::JobResult::Gpu(ga), spacea_harness::JobResult::Gpu(gb)) => {
                 assert_eq!(ga, gb, "{}: GPU runs differ", r1.label);

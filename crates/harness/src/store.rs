@@ -590,7 +590,6 @@ fn encode_sim(r: &SimReport) -> Json {
         ("pe_busy_fraction", Json::f64_bits(r.pe_busy_fraction)),
         ("matrix_bank_busy_fraction", Json::f64_bits(r.matrix_bank_busy_fraction)),
         ("vector_bank_busy_fraction", Json::f64_bits(r.vector_bank_busy_fraction)),
-        ("validated", Json::Bool(r.validated)),
         ("events_scheduled", Json::U64(r.events_scheduled)),
         ("events_processed", Json::U64(r.events_processed)),
     ])
@@ -619,7 +618,6 @@ fn decode_sim(v: &Json) -> Result<SimReport, String> {
         matrix_bank_busy_fraction: f64_field(v, "matrix_bank_busy_fraction")?,
         vector_bank_busy_fraction: f64_field(v, "vector_bank_busy_fraction")?,
         output: Vec::new(), // elided on disk; see module comment
-        validated: v.get("validated").and_then(Json::as_bool).ok_or("missing 'validated'")?,
         events_scheduled: u64_field(v, "events_scheduled")?,
         events_processed: u64_field(v, "events_processed")?,
     })
@@ -752,6 +750,37 @@ mod tests {
         )
         .unwrap();
         assert_eq!(back, JobResult::Scenario(rec));
+    }
+
+    #[test]
+    fn sim_round_trips_exactly_and_ignores_the_retired_verdict_member() {
+        let report = SimReport {
+            cycles: 1234,
+            seconds: 1.234e-6,
+            activity: ActivitySummary { cycles: 1234, fpu_ops: 77, ..Default::default() },
+            l1_hit_rate: 0.5,
+            l2_hit_rate: 1.0 / 3.0,
+            tsv_bytes: 4096,
+            noc_byte_hops: 99,
+            pe_work: vec![3, 1, 4],
+            normalized_workload: 2.0 / 3.0,
+            update_buffer_hit_rate: 0.25,
+            pe_busy_fraction: 0.125,
+            matrix_bank_busy_fraction: 0.0625,
+            vector_bank_busy_fraction: 0.031_25,
+            output: Vec::new(),
+            events_scheduled: 555,
+            events_processed: 555,
+        };
+        let want = JobResult::Sim(Arc::new(report));
+        let text = encode_result(&want).to_text();
+        assert_eq!(decode_result(&json::parse(&text).unwrap()).unwrap(), want);
+        // Entries written while reports carried a `validated` flag hold a
+        // `"validated":true` member; they still decode to the same report.
+        let older =
+            text.replacen("\"events_scheduled\"", "\"validated\":true,\"events_scheduled\"", 1);
+        assert_ne!(older, text);
+        assert_eq!(decode_result(&json::parse(&older).unwrap()).unwrap(), want);
     }
 
     #[test]

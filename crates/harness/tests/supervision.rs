@@ -70,7 +70,7 @@ proptest! {
                 prop_assert_eq!(report.output.len(), want.len());
                 for (i, (got, want)) in report.output.iter().zip(&want).enumerate() {
                     prop_assert!(
-                        (got - want).abs() <= 1e-9,
+                        got.to_bits() == want.to_bits(),
                         "wrong-but-successful output at row {} (kind {}, n {}): {} vs {}",
                         i, kind, n, got, want
                     );

@@ -173,16 +173,6 @@ pub fn write_string(csr: &Csr) -> String {
     out
 }
 
-/// Writes a CSR matrix to a Matrix Market file.
-///
-/// # Errors
-///
-/// Returns [`MatrixError::Io`] on write failure.
-pub fn write_file<P: AsRef<Path>>(csr: &Csr, path: P) -> Result<(), MatrixError> {
-    fs::write(path, write_string(csr))?;
-    Ok(())
-}
-
 fn parse_err(line: usize, message: &str) -> MatrixError {
     MatrixError::Parse { line, message: message.to_string() }
 }
@@ -294,7 +284,7 @@ mod tests {
         let path = dir.join("m.mtx");
         let csr =
             read_str("%%MatrixMarket matrix coordinate real general\n1 2 1\n1 2 4\n").unwrap();
-        write_file(&csr, &path).unwrap();
+        std::fs::write(&path, write_string(&csr)).unwrap();
         assert_eq!(read_file(&path).unwrap(), csr);
     }
 }

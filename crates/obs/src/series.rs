@@ -154,11 +154,6 @@ impl Series {
         }
     }
 
-    /// Start cycle of the first window, if any.
-    pub fn first_start(&self) -> Option<Cycle> {
-        self.windows.first().map(|w| w.start)
-    }
-
     /// Largest single value ever recorded.
     pub fn peak(&self) -> f64 {
         self.windows.iter().fold(0.0f64, |m, w| m.max(w.max))
@@ -194,7 +189,7 @@ mod tests {
         assert_eq!(s.total_count(), 1000);
         assert!(s.window_len() >= 256, "1000 samples over 4 windows need len ≥ 256");
         assert_eq!(s.windows().last().map(|w| w.last), Some(999.0));
-        assert_eq!(s.first_start(), Some(0));
+        assert_eq!(s.windows().first().map(|w| w.start), Some(0));
         let exact_mean = (0..1000).sum::<u64>() as f64 / 1000.0;
         assert!((s.mean() - exact_mean).abs() < 1e-9);
     }
@@ -240,8 +235,9 @@ mod tests {
             // First window still covers the first sample; the last value
             // survives every merge.
             let first = first_cycle.unwrap();
-            prop_assert!(s.first_start().unwrap() <= first);
-            prop_assert!(s.first_start().unwrap() + s.window_len() > first);
+            let first_start = s.windows().first().unwrap().start;
+            prop_assert!(first_start <= first);
+            prop_assert!(first_start + s.window_len() > first);
             prop_assert_eq!(s.windows().last().unwrap().last, last_value);
             // Windows stay ordered and aligned.
             for w in s.windows().windows(2) {

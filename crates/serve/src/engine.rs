@@ -12,7 +12,7 @@
 use crate::chaos::{ChaosPlan, ChaosState};
 use crate::error::ServeError;
 use crate::journal::{AckJournal, CompactionStats};
-use spacea_arch::{HwConfig, Machine, RunSpec, SpmmReport};
+use spacea_arch::{HwConfig, Machine, RunOutput, RunSpec};
 use spacea_harness::mapstore::matrix_key;
 use spacea_harness::{write_atomic, MappingStats, MappingStore, MatrixSource};
 use spacea_mapping::{MapKind, Mapping};
@@ -30,6 +30,11 @@ pub const MANIFEST_FILE: &str = "serve-manifest.json";
 
 /// The daemon's telemetry export file name (under the cache directory).
 pub const TIMELINE_FILE: &str = "serve-timeline.json";
+
+/// The telemetry timeline is flushed to disk every this many completed
+/// requests (in addition to the shutdown flush), so a crashed daemon still
+/// leaves a loadable artifact.
+pub const FLUSH_EVERY: u64 = 8;
 
 /// Recovers from lock poisoning: engine state is counters and memo maps,
 /// all valid at any intermediate point, so a panicked peer cannot leave
@@ -65,10 +70,6 @@ pub struct ServeConfig {
     /// Base backoff before the first retry; doubled per further attempt
     /// and jittered deterministically from the matrix key.
     pub retry_backoff: Duration,
-    /// Flush the telemetry timeline to disk every this many completed
-    /// requests (in addition to the shutdown flush), so a crashed daemon
-    /// still leaves a loadable artifact. `0` disables the periodic flush.
-    pub flush_every: u64,
     /// Compact the acknowledgment journal automatically every this many
     /// acknowledged (journaled) batches, retaining the newest
     /// `compact_every` files — each acknowledged batch is one journal
@@ -94,7 +95,6 @@ impl ServeConfig {
             gather_window: Duration::from_millis(2),
             gather_idle: Duration::from_micros(100),
             retry_backoff: Duration::from_millis(10),
-            flush_every: 8,
             compact_every: 0,
             chaos: ChaosPlan::default(),
         }
@@ -313,23 +313,23 @@ impl ServeEngine {
     }
 
     /// Runs one fused SpMM pass over `xs` against the registered matrix
-    /// `key`. Each output vector is bitwise what a solo SpMV run of that
-    /// vector returns, so callers may fuse freely.
+    /// `key`, returning its report and one output vector per input. Each
+    /// output vector is bitwise what a solo SpMV run of that vector
+    /// returns, so callers may fuse freely.
     ///
     /// # Errors
     ///
     /// [`ServeError::UnknownMatrix`] for an unregistered key,
     /// [`ServeError::Sim`] for preflight and simulator failures
     /// (mismatched vector lengths, empty batches, hangs).
-    pub fn run_batch(&self, key: u64, xs: &[Vec<f64>]) -> Result<SpmmReport, ServeError> {
+    pub fn run_batch(&self, key: u64, xs: &[Vec<f64>]) -> Result<RunOutput, ServeError> {
         let entry =
             lock(&self.matrices).get(&key).cloned().ok_or(ServeError::UnknownMatrix(key))?;
-        let report =
-            self.machine.run(RunSpec::spmm(&entry.a, xs, self.mapping(&entry)))?.into_spmm();
+        let out = self.machine.run(RunSpec::spmm(&entry.a, xs, self.mapping(&entry)))?;
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.requests.fetch_add(xs.len() as u64, Ordering::Relaxed);
         self.fused_max.fetch_max(xs.len() as u64, Ordering::Relaxed);
-        Ok(report)
+        Ok(out)
     }
 
     /// Records one completed request into the telemetry series and
@@ -344,8 +344,7 @@ impl ServeEngine {
             t.cycles_per_request.record(at, cycles as f64 / batch.max(1) as f64);
             t.queue_depth.record(at, depth as f64);
         }
-        let every = self.cfg.flush_every;
-        if every > 0 && self.requests.load(Ordering::Relaxed).is_multiple_of(every) {
+        if self.requests.load(Ordering::Relaxed).is_multiple_of(FLUSH_EVERY) {
             if let Err(e) = self.write_timeline() {
                 eprintln!("serve: periodic timeline flush failed: {e}");
             }
@@ -482,7 +481,7 @@ impl ServeEngine {
 
     /// Writes the telemetry timeline to `<cache_dir>/serve-timeline.json`
     /// as Chrome trace JSON (loads in Perfetto). Called both periodically
-    /// (every `flush_every` requests) and on shutdown, always via
+    /// (every [`FLUSH_EVERY`] requests) and on shutdown, always via
     /// tmp+rename, so the artifact is loadable at every instant — even
     /// after a SIGKILL between flushes.
     ///

@@ -10,6 +10,7 @@
 //! SIGKILL: no destructors, no flush-on-drop — only the tmp+rename write
 //! discipline stands between the daemon and a torn artifact.
 
+use spacea_serve::engine::FLUSH_EVERY;
 use spacea_serve::{seeded_vector, AckJournal, Client, ServeConfig};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
@@ -30,13 +31,12 @@ fn tmp_dir() -> PathBuf {
 fn daemon_process_helper() {
     let Ok(dir) = std::env::var(DIR_ENV) else { return };
     let mut cfg = ServeConfig::quick(&dir);
-    // Flush telemetry after every request so the timeline on disk is
-    // mid-flight state, not a shutdown artifact.
-    cfg.flush_every = 1;
-    // The second request wedges inside the batcher for far longer than
+    // The request after the first `FLUSH_EVERY` (whose completion flushes
+    // the telemetry timeline, so the file on disk is mid-flight state, not
+    // a shutdown artifact) wedges inside the batcher for far longer than
     // the parent waits — the kill lands mid-batch by construction.
     cfg.chaos = spacea_serve::ChaosPlan {
-        stall_req: Some((1, STALL_MS)),
+        stall_req: Some((FLUSH_EVERY, STALL_MS)),
         ..spacea_serve::ChaosPlan::default()
     };
     spacea_serve::run_daemon(cfg, 0).expect("daemon runs until killed");
@@ -64,20 +64,24 @@ fn sigkill_mid_batch_leaves_mappings_journal_and_timeline_loadable() {
     let m = admin.register(1, 256).unwrap();
     let a = spacea_matrix::suite::entry_by_id(1).unwrap().generate(256);
 
-    // Request 0 completes and is acknowledged before the crash.
-    let out = admin.submit(m.matrix, 0).unwrap();
-    let want0 = a.spmv(&seeded_vector(a.cols(), 0));
-    assert_eq!(out.y, want0, "pre-crash answer diverges from offline SpMV");
+    // Requests 0..FLUSH_EVERY complete and are acknowledged before the
+    // crash; the last of them flushes the timeline.
+    let want: Vec<Vec<f64>> =
+        (0..=FLUSH_EVERY).map(|seed| a.spmv(&seeded_vector(a.cols(), seed))).collect();
+    for seed in 0..FLUSH_EVERY {
+        let out = admin.submit(m.matrix, seed).unwrap();
+        assert_eq!(out.y, want[seed as usize], "pre-crash answer diverges from offline SpMV");
+    }
 
-    // Request 1 stalls inside the batcher (chaos stall-req=1); SIGKILL
-    // lands while it is mid-batch. Its client must see a dead transport,
-    // never a fabricated answer.
+    // Request FLUSH_EVERY stalls inside the batcher (chaos stall-req);
+    // SIGKILL lands while it is mid-batch. Its client must see a dead
+    // transport, never a fabricated answer.
     let stalled = {
         let dir = dir.clone();
         let key = m.matrix;
         std::thread::spawn(move || {
             let mut client = Client::connect_dir(&dir).unwrap();
-            client.submit(key, 1)
+            client.submit(key, FLUSH_EVERY)
         })
     };
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -93,12 +97,19 @@ fn sigkill_mid_batch_leaves_mappings_journal_and_timeline_loadable() {
     assert!(e.is_transport(), "in-flight request died with {e}, expected a transport failure");
 
     // --- Post-mortem: everything persisted must still load. ---
-    // The journal proves exactly one acknowledgment, with the right hash.
+    // The journal proves exactly the pre-crash acknowledgments, in order,
+    // with the right hashes.
     let journal = AckJournal::load(&dir.join(AckJournal::DIR));
     assert_eq!(journal.corrupt_files, 0, "SIGKILL tore a journal file");
-    assert_eq!(journal.records.len(), 1, "exactly the pre-crash ack is journaled");
-    assert_eq!(journal.records[0].matrix, m.matrix);
-    assert_eq!(journal.records[0].y_hash, spacea_serve::vec_hash(&want0));
+    assert_eq!(
+        journal.records.len() as u64,
+        FLUSH_EVERY,
+        "exactly the pre-crash acks are journaled"
+    );
+    for (record, y) in journal.records.iter().zip(&want) {
+        assert_eq!(record.matrix, m.matrix);
+        assert_eq!(record.y_hash, spacea_serve::vec_hash(y));
+    }
 
     // The telemetry timeline flushed mid-flight is a valid Chrome trace.
     let trace = std::fs::read_to_string(dir.join("serve-timeline.json"))
@@ -113,10 +124,9 @@ fn sigkill_mid_batch_leaves_mappings_journal_and_timeline_loadable() {
     let mut client = Client::connect_dir_within(&dir, Duration::from_secs(30)).unwrap();
     let m2 = client.register(1, 256).unwrap();
     assert_eq!(m2.matrix, m.matrix);
-    for seed in [0u64, 1] {
+    for seed in [0, FLUSH_EVERY] {
         let out = client.submit(m.matrix, seed).unwrap();
-        let want = a.spmv(&seeded_vector(a.cols(), seed));
-        assert_eq!(out.y, want, "post-restart replay of seed {seed} diverged");
+        assert_eq!(out.y, want[seed as usize], "post-restart replay of seed {seed} diverged");
     }
     let stat = client.stat().unwrap();
     assert_eq!(

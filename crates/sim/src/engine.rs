@@ -78,12 +78,6 @@ pub trait DesQueue<E> {
     fn drain_cycle(&mut self, sink: &mut Vec<E>) -> Option<Cycle>;
     /// The cycle of the most recently delivered event.
     fn now(&self) -> Cycle;
-    /// Number of events currently pending.
-    fn len(&self) -> usize;
-    /// Returns `true` if no events are pending.
-    fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
 }
 
 /// A deterministic calendar queue of timed events.
@@ -396,9 +390,6 @@ impl<E> DesQueue<E> for EventQueue<E> {
     fn now(&self) -> Cycle {
         EventQueue::now(self)
     }
-    fn len(&self) -> usize {
-        EventQueue::len(self)
-    }
 }
 
 pub mod reference {
@@ -537,9 +528,6 @@ pub mod reference {
         }
         fn now(&self) -> Cycle {
             HeapQueue::now(self)
-        }
-        fn len(&self) -> usize {
-            HeapQueue::len(self)
         }
     }
 }

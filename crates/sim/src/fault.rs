@@ -35,8 +35,9 @@ pub struct FaultPlan {
     /// bounced forward instead of handled, so the run livelocks until the
     /// stall-window watchdog fires.
     pub stall_vault: Option<(usize, Cycle)>,
-    /// Corrupt the Nth accumulator update by +1.0. The output oracle must
-    /// catch it as a validation failure.
+    /// Corrupt the Nth accumulator update by one ulp (its lowest mantissa
+    /// bit flips). The bitwise output oracle must catch it as a validation
+    /// failure.
     pub flip_accum_update: Option<u64>,
     /// Panic at the start of the run loop (exercises the harness's
     /// `catch_unwind` supervision).

@@ -44,6 +44,5 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         report.seconds * 1e6,
         report.seconds * 1e6 * pr.iterations as f64,
     );
-    println!("validated: {}", report.validated);
     Ok(())
 }

@@ -26,7 +26,6 @@ fn every_suite_matrix_validates_with_both_mappings() {
                 .run(RunSpec::spmv(&a, &x, &mapping))
                 .unwrap_or_else(|e| panic!("{} + {name}: {e}", entry.name))
                 .into_report();
-            assert!(r.validated, "{} + {name} failed validation", entry.name);
             assert!(r.cycles > 0);
             assert_eq!(
                 r.pe_work.iter().sum::<u64>() as usize,
@@ -73,9 +72,9 @@ fn multi_cube_shapes_validate() {
             MachineShape { cubes, vaults_per_cube: 4, product_bgs_per_vault: 2, banks_per_bg: 2 };
         let hw = HwConfig::with_shape(shape);
         let mapping = LocalityMapping::default().map(&a, &shape);
-        let r =
-            Machine::new(hw).run(RunSpec::spmv(&a, &x, &mapping)).expect("validates").into_report();
-        assert!(r.validated, "{cubes} cubes failed");
+        Machine::new(hw)
+            .run(RunSpec::spmv(&a, &x, &mapping))
+            .unwrap_or_else(|e| panic!("{cubes} cubes failed: {e}"));
     }
 }
 
@@ -113,9 +112,7 @@ fn sparser_cam_configuration_never_breaks_correctness() {
         hw.l2_cam.sets = l2_sets;
         hw.tsv_latency = tsv_latency;
         hw.ldq_dedup = dedup;
-        let r =
-            Machine::new(hw).run(RunSpec::spmv(&a, &x, &mapping)).expect("validates").into_report();
-        assert!(r.validated);
+        Machine::new(hw).run(RunSpec::spmv(&a, &x, &mapping)).expect("validates");
     }
 }
 

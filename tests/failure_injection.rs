@@ -38,9 +38,7 @@ fn mapping_that_drops_a_row_is_rejected() {
     match Machine::new(cfg).run(RunSpec::spmv(&a, &x, &bad)) {
         Err(SimError::ValidationFailed { .. }) => {}
         Err(other) => panic!("expected validation failure, got {other}"),
-        Ok(r) => {
-            panic!("machine accepted a row-dropping mapping (validated={})", r.report.validated)
-        }
+        Ok(_) => panic!("machine accepted a row-dropping mapping"),
     }
 }
 
