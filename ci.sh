@@ -169,6 +169,26 @@ if grep -qE "failed|timed-out" target/sweep-memo-1.csv; then
   exit 1
 fi
 
+# Machine axes: the mapping, named-variant, cube-count, CAM-set and GPU axes
+# build their machines through HwConfig::by_name and the axis constructors.
+# The grid run whole and as 2 shards, each over a fresh cache, must merge
+# byte-identically, with no failed row.
+AXES_CACHE=target/spacea-cache-axes
+AXES_ARGS="--quick --ids 1 --kinds naive,proposed --hw tiny,scaled --cubes-axis 1,2 --l1-sets 16,32 --l2-sets 1024 --gpu --csv --jobs 2 --cache-dir $AXES_CACHE"
+rm -rf "$AXES_CACHE"
+cargo run --release -p spacea-bench --bin sweep -- $AXES_ARGS > target/axes-full.csv
+rm -rf "$AXES_CACHE"
+cargo run --release -p spacea-bench --bin sweep -- $AXES_ARGS --shard 0/2 > target/axes-s0.csv
+cargo run --release -p spacea-bench --bin sweep -- $AXES_ARGS --shard 1/2 > target/axes-s1.csv
+head -n 1 target/axes-s0.csv > target/axes-merged.csv
+tail -n +2 -q target/axes-s0.csv target/axes-s1.csv >> target/axes-merged.csv
+cmp target/axes-merged.csv target/axes-full.csv
+test "$(wc -l < target/axes-full.csv)" -eq 18  # header + 16 sim points + 1 GPU point
+if grep -qE "failed|timed-out" target/axes-full.csv; then
+  echo "ci.sh: a machine-axes sweep point failed" >&2
+  exit 1
+fi
+
 # Fault-injection smoke test: a sweep with a deliberately stalled vault and a
 # panicking job must still exit 0, render every row, and record the failures
 # (with the watchdog's diagnosis naming the vault) in the manifest.

@@ -23,7 +23,6 @@ pub struct UpdateBuffer {
     rows: Vec<(u64, u64)>, // (dram_row, last_use); all resident rows are dirty
     capacity: usize,
     tick: u64,
-    hits: u64,
     misses: u64,
     writebacks: u64,
 }
@@ -40,7 +39,6 @@ impl UpdateBuffer {
             rows: Vec::with_capacity(capacity),
             capacity,
             tick: 0,
-            hits: 0,
             misses: 0,
             writebacks: 0,
         }
@@ -54,7 +52,6 @@ impl UpdateBuffer {
         let tick = self.tick;
         if let Some(e) = self.rows.iter_mut().find(|(r, _)| *r == dram_row) {
             e.1 = tick;
-            self.hits += 1;
             return UpdateOutcome::Hit;
         }
         self.misses += 1;
@@ -81,11 +78,6 @@ impl UpdateBuffer {
         self.rows.iter().map(|&(r, _)| r)
     }
 
-    /// Hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
     /// Misses so far.
     pub fn misses(&self) -> u64 {
         self.misses
@@ -106,7 +98,6 @@ mod tests {
         let mut b = UpdateBuffer::new(2);
         assert_eq!(b.touch(5), UpdateOutcome::Miss { writeback: None });
         assert_eq!(b.touch(5), UpdateOutcome::Hit);
-        assert_eq!(b.hits(), 1);
         assert_eq!(b.misses(), 1);
     }
 

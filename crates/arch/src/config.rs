@@ -1,4 +1,11 @@
 //! Hardware configuration (paper Section V-A, "Hardware Configuration").
+//!
+//! [`HwConfig`] holds what an experiment varies: the machine shape (the
+//! Figure 10 cube count and the presets), the CAM geometries (Figure 7), the
+//! TSV latency and width (Figure 9 and the HBM preset), load-queue
+//! deduplication (the ablation), the fault plan and the watchdog. Every other
+//! component parameter is fixed, and defined here once as a constant with
+//! its paper source.
 
 use spacea_mapping::MachineShape;
 use spacea_sim::cam::{CamConfig, MAX_WAYS};
@@ -6,53 +13,88 @@ use spacea_sim::dram::DramTiming;
 use spacea_sim::fault::{FaultPlan, WatchdogConfig};
 use spacea_sim::Cycle;
 
-/// Full hardware configuration of a SpaceA machine.
+/// DRAM bank timing of the HMC-like stack (Sections II-C and V-A, and the
+/// HMC characterization study the paper cites): tRAS 27, tCCD 4 ("as small
+/// as 4 cycles") and tRP 13 cycles, 256-bit beats, and a 2 Kb (256-byte)
+/// row buffer.
+pub const DRAM_TIMING: DramTiming =
+    DramTiming { t_ras: 27, t_ccd: 4, t_rp: 13, beat_bytes: 32, row_bytes: 256 };
+
+/// Non-zeros that fit in one matrix DRAM row: a 4-byte row-index header,
+/// then (4-byte column index, 8-byte value) pairs (Section III-B), so 21 in
+/// a 256-byte row.
+pub const NNZ_PER_DRAM_ROW: usize = (DRAM_TIMING.row_bytes - 4) / 12;
+
+/// Bytes in one input-vector block (Section V-A): a CAM way holds one block
+/// of four `f64` elements, the vectors are distributed in blocks, and an X
+/// response carries one block per vector.
+pub const BLOCK_BYTES: usize = 32;
+
+/// L1 load-queue entries per bank group (Section V-A).
+pub const L1_LDQ_ENTRIES: usize = 512;
+
+/// L2 load-queue entries per vault controller (Section V-A).
+pub const L2_LDQ_ENTRIES: usize = 8192;
+
+/// PE queue capacity in DRAM rows: the 16 Kb scratchpad (Section V-A) holds
+/// eight 2 Kb rows.
+pub const PE_QUEUE_ROWS: usize = 8;
+
+/// Update-buffer capacity in DRAM rows: an Accumulation-PE reuses the PE
+/// queue SRAM as its update buffer (Section III-B).
+pub const UPDATE_BUFFER_ROWS: usize = PE_QUEUE_ROWS;
+
+/// Per-hop latency of the base-die vault mesh (the 2D-mesh NoC of Section
+/// III-C), cycles.
+pub const NOC_HOP_LATENCY: Cycle = 3;
+
+/// Link width of the base-die vault mesh (Section III-C), bytes per cycle.
+pub const NOC_BYTES_PER_CYCLE: usize = 16;
+
+/// Per-hop latency of the inter-cube SerDes mesh (Section III-A's memory
+/// network), cycles.
+pub const SERDES_HOP_LATENCY: Cycle = 12;
+
+/// Link width of the inter-cube SerDes mesh (Section III-A), bytes per
+/// cycle: an HMC link carries about 120 GB/s.
+pub const SERDES_BYTES_PER_CYCLE: usize = 128;
+
+/// Cycles per non-zero scan step of a Product-PE's control unit, the
+/// paper's `L_p` (Section III-B).
+pub const L_P: Cycle = 1;
+
+/// L1 CAM search latency, cycles: a CACTI-3DD-magnitude figure for the
+/// 4 KB CAM (the paper sizes its CAMs with CACTI-3DD, Section V-A).
+pub const L1_CAM_LATENCY: Cycle = 2;
+
+/// L2 CAM search latency, cycles: a CACTI-3DD-magnitude figure for the
+/// 256 KB CAM (Section V-A).
+pub const L2_CAM_LATENCY: Cycle = 4;
+
+/// Latency of one double-precision multiply-accumulate (the FPU of \[23\],
+/// Section V-A), cycles.
+pub const FPU_LATENCY: Cycle = 4;
+
+/// The varied part of a SpaceA machine's configuration.
 ///
 /// Defaults follow the paper's HMC-like configuration; [`HwConfig::scaled`]
 /// shrinks the cube count (not the per-cube structure) so that cycle-level
 /// simulation of the scaled Table I suite stays laptop-feasible, and
-/// [`HwConfig::tiny`] is a miniature for unit tests.
+/// [`HwConfig::tiny`] is a miniature for unit tests. The fixed component
+/// parameters are the constants of this module.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct HwConfig {
     /// Cube/vault/layer/bank structure (shared with the mapping crate).
     pub shape: MachineShape,
-    /// DRAM bank timing.
-    pub timing: DramTiming,
     /// L1 CAM geometry (per bank group).
     pub l1_cam: CamConfig,
     /// L2 CAM geometry (per vault controller).
     pub l2_cam: CamConfig,
-    /// L1 load-queue entries (per bank group; paper default 512).
-    pub l1_ldq_entries: usize,
-    /// L2 load-queue entries (per vault; paper default 8192).
-    pub l2_ldq_entries: usize,
-    /// PE queue capacity in DRAM rows (16 Kb scratchpad = 8 rows of 2 Kb).
-    pub pe_queue_rows: usize,
-    /// Update-buffer capacity in DRAM rows (Accumulation-PE reuse of the PE
-    /// queue SRAM).
-    pub update_buffer_rows: usize,
     /// TSV transfer latency in cycles (default 2; swept 1–16 in Figure 9).
     pub tsv_latency: Cycle,
     /// TSV bandwidth per vault slice, bytes/cycle (1024 TSVs @ 2 Gbps over
     /// 16 vaults = 16 B/cycle).
     pub tsv_bytes_per_cycle: usize,
-    /// Intra-cube NoC per-hop latency in cycles.
-    pub noc_hop_latency: Cycle,
-    /// Intra-cube NoC link bandwidth, bytes/cycle.
-    pub noc_bytes_per_cycle: usize,
-    /// Inter-cube SerDes per-hop latency in cycles.
-    pub serdes_hop_latency: Cycle,
-    /// Inter-cube SerDes link bandwidth, bytes/cycle.
-    pub serdes_bytes_per_cycle: usize,
-    /// Cycles per non-zero scan step in the Product-PE control unit (the
-    /// paper's `L_p`).
-    pub l_p: Cycle,
-    /// L1 CAM search latency, cycles.
-    pub l1_cam_latency: Cycle,
-    /// L2 CAM search latency, cycles.
-    pub l2_cam_latency: Cycle,
-    /// FPU latency for one double-precision multiply-accumulate \[23\].
-    pub fpu_latency: Cycle,
     /// Whether the load queues deduplicate outstanding requests (the
     /// Section III-B design; disable only for the ablation study).
     pub ldq_dedup: bool,
@@ -146,33 +188,14 @@ impl HwConfig {
     pub fn with_shape(shape: MachineShape) -> Self {
         HwConfig {
             shape,
-            timing: DramTiming::default(),
             l1_cam: CamConfig::l1_default(),
             l2_cam: CamConfig::l2_default(),
-            l1_ldq_entries: 512,
-            l2_ldq_entries: 8192,
-            pe_queue_rows: 8,
-            update_buffer_rows: 8,
             tsv_latency: 2,
             tsv_bytes_per_cycle: 16,
-            noc_hop_latency: 3,
-            noc_bytes_per_cycle: 16,
-            serdes_hop_latency: 12,
-            serdes_bytes_per_cycle: 128,
-            l_p: 1,
-            l1_cam_latency: 2,
-            l2_cam_latency: 4,
-            fpu_latency: 4,
             ldq_dedup: true,
             faults: FaultPlan::default(),
             watchdog: WatchdogConfig::default(),
         }
-    }
-
-    /// Non-zeros that fit in one matrix DRAM row: a 4-byte row-index header,
-    /// then (4-byte column index, 8-byte value) pairs (Section III-B).
-    pub fn nnz_per_dram_row(&self) -> usize {
-        (self.timing.row_bytes - 4) / 12
     }
 
     /// Total vector banks (one Accumulation-PE each): the bottom DRAM layer.
@@ -199,27 +222,8 @@ impl HwConfig {
         if self.shape.product_pes() == 0 {
             return Err("machine has no product PEs".into());
         }
-        if self.pe_queue_rows == 0 || self.update_buffer_rows == 0 {
-            return Err("PE queue and update buffer need at least one row".into());
-        }
-        if self.nnz_per_dram_row() == 0 {
-            return Err("DRAM row too small to hold a non-zero".into());
-        }
-        if self.l_p == 0 {
-            return Err("L_p must be at least one cycle".into());
-        }
-        if self.l1_ldq_entries == 0 || self.l2_ldq_entries == 0 {
-            return Err(format!(
-                "load queues need at least one entry, got L1 {} and L2 {}",
-                self.l1_ldq_entries, self.l2_ldq_entries
-            ));
-        }
-        let links = [("TSV", self.tsv_bytes_per_cycle), ("NoC", self.noc_bytes_per_cycle)];
-        let serdes = (self.shape.cubes > 1).then_some(("SerDes", self.serdes_bytes_per_cycle));
-        for (link, bytes) in links.into_iter().chain(serdes) {
-            if bytes == 0 {
-                return Err(format!("{link} links need a positive bandwidth, got 0 bytes/cycle"));
-            }
+        if self.tsv_bytes_per_cycle == 0 {
+            return Err("TSV links need a positive bandwidth, got 0 bytes/cycle".into());
         }
         for (level, cam) in [("L1", &self.l1_cam), ("L2", &self.l2_cam)] {
             if cam.sets == 0 || !(1..=MAX_WAYS).contains(&cam.ways) {
@@ -228,12 +232,6 @@ impl HwConfig {
                     cam.sets, cam.ways
                 ));
             }
-        }
-        if self.l1_cam.way_bytes != 32 {
-            return Err(format!(
-                "the block-based data path assumes 32-byte (4-element) CAM ways, got {}",
-                self.l1_cam.way_bytes
-            ));
         }
         if let Some((vault, _)) = self.faults.stall_vault {
             if vault >= self.shape.vaults() {
@@ -262,19 +260,17 @@ mod tests {
     fn paper_defaults_match_section_v() {
         let c = HwConfig::paper();
         assert_eq!(c.shape.product_pes(), 3584);
-        assert_eq!(c.l1_cam.capacity_bytes(), 4096);
-        assert_eq!(c.l2_cam.capacity_bytes(), 256 * 1024);
-        assert_eq!(c.l1_ldq_entries, 512);
-        assert_eq!(c.l2_ldq_entries, 8192);
-        assert_eq!(c.pe_queue_rows, 8);
+        assert_eq!(c.l1_cam.sets * c.l1_cam.ways * BLOCK_BYTES, 4096);
+        assert_eq!(c.l2_cam.sets * c.l2_cam.ways * BLOCK_BYTES, 256 * 1024);
+        // A 16 Kb PE queue holds eight 2 Kb DRAM rows.
+        assert_eq!(PE_QUEUE_ROWS * DRAM_TIMING.row_bytes * 8, 16 * 1024);
         assert_eq!(c.tsv_latency, 2);
     }
 
     #[test]
     fn nnz_packing_matches_row_size() {
-        let c = HwConfig::tiny();
         // (256 - 4) / 12 = 21 non-zeros per DRAM row.
-        assert_eq!(c.nnz_per_dram_row(), 21);
+        assert_eq!(NNZ_PER_DRAM_ROW, 21);
     }
 
     #[test]
@@ -333,44 +329,19 @@ mod tests {
     fn validate_catches_bad_configs() {
         let mut c = HwConfig::tiny();
         assert!(c.validate().is_ok());
-        c.l_p = 0;
-        assert!(c.validate().is_err());
-        let mut c2 = HwConfig::tiny();
-        c2.pe_queue_rows = 0;
-        assert!(c2.validate().is_err());
-        let mut c3 = HwConfig::tiny();
-        c3.l1_cam.way_bytes = 16;
-        assert!(c3.validate().is_err());
-        let mut c4 = HwConfig::tiny();
-        c4.faults.stall_vault = Some((99, 0));
-        assert!(c4.validate().is_err(), "stalling a non-existent vault must be rejected");
-        c4.faults.stall_vault = Some((0, 0));
-        assert!(c4.validate().is_ok());
+        c.faults.stall_vault = Some((99, 0));
+        assert!(c.validate().is_err(), "stalling a non-existent vault must be rejected");
+        c.faults.stall_vault = Some((0, 0));
+        assert!(c.validate().is_ok());
 
-        // Zero sizes the machine would otherwise panic on while building
-        // its load queues and links.
-        let mut two_cubes = HwConfig::tiny();
-        two_cubes.shape.cubes = 2;
-        assert!(two_cubes.validate().is_ok());
-        let mut zeroed = vec![two_cubes; 5];
-        zeroed[0].l1_ldq_entries = 0;
-        zeroed[1].l2_ldq_entries = 0;
-        zeroed[2].tsv_bytes_per_cycle = 0;
-        zeroed[3].noc_bytes_per_cycle = 0;
-        zeroed[4].serdes_bytes_per_cycle = 0;
-        for (c, what) in zeroed.iter().zip(["load queue", "load queue", "TSV", "NoC", "SerDes"]) {
-            let Err(err) = c.validate() else { panic!("a zero {what} size passed validation") };
-            assert!(err.contains(what), "{err}");
-        }
-        // One cube has no SerDes links, so their bandwidth is not checked.
-        let mut one_cube = HwConfig::tiny();
-        one_cube.serdes_bytes_per_cycle = 0;
-        assert!(one_cube.validate().is_ok());
-
-        // A run refuses such a config in preflight instead of panicking
-        // while it builds the load queues.
+        // A zero TSV width the machine would otherwise panic on while
+        // building its links.
         let mut c = HwConfig::tiny();
-        c.l1_ldq_entries = 0;
+        c.tsv_bytes_per_cycle = 0;
+        let Err(err) = c.validate() else { panic!("a zero TSV width passed validation") };
+        assert!(err.contains("TSV"), "{err}");
+
+        // A run refuses such a config in preflight instead of panicking.
         let a = spacea_matrix::Csr::from_dense(&[vec![2.0]]);
         let mapping = spacea_mapping::MapKind::Naive.strategy().map(&a, &c.shape);
         let run = crate::Machine::new(c).run(crate::RunSpec::spmv(&a, &[1.0], &mapping));

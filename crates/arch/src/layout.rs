@@ -9,7 +9,13 @@
 //!   with `X_j` and `Y_j` co-located so iterative SpMV needs no inter-run
 //!   data movement.
 
-use crate::config::HwConfig;
+use crate::config::{HwConfig, BLOCK_BYTES, DRAM_TIMING};
+
+/// Vector elements (`f64`) per block.
+const ELEMS_PER_BLOCK: usize = BLOCK_BYTES / 8;
+
+/// Blocks per vector-bank DRAM row.
+const BLOCKS_PER_ROW: u64 = (DRAM_TIMING.row_bytes / BLOCK_BYTES) as u64;
 
 /// Physical coordinates of a Product-PE slot.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -43,7 +49,6 @@ pub struct DataLayout {
     product_bgs_per_vault: usize,
     banks_per_bg: usize,
     vector_banks: usize,
-    elems_per_block: usize,
 }
 
 impl DataLayout {
@@ -54,13 +59,12 @@ impl DataLayout {
             product_bgs_per_vault: cfg.shape.product_bgs_per_vault,
             banks_per_bg: cfg.shape.banks_per_bg,
             vector_banks: cfg.vector_banks(),
-            elems_per_block: cfg.l1_cam.elements_per_way(),
         }
     }
 
     /// The block index holding vector element `j`.
     pub fn block_of_element(&self, j: usize) -> u64 {
-        (j / self.elems_per_block) as u64
+        (j / ELEMS_PER_BLOCK) as u64
     }
 
     /// The vector bank holding `block` (block-cyclic distribution).
@@ -106,15 +110,14 @@ impl DataLayout {
     }
 
     /// The DRAM row (within its vector bank) holding vector `block`.
-    pub fn dram_row_of_block(&self, block: u64, row_bytes: usize) -> u64 {
+    pub fn dram_row_of_block(&self, block: u64) -> u64 {
         // Consecutive blocks resident in the same bank pack into rows.
-        let blocks_per_row = (row_bytes / (self.elems_per_block * 8)).max(1) as u64;
-        (block / self.vector_banks as u64) / blocks_per_row
+        (block / self.vector_banks as u64) / BLOCKS_PER_ROW
     }
 
     /// The DRAM row (within its vector bank) holding output element `i`.
-    pub fn dram_row_of_y(&self, i: usize, row_bytes: usize) -> u64 {
-        self.dram_row_of_block(self.block_of_element(i), row_bytes)
+    pub fn dram_row_of_y(&self, i: usize) -> u64 {
+        self.dram_row_of_block(self.block_of_element(i))
     }
 }
 
@@ -198,9 +201,9 @@ mod tests {
         let l = layout();
         // 256 B row / 32 B block = 8 resident blocks per row.
         // Blocks 0, 8, 16… live in bank 0; the first 8 of them share row 0.
-        assert_eq!(l.dram_row_of_block(0, 256), 0);
-        assert_eq!(l.dram_row_of_block(8, 256), 0);
-        assert_eq!(l.dram_row_of_block(8 * 8, 256), 1);
-        assert_eq!(l.dram_row_of_y(0, 256), 0);
+        assert_eq!(l.dram_row_of_block(0), 0);
+        assert_eq!(l.dram_row_of_block(8), 0);
+        assert_eq!(l.dram_row_of_block(8 * 8), 1);
+        assert_eq!(l.dram_row_of_y(0), 0);
     }
 }

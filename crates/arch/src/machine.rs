@@ -30,7 +30,11 @@
 //! TSV → Accumulation-PE update buffer.
 
 use crate::accum::{UpdateBuffer, UpdateOutcome};
-use crate::config::HwConfig;
+use crate::config::{
+    HwConfig, BLOCK_BYTES, DRAM_TIMING, FPU_LATENCY, L1_CAM_LATENCY, L1_LDQ_ENTRIES,
+    L2_CAM_LATENCY, L2_LDQ_ENTRIES, L_P, NNZ_PER_DRAM_ROW, NOC_BYTES_PER_CYCLE, NOC_HOP_LATENCY,
+    PE_QUEUE_ROWS, SERDES_BYTES_PER_CYCLE, SERDES_HOP_LATENCY, UPDATE_BUFFER_ROWS,
+};
 use crate::layout::{DataLayout, SlotId};
 use crate::packet::{size, Requester};
 use crate::pe::{pack_rows, PeEntry, ProductPe};
@@ -468,13 +472,8 @@ struct Sim<'a> {
 
 impl<'a> Sim<'a> {
     fn build(cfg: &'a HwConfig, a: &'a Csr, xs: Vec<&'a [f64]>, mapping: &Mapping) -> Self {
-        debug_assert_eq!(
-            cfg.l1_cam.way_bytes, 32,
-            "preflight validation enforces the 32-byte (4-element) CAM way assumption"
-        );
         let layout = DataLayout::new(cfg);
         let num_pes = cfg.shape.product_pes();
-        let nnz_per_row = cfg.nnz_per_dram_row();
 
         let mut pes = Vec::with_capacity(num_pes);
         let mut pe_slots = Vec::with_capacity(num_pes);
@@ -483,7 +482,7 @@ impl<'a> Sim<'a> {
         for slot_ix in 0..num_pes {
             let logical = mapping.placement.logical_at_slot(slot_ix) as usize;
             let rows = mapping.assignment.rows_of(logical);
-            let packed = pack_rows(a, rows, nnz_per_row);
+            let packed = pack_rows(a, rows, NNZ_PER_DRAM_ROW);
             let pe = ProductPe::new(packed);
             entries_left += pe.total_nnz() as u64;
             y_left += rows.iter().filter(|&&r| a.row_nnz(r as usize) > 0).count() as u64;
@@ -494,11 +493,11 @@ impl<'a> Sim<'a> {
         let vaults = cfg.shape.vaults();
         let (nw, nh) = HwConfig::mesh_dims(cfg.shape.vaults_per_cube);
         let nocs = (0..cfg.shape.cubes)
-            .map(|_| MeshNoc::new(nw, nh, cfg.noc_hop_latency, cfg.noc_bytes_per_cycle))
+            .map(|_| MeshNoc::new(nw, nh, NOC_HOP_LATENCY, NOC_BYTES_PER_CYCLE))
             .collect();
         let serdes = (cfg.shape.cubes > 1).then(|| {
             let (cw, ch) = HwConfig::mesh_dims(cfg.shape.cubes);
-            MeshNoc::new(cw, ch, cfg.serdes_hop_latency, cfg.serdes_bytes_per_cycle)
+            MeshNoc::new(cw, ch, SERDES_HOP_LATENCY, SERDES_BYTES_PER_CYCLE)
         });
 
         let k = xs.len();
@@ -511,15 +510,15 @@ impl<'a> Sim<'a> {
             q: EventQueue::new(),
             pes,
             pe_slots,
-            matrix_banks: (0..num_pes).map(|_| DramBank::new(cfg.timing)).collect(),
-            vector_banks: (0..cfg.vector_banks()).map(|_| DramBank::new(cfg.timing)).collect(),
+            matrix_banks: (0..num_pes).map(|_| DramBank::new(DRAM_TIMING)).collect(),
+            vector_banks: (0..cfg.vector_banks()).map(|_| DramBank::new(DRAM_TIMING)).collect(),
             prod_l1: (0..cfg.shape.product_bank_groups()).map(|_| Cam::new(cfg.l1_cam)).collect(),
             vec_l1: (0..vaults).map(|_| Cam::new(cfg.l1_cam)).collect(),
             l1_ldq: (0..cfg.shape.product_bank_groups())
-                .map(|_| LoadQueue::new(cfg.l1_ldq_entries))
+                .map(|_| LoadQueue::new(L1_LDQ_ENTRIES))
                 .collect(),
             l2_cam: (0..vaults).map(|_| Cam::new(cfg.l2_cam)).collect(),
-            l2_ldq: (0..vaults).map(|_| LoadQueue::new(cfg.l2_ldq_entries)).collect(),
+            l2_ldq: (0..vaults).map(|_| LoadQueue::new(L2_LDQ_ENTRIES)).collect(),
             l1_woken: Vec::new(),
             l2_woken: Vec::new(),
             tsv: (0..vaults)
@@ -528,7 +527,7 @@ impl<'a> Sim<'a> {
             nocs,
             serdes,
             update_buf: (0..cfg.vector_banks())
-                .map(|_| UpdateBuffer::new(cfg.update_buffer_rows))
+                .map(|_| UpdateBuffer::new(UPDATE_BUFFER_ROWS))
                 .collect(),
             accum_busy: vec![0; cfg.vector_banks()],
             y_stash: vec![0.0; a.rows() * k],
@@ -919,7 +918,7 @@ impl<'a> Sim<'a> {
         let state = &mut self.pes[p];
         if state.load_in_flight
             || state.next_load >= state.dram_rows.len()
-            || state.queue.len() >= self.cfg.pe_queue_rows
+            || state.queue.len() >= PE_QUEUE_ROWS
         {
             return;
         }
@@ -979,8 +978,7 @@ impl<'a> Sim<'a> {
                 let push = self.l1_ldq[bg].push_forced_at(block, PeWaiter { pe, entry }, t);
                 if push == LdqPush::NewRequest || !self.cfg.ldq_dedup {
                     let vault = self.pe_slots[p].global_vault(self.cfg);
-                    let t_req =
-                        self.tsv[vault].transfer(t + self.cfg.l1_cam_latency, size::X_REQUEST);
+                    let t_req = self.tsv[vault].transfer(t + L1_CAM_LATENCY, size::X_REQUEST);
                     self.q.schedule(
                         t_req,
                         Ev::VaultXReq {
@@ -996,7 +994,7 @@ impl<'a> Sim<'a> {
         // Continue scanning after L_p cycles if work remains.
         if self.pes[p].has_work() {
             self.pes[p].step_scheduled = true;
-            self.q.schedule(t + self.cfg.l_p, Ev::PeStep { pe });
+            self.q.schedule(t + L_P, Ev::PeStep { pe });
         }
     }
 
@@ -1046,7 +1044,7 @@ impl<'a> Sim<'a> {
                 self.y_stash[base + v] = acc;
             }
             self.y_ready[row] = true;
-            self.flush_y(pe, entry.matrix_row, t + self.cfg.fpu_latency);
+            self.flush_y(pe, entry.matrix_row, t + FPU_LATENCY);
         }
     }
 
@@ -1066,7 +1064,7 @@ impl<'a> Sim<'a> {
     /// Type I: X request at a vault controller.
     fn vault_x_req(&mut self, vault: u32, block: u64, from: Requester, t: Cycle) {
         let v = vault as usize;
-        let t_look = t + self.cfg.l2_cam_latency;
+        let t_look = t + L2_CAM_LATENCY;
         if self.l2_cam[v].lookup(block) {
             self.respond(v, block, from, t_look);
             return;
@@ -1127,13 +1125,13 @@ impl<'a> Sim<'a> {
     fn bank_x_req(&mut self, bank: u32, block: u64, t: Cycle) {
         let b = bank as usize;
         let vault = self.layout.vault_of_vector_bank(b);
-        let t_look = t + self.cfg.l1_cam_latency;
+        let t_look = t + L1_CAM_LATENCY;
         let t_ready = if self.vec_l1[vault].lookup(block) {
             t_look
         } else {
-            let drow = self.layout.dram_row_of_block(block, self.cfg.timing.row_bytes);
-            let done =
-                self.vector_banks[b].access(t_look, drow, 32 * self.xs.len(), AccessKind::Read);
+            let drow = self.layout.dram_row_of_block(block);
+            let bytes = BLOCK_BYTES * self.xs.len();
+            let done = self.vector_banks[b].access(t_look, drow, bytes, AccessKind::Read);
             self.vec_l1[vault].insert(block);
             done
         };
@@ -1190,7 +1188,7 @@ impl<'a> Sim<'a> {
         }
         let b = bank as usize;
         let start = t.max(self.accum_busy[b]);
-        let drow = self.layout.dram_row_of_y(r, self.cfg.timing.row_bytes);
+        let drow = self.layout.dram_row_of_y(r);
         let k = self.xs.len() as u64;
         self.queue_sram.reads += k;
         let mut t_ready = start;
@@ -1201,19 +1199,15 @@ impl<'a> Sim<'a> {
                     t_ready = self.vector_banks[b].access(
                         t_ready,
                         victim,
-                        self.cfg.timing.row_bytes,
+                        size::DRAM_ROW,
                         AccessKind::Write,
                     );
                 }
-                t_ready = self.vector_banks[b].access(
-                    t_ready,
-                    drow,
-                    self.cfg.timing.row_bytes,
-                    AccessKind::Read,
-                );
+                t_ready =
+                    self.vector_banks[b].access(t_ready, drow, size::DRAM_ROW, AccessKind::Read);
             }
         }
-        let done = t_ready + self.cfg.fpu_latency;
+        let done = t_ready + FPU_LATENCY;
         self.queue_sram.writes += k;
         self.fpu_ops += k;
         // Direct assignment, not `+=`: each row lands exactly once, and
@@ -1243,12 +1237,7 @@ impl<'a> Sim<'a> {
                 "every missed row is either resident or was written back"
             );
             for drow in resident {
-                self.vector_banks[b].access(
-                    self.end_time,
-                    drow,
-                    self.cfg.timing.row_bytes,
-                    AccessKind::Write,
-                );
+                self.vector_banks[b].access(self.end_time, drow, size::DRAM_ROW, AccessKind::Write);
             }
         }
 
@@ -1302,7 +1291,7 @@ impl<'a> Sim<'a> {
         let normalized_workload = SimReport::normalized_workload_of(&pe_work);
         let elapsed = self.end_time.max(1) as f64;
         let pe_busy_fraction = spacea_matrix::reduce::sum_f64(
-            self.pes.iter().map(|p| (p.steps * self.cfg.l_p) as f64 / elapsed),
+            self.pes.iter().map(|p| (p.steps * L_P) as f64 / elapsed),
         ) / self.pes.len() as f64;
         let matrix_bank_busy_fraction = spacea_matrix::reduce::sum_f64(
             self.matrix_banks.iter().map(|b| b.busy_cycles() as f64 / elapsed),
@@ -1310,13 +1299,6 @@ impl<'a> Sim<'a> {
         let vector_bank_busy_fraction = spacea_matrix::reduce::sum_f64(
             self.vector_banks.iter().map(|b| b.busy_cycles() as f64 / elapsed),
         ) / self.vector_banks.len() as f64;
-        let (ub_hits, ub_misses) =
-            self.update_buf.iter().fold((0u64, 0u64), |(h, m), b| (h + b.hits(), m + b.misses()));
-        let update_buffer_hit_rate = if ub_hits + ub_misses == 0 {
-            0.0
-        } else {
-            ub_hits as f64 / (ub_hits + ub_misses) as f64
-        };
 
         // Oracle validation (Section V-A), once per batched vector. `compute`
         // reduces each row in the oracle's order, so the outputs must match
@@ -1343,7 +1325,6 @@ impl<'a> Sim<'a> {
         let report = SimReport {
             cycles: self.end_time,
             seconds: self.end_time as f64 * 1e-9,
-            events_scheduled: self.q.scheduled_count(),
             events_processed: self.q.processed_count(),
             l1_hit_rate: prod_l1_counters.hit_rate(),
             l2_hit_rate: l2_counters.hit_rate(),
@@ -1351,7 +1332,6 @@ impl<'a> Sim<'a> {
             noc_byte_hops: activity.noc_byte_hops,
             pe_work,
             normalized_workload,
-            update_buffer_hit_rate,
             pe_busy_fraction,
             matrix_bank_busy_fraction,
             vector_bank_busy_fraction,

@@ -22,16 +22,19 @@ pub enum Requester {
 /// header overhead across the batch. At `k = 1` the scaled sizes equal the
 /// single-vector constants, so SpMV timing is unchanged.
 pub mod size {
+    use crate::config::{BLOCK_BYTES, DRAM_TIMING};
+
     /// Type I: X request — block id + source routing info.
     pub const X_REQUEST: usize = 16;
-    /// DRAM row transfer between bank and PE queue (local, no packet header).
-    pub const DRAM_ROW: usize = 256;
+    /// A whole DRAM row moved between a bank and its PE queue or update
+    /// buffer (local, no packet header).
+    pub const DRAM_ROW: usize = DRAM_TIMING.row_bytes;
 
     /// Type II size for a `k`-vector batch: one 32-byte block per vector
     /// plus the shared 8-byte header. `k = 1` is the paper's 40-byte
     /// single-vector response.
     pub const fn x_response_bytes(k: usize) -> usize {
-        8 + 32 * k
+        8 + BLOCK_BYTES * k
     }
 
     /// Type III size for a `k`-vector batch: one `f64` partial per vector

@@ -24,8 +24,6 @@ pub struct SimReport {
     /// The paper's normalized workload: mean PE work / max PE work
     /// (Figure 6(a)).
     pub normalized_workload: f64,
-    /// Hit rate of the Accumulation-PE update buffers over all vector banks.
-    pub update_buffer_hit_rate: f64,
     /// Mean fraction of cycles Product-PEs spent actively scanning (the
     /// complement is idle/stalled time — the paper's Figure 8 discussion
     /// notes "DRAM banks and PEs are idle in most of the cycles" for the
@@ -44,12 +42,10 @@ pub struct SimReport {
     /// vector is large and nothing downstream of validation reads it); see
     /// `spacea-harness`.
     pub output: Vec<f64>,
-    /// Discrete events scheduled over the simulation (telemetry).
-    pub events_scheduled: u64,
-    /// Discrete events processed over the simulation (telemetry). Equals
-    /// [`SimReport::events_scheduled`] on a completed run: the engine's
-    /// counter invariant (`scheduled − processed == pending`) with an empty
-    /// final queue.
+    /// Discrete events processed over the simulation (telemetry). A report
+    /// is built only on a drained queue whose counters hold the engine's
+    /// invariant (`scheduled − processed == pending`), so this is also the
+    /// number of events scheduled.
     pub events_processed: u64,
 }
 

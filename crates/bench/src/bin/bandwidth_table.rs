@@ -5,6 +5,7 @@
 //!
 //! Run: `cargo run --release -p spacea-bench --bin bandwidth_table [--cubes N]`
 
+use spacea_arch::{DRAM_TIMING, SERDES_BYTES_PER_CYCLE};
 use spacea_core::table::{fmt, Table};
 
 fn main() {
@@ -14,12 +15,12 @@ fn main() {
     let shape = hw.shape;
 
     // 1 GHz clock: bytes/cycle == GB/s.
-    let bank_gbs = hw.timing.beat_bytes as f64 / hw.timing.t_ccd as f64;
+    let bank_gbs = DRAM_TIMING.beat_bytes as f64 / DRAM_TIMING.t_ccd as f64;
     let banks_per_cube =
         shape.vaults_per_cube * (shape.product_bgs_per_vault + 1) * shape.banks_per_bg;
     let bank_level_cube = bank_gbs * banks_per_cube as f64;
     let tsv_cube = (hw.tsv_bytes_per_cycle * shape.vaults_per_cube) as f64;
-    let serdes_cube = (hw.serdes_bytes_per_cycle * 4) as f64; // 4 mesh links
+    let serdes_cube = (SERDES_BYTES_PER_CYCLE * 4) as f64; // 4 mesh links
 
     let mut t = Table::new(
         "Section II-C: bandwidth hierarchy of the configured machine (GB/s)",
@@ -39,7 +40,7 @@ fn main() {
     ]);
     t.push_row(vec![
         "SerDes links".into(),
-        fmt(hw.serdes_bytes_per_cycle as f64, 1),
+        fmt(SERDES_BYTES_PER_CYCLE as f64, 1),
         fmt(serdes_cube, 0),
         fmt(serdes_cube * shape.cubes as f64, 0),
     ]);

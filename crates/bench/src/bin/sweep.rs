@@ -2,11 +2,11 @@
 //! execution and cache GC.
 //!
 //! A sweep names axes — matrices, scales, mappings, machine variants, cube
-//! counts, CAM set counts, energy scales, the GPU baseline — either as CLI
-//! flags or as a `key = value` spec file, enumerates their cartesian
-//! product deterministically into deduplicated content-addressed jobs,
-//! computes them in parallel into the shared result cache, and renders one
-//! summary row per point.
+//! counts, CAM set counts, the GPU baseline — either as CLI flags or as a
+//! `key = value` spec file, enumerates their cartesian product
+//! deterministically into deduplicated content-addressed jobs, computes
+//! them in parallel into the shared result cache, and renders one summary
+//! row per point.
 //!
 //! Run: `cargo run --release -p spacea-bench --bin sweep -- --ids 1,2
 //! --scales 8,16 --kinds naive,proposed [--csv]`, or with `--spec FILE`.
@@ -137,8 +137,8 @@ fn sweep_table(session: &HarnessSession, points: &[SweepPoint], records: &[JobRe
     let mut table = Table::new(
         "Sweep summary (one row per grid point)",
         &[
-            "ID", "Matrix", "Scale", "Map", "HW", "Cubes", "L1", "L2", "E", "Cycles", "us",
-            "PE busy", "L1 hit", "Status",
+            "ID", "Matrix", "Scale", "Map", "HW", "Cubes", "L1", "L2", "Cycles", "us", "PE busy",
+            "L1 hit", "Status",
         ],
     );
     for p in points {
@@ -180,7 +180,7 @@ fn sweep_table(session: &HarnessSession, points: &[SweepPoint], records: &[JobRe
     table
 }
 
-/// The identity columns (Map, HW, Cubes, L1, L2, E) of a grid point —
+/// The identity columns (Map, HW, Cubes, L1, L2) of a grid point —
 /// renderable whether or not the point's job produced a result.
 fn identity_columns(p: &SweepPoint) -> Vec<String> {
     match &p.job {
@@ -190,10 +190,9 @@ fn identity_columns(p: &SweepPoint) -> Vec<String> {
             hw.shape.cubes.to_string(),
             hw.l1_cam.sets.to_string(),
             hw.l2_cam.sets.to_string(),
-            fmt(p.energy_scale, 2),
         ],
         JobSpec::Gpu { .. } => {
-            vec!["gpu".into(), p.hw_name.clone(), "-".into(), "-".into(), "-".into(), "-".into()]
+            vec!["gpu".into(), p.hw_name.clone(), "-".into(), "-".into(), "-".into()]
         }
         // Scenario cells reuse the columns: Map carries the storage format,
         // HW the backend, Cubes the stream partitioning.
@@ -201,7 +200,6 @@ fn identity_columns(p: &SweepPoint) -> Vec<String> {
             format.label().to_string(),
             backend.label().to_string(),
             partition.label().to_string(),
-            "-".into(),
             "-".into(),
             "-".into(),
         ],

@@ -343,7 +343,7 @@ pub struct SweepCli {
 
 /// Usage line for the sweep flags (shown next to [`BASE_USAGE`]).
 pub const SWEEP_USAGE: &str = "sweep: --spec FILE | --ids L|all | --scales L | --kinds L | \
-     --hw L | --cubes-axis L | --l1-sets L | --l2-sets L | --energy-scale L | --gpu | \
+     --hw L | --cubes-axis L | --l1-sets L | --l2-sets L | --gpu | \
      --backend L|all | --format L|all | --partition L|all (scenario cells: backend x format x \
      partitioning, verified bitwise against the CSR reference) | \
      --shard K/N | --gc | --gc-max-kb N | --gc-max-age-days N | \
@@ -375,7 +375,6 @@ impl SweepCli {
             "--cubes-axis" => axis("cubes", &args.value("--cubes-axis")?)?,
             "--l1-sets" => axis("l1-sets", &args.value("--l1-sets")?)?,
             "--l2-sets" => axis("l2-sets", &args.value("--l2-sets")?)?,
-            "--energy-scale" => axis("energy-scale", &args.value("--energy-scale")?)?,
             "--gpu" => self.spec.gpu = true,
             "--backend" => axis("backends", &args.value("--backend")?)?,
             "--format" => axis("formats", &args.value("--format")?)?,
@@ -505,7 +504,6 @@ fn merge_specs(base: SweepSpec, over: SweepSpec) -> SweepSpec {
         cubes: pick(base.cubes, over.cubes),
         l1_sets: pick(base.l1_sets, over.l1_sets),
         l2_sets: pick(base.l2_sets, over.l2_sets),
-        energy_scale: pick(base.energy_scale, over.energy_scale),
         gpu: base.gpu || over.gpu,
         backends: pick(base.backends, over.backends),
         formats: pick(base.formats, over.formats),

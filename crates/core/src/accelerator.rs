@@ -217,7 +217,7 @@ mod tests {
     #[test]
     fn invalid_config_rejected_at_build() {
         let mut hw = HwConfig::tiny();
-        hw.l_p = 0;
+        hw.l2_cam.ways = 0;
         assert!(Accelerator::builder().hw_config(hw).build().is_err());
     }
 }

@@ -3,7 +3,7 @@
 
 use super::context::{ExpConfig, ExpOutput, MapKind, SuiteCache};
 use crate::table::{fmt, geo_mean, Table};
-use spacea_arch::HwConfig;
+use spacea_arch::{HwConfig, BLOCK_BYTES};
 use spacea_harness::JobSpec;
 use spacea_matrix::suite;
 use spacea_model::AreaModel;
@@ -153,7 +153,7 @@ pub fn run_with(cache: &mut SuiteCache, sweep: &Fig7Sweep) -> ExpOutput {
     for kind in [MapKind::Naive, MapKind::Proposed] {
         for &sets in &sweep.tradeoff_l2_sets {
             let s = mean_speedup(cache, kind, |hw| hw.l2_cam.sets = sets);
-            let area = model.cam_area_mm2(sets, cache.cfg.hw.l2_cam.ways, 32);
+            let area = model.cam_area_mm2(sets, cache.cfg.hw.l2_cam.ways, BLOCK_BYTES);
             e.push_row(vec![kind.label().into(), sets.to_string(), fmt(area, 4), fmt(s, 2)]);
         }
     }

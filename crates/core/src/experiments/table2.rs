@@ -2,7 +2,9 @@
 
 use super::context::ExpOutput;
 use crate::table::{fmt, Table};
+use spacea_arch::{BLOCK_BYTES, L2_LDQ_ENTRIES};
 use spacea_model::AreaModel;
+use spacea_sim::cam::CamConfig;
 
 /// Regenerates Table II from the analytic area model.
 pub fn run() -> ExpOutput {
@@ -31,12 +33,16 @@ pub fn run() -> ExpOutput {
         model.bank_group_overhead_fraction() * 100.0,
         model.bank_overhead_fraction() * 100.0
     ));
+    let l2 = CamConfig::l2_default();
+    let cam = model.cam_area_mm2(l2.sets, l2.ways, BLOCK_BYTES);
+    let ldq = model.ldq_area_mm2(L2_LDQ_ENTRIES);
+    let base_die = cam + ldq;
     table.push_note(format!(
         "base die per vault: L2 CAM {} mm^2 + L2 LDQ {} mm^2 = {} mm^2 ({:.2}% of a vault; paper: 8.86%)",
-        fmt(model.cam_area_mm2(2048, 4, 32), 4),
-        fmt(model.ldq_area_mm2(8192), 4),
-        fmt(model.vault_base_die_mm2(2048, 4, 8192), 4),
-        model.vault_base_die_mm2(2048, 4, 8192) / AreaModel::VAULT_MM2 * 100.0
+        fmt(cam, 4),
+        fmt(ldq, 4),
+        fmt(base_die, 4),
+        base_die / AreaModel::VAULT_MM2 * 100.0
     ));
     table.push_note(format!(
         "peak footprint power density {} mW/mm^2 (paper: 532.48), commodity cooling limit {} mW/mm^2 -> {}",

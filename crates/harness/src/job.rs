@@ -351,7 +351,8 @@ impl Default for Fnv {
 // The feed_* functions below enumerate every public field of the hashed
 // configuration structs. If a field is added there without being folded in
 // here, stale cache entries would be served for configurations that differ
-// in the new field; the field-count assertions in the tests guard this.
+// in the new field; `every_settable_hw_value_reaches_the_key` changes each
+// settable `HwConfig` value and guards this for the machine.
 
 fn feed_hw(h: &mut Fnv, hw: &HwConfig) {
     let s = &hw.shape;
@@ -359,31 +360,12 @@ fn feed_hw(h: &mut Fnv, hw: &HwConfig) {
     h.usize(s.vaults_per_cube);
     h.usize(s.product_bgs_per_vault);
     h.usize(s.banks_per_bg);
-    let t = &hw.timing;
-    h.u64(t.t_ras);
-    h.u64(t.t_ccd);
-    h.u64(t.t_rp);
-    h.usize(t.beat_bytes);
-    h.usize(t.row_bytes);
     for cam in [&hw.l1_cam, &hw.l2_cam] {
         h.usize(cam.sets);
         h.usize(cam.ways);
-        h.usize(cam.way_bytes);
     }
-    h.usize(hw.l1_ldq_entries);
-    h.usize(hw.l2_ldq_entries);
-    h.usize(hw.pe_queue_rows);
-    h.usize(hw.update_buffer_rows);
     h.u64(hw.tsv_latency);
     h.usize(hw.tsv_bytes_per_cycle);
-    h.u64(hw.noc_hop_latency);
-    h.usize(hw.noc_bytes_per_cycle);
-    h.u64(hw.serdes_hop_latency);
-    h.usize(hw.serdes_bytes_per_cycle);
-    h.u64(hw.l_p);
-    h.u64(hw.l1_cam_latency);
-    h.u64(hw.l2_cam_latency);
-    h.u64(hw.fpu_latency);
     h.bool(hw.ldq_dedup);
     // An injected fault changes what the run produces, so it is part of the
     // job identity — but only when one is set, so every fault-free key (the
@@ -515,19 +497,57 @@ mod tests {
     }
 
     #[test]
-    fn fault_plan_changes_key_but_watchdog_does_not() {
-        let base = sim_job().key();
-        let mut j = sim_job();
-        if let JobSpec::Sim { hw, .. } = &mut j {
-            hw.watchdog.stall_window = Some(123);
-            hw.watchdog.max_cycles = Some(9);
+    fn every_settable_hw_value_reaches_the_key() {
+        let key_of = |hw: &HwConfig| {
+            JobSpec::Sim {
+                source: MatrixSource::Suite { id: 3, scale: 256 },
+                kind: MapKind::Proposed,
+                hw: hw.clone(),
+                energy: EnergyParams::default(),
+            }
+            .key()
+        };
+        let base = HwConfig::tiny();
+        type Edit = (&'static str, fn(&mut HwConfig));
+        let edits: &[Edit] = &[
+            ("cubes", |hw| hw.shape.cubes += 1),
+            ("vaults per cube", |hw| hw.shape.vaults_per_cube += 1),
+            ("bank groups per vault", |hw| hw.shape.product_bgs_per_vault += 1),
+            ("banks per group", |hw| hw.shape.banks_per_bg += 1),
+            ("L1 CAM sets", |hw| hw.l1_cam.sets += 1),
+            ("L1 CAM ways", |hw| hw.l1_cam.ways += 1),
+            ("L2 CAM sets", |hw| hw.l2_cam.sets += 1),
+            ("L2 CAM ways", |hw| hw.l2_cam.ways += 1),
+            ("TSV latency", |hw| hw.tsv_latency += 1),
+            ("TSV width", |hw| hw.tsv_bytes_per_cycle += 1),
+            ("LDQ dedup", |hw| hw.ldq_dedup = !hw.ldq_dedup),
+            ("drop-noc", |hw| hw.faults.drop_noc_packet = Some(5)),
+            ("drop-noc ordinal", |hw| hw.faults.drop_noc_packet = Some(6)),
+            ("delay-noc", |hw| hw.faults.delay_noc = Some((0, 50))),
+            ("delay-noc ordinal", |hw| hw.faults.delay_noc = Some((1, 50))),
+            ("delay-noc cycles", |hw| hw.faults.delay_noc = Some((0, 51))),
+            ("stall-vault", |hw| hw.faults.stall_vault = Some((0, 100))),
+            ("stall-vault vault", |hw| hw.faults.stall_vault = Some((1, 100))),
+            ("stall-vault cycle", |hw| hw.faults.stall_vault = Some((0, 101))),
+            ("flip-accum", |hw| hw.faults.flip_accum_update = Some(0)),
+            ("flip-accum ordinal", |hw| hw.faults.flip_accum_update = Some(1)),
+            ("panic", |hw| hw.faults.panic_on_run = true),
+        ];
+        let mut seen = std::collections::HashMap::from([(key_of(&base), "the base machine")]);
+        for &(what, edit) in edits {
+            let mut hw = base.clone();
+            edit(&mut hw);
+            if let Some(clash) = seen.insert(key_of(&hw), what) {
+                panic!("changing the {what} keys the job like {clash}");
+            }
         }
-        assert_eq!(j.key(), base, "watchdog budgets must not split the cache");
-        let mut j = sim_job();
-        if let JobSpec::Sim { hw, .. } = &mut j {
-            hw.faults.stall_vault = Some((0, 100));
-        }
-        assert_ne!(j.key(), base, "an injected fault must change the job identity");
+        // The watchdog budgets cannot change a successful result (failures
+        // are never cached), so they must not split the cache.
+        let mut hw = base.clone();
+        hw.watchdog.stall_window = Some(123);
+        assert_eq!(key_of(&hw), key_of(&base), "the stall window must not change the key");
+        hw.watchdog.max_cycles = Some(9);
+        assert_eq!(key_of(&hw), key_of(&base), "the cycle budget must not change the key");
     }
 
     #[test]

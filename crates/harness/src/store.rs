@@ -586,11 +586,9 @@ fn encode_sim(r: &SimReport) -> Json {
         ("noc_byte_hops", Json::U64(r.noc_byte_hops)),
         ("pe_work", Json::Arr(r.pe_work.iter().map(|&w| Json::U64(w)).collect())),
         ("normalized_workload", Json::f64_bits(r.normalized_workload)),
-        ("update_buffer_hit_rate", Json::f64_bits(r.update_buffer_hit_rate)),
         ("pe_busy_fraction", Json::f64_bits(r.pe_busy_fraction)),
         ("matrix_bank_busy_fraction", Json::f64_bits(r.matrix_bank_busy_fraction)),
         ("vector_bank_busy_fraction", Json::f64_bits(r.vector_bank_busy_fraction)),
-        ("events_scheduled", Json::U64(r.events_scheduled)),
         ("events_processed", Json::U64(r.events_processed)),
     ])
 }
@@ -613,12 +611,10 @@ fn decode_sim(v: &Json) -> Result<SimReport, String> {
         noc_byte_hops: u64_field(v, "noc_byte_hops")?,
         pe_work,
         normalized_workload: f64_field(v, "normalized_workload")?,
-        update_buffer_hit_rate: f64_field(v, "update_buffer_hit_rate")?,
         pe_busy_fraction: f64_field(v, "pe_busy_fraction")?,
         matrix_bank_busy_fraction: f64_field(v, "matrix_bank_busy_fraction")?,
         vector_bank_busy_fraction: f64_field(v, "vector_bank_busy_fraction")?,
         output: Vec::new(), // elided on disk; see module comment
-        events_scheduled: u64_field(v, "events_scheduled")?,
         events_processed: u64_field(v, "events_processed")?,
     })
 }
@@ -753,7 +749,7 @@ mod tests {
     }
 
     #[test]
-    fn sim_round_trips_exactly_and_ignores_the_retired_verdict_member() {
+    fn sim_round_trips_exactly_and_ignores_retired_members() {
         let report = SimReport {
             cycles: 1234,
             seconds: 1.234e-6,
@@ -764,22 +760,32 @@ mod tests {
             noc_byte_hops: 99,
             pe_work: vec![3, 1, 4],
             normalized_workload: 2.0 / 3.0,
-            update_buffer_hit_rate: 0.25,
             pe_busy_fraction: 0.125,
             matrix_bank_busy_fraction: 0.0625,
             vector_bank_busy_fraction: 0.031_25,
             output: Vec::new(),
-            events_scheduled: 555,
             events_processed: 555,
         };
         let want = JobResult::Sim(Arc::new(report));
         let text = encode_result(&want).to_text();
         assert_eq!(decode_result(&json::parse(&text).unwrap()).unwrap(), want);
-        // Entries written while reports carried a `validated` flag hold a
-        // `"validated":true` member; they still decode to the same report.
-        let older =
-            text.replacen("\"events_scheduled\"", "\"validated\":true,\"events_scheduled\"", 1);
-        assert_ne!(older, text);
+        // Entries written by older builds also hold an update-buffer hit rate,
+        // a scheduled-event count and a `validated` flag; they still decode
+        // to the same report.
+        let older = text
+            .replacen(
+                "\"pe_busy_fraction\"",
+                &format!("\"update_buffer_hit_rate\":{},\"pe_busy_fraction\"", 0.25f64.to_bits()),
+                1,
+            )
+            .replacen(
+                "\"events_processed\"",
+                "\"validated\":true,\"events_scheduled\":555,\"events_processed\"",
+                1,
+            );
+        for member in ["update_buffer_hit_rate", "validated", "events_scheduled"] {
+            assert!(older.contains(&format!("\"{member}\":")), "{older}");
+        }
         assert_eq!(decode_result(&json::parse(&older).unwrap()).unwrap(), want);
     }
 

@@ -1,8 +1,8 @@
 //! Grid-spec parameter sweeps: a [`SweepSpec`] names axes over the design
 //! space the paper evaluates pointwise — matrix, scale, mapping, machine
-//! variant, cube count, CAM capacity, energy parameters — and deterministically
-//! enumerates their cartesian product into deduplicated, content-addressed
-//! [`JobSpec`] lists.
+//! variant, cube count, CAM capacity — and deterministically enumerates
+//! their cartesian product into deduplicated, content-addressed [`JobSpec`]
+//! lists.
 //!
 //! Sharding ([`shard_range`]) partitions the enumerated points into N
 //! disjoint, union-complete contiguous slices, so N processes sharing the
@@ -74,8 +74,6 @@ pub struct SweepSpec {
     pub l1_sets: Vec<usize>,
     /// L2 CAM set-count overrides (axis key `l2-sets`).
     pub l2_sets: Vec<usize>,
-    /// Energy-parameter scale factors (axis key `energy-scale`).
-    pub energy_scale: Vec<f64>,
     /// Also enumerate the GPU baseline per (matrix, scale) point (key `gpu`).
     pub gpu: bool,
     /// Scenario-matrix backends (axis key `backends`; `all` expands to every
@@ -139,16 +137,6 @@ impl SweepSpec {
             "cubes" => self.cubes = parse_positive_list(key, value)?,
             "l1-sets" => self.l1_sets = parse_positive_list(key, value)?,
             "l2-sets" => self.l2_sets = parse_positive_list(key, value)?,
-            "energy-scale" => {
-                self.energy_scale = split(value)
-                    .map(|v| {
-                        v.parse::<f64>()
-                            .ok()
-                            .filter(|f| f.is_finite() && *f > 0.0)
-                            .ok_or_else(|| format!("energy-scale: '{v}' is not a positive number"))
-                    })
-                    .collect::<Result<_, _>>()?
-            }
             "gpu" => {
                 self.gpu = match value.trim() {
                     "true" | "1" | "yes" => true,
@@ -195,7 +183,7 @@ impl SweepSpec {
             other => {
                 return Err(format!(
                     "unknown sweep key '{other}' (expected ids, scales, kinds, hw, cubes, \
-                     l1-sets, l2-sets, energy-scale, gpu, backends, formats, partitions)"
+                     l1-sets, l2-sets, gpu, backends, formats, partitions)"
                 ))
             }
         }
@@ -220,7 +208,7 @@ impl SweepSpec {
     }
 
     /// Enumerates the grid into concrete points, in a fixed nesting order
-    /// (ids outermost, energy innermost, GPU baselines last), with
+    /// (ids outermost, L2 sets innermost, GPU baselines last), with
     /// duplicate job keys removed (first occurrence wins). Deterministic:
     /// the same spec and base always yield the same list, which is what
     /// makes sharded execution reproducible.
@@ -251,7 +239,6 @@ impl SweepSpec {
         } else {
             self.l2_sets.iter().map(|&s| Some(s)).collect()
         };
-        let energy = axis(&self.energy_scale, 1.0);
 
         let mut points = Vec::new();
         for &id in &ids {
@@ -261,32 +248,25 @@ impl SweepSpec {
                         for &cube in &cubes {
                             for &l1_sets in &l1 {
                                 for &l2_sets in &l2 {
-                                    for &es in &energy {
-                                        let mut machine = hw_base.clone();
-                                        if let Some(c) = cube {
-                                            machine = machine.with_cubes(c);
-                                        }
-                                        if let Some(s) = l1_sets {
-                                            machine = machine.with_l1_cam_sets(s);
-                                        }
-                                        if let Some(s) = l2_sets {
-                                            machine = machine.with_l2_cam_sets(s);
-                                        }
-                                        points.push(SweepPoint {
-                                            job: JobSpec::Sim {
-                                                source: MatrixSource::Suite { id, scale },
-                                                kind,
-                                                hw: machine,
-                                                energy: if es == 1.0 {
-                                                    base.energy
-                                                } else {
-                                                    base.energy.scaled(es)
-                                                },
-                                            },
-                                            hw_name: hw_name.clone(),
-                                            energy_scale: es,
-                                        });
+                                    let mut machine = hw_base.clone();
+                                    if let Some(c) = cube {
+                                        machine = machine.with_cubes(c);
                                     }
+                                    if let Some(s) = l1_sets {
+                                        machine = machine.with_l1_cam_sets(s);
+                                    }
+                                    if let Some(s) = l2_sets {
+                                        machine = machine.with_l2_cam_sets(s);
+                                    }
+                                    points.push(SweepPoint {
+                                        job: JobSpec::Sim {
+                                            source: MatrixSource::Suite { id, scale },
+                                            kind,
+                                            hw: machine,
+                                            energy: base.energy,
+                                        },
+                                        hw_name: hw_name.clone(),
+                                    });
                                 }
                             }
                         }
@@ -303,7 +283,6 @@ impl SweepSpec {
                             spec: base.gpu_spec,
                         },
                         hw_name: "titan-xp".into(),
-                        energy_scale: 1.0,
                     });
                 }
             }
@@ -336,7 +315,6 @@ impl SweepSpec {
                                         hbm: base.hbm_spec,
                                     },
                                     hw_name: hw_name.clone(),
-                                    energy_scale: 1.0,
                                 });
                             }
                         }
@@ -373,9 +351,6 @@ pub struct SweepPoint {
     /// Name of the machine variant the point runs on (`titan-xp` for the
     /// GPU baseline).
     pub hw_name: String,
-    /// The energy scale factor behind a sim point's energy parameters (1.0
-    /// for points that have none).
-    pub energy_scale: f64,
 }
 
 impl SweepPoint {
@@ -446,7 +421,6 @@ mod tests {
         s.set("cubes", "1,2,4").unwrap();
         s.set("l1-sets", "16,32").unwrap();
         s.set("l2-sets", "1024").unwrap();
-        s.set("energy-scale", "0.5,1.0").unwrap();
         s.set("gpu", "true").unwrap();
         assert_eq!(s.ids, vec![1, 2, 3]);
         assert_eq!(s.scales, vec![8, 16]);
@@ -464,7 +438,6 @@ mod tests {
         assert!(s.set("scales", "0").is_err(), "scale must be positive");
         assert!(s.set("kinds", "quantum").is_err());
         assert!(s.set("hw", "warp-drive").is_err());
-        assert!(s.set("energy-scale", "-1").is_err());
         assert!(s.set("warp", "9").is_err(), "unknown keys are errors");
     }
 
@@ -551,20 +524,6 @@ mod tests {
             points[points.len() - 2..].iter().all(|p| matches!(p.job, JobSpec::Gpu { .. })),
             "GPU baselines enumerate last"
         );
-    }
-
-    #[test]
-    fn energy_scale_axis_changes_job_keys_but_identity_does_not() {
-        let mut s = SweepSpec::default();
-        s.set("ids", "1").unwrap();
-        s.set("energy-scale", "1.0,0.5").unwrap();
-        let points = s.points(&quick_base());
-        assert_eq!(points.len(), 2);
-        assert_ne!(points[0].job().key(), points[1].job().key());
-        // The 1.0 point must key identically to not sweeping energy at all.
-        let mut plain = SweepSpec::default();
-        plain.set("ids", "1").unwrap();
-        assert_eq!(points[0].job().key(), plain.points(&quick_base())[0].job().key());
     }
 
     #[test]

@@ -130,11 +130,6 @@ impl AreaModel {
         Self::L2_LDQ_DEFAULT_MM2 * entries as f64 / 8192.0
     }
 
-    /// Base-die area consumed by a vault's L2 CAM + L2 LDQ, in mm².
-    pub fn vault_base_die_mm2(&self, cam_sets: usize, cam_ways: usize, ldq_entries: usize) -> f64 {
-        self.cam_area_mm2(cam_sets, cam_ways, 32) + self.ldq_area_mm2(ldq_entries)
-    }
-
     /// Peak footprint power density in mW/mm²: the per-layer peak stacked
     /// over all DRAM layers (paper: 66.56 × 8 = 532.48 mW/mm²).
     pub fn peak_footprint_power_density(&self) -> f64 {
@@ -181,7 +176,7 @@ mod tests {
     #[test]
     fn vault_base_die_total_matches_paper() {
         // 0.1898 + 0.0760 = 0.2658 mm², 8.86% of a 3 mm² vault.
-        let total = AreaModel.vault_base_die_mm2(2048, 4, 8192);
+        let total = AreaModel.cam_area_mm2(2048, 4, 32) + AreaModel.ldq_area_mm2(8192);
         assert!((total - 0.2658).abs() < 1e-9);
         assert!((total / AreaModel::VAULT_MM2 - 0.0886).abs() < 0.001);
     }

@@ -121,33 +121,6 @@ impl Default for EnergyParams {
     }
 }
 
-impl EnergyParams {
-    /// Axis constructor: every parameter (dynamic per-event energies and
-    /// static powers alike) multiplied by `factor` — a first-order model of
-    /// process/voltage scaling, used as the energy axis of sweep grids.
-    pub fn scaled(&self, factor: f64) -> Self {
-        EnergyParams {
-            dram_activate_pj: self.dram_activate_pj * factor,
-            dram_beat_pj: self.dram_beat_pj * factor,
-            pe_queue_pj: self.pe_queue_pj * factor,
-            register_file_pj: self.register_file_pj * factor,
-            l1_cam_search_pj: self.l1_cam_search_pj * factor,
-            l1_cam_fill_pj: self.l1_cam_fill_pj * factor,
-            l2_cam_search_pj: self.l2_cam_search_pj * factor,
-            l2_cam_fill_pj: self.l2_cam_fill_pj * factor,
-            l1_ldq_pj: self.l1_ldq_pj * factor,
-            l2_ldq_pj: self.l2_ldq_pj * factor,
-            fpu_op_pj: self.fpu_op_pj * factor,
-            tsv_pj_per_byte: self.tsv_pj_per_byte * factor,
-            noc_pj_per_byte_hop: self.noc_pj_per_byte_hop * factor,
-            static_mw_per_bank: self.static_mw_per_bank * factor,
-            static_mw_per_bank_group: self.static_mw_per_bank_group * factor,
-            static_mw_per_vault: self.static_mw_per_vault * factor,
-            static_mw_per_cube: self.static_mw_per_cube * factor,
-        }
-    }
-}
-
 /// The Figure 8 energy breakdown, in joules.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct EnergyBreakdown {
@@ -288,17 +261,5 @@ mod tests {
         let b = p.breakdown(&act, &one_cube());
         let sum = b.dram_dynamic_j + b.pe_cam_dynamic_j + b.interconnect_dynamic_j + b.static_j;
         assert!((b.total_j() - sum).abs() < 1e-20);
-    }
-
-    #[test]
-    fn scaled_params_scale_every_field() {
-        let p = EnergyParams::default();
-        let half = p.scaled(0.5);
-        assert_eq!(half.dram_activate_pj, p.dram_activate_pj * 0.5);
-        assert_eq!(half.fpu_op_pj, p.fpu_op_pj * 0.5);
-        assert_eq!(half.static_mw_per_cube, p.static_mw_per_cube * 0.5);
-        // Identity scaling is exactly the original (bit-for-bit, so the
-        // sweep's default energy axis produces the same job keys).
-        assert_eq!(p.scaled(1.0), p);
     }
 }

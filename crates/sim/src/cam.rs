@@ -3,15 +3,15 @@
 //! SpaceA integrates an L1 CAM per bank group and an L2 CAM per vault
 //! controller (Sections III-B and III-C) as key-value stores from input-vector
 //! block index to block contents. Both levels share this implementation:
-//! configurable set count, associativity and way size, with LRU replacement
-//! inside a set. The model keeps tags only — which blocks are resident — and
-//! never the block contents: the machine reads `X` from the input vector
-//! itself, so a CAM decides timing, not values.
+//! configurable set count and associativity, with LRU replacement inside a
+//! set. The model keeps tags only — which blocks are resident — and never
+//! the block contents: the machine reads `X` from the input vector itself,
+//! so a CAM decides timing, not values.
 //!
-//! The paper's default configuration gives each way 32 bytes — four
-//! double-precision elements of the input vector — so the CAM caches
-//! *blocks* of `X`, and spatial locality across neighbouring column indices
-//! turns into CAM hits.
+//! Each way holds one block of `X`: 32 bytes, four double-precision
+//! elements, a fixed parameter of the machine (`spacea_arch::BLOCK_BYTES`).
+//! The CAM caches *blocks*, so spatial locality across neighbouring column
+//! indices turns into CAM hits.
 
 use crate::stats::CamCounters;
 
@@ -22,29 +22,18 @@ pub struct CamConfig {
     pub sets: usize,
     /// Ways per set (default 4).
     pub ways: usize,
-    /// Bytes per way (default 32 B = 4 × f64 input-vector elements).
-    pub way_bytes: usize,
 }
 
 impl CamConfig {
-    /// The paper's default L1 CAM: 32 sets × 4 ways × 32 B = 4 KB.
+    /// The paper's default L1 CAM: 32 sets × 4 ways of 32-byte blocks = 4 KB.
     pub fn l1_default() -> Self {
-        CamConfig { sets: 32, ways: 4, way_bytes: 32 }
+        CamConfig { sets: 32, ways: 4 }
     }
 
-    /// The paper's default L2 CAM: 2048 sets × 4 ways × 32 B = 256 KB.
+    /// The paper's default L2 CAM: 2048 sets × 4 ways of 32-byte blocks =
+    /// 256 KB.
     pub fn l2_default() -> Self {
-        CamConfig { sets: 2048, ways: 4, way_bytes: 32 }
-    }
-
-    /// Total capacity in bytes.
-    pub fn capacity_bytes(&self) -> usize {
-        self.sets * self.ways * self.way_bytes
-    }
-
-    /// Vector elements (f64) per way.
-    pub fn elements_per_way(&self) -> usize {
-        self.way_bytes / 8
+        CamConfig { sets: 2048, ways: 4 }
     }
 }
 
@@ -198,7 +187,7 @@ mod tests {
     use super::*;
 
     fn tiny() -> Cam {
-        Cam::new(CamConfig { sets: 2, ways: 2, way_bytes: 32 })
+        Cam::new(CamConfig { sets: 2, ways: 2 })
     }
 
     #[test]
@@ -258,27 +247,20 @@ mod tests {
     }
 
     #[test]
-    fn paper_default_capacities() {
-        assert_eq!(CamConfig::l1_default().capacity_bytes(), 4 * 1024);
-        assert_eq!(CamConfig::l2_default().capacity_bytes(), 256 * 1024);
-        assert_eq!(CamConfig::l1_default().elements_per_way(), 4);
-    }
-
-    #[test]
     #[should_panic(expected = "at least one set")]
     fn zero_sets_panics() {
-        let _ = Cam::new(CamConfig { sets: 0, ways: 1, way_bytes: 8 });
+        let _ = Cam::new(CamConfig { sets: 0, ways: 1 });
     }
 
     #[test]
     #[should_panic(expected = "at most 255 ways")]
     fn more_ways_than_the_fill_count_holds_panics() {
-        let _ = Cam::new(CamConfig { sets: 1, ways: MAX_WAYS + 1, way_bytes: 32 });
+        let _ = Cam::new(CamConfig { sets: 1, ways: MAX_WAYS + 1 });
     }
 
     #[test]
     fn widest_set_fills_and_evicts() {
-        let mut cam = Cam::new(CamConfig { sets: 1, ways: MAX_WAYS, way_bytes: 32 });
+        let mut cam = Cam::new(CamConfig { sets: 1, ways: MAX_WAYS });
         for k in 0..MAX_WAYS as u64 {
             assert!(cam.insert(k).is_none());
         }

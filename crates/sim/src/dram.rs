@@ -26,14 +26,6 @@ pub struct DramTiming {
     pub row_bytes: usize,
 }
 
-impl Default for DramTiming {
-    /// HMC-like defaults from the paper's configuration (Section V-A) and the
-    /// HMC characterization study it cites.
-    fn default() -> Self {
-        DramTiming { t_ras: 27, t_ccd: 4, t_rp: 13, beat_bytes: 32, row_bytes: 256 }
-    }
-}
-
 /// Whether a bank access read or wrote the row.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AccessKind {
@@ -90,7 +82,7 @@ impl BankCounters {
 /// ```
 /// use spacea_sim::dram::{AccessKind, DramBank, DramTiming};
 ///
-/// let timing = DramTiming::default();
+/// let timing = DramTiming { t_ras: 27, t_ccd: 4, t_rp: 13, beat_bytes: 32, row_bytes: 256 };
 /// let mut bank = DramBank::new(timing);
 /// // First access activates row 3 and streams a full row.
 /// let done = bank.access(0, 3, timing.row_bytes, AccessKind::Read);
@@ -181,7 +173,7 @@ mod tests {
     use super::*;
 
     fn timing() -> DramTiming {
-        DramTiming::default()
+        DramTiming { t_ras: 27, t_ccd: 4, t_rp: 13, beat_bytes: 32, row_bytes: 256 }
     }
 
     #[test]

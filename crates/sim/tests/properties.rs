@@ -68,7 +68,7 @@ proptest! {
         // and refresh.
         for sets in [1usize, 3, 32] {
             for ways in [1usize, 2, 4, 8] {
-                let mut cam = Cam::new(CamConfig { sets, ways, way_bytes: 32 });
+                let mut cam = Cam::new(CamConfig { sets, ways });
                 let mut reference: Vec<RefLru> =
                     (0..sets).map(|_| RefLru { ways, ..Default::default() }).collect();
                 let keys = (sets * (ways + 2)) as u64;
@@ -119,7 +119,7 @@ proptest! {
 
     #[test]
     fn dram_bank_time_is_monotone(accesses in proptest::collection::vec((0u64..16, 1usize..300), 1..100)) {
-        let mut bank = DramBank::new(DramTiming::default());
+        let mut bank = DramBank::new(DramTiming { t_ras: 27, t_ccd: 4, t_rp: 13, beat_bytes: 32, row_bytes: 256 });
         let mut last = 0;
         for (row, bytes) in accesses {
             let done = bank.access(0, row, bytes, AccessKind::Read);

@@ -66,16 +66,16 @@ fn mapping_for_wrong_matrix_is_rejected() {
 
 #[test]
 fn degenerate_configs_rejected_not_crashed() {
-    let mut zero_lp = HwConfig::tiny();
-    zero_lp.l_p = 0;
+    let mut no_l2_ways = HwConfig::tiny();
+    no_l2_ways.l2_cam.ways = 0;
     assert!(matches!(
-        Accelerator::builder().hw_config(zero_lp).build(),
+        Accelerator::builder().hw_config(no_l2_ways).build(),
         Err(SimError::BadConfig(_))
     ));
 
-    let mut tiny_rows = HwConfig::tiny();
-    tiny_rows.timing.row_bytes = 8; // cannot hold even one (col, value) pair
-    assert!(Accelerator::builder().hw_config(tiny_rows).build().is_err());
+    let mut stall_past_machine = HwConfig::tiny();
+    stall_past_machine.faults.stall_vault = Some((stall_past_machine.shape.vaults(), 0));
+    assert!(Accelerator::builder().hw_config(stall_past_machine).build().is_err());
 }
 
 #[test]
