@@ -64,6 +64,12 @@ cargo run --release -p spacea-bench --bin run_mtx -- crates/matrix/tests/fixture
   --quick --cache-dir "$SMOKE_CACHE" > target/smoke-run_mtx.txt
 test -s target/smoke-run_mtx.txt
 
+# The six examples: `cargo test` only compiles them, so run each once; a
+# non-zero exit fails the script.
+for ex in quickstart mapping_comparison pagerank sensitivity jacobi_solver offload_amortization; do
+  cargo run --release --example "$ex" > "target/example-$ex.txt"
+done
+
 # Experiment entrypoint: `experiment ID` for every registry id, each output
 # followed by one blank line, must concatenate to exactly what
 # all_experiments prints over the same cache; an unknown id must fail.
@@ -266,7 +272,7 @@ grep -q '"computed":0' "$SERVE_CACHE/serve-manifest.json"
 # invariant is absolute — every acknowledged response bitwise-matches the
 # offline SpMV and is journaled, every rejection carries an explicit wire
 # code, and a restart over the (possibly corrupted) cache heals and replays
-# every journaled request correctly. A failing seed replays with --seed K.
+# every journaled request correctly. --seed K re-runs a failing seed's plan.
 cargo run --release -p spacea-bench --bin serve_chaos -- --seeds 8
 
 # Service throughput ratchet: the deterministic cycles-per-batch snapshot

@@ -117,16 +117,6 @@ impl SimError {
                 | SimError::CycleBudgetExceeded { .. }
         )
     }
-
-    /// The stall diagnosis carried by hang-class failures.
-    pub fn diagnosis(&self) -> Option<&StallDiagnosis> {
-        match self {
-            SimError::Deadlock(d) => Some(d),
-            SimError::NoProgress { diagnosis, .. }
-            | SimError::CycleBudgetExceeded { diagnosis, .. } => Some(diagnosis),
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for SimError {

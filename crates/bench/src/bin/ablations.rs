@@ -14,12 +14,13 @@
 
 use spacea_core::experiments::MapKind;
 use spacea_core::table::{fmt, geo_mean, Table};
+use spacea_matrix::suite;
 
 fn main() {
     let mut session = spacea_bench::harness();
     let cache = &mut session.cache;
     let base_hw = cache.cfg.hw.clone();
-    let ids: Vec<u8> = cache.entries().iter().map(|e| e.id).collect();
+    let ids: Vec<u8> = suite::entries().iter().map(|e| e.id).collect();
 
     let variants: Vec<(&str, spacea_arch::HwConfig, MapKind)> = vec![
         ("proposed", base_hw.clone(), MapKind::Proposed),

@@ -8,6 +8,7 @@
 use spacea_arch::HwConfig;
 use spacea_core::experiments::MapKind;
 use spacea_core::table::{fmt, geo_mean, Table};
+use spacea_matrix::suite;
 
 fn main() {
     let mut session = spacea_bench::harness();
@@ -20,7 +21,7 @@ fn main() {
         &["ID", "Matrix", "HMC cycles", "HBM cycles", "HBM/HMC"],
     );
     let ids: Vec<(u8, String)> =
-        cache.entries().iter().map(|e| (e.id, e.name.to_string())).collect();
+        suite::entries().iter().map(|e| (e.id, e.name.to_string())).collect();
     let mut ratios = Vec::new();
     for (id, name) in ids {
         let r_hmc = cache.sim_with(id, MapKind::Proposed, &hmc);

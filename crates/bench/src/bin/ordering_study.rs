@@ -15,6 +15,7 @@ use spacea_arch::{Machine, RunSpec};
 use spacea_core::table::{fmt, geo_mean, Table};
 use spacea_mapping::{ChunkedMapping, LocalityMapping, MappingStrategy};
 use spacea_matrix::reorder::{rcm, Permutation};
+use spacea_matrix::suite;
 use spacea_matrix::Csr;
 
 fn shuffled(a: &Csr, seed: u64) -> Csr {
@@ -32,7 +33,8 @@ fn main() {
 
     // Structural matrices only: ordering is meaningless for the power-law
     // graphs (they have no band to destroy).
-    let ids: Vec<u8> = cache.entries().iter().filter(|e| !e.is_power_law()).map(|e| e.id).collect();
+    let ids: Vec<u8> =
+        suite::entries().iter().filter(|e| !e.is_power_law()).map(|e| e.id).collect();
 
     type Reordering = fn(&Csr) -> Csr;
     let orderings: [(&str, Reordering); 3] = [

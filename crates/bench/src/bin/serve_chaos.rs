@@ -24,7 +24,12 @@
 //!   clean close, and the next request is still acked bitwise.
 //!
 //! `serve_chaos --seeds 8` runs seeds 0..8 (the CI smoke);
-//! `serve_chaos --seed K` replays one failing seed deterministically.
+//! `serve_chaos --seed K` re-runs one seed. What repeats is the plan
+//! (`ChaosPlan::from_seed(K)`) and the invariants checked against it. The
+//! per-seed acked, rejected and journaled counts can differ from run to
+//! run: `drop-conn=N` closes the Nth *accepted* connection, and the soak's
+//! clients connect concurrently, so which request loses its connection
+//! depends on thread scheduling.
 
 use spacea_matrix::mmio::MAX_MTX_DIM;
 use spacea_matrix::Csr;
@@ -92,7 +97,7 @@ fn main() {
         );
     } else {
         for seed in &failed {
-            eprintln!("serve_chaos: replay deterministically with: serve_chaos --seed {seed}");
+            eprintln!("serve_chaos: re-run the same plan with: serve_chaos --seed {seed}");
         }
         std::process::exit(1);
     }

@@ -1,15 +1,15 @@
-//! Grid-spec parameter sweeps over the SpaceA design space, with sharded
+//! Grid parameter sweeps over the SpaceA design space, with sharded
 //! execution and cache GC.
 //!
-//! A sweep names axes — matrices, scales, mappings, machine variants, cube
-//! counts, CAM set counts, the GPU baseline — either as CLI flags or as a
-//! `key = value` spec file, enumerates their cartesian product
+//! A sweep names axes with flags — matrices, scales, mappings, machine
+//! variants, cube counts, CAM set counts, the GPU baseline, and scenario
+//! backends, formats and partitionings — enumerates their cartesian product
 //! deterministically into deduplicated content-addressed jobs, computes
 //! them in parallel into the shared result cache, and renders one summary
 //! row per point.
 //!
 //! Run: `cargo run --release -p spacea-bench --bin sweep -- --ids 1,2
-//! --scales 8,16 --kinds naive,proposed [--csv]`, or with `--spec FILE`.
+//! --scales 8,16 --kinds naive,proposed [--csv]`.
 //!
 //! Sharding: `--shard K/N` runs (and renders) only the K-th of N contiguous,
 //! disjoint, union-complete slices of the grid. Shards share the cache

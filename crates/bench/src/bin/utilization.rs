@@ -10,6 +10,7 @@
 
 use spacea_core::experiments::MapKind;
 use spacea_core::table::{pct, Table};
+use spacea_matrix::suite;
 
 fn main() {
     let mut session = spacea_bench::harness();
@@ -19,7 +20,7 @@ fn main() {
         &["ID", "Matrix", "PE busy", "Matrix banks busy", "Vector banks busy", "L1 hit"],
     );
     let mut idle_heavy: Vec<String> = Vec::new();
-    for entry in cache.entries().to_vec() {
+    for entry in suite::entries() {
         let r = cache.sim(entry.id, MapKind::Proposed);
         table.push_row(vec![
             entry.id.to_string(),

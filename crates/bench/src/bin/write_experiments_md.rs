@@ -43,14 +43,15 @@ fn main() {
          disk. `--no-cache` skips the disk cache; wipe it with \
          `rm -rf target/spacea-cache` (or `cargo clean`) after changing \
          simulator semantics in ways the job hash cannot see.\n\n\
-         Beyond the fixed artifacts, the `sweep` binary runs grid-spec \
+         Beyond the fixed artifacts, the `sweep` binary runs grid \
          parameter sweeps over the design space (axes over matrices, scales, \
-         mappings, machine variants, cube counts, CAM set counts, energy \
-         parameters), with sharded execution (`--shard K/N`; shards share \
-         the cache and their outputs concatenate byte-identically to the \
-         unsharded run) and cache garbage collection (`--gc` with size/age \
-         budgets over each cached file's size and mtime). See the README's \
-         \"Sweeps\" section.\n\n\
+         mappings, machine variants, cube counts, CAM set counts, the GPU \
+         baseline, and scenario backends, formats and partitionings), with \
+         sharded execution (`--shard K/N`; shards share the cache and their \
+         outputs concatenate byte-identically to the unsharded run) and \
+         cache garbage collection (`--gc` with size/age budgets over each \
+         cached file's size and mtime). See the README's \"Sweeps\" \
+         section.\n\n\
          Execution is guarded: every job runs once, behind a panic guard \
          and the sim watchdog, and finishes with a status — `ok`, `failed`, \
          or `timed-out` — reported as the last column of sweep CSV output \

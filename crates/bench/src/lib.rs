@@ -323,7 +323,7 @@ pub fn harness() -> HarnessSession {
 /// form any binary can plug into [`HarnessOptions::from_args_with`].
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SweepCli {
-    /// The accumulated grid (spec file first, then per-axis flags overlay).
+    /// The grid the axis flags built.
     pub spec: SweepSpec,
     /// `--shard K/N`: run (and render) only shard K of N.
     pub shard: Option<(usize, usize)>,
@@ -342,7 +342,7 @@ pub struct SweepCli {
 }
 
 /// Usage line for the sweep flags (shown next to [`BASE_USAGE`]).
-pub const SWEEP_USAGE: &str = "sweep: --spec FILE | --ids L|all | --scales L | --kinds L | \
+pub const SWEEP_USAGE: &str = "sweep: --ids L|all | --scales L | --kinds L | \
      --hw L | --cubes-axis L | --l1-sets L | --l2-sets L | --gpu | \
      --backend L|all | --format L|all | --partition L|all (scenario cells: backend x format x \
      partitioning, verified bitwise against the CSR reference) | \
@@ -357,17 +357,6 @@ impl SweepCli {
     pub fn accept(&mut self, flag: &str, args: &mut ArgStream) -> Result<bool, ArgError> {
         let mut axis = |key: &str, value: &str| self.spec.set(key, value).map_err(ArgError::new);
         match flag {
-            "--spec" => {
-                let path = args.value("--spec")?;
-                let text = std::fs::read_to_string(&path)
-                    .map_err(|e| ArgError::new(format!("cannot read spec {path}: {e}")))?;
-                let file_spec = SweepSpec::from_spec_text(&text)
-                    .map_err(|e| ArgError::new(format!("{path}: {e}")))?;
-                // The file is the base; axis flags given before or after
-                // --spec overlay it only where they were explicitly set.
-                let overlay = std::mem::take(&mut self.spec);
-                self.spec = merge_specs(file_spec, overlay);
-            }
             "--ids" => axis("ids", &args.value("--ids")?)?,
             "--scales" => axis("scales", &args.value("--scales")?)?,
             "--kinds" => axis("kinds", &args.value("--kinds")?)?,
@@ -487,30 +476,6 @@ impl SweepCli {
     }
 }
 
-/// Overlays `over` onto `base`: every axis `over` explicitly set wins.
-fn merge_specs(base: SweepSpec, over: SweepSpec) -> SweepSpec {
-    fn pick<T>(base: Vec<T>, over: Vec<T>) -> Vec<T> {
-        if over.is_empty() {
-            base
-        } else {
-            over
-        }
-    }
-    SweepSpec {
-        ids: pick(base.ids, over.ids),
-        scales: pick(base.scales, over.scales),
-        kinds: pick(base.kinds, over.kinds),
-        hw: pick(base.hw, over.hw),
-        cubes: pick(base.cubes, over.cubes),
-        l1_sets: pick(base.l1_sets, over.l1_sets),
-        l2_sets: pick(base.l2_sets, over.l2_sets),
-        gpu: base.gpu || over.gpu,
-        backends: pick(base.backends, over.backends),
-        formats: pick(base.formats, over.formats),
-        partitions: pick(base.partitions, over.partitions),
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -622,6 +587,34 @@ mod tests {
         assert_eq!(cli.spec.kinds.len(), 2);
         assert_eq!(cli.shard, Some((1, 3)));
         assert_eq!(opts.cfg, ExpConfig::quick(), "base flags co-exist with sweep flags");
+
+        // Flags are the only command-line route to the grid: each of the
+        // eleven `SweepSpec::set` keys has one, and it sets exactly what
+        // `set` does with the same key and value.
+        let axes = [
+            ("--ids", "ids", "1,13"),
+            ("--scales", "scales", "256,512"),
+            ("--kinds", "kinds", "naive,proposed"),
+            ("--hw", "hw", "tiny,scaled"),
+            ("--cubes-axis", "cubes", "1,2"),
+            ("--l1-sets", "l1-sets", "16,32"),
+            ("--l2-sets", "l2-sets", "1024"),
+            ("--gpu", "gpu", "true"),
+            ("--backend", "backends", "spacea,hbm"),
+            ("--format", "formats", "csr,sell"),
+            ("--partition", "partitions", "row,nnz"),
+        ];
+        let mut args = Vec::new();
+        let mut expected = SweepSpec::default();
+        for (flag, key, value) in axes {
+            args.push(flag);
+            if flag != "--gpu" {
+                args.push(value);
+            }
+            expected.set(key, value).unwrap();
+        }
+        let (_, cli) = sweep(&args);
+        assert_eq!(cli.spec, expected);
     }
 
     #[test]
@@ -708,17 +701,5 @@ mod tests {
             .unwrap_err()
         };
         assert!(err.message.contains("cycle count"), "{}", err.message);
-    }
-
-    #[test]
-    fn spec_file_overlays_with_cli_axes() {
-        let dir = std::env::temp_dir().join(format!("spacea-speccli-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("grid.spec");
-        std::fs::write(&path, "ids = 1,2\nscales = 256\n").unwrap();
-        let (_, cli) = sweep(&["--spec", path.to_str().unwrap(), "--ids", "3"]);
-        assert_eq!(cli.spec.ids, vec![3], "CLI axis overrides the file");
-        assert_eq!(cli.spec.scales, vec![256], "file axes not overridden survive");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

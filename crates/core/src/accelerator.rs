@@ -2,36 +2,24 @@
 
 use crate::experiments::ExpConfig;
 use spacea_arch::{HwConfig, Machine, RunSpec, SimError, SimReport};
-use spacea_mapping::{LocalityMapping, Mapping, MappingStrategy, NaiveMapping};
+use spacea_mapping::{MapKind, Mapping};
 use spacea_matrix::Csr;
 use spacea_model::energy::StaticConfig;
 use spacea_model::{EnergyBreakdown, EnergyParams};
-
-/// Which mapping pipeline the accelerator uses.
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub enum MappingChoice {
-    /// The paper's proposed two-phase mapping (Algorithm 1 + placement).
-    #[default]
-    Proposed,
-    /// The Section V-B random baseline.
-    Naive {
-        /// RNG seed for the random row assignment.
-        seed: u64,
-    },
-}
 
 /// Builder for [`Accelerator`].
 ///
 /// # Example
 ///
 /// ```
-/// use spacea_core::{Accelerator, MappingChoice};
+/// use spacea_core::Accelerator;
 /// use spacea_arch::HwConfig;
+/// use spacea_mapping::MapKind;
 ///
 /// # fn main() -> Result<(), Box<dyn std::error::Error>> {
 /// let accel = Accelerator::builder()
 ///     .hw_config(HwConfig::tiny())
-///     .mapping(MappingChoice::Naive { seed: 7 })
+///     .mapping(MapKind::Naive)
 ///     .build()?;
 /// assert_eq!(accel.config().shape.product_pes(), 16);
 /// # Ok(())
@@ -40,8 +28,7 @@ pub enum MappingChoice {
 #[derive(Debug, Clone, Default)]
 pub struct AcceleratorBuilder {
     hw: Option<HwConfig>,
-    mapping: MappingChoice,
-    energy: Option<EnergyParams>,
+    mapping: Option<MapKind>,
 }
 
 impl AcceleratorBuilder {
@@ -51,15 +38,9 @@ impl AcceleratorBuilder {
         self
     }
 
-    /// Sets the mapping strategy (default: the proposed mapping).
-    pub fn mapping(mut self, choice: MappingChoice) -> Self {
-        self.mapping = choice;
-        self
-    }
-
-    /// Overrides the energy model parameters.
-    pub fn energy_params(mut self, params: EnergyParams) -> Self {
-        self.energy = Some(params);
+    /// Sets the mapping (default: [`MapKind::Proposed`]).
+    pub fn mapping(mut self, kind: MapKind) -> Self {
+        self.mapping = Some(kind);
         self
     }
 
@@ -74,8 +55,7 @@ impl AcceleratorBuilder {
         hw.validate().map_err(SimError::BadConfig)?;
         Ok(Accelerator {
             machine: Machine::new(hw),
-            mapping: self.mapping,
-            energy: self.energy.unwrap_or_default(),
+            mapping: self.mapping.unwrap_or(MapKind::Proposed),
         })
     }
 }
@@ -86,17 +66,16 @@ impl AcceleratorBuilder {
 pub struct AccelRun {
     /// Full simulation report (cycles, traffic, hit rates, validated output).
     pub report: SimReport,
-    /// Energy breakdown priced by the energy model.
+    /// Energy breakdown priced with [`EnergyParams::default`].
     pub energy: EnergyBreakdown,
 }
 
-/// A configured SpaceA accelerator: machine + mapping strategy + energy
-/// model.
+/// A configured SpaceA accelerator: a machine and a mapping. Runs are
+/// priced with the paper's energy model, [`EnergyParams::default`].
 #[derive(Debug, Clone)]
 pub struct Accelerator {
     machine: Machine,
-    mapping: MappingChoice,
-    energy: EnergyParams,
+    mapping: MapKind,
 }
 
 impl Accelerator {
@@ -110,19 +89,11 @@ impl Accelerator {
         self.machine.config()
     }
 
-    /// The energy model in use.
-    pub fn energy_params(&self) -> &EnergyParams {
-        &self.energy
-    }
-
     /// Computes the mapping of `a` onto this machine (the offline
     /// preprocessing step; amortize it by reusing the result across
     /// iterations via [`Accelerator::spmv_mapped`]).
     pub fn map(&self, a: &Csr) -> Mapping {
-        match self.mapping {
-            MappingChoice::Proposed => LocalityMapping::default().map(a, &self.config().shape),
-            MappingChoice::Naive { seed } => NaiveMapping { seed }.map(a, &self.config().shape),
-        }
+        self.mapping.strategy().map(a, &self.config().shape)
     }
 
     /// Maps and runs `y = A·x` in one call.
@@ -143,7 +114,7 @@ impl Accelerator {
     /// Propagates any [`SimError`] from the simulation.
     pub fn spmv_mapped(&self, a: &Csr, x: &[f64], mapping: &Mapping) -> Result<AccelRun, SimError> {
         let report = self.machine.run(RunSpec::spmv(a, x, mapping))?.into_report();
-        let energy = self.energy.breakdown(&report.activity, &self.static_config());
+        let energy = EnergyParams::default().breakdown(&report.activity, &self.static_config());
         Ok(AccelRun { report, energy })
     }
 
@@ -195,12 +166,13 @@ mod tests {
         let a = small();
         let accel = Accelerator::builder()
             .hw_config(HwConfig::tiny())
-            .mapping(MappingChoice::Naive { seed: 3 })
+            .mapping(MapKind::Naive)
             .build()
             .unwrap();
         let m1 = accel.map(&a);
         let m2 = accel.map(&a);
-        assert_eq!(m1.assignment, m2.assignment, "same seed, same mapping");
+        assert_eq!(m1.assignment, m2.assignment, "the naive mapping is seeded");
+        assert_eq!(m1, MapKind::Naive.strategy().map(&a, &HwConfig::tiny().shape));
     }
 
     #[test]

@@ -8,7 +8,7 @@ use spacea_gpu::GpuRun;
 use spacea_harness::{JobCtx, JobResult, JobSpec, MatrixSource, ResultStore, ScenarioRec};
 use spacea_mapping::{MachineShape, Mapping};
 use spacea_matrix::formats::FormatKind;
-use spacea_matrix::suite::{self, SuiteEntry};
+use spacea_matrix::suite;
 use spacea_matrix::Csr;
 use spacea_model::energy::StaticConfig;
 use spacea_model::{EnergyBreakdown, EnergyParams};
@@ -216,35 +216,9 @@ impl SuiteCache {
         &self.ctx
     }
 
-    /// The Table I entries (always all fifteen).
-    pub fn entries(&self) -> &'static [SuiteEntry] {
-        suite::entries()
-    }
-
-    /// The [`MatrixSource`] naming Table I matrix `id` at this
-    /// configuration's scale.
-    pub fn source(&self, id: u8) -> MatrixSource {
-        self.cfg.source(id)
-    }
-
-    /// The job computing the GPU baseline for matrix `id`.
-    pub fn gpu_job(&self, id: u8) -> JobSpec {
-        self.cfg.gpu_job(id)
-    }
-
-    /// The job simulating matrix `id` on the default machine.
-    pub fn sim_job(&self, id: u8, kind: MapKind) -> JobSpec {
-        self.cfg.sim_job(id, kind)
-    }
-
-    /// The job simulating matrix `id` on an arbitrary machine.
-    pub fn sim_job_with(&self, id: u8, kind: MapKind, hw: &HwConfig) -> JobSpec {
-        self.cfg.sim_job_with(id, kind, hw)
-    }
-
     /// The scaled matrix for Table I id `id`.
     pub fn matrix(&mut self, id: u8) -> Arc<Csr> {
-        self.ctx.matrix(&self.source(id))
+        self.ctx.matrix(&self.cfg.source(id))
     }
 
     /// An arbitrary source's matrix (case-study operands).
@@ -265,7 +239,7 @@ impl SuiteCache {
         kind: MapKind,
         shape: MachineShape,
     ) -> Arc<Mapping> {
-        self.ctx.mapping(&self.source(id), kind, shape)
+        self.ctx.mapping(&self.cfg.source(id), kind, shape)
     }
 
     /// Runs a job through the store: hit → cached result, miss → execute
@@ -305,7 +279,7 @@ impl SuiteCache {
 
     /// The GPU baseline run for matrix `id` (iso-area scaled spec).
     pub fn gpu(&mut self, id: u8) -> GpuRun {
-        let job = self.gpu_job(id);
+        let job = self.cfg.gpu_job(id);
         match self.run_job(&job) {
             JobResult::Gpu(run) => run,
             // lint:allow(R1) documented panic: result-kind mismatch is cache corruption
@@ -322,7 +296,7 @@ impl SuiteCache {
     /// The simulation of matrix `id` with a custom hardware configuration
     /// (sensitivity sweeps). Cached in the store like every other sim.
     pub fn sim_with(&mut self, id: u8, kind: MapKind, hw: &HwConfig) -> Arc<SimReport> {
-        let job = self.sim_job_with(id, kind, hw);
+        let job = self.cfg.sim_job_with(id, kind, hw);
         let result = self.run_job(&job);
         Self::expect_sim(&job, result)
     }

@@ -60,7 +60,7 @@ pub fn run(cache: &mut SuiteCache) -> ExpOutput {
     let mut table = Table::new("Figure 10: normalized speedup vs number of cubes", &headers_ref);
 
     let ids: Vec<(u8, String)> =
-        cache.entries().iter().map(|e| (e.id, e.name.to_string())).collect();
+        suite::entries().iter().map(|e| (e.id, e.name.to_string())).collect();
     let mut per_count: Vec<Vec<f64>> = vec![Vec::new(); cube_counts.len()];
     for (id, name) in ids {
         let mut cycles = Vec::new();

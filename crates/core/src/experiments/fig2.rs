@@ -21,7 +21,7 @@ pub fn run(cache: &mut SuiteCache) -> ExpOutput {
     let mut bw_utils = Vec::new();
     let mut bw_utils_structural = Vec::new();
     let mut alu_utils = Vec::new();
-    for entry in cache.entries().to_vec() {
+    for entry in suite::entries() {
         let r = cache.gpu(entry.id);
         // Report throughputs normalized back to the full-GPU scale so the
         // bars are comparable with the paper's absolute GB/s axis.
@@ -84,7 +84,7 @@ mod tests {
         let mut cache = SuiteCache::new(ExpConfig::quick());
         let mut structural = Vec::new();
         let mut graphs = Vec::new();
-        for e in cache.entries().to_vec() {
+        for e in suite::entries() {
             let r = cache.gpu(e.id);
             if e.is_power_law() {
                 graphs.push(r.bw_utilization);

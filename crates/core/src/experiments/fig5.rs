@@ -37,7 +37,7 @@ pub fn run(cache: &mut SuiteCache) -> ExpOutput {
     let mut sp_prop = Vec::new();
     let mut es_naive = Vec::new();
     let mut es_prop = Vec::new();
-    for entry in cache.entries().to_vec() {
+    for entry in suite::entries() {
         let sn = cache.speedup(entry.id, MapKind::Naive);
         let sp = cache.speedup(entry.id, MapKind::Proposed);
         let en = cache.energy_saving(entry.id, MapKind::Naive);

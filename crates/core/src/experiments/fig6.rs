@@ -40,7 +40,7 @@ pub fn run(cache: &mut SuiteCache) -> ExpOutput {
     let mut l2_p = Vec::new();
     let mut tsv_ratio = Vec::new();
     let mut noc_ratio = Vec::new();
-    for entry in cache.entries().to_vec() {
+    for entry in suite::entries() {
         let rn = cache.sim(entry.id, MapKind::Naive);
         let rp = cache.sim(entry.id, MapKind::Proposed);
         let tsv = rp.tsv_bytes as f64 / rn.tsv_bytes.max(1) as f64;

@@ -98,7 +98,7 @@ fn mean_speedup(
 ) -> f64 {
     let mut hw = cache.cfg.hw.clone();
     tweak(&mut hw);
-    let ids: Vec<u8> = cache.entries().iter().map(|e| e.id).collect();
+    let ids: Vec<u8> = suite::entries().iter().map(|e| e.id).collect();
     let mut speedups = Vec::new();
     for id in ids {
         let gpu = cache.gpu(id);
@@ -153,7 +153,7 @@ pub fn run_with(cache: &mut SuiteCache, sweep: &Fig7Sweep) -> ExpOutput {
     for kind in [MapKind::Naive, MapKind::Proposed] {
         for &sets in &sweep.tradeoff_l2_sets {
             let s = mean_speedup(cache, kind, |hw| hw.l2_cam.sets = sets);
-            let area = model.cam_area_mm2(sets, cache.cfg.hw.l2_cam.ways, BLOCK_BYTES);
+            let area = model.cam_area_mm2(sets * cache.cfg.hw.l2_cam.ways * BLOCK_BYTES);
             e.push_row(vec![kind.label().into(), sets.to_string(), fmt(area, 4), fmt(s, 2)]);
         }
     }

@@ -4,6 +4,7 @@
 use super::context::{ExpConfig, ExpOutput, MapKind, SuiteCache};
 use crate::table::{fmt, Table};
 use spacea_harness::JobSpec;
+use spacea_matrix::suite;
 
 /// The jobs this figure consumes — the same default-machine simulations as
 /// Figure 6 (the energy breakdown is derived from their activity counters).
@@ -27,7 +28,7 @@ pub fn run(cache: &mut SuiteCache) -> ExpOutput {
     );
     let mut interconnect_savings = Vec::new();
     let mut static_savings = Vec::new();
-    for entry in cache.entries().to_vec() {
+    for entry in suite::entries() {
         let en = cache.energy(entry.id, MapKind::Naive);
         let ep = cache.energy(entry.id, MapKind::Proposed);
         let base = en.dram_dynamic_j.max(f64::MIN_POSITIVE);

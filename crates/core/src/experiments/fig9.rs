@@ -30,7 +30,7 @@ pub fn run(cache: &mut SuiteCache) -> ExpOutput {
     let mut table = Table::new("Figure 9: normalized execution time vs TSV latency", &headers_ref);
 
     let ids: Vec<(u8, String)> =
-        cache.entries().iter().map(|e| (e.id, e.name.to_string())).collect();
+        suite::entries().iter().map(|e| (e.id, e.name.to_string())).collect();
     let mut per_latency: Vec<Vec<f64>> = vec![Vec::new(); LATENCIES.len()];
     for (id, name) in ids {
         let mut cycles = Vec::new();

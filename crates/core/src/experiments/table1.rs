@@ -3,6 +3,7 @@
 
 use super::context::{ExpOutput, SuiteCache};
 use crate::table::{fmt, Table};
+use spacea_matrix::suite;
 
 /// Regenerates Table I.
 pub fn run(cache: &mut SuiteCache) -> ExpOutput {
@@ -23,7 +24,7 @@ pub fn run(cache: &mut SuiteCache) -> ExpOutput {
         ],
     );
     let mut headline = Vec::new();
-    for entry in cache.entries().to_vec() {
+    for entry in suite::entries() {
         let a = cache.matrix(entry.id);
         let s = a.stats();
         table.push_row(vec![

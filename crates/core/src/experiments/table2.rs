@@ -34,7 +34,7 @@ pub fn run() -> ExpOutput {
         model.bank_overhead_fraction() * 100.0
     ));
     let l2 = CamConfig::l2_default();
-    let cam = model.cam_area_mm2(l2.sets, l2.ways, BLOCK_BYTES);
+    let cam = model.cam_area_mm2(l2.sets * l2.ways * BLOCK_BYTES);
     let ldq = model.ldq_area_mm2(L2_LDQ_ENTRIES);
     let base_die = cam + ldq;
     table.push_note(format!(

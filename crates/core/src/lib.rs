@@ -37,4 +37,4 @@ pub mod offload;
 pub mod solvers;
 pub mod table;
 
-pub use accelerator::{AccelRun, Accelerator, AcceleratorBuilder, MappingChoice};
+pub use accelerator::{AccelRun, Accelerator, AcceleratorBuilder};

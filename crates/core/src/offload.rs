@@ -59,13 +59,6 @@ impl OffloadReport {
         self.preprocess_s + self.transfer_in_s
     }
 
-    /// Total time for `iterations` iterations of SpMV, including setup and
-    /// the final result copy-back. Intermediate vectors stay on the device
-    /// (X and Y are co-located, Section III-A).
-    pub fn total_s(&self, iterations: usize) -> f64 {
-        self.setup_s() + self.iteration_s * iterations as f64 + self.transfer_out_s
-    }
-
     /// Iterations needed before the setup overhead drops below `fraction` of
     /// total time. Returns `None` if a single iteration already satisfies it.
     pub fn amortization_iterations(&self, fraction: f64) -> Option<usize> {
@@ -150,15 +143,6 @@ mod tests {
         assert!(r.transfer_in_s > 0.0);
         assert!(r.iteration_s > 0.0);
         assert!(r.transfer_out_s > 0.0);
-    }
-
-    #[test]
-    fn total_scales_with_iterations() {
-        let (accel, a, x) = setup();
-        let r = offload_spmv(&accel, &PcieModel::default(), &a, &x).unwrap();
-        let t10 = r.total_s(10);
-        let t20 = r.total_s(20);
-        assert!((t20 - t10 - 10.0 * r.iteration_s).abs() < 1e-12);
     }
 
     #[test]

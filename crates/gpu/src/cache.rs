@@ -84,11 +84,6 @@ impl CacheSim {
         self.misses
     }
 
-    /// Line size in bytes.
-    pub fn line_bytes(&self) -> usize {
-        self.line_bytes
-    }
-
     /// Miss traffic in bytes (misses × line size).
     pub fn miss_bytes(&self) -> u64 {
         self.misses * self.line_bytes as u64

@@ -57,8 +57,9 @@ impl MatrixSource {
     /// Checks that this source names a generatable matrix, without
     /// generating it. [`MatrixSource::generate`] panics on an unknown
     /// Table I id (a programming error in the hard-coded experiment
-    /// enumerations), so user-supplied sources — sweep flags, spec files —
-    /// go through here first and fail as a structured job error instead.
+    /// enumerations), so user-supplied sources (sweep flags, service
+    /// requests) go through here first and fail as a structured job error
+    /// instead.
     ///
     /// # Errors
     ///

@@ -32,8 +32,9 @@
 //!   which it keys by mapping content so that scenario cells differing only
 //!   in a format that maps the same way share one run.
 //! * [`SweepSpec`] names a grid over the design space (matrices, scales,
-//!   mappings, machine variants, cube counts, CAM sizes, energy parameters)
-//!   and enumerates it deterministically into deduped job lists;
+//!   mappings, machine variants, cube counts, CAM sizes, the GPU baseline,
+//!   and backend × format × partitioning scenario cells) and enumerates it
+//!   deterministically into deduped job lists;
 //!   [`shard_range`] splits the grid across cooperating processes, and
 //!   [`ResultStore::gc`] keeps the shared disk cache within size/age
 //!   budgets, reading each entry's size and recency from its own file.

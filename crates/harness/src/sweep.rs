@@ -1,4 +1,4 @@
-//! Grid-spec parameter sweeps: a [`SweepSpec`] names axes over the design
+//! Grid parameter sweeps: a [`SweepSpec`] names axes over the design
 //! space the paper evaluates pointwise — matrix, scale, mapping, machine
 //! variant, cube count, CAM capacity — and deterministically enumerates
 //! their cartesian product into deduplicated, content-addressed [`JobSpec`]
@@ -56,8 +56,8 @@ impl Default for SweepBase {
 /// only", so a spec with every axis empty is the empty grid (nothing to do)
 /// — callers should reject it with a usage hint.
 ///
-/// Axes are set either programmatically or by feeding `key = value` pairs
-/// (CLI flags and spec files share [`SweepSpec::set`]).
+/// Axes are set either programmatically or through [`SweepSpec::set`],
+/// which the sweep binary's axis flags call with their key and value.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SweepSpec {
     /// Table I matrix ids (axis key `ids`; `all` expands to the whole suite).
@@ -95,8 +95,9 @@ impl SweepSpec {
         self == &SweepSpec::default()
     }
 
-    /// Sets one axis from its `key = value` form. Shared by the CLI flags
-    /// and the spec-file parser, so both accept exactly the same grammar.
+    /// Sets one axis from its key (`ids`, `scales`, `kinds`, `hw`, `cubes`,
+    /// `l1-sets`, `l2-sets`, `gpu`, `backends`, `formats`, `partitions`)
+    /// and its comma-separated value.
     pub fn set(&mut self, key: &str, value: &str) -> Result<(), String> {
         match key {
             "ids" => {
@@ -188,23 +189,6 @@ impl SweepSpec {
             }
         }
         Ok(())
-    }
-
-    /// Parses a spec file: one `key = value` per line, `#` comments, blank
-    /// lines ignored. Errors carry the line number.
-    pub fn from_spec_text(text: &str) -> Result<Self, String> {
-        let mut spec = SweepSpec::default();
-        for (lineno, raw) in text.lines().enumerate() {
-            let line = raw.split('#').next().unwrap_or("").trim();
-            if line.is_empty() {
-                continue;
-            }
-            let Some((key, value)) = line.split_once('=') else {
-                return Err(format!("line {}: expected 'key = value', got '{line}'", lineno + 1));
-            };
-            spec.set(key.trim(), value.trim()).map_err(|e| format!("line {}: {e}", lineno + 1))?;
-        }
-        Ok(spec)
     }
 
     /// Enumerates the grid into concrete points, in a fixed nesting order
@@ -446,18 +430,6 @@ mod tests {
         let mut s = SweepSpec::default();
         s.set("ids", "all").unwrap();
         assert_eq!(s.ids.len(), suite::entries().len());
-    }
-
-    #[test]
-    fn spec_text_round_trips_and_reports_line_numbers() {
-        let text = "# a 2x2 grid\nids = 1,2\n\nscales = 8, 16  # inline comment\n";
-        let s = SweepSpec::from_spec_text(text).unwrap();
-        assert_eq!(s.ids, vec![1, 2]);
-        assert_eq!(s.scales, vec![8, 16]);
-        let err = SweepSpec::from_spec_text("ids = 1\nbogus line\n").unwrap_err();
-        assert!(err.starts_with("line 2:"), "{err}");
-        let err = SweepSpec::from_spec_text("\n\nids = zebra\n").unwrap_err();
-        assert!(err.starts_with("line 3:"), "{err}");
     }
 
     #[test]

@@ -34,11 +34,6 @@ impl JobStatus {
         }
     }
 
-    /// Whether a result exists for this job.
-    pub fn is_success(&self) -> bool {
-        matches!(self, JobStatus::Ok)
-    }
-
     /// The failure message, if the job did not produce a result.
     pub fn failure(&self) -> Option<&str> {
         match self {

@@ -7,8 +7,8 @@
 use proptest::prelude::*;
 use spacea_harness::exec::execute;
 use spacea_harness::{
-    input_vector, run_jobs, CacheOutcome, JobCtx, JobResult, JobSpec, MappingStats, MatrixSource,
-    ResultStore, RunManifest, SimulationStats,
+    input_vector, run_jobs, CacheOutcome, JobCtx, JobResult, JobSpec, JobStatus, MappingStats,
+    MatrixSource, ResultStore, RunManifest, SimulationStats,
 };
 use spacea_mapping::MapKind;
 use spacea_model::EnergyParams;
@@ -95,7 +95,7 @@ fn panicking_job_is_isolated_from_the_rest_of_the_sweep() {
     assert_eq!(records[0].status.tag(), "failed");
     assert!(records[0].status.failure().unwrap().contains("panic"), "{:?}", records[0].status);
     for r in &records[1..] {
-        assert!(r.status.is_success(), "healthy jobs must complete: {:?}", r.status);
+        assert_eq!(r.status, JobStatus::Ok, "healthy jobs must complete");
     }
     assert_eq!(store.len(), 2, "only the two healthy results are stored");
 }
@@ -121,7 +121,7 @@ fn stalled_vault_times_out_with_a_diagnosis_naming_the_vault() {
     assert_eq!(records[0].status.tag(), "timed-out");
     let diagnosis = records[0].status.failure().unwrap();
     assert!(diagnosis.contains("vault 0"), "diagnosis must name the stalled vault: {diagnosis}");
-    assert!(records[1].status.is_success());
+    assert_eq!(records[1].status, JobStatus::Ok);
 
     // The manifest carries the per-job statuses and the diagnosis.
     let manifest = RunManifest {
@@ -153,7 +153,7 @@ fn rerun_over_disk_cache_retries_only_the_failed_job() {
     let records = run(&first);
     assert_eq!(records[0].status.tag(), "failed", "{:?}", records[0].status);
     assert_eq!(records[0].outcome, CacheOutcome::Computed);
-    assert!(records[1].status.is_success());
+    assert_eq!(records[1].status, JobStatus::Ok);
 
     // Fresh process (fresh memory) over the same cache directory.
     let second = ResultStore::with_disk(&dir).unwrap();

@@ -504,7 +504,6 @@ pub struct SellFormat {
     rows: usize,
     cols: usize,
     chunk: usize,
-    sigma: usize,
     nnz: usize,
     /// `perm[k]` = original row stored at sorted lane position `k`.
     perm: Vec<u32>,
@@ -562,7 +561,6 @@ impl SellFormat {
             rows,
             cols: a.cols(),
             chunk,
-            sigma,
             nnz: a.nnz(),
             perm,
             row_len,
@@ -575,11 +573,6 @@ impl SellFormat {
     /// The slice height C.
     pub fn chunk(&self) -> usize {
         self.chunk
-    }
-
-    /// The sorting window σ.
-    pub fn sigma(&self) -> usize {
-        self.sigma
     }
 
     /// Number of slices.

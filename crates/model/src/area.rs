@@ -112,12 +112,12 @@ impl AreaModel {
         self.bank_group().total_mm2() / Self::BANKS_MM2
     }
 
-    /// Area of an L2 CAM with the given geometry.
+    /// Area of an L2 CAM holding `capacity_bytes` (sets × ways × way size).
     ///
     /// Linear capacity model anchored on the two published points: 4 KB →
     /// 0.0286 mm² (the L1 CAM uses the same circuit) and 256 KB → 0.1898 mm².
-    pub fn cam_area_mm2(&self, sets: usize, ways: usize, way_bytes: usize) -> f64 {
-        let kb = (sets * ways * way_bytes) as f64 / 1024.0;
+    pub fn cam_area_mm2(&self, capacity_bytes: usize) -> f64 {
+        let kb = capacity_bytes as f64 / 1024.0;
         // fixed search/control logic + per-KB storage
         let per_kb = (Self::L2_CAM_DEFAULT_MM2 - 0.0286) / (256.0 - 4.0);
         let fixed = 0.0286 - 4.0 * per_kb;
@@ -168,15 +168,15 @@ mod tests {
     #[test]
     fn l2_defaults_match_published_areas() {
         let m = AreaModel;
-        assert!((m.cam_area_mm2(2048, 4, 32) - AreaModel::L2_CAM_DEFAULT_MM2).abs() < 1e-9);
-        assert!((m.cam_area_mm2(32, 4, 32) - 0.0286).abs() < 1e-9);
+        assert!((m.cam_area_mm2(256 * 1024) - AreaModel::L2_CAM_DEFAULT_MM2).abs() < 1e-9);
+        assert!((m.cam_area_mm2(4 * 1024) - 0.0286).abs() < 1e-9);
         assert!((m.ldq_area_mm2(8192) - AreaModel::L2_LDQ_DEFAULT_MM2).abs() < 1e-12);
     }
 
     #[test]
     fn vault_base_die_total_matches_paper() {
         // 0.1898 + 0.0760 = 0.2658 mm², 8.86% of a 3 mm² vault.
-        let total = AreaModel.cam_area_mm2(2048, 4, 32) + AreaModel.ldq_area_mm2(8192);
+        let total = AreaModel.cam_area_mm2(256 * 1024) + AreaModel.ldq_area_mm2(8192);
         assert!((total - 0.2658).abs() < 1e-9);
         assert!((total / AreaModel::VAULT_MM2 - 0.0886).abs() < 0.001);
     }
@@ -184,8 +184,7 @@ mod tests {
     #[test]
     fn cam_area_grows_with_size() {
         let m = AreaModel;
-        assert!(m.cam_area_mm2(4096, 4, 32) > m.cam_area_mm2(2048, 4, 32));
-        assert!(m.cam_area_mm2(2048, 8, 32) > m.cam_area_mm2(2048, 4, 32));
+        assert!(m.cam_area_mm2(512 * 1024) > m.cam_area_mm2(256 * 1024));
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Timeline exporters: CSV, Chrome trace-event JSON, and terminal
-//! sparklines.
+//! Timeline exporters: Chrome trace-event JSON, a one-line-per-series text
+//! summary, and terminal sparklines.
 //!
 //! The Chrome trace output loads directly in [Perfetto](https://ui.perfetto.dev)
 //! or `chrome://tracing`: one process ("spacea"), one thread track per
@@ -17,33 +17,6 @@ use std::fmt::Write as _;
 const CYCLES_PER_US: f64 = 1000.0;
 
 impl Timeline {
-    /// Renders the gauge series as CSV with one row per aggregation window:
-    /// `metric,vault,window_start,window_len,count,mean,min,max,last`.
-    pub fn to_csv(&self) -> String {
-        let mut out =
-            String::from("metric,vault,window_start,window_len,count,mean,min,max,last\n");
-        for (key, series) in &self.series {
-            let vault = key.vault.map(|v| v.to_string()).unwrap_or_default();
-            for w in series.windows() {
-                let _ = writeln!(
-                    out,
-                    "{}/{},{},{},{},{},{},{},{},{}",
-                    key.component,
-                    key.name,
-                    vault,
-                    w.start,
-                    series.window_len(),
-                    w.count,
-                    fmt_num(w.mean()),
-                    fmt_num(w.min),
-                    fmt_num(w.max),
-                    fmt_num(w.last),
-                );
-            }
-        }
-        out
-    }
-
     /// Renders the timeline as a Chrome trace-event JSON document.
     pub fn to_chrome_trace(&self) -> String {
         let mut events: Vec<String> = Vec::new();
@@ -165,15 +138,6 @@ mod tests {
         assert!(summary.counter_tracks.contains(&"noc/utilization".to_string()));
         // Vault 0 got a thread_name metadata record alongside the process's.
         assert_eq!(summary.metadata_events, 2);
-    }
-
-    #[test]
-    fn csv_has_one_row_per_window() {
-        let csv = sample_timeline().to_csv();
-        let lines: Vec<&str> = csv.lines().collect();
-        assert_eq!(lines.len(), 4, "header + 3 windows");
-        assert!(lines[0].starts_with("metric,vault,"));
-        assert!(lines[1].starts_with("ldq/l1-occupancy,0,0,10,1,1,"));
     }
 
     #[test]

@@ -9,11 +9,11 @@
 //! same memory as a thousand-cycle one while still preserving exact running
 //! means (window merging adds counts and sums, it never re-averages).
 //!
-//! The collected [`Timeline`] exports to CSV and to Chrome trace-event JSON
-//! that loads directly in [Perfetto](https://ui.perfetto.dev): one counter
-//! track per gauge (grouped per vault) plus duration slices the machine
-//! derives from its event trace. [`sparkline`] renders a one-line terminal
-//! summary of any series.
+//! The collected [`Timeline`] exports to Chrome trace-event JSON that loads
+//! directly in [Perfetto](https://ui.perfetto.dev): one counter track per
+//! gauge (grouped per vault) plus duration slices the machine derives from
+//! its event trace. `Timeline::summary` prints one line per series, and
+//! [`sparkline`] renders a one-line terminal summary of any series.
 //!
 //! The crate deliberately depends only on `spacea-sim` (for the [`Cycle`]
 //! type): any component that can expose an `Fn(&Ctx) -> f64` gauge can be

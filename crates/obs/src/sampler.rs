@@ -164,8 +164,7 @@ pub struct Slice {
 
 /// Everything one observed run collected: gauge series in registration
 /// order plus derived duration slices. Export with
-/// [`Timeline::to_chrome_trace`] / [`Timeline::to_csv`] (see
-/// [`crate::export`]).
+/// [`Timeline::to_chrome_trace`] (see [`crate::export`]).
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct Timeline {
     /// Collected series, in gauge registration order.
@@ -209,7 +208,7 @@ mod tests {
         let tl = s.into_timeline();
         let series = tl.series(&MetricKey::vault("ldq", 0, "occupancy")).unwrap();
         assert_eq!(series.total_count(), 10, "every=100 over 1000 cycles is 10 samples");
-        assert_eq!(series.windows().last().map(|w| w.last), Some(900.0));
+        assert_eq!(series.peak(), 900.0, "the last sample, at cycle 900, is the largest");
         assert_eq!(tl.vaults(), vec![0]);
     }
 

@@ -4,7 +4,7 @@
 //! each. Samples merge into the window covering their cycle; when a new
 //! window would exceed the capacity, adjacent windows are merged pairwise
 //! and the window length doubles. Merging adds counts and sums (and takes
-//! min/max/last), so the series' total count, total sum — and therefore its
+//! the max), so the series' total count, total sum — and therefore its
 //! running mean — are exact at any downsampling level; only the time
 //! resolution degrades.
 
@@ -21,34 +21,26 @@ pub struct Window {
     pub count: u64,
     /// Sum of the merged sample values.
     pub sum: f64,
-    /// Smallest merged value.
-    pub min: f64,
     /// Largest merged value.
     pub max: f64,
-    /// The most recently merged value.
-    pub last: f64,
 }
 
 impl Window {
     fn from_sample(start: Cycle, value: f64) -> Self {
-        Window { start, count: 1, sum: value, min: value, max: value, last: value }
+        Window { start, count: 1, sum: value, max: value }
     }
 
     fn absorb_sample(&mut self, value: f64) {
         self.count += 1;
         self.sum += value;
-        self.min = self.min.min(value);
         self.max = self.max.max(value);
-        self.last = value;
     }
 
     /// Merges a later window into this one (used when downsampling).
     fn absorb_window(&mut self, later: &Window) {
         self.count += later.count;
         self.sum += later.sum;
-        self.min = self.min.min(later.min);
         self.max = self.max.max(later.max);
-        self.last = later.last;
     }
 
     /// Mean of the samples in this window.
@@ -124,11 +116,6 @@ impl Series {
         self.window_len
     }
 
-    /// The configured maximum window count.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.windows.is_empty()
@@ -175,7 +162,6 @@ mod tests {
         assert_eq!(s.windows()[0].count, 2);
         assert_eq!(s.windows()[0].mean(), 2.0);
         assert_eq!(s.windows()[1].start, 10);
-        assert_eq!(s.windows().last().map(|w| w.last), Some(5.0));
         assert_eq!(s.mean(), 3.0);
     }
 
@@ -188,7 +174,6 @@ mod tests {
         }
         assert_eq!(s.total_count(), 1000);
         assert!(s.window_len() >= 256, "1000 samples over 4 windows need len ≥ 256");
-        assert_eq!(s.windows().last().map(|w| w.last), Some(999.0));
         assert_eq!(s.windows().first().map(|w| w.start), Some(0));
         let exact_mean = (0..1000).sum::<u64>() as f64 / 1000.0;
         assert!((s.mean() - exact_mean).abs() < 1e-9);
@@ -217,12 +202,12 @@ mod tests {
             let mut cycle = 0u64;
             let mut exact_sum = 0.0;
             let mut first_cycle = None;
-            let mut last_value = 0.0;
+            let mut max_value = 0.0f64;
             for (gap, value) in &steps {
                 cycle += gap;
                 first_cycle.get_or_insert(cycle);
                 exact_sum += value;
-                last_value = *value;
+                max_value = max_value.max(*value);
                 s.record(cycle, *value);
                 // The sampler's memory bound: never more windows than
                 // configured, no matter how many cycles go by.
@@ -232,13 +217,13 @@ mod tests {
             // the running mean is exact too.
             prop_assert_eq!(s.total_count(), steps.len() as u64);
             prop_assert!((s.total_sum() - exact_sum).abs() <= 1e-6 * exact_sum.abs().max(1.0));
-            // First window still covers the first sample; the last value
+            // First window still covers the first sample; the largest value
             // survives every merge.
             let first = first_cycle.unwrap();
             let first_start = s.windows().first().unwrap().start;
             prop_assert!(first_start <= first);
             prop_assert!(first_start + s.window_len() > first);
-            prop_assert_eq!(s.windows().last().unwrap().last, last_value);
+            prop_assert_eq!(s.peak(), max_value);
             // Windows stay ordered and aligned.
             for w in s.windows().windows(2) {
                 prop_assert!(w[0].start < w[1].start);

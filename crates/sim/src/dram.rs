@@ -48,28 +48,6 @@ pub struct BankCounters {
     pub write_beats: u64,
 }
 
-impl BankCounters {
-    /// Total bytes read, given the beat width.
-    pub fn read_bytes(&self, timing: &DramTiming) -> u64 {
-        self.read_beats * timing.beat_bytes as u64
-    }
-
-    /// Total bytes written, given the beat width.
-    pub fn write_bytes(&self, timing: &DramTiming) -> u64 {
-        self.write_beats * timing.beat_bytes as u64
-    }
-
-    /// Row-buffer hit rate over all accesses.
-    pub fn hit_rate(&self) -> f64 {
-        let total = self.activates + self.row_hits;
-        if total == 0 {
-            0.0
-        } else {
-            self.row_hits as f64 / total as f64
-        }
-    }
-}
-
 /// Timing state of one DRAM bank.
 ///
 /// The bank serializes accesses: [`DramBank::access`] returns the completion
@@ -109,16 +87,6 @@ impl DramBank {
             busy_cycles: 0,
             counters: BankCounters::default(),
         }
-    }
-
-    /// The timing parameters this bank was built with.
-    pub fn timing(&self) -> &DramTiming {
-        &self.timing
-    }
-
-    /// Cycle at which the bank becomes free.
-    pub fn busy_until(&self) -> Cycle {
-        self.busy_until
     }
 
     /// Activity counters accumulated so far.
@@ -240,7 +208,6 @@ mod tests {
         bank.access(0, 0, 64, AccessKind::Write);
         assert_eq!(bank.counters().write_beats, 2);
         assert_eq!(bank.counters().read_beats, 0);
-        assert_eq!(bank.counters().write_bytes(&timing()), 64);
     }
 
     #[test]
@@ -248,14 +215,5 @@ mod tests {
         let mut bank = DramBank::new(timing());
         bank.access(0, 0, 1, AccessKind::Read);
         assert_eq!(bank.counters().read_beats, 1);
-    }
-
-    #[test]
-    fn hit_rate_computation() {
-        let mut c = BankCounters::default();
-        assert_eq!(c.hit_rate(), 0.0);
-        c.activates = 1;
-        c.row_hits = 3;
-        assert!((c.hit_rate() - 0.75).abs() < 1e-12);
     }
 }

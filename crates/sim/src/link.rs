@@ -26,7 +26,6 @@ pub struct Link {
     pipelined: bool,
     busy_until: Cycle,
     bytes_total: u64,
-    transfers: u64,
 }
 
 impl Link {
@@ -39,14 +38,7 @@ impl Link {
     /// Panics if `bytes_per_cycle` is zero.
     pub fn new(latency: Cycle, bytes_per_cycle: usize) -> Self {
         assert!(bytes_per_cycle > 0, "link bandwidth must be positive");
-        Link {
-            latency,
-            bytes_per_cycle,
-            pipelined: true,
-            busy_until: 0,
-            bytes_total: 0,
-            transfers: 0,
-        }
+        Link { latency, bytes_per_cycle, pipelined: true, busy_until: 0, bytes_total: 0 }
     }
 
     /// Creates an idle *bus-style* link: a transfer occupies the link for
@@ -56,40 +48,13 @@ impl Link {
     /// the paper's Figure 9 sees real slowdowns as TSV latency grows.
     pub fn new_bus(latency: Cycle, bytes_per_cycle: usize) -> Self {
         assert!(bytes_per_cycle > 0, "link bandwidth must be positive");
-        Link {
-            latency,
-            bytes_per_cycle,
-            pipelined: false,
-            busy_until: 0,
-            bytes_total: 0,
-            transfers: 0,
-        }
-    }
-
-    /// Fixed per-transfer latency in cycles.
-    pub fn latency(&self) -> Cycle {
-        self.latency
-    }
-
-    /// Bandwidth in bytes per cycle.
-    pub fn bytes_per_cycle(&self) -> usize {
-        self.bytes_per_cycle
+        Link { latency, bytes_per_cycle, pipelined: false, busy_until: 0, bytes_total: 0 }
     }
 
     /// Total bytes moved across the link so far (the paper's TSV traffic
     /// metric).
     pub fn bytes_total(&self) -> u64 {
         self.bytes_total
-    }
-
-    /// Number of transfers performed.
-    pub fn transfers(&self) -> u64 {
-        self.transfers
-    }
-
-    /// Cycle at which the link next becomes free.
-    pub fn busy_until(&self) -> Cycle {
-        self.busy_until
     }
 
     /// Occupies the link for a `bytes`-byte transfer starting no earlier than
@@ -103,7 +68,6 @@ impl Link {
         self.busy_until =
             if self.pipelined { start + ser } else { start + ser + self.latency.div_ceil(2) };
         self.bytes_total += bytes as u64;
-        self.transfers += 1;
         done
     }
 }
@@ -117,7 +81,6 @@ mod tests {
         let mut l = Link::new(3, 16);
         assert_eq!(l.transfer(10, 16), 10 + 3 + 1);
         assert_eq!(l.bytes_total(), 16);
-        assert_eq!(l.transfers(), 1);
     }
 
     #[test]

@@ -33,8 +33,6 @@ pub struct MeshNoc {
     /// (0 = +x, 1 = -x, 2 = +y, 3 = -y).
     links: Vec<Link>,
     byte_hops: u64,
-    packets: u64,
-    bytes: u64,
 }
 
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -56,7 +54,7 @@ impl MeshNoc {
         assert!(width > 0 && height > 0, "mesh dimensions must be positive");
         let links =
             (0..width * height * 4).map(|_| Link::new(hop_latency, bytes_per_cycle)).collect();
-        MeshNoc { width, height, links, byte_hops: 0, packets: 0, bytes: 0 }
+        MeshNoc { width, height, links, byte_hops: 0 }
     }
 
     /// Number of nodes in the mesh.
@@ -64,29 +62,9 @@ impl MeshNoc {
         self.width * self.height
     }
 
-    /// Mesh width.
-    pub fn width(&self) -> usize {
-        self.width
-    }
-
-    /// Mesh height.
-    pub fn height(&self) -> usize {
-        self.height
-    }
-
     /// Accumulated traffic in bytes × hops (the paper's NoC traffic metric).
     pub fn byte_hops(&self) -> u64 {
         self.byte_hops
-    }
-
-    /// Total packets sent.
-    pub fn packets(&self) -> u64 {
-        self.packets
-    }
-
-    /// Total payload bytes sent (each counted once, independent of distance).
-    pub fn bytes(&self) -> u64 {
-        self.bytes
     }
 
     fn coords(&self, node: usize) -> (usize, usize) {
@@ -135,8 +113,6 @@ impl MeshNoc {
         }
         let hops = self.hops(src, dst) as u64;
         self.byte_hops += bytes as u64 * hops;
-        self.bytes += bytes as u64;
-        self.packets += 1;
         t
     }
 }
@@ -160,7 +136,6 @@ mod tests {
         let mut noc = MeshNoc::new(2, 2, 5, 16);
         assert_eq!(noc.send(42, 1, 1, 64), 42);
         assert_eq!(noc.byte_hops(), 0);
-        assert_eq!(noc.packets(), 1);
     }
 
     #[test]
@@ -178,7 +153,6 @@ mod tests {
         let mut noc = MeshNoc::new(4, 4, 1, 16);
         noc.send(0, 0, 15, 32);
         assert_eq!(noc.byte_hops(), 32 * 6);
-        assert_eq!(noc.bytes(), 32);
     }
 
     #[test]

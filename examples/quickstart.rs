@@ -3,7 +3,7 @@
 //! Run: `cargo run --release --example quickstart`
 
 use spacea::arch::HwConfig;
-use spacea::core::{Accelerator, MappingChoice};
+use spacea::core::Accelerator;
 use spacea::matrix::gen::{banded, BandedConfig};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
@@ -21,7 +21,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             product_bgs_per_vault: 7,
             banks_per_bg: 2,
         }))
-        .mapping(MappingChoice::Proposed)
+        .mapping(spacea::mapping::MapKind::Proposed)
         .build()?;
 
     let run = accel.spmv(&a, &x)?;

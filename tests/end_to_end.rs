@@ -3,9 +3,10 @@
 //! across matrices, mappings and machine shapes.
 
 use spacea::arch::{HwConfig, Machine, RunSpec};
-use spacea::core::{Accelerator, MappingChoice};
-use spacea::mapping::{LocalityMapping, MachineShape, MappingStrategy, NaiveMapping};
+use spacea::core::Accelerator;
+use spacea::mapping::{LocalityMapping, MachineShape, MapKind, MappingStrategy, NaiveMapping};
 use spacea::matrix::suite;
+use spacea::model::EnergyParams;
 
 fn x_for(n: usize) -> Vec<f64> {
     (0..n).map(|i| 0.5 + (i % 11) as f64 * 0.3).collect()
@@ -83,14 +84,11 @@ fn accelerator_energy_consistent_with_report() {
     let entry = suite::entry_by_name("rma10").expect("known matrix");
     let a = entry.generate(512);
     let x = x_for(a.cols());
-    let accel = Accelerator::builder()
-        .hw_config(HwConfig::tiny())
-        .mapping(MappingChoice::Naive { seed: 1 })
-        .build()
-        .unwrap();
+    let accel =
+        Accelerator::builder().hw_config(HwConfig::tiny()).mapping(MapKind::Naive).build().unwrap();
     let run = accel.spmv(&a, &x).unwrap();
     // Re-pricing the activity must reproduce the breakdown exactly.
-    let again = accel.energy_params().breakdown(&run.report.activity, &accel.static_config());
+    let again = EnergyParams::default().breakdown(&run.report.activity, &accel.static_config());
     assert_eq!(run.energy, again);
     assert!(run.energy.total_j() > 0.0);
     assert!(run.energy.static_j > 0.0);

@@ -2,9 +2,9 @@
 //! produce typed errors, never wrong answers or panics across the public API.
 
 use spacea::arch::{HwConfig, Machine, RunSpec, SimError};
-use spacea::core::{Accelerator, MappingChoice};
+use spacea::core::Accelerator;
 use spacea::mapping::{
-    LocalityMapping, MachineShape, Mapping, MappingStrategy, Placement, RowAssignment,
+    LocalityMapping, MachineShape, MapKind, Mapping, MappingStrategy, Placement, RowAssignment,
 };
 use spacea::matrix::gen::{banded, BandedConfig};
 use spacea::matrix::{mmio, Csr, MatrixError};
@@ -100,11 +100,8 @@ fn corrupted_matrix_market_streams_are_typed_errors() {
 #[test]
 fn accelerator_propagates_dimension_errors() {
     let a = small();
-    let accel = Accelerator::builder()
-        .hw_config(HwConfig::tiny())
-        .mapping(MappingChoice::Naive { seed: 1 })
-        .build()
-        .unwrap();
+    let accel =
+        Accelerator::builder().hw_config(HwConfig::tiny()).mapping(MapKind::Naive).build().unwrap();
     let err = accel.spmv(&a, &[1.0; 5]).unwrap_err();
     assert!(matches!(err, SimError::DimensionMismatch { expected: 96, actual: 5 }));
 }
