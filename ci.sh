@@ -63,6 +63,12 @@ done
 cargo run --release -p spacea-bench --bin run_mtx -- crates/matrix/tests/fixtures/bar5.mtx \
   --quick --cache-dir "$SMOKE_CACHE" > target/smoke-run_mtx.txt
 test -s target/smoke-run_mtx.txt
+# The timeline binary's run mode: it observes one simulation, prints its
+# series summary and writes a trace that its own --validate accepts.
+cargo run --release -p spacea-bench --bin timeline -- --quick --id 1 \
+  --out target/timeline-run.json --cache-dir "$SMOKE_CACHE" > target/smoke-timeline.txt
+test -s target/smoke-timeline.txt
+cargo run --release -p spacea-bench --bin timeline -- --validate target/timeline-run.json
 
 # The six examples: `cargo test` only compiles them, so run each once; a
 # non-zero exit fails the script.
@@ -206,6 +212,10 @@ grep -q "timed-out" target/sweep-faults.csv
 grep -q "failed" target/sweep-faults.csv
 grep -q '"status":"timed-out"' "$FAULT_CACHE/last-run.json"
 grep -q "vault 0" "$FAULT_CACHE/last-run.json"
+# The stalled point's whole diagnosis line, pinned: a change to the stall
+# window or to what a diagnosis reports shows here.
+grep -qF "livelock: no retirement in 1000000 cycles — cycle 1000644: 5148 entries + 173 Y partials outstanding, 93 events pending; suspect vault 0 (L1-LDQ 71, L2-LDQ 13, PE in-flight 553); occupancy history over 18 samples: peak 637, latest 637" \
+  "$FAULT_CACHE/last-run.json"
 # Each job runs once, failed ones included: three jobs, three simulations.
 grep -q '"simulations":{"run":3,"reused":0}' "$FAULT_CACHE/last-run.json"
 

@@ -3,14 +3,14 @@
 //! [`HwConfig`] holds what an experiment varies: the machine shape (the
 //! Figure 10 cube count and the presets), the CAM geometries (Figure 7), the
 //! TSV latency and width (Figure 9 and the HBM preset), load-queue
-//! deduplication (the ablation), the fault plan and the watchdog. Every other
-//! component parameter is fixed, and defined here once as a constant with
-//! its paper source.
+//! deduplication (the ablation) and the fault plan. Every other component
+//! parameter is fixed, and defined here once as a constant with its paper
+//! source (or, for the stall window, its reason).
 
 use spacea_mapping::MachineShape;
 use spacea_sim::cam::{CamConfig, MAX_WAYS};
 use spacea_sim::dram::DramTiming;
-use spacea_sim::fault::{FaultPlan, WatchdogConfig};
+use spacea_sim::fault::FaultPlan;
 use spacea_sim::Cycle;
 
 /// DRAM bank timing of the HMC-like stack (Sections II-C and V-A, and the
@@ -75,6 +75,13 @@ pub const L2_CAM_LATENCY: Cycle = 4;
 /// Section V-A), cycles.
 pub const FPU_LATENCY: Cycle = 4;
 
+/// The run loop's stall window, cycles: a run with work outstanding that
+/// retires nothing (no matrix entry consumed, no Y element written back)
+/// for this long is a livelock. Healthy runs retire continuously, so the
+/// window never fires on them; the occupancy history behind a livelock's
+/// diagnosis samples every `STALL_WINDOW / 16` cycles.
+pub const STALL_WINDOW: Cycle = 1_000_000;
+
 /// The varied part of a SpaceA machine's configuration.
 ///
 /// Defaults follow the paper's HMC-like configuration; [`HwConfig::scaled`]
@@ -101,8 +108,6 @@ pub struct HwConfig {
     /// Deterministic fault-injection plan (empty by default; used to prove
     /// the robustness layer fails loudly).
     pub faults: FaultPlan,
-    /// Forward-progress watchdog budgets for the run loop.
-    pub watchdog: WatchdogConfig,
 }
 
 impl HwConfig {
@@ -194,7 +199,6 @@ impl HwConfig {
             tsv_bytes_per_cycle: 16,
             ldq_dedup: true,
             faults: FaultPlan::default(),
-            watchdog: WatchdogConfig::default(),
         }
     }
 

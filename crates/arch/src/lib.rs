@@ -49,13 +49,11 @@ pub mod trace;
 pub use config::{
     HwConfig, BLOCK_BYTES, DRAM_TIMING, FPU_LATENCY, L1_CAM_LATENCY, L1_LDQ_ENTRIES,
     L2_CAM_LATENCY, L2_LDQ_ENTRIES, L_P, NNZ_PER_DRAM_ROW, NOC_BYTES_PER_CYCLE, NOC_HOP_LATENCY,
-    PE_QUEUE_ROWS, SERDES_BYTES_PER_CYCLE, SERDES_HOP_LATENCY, UPDATE_BUFFER_ROWS,
+    PE_QUEUE_ROWS, SERDES_BYTES_PER_CYCLE, SERDES_HOP_LATENCY, STALL_WINDOW, UPDATE_BUFFER_ROWS,
 };
 pub use layout::{DataLayout, SlotId};
 pub use machine::{Machine, RunOutput, RunSpec, SimError};
 pub use report::SimReport;
 pub use spacea_sim::fault;
-pub use spacea_sim::fault::{
-    FaultPlan, OccupancyHistory, OccupancySample, StallDiagnosis, VaultOccupancy, WatchdogConfig,
-};
+pub use spacea_sim::fault::{FaultPlan, OccupancyHistory, OccupancySample, StallDiagnosis};
 pub use trace::{timeline_slices, TraceEvent, TraceRecord};

@@ -7,23 +7,15 @@ use spacea_model::ActivitySummary;
 pub struct SimReport {
     /// Execution time in cycles (1 GHz clock).
     pub cycles: u64,
-    /// Execution time in seconds.
-    pub seconds: f64,
-    /// Aggregated component activity (input to the energy model).
+    /// Aggregated component activity (input to the energy model). Its
+    /// `tsv_bytes` and `noc_byte_hops` are Figure 6(d)'s TSV and NoC
+    /// traffic, and `l2_cam.hit_rate()` is the L2 CAM hit rate over all
+    /// vault controllers (Figure 6(c)).
     pub activity: ActivitySummary,
     /// L1 CAM hit rate over all product bank groups (Figure 6(b)).
     pub l1_hit_rate: f64,
-    /// L2 CAM hit rate over all vault controllers (Figure 6(c)).
-    pub l2_hit_rate: f64,
-    /// Bytes moved over TSVs (Figure 6(d)'s TSV traffic metric).
-    pub tsv_bytes: u64,
-    /// NoC traffic in bytes × hops (Figure 6(d)'s NoC traffic metric).
-    pub noc_byte_hops: u64,
     /// Per-PE processed non-zero counts.
     pub pe_work: Vec<u64>,
-    /// The paper's normalized workload: mean PE work / max PE work
-    /// (Figure 6(a)).
-    pub normalized_workload: f64,
     /// Mean fraction of cycles Product-PEs spent actively scanning (the
     /// complement is idle/stalled time — the paper's Figure 8 discussion
     /// notes "DRAM banks and PEs are idle in most of the cycles" for the
@@ -50,15 +42,26 @@ pub struct SimReport {
 }
 
 impl SimReport {
-    /// Computes the normalized workload from a work vector.
-    pub fn normalized_workload_of(work: &[u64]) -> f64 {
-        let max = work.iter().copied().max().unwrap_or(0);
-        if max == 0 {
-            return 1.0;
-        }
-        let mean = work.iter().sum::<u64>() as f64 / work.len() as f64;
-        mean / max as f64
+    /// Execution time in seconds (1 GHz clock).
+    pub fn seconds(&self) -> f64 {
+        self.cycles as f64 * 1e-9
     }
+
+    /// The paper's normalized workload: mean PE work / max PE work
+    /// (Figure 6(a)).
+    pub fn normalized_workload(&self) -> f64 {
+        normalized_workload_of(&self.pe_work)
+    }
+}
+
+/// Mean over max of a work vector; 1 when no PE did any work.
+fn normalized_workload_of(work: &[u64]) -> f64 {
+    let max = work.iter().copied().max().unwrap_or(0);
+    if max == 0 {
+        return 1.0;
+    }
+    let mean = work.iter().sum::<u64>() as f64 / work.len() as f64;
+    mean / max as f64
 }
 
 #[cfg(test)]
@@ -67,18 +70,18 @@ mod tests {
 
     #[test]
     fn normalized_workload_balanced() {
-        assert!((SimReport::normalized_workload_of(&[5, 5, 5]) - 1.0).abs() < 1e-12);
+        assert!((normalized_workload_of(&[5, 5, 5]) - 1.0).abs() < 1e-12);
     }
 
     #[test]
     fn normalized_workload_skewed() {
         // mean 4, max 8 → 0.5
-        assert!((SimReport::normalized_workload_of(&[8, 4, 0]) - 0.5).abs() < 1e-12);
+        assert!((normalized_workload_of(&[8, 4, 0]) - 0.5).abs() < 1e-12);
     }
 
     #[test]
     fn normalized_workload_empty() {
-        assert_eq!(SimReport::normalized_workload_of(&[]), 1.0);
-        assert_eq!(SimReport::normalized_workload_of(&[0, 0]), 1.0);
+        assert_eq!(normalized_workload_of(&[]), 1.0);
+        assert_eq!(normalized_workload_of(&[0, 0]), 1.0);
     }
 }

@@ -236,15 +236,13 @@ impl SpaceaBackend {
         check_dims(spec)?;
         let mapping = spec.mapping.ok_or("the spacea backend requires a mapping")?;
         let report = simulate(mapping)?;
-        let effective_bw = if report.seconds > 0.0 {
-            (spec.a.nnz() as u64 * NNZ_BYTES) as f64 / report.seconds
-        } else {
-            0.0
-        };
+        let time_s = report.seconds();
+        let effective_bw =
+            if time_s > 0.0 { (spec.a.nnz() as u64 * NNZ_BYTES) as f64 / time_s } else { 0.0 };
         Ok(ScenarioRun {
             y: report.output.clone(),
             cycles: report.cycles,
-            time_s: report.seconds,
+            time_s,
             stream_bytes: spec.format.bytes() as u64,
             effective_bw,
             bytes_per_nnz: spec.format.bytes_per_nnz(),

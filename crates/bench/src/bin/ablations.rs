@@ -65,7 +65,7 @@ fn main() {
     for &id in &ids {
         let r = cache.sim_with(id, MapKind::Proposed, &base_hw);
         base_cycles.push(r.cycles as f64);
-        base_tsv.push(r.tsv_bytes.max(1) as f64);
+        base_tsv.push(r.activity.tsv_bytes.max(1) as f64);
     }
     for (name, hw, kind) in &variants {
         let mut slowdowns = Vec::new();
@@ -73,7 +73,7 @@ fn main() {
         for (k, &id) in ids.iter().enumerate() {
             let r = cache.sim_with(id, *kind, hw);
             slowdowns.push(r.cycles as f64 / base_cycles[k]);
-            tsv_ratios.push(r.tsv_bytes.max(1) as f64 / base_tsv[k]);
+            tsv_ratios.push(r.activity.tsv_bytes.max(1) as f64 / base_tsv[k]);
         }
         table.push_row(vec![
             name.to_string(),
@@ -99,7 +99,7 @@ fn main() {
                     std::process::exit(1)
                 });
             slowdowns.push(r.cycles as f64 / base_cycles[k]);
-            tsv_ratios.push(r.tsv_bytes.max(1) as f64 / base_tsv[k]);
+            tsv_ratios.push(r.activity.tsv_bytes.max(1) as f64 / base_tsv[k]);
         }
         table.push_row(vec![
             "chunked-mapping".into(),

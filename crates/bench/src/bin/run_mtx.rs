@@ -50,11 +50,11 @@ fn main() {
             Ok(r) => table.push_row(vec![
                 name.into(),
                 r.cycles.to_string(),
-                fmt(r.seconds * 1e6, 2),
+                fmt(r.seconds() * 1e6, 2),
                 pct(r.l1_hit_rate),
-                pct(r.l2_hit_rate),
-                r.tsv_bytes.to_string(),
-                fmt(r.normalized_workload, 3),
+                pct(r.activity.l2_cam.hit_rate()),
+                r.activity.tsv_bytes.to_string(),
+                fmt(r.normalized_workload(), 3),
             ]),
             Err(e) => {
                 eprintln!("simulation failed: {e}");

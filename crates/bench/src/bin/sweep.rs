@@ -158,7 +158,7 @@ fn sweep_table(session: &HarnessSession, points: &[SweepPoint], records: &[JobRe
             Some((JobResult::Sim(r), _)) if matches!(p.job, JobSpec::Sim { .. }) => {
                 row.extend([
                     r.cycles.to_string(),
-                    fmt(r.seconds * 1e6, 2),
+                    fmt(r.seconds() * 1e6, 2),
                     pct(r.pe_busy_fraction),
                     pct(r.l1_hit_rate),
                 ]);

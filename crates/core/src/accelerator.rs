@@ -114,7 +114,11 @@ impl Accelerator {
     /// Propagates any [`SimError`] from the simulation.
     pub fn spmv_mapped(&self, a: &Csr, x: &[f64], mapping: &Mapping) -> Result<AccelRun, SimError> {
         let report = self.machine.run(RunSpec::spmv(a, x, mapping))?.into_report();
-        let energy = EnergyParams::default().breakdown(&report.activity, &self.static_config());
+        let energy = EnergyParams::default().breakdown(
+            &report.activity,
+            report.cycles,
+            &self.static_config(),
+        );
         Ok(AccelRun { report, energy })
     }
 

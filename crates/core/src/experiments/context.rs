@@ -335,14 +335,14 @@ impl SuiteCache {
     pub fn energy(&mut self, id: u8, kind: MapKind) -> EnergyBreakdown {
         let report = self.sim(id, kind);
         let sc = ExpConfig::static_config_for(&self.cfg.hw.shape);
-        self.cfg.energy.breakdown(&report.activity, &sc)
+        self.cfg.energy.breakdown(&report.activity, report.cycles, &sc)
     }
 
     /// Speedup of SpaceA (with `kind` mapping) over the GPU baseline.
     pub fn speedup(&mut self, id: u8, kind: MapKind) -> f64 {
         let gpu = self.gpu(id);
         let sim = self.sim(id, kind);
-        gpu.time_s / sim.seconds
+        gpu.time_s / sim.seconds()
     }
 
     /// Energy saving of SpaceA over the GPU baseline (fraction in `[0, 1)`

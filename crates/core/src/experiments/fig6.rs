@@ -43,29 +43,32 @@ pub fn run(cache: &mut SuiteCache) -> ExpOutput {
     for entry in suite::entries() {
         let rn = cache.sim(entry.id, MapKind::Naive);
         let rp = cache.sim(entry.id, MapKind::Proposed);
-        let tsv = rp.tsv_bytes as f64 / rn.tsv_bytes.max(1) as f64;
-        let noc = if rn.noc_byte_hops == 0 {
+        let (an, ap) = (&rn.activity, &rp.activity);
+        let tsv = ap.tsv_bytes as f64 / an.tsv_bytes.max(1) as f64;
+        let noc = if an.noc_byte_hops == 0 {
             1.0
         } else {
-            rp.noc_byte_hops as f64 / rn.noc_byte_hops as f64
+            ap.noc_byte_hops as f64 / an.noc_byte_hops as f64
         };
+        let (wn, wp) = (rn.normalized_workload(), rp.normalized_workload());
+        let (l2n, l2p) = (an.l2_cam.hit_rate(), ap.l2_cam.hit_rate());
         table.push_row(vec![
             entry.id.to_string(),
             entry.name.to_string(),
-            fmt(rn.normalized_workload, 3),
-            fmt(rp.normalized_workload, 3),
+            fmt(wn, 3),
+            fmt(wp, 3),
             pct(rn.l1_hit_rate),
             pct(rp.l1_hit_rate),
-            pct(rn.l2_hit_rate),
-            pct(rp.l2_hit_rate),
+            pct(l2n),
+            pct(l2p),
             fmt(tsv, 3),
             fmt(noc, 3),
         ]);
-        wl_ratio.push(rn.normalized_workload / rp.normalized_workload.max(1e-12));
+        wl_ratio.push(wn / wp.max(1e-12));
         l1_n.push(rn.l1_hit_rate);
         l1_p.push(rp.l1_hit_rate);
-        l2_n.push(rn.l2_hit_rate);
-        l2_p.push(rp.l2_hit_rate);
+        l2_n.push(l2n);
+        l2_p.push(l2p);
         tsv_ratio.push(tsv);
         noc_ratio.push(noc);
     }

@@ -103,7 +103,7 @@ fn mean_speedup(
     for id in ids {
         let gpu = cache.gpu(id);
         let sim = cache.sim_with(id, kind, &hw);
-        speedups.push(gpu.time_s / sim.seconds);
+        speedups.push(gpu.time_s / sim.seconds());
     }
     geo_mean(&speedups)
 }

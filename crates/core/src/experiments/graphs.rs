@@ -82,7 +82,7 @@ pub fn rows(cache: &mut SuiteCache) -> Vec<WorkloadRow> {
                 _ => sssp(&adj, 0).iterations,
             };
             let src = MatrixSource::Graph { graph, scale, operand };
-            let sweep_seconds = cache.sim_source(&src, MapKind::Proposed).seconds;
+            let sweep_seconds = cache.sim_source(&src, MapKind::Proposed).seconds();
             out.push(WorkloadRow { workload, graph: graph.label(), iterations, sweep_seconds });
         }
     }

@@ -67,7 +67,7 @@ pub fn rows(cache: &mut SuiteCache) -> Vec<CaseStudyRow> {
         // PageRank: every iteration is one full SpMV on both platforms.
         let pr = pagerank(&a, &PageRankConfig::default());
         let pr_src = operand_source(cache, graph, GraphOperand::PageRank);
-        let spacea_iter = cache.sim_source(&pr_src, MapKind::Proposed).seconds;
+        let spacea_iter = cache.sim_source(&pr_src, MapKind::Proposed).seconds();
         let spacea_pr = spacea_iter * pr.iterations as f64;
         let cpu_pr = model_full_sweeps(&cpu, &a, pr.iterations).time_s;
         out.push(make_row(GraphWorkload::PageRank, dataset, cpu_pr / spacea_pr));
@@ -77,7 +77,7 @@ pub fn rows(cache: &mut SuiteCache) -> Vec<CaseStudyRow> {
         // relaxation sweeps run at its lower irregular-access efficiency.
         let ss = sssp(&a, 0);
         let at_src = operand_source(cache, graph, GraphOperand::Transpose);
-        let spacea_sweep = cache.sim_source(&at_src, MapKind::Proposed).seconds;
+        let spacea_sweep = cache.sim_source(&at_src, MapKind::Proposed).seconds();
         let spacea_ss = spacea_sweep * ss.iterations as f64;
         let cpu_sssp_spec =
             spacea_gpu::spec::Dgx1CpuSpec { bw_efficiency: cpu.sssp_efficiency, ..cpu };

@@ -12,7 +12,6 @@
 
 use crate::accelerator::{AccelRun, Accelerator};
 use spacea_arch::SimError;
-use spacea_mapping::Mapping;
 use spacea_matrix::Csr;
 
 /// A PCIe interconnect model for host ↔ accelerator transfers.
@@ -90,25 +89,7 @@ pub fn offload_spmv(
     let t0 = std::time::Instant::now();
     let mapping = accel.map(a);
     let preprocess_s = t0.elapsed().as_secs_f64();
-    offload_spmv_mapped(accel, pcie, a, x, &mapping, preprocess_s)
-}
-
-/// The same pipeline with a precomputed mapping and an externally measured
-/// preprocessing time (lets callers amortize mapping across experiments
-/// without re-measuring).
-///
-/// # Errors
-///
-/// Propagates simulation errors from the device run.
-pub fn offload_spmv_mapped(
-    accel: &Accelerator,
-    pcie: &PcieModel,
-    a: &Csr,
-    x: &[f64],
-    mapping: &Mapping,
-    preprocess_s: f64,
-) -> Result<OffloadReport, SimError> {
-    let run = accel.spmv_mapped(a, x, mapping)?;
+    let run = accel.spmv_mapped(a, x, &mapping)?;
     // The device image of the matrix: packed DRAM rows (4 B header + 12 B
     // per non-zero, padded to row granularity) — slightly larger than CSR.
     let matrix_bytes = a.csr_bytes() + a.rows() * 4;
@@ -116,7 +97,7 @@ pub fn offload_spmv_mapped(
     Ok(OffloadReport {
         preprocess_s,
         transfer_in_s: pcie.transfer_s(matrix_bytes + vec_bytes),
-        iteration_s: run.report.seconds,
+        iteration_s: run.report.seconds(),
         transfer_out_s: pcie.transfer_s(a.rows() * 8),
         run,
     })

@@ -124,7 +124,7 @@ pub fn jacobi(
     while iterations < max_iterations {
         iterations += 1;
         let run = accel.spmv_mapped(&r, &x, &mapping)?;
-        device_seconds += run.report.seconds;
+        device_seconds += run.report.seconds();
         device_energy += run.energy.total_j();
         let mut delta = 0.0f64;
         for i in 0..n {
@@ -170,7 +170,7 @@ pub fn power_iteration(
     while iterations < max_iterations {
         iterations += 1;
         let run = accel.spmv_mapped(a, &x, &mapping)?;
-        device_seconds += run.report.seconds;
+        device_seconds += run.report.seconds();
         device_energy += run.energy.total_j();
         let y = run.report.output;
         let norm = y.iter().map(|v| v * v).sum::<f64>().sqrt();

@@ -22,7 +22,6 @@ pub struct CacheSim {
     ways: usize,
     line_bytes: usize,
     tick: u64,
-    hits: u64,
     misses: u64,
 }
 
@@ -46,7 +45,6 @@ impl CacheSim {
             ways,
             line_bytes,
             tick: 0,
-            hits: 0,
             misses: 0,
         }
     }
@@ -60,7 +58,6 @@ impl CacheSim {
         let set = &mut self.sets[set_ix];
         if let Some(way) = set.iter_mut().find(|(t, _)| *t == tag) {
             way.1 = self.tick;
-            self.hits += 1;
             return true;
         }
         self.misses += 1;
@@ -72,16 +69,6 @@ impl CacheSim {
             _ => set.push((tag, self.tick)),
         }
         false
-    }
-
-    /// Hits so far.
-    pub fn hits(&self) -> u64 {
-        self.hits
-    }
-
-    /// Misses so far.
-    pub fn misses(&self) -> u64 {
-        self.misses
     }
 
     /// Miss traffic in bytes (misses × line size).
@@ -101,8 +88,7 @@ mod tests {
         assert!(c.access(101)); // same line
         assert!(c.access(96)); // still line 3 (96..128)
         assert!(!c.access(31)); // line 0: cold miss
-        assert_eq!(c.hits(), 2);
-        assert_eq!(c.misses(), 2);
+        assert_eq!(c.miss_bytes(), 2 * 32);
     }
 
     #[test]
@@ -112,7 +98,7 @@ mod tests {
         assert!(!c.access(0));
         assert!(!c.access(64)); // same set (line 2 % 2 = 0), evicts line 0
         assert!(!c.access(0)); // thrashed
-        assert_eq!(c.misses(), 3);
+        assert_eq!(c.miss_bytes(), 3 * 32);
     }
 
     #[test]

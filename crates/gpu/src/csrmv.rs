@@ -12,8 +12,8 @@
 //!   bursts (the reason the paper's matrices 12–14 utilize the DRAM poorly).
 //!
 //! The model reports the same metrics the paper profiles in Figure 2: DRAM
-//! read throughput, effective read throughput (`nnz`·12 B / time), achieved
-//! GFLOPs and ALU utilization.
+//! read throughput, effective read throughput (`nnz`·12 B / time) and ALU
+//! utilization (achieved over peak GFLOPs).
 
 use crate::cache::CacheSim;
 use crate::spec::TitanXpSpec;
@@ -26,24 +26,19 @@ pub struct GpuRun {
     pub time_s: f64,
     /// Total DRAM traffic in bytes (reads + writes).
     pub dram_bytes: u64,
-    /// DRAM *read* traffic in bytes.
-    pub dram_read_bytes: u64,
     /// DRAM read throughput in bytes/s (Figure 2's orange bars).
     pub dram_read_throughput: f64,
     /// Effective read throughput: `nnz × 12 B / time` (Figure 2's blue bars).
     pub effective_read_throughput: f64,
     /// DRAM bandwidth utilization (read throughput / peak).
     pub bw_utilization: f64,
-    /// Achieved GFLOP/s, computed as `nnz / time` per the paper.
-    pub gflops: f64,
-    /// ALU utilization: achieved over peak fp64 GFLOPs.
+    /// ALU utilization: achieved over peak fp64 GFLOPs, the achieved rate
+    /// being `nnz / time` per the paper.
     pub alu_utilization: f64,
     /// Modelled energy in joules.
     pub energy_j: f64,
     /// The bandwidth efficiency factor applied (for tests and ablation).
     pub bw_efficiency: f64,
-    /// L2 hit rate on input-vector gathers.
-    pub x_l2_hit_rate: f64,
 }
 
 /// Bytes per non-zero in the effective-throughput metric (4 B column index +
@@ -94,19 +89,15 @@ pub fn simulate_csrmv(spec: &TitanXpSpec, a: &Csr) -> GpuRun {
         + spec.alu_power_w * alu_utilization.min(1.0);
     let energy_j = power * time_s;
 
-    let x_accesses = l2.hits() + l2.misses();
     GpuRun {
         time_s,
         dram_bytes,
-        dram_read_bytes: read_bytes,
         dram_read_throughput,
         effective_read_throughput,
         bw_utilization,
-        gflops,
         alu_utilization,
         energy_j,
         bw_efficiency: eff,
-        x_l2_hit_rate: if x_accesses == 0 { 0.0 } else { l2.hits() as f64 / x_accesses as f64 },
     }
 }
 

@@ -47,10 +47,10 @@ pub fn input_vector(n: usize) -> Vec<f64> {
 type Memo<K, V> = Mutex<HashMap<K, Arc<OnceLock<Arc<V>>>>>;
 
 /// What decides an unobserved single-vector run of [`input_vector`]: the
-/// operand, the mapping's *content* and the whole machine. That includes
-/// the watchdog budgets, which the job key leaves out on purpose: a budget
-/// cannot change a successful result, but it decides whether a run
-/// succeeds, so a run may only be lent to a job with the same budgets.
+/// operand, the mapping's *content* and the whole machine, fault plan
+/// included — the inputs a sim job's key hashes, with the mapping's content
+/// in place of its kind, so a run is only lent to a job that would run the
+/// same simulation to the same outcome.
 type RunKey = (MatrixSource, Arc<Mapping>, HwConfig);
 
 /// One run's memo slot, filled only by a successful run: a failed run
@@ -233,10 +233,10 @@ impl JobCtx {
 /// Why executing a job produced no result.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ExecFailure {
-    /// The job hung — the sim watchdog tripped (deadlock, livelock, or
-    /// cycle budget).
+    /// The job hung: the simulation deadlocked, or nothing retired for
+    /// [`spacea_arch::STALL_WINDOW`] cycles (a livelock).
     Hang {
-        /// The watchdog's diagnosis.
+        /// The hang's stall diagnosis.
         diagnosis: String,
     },
     /// The job failed with an error or a panic.
@@ -755,12 +755,11 @@ mod tests {
         let dir = std::env::temp_dir().join(format!("spacea-exec-obs-{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let cfg = TimelineConfig::new(&dir);
-        // Two healthy jobs and one whose vault 0 wedges at cycle 100, with a
-        // stall window short enough that the watchdog trips quickly.
+        // Two healthy jobs and one whose vault 0 wedges at cycle 100, which
+        // trips the stall window.
         let mut stalled = quick_sim(1);
         if let JobSpec::Sim { hw, .. } = &mut stalled {
             hw.faults.stall_vault = Some((0, 100));
-            hw.watchdog.stall_window = Some(20_000);
         }
         let jobs = vec![quick_sim(1), quick_sim(2), stalled];
         let ok = &jobs[..2];

@@ -352,35 +352,34 @@ impl Default for Fnv {
 // The feed_* functions below enumerate every public field of the hashed
 // configuration structs. If a field is added there without being folded in
 // here, stale cache entries would be served for configurations that differ
-// in the new field; `every_settable_hw_value_reaches_the_key` changes each
-// settable `HwConfig` value and guards this for the machine.
+// in the new field. For the machine, `feed_hw` destructures `HwConfig`, so
+// a new field does not compile until it is hashed, and
+// `every_settable_hw_value_reaches_the_key` changes each settable value.
 
 fn feed_hw(h: &mut Fnv, hw: &HwConfig) {
-    let s = &hw.shape;
-    h.usize(s.cubes);
-    h.usize(s.vaults_per_cube);
-    h.usize(s.product_bgs_per_vault);
-    h.usize(s.banks_per_bg);
-    for cam in [&hw.l1_cam, &hw.l2_cam] {
+    let HwConfig { shape, l1_cam, l2_cam, tsv_latency, tsv_bytes_per_cycle, ldq_dedup, faults } =
+        hw;
+    h.usize(shape.cubes);
+    h.usize(shape.vaults_per_cube);
+    h.usize(shape.product_bgs_per_vault);
+    h.usize(shape.banks_per_bg);
+    for cam in [l1_cam, l2_cam] {
         h.usize(cam.sets);
         h.usize(cam.ways);
     }
-    h.u64(hw.tsv_latency);
-    h.usize(hw.tsv_bytes_per_cycle);
-    h.bool(hw.ldq_dedup);
+    h.u64(*tsv_latency);
+    h.usize(*tsv_bytes_per_cycle);
+    h.bool(*ldq_dedup);
     // An injected fault changes what the run produces, so it is part of the
     // job identity — but only when one is set, so every fault-free key (the
-    // entire pre-existing cache population) is preserved. The watchdog
-    // budgets are deliberately NOT hashed: they cannot change a successful
-    // result (failures are never cached), so hashing them would only split
-    // the cache.
-    if !hw.faults.is_empty() {
+    // entire pre-existing cache population) is preserved.
+    if !faults.is_empty() {
         h.str("faults");
-        feed_opt_u64(h, hw.faults.drop_noc_packet);
-        feed_opt_pair(h, hw.faults.delay_noc);
-        feed_opt_pair(h, hw.faults.stall_vault.map(|(v, t)| (v as u64, t)));
-        feed_opt_u64(h, hw.faults.flip_accum_update);
-        h.bool(hw.faults.panic_on_run);
+        feed_opt_u64(h, faults.drop_noc_packet);
+        feed_opt_pair(h, faults.delay_noc);
+        feed_opt_pair(h, faults.stall_vault.map(|(v, t)| (v as u64, t)));
+        feed_opt_u64(h, faults.flip_accum_update);
+        h.bool(faults.panic_on_run);
     }
 }
 
@@ -542,13 +541,6 @@ mod tests {
                 panic!("changing the {what} keys the job like {clash}");
             }
         }
-        // The watchdog budgets cannot change a successful result (failures
-        // are never cached), so they must not split the cache.
-        let mut hw = base.clone();
-        hw.watchdog.stall_window = Some(123);
-        assert_eq!(key_of(&hw), key_of(&base), "the stall window must not change the key");
-        hw.watchdog.max_cycles = Some(9);
-        assert_eq!(key_of(&hw), key_of(&base), "the cycle budget must not change the key");
     }
 
     #[test]

@@ -66,9 +66,9 @@ pub use sweep::{dedup_points, shard_range, SweepBase, SweepPoint, SweepSpec};
 pub use telemetry::{JobRecord, JobStatus, RunManifest};
 pub use timeline::TimelineConfig;
 
-// Fault-injection and watchdog knobs, re-exported so harness users (the
-// sweep binary, tests) need not depend on the arch crate directly.
-pub use spacea_arch::{FaultPlan, StallDiagnosis, WatchdogConfig};
+// The fault-injection plan, re-exported so harness users (the sweep binary)
+// need not depend on the arch crate directly.
+pub use spacea_arch::FaultPlan;
 
 /// The default on-disk cache location, relative to the workspace root.
 pub const DEFAULT_CACHE_DIR: &str = "target/spacea-cache";

@@ -539,15 +539,12 @@ fn encode_gpu(r: &GpuRun) -> Json {
     Json::obj(vec![
         ("time_s", Json::f64_bits(r.time_s)),
         ("dram_bytes", Json::U64(r.dram_bytes)),
-        ("dram_read_bytes", Json::U64(r.dram_read_bytes)),
         ("dram_read_throughput", Json::f64_bits(r.dram_read_throughput)),
         ("effective_read_throughput", Json::f64_bits(r.effective_read_throughput)),
         ("bw_utilization", Json::f64_bits(r.bw_utilization)),
-        ("gflops", Json::f64_bits(r.gflops)),
         ("alu_utilization", Json::f64_bits(r.alu_utilization)),
         ("energy_j", Json::f64_bits(r.energy_j)),
         ("bw_efficiency", Json::f64_bits(r.bw_efficiency)),
-        ("x_l2_hit_rate", Json::f64_bits(r.x_l2_hit_rate)),
     ])
 }
 
@@ -563,29 +560,21 @@ fn decode_gpu(v: &Json) -> Result<GpuRun, String> {
     Ok(GpuRun {
         time_s: f64_field(v, "time_s")?,
         dram_bytes: u64_field(v, "dram_bytes")?,
-        dram_read_bytes: u64_field(v, "dram_read_bytes")?,
         dram_read_throughput: f64_field(v, "dram_read_throughput")?,
         effective_read_throughput: f64_field(v, "effective_read_throughput")?,
         bw_utilization: f64_field(v, "bw_utilization")?,
-        gflops: f64_field(v, "gflops")?,
         alu_utilization: f64_field(v, "alu_utilization")?,
         energy_j: f64_field(v, "energy_j")?,
         bw_efficiency: f64_field(v, "bw_efficiency")?,
-        x_l2_hit_rate: f64_field(v, "x_l2_hit_rate")?,
     })
 }
 
 fn encode_sim(r: &SimReport) -> Json {
     Json::obj(vec![
         ("cycles", Json::U64(r.cycles)),
-        ("seconds", Json::f64_bits(r.seconds)),
         ("activity", encode_activity(&r.activity)),
         ("l1_hit_rate", Json::f64_bits(r.l1_hit_rate)),
-        ("l2_hit_rate", Json::f64_bits(r.l2_hit_rate)),
-        ("tsv_bytes", Json::U64(r.tsv_bytes)),
-        ("noc_byte_hops", Json::U64(r.noc_byte_hops)),
         ("pe_work", Json::Arr(r.pe_work.iter().map(|&w| Json::U64(w)).collect())),
-        ("normalized_workload", Json::f64_bits(r.normalized_workload)),
         ("pe_busy_fraction", Json::f64_bits(r.pe_busy_fraction)),
         ("matrix_bank_busy_fraction", Json::f64_bits(r.matrix_bank_busy_fraction)),
         ("vector_bank_busy_fraction", Json::f64_bits(r.vector_bank_busy_fraction)),
@@ -603,14 +592,9 @@ fn decode_sim(v: &Json) -> Result<SimReport, String> {
         .collect::<Result<Vec<u64>, String>>()?;
     Ok(SimReport {
         cycles: u64_field(v, "cycles")?,
-        seconds: f64_field(v, "seconds")?,
         activity: decode_activity(v.get("activity").ok_or("missing 'activity'")?)?,
         l1_hit_rate: f64_field(v, "l1_hit_rate")?,
-        l2_hit_rate: f64_field(v, "l2_hit_rate")?,
-        tsv_bytes: u64_field(v, "tsv_bytes")?,
-        noc_byte_hops: u64_field(v, "noc_byte_hops")?,
         pe_work,
-        normalized_workload: f64_field(v, "normalized_workload")?,
         pe_busy_fraction: f64_field(v, "pe_busy_fraction")?,
         matrix_bank_busy_fraction: f64_field(v, "matrix_bank_busy_fraction")?,
         vector_bank_busy_fraction: f64_field(v, "vector_bank_busy_fraction")?,
@@ -640,7 +624,6 @@ fn encode_activity(a: &ActivitySummary) -> Json {
         ])
     };
     Json::obj(vec![
-        ("cycles", Json::U64(a.cycles)),
         ("dram_activates", Json::U64(a.dram_activates)),
         ("dram_read_beats", Json::U64(a.dram_read_beats)),
         ("dram_write_beats", Json::U64(a.dram_write_beats)),
@@ -680,7 +663,6 @@ fn decode_activity(v: &Json) -> Result<ActivitySummary, String> {
         })
     };
     Ok(ActivitySummary {
-        cycles: u64_field(v, "cycles")?,
         dram_activates: u64_field(v, "dram_activates")?,
         dram_read_beats: u64_field(v, "dram_read_beats")?,
         dram_write_beats: u64_field(v, "dram_write_beats")?,
@@ -704,25 +686,39 @@ mod tests {
         GpuRun {
             time_s: 1.0 / 3.0,
             dram_bytes: 123,
-            dram_read_bytes: 100,
             dram_read_throughput: 1e9,
             effective_read_throughput: 0.5e9,
             bw_utilization: 0.27,
-            gflops: 1.5,
             alu_utilization: 0.0268,
             energy_j: 0.125,
             bw_efficiency: 0.9,
-            x_l2_hit_rate: 0.75,
         }
     }
 
     #[test]
-    fn gpu_round_trips_exactly() {
-        let run = sample_gpu();
-        let back =
-            decode_result(&json::parse(&encode_result(&JobResult::Gpu(run)).to_text()).unwrap())
-                .unwrap();
-        assert_eq!(back, JobResult::Gpu(run));
+    fn gpu_round_trips_exactly_and_ignores_retired_members() {
+        let want = JobResult::Gpu(sample_gpu());
+        let text = encode_result(&want).to_text();
+        assert_eq!(decode_result(&json::parse(&text).unwrap()).unwrap(), want);
+        // Entries written by older builds also hold the read traffic, the
+        // achieved GFLOP/s and the L2 hit rate on X gathers, members nothing
+        // read; they still decode to the same run.
+        let older = text
+            .replacen(
+                "\"dram_read_throughput\"",
+                "\"dram_read_bytes\":100,\"dram_read_throughput\"",
+                1,
+            )
+            .replacen(
+                "\"alu_utilization\"",
+                &format!("\"gflops\":{},\"alu_utilization\"", 1.5f64.to_bits()),
+                1,
+            )
+            .replacen("}}", &format!(",\"x_l2_hit_rate\":{}}}}}", 0.75f64.to_bits()), 1);
+        for member in ["dram_read_bytes", "gflops", "x_l2_hit_rate"] {
+            assert!(older.contains(&format!("\"{member}\":")), "{older}");
+        }
+        assert_eq!(decode_result(&json::parse(&older).unwrap()).unwrap(), want);
     }
 
     fn sample_scenario() -> ScenarioRec {
@@ -752,14 +748,15 @@ mod tests {
     fn sim_round_trips_exactly_and_ignores_retired_members() {
         let report = SimReport {
             cycles: 1234,
-            seconds: 1.234e-6,
-            activity: ActivitySummary { cycles: 1234, fpu_ops: 77, ..Default::default() },
+            activity: ActivitySummary {
+                fpu_ops: 77,
+                l2_cam: CamCounters { hits: 1, misses: 2, ..Default::default() },
+                tsv_bytes: 4096,
+                noc_byte_hops: 99,
+                ..Default::default()
+            },
             l1_hit_rate: 0.5,
-            l2_hit_rate: 1.0 / 3.0,
-            tsv_bytes: 4096,
-            noc_byte_hops: 99,
             pe_work: vec![3, 1, 4],
-            normalized_workload: 2.0 / 3.0,
             pe_busy_fraction: 0.125,
             matrix_bank_busy_fraction: 0.0625,
             vector_bank_busy_fraction: 0.031_25,
@@ -770,12 +767,33 @@ mod tests {
         let text = encode_result(&want).to_text();
         assert_eq!(decode_result(&json::parse(&text).unwrap()).unwrap(), want);
         // Entries written by older builds also hold an update-buffer hit rate,
-        // a scheduled-event count and a `validated` flag; they still decode
-        // to the same report.
+        // a scheduled-event count and a `validated` flag, and copies of facts
+        // the report keeps once: the time in seconds, the activity's cycle
+        // count, L2 hit rate and TSV and NoC traffic, and the normalized
+        // workload. They still decode to the same report.
+        let bits = |v: f64| v.to_bits().to_string();
         let older = text
+            .replacen("\"activity\":{", "\"activity\":{\"cycles\":1234,", 1)
+            .replacen(
+                "\"activity\"",
+                &format!("\"seconds\":{},\"activity\"", bits(1234.0 * 1e-9)),
+                1,
+            )
+            .replacen(
+                "\"pe_work\"",
+                &format!(
+                    "\"l2_hit_rate\":{},\"tsv_bytes\":4096,\"noc_byte_hops\":99,\"pe_work\"",
+                    bits(1.0 / 3.0)
+                ),
+                1,
+            )
             .replacen(
                 "\"pe_busy_fraction\"",
-                &format!("\"update_buffer_hit_rate\":{},\"pe_busy_fraction\"", 0.25f64.to_bits()),
+                &format!(
+                    "\"normalized_workload\":{},\"update_buffer_hit_rate\":{},\"pe_busy_fraction\"",
+                    bits(2.0 / 3.0),
+                    bits(0.25)
+                ),
                 1,
             )
             .replacen(
@@ -783,8 +801,17 @@ mod tests {
                 "\"validated\":true,\"events_scheduled\":555,\"events_processed\"",
                 1,
             );
-        for member in ["update_buffer_hit_rate", "validated", "events_scheduled"] {
-            assert!(older.contains(&format!("\"{member}\":")), "{older}");
+        for member in [
+            "\"seconds\":",
+            "\"activity\":{\"cycles\":1234,",
+            "\"l2_hit_rate\":",
+            "\"tsv_bytes\":4096,\"noc_byte_hops\":99,\"pe_work\"",
+            "\"normalized_workload\":",
+            "\"update_buffer_hit_rate\":",
+            "\"validated\":",
+            "\"events_scheduled\":",
+        ] {
+            assert!(older.contains(member), "{older}");
         }
         assert_eq!(decode_result(&json::parse(&older).unwrap()).unwrap(), want);
     }

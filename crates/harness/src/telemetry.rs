@@ -17,9 +17,10 @@ pub enum JobStatus {
         /// The error message.
         error: String,
     },
-    /// The sim watchdog cut the job off as hung; no result exists for it.
+    /// The simulation hung (a deadlock, or nothing retired within the stall
+    /// window) and was cut off; no result exists for it.
     TimedOut {
-        /// The watchdog's stall diagnosis.
+        /// The hang's stall diagnosis.
         diagnosis: String,
     },
 }

@@ -29,15 +29,12 @@ fn gpu(i: u64) -> GpuRun {
     GpuRun {
         time_s: 1.0 + i as f64,
         dram_bytes: 100 + i,
-        dram_read_bytes: 90 + i,
         dram_read_throughput: 1e9,
         effective_read_throughput: 0.5e9,
         bw_utilization: 0.5,
-        gflops: 1.0,
         alu_utilization: 0.1,
         energy_j: 0.25,
         bw_efficiency: 0.9,
-        x_l2_hit_rate: 0.75,
     }
 }
 

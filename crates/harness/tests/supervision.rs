@@ -13,31 +13,24 @@ use spacea_harness::{
 use spacea_mapping::MapKind;
 use spacea_model::EnergyParams;
 
-/// A quick sim job over Table I matrix `id`, with watchdog budgets tight
-/// enough that injected hangs resolve in well under a second.
-fn watched_sim(id: u8) -> JobSpec {
-    let mut hw = spacea_arch::HwConfig::tiny();
-    hw.watchdog.stall_window = Some(50_000);
-    hw.watchdog.max_cycles = Some(5_000_000);
+/// A quick sim job over Table I matrix `id` on the tiny machine, where an
+/// injected hang trips the stall window in a few milliseconds.
+fn quick_sim(id: u8) -> JobSpec {
     JobSpec::Sim {
         source: MatrixSource::Suite { id, scale: 256 },
         kind: MapKind::Proposed,
-        hw,
+        hw: spacea_arch::HwConfig::tiny(),
         energy: EnergyParams::default(),
     }
 }
 
-fn hw_of(spec: &mut JobSpec) -> &mut spacea_arch::HwConfig {
+fn faults_of(spec: &mut JobSpec) -> &mut spacea_arch::FaultPlan {
     match spec {
-        JobSpec::Sim { hw, .. } => hw,
+        JobSpec::Sim { hw, .. } => &mut hw.faults,
         JobSpec::Gpu { .. } | JobSpec::Scenario { .. } => {
             unreachable!("tests only inject into sim jobs")
         }
     }
-}
-
-fn faults_of(spec: &mut JobSpec) -> &mut spacea_arch::FaultPlan {
-    &mut hw_of(spec).faults
 }
 
 proptest! {
@@ -50,7 +43,7 @@ proptest! {
     /// harness attempts each job once.
     #[test]
     fn injected_single_fault_is_never_wrong_but_successful(kind in 0usize..5, n in 0u64..8) {
-        let mut spec = watched_sim(1);
+        let mut spec = quick_sim(1);
         let faults = faults_of(&mut spec);
         match kind {
             1 => faults.drop_noc_packet = Some(n),
@@ -87,7 +80,7 @@ proptest! {
 
 #[test]
 fn panicking_job_is_isolated_from_the_rest_of_the_sweep() {
-    let mut jobs = vec![watched_sim(1), watched_sim(2), watched_sim(3)];
+    let mut jobs = vec![quick_sim(1), quick_sim(2), quick_sim(3)];
     faults_of(&mut jobs[0]).panic_on_run = true;
     let store = ResultStore::in_memory();
     let records = run_jobs(&jobs, &store, &JobCtx::new(), 2, None);
@@ -104,7 +97,7 @@ fn panicking_job_is_isolated_from_the_rest_of_the_sweep() {
 /// job once: a faulted job ends `failed` after a single simulation.
 #[test]
 fn a_failing_job_is_attempted_once() {
-    let mut job = watched_sim(1);
+    let mut job = quick_sim(1);
     faults_of(&mut job).flip_accum_update = Some(0);
     let ctx = JobCtx::new();
     let records = run_jobs(std::slice::from_ref(&job), &ResultStore::in_memory(), &ctx, 1, None);
@@ -114,7 +107,7 @@ fn a_failing_job_is_attempted_once() {
 
 #[test]
 fn stalled_vault_times_out_with_a_diagnosis_naming_the_vault() {
-    let mut jobs = vec![watched_sim(1), watched_sim(2)];
+    let mut jobs = vec![quick_sim(1), quick_sim(2)];
     faults_of(&mut jobs[0]).stall_vault = Some((0, 100));
     let store = ResultStore::in_memory();
     let records = run_jobs(&jobs, &store, &JobCtx::new(), 2, None);
@@ -145,7 +138,7 @@ fn stalled_vault_times_out_with_a_diagnosis_naming_the_vault() {
 fn rerun_over_disk_cache_retries_only_the_failed_job() {
     let dir = std::env::temp_dir().join(format!("spacea-supervision-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    let mut jobs = vec![watched_sim(1), watched_sim(2)];
+    let mut jobs = vec![quick_sim(1), quick_sim(2)];
     faults_of(&mut jobs[0]).flip_accum_update = Some(0);
 
     let run = |store: &ResultStore| run_jobs(&jobs, store, &JobCtx::new(), 2, None);
@@ -172,37 +165,23 @@ fn rerun_over_disk_cache_retries_only_the_failed_job() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
-/// The in-process run memo keys on the whole machine, watchdog budgets
-/// included (the job key leaves them out): a run one job completed is
-/// never lent to a twin whose budget cuts it off, a cut-off run never
-/// stands in for the completed one, and a faulted run and its fault-free
-/// twin never share a run either, whichever of the two comes first.
+/// The in-process run memo keys on the whole machine, fault plan included:
+/// a faulted run and its fault-free twin never share a run, whichever of
+/// the two comes first.
 #[test]
-fn memoised_runs_are_never_lent_across_a_budget_or_a_fault() {
-    let healthy = watched_sim(1);
-    let cycles = match execute(&healthy, &JobCtx::new()) {
-        Ok(JobResult::Sim(report)) => report.cycles,
-        other => panic!("the healthy run must succeed: {other:?}"),
-    };
-    let mut budgeted = healthy.clone();
-    hw_of(&mut budgeted).watchdog.max_cycles = Some(cycles / 2);
-    assert_eq!(budgeted.key(), healthy.key(), "budgets are not part of the job key");
+fn memoised_runs_are_never_lent_across_a_fault() {
+    let healthy = quick_sim(1);
     let mut faulted = healthy.clone();
     faults_of(&mut faulted).flip_accum_update = Some(0);
-    for (twin, twin_status) in [(&budgeted, "timed-out"), (&faulted, "failed")] {
-        for twin_first in [false, true] {
-            let ctx = JobCtx::new();
-            // A fresh store per job: the budget twins share a job key, so a
-            // shared store alone would hand both the first one's result.
-            let status = |job: &JobSpec| {
-                run_jobs(std::slice::from_ref(job), &ResultStore::in_memory(), &ctx, 1, None)[0]
-                    .status
-                    .tag()
-            };
-            let (first, second) = if twin_first { (twin, &healthy) } else { (&healthy, twin) };
-            let got = [status(first), status(second)];
-            let want = if twin_first { [twin_status, "ok"] } else { ["ok", twin_status] };
-            assert_eq!(got, want, "{twin_status} twin submitted first: {twin_first}");
-        }
+    for faulted_first in [false, true] {
+        let (ctx, store) = (JobCtx::new(), ResultStore::in_memory());
+        let status = |job: &JobSpec| {
+            run_jobs(std::slice::from_ref(job), &store, &ctx, 1, None)[0].status.tag()
+        };
+        let (first, second) =
+            if faulted_first { (&faulted, &healthy) } else { (&healthy, &faulted) };
+        let got = [status(first), status(second)];
+        let want = if faulted_first { ["failed", "ok"] } else { ["ok", "failed"] };
+        assert_eq!(got, want, "faulted twin submitted first: {faulted_first}");
     }
 }

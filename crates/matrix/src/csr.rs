@@ -295,18 +295,6 @@ impl Csr {
         }
         coo.to_csr()
     }
-
-    /// Expands to a dense row-major table (intended for small matrices in
-    /// tests and examples; allocates `rows × cols` values).
-    pub fn to_dense(&self) -> Vec<Vec<f64>> {
-        let mut out = vec![vec![0.0; self.cols]; self.rows];
-        for (i, dst) in out.iter_mut().enumerate() {
-            for (j, v) in self.row(i) {
-                dst[j as usize] += v;
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -421,7 +409,8 @@ mod tests {
         let dense = vec![vec![1.0, 0.0, 2.0], vec![0.0, 0.0, 0.0], vec![0.0, 3.0, 0.0]];
         let csr = Csr::from_dense(&dense);
         assert_eq!(csr.nnz(), 3);
-        assert_eq!(csr.to_dense(), dense);
+        let rows: Vec<Vec<(u32, f64)>> = (0..csr.rows()).map(|i| csr.row(i).collect()).collect();
+        assert_eq!(rows, vec![vec![(0, 1.0), (2, 2.0)], vec![], vec![(1, 3.0)]]);
     }
 
     #[test]

@@ -570,11 +570,6 @@ impl SellFormat {
         }
     }
 
-    /// The slice height C.
-    pub fn chunk(&self) -> usize {
-        self.chunk
-    }
-
     /// Number of slices.
     pub fn slices(&self) -> usize {
         self.slice_ptr.len() - 1
@@ -771,12 +766,12 @@ mod tests {
         let stream = s.stream_rows();
         assert_eq!(stream.len(), s.stored_slots());
         // Consecutive non-padding slots inside a slice never repeat a row
-        // within a C-window: same-row slots are exactly `chunk` apart.
+        // within a C-window: same-row slots are exactly `SELL_CHUNK` apart.
         for (i, &r) in stream.iter().enumerate() {
             if r == PAD {
                 continue;
             }
-            for d in 1..s.chunk().min(stream.len() - i) {
+            for d in 1..SELL_CHUNK.min(stream.len() - i) {
                 assert_ne!(stream[i + d], r, "row {r} repeats within a C-window at slot {i}");
             }
         }

@@ -12,8 +12,6 @@ use spacea_sim::stats::{CamCounters, LdqCounters, SramCounters};
 /// crate.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct ActivitySummary {
-    /// Execution time in cycles (1 GHz clock).
-    pub cycles: u64,
     /// DRAM row activations over all banks.
     pub dram_activates: u64,
     /// DRAM 256-bit beats read over all banks.
@@ -142,8 +140,14 @@ impl EnergyBreakdown {
 }
 
 impl EnergyParams {
-    /// Prices an activity summary into the four-part breakdown.
-    pub fn breakdown(&self, act: &ActivitySummary, cfg: &StaticConfig) -> EnergyBreakdown {
+    /// Prices the activity of a run that took `cycles` (1 GHz clock) into
+    /// the four-part breakdown.
+    pub fn breakdown(
+        &self,
+        act: &ActivitySummary,
+        cycles: u64,
+        cfg: &StaticConfig,
+    ) -> EnergyBreakdown {
         const PJ: f64 = 1e-12;
         let dram = (act.dram_activates as f64 * self.dram_activate_pj
             + (act.dram_read_beats + act.dram_write_beats) as f64 * self.dram_beat_pj)
@@ -165,7 +169,7 @@ impl EnergyParams {
             * PJ;
 
         let static_w = self.static_power_w(cfg);
-        let seconds = act.cycles as f64 * 1e-9; // 1 GHz clock
+        let seconds = cycles as f64 * 1e-9; // 1 GHz clock
         EnergyBreakdown {
             dram_dynamic_j: dram,
             pe_cam_dynamic_j: pe_cam,
@@ -194,8 +198,8 @@ mod tests {
 
     #[test]
     fn zero_activity_has_only_static() {
-        let act = ActivitySummary { cycles: 1_000_000, ..Default::default() };
-        let b = EnergyParams::default().breakdown(&act, &one_cube());
+        let act = ActivitySummary::default();
+        let b = EnergyParams::default().breakdown(&act, 1_000_000, &one_cube());
         assert_eq!(b.dram_dynamic_j, 0.0);
         assert_eq!(b.pe_cam_dynamic_j, 0.0);
         assert_eq!(b.interconnect_dynamic_j, 0.0);
@@ -206,10 +210,9 @@ mod tests {
     #[test]
     fn static_scales_with_time() {
         let p = EnergyParams::default();
-        let a1 = ActivitySummary { cycles: 1000, ..Default::default() };
-        let a2 = ActivitySummary { cycles: 2000, ..Default::default() };
-        let b1 = p.breakdown(&a1, &one_cube());
-        let b2 = p.breakdown(&a2, &one_cube());
+        let act = ActivitySummary::default();
+        let b1 = p.breakdown(&act, 1000, &one_cube());
+        let b2 = p.breakdown(&act, 2000, &one_cube());
         assert!((b2.static_j / b1.static_j - 2.0).abs() < 1e-9);
     }
 
@@ -222,7 +225,7 @@ mod tests {
             dram_write_beats: 50,
             ..Default::default()
         };
-        let b = p.breakdown(&act, &one_cube());
+        let b = p.breakdown(&act, 0, &one_cube());
         let expected = (10.0 * p.dram_activate_pj + 150.0 * p.dram_beat_pj) * 1e-12;
         assert!((b.dram_dynamic_j - expected).abs() < 1e-20);
     }
@@ -231,7 +234,7 @@ mod tests {
     fn interconnect_energy_uses_byte_hops() {
         let p = EnergyParams::default();
         let act = ActivitySummary { tsv_bytes: 1000, noc_byte_hops: 500, ..Default::default() };
-        let b = p.breakdown(&act, &one_cube());
+        let b = p.breakdown(&act, 0, &one_cube());
         let expected = (1000.0 * p.tsv_pj_per_byte + 500.0 * p.noc_pj_per_byte_hop) * 1e-12;
         assert!((b.interconnect_dynamic_j - expected).abs() < 1e-20);
     }
@@ -251,14 +254,13 @@ mod tests {
     fn total_is_sum_of_parts() {
         let p = EnergyParams::default();
         let act = ActivitySummary {
-            cycles: 5000,
             dram_activates: 7,
             dram_read_beats: 9,
             fpu_ops: 11,
             tsv_bytes: 13,
             ..Default::default()
         };
-        let b = p.breakdown(&act, &one_cube());
+        let b = p.breakdown(&act, 5000, &one_cube());
         let sum = b.dram_dynamic_j + b.pe_cam_dynamic_j + b.interconnect_dynamic_j + b.static_j;
         assert!((b.total_j() - sum).abs() < 1e-20);
     }

@@ -111,11 +111,6 @@ impl Series {
         &self.windows
     }
 
-    /// Current cycles-per-window (doubles on every downsampling pass).
-    pub fn window_len(&self) -> Cycle {
-        self.window_len
-    }
-
     /// True when nothing has been recorded.
     pub fn is_empty(&self) -> bool {
         self.windows.is_empty()
@@ -173,7 +168,7 @@ mod tests {
             assert!(s.windows().len() <= 4, "cycle {c}: {} windows", s.windows().len());
         }
         assert_eq!(s.total_count(), 1000);
-        assert!(s.window_len() >= 256, "1000 samples over 4 windows need len ≥ 256");
+        assert!(s.window_len >= 256, "1000 samples over 4 windows need len ≥ 256");
         assert_eq!(s.windows().first().map(|w| w.start), Some(0));
         let exact_mean = (0..1000).sum::<u64>() as f64 / 1000.0;
         assert!((s.mean() - exact_mean).abs() < 1e-9);
@@ -222,14 +217,14 @@ mod tests {
             let first = first_cycle.unwrap();
             let first_start = s.windows().first().unwrap().start;
             prop_assert!(first_start <= first);
-            prop_assert!(first_start + s.window_len() > first);
+            prop_assert!(first_start + s.window_len > first);
             prop_assert_eq!(s.peak(), max_value);
             // Windows stay ordered and aligned.
             for w in s.windows().windows(2) {
                 prop_assert!(w[0].start < w[1].start);
             }
             for w in s.windows() {
-                prop_assert_eq!(w.start % s.window_len(), 0);
+                prop_assert_eq!(w.start % s.window_len, 0);
                 prop_assert!(w.count > 0);
             }
         }

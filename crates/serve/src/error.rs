@@ -73,8 +73,8 @@ impl ServeError {
 
     /// True when a bounded retry may succeed: transient injected faults
     /// and non-hang simulator errors. Hang-class failures (deadlock,
-    /// livelock, cycle budget) are deterministic — retrying one burns the
-    /// same budget again — so they are never retried.
+    /// livelock) are deterministic — retrying one stalls the same way
+    /// again — so they are never retried.
     pub fn retryable(&self) -> bool {
         match self {
             ServeError::Injected { transient, .. } => *transient,
@@ -152,11 +152,10 @@ mod tests {
             y_left: 0,
             pending_events: 0,
             suspect_vault: None,
-            vaults: vec![],
             history: vec![],
         };
         assert!(!ServeError::Sim(SimError::Deadlock(d.clone())).retryable());
-        assert!(!ServeError::Sim(SimError::NoProgress { window: 5, diagnosis: d }).retryable());
+        assert!(!ServeError::Sim(SimError::NoProgress(d)).retryable());
     }
 
     #[test]

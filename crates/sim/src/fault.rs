@@ -8,10 +8,9 @@
 //! (deadlock, livelock, validation error), never as a silently wrong
 //! result.
 //!
-//! A [`WatchdogConfig`] bounds the run loop: a total cycle budget and a
-//! stall window (maximum cycles between two retirements). When either
-//! trips, the machine aborts with a [`StallDiagnosis`] naming the most
-//! loaded vault and its queue occupancy.
+//! A hung run (a drained queue with work outstanding, or no retirement
+//! within the machine's stall window) aborts with a [`StallDiagnosis`]
+//! naming the most loaded vault and its queue occupancy.
 
 use crate::Cycle;
 use std::fmt;
@@ -161,48 +160,8 @@ pub fn write_directives(
     f.write_str(&present.join(","))
 }
 
-/// Forward-progress budgets for the machine run loop.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct WatchdogConfig {
-    /// Abort when simulated time passes this cycle count. `None` (the
-    /// default) leaves total time unbounded — the stall window alone
-    /// catches hangs without penalizing large healthy runs.
-    pub max_cycles: Option<Cycle>,
-    /// Abort when no retirement (matrix entry consumed or Y element
-    /// written back) happens for this many cycles while work is still
-    /// outstanding. Healthy runs retire continuously, so the generous
-    /// default never fires on them.
-    pub stall_window: Option<Cycle>,
-}
-
-impl Default for WatchdogConfig {
-    fn default() -> Self {
-        WatchdogConfig { max_cycles: None, stall_window: Some(1_000_000) }
-    }
-}
-
-/// Outstanding work in one vault at the moment a watchdog fired.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct VaultOccupancy {
-    /// Global vault id.
-    pub vault: usize,
-    /// In-flight distinct block requests across the vault's L1 load queues.
-    pub l1_ldq: usize,
-    /// In-flight distinct block requests in the vault's L2 load queue.
-    pub l2_ldq: usize,
-    /// Outstanding row-load requests from the vault's PEs.
-    pub pe_pending: usize,
-}
-
-impl VaultOccupancy {
-    /// Total outstanding requests parked on this vault.
-    pub fn total(&self) -> usize {
-        self.l1_ldq + self.l2_ldq + self.pe_pending
-    }
-}
-
 /// One point of a vault's occupancy time series, recorded by the machine's
-/// always-on history ring while a stall window is armed.
+/// always-on history ring.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct OccupancySample {
     /// Simulated cycle the sample was taken at.
@@ -239,7 +198,7 @@ impl OccupancyHistory {
     }
 }
 
-/// A snapshot of machine state taken when a watchdog aborted the run:
+/// A snapshot of machine state taken when a hung run was aborted:
 /// what was left to do, where it was parked, and which vault looks
 /// responsible.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -255,10 +214,9 @@ pub struct StallDiagnosis {
     /// The most loaded vault (ties broken toward the lowest id), if any
     /// vault holds outstanding work.
     pub suspect_vault: Option<usize>,
-    /// Per-vault occupancy, vaults with no outstanding work elided.
-    pub vaults: Vec<VaultOccupancy>,
-    /// Recent occupancy time series per vault (same elision as `vaults`):
-    /// the machine's history ring plus a final sample at the abort cycle.
+    /// Recent occupancy time series per vault, vaults with no outstanding
+    /// work elided: the machine's history ring plus a final sample at the
+    /// abort cycle, which holds the vault's occupancy at abort.
     pub history: Vec<OccupancyHistory>,
 }
 
@@ -269,27 +227,22 @@ impl fmt::Display for StallDiagnosis {
             "cycle {}: {} entries + {} Y partials outstanding, {} events pending",
             self.cycle, self.entries_left, self.y_left, self.pending_events
         )?;
-        match self.suspect_vault.and_then(|v| self.vaults.iter().find(|o| o.vault == v)) {
-            Some(o) => write!(
-                f,
-                "; suspect vault {} (L1-LDQ {}, L2-LDQ {}, PE in-flight {})",
-                o.vault, o.l1_ldq, o.l2_ldq, o.pe_pending
-            )?,
-            None => return write!(f, "; no vault holds outstanding requests"),
-        }
-        if let Some(h) = self.suspect_vault.and_then(|v| self.history.iter().find(|h| h.vault == v))
-        {
-            if !h.samples.is_empty() {
-                write!(
-                    f,
-                    "; occupancy history over {} samples: peak {}, latest {}",
-                    h.samples.len(),
-                    h.peak(),
-                    h.samples.last().map(OccupancySample::total).unwrap_or(0)
-                )?;
-            }
-        }
-        Ok(())
+        let suspect = self.suspect_vault.and_then(|v| self.history.iter().find(|h| h.vault == v));
+        let Some((h, now)) = suspect.and_then(|h| Some((h, h.samples.last()?))) else {
+            return write!(f, "; no vault holds outstanding requests");
+        };
+        write!(
+            f,
+            "; suspect vault {} (L1-LDQ {}, L2-LDQ {}, PE in-flight {}); \
+             occupancy history over {} samples: peak {}, latest {}",
+            h.vault,
+            now.l1_ldq,
+            now.l2_ldq,
+            now.pe_pending,
+            h.samples.len(),
+            h.peak(),
+            now.total()
+        )
     }
 }
 
@@ -349,14 +302,17 @@ mod tests {
             y_left: 2,
             pending_events: 3,
             suspect_vault: Some(0),
-            vaults: vec![VaultOccupancy { vault: 0, l1_ldq: 4, l2_ldq: 1, pe_pending: 2 }],
-            history: vec![],
+            history: vec![OccupancyHistory {
+                vault: 0,
+                samples: vec![OccupancySample { cycle: 1234, l1_ldq: 4, l2_ldq: 1, pe_pending: 2 }],
+            }],
         };
         let text = d.to_string();
-        assert!(text.contains("suspect vault 0"), "{text}");
+        assert!(text.contains("suspect vault 0 (L1-LDQ 4, L2-LDQ 1, PE in-flight 2)"), "{text}");
         assert!(text.contains("10 entries"), "{text}");
-        assert_eq!(d.vaults[0].total(), 7);
-        assert!(!text.contains("occupancy history"), "no history recorded: {text}");
+        assert!(text.contains("over 1 samples: peak 7, latest 7"), "{text}");
+        let idle = StallDiagnosis { suspect_vault: None, history: vec![], ..d };
+        assert!(idle.to_string().ends_with("; no vault holds outstanding requests"), "{idle}");
     }
 
     #[test]
@@ -367,7 +323,6 @@ mod tests {
             y_left: 0,
             pending_events: 1,
             suspect_vault: Some(2),
-            vaults: vec![VaultOccupancy { vault: 2, l1_ldq: 3, l2_ldq: 0, pe_pending: 0 }],
             history: vec![OccupancyHistory {
                 vault: 2,
                 samples: vec![

@@ -18,8 +18,8 @@
 //! * [`noc`] — 2D-mesh network-on-chip with X-Y routing and the paper's
 //!   bytes×hops traffic metric.
 //! * [`stats`] — the event ledger consumed by the energy model.
-//! * [`fault`] — deterministic fault-injection plans and the
-//!   forward-progress watchdog configuration/diagnosis types.
+//! * [`fault`] — deterministic fault-injection plans and the stall
+//!   diagnosis a hung run reports.
 //! * [`workload`] — seeded synthetic schedules (hold model, same-cycle
 //!   bursts, far-future overflow) with checksummed replay for engine
 //!   benchmarking and equivalence testing.

@@ -57,18 +57,13 @@ impl MeshNoc {
         MeshNoc { width, height, links, byte_hops: 0 }
     }
 
-    /// Number of nodes in the mesh.
-    pub fn nodes(&self) -> usize {
-        self.width * self.height
-    }
-
     /// Accumulated traffic in bytes × hops (the paper's NoC traffic metric).
     pub fn byte_hops(&self) -> u64 {
         self.byte_hops
     }
 
     fn coords(&self, node: usize) -> (usize, usize) {
-        debug_assert!(node < self.nodes(), "node id out of range");
+        debug_assert!(node < self.width * self.height, "node id out of range");
         (node % self.width, node / self.width)
     }
 

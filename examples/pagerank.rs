@@ -41,8 +41,8 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!(
         "one SpMV iteration on SpaceA: {} cycles ({:.2} us); full PageRank: {:.2} us",
         report.cycles,
-        report.seconds * 1e6,
-        report.seconds * 1e6 * pr.iterations as f64,
+        report.seconds() * 1e6,
+        report.seconds() * 1e6 * pr.iterations as f64,
     );
     Ok(())
 }

@@ -26,13 +26,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     let run = accel.spmv(&a, &x)?;
     let r = &run.report;
-    println!("simulated {} cycles ({:.2} us at 1 GHz)", r.cycles, r.seconds * 1e6);
+    println!("simulated {} cycles ({:.2} us at 1 GHz)", r.cycles, r.seconds() * 1e6);
     println!("output matches the software oracle bit for bit (checked by every run)");
     println!("L1 CAM hit rate: {:.1}%", r.l1_hit_rate * 100.0);
-    println!("L2 CAM hit rate: {:.1}%", r.l2_hit_rate * 100.0);
-    println!("TSV traffic: {} bytes", r.tsv_bytes);
-    println!("NoC traffic: {} byte-hops", r.noc_byte_hops);
-    println!("normalized workload: {:.3}", r.normalized_workload);
+    println!("L2 CAM hit rate: {:.1}%", r.activity.l2_cam.hit_rate() * 100.0);
+    println!("TSV traffic: {} bytes", r.activity.tsv_bytes);
+    println!("NoC traffic: {} byte-hops", r.activity.noc_byte_hops);
+    println!("normalized workload: {:.3}", r.normalized_workload());
     println!(
         "energy: {:.2} uJ (DRAM {:.2} + PE/CAM {:.2} + interconnect {:.2} + static {:.2})",
         run.energy.total_j() * 1e6,

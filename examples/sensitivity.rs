@@ -23,7 +23,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             "  L2 sets {sets:>5} ({:>4} KB): {} cycles, L2 hit {:.1}%",
             sets * 4 * 32 / 1024,
             r.cycles,
-            r.l2_hit_rate * 100.0
+            r.activity.l2_cam.hit_rate() * 100.0
         );
     }
 

@@ -88,7 +88,11 @@ fn accelerator_energy_consistent_with_report() {
         Accelerator::builder().hw_config(HwConfig::tiny()).mapping(MapKind::Naive).build().unwrap();
     let run = accel.spmv(&a, &x).unwrap();
     // Re-pricing the activity must reproduce the breakdown exactly.
-    let again = EnergyParams::default().breakdown(&run.report.activity, &accel.static_config());
+    let again = EnergyParams::default().breakdown(
+        &run.report.activity,
+        run.report.cycles,
+        &accel.static_config(),
+    );
     assert_eq!(run.energy, again);
     assert!(run.energy.total_j() > 0.0);
     assert!(run.energy.static_j > 0.0);
@@ -123,14 +127,11 @@ fn report_metrics_are_internally_consistent() {
     let mapping = LocalityMapping::default().map(&a, &hw.shape);
     let r = Machine::new(hw.clone()).run(RunSpec::spmv(&a, &x, &mapping)).unwrap().into_report();
 
-    assert_eq!(r.activity.cycles, r.cycles);
-    assert!((r.seconds - r.cycles as f64 * 1e-9).abs() < 1e-15);
     assert_eq!(r.pe_work.len(), hw.shape.product_pes());
-    assert!(r.normalized_workload > 0.0 && r.normalized_workload <= 1.0);
+    assert!(r.normalized_workload() > 0.0 && r.normalized_workload() <= 1.0);
     assert!(r.l1_hit_rate >= 0.0 && r.l1_hit_rate <= 1.0);
-    assert!(r.l2_hit_rate >= 0.0 && r.l2_hit_rate <= 1.0);
-    assert_eq!(r.tsv_bytes, r.activity.tsv_bytes);
-    assert_eq!(r.noc_byte_hops, r.activity.noc_byte_hops);
+    let l2_hit_rate = r.activity.l2_cam.hit_rate();
+    assert!((0.0..=1.0).contains(&l2_hit_rate));
     // Each non-zero needs one product FPU op; each non-empty row one
     // accumulation op.
     let nonempty = (0..a.rows()).filter(|&i| a.row_nnz(i) > 0).count();

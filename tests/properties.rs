@@ -61,8 +61,8 @@ proptest! {
         let r2 =
             Machine::new(hw).run(RunSpec::spmv(&a, &x, &mapping)).expect("run 2").into_report();
         prop_assert_eq!(r1.cycles, r2.cycles);
-        prop_assert_eq!(r1.tsv_bytes, r2.tsv_bytes);
-        prop_assert_eq!(r1.noc_byte_hops, r2.noc_byte_hops);
+        prop_assert_eq!(r1.activity.tsv_bytes, r2.activity.tsv_bytes);
+        prop_assert_eq!(r1.activity.noc_byte_hops, r2.activity.noc_byte_hops);
         prop_assert_eq!(r1.activity.fpu_ops, r2.activity.fpu_ops);
     }
 
