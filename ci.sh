@@ -262,6 +262,10 @@ cargo run --release -p spacea-bench --bin serve -- stat --cache-dir "$SERVE_CACH
 cargo run --release -p spacea-bench --bin serve -- shutdown --cache-dir "$SERVE_CACHE"
 wait $SERVE_PID
 grep -q '"computed":2' "$SERVE_CACHE/serve-manifest.json"
+# The daemon writes its request timeline at shutdown: a valid Chrome trace
+# that carries the serve gauges' tracks.
+cargo run --release -p spacea-bench --bin timeline -- --validate "$SERVE_CACHE/serve-timeline.json"
+grep -qF '"serve/queue-wait-us"' "$SERVE_CACHE/serve-timeline.json"
 cargo run --release -p spacea-bench --bin serve -- start --quick --cache-dir "$SERVE_CACHE" &
 SERVE_PID=$!
 for _ in $(seq 1 150); do [ -f "$SERVE_CACHE/serve.port" ] && break; sleep 0.1; done

@@ -43,7 +43,7 @@ use crate::trace::{TraceEvent, TraceRecord};
 use spacea_mapping::Mapping;
 use spacea_matrix::Csr;
 use spacea_model::ActivitySummary;
-use spacea_obs::{MetricKey, Sampler, SamplerConfig, Timeline};
+use spacea_obs::{Metric, MetricKey, Sampler, SamplerConfig, Timeline};
 use spacea_sim::cam::Cam;
 use spacea_sim::dram::{AccessKind, DramBank};
 use spacea_sim::engine::EventQueue;
@@ -551,11 +551,11 @@ impl<'a> Sim<'a> {
 
             let b = bgs.clone();
             s.register(
-                MetricKey::vault("ldq", v, "l1-occupancy"),
+                MetricKey::vault(Metric::LdqL1Occupancy, v),
                 probe(move |s| b.iter().map(|&g| s.l1_ldq[g].len()).sum::<usize>() as f64),
             );
             s.register(
-                MetricKey::vault("ldq", v, "l2-occupancy"),
+                MetricKey::vault(Metric::LdqL2Occupancy, v),
                 probe(move |s| s.l2_ldq[v].len() as f64),
             );
             // Latency probe: age (in cycles) of the vault's longest-waiting
@@ -564,7 +564,7 @@ impl<'a> Sim<'a> {
             // but moving queue keeps the age bounded.
             let b = bgs.clone();
             s.register(
-                MetricKey::vault("ldq", v, "queue-age"),
+                MetricKey::vault(Metric::LdqQueueAge, v),
                 probe(move |s| {
                     let now = s.obs_cycle;
                     let l1 = b.iter().map(|&g| s.l1_ldq[g].oldest_age(now)).max().unwrap_or(0);
@@ -573,12 +573,12 @@ impl<'a> Sim<'a> {
             );
             let p = pes.clone();
             s.register(
-                MetricKey::vault("pe", v, "pending"),
+                MetricKey::vault(Metric::PePending, v),
                 probe(move |s| p.iter().map(|&i| s.pes[i].pending).sum::<usize>() as f64),
             );
             let b = bgs;
             s.register(
-                MetricKey::vault("cam", v, "l1-hit-rate"),
+                MetricKey::vault(Metric::CamL1HitRate, v),
                 probe(move |s| {
                     let mut c = CamCounters::default();
                     for &g in &b {
@@ -588,11 +588,11 @@ impl<'a> Sim<'a> {
                 }),
             );
             s.register(
-                MetricKey::vault("cam", v, "l2-hit-rate"),
+                MetricKey::vault(Metric::CamL2HitRate, v),
                 probe(move |s| s.l2_cam[v].counters().hit_rate()),
             );
             s.register(
-                MetricKey::vault("dram", v, "row-hit-rate"),
+                MetricKey::vault(Metric::DramRowHitRate, v),
                 probe(move |s| {
                     let (mut hits, mut activates) = (0u64, 0u64);
                     for &i in &pes {
@@ -613,7 +613,7 @@ impl<'a> Sim<'a> {
                 }),
             );
             s.register(
-                MetricKey::vault("tsv", v, "bytes"),
+                MetricKey::vault(Metric::TsvBytes, v),
                 probe(move |s| s.tsv[v].bytes_total() as f64),
             );
         }
@@ -621,15 +621,15 @@ impl<'a> Sim<'a> {
             s.nocs.iter().map(MeshNoc::byte_hops).sum::<u64>()
                 + s.serdes.as_ref().map_or(0, MeshNoc::byte_hops)
         }
-        s.register(MetricKey::global("noc", "byte-hops"), probe(|s| total_byte_hops(s) as f64));
+        s.register(MetricKey::global(Metric::NocByteHops), probe(|s| total_byte_hops(s) as f64));
         // Pending events in the calendar queue — the event engine's own
         // load gauge (how much same-cycle batching the drain loop sees).
-        s.register(MetricKey::global("engine", "queue-depth"), probe(|s| s.q.len() as f64));
+        s.register(MetricKey::global(Metric::EngineQueueDepth), probe(|s| s.q.len() as f64));
         // Utilization is the byte-hop delta per cycle since the previous
         // sample; the Cells carry that previous point between reads.
         let prev = Cell::new((0u64, 0u64));
         s.register(
-            MetricKey::global("noc", "utilization"),
+            MetricKey::global(Metric::NocUtilization),
             probe(move |s| {
                 let (hops, now) = (total_byte_hops(s), s.obs_cycle);
                 let (prev_hops, prev_cycle) = prev.replace((hops, now));
@@ -1511,9 +1511,7 @@ mod tests {
         }
         // The busy parts of the machine saw real occupancy and traffic.
         let tsv_total: f64 = (0..cfg.shape.vaults())
-            .map(|v| {
-                timeline.series(&spacea_obs::MetricKey::vault("tsv", v, "bytes")).unwrap().peak()
-            })
+            .map(|v| timeline.series(&MetricKey::vault(Metric::TsvBytes, v)).unwrap().peak())
             .sum();
         assert!(tsv_total > 0.0, "TSVs moved bytes");
         assert!(

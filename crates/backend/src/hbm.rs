@@ -27,7 +27,7 @@
 
 use crate::{check_dims, Backend, BackendKind, Partition, ScenarioRun, ScenarioSpec, NNZ_BYTES};
 use spacea_matrix::formats::PAD;
-use spacea_obs::sampler::{MetricKey, Timeline};
+use spacea_obs::sampler::{Metric, MetricKey, Timeline};
 use spacea_obs::series::Series;
 
 /// Parameters of the HBM accelerator model.
@@ -50,7 +50,7 @@ pub struct HbmSpec {
 impl Default for HbmSpec {
     fn default() -> Self {
         // 24 channels × 32 B/cycle × 450 MHz ≈ 345.6 GB/s of matrix
-        // stream, Serpens-scale; window 6 < SELL's default C of 8, so a
+        // stream, Serpens-scale; window 6 < SELL's C of 8, so a
         // well-interleaved stream clears the accumulator shadow.
         HbmSpec {
             channels: 24,
@@ -192,8 +192,7 @@ impl Backend for HbmBackend {
 }
 
 /// Builds an observability timeline from one HBM run: per-channel gauges
-/// (keyed like per-vault machine gauges) plus run-level aggregates, all
-/// under keys registered in `spacea_obs::registry::METRICS`.
+/// (keyed like per-vault machine gauges) plus run-level aggregates.
 pub fn hbm_timeline(detail: &HbmDetail) -> Timeline {
     let channels = detail.channel_cycles.len();
     let end = detail.channel_cycles.iter().copied().max().unwrap_or(1).max(1);
@@ -201,20 +200,20 @@ pub fn hbm_timeline(detail: &HbmDetail) -> Timeline {
     for ch in 0..channels {
         let mut bytes = Series::new(2, end);
         bytes.record(detail.channel_cycles[ch], detail.channel_bytes[ch] as f64);
-        series.push((MetricKey::vault("hbm", ch, "channel-bytes"), bytes));
+        series.push((MetricKey::vault(Metric::HbmChannelBytes, ch), bytes));
         let mut cycles = Series::new(2, end);
         cycles.record(detail.channel_cycles[ch], detail.channel_cycles[ch] as f64);
-        series.push((MetricKey::vault("hbm", ch, "channel-cycles"), cycles));
+        series.push((MetricKey::vault(Metric::HbmChannelCycles, ch), cycles));
         let mut stalls = Series::new(2, end);
         stalls.record(detail.channel_cycles[ch], detail.channel_stalls[ch] as f64);
-        series.push((MetricKey::vault("hbm", ch, "channel-stalls"), stalls));
+        series.push((MetricKey::vault(Metric::HbmChannelStalls, ch), stalls));
     }
     let mut total_stalls = Series::new(2, end);
     total_stalls.record(end, detail.channel_stalls.iter().sum::<u64>() as f64);
-    series.push((MetricKey::global("hbm", "reorder-stalls"), total_stalls));
+    series.push((MetricKey::global(Metric::HbmReorderStalls), total_stalls));
     let mut util = Series::new(2, end);
     util.record(end, detail.utilization);
-    series.push((MetricKey::global("hbm", "utilization"), util));
+    series.push((MetricKey::global(Metric::HbmUtilization), util));
     Timeline { series, slices: Vec::new() }
 }
 
@@ -241,8 +240,8 @@ mod tests {
         let a = sample();
         let (csr, _) = run_kind(&a, FormatKind::Csr, Partition::RowSplit);
         let (sell, _) = run_kind(&a, FormatKind::Sell, Partition::RowSplit);
-        // A row-major CSR stream stalls on every long row; SELL's default
-        // C of 8 exceeds the reorder window of 6, clearing the shadow.
+        // A row-major CSR stream stalls on every long row; SELL's C of 8
+        // exceeds the reorder window of 6, clearing the shadow.
         assert!(csr.reorder_stalls > 0, "CSR must hit the accumulator shadow");
         assert_eq!(sell.reorder_stalls, 0, "SELL-C-σ must clear the reorder window");
         assert_eq!(
@@ -292,22 +291,6 @@ mod tests {
                 assert_eq!(run.cycles, *detail.channel_cycles.iter().max().unwrap());
                 assert!(detail.utilization > 0.0 && detail.utilization <= 1.0);
             }
-        }
-    }
-
-    #[test]
-    fn timeline_uses_registered_keys_only() {
-        let a = sample();
-        let (_, detail) = run_kind(&a, FormatKind::Sell, Partition::RowSplit);
-        let tl = hbm_timeline(&detail);
-        assert!(!tl.series.is_empty());
-        for (key, _) in &tl.series {
-            assert!(
-                spacea_obs::registry::is_known(&key.component, &key.name),
-                "unregistered metric {}/{}",
-                key.component,
-                key.name
-            );
         }
     }
 

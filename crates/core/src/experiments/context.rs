@@ -165,7 +165,7 @@ impl ExpConfig {
 
 /// One result table (plus optional sub-tables) and the headline numbers the
 /// EXPERIMENTS.md generator records as paper-vs-measured.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ExpOutput {
     /// Experiment id (`"fig5"`, `"table3"`…).
     pub id: &'static str,

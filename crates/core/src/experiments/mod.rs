@@ -143,17 +143,3 @@ pub fn all_jobs(cfg: &ExpConfig) -> Vec<JobSpec> {
 pub fn run_all(cache: &mut SuiteCache) -> Vec<ExpOutput> {
     registry().iter().map(|e| (e.run)(cache)).collect()
 }
-
-/// Convenience: renders a list of outputs as one text document.
-pub fn render_all(outputs: &[ExpOutput]) -> String {
-    let mut out = String::new();
-    for o in outputs {
-        out.push_str(&o.table.to_text());
-        out.push('\n');
-        for extra in &o.extra_tables {
-            out.push_str(&extra.to_text());
-            out.push('\n');
-        }
-    }
-    out
-}

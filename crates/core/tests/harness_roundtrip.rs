@@ -7,10 +7,6 @@ use spacea_core::experiments::{self, ExpConfig, SuiteCache};
 use spacea_harness::{run_jobs, JobCtx, ResultStore};
 use std::sync::Arc;
 
-fn render(cache: &mut SuiteCache) -> String {
-    experiments::render_all(&experiments::run_all(cache))
-}
-
 #[test]
 fn registry_ids_are_unique_and_jobs_nonempty() {
     let reg = experiments::registry();
@@ -37,8 +33,7 @@ fn prewarmed_store_covers_every_render_lookup() {
     run_jobs(&jobs, &store, &ctx, 4, None);
     let misses_before = store.stats().misses;
     let mut cache = SuiteCache::with_store(cfg, Arc::clone(&store), ctx);
-    let text = render(&mut cache);
-    assert!(!text.is_empty());
+    assert!(!experiments::run_all(&mut cache).is_empty());
     assert_eq!(
         store.stats().misses,
         misses_before,
@@ -54,7 +49,7 @@ fn four_workers_render_byte_identical_to_one_worker() {
         let ctx = Arc::new(JobCtx::new());
         run_jobs(&experiments::all_jobs(&cfg), &store, &ctx, workers, None);
         let mut cache = SuiteCache::with_store(cfg, store, ctx);
-        render(&mut cache)
+        experiments::run_all(&mut cache)
     };
     assert_eq!(run_with_workers(1), run_with_workers(4));
 }

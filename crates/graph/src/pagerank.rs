@@ -31,12 +31,6 @@ pub struct PageRankResult {
     pub converged: bool,
 }
 
-/// Runs power-iteration PageRank on a directed adjacency matrix `a`
-/// (`a[i][j] != 0` ⇔ edge `i → j`).
-///
-/// Each iteration is one SpMV `r' = d · Aᵀ_col-norm · r + (1-d)/n`, the exact
-/// shape SpaceA accelerates. Dangling mass is redistributed uniformly.
-///
 /// Column-normalized transpose of an adjacency matrix: entry `(j, i)` is
 /// `1 / outdeg(i)` per edge `i → j` — the PageRank iteration's SpMV operand,
 /// built once (the mapping amortization argument of the paper). Shared with
@@ -55,6 +49,13 @@ pub fn pr_operand(a: &Csr) -> Csr {
     coo.to_csr()
 }
 
+/// Runs power-iteration PageRank on a directed adjacency matrix `a`
+/// (`a[i][j] != 0` ⇔ edge `i → j`).
+///
+/// Each iteration is one SpMV `r' = d · Aᵀ_col-norm · r + (1-d)/n` over
+/// [`pr_operand`], the exact shape SpaceA accelerates. Dangling mass is
+/// redistributed uniformly.
+///
 /// # Panics
 ///
 /// Panics if `a` is not square or has no rows.

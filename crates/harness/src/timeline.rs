@@ -63,7 +63,7 @@ impl TimelineConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use spacea_obs::{MetricKey, Series};
+    use spacea_obs::{Metric, MetricKey, Series};
 
     #[test]
     fn artifacts_are_keyed_like_the_store() {
@@ -83,7 +83,7 @@ mod tests {
         let mut series = Series::new(8, 10);
         series.record(0, 1.0);
         let timeline = Timeline {
-            series: vec![(MetricKey::vault("ldq", 0, "l1-occupancy"), series)],
+            series: vec![(MetricKey::vault(Metric::LdqL1Occupancy, 0), series)],
             slices: vec![],
         };
         let path = cfg.write(JobKey(7), &timeline).unwrap();

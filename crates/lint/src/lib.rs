@@ -26,7 +26,6 @@
 //! | D4 | no raw float iterator reductions outside `spacea_matrix::reduce` |
 //! | D5 | nothing reachable from `Machine::run`/`DesQueue`/`Backend::run` touches the outside world |
 //! | R1 | no `unwrap`/`expect`/`panic!` family in non-test code |
-//! | S1 | every `MetricKey` literal in `arch`/`sim` is a registered metric |
 
 pub mod graph;
 pub mod rules;
@@ -38,16 +37,10 @@ use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
 
-/// The production S1 registry: the `(component, name)` pairs from
-/// [`spacea_obs::registry::METRICS`].
-pub fn known_metrics() -> Vec<(&'static str, &'static str)> {
-    spacea_obs::registry::METRICS.to_vec()
-}
-
 /// Lints one in-memory source file. This is the whole pipeline minus I/O —
 /// scan, mask test regions, run every applicable rule, apply `lint:allow`.
-pub fn check_source(meta: &FileMeta, src: &str, metrics: &[(&str, &str)]) -> Vec<Violation> {
-    rules::check_file(meta, &scanner::scan(src), metrics)
+pub fn check_source(meta: &FileMeta, src: &str) -> Vec<Violation> {
+    rules::check_file(meta, &scanner::scan(src))
 }
 
 /// Recursively collects `.rs` files under `dir` in sorted order, skipping
@@ -140,10 +133,9 @@ pub fn build_graph(scans: &[(FileMeta, scanner::ScanOutput)]) -> graph::CallGrap
     graph::CallGraph::build(scans)
 }
 
-/// Lints every workspace source file under `root` against the production
-/// metric registry: the per-file rules (D1–D4, R1, S1) plus the
-/// graph-level transitive-taint rule (D5). Violations come back sorted by
-/// `(file, line, rule)`.
+/// Lints every workspace source file under `root`: the per-file rules
+/// (D1–D4, R1) plus the graph-level transitive-taint rule (D5).
+/// Violations come back sorted by `(file, line, rule)`.
 pub fn lint_workspace(root: &Path) -> io::Result<Vec<Violation>> {
     let scans = scan_workspace(root)?;
     Ok(lint_scans(&scans))
@@ -152,11 +144,10 @@ pub fn lint_workspace(root: &Path) -> io::Result<Vec<Violation>> {
 /// The I/O-free core of [`lint_workspace`]: per-file rules plus D5 over
 /// pre-scanned files.
 pub fn lint_scans(scans: &[(FileMeta, scanner::ScanOutput)]) -> Vec<Violation> {
-    let metrics = known_metrics();
     let mut violations = Vec::new();
     let mut allows: BTreeMap<String, Vec<scanner::Allow>> = BTreeMap::new();
     for (meta, scan) in scans {
-        violations.extend(rules::check_file(meta, scan, &metrics));
+        violations.extend(rules::check_file(meta, scan));
         allows.insert(meta.rel.clone(), scan.allows.clone());
     }
     let call_graph = graph::CallGraph::build(scans);
@@ -168,13 +159,6 @@ pub fn lint_scans(scans: &[(FileMeta, scanner::ScanOutput)]) -> Vec<Violation> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn registry_is_nonempty_and_known() {
-        let metrics = known_metrics();
-        assert!(metrics.len() >= 9);
-        assert!(metrics.contains(&("tsv", "bytes")));
-    }
 
     #[test]
     fn workspace_walk_finds_this_crate_and_skips_vendor() {

@@ -24,7 +24,7 @@ USAGE:
   spacea-lint --explain RULE
   spacea-lint --list
 
-Rules: D1 D2 D3 D4 D5 R1 S1 (see --explain). Suppress a deliberate site
+Rules: D1 D2 D3 D4 D5 R1 (see --explain). Suppress a deliberate site
 inline with `// lint:allow(RULE) reason` on the offending line or the line
 above; --check fails on every other violation.
 

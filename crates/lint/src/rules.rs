@@ -1,6 +1,6 @@
 //! The rule engine: walks a scanned token stream and reports violations.
 //!
-//! Four repo-specific invariants are enforced (see [`RuleId::explain`] for
+//! Six repo-specific invariants are enforced (see [`RuleId::explain`] for
 //! the contributor-facing docs):
 //!
 //! - **D1** — no hash-ordered collections in the deterministic crates,
@@ -10,9 +10,7 @@
 //!   must be canonical: route through `spacea_matrix::reduce`),
 //! - **D5** — transitive taint: nothing reachable from the event-loop
 //!   roots touches I/O, wall clock, RNG, or threads (see [`crate::graph`]),
-//! - **R1** — no `unwrap`/`expect`/`panic!` family in non-test library code,
-//! - **S1** — every `MetricKey` constructed in `arch`/`sim` must name a
-//!   metric in the registered set ([`spacea_obs::registry`]).
+//! - **R1** — no `unwrap`/`expect`/`panic!` family in non-test library code.
 //!
 //! Test code never counts: `#[cfg(test)]` / `#[test]` items are masked out
 //! of the token stream, and `tests/` / `benches/` directories are not
@@ -36,14 +34,12 @@ pub enum RuleId {
     D5,
     /// `unwrap`/`expect`/`panic!` family in non-test code.
     R1,
-    /// Unregistered metric-key names.
-    S1,
 }
 
 impl RuleId {
     /// Every rule, in report order.
-    pub const ALL: [RuleId; 7] =
-        [RuleId::D1, RuleId::D2, RuleId::D3, RuleId::D4, RuleId::D5, RuleId::R1, RuleId::S1];
+    pub const ALL: [RuleId; 6] =
+        [RuleId::D1, RuleId::D2, RuleId::D3, RuleId::D4, RuleId::D5, RuleId::R1];
 
     /// The rule's short name as used in reports and `lint:allow(...)`
     /// directives.
@@ -55,7 +51,6 @@ impl RuleId {
             RuleId::D4 => "D4",
             RuleId::D5 => "D5",
             RuleId::R1 => "R1",
-            RuleId::S1 => "S1",
         }
     }
 
@@ -73,7 +68,6 @@ impl RuleId {
             RuleId::D4 => "raw float reduction outside the canonical helper",
             RuleId::D5 => "event-loop-reachable function touches the outside world",
             RuleId::R1 => "unwrap/expect/panic in non-test code",
-            RuleId::S1 => "metric key not in the registered set",
         }
     }
 
@@ -139,11 +133,11 @@ impl RuleId {
                  must go through spacea_matrix::reduce, whose helpers fix a\n\
                  canonical (index-ascending) order regardless of source.\n\
                  \n\
-                 Fix: route through spacea_matrix::reduce::{sum_f64, sum_f32,\n\
-                 product_f64, max_f64, min_f64} (crates/matrix/src/reduce.rs is\n\
-                 the one file exempt from this rule). Integer reductions are\n\
-                 exact and out of scope. A provably order-free site carries\n\
-                 `// lint:allow(D4) reason`."
+                 Fix: route through spacea_matrix::reduce::{sum_f64, max_f64}\n\
+                 (crates/matrix/src/reduce.rs is the one file exempt from this\n\
+                 rule); a new float reduction adds its helper there. Integer\n\
+                 reductions are exact and out of scope. A provably order-free\n\
+                 site carries `// lint:allow(D4) reason`."
             }
             RuleId::D5 => {
                 "D5: transitive taint from the event-loop roots\n\
@@ -176,20 +170,6 @@ impl RuleId {
                  Fix: propagate with `?` and a SimError (or a local error enum).\n\
                  By-construction invariants that genuinely cannot fail carry\n\
                  `// lint:allow(R1) reason`."
-            }
-            RuleId::S1 => {
-                "S1: every metric key must be registered\n\
-                 \n\
-                 Stat-ledger conservation: gauges are registered under\n\
-                 MetricKey::{vault,global}(component, .., name) string pairs. A typo\n\
-                 in either string silently creates a new ledger entry and drops the\n\
-                 sample from every consumer keyed on the real name (timeline export,\n\
-                 observability assertions). The rule cross-checks each literal\n\
-                 (component, name) pair constructed in arch/sim against the\n\
-                 registered-metric table in spacea_obs::registry::METRICS.\n\
-                 \n\
-                 Fix: correct the typo, or add the new metric to METRICS in the same\n\
-                 change that introduces the gauge."
             }
         }
     }
@@ -240,15 +220,6 @@ pub const D4_HELPER_FILE: &str = "crates/matrix/src/reduce.rs";
 /// time*, not simulation inputs — every simulated result it returns is
 /// still a pure function of (matrix, vector, mapping, hw).
 pub const SUPERVISION_CRATES: [&str; 3] = ["harness", "bench", "serve"];
-
-/// Crates whose `MetricKey` constructions S1 cross-checks.
-///
-/// `serve` mints its own per-request gauge keys (`serve/queue-wait-us`
-/// etc.), so it is in scope: a typo'd key there would silently vanish
-/// from dashboards instead of failing the build. `backend` publishes the
-/// HBM model's per-channel gauges (`hbm/channel-bytes` etc.) and is held
-/// to the same registry.
-pub const LEDGER_CRATES: [&str; 4] = ["arch", "sim", "serve", "backend"];
 
 /// One rule violation at a specific site.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -388,15 +359,7 @@ fn allowed(allows: &[Allow], rule: RuleId, line: u32) -> bool {
 }
 
 /// Runs every applicable rule over one scanned file.
-///
-/// `known_metrics` is the S1 registry: `(component, name)` pairs considered
-/// registered. Pass [`spacea_obs::registry::METRICS`] in production; tests
-/// inject reduced tables to provoke violations.
-pub fn check_file(
-    meta: &FileMeta,
-    scan: &ScanOutput,
-    known_metrics: &[(&str, &str)],
-) -> Vec<Violation> {
+pub fn check_file(meta: &FileMeta, scan: &ScanOutput) -> Vec<Violation> {
     let tokens = &scan.tokens;
     let masked = mark_test_regions(tokens);
     let mut out = Vec::new();
@@ -408,7 +371,6 @@ pub fn check_file(
     let d3_applies = meta.kind != FileKind::Example && PDES_CRATES.contains(&meta.krate.as_str());
     let d4_applies = d3_applies && meta.rel != D4_HELPER_FILE;
     let r1_applies = meta.kind != FileKind::Example;
-    let s1_applies = LEDGER_CRATES.contains(&meta.krate.as_str());
 
     let mut push = |allows: &[Allow], rule: RuleId, line: u32, what: String| {
         if !allowed(allows, rule, line) {
@@ -513,37 +475,6 @@ pub fn check_file(
             {
                 push(&scan.allows, RuleId::R1, t.line, format!("{name}!"));
             }
-            // S1: MetricKey::vault("comp", .., "name") literal pairs.
-            "MetricKey"
-                if s1_applies
-                    && punct_at(tokens, i + 1, ':')
-                    && punct_at(tokens, i + 2, ':')
-                    && matches!(ident_at(tokens, i + 3), Some("vault") | Some("global"))
-                    && punct_at(tokens, i + 4, '(') =>
-            {
-                if let Some(close) = matching(tokens, i + 4, '(', ')') {
-                    let strings: Vec<&str> = tokens[i + 5..close]
-                        .iter()
-                        .filter_map(|t| match &t.kind {
-                            TokKind::Str(s) => Some(s.as_str()),
-                            _ => None,
-                        })
-                        .collect();
-                    // Need both the component and the name as literals;
-                    // dynamic keys are out of scope for a static pass.
-                    if strings.len() >= 2 {
-                        let pair = (strings[0], strings[strings.len() - 1]);
-                        if !known_metrics.contains(&pair) {
-                            push(
-                                &scan.allows,
-                                RuleId::S1,
-                                t.line,
-                                format!("(\"{}\", \"{}\")", pair.0, pair.1),
-                            );
-                        }
-                    }
-                }
-            }
             n if d3_applies && n.starts_with("Atomic") => {
                 push(&scan.allows, RuleId::D3, t.line, n.to_string());
             }
@@ -564,16 +495,7 @@ mod tests {
     }
 
     fn run(krate: &str, kind: FileKind, src: &str) -> Vec<Violation> {
-        run_with_metrics(krate, kind, src, &[("noc", "utilization")])
-    }
-
-    fn run_with_metrics(
-        krate: &str,
-        kind: FileKind,
-        src: &str,
-        metrics: &[(&str, &str)],
-    ) -> Vec<Violation> {
-        check_file(&meta("x.rs", krate, kind), &scan(src), metrics)
+        check_file(&meta("x.rs", krate, kind), &scan(src))
     }
 
     #[test]
@@ -610,20 +532,6 @@ mod tests {
         let src = "fn f() -> u128 { let t = std::time::Instant::now(); t.elapsed().as_nanos() }";
         assert!(run("serve", FileKind::Lib, src).iter().all(|v| v.rule != RuleId::D2));
         assert!(SUPERVISION_CRATES.contains(&"serve"), "exemption list must name serve");
-    }
-
-    #[test]
-    fn s1_fires_in_the_serve_crate() {
-        // serve mints its own gauge keys, so S1 must cover it: a key the
-        // registry does not know is a violation there.
-        let src = "fn f() { let _ = MetricKey::global(\"serve\", \"queue-wait-us\"); }";
-        let known = [("serve", "queue-wait-us")];
-        assert!(run_with_metrics("serve", FileKind::Lib, src, &known)
-            .iter()
-            .all(|v| v.rule != RuleId::S1));
-        let typo = "fn f() { let _ = MetricKey::global(\"serve\", \"queue-wait-usec\"); }";
-        let v = run_with_metrics("serve", FileKind::Lib, typo, &known);
-        assert_eq!(v.iter().filter(|v| v.rule == RuleId::S1).count(), 1);
     }
 
     #[test]
@@ -668,43 +576,6 @@ mod tests {
     fn should_panic_attr_masks_its_fn() {
         let src = "#[should_panic(expected = \"boom\")]\nfn t() { panic!(\"boom\"); }";
         assert!(run("core", FileKind::Lib, src).is_empty());
-    }
-
-    #[test]
-    fn s1_catches_a_counter_typo() {
-        // Deliberately injected typo: "tvs" for "tsv".
-        let src =
-            "fn arm(s: &mut S) { s.register(MetricKey::global(\"tvs\", \"bytes\"), |_| 0.0); }";
-        let v = run_with_metrics("arch", FileKind::Lib, src, &[("tsv", "bytes")]);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, RuleId::S1);
-        assert!(v[0].what.contains("tvs"), "{}", v[0].what);
-    }
-
-    #[test]
-    fn s1_name_typo_in_vault_form() {
-        let src =
-            "fn arm(s: &mut S, v: usize) { s.register(MetricKey::vault(\"ldq\", v, \"l1-ocupancy\"), |_| 0.0); }";
-        let v = run_with_metrics("sim", FileKind::Lib, src, &[("ldq", "l1-occupancy")]);
-        assert_eq!(v.len(), 1);
-        assert_eq!(v[0].rule, RuleId::S1);
-    }
-
-    #[test]
-    fn s1_accepts_registered_pairs_and_other_crates() {
-        let src = "fn arm(s: &mut S) { s.register(MetricKey::global(\"noc\", \"utilization\"), |_| 0.0); }";
-        assert!(run("arch", FileKind::Lib, src).is_empty());
-        let typo =
-            "fn arm(s: &mut S) { s.register(MetricKey::global(\"tvs\", \"bytes\"), |_| 0.0); }";
-        // Outside arch/sim the ledger rule does not apply.
-        assert!(run_with_metrics("harness", FileKind::Lib, typo, &[("tsv", "bytes")]).is_empty());
-    }
-
-    #[test]
-    fn s1_skips_dynamic_components() {
-        let src =
-            "fn arm(s: &mut S, c: &str) { s.register(MetricKey::global(c, \"bytes\"), |_| 0.0); }";
-        assert!(run_with_metrics("arch", FileKind::Lib, src, &[("tsv", "bytes")]).is_empty());
     }
 
     #[test]
@@ -798,11 +669,7 @@ mod tests {
     #[test]
     fn d4_exempts_the_canonical_helper_file() {
         let src = "pub fn sum_f64(xs: &[f64]) -> f64 { xs.iter().sum::<f64>() }";
-        let v = check_file(
-            &meta(D4_HELPER_FILE, "matrix", FileKind::Lib),
-            &scan(src),
-            &[("noc", "utilization")],
-        );
+        let v = check_file(&meta(D4_HELPER_FILE, "matrix", FileKind::Lib), &scan(src));
         assert!(v.is_empty(), "{v:?}");
         // The same code anywhere else in the crate is a violation.
         assert_eq!(run("matrix", FileKind::Lib, src).len(), 1);

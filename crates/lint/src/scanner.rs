@@ -17,14 +17,14 @@
 //! Suppression directives (`// lint:allow(RULE) reason`) are collected from
 //! line comments during the same pass.
 
-/// What a token is. String/char contents are dropped except for string
-/// literals, whose text the S1 rule needs to resolve metric names.
+/// What a token is. Char contents are dropped; a string literal keeps its
+/// text, which the lexer's tests read to check where each literal ends.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum TokKind {
     /// An identifier or keyword (`HashMap`, `for`, `r#type` → `type`).
     Ident(String),
     /// A string literal's contents (normal, byte, or raw; escapes are left
-    /// unprocessed — rules only compare simple ASCII names).
+    /// unprocessed).
     Str(String),
     /// A single punctuation character (`.`, `:`, `(`, `!`, …).
     Punct(char),

@@ -6,9 +6,6 @@ use spacea_lint::check_source;
 use spacea_lint::rules::{FileKind, FileMeta, RuleId};
 use std::collections::BTreeSet;
 
-/// A one-entry registry so the S1 fixture below ("tvs" for "tsv") is a typo.
-const METRICS: [(&str, &str); 1] = [("tsv", "bytes")];
-
 /// A `sim` library file: the one place every rule applies at once.
 fn meta() -> FileMeta {
     FileMeta { rel: "crates/sim/src/x.rs".into(), krate: "sim".into(), kind: FileKind::Lib }
@@ -17,8 +14,7 @@ fn meta() -> FileMeta {
 /// The rules with a per-site (token-level) trigger. D5 is graph-level —
 /// it only fires from `lint_scans`/`check_taint`, never `check_source` —
 /// so it is out of scope for these properties.
-const PER_SITE: [RuleId; 6] =
-    [RuleId::D1, RuleId::D2, RuleId::D3, RuleId::D4, RuleId::R1, RuleId::S1];
+const PER_SITE: [RuleId; 5] = [RuleId::D1, RuleId::D2, RuleId::D3, RuleId::D4, RuleId::R1];
 
 /// One violating statement per rule.
 fn violation_line(rule: RuleId) -> &'static str {
@@ -29,7 +25,6 @@ fn violation_line(rule: RuleId) -> &'static str {
         RuleId::D4 => "    let s = xs.iter().sum::<f64>();",
         RuleId::D5 => unreachable!("D5 has no per-site trigger"),
         RuleId::R1 => "    let v = m.get(&0).unwrap();",
-        RuleId::S1 => "    ledger.bump(MetricKey::vault(\"tvs\", 0, \"bytes\"), 1);",
     }
 }
 
@@ -41,7 +36,7 @@ proptest! {
     /// fires through the directive.
     #[test]
     fn allow_suppresses_exactly_the_named_rules(
-        allowed in proptest::collection::vec(any::<bool>(), 6..=6),
+        allowed in proptest::collection::vec(any::<bool>(), 5..=5),
         reason_ix in 0usize..3,
     ) {
         let reason = ["", "why not", "see DESIGN.md"][reason_ix];
@@ -62,7 +57,7 @@ proptest! {
         src.push_str("}\n");
 
         let fired: BTreeSet<&str> =
-            check_source(&meta(), &src, &METRICS).iter().map(|v| v.rule.name()).collect();
+            check_source(&meta(), &src).iter().map(|v| v.rule.name()).collect();
         for rule in PER_SITE {
             let expected = !names.contains(&rule.name());
             prop_assert_eq!(
@@ -84,7 +79,7 @@ proptest! {
             src.push('\n');
         }
         src.push_str("    let v = m.get(&0).unwrap();\n}\n");
-        let fired = check_source(&meta(), &src, &METRICS);
+        let fired = check_source(&meta(), &src);
         prop_assert_eq!(fired.is_empty(), gap == 0, "gap {}: {:?}", gap, &fired);
     }
 
@@ -93,7 +88,7 @@ proptest! {
     /// reports nothing, whatever the directives name.
     #[test]
     fn allow_on_clean_code_is_inert(
-        allowed in proptest::collection::vec(any::<bool>(), 6..=6),
+        allowed in proptest::collection::vec(any::<bool>(), 5..=5),
     ) {
         let mut names: Vec<&str> = PER_SITE
             .iter()
@@ -108,7 +103,7 @@ proptest! {
             "// lint:allow({}) nothing to suppress here\nfn f() -> u32 {{\n    41 + 1\n}}\n",
             names.join(", ")
         );
-        let fired = check_source(&meta(), &src, &METRICS);
+        let fired = check_source(&meta(), &src);
         prop_assert!(fired.is_empty(), "{:?}", &fired);
     }
 }

@@ -283,19 +283,21 @@ impl SparseFormat for CooFormat {
 // BCSR
 // ---------------------------------------------------------------------------
 
-/// Default block shape (rows × cols per block).
+/// Block shape (rows × cols per block). The occupancy mask of a block
+/// holds one bit per cell in a `u64`, so `rows × cols` must stay at most 64.
 pub const BCSR_BLOCK: (usize, usize) = (4, 4);
+const BR: usize = BCSR_BLOCK.0;
+const BC: usize = BCSR_BLOCK.1;
+const _: () = assert!(BR * BC <= 64, "a BCSR block's occupancy mask is one u64");
 
-/// Blocked CSR: dense `R×C` value blocks addressed by a block-level CSR,
-/// with an occupancy bitmask per block so explicit stored zeros are
-/// distinguishable from block padding (that is what makes the round trip
-/// lossless even for matrices that store a 0.0).
+/// Blocked CSR: dense [`BCSR_BLOCK`] value blocks addressed by a
+/// block-level CSR, with an occupancy bitmask per block so explicit stored
+/// zeros are distinguishable from block padding (that is what makes the
+/// round trip lossless even for matrices that store a 0.0).
 #[derive(Debug, Clone, PartialEq)]
 pub struct BcsrFormat {
     rows: usize,
     cols: usize,
-    br: usize,
-    bc: usize,
     nnz: usize,
     block_row_ptr: Vec<usize>,
     block_col: Vec<u32>,
@@ -304,17 +306,9 @@ pub struct BcsrFormat {
 }
 
 impl BcsrFormat {
-    /// Blocks a CSR with the default [`BCSR_BLOCK`] shape.
+    /// Blocks a CSR into [`BCSR_BLOCK`] blocks.
     pub fn from_csr(a: &Csr) -> Self {
-        BcsrFormat::with_block(a, BCSR_BLOCK.0, BCSR_BLOCK.1)
-    }
-
-    /// Blocks a CSR with an explicit block shape. Block shapes are capped
-    /// at 64 cells so the occupancy mask fits one `u64`; larger requests
-    /// fall back to the default shape.
-    pub fn with_block(a: &Csr, br: usize, bc: usize) -> Self {
-        let (br, bc) = if br == 0 || bc == 0 || br * bc > 64 { BCSR_BLOCK } else { (br, bc) };
-        let block_rows = a.rows().div_ceil(br).max(1);
+        let block_rows = a.rows().div_ceil(BR).max(1);
         let mut block_row_ptr = vec![0usize; block_rows + 1];
         let mut block_col = Vec::new();
         let mut mask = Vec::new();
@@ -323,14 +317,14 @@ impl BcsrFormat {
         // `block_col` while its block row is being filled (re-indexed once
         // the row's block columns are sorted), `NONE` otherwise.
         const NONE: usize = usize::MAX;
-        let mut block_of = vec![NONE; a.cols().div_ceil(bc)];
+        let mut block_of = vec![NONE; a.cols().div_ceil(BC)];
         for bi in 0..block_rows {
-            let base = bi * br;
-            let rows = base..(base + br).min(a.rows());
+            let base = bi * BR;
+            let rows = base..(base + BR).min(a.rows());
             let first = block_col.len();
             for r in rows.clone() {
                 for &c in a.row_cols(r) {
-                    let bj = c as usize / bc;
+                    let bj = c as usize / BC;
                     if block_of[bj] == NONE {
                         block_of[bj] = block_col.len();
                         block_col.push(bj as u32);
@@ -342,13 +336,13 @@ impl BcsrFormat {
                 block_of[bj as usize] = b;
             }
             mask.resize(block_col.len(), 0u64);
-            vals.resize(block_col.len() * br * bc, 0.0);
+            vals.resize(block_col.len() * BR * BC, 0.0);
             for r in rows {
                 for (c, v) in a.row(r) {
-                    let b = block_of[c as usize / bc];
-                    let slot = (r - base) * bc + (c as usize % bc);
+                    let b = block_of[c as usize / BC];
+                    let slot = (r - base) * BC + (c as usize % BC);
                     mask[b] |= 1u64 << slot;
-                    vals[b * br * bc + slot] = v;
+                    vals[b * BR * BC + slot] = v;
                 }
             }
             for &bj in &block_col[first..] {
@@ -359,19 +353,12 @@ impl BcsrFormat {
         BcsrFormat {
             rows: a.rows(),
             cols: a.cols(),
-            br,
-            bc,
             nnz: a.nnz(),
             block_row_ptr,
             block_col,
             mask,
             vals,
         }
-    }
-
-    /// The block shape (rows, cols).
-    pub fn block(&self) -> (usize, usize) {
-        (self.br, self.bc)
     }
 
     /// Stored blocks.
@@ -381,15 +368,15 @@ impl BcsrFormat {
 
     /// Iterates one matrix row's stored entries in ascending-column order.
     fn row_entries(&self, r: usize, mut f: impl FnMut(u32, f64)) {
-        let bi = r / self.br;
-        let rr = r % self.br;
+        let bi = r / BR;
+        let rr = r % BR;
         for b in self.block_row_ptr[bi]..self.block_row_ptr[bi + 1] {
             let m = self.mask[b];
-            for cc in 0..self.bc {
-                let slot = rr * self.bc + cc;
+            for cc in 0..BC {
+                let slot = rr * BC + cc;
                 if m & (1u64 << slot) != 0 {
-                    let c = self.block_col[b] * self.bc as u32 + cc as u32;
-                    f(c, self.vals[b * self.br * self.bc + slot]);
+                    let c = self.block_col[b] * BC as u32 + cc as u32;
+                    f(c, self.vals[b * BR * BC + slot]);
                 }
             }
         }
@@ -436,21 +423,21 @@ impl SparseFormat for BcsrFormat {
         y
     }
     fn bytes(&self) -> usize {
-        let per_block = 4 + (self.br * self.bc).div_ceil(8) + 8 * self.br * self.bc;
+        let per_block = 4 + (BR * BC).div_ceil(8) + 8 * BR * BC;
         4 * (self.block_row_ptr.len()) + per_block * self.blocks()
     }
     fn stored_slots(&self) -> usize {
-        self.blocks() * self.br * self.bc
+        self.blocks() * BR * BC
     }
     fn stream_rows(&self) -> Vec<u32> {
         // A block engine streams whole blocks, row-major within each.
         let mut out = Vec::with_capacity(self.stored_slots());
         for bi in 0..self.block_row_ptr.len() - 1 {
-            let base = bi * self.br;
+            let base = bi * BR;
             for b in self.block_row_ptr[bi]..self.block_row_ptr[bi + 1] {
                 let m = self.mask[b];
-                for slot in 0..self.br * self.bc {
-                    let r = base + slot / self.bc;
+                for slot in 0..BR * BC {
+                    let r = base + slot / BC;
                     if m & (1u64 << slot) != 0 && r < self.rows {
                         out.push(r as u32);
                     } else {
@@ -471,10 +458,10 @@ impl SparseFormat for BcsrFormat {
         let mut col_idx = Vec::new();
         for bi in 0..self.block_row_ptr.len() - 1 {
             let blocks = &self.block_col[self.block_row_ptr[bi]..self.block_row_ptr[bi + 1]];
-            for _ in (bi * self.br)..((bi + 1) * self.br).min(self.rows) {
+            for _ in (bi * BR)..((bi + 1) * BR).min(self.rows) {
                 for &bj in blocks {
-                    let c0 = bj as usize * self.bc;
-                    col_idx.extend((c0..(c0 + self.bc).min(self.cols)).map(|c| c as u32));
+                    let c0 = bj as usize * BC;
+                    col_idx.extend((c0..(c0 + BC).min(self.cols)).map(|c| c as u32));
                 }
                 row_ptr.push(col_idx.len());
             }
@@ -490,9 +477,9 @@ impl SparseFormat for BcsrFormat {
 // SELL-C-σ
 // ---------------------------------------------------------------------------
 
-/// Default slice height C (lanes per slice).
+/// Slice height C (lanes per slice).
 pub const SELL_CHUNK: usize = 8;
-/// Default sorting window σ (rows sorted by length within each window).
+/// Sorting window σ (rows sorted by length within each window).
 pub const SELL_SIGMA: usize = 64;
 
 /// SELL-C-σ (Kreutzer et al.): rows are sorted by descending length
@@ -503,7 +490,6 @@ pub const SELL_SIGMA: usize = 64;
 pub struct SellFormat {
     rows: usize,
     cols: usize,
-    chunk: usize,
     nnz: usize,
     /// `perm[k]` = original row stored at sorted lane position `k`.
     perm: Vec<u32>,
@@ -516,58 +502,41 @@ pub struct SellFormat {
 }
 
 impl SellFormat {
-    /// Packs a CSR with the default C=[`SELL_CHUNK`], σ=[`SELL_SIGMA`].
+    /// Packs a CSR with C=[`SELL_CHUNK`] and σ=[`SELL_SIGMA`].
     pub fn from_csr(a: &Csr) -> Self {
-        SellFormat::with_shape(a, SELL_CHUNK, SELL_SIGMA)
-    }
-
-    /// Packs a CSR with explicit C and σ (both clamped to ≥ 1).
-    pub fn with_shape(a: &Csr, chunk: usize, sigma: usize) -> Self {
-        let chunk = chunk.max(1);
-        let sigma = sigma.max(1);
         let rows = a.rows();
         // Sort rows by descending length within σ-windows; the stable sort
         // keeps equal-length rows in original order (deterministic).
         let mut perm: Vec<u32> = (0..rows as u32).collect();
-        for window in perm.chunks_mut(sigma) {
+        for window in perm.chunks_mut(SELL_SIGMA) {
             window.sort_by_key(|&r| std::cmp::Reverse(a.row_nnz(r as usize)));
         }
         let row_len: Vec<usize> = perm.iter().map(|&r| a.row_nnz(r as usize)).collect();
-        let slices = rows.div_ceil(chunk);
+        let slices = rows.div_ceil(SELL_CHUNK);
         let mut slice_ptr = vec![0usize; slices + 1];
         for s in 0..slices {
-            let lanes = s * chunk..((s + 1) * chunk).min(rows);
+            let lanes = s * SELL_CHUNK..((s + 1) * SELL_CHUNK).min(rows);
             let width = lanes.clone().map(|k| row_len[k]).max().unwrap_or(0);
-            slice_ptr[s + 1] = slice_ptr[s] + width * chunk;
+            slice_ptr[s + 1] = slice_ptr[s] + width * SELL_CHUNK;
         }
         let total = slice_ptr[slices];
         let mut col_idx = vec![0u32; total];
         let mut vals = vec![0.0f64; total];
         for (s, &slice_base) in slice_ptr.iter().enumerate().take(slices) {
-            for lane in 0..chunk {
-                let k = s * chunk + lane;
+            for lane in 0..SELL_CHUNK {
+                let k = s * SELL_CHUNK + lane;
                 if k >= rows {
                     continue;
                 }
                 let r = perm[k] as usize;
                 for (j, (c, v)) in a.row(r).enumerate() {
-                    let slot = slice_base + j * chunk + lane;
+                    let slot = slice_base + j * SELL_CHUNK + lane;
                     col_idx[slot] = c;
                     vals[slot] = v;
                 }
             }
         }
-        SellFormat {
-            rows,
-            cols: a.cols(),
-            chunk,
-            nnz: a.nnz(),
-            perm,
-            row_len,
-            slice_ptr,
-            col_idx,
-            vals,
-        }
+        SellFormat { rows, cols: a.cols(), nnz: a.nnz(), perm, row_len, slice_ptr, col_idx, vals }
     }
 
     /// Number of slices.
@@ -577,10 +546,10 @@ impl SellFormat {
 
     /// Iterates the stored entries of lane position `k` in CSR order.
     fn lane_entries(&self, k: usize, mut f: impl FnMut(u32, f64)) {
-        let s = k / self.chunk;
-        let lane = k % self.chunk;
+        let s = k / SELL_CHUNK;
+        let lane = k % SELL_CHUNK;
         for j in 0..self.row_len[k] {
-            let slot = self.slice_ptr[s] + j * self.chunk + lane;
+            let slot = self.slice_ptr[s] + j * SELL_CHUNK + lane;
             f(self.col_idx[slot], self.vals[slot]);
         }
     }
@@ -648,10 +617,10 @@ impl SparseFormat for SellFormat {
         // read-after-write accumulator stalls in a streaming engine.
         let mut out = Vec::with_capacity(self.stored_slots());
         for s in 0..self.slices() {
-            let width = (self.slice_ptr[s + 1] - self.slice_ptr[s]) / self.chunk;
+            let width = (self.slice_ptr[s + 1] - self.slice_ptr[s]) / SELL_CHUNK;
             for j in 0..width {
-                for lane in 0..self.chunk {
-                    let k = s * self.chunk + lane;
+                for lane in 0..SELL_CHUNK {
+                    let k = s * SELL_CHUNK + lane;
                     if k < self.rows && j < self.row_len[k] {
                         out.push(self.perm[k]);
                     } else {
@@ -742,11 +711,11 @@ mod tests {
     fn sell_sorts_within_sigma_windows_only() {
         let e = suite::entry_by_id(13).unwrap(); // power-law: wide length spread
         let a = e.generate(512);
-        let s = SellFormat::with_shape(&a, 4, 16);
+        let s = SellFormat::from_csr(&a);
         // Within each window, lengths are non-increasing.
-        for w in 0..a.rows().div_ceil(16) {
-            let lo = w * 16;
-            let hi = ((w + 1) * 16).min(a.rows());
+        for w in 0..a.rows().div_ceil(SELL_SIGMA) {
+            let lo = w * SELL_SIGMA;
+            let hi = ((w + 1) * SELL_SIGMA).min(a.rows());
             for k in lo..hi - 1 {
                 assert!(s.row_len[k] >= s.row_len[k + 1], "window {w} not sorted at {k}");
             }

@@ -23,24 +23,6 @@ pub fn sum_f64(values: impl IntoIterator<Item = f64>) -> f64 {
     acc
 }
 
-/// Left-to-right sum of `f32` values, in exactly the iterator's order.
-pub fn sum_f32(values: impl IntoIterator<Item = f32>) -> f32 {
-    let mut acc = 0.0f32;
-    for v in values {
-        acc += v;
-    }
-    acc
-}
-
-/// Left-to-right product of `f64` values, in exactly the iterator's order.
-pub fn product_f64(values: impl IntoIterator<Item = f64>) -> f64 {
-    let mut acc = 1.0f64;
-    for v in values {
-        acc *= v;
-    }
-    acc
-}
-
 /// Maximum of `f64` values via [`f64::max`], folding left-to-right from
 /// `f64::NEG_INFINITY` (so an empty iterator yields `NEG_INFINITY`, and
 /// NaNs are skipped the way `f64::max` skips them).
@@ -48,16 +30,6 @@ pub fn max_f64(values: impl IntoIterator<Item = f64>) -> f64 {
     let mut acc = f64::NEG_INFINITY;
     for v in values {
         acc = acc.max(v);
-    }
-    acc
-}
-
-/// Minimum of `f64` values via [`f64::min`], folding left-to-right from
-/// `f64::INFINITY`.
-pub fn min_f64(values: impl IntoIterator<Item = f64>) -> f64 {
-    let mut acc = f64::INFINITY;
-    for v in values {
-        acc = acc.min(v);
     }
     acc
 }
@@ -83,22 +55,11 @@ mod tests {
     #[test]
     fn empty_reductions_have_identity_results() {
         assert_eq!(sum_f64([]), 0.0);
-        assert_eq!(sum_f32([]), 0.0);
-        assert_eq!(product_f64([]), 1.0);
         assert_eq!(max_f64([]), f64::NEG_INFINITY);
-        assert_eq!(min_f64([]), f64::INFINITY);
     }
 
     #[test]
-    fn max_and_min_skip_nan_like_the_std_combinators() {
+    fn max_skips_nan_like_the_std_combinator() {
         assert_eq!(max_f64([1.0, f64::NAN, 3.0, 2.0]), 3.0);
-        assert_eq!(min_f64([4.0, f64::NAN, -1.0]), -1.0);
-    }
-
-    #[test]
-    fn product_follows_iterator_order() {
-        let xs = [1.5, 0.3, 2.0, 7.0];
-        let explicit = xs.iter().copied().fold(1.0f64, |a, b| a * b);
-        assert_eq!(product_f64(xs).to_bits(), explicit.to_bits());
     }
 }

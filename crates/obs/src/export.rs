@@ -110,7 +110,7 @@ pub fn sparkline(values: &[f64]) -> String {
 mod tests {
     use super::*;
     use crate::json::validate_chrome_trace;
-    use crate::sampler::{MetricKey, Slice};
+    use crate::sampler::{Metric, MetricKey, Slice};
     use crate::series::Series;
 
     fn sample_timeline() -> Timeline {
@@ -121,8 +121,8 @@ mod tests {
         b.record(0, 0.25);
         Timeline {
             series: vec![
-                (MetricKey::vault("ldq", 0, "l1-occupancy"), a),
-                (MetricKey::global("noc", "utilization"), b),
+                (MetricKey::vault(Metric::LdqL1Occupancy, 0), a),
+                (MetricKey::global(Metric::NocUtilization), b),
             ],
             slices: vec![Slice { vault: Some(0), name: "X block 1".into(), start: 5, end: 25 }],
         }

@@ -2,9 +2,10 @@
 //!
 //! The aggregate counters in `spacea-sim::stats` say *how much* each
 //! component did over a whole run; this crate records *when*: a [`Sampler`]
-//! snapshots registered gauges — per-vault load-queue and PE occupancy, CAM
-//! hit rates, DRAM row-buffer locality, NoC and TSV traffic — every N cycles
-//! into fixed-capacity [`Series`]. When a series fills up it merges adjacent
+//! snapshots gauges — per-vault load-queue and PE occupancy, CAM hit rates,
+//! DRAM row-buffer locality, NoC and TSV traffic — every N cycles into
+//! fixed-capacity [`Series`]. Every gauge is a [`Metric`], a closed enum,
+//! so a misspelled gauge name does not compile. When a series fills up it merges adjacent
 //! windows and doubles its window length, so a billion-cycle run costs the
 //! same memory as a thousand-cycle one while still preserving exact running
 //! means (window merging adds counts and sums, it never re-averages).
@@ -23,12 +24,11 @@
 
 pub mod export;
 pub mod json;
-pub mod registry;
 pub mod sampler;
 pub mod series;
 
 pub use export::sparkline;
-pub use sampler::{MetricKey, Sampler, SamplerConfig, Slice, Timeline};
+pub use sampler::{Metric, MetricKey, Sampler, SamplerConfig, Slice, Timeline};
 pub use series::{Series, Window};
 
 /// Simulated clock tick, re-exported from `spacea-sim` so probe authors

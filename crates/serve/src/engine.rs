@@ -18,7 +18,7 @@ use spacea_harness::{write_atomic, MappingStats, MappingStore, MatrixSource};
 use spacea_mapping::{MapKind, Mapping};
 use spacea_matrix::Csr;
 use spacea_obs::json::Json;
-use spacea_obs::{MetricKey, Series, Timeline};
+use spacea_obs::{Metric, MetricKey, Series, Timeline};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -146,7 +146,7 @@ pub struct EngineStats {
     pub mappings: MappingStats,
 }
 
-/// Per-request gauge series under registered `spacea-obs` metric keys.
+/// Per-request gauge series, one per `serve` [`Metric`].
 /// The "cycle" axis is the request ordinal (or the event ordinal for the
 /// fault counters), so the exported timeline reads as request history.
 struct Telemetry {
@@ -427,14 +427,14 @@ impl ServeEngine {
         let t = lock(&self.telemetry);
         Timeline {
             series: vec![
-                (MetricKey::global("serve", "queue-wait-us"), t.queue_wait_us.clone()),
-                (MetricKey::global("serve", "batch-size"), t.batch_size.clone()),
-                (MetricKey::global("serve", "cycles-per-request"), t.cycles_per_request.clone()),
-                (MetricKey::global("serve", "queue-depth"), t.queue_depth.clone()),
-                (MetricKey::global("serve", "shed"), t.shed.clone()),
-                (MetricKey::global("serve", "retries"), t.retries.clone()),
-                (MetricKey::global("serve", "deadline-miss"), t.deadline_miss.clone()),
-                (MetricKey::global("serve", "queue-age-us"), t.queue_age_us.clone()),
+                (MetricKey::global(Metric::ServeQueueWaitUs), t.queue_wait_us.clone()),
+                (MetricKey::global(Metric::ServeBatchSize), t.batch_size.clone()),
+                (MetricKey::global(Metric::ServeCyclesPerRequest), t.cycles_per_request.clone()),
+                (MetricKey::global(Metric::ServeQueueDepth), t.queue_depth.clone()),
+                (MetricKey::global(Metric::ServeShed), t.shed.clone()),
+                (MetricKey::global(Metric::ServeRetries), t.retries.clone()),
+                (MetricKey::global(Metric::ServeDeadlineMiss), t.deadline_miss.clone()),
+                (MetricKey::global(Metric::ServeQueueAgeUs), t.queue_age_us.clone()),
             ],
             slices: Vec::new(),
         }
@@ -663,18 +663,12 @@ mod tests {
         assert_eq!(maps.get("healed").unwrap().as_u64(), Some(0));
         let tl = engine.timeline();
         assert_eq!(tl.series.len(), 8);
-        let by_name = |name: &str| {
-            tl.series
-                .iter()
-                .find(|(k, _)| k.name == name)
-                .map(|(_, s)| s.total_count())
-                .unwrap_or(0)
-        };
-        assert_eq!(by_name("queue-wait-us"), 2);
-        assert_eq!(by_name("shed"), 1);
-        assert_eq!(by_name("retries"), 1);
-        assert_eq!(by_name("deadline-miss"), 1);
-        assert_eq!(by_name("queue-age-us"), 1);
+        let count = |metric| tl.series(&MetricKey::global(metric)).map_or(0, Series::total_count);
+        assert_eq!(count(Metric::ServeQueueWaitUs), 2);
+        assert_eq!(count(Metric::ServeShed), 1);
+        assert_eq!(count(Metric::ServeRetries), 1);
+        assert_eq!(count(Metric::ServeDeadlineMiss), 1);
+        assert_eq!(count(Metric::ServeQueueAgeUs), 1);
         engine.write_timeline().unwrap();
         let text = std::fs::read_to_string(dir.join(TIMELINE_FILE)).unwrap();
         spacea_obs::json::validate_chrome_trace(&text).unwrap();

@@ -32,7 +32,7 @@
 //!
 //! Per-request telemetry — queue wait, fused batch width, cycles per
 //! request, queue depth, plus the shed/retry/deadline fault counters — is
-//! recorded under registered `spacea-obs` metric keys and exported as a
+//! recorded under `spacea_obs::Metric` gauge keys and exported as a
 //! Chrome-trace timeline both periodically and on shutdown, next to a
 //! `serve-manifest.json` whose `mappings.computed` counter is the
 //! warm-cache acceptance check.

@@ -5,9 +5,8 @@
 
 use spacea::arch::{HwConfig, Machine, RunSpec};
 use spacea::graph::workloads::CaseStudyGraph;
-use spacea::graph::{pagerank, PageRankConfig};
+use spacea::graph::{pagerank, pr_operand, PageRankConfig};
 use spacea::mapping::{LocalityMapping, MappingStrategy};
-use spacea::matrix::Coo;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A scaled Wiki-shaped power-law graph.
@@ -25,14 +24,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     // transpose; SpaceA's timing for the whole run is iterations x one
     // simulated SpMV (the mapping is computed once and amortized).
     let n = g.rows();
-    let mut coo = Coo::new(n, n);
-    for i in 0..n {
-        let deg = g.row_nnz(i).max(1) as f64;
-        for (j, _) in g.row(i) {
-            coo.push(j as usize, i, 1.0 / deg)?;
-        }
-    }
-    let operand = coo.to_csr();
+    let operand = pr_operand(&g);
 
     let hw = HwConfig::tiny();
     let mapping = LocalityMapping::default().map(&operand, &hw.shape);

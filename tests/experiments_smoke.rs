@@ -50,12 +50,3 @@ fn all_experiments_produce_output() {
         }
     }
 }
-
-#[test]
-fn render_all_concatenates_everything() {
-    let mut cache = SuiteCache::new(ExpConfig::quick());
-    let outputs = vec![experiments::table2::run(), experiments::table1::run(&mut cache)];
-    let text = experiments::render_all(&outputs);
-    assert!(text.contains("Table II"));
-    assert!(text.contains("Table I"));
-}
