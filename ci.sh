@@ -37,6 +37,11 @@ grep -q '"schema": "spacea-lint-graph-v1"' target/lint-graph.json
 cargo run --release -p spacea-lint -- --why Machine::run | grep -q "PDES root"
 cargo run --release -p spacea-lint -- --why LoadQueue::push_forced_at \
   | grep -q "reachable: Machine::run -> Sim::run -> Sim::pe_step -> LoadQueue::push_forced_at"
+# An observed run's gauges are read by one plain method, so the graph shows
+# the chain that really runs (a gauge read inside a stored closure would
+# show the function that built the closure instead).
+cargo run --release -p spacea-lint -- --why LoadQueue::oldest_age \
+  | grep -q "reachable: Machine::run -> Sim::sample_gauges -> LoadQueue::oldest_age"
 
 # Warm pass: all_experiments cold into a fresh cache, then again over it.
 # The two stdouts must be byte-identical, and the warm run must answer

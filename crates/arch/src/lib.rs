@@ -53,7 +53,8 @@ pub use config::{
 };
 pub use layout::{DataLayout, SlotId};
 pub use machine::{Machine, RunOutput, RunSpec, SimError};
+pub use packet::Requester;
 pub use report::SimReport;
 pub use spacea_sim::fault;
 pub use spacea_sim::fault::{FaultPlan, OccupancyHistory, OccupancySample, StallDiagnosis};
-pub use trace::{timeline_slices, TraceEvent, TraceRecord};
+pub use trace::{TraceEvent, TraceRecord};

@@ -39,11 +39,11 @@ use crate::layout::{DataLayout, SlotId};
 use crate::packet::{size, Requester};
 use crate::pe::{pack_rows, PeEntry, ProductPe};
 use crate::report::SimReport;
-use crate::trace::{TraceEvent, TraceRecord};
+use crate::trace::{timeline_slices, TraceEvent, TraceRecord};
 use spacea_mapping::Mapping;
 use spacea_matrix::Csr;
 use spacea_model::ActivitySummary;
-use spacea_obs::{Metric, MetricKey, Sampler, SamplerConfig, Timeline};
+use spacea_obs::{Metric, MetricKey, SamplerConfig, Series, Timeline};
 use spacea_sim::cam::Cam;
 use spacea_sim::dram::{AccessKind, DramBank};
 use spacea_sim::engine::EventQueue;
@@ -52,9 +52,7 @@ use spacea_sim::ldq::{LdqPush, LoadQueue};
 use spacea_sim::link::Link;
 use spacea_sim::noc::MeshNoc;
 use spacea_sim::stats::{CamCounters, SramCounters};
-use spacea_sim::trace::TraceLog;
 use spacea_sim::Cycle;
-use std::cell::Cell;
 use std::cmp::Reverse;
 use std::error::Error;
 use std::fmt;
@@ -201,29 +199,19 @@ impl Machine {
             RunInput::Batch(xs) => xs.iter().map(Vec::as_slice).collect(),
         };
         self.preflight(a, &xs, mapping)?;
-        let mut sim = Sim::build(&self.cfg, a, xs, mapping);
-        if let Some(obs) = observe {
-            sim.trace = TraceLog::new(OBSERVED_TRACE_CAPACITY);
-            sim.arm_sampler(obs);
-        }
+        let mut sim = Sim::build(&self.cfg, a, xs, mapping, observe);
         sim.run()?;
-        let (trace, timeline) = observe
-            .map(|_| {
-                // Final snapshot at the end cycle so short runs still get a
-                // series. The sampler was armed above; an empty timeline is
-                // the graceful degradation if that ever changes.
-                let end = sim.end_time;
-                sim.obs_cycle = end;
-                let mut timeline = match sim.sampler.take() {
-                    Some(mut sampler) => {
-                        sampler.sample_now(end, &sim);
-                        sampler.into_timeline()
-                    }
-                    None => Timeline::default(),
-                };
-                let trace = std::mem::take(&mut sim.trace);
-                timeline.slices = crate::trace::timeline_slices(trace.records());
-                (trace, timeline)
+        if observe.is_some() {
+            // A final snapshot at the end cycle, so a short run still gets
+            // a series.
+            sim.sample_gauges(sim.end_time);
+        }
+        let (trace, timeline) = sim
+            .obs
+            .take()
+            .map(|rec| {
+                let slices = timeline_slices(&rec.trace);
+                (rec.trace, Timeline { series: rec.series, slices })
             })
             .unzip();
         let (mut report, outputs) = sim.finish(a)?;
@@ -284,14 +272,19 @@ impl<'a> RunSpec<'a> {
         RunSpec { a, input: RunInput::Batch(xs), mapping, observe: None }
     }
 
-    /// Sample per-component gauges (queue occupancy, CAM and row-buffer hit
-    /// rates, TSV/NoC traffic) every `obs.every` cycles, at most
-    /// `obs.capacity` windows per series, into [`RunOutput::timeline`], and
-    /// keep the first 65,536 machine events (the paper's "detailed event
-    /// trace", bounded so memory stays predictable) in
-    /// [`RunOutput::trace`]. The timeline's duration slices derive from that
-    /// trace. The [`Timeline`] exports to CSV or Perfetto-loadable Chrome
-    /// trace JSON (see `spacea-obs`).
+    /// Record the run. The machine samples its own gauges into
+    /// [`RunOutput::timeline`], one series of at most `obs.capacity` windows
+    /// per gauge: eight per vault (L1 and L2 load-queue occupancy, the age
+    /// of the oldest load-queue entry, PE entries waiting on X, L1 and L2
+    /// CAM hit rates, DRAM row-buffer hit rate, TSV bytes), then NoC
+    /// byte-hops, event-queue depth and NoC utilization. It samples at the
+    /// first cycle it drains, then at the first drained cycle on or past
+    /// each multiple of `obs.every` (clamped to at least 1), and once more
+    /// at the end cycle. It also keeps the first 65,536 events it fires
+    /// (the paper's "detailed event trace", bounded so memory stays
+    /// predictable) in [`RunOutput::trace`]; the timeline's duration slices
+    /// derive from that trace. The [`Timeline`] exports to CSV or
+    /// Perfetto-loadable Chrome trace JSON (see `spacea-obs`).
     ///
     /// Observation is pure reading: an observed run retires in exactly the
     /// same cycles as a plain one.
@@ -314,9 +307,10 @@ pub struct RunOutput {
     /// single-vector runs). Each is bitwise what a solo
     /// [`RunSpec::spmv`] run returns for that vector alone.
     pub outputs: Vec<Vec<f64>>,
-    /// The bounded event-trace prefix, present iff [`RunSpec::observed`]
-    /// was set.
-    pub trace: Option<TraceLog<TraceRecord>>,
+    /// The first 65,536 events the run fired, in firing order, present
+    /// iff [`RunSpec::observed`] was set. A shorter trace holds every
+    /// event: `report.events_processed` counts them all.
+    pub trace: Option<Vec<TraceRecord>>,
     /// Gauge series and duration slices, present iff [`RunSpec::observed`]
     /// was set.
     pub timeline: Option<Timeline>,
@@ -327,42 +321,6 @@ impl RunOutput {
     /// carries the result vector.
     pub fn into_report(self) -> SimReport {
         self.report
-    }
-}
-
-/// Simulation events. Every event carries its destination component id.
-#[derive(Debug, Clone, Copy)]
-enum Ev {
-    /// Product-PE control-unit scan step.
-    PeStep { pe: u32 },
-    /// A DRAM row arrived in the PE queue.
-    RowLoaded { pe: u32, row_id: u32 },
-    /// Type I packet at a vault controller.
-    VaultXReq { vault: u32, block: u64, from: Requester },
-    /// Type II packet at a vault controller.
-    VaultXResp { vault: u32, block: u64 },
-    /// X request reached the owning vector bank.
-    BankXReq { bank: u32, block: u64 },
-    /// X response reached a product bank group: fill L1, wake waiters.
-    L1Fill { bg: u32, block: u64 },
-    /// Type III packet at the vault owning `Y_row`. The per-vector partial
-    /// values travel out-of-band in `Sim::y_stash` (events stay `Copy`).
-    YAtVault { vault: u32, row: u32 },
-    /// Y partial reached the owning vector bank's Accumulation-PE.
-    YAtBank { bank: u32, row: u32 },
-}
-
-/// Converts an internal event into its public trace representation.
-fn trace_event(ev: &Ev) -> TraceEvent {
-    match *ev {
-        Ev::PeStep { pe } => TraceEvent::PeStep { pe },
-        Ev::RowLoaded { pe, row_id } => TraceEvent::RowLoaded { pe, row_id },
-        Ev::VaultXReq { vault, block, .. } => TraceEvent::XRequestAtVault { vault, block },
-        Ev::VaultXResp { vault, block } => TraceEvent::XResponseAtVault { vault, block },
-        Ev::BankXReq { bank, block } => TraceEvent::XRequestAtBank { bank, block },
-        Ev::L1Fill { bg, block } => TraceEvent::L1Fill { bg, block },
-        Ev::YAtVault { vault, row } => TraceEvent::YAtVault { vault, row },
-        Ev::YAtBank { bank, row } => TraceEvent::YAtBank { bank, row },
     }
 }
 
@@ -380,7 +338,7 @@ struct Sim<'a> {
     /// The batch of input vectors (`k = xs.len()`, ≥ 1 by preflight). A
     /// single-vector SpMV is the `k = 1` special case of the same machine.
     xs: Vec<&'a [f64]>,
-    q: EventQueue<Ev>,
+    q: EventQueue<TraceEvent>,
 
     pes: Vec<ProductPe>,
     pe_slots: Vec<SlotId>,
@@ -424,26 +382,86 @@ struct Sim<'a> {
     rf: SramCounters,
     queue_sram: SramCounters,
     fpu_ops: u64,
-    trace: TraceLog<TraceRecord>,
 
     // Always-on per-vault occupancy history feeding
     // `StallDiagnosis::history`: a flat ring of sample rounds
     // (`OCC_HISTORY` rounds × vaults, slot `(round % OCC_HISTORY)·vaults +
-    // vault`), plus the optional full gauge sampler armed by observed runs.
-    // Both are pure readers: they must never change what the machine does,
-    // only record it.
+    // vault`), plus an observed run's recording. Both are pure readers:
+    // they must never change what the machine does, only record it.
     occ_hist: Vec<OccupancySample>,
     occ_rounds: usize,
     occ_next: Cycle,
-    /// The cycle observation probes treat as "now": set to the cycle being
-    /// drained before each sampler tick (the event clock itself trails by
-    /// one cycle at batch boundaries).
-    obs_cycle: Cycle,
-    sampler: Option<Sampler<Sim<'a>>>,
+    obs: Option<Recording>,
+}
+
+/// The gauges an observed run samples on every vault, in the order its
+/// timeline publishes them (and [`Sim::sample_gauges`] records them).
+const VAULT_GAUGES: [Metric; 8] = [
+    Metric::LdqL1Occupancy,
+    Metric::LdqL2Occupancy,
+    Metric::LdqQueueAge,
+    Metric::PePending,
+    Metric::CamL1HitRate,
+    Metric::CamL2HitRate,
+    Metric::DramRowHitRate,
+    Metric::TsvBytes,
+];
+
+/// The machine-wide gauges, published after every vault's.
+const MACHINE_GAUGES: [Metric; 3] =
+    [Metric::NocByteHops, Metric::EngineQueueDepth, Metric::NocUtilization];
+
+/// What an observed run records: one series per gauge, sampled on a cycle
+/// cadence, and the opening of its event trace.
+struct Recording {
+    /// Cycles between samples (at least 1).
+    every: Cycle,
+    /// The cycle the next sample is due; 0 samples the first drained cycle.
+    next: Cycle,
+    /// NoC byte-hops and cycle at the previous sample: utilization is the
+    /// byte-hop delta per cycle since then.
+    noc_prev: (u64, Cycle),
+    /// One series per gauge: each vault's [`VAULT_GAUGES`], then
+    /// [`MACHINE_GAUGES`].
+    series: Vec<(MetricKey, Series)>,
+    /// The first [`OBSERVED_TRACE_CAPACITY`] events, in firing order.
+    trace: Vec<TraceRecord>,
+}
+
+impl Recording {
+    fn new(cfg: SamplerConfig, vaults: usize) -> Self {
+        let every = cfg.every.max(1);
+        let keys = (0..vaults)
+            .flat_map(|v| VAULT_GAUGES.map(|m| MetricKey::vault(m, v)))
+            .chain(MACHINE_GAUGES.map(MetricKey::global));
+        Recording {
+            every,
+            next: 0,
+            noc_prev: (0, 0),
+            series: keys.map(|key| (key, Series::new(cfg.capacity, every))).collect(),
+            trace: Vec::new(),
+        }
+    }
+
+    /// True when cycle `t` has reached the next sample, which then moves to
+    /// the first multiple of the cadence past `t`.
+    fn due(&mut self, t: Cycle) -> bool {
+        if t < self.next {
+            return false;
+        }
+        self.next = t - t % self.every + self.every;
+        true
+    }
 }
 
 impl<'a> Sim<'a> {
-    fn build(cfg: &'a HwConfig, a: &'a Csr, xs: Vec<&'a [f64]>, mapping: &Mapping) -> Self {
+    fn build(
+        cfg: &'a HwConfig,
+        a: &'a Csr,
+        xs: Vec<&'a [f64]>,
+        mapping: &Mapping,
+        observe: Option<SamplerConfig>,
+    ) -> Self {
         let layout = DataLayout::new(cfg);
         let num_pes = cfg.shape.product_pes();
 
@@ -513,135 +531,16 @@ impl<'a> Sim<'a> {
             rf: SramCounters::default(),
             queue_sram: SramCounters::default(),
             fpu_ops: 0,
-            trace: TraceLog::disabled(),
             occ_hist: vec![OccupancySample::default(); Self::OCC_HISTORY * vaults],
             occ_rounds: 0,
             occ_next: 0,
-            obs_cycle: 0,
-            sampler: None,
+            obs: observe.map(|obs| Recording::new(obs, vaults)),
         }
     }
 
     /// The batch width `k` (≥ 1), as a counter increment.
     fn k(&self) -> u64 {
         self.xs.len() as u64
-    }
-
-    /// Registers the full gauge set on a fresh sampler: per-vault queue
-    /// occupancy, CAM and DRAM row-buffer hit rates and TSV traffic, plus
-    /// machine-wide NoC utilization. The probe closures capture only index
-    /// lists, so they stay `'static` while reading any `Sim`.
-    fn arm_sampler(&mut self, cfg: SamplerConfig) {
-        // Pin each closure to a higher-ranked signature; without this the
-        // compiler would tie it to this `Sim`'s lifetime and reject the
-        // `'static` registration bound.
-        fn probe<F: for<'x> Fn(&Sim<'x>) -> f64 + 'static>(f: F) -> F {
-            f
-        }
-        let mut s: Sampler<Sim<'a>> = Sampler::new(cfg);
-        let bgs_per_vault = self.cfg.shape.product_bgs_per_vault;
-        for v in 0..self.cfg.shape.vaults() {
-            let bgs: Vec<usize> = (v * bgs_per_vault..(v + 1) * bgs_per_vault).collect();
-            let pes: Vec<usize> = (0..self.pes.len())
-                .filter(|&p| self.pe_slots[p].global_vault(self.cfg) == v)
-                .collect();
-            let banks: Vec<usize> = (0..self.vector_banks.len())
-                .filter(|&b| self.layout.vault_of_vector_bank(b) == v)
-                .collect();
-
-            let b = bgs.clone();
-            s.register(
-                MetricKey::vault(Metric::LdqL1Occupancy, v),
-                probe(move |s| b.iter().map(|&g| s.l1_ldq[g].len()).sum::<usize>() as f64),
-            );
-            s.register(
-                MetricKey::vault(Metric::LdqL2Occupancy, v),
-                probe(move |s| s.l2_ldq[v].len() as f64),
-            );
-            // Latency probe: age (in cycles) of the vault's longest-waiting
-            // LDQ entry across its L1 bank-group queues and the L2 queue. A
-            // growing age under flat occupancy means a stuck queue; a deep
-            // but moving queue keeps the age bounded.
-            let b = bgs.clone();
-            s.register(
-                MetricKey::vault(Metric::LdqQueueAge, v),
-                probe(move |s| {
-                    let now = s.obs_cycle;
-                    let l1 = b.iter().map(|&g| s.l1_ldq[g].oldest_age(now)).max().unwrap_or(0);
-                    l1.max(s.l2_ldq[v].oldest_age(now)) as f64
-                }),
-            );
-            let p = pes.clone();
-            s.register(
-                MetricKey::vault(Metric::PePending, v),
-                probe(move |s| p.iter().map(|&i| s.pes[i].pending).sum::<usize>() as f64),
-            );
-            let b = bgs;
-            s.register(
-                MetricKey::vault(Metric::CamL1HitRate, v),
-                probe(move |s| {
-                    let mut c = CamCounters::default();
-                    for &g in &b {
-                        c += *s.prod_l1[g].counters();
-                    }
-                    c.hit_rate()
-                }),
-            );
-            s.register(
-                MetricKey::vault(Metric::CamL2HitRate, v),
-                probe(move |s| s.l2_cam[v].counters().hit_rate()),
-            );
-            s.register(
-                MetricKey::vault(Metric::DramRowHitRate, v),
-                probe(move |s| {
-                    let (mut hits, mut activates) = (0u64, 0u64);
-                    for &i in &pes {
-                        let c = s.matrix_banks[i].counters();
-                        hits += c.row_hits;
-                        activates += c.activates;
-                    }
-                    for &b in &banks {
-                        let c = s.vector_banks[b].counters();
-                        hits += c.row_hits;
-                        activates += c.activates;
-                    }
-                    if hits + activates == 0 {
-                        0.0
-                    } else {
-                        hits as f64 / (hits + activates) as f64
-                    }
-                }),
-            );
-            s.register(
-                MetricKey::vault(Metric::TsvBytes, v),
-                probe(move |s| s.tsv[v].bytes_total() as f64),
-            );
-        }
-        fn total_byte_hops(s: &Sim<'_>) -> u64 {
-            s.nocs.iter().map(MeshNoc::byte_hops).sum::<u64>()
-                + s.serdes.as_ref().map_or(0, MeshNoc::byte_hops)
-        }
-        s.register(MetricKey::global(Metric::NocByteHops), probe(|s| total_byte_hops(s) as f64));
-        // Pending events in the calendar queue — the event engine's own
-        // load gauge (how much same-cycle batching the drain loop sees).
-        s.register(MetricKey::global(Metric::EngineQueueDepth), probe(|s| s.q.len() as f64));
-        // Utilization is the byte-hop delta per cycle since the previous
-        // sample; the Cells carry that previous point between reads.
-        let prev = Cell::new((0u64, 0u64));
-        s.register(
-            MetricKey::global(Metric::NocUtilization),
-            probe(move |s| {
-                let (hops, now) = (total_byte_hops(s), s.obs_cycle);
-                let (prev_hops, prev_cycle) = prev.replace((hops, now));
-                let dt = now.saturating_sub(prev_cycle);
-                if dt == 0 {
-                    0.0
-                } else {
-                    hops.saturating_sub(prev_hops) as f64 / dt as f64
-                }
-            }),
-        );
-        self.sampler = Some(s);
     }
 
     /// Routes a packet between two global vaults; returns the arrival
@@ -686,7 +585,7 @@ impl<'a> Sim<'a> {
     const STALL_RETRY: Cycle = 256;
 
     /// True when an injected vault stall wedges `ev` at cycle `t`.
-    fn stalled(&self, ev: &Ev, t: Cycle) -> bool {
+    fn stalled(&self, ev: &TraceEvent, t: Cycle) -> bool {
         let Some((stalled_vault, from)) = self.cfg.faults.stall_vault else {
             return false;
         };
@@ -694,9 +593,9 @@ impl<'a> Sim<'a> {
             return false;
         }
         match *ev {
-            Ev::VaultXReq { vault, .. }
-            | Ev::VaultXResp { vault, .. }
-            | Ev::YAtVault { vault, .. } => vault as usize == stalled_vault,
+            TraceEvent::XRequestAtVault { vault, .. }
+            | TraceEvent::XResponseAtVault { vault, .. }
+            | TraceEvent::YAtVault { vault, .. } => vault as usize == stalled_vault,
             _ => false,
         }
     }
@@ -719,13 +618,13 @@ impl<'a> Sim<'a> {
         // cycle the engine hands events back in scheduling order, and
         // same-cycle follow-ups land behind the batch — so this batch loop
         // delivers the exact event stream the old one-pop-at-a-time loop
-        // did. The watchdog, occupancy, and sampler checks depend only on
+        // did. The watchdog, occupancy, and gauge checks depend only on
         // `t` (constant across the batch) and are idempotent within a
         // cycle, so checking once per drained batch is exactly the
         // per-event checks of the pop loop.
         let mut last_progress = (self.entries_left, self.y_left);
         let mut last_progress_cycle: Cycle = 0;
-        let mut batch: Vec<Ev> = Vec::new();
+        let mut batch: Vec<TraceEvent> = Vec::new();
         while let Some(t) = self.q.peek_time() {
             self.end_time = self.end_time.max(t);
             // Check the stall window before the drain, so an aborting
@@ -742,12 +641,8 @@ impl<'a> Sim<'a> {
                 self.record_occupancy(t);
                 self.occ_next = (t - t % Self::OCC_EVERY) + Self::OCC_EVERY;
             }
-            if self.sampler.as_ref().is_some_and(|s| s.due(t)) {
-                if let Some(mut sampler) = self.sampler.take() {
-                    self.obs_cycle = t;
-                    sampler.tick(t, self);
-                    self.sampler = Some(sampler);
-                }
+            if self.obs.as_mut().is_some_and(|rec| rec.due(t)) {
+                self.sample_gauges(t);
             }
             if self.q.drain_cycle(&mut batch).is_none() {
                 break;
@@ -761,18 +656,24 @@ impl<'a> Sim<'a> {
                     self.q.schedule(t + Self::STALL_RETRY, ev);
                     continue;
                 }
-                if self.trace.is_enabled() {
-                    self.trace.push_with(|| TraceRecord { cycle: t, event: trace_event(&ev) });
+                if let Some(rec) = &mut self.obs {
+                    if rec.trace.len() < OBSERVED_TRACE_CAPACITY {
+                        rec.trace.push(TraceRecord { cycle: t, event: ev });
+                    }
                 }
                 match ev {
-                    Ev::PeStep { pe } => self.pe_step(pe, t),
-                    Ev::RowLoaded { pe, row_id } => self.row_loaded(pe, row_id, t),
-                    Ev::VaultXReq { vault, block, from } => self.vault_x_req(vault, block, from, t),
-                    Ev::VaultXResp { vault, block } => self.vault_x_resp(vault, block, t),
-                    Ev::BankXReq { bank, block } => self.bank_x_req(bank, block, t),
-                    Ev::L1Fill { bg, block } => self.l1_fill(bg, block, t),
-                    Ev::YAtVault { vault, row } => self.y_at_vault(vault, row, t),
-                    Ev::YAtBank { bank, row } => self.y_at_bank(bank, row, t),
+                    TraceEvent::PeStep { pe } => self.pe_step(pe, t),
+                    TraceEvent::RowLoaded { pe, row_id } => self.row_loaded(pe, row_id, t),
+                    TraceEvent::XRequestAtVault { vault, block, from } => {
+                        self.vault_x_req(vault, block, from, t)
+                    }
+                    TraceEvent::XResponseAtVault { vault, block } => {
+                        self.vault_x_resp(vault, block, t)
+                    }
+                    TraceEvent::XRequestAtBank { bank, block } => self.bank_x_req(bank, block, t),
+                    TraceEvent::L1Fill { bg, block } => self.l1_fill(bg, block, t),
+                    TraceEvent::YAtVault { vault, row } => self.y_at_vault(vault, row, t),
+                    TraceEvent::YAtBank { bank, row } => self.y_at_bank(bank, row, t),
                 }
             }
             let progress = (self.entries_left, self.y_left);
@@ -804,6 +705,64 @@ impl<'a> Sim<'a> {
             occ[self.pe_slots[p].global_vault(self.cfg)].pe_pending += pe.pending;
         }
         occ
+    }
+
+    /// Samples every gauge of an observed run at cycle `t` into its series,
+    /// in [`Recording::series`] order. Pure reading: only the recording
+    /// changes.
+    fn sample_gauges(&mut self, t: Cycle) {
+        let occ = self.vault_occupancy(t);
+        let Some(rec) = &mut self.obs else { return };
+        // Row-buffer hits and activations per vault, over its PEs' matrix
+        // banks and its vector banks.
+        let mut rows = vec![(0u64, 0u64); occ.len()];
+        let pe_vaults = self.pe_slots.iter().map(|slot| slot.global_vault(self.cfg));
+        let bank_vaults = (0..self.vector_banks.len()).map(|b| self.layout.vault_of_vector_bank(b));
+        for (v, bank) in
+            pe_vaults.zip(&self.matrix_banks).chain(bank_vaults.zip(&self.vector_banks))
+        {
+            let c = bank.counters();
+            rows[v].0 += c.row_hits;
+            rows[v].1 += c.activates;
+        }
+        let bgs = self.cfg.shape.product_bgs_per_vault;
+        let mut values = Vec::with_capacity(rec.series.len());
+        for (v, o) in occ.iter().enumerate() {
+            let groups = v * bgs..(v + 1) * bgs;
+            // Age of the vault's longest-waiting load-queue entry. A growing
+            // age under flat occupancy means a stuck queue; a deep but
+            // moving queue keeps the age bounded.
+            let l1_age = groups.clone().map(|g| self.l1_ldq[g].oldest_age(t)).max().unwrap_or(0);
+            let mut l1 = CamCounters::default();
+            for g in groups {
+                l1 += *self.prod_l1[g].counters();
+            }
+            let (hits, activates) = rows[v];
+            let row_hit_rate =
+                if hits + activates == 0 { 0.0 } else { hits as f64 / (hits + activates) as f64 };
+            values.extend([
+                o.l1_ldq as f64,
+                o.l2_ldq as f64,
+                l1_age.max(self.l2_ldq[v].oldest_age(t)) as f64,
+                o.pe_pending as f64,
+                l1.hit_rate(),
+                self.l2_cam[v].counters().hit_rate(),
+                row_hit_rate,
+                self.tsv[v].bytes_total() as f64,
+            ]);
+        }
+        let hops = self.nocs.iter().map(MeshNoc::byte_hops).sum::<u64>()
+            + self.serdes.as_ref().map_or(0, MeshNoc::byte_hops);
+        let (prev_hops, prev_cycle) = std::mem::replace(&mut rec.noc_prev, (hops, t));
+        let dt = t.saturating_sub(prev_cycle);
+        let utilization =
+            if dt == 0 { 0.0 } else { hops.saturating_sub(prev_hops) as f64 / dt as f64 };
+        // Pending events are the engine's own load gauge: how much
+        // same-cycle batching the drain loop sees.
+        values.extend([hops as f64, self.q.len() as f64, utilization]);
+        for ((_, series), value) in rec.series.iter_mut().zip(values) {
+            series.record(t, value);
+        }
     }
 
     /// How many history-ring samples each vault keeps.
@@ -865,7 +824,7 @@ impl<'a> Sim<'a> {
         state.next_load += 1;
         state.load_in_flight = true;
         let done = self.matrix_banks[p].access(t, row_id as u64, size::DRAM_ROW, AccessKind::Read);
-        self.q.schedule(done, Ev::RowLoaded { pe, row_id });
+        self.q.schedule(done, TraceEvent::RowLoaded { pe, row_id });
     }
 
     fn row_loaded(&mut self, pe: u32, row_id: u32, t: Cycle) {
@@ -889,7 +848,7 @@ impl<'a> Sim<'a> {
         let state = &mut self.pes[pe as usize];
         if !state.step_scheduled && state.has_work() {
             state.step_scheduled = true;
-            self.q.schedule(t, Ev::PeStep { pe });
+            self.q.schedule(t, TraceEvent::PeStep { pe });
         }
     }
 
@@ -920,7 +879,7 @@ impl<'a> Sim<'a> {
                     let t_req = self.tsv[vault].transfer(t + L1_CAM_LATENCY, size::X_REQUEST);
                     self.q.schedule(
                         t_req,
-                        Ev::VaultXReq {
+                        TraceEvent::XRequestAtVault {
                             vault: vault as u32,
                             block,
                             from: Requester::BankGroup(bg),
@@ -933,7 +892,7 @@ impl<'a> Sim<'a> {
         // Continue scanning after L_p cycles if work remains.
         if self.pes[p].has_work() {
             self.pes[p].step_scheduled = true;
-            self.q.schedule(t + L_P, Ev::PeStep { pe });
+            self.q.schedule(t + L_P, TraceEvent::PeStep { pe });
         }
     }
 
@@ -997,7 +956,7 @@ impl<'a> Sim<'a> {
         let Some(t2) = self.route(t1, src_vault, home_vault, bytes) else {
             return;
         };
-        self.q.schedule(t2, Ev::YAtVault { vault: home_vault as u32, row });
+        self.q.schedule(t2, TraceEvent::YAtVault { vault: home_vault as u32, row });
     }
 
     /// Type I: X request at a vault controller.
@@ -1017,14 +976,18 @@ impl<'a> Sim<'a> {
         if home_vault == v {
             let bank = self.layout.home_bank_of_block(block);
             let t1 = self.tsv[v].transfer(t_look, size::X_REQUEST);
-            self.q.schedule(t1, Ev::BankXReq { bank: bank as u32, block });
+            self.q.schedule(t1, TraceEvent::XRequestAtBank { bank: bank as u32, block });
         } else {
             let Some(t1) = self.route(t_look, v, home_vault, size::X_REQUEST) else {
                 return;
             };
             self.q.schedule(
                 t1,
-                Ev::VaultXReq { vault: home_vault as u32, block, from: Requester::Vault(v) },
+                TraceEvent::XRequestAtVault {
+                    vault: home_vault as u32,
+                    block,
+                    from: Requester::Vault(v),
+                },
             );
         }
     }
@@ -1036,13 +999,13 @@ impl<'a> Sim<'a> {
         match to {
             Requester::BankGroup(bg) => {
                 let t1 = self.tsv[v].transfer(t, bytes);
-                self.q.schedule(t1, Ev::L1Fill { bg: bg as u32, block });
+                self.q.schedule(t1, TraceEvent::L1Fill { bg: bg as u32, block });
             }
             Requester::Vault(w) => {
                 let Some(t1) = self.route(t, v, w, bytes) else {
                     return;
                 };
-                self.q.schedule(t1, Ev::VaultXResp { vault: w as u32, block });
+                self.q.schedule(t1, TraceEvent::XResponseAtVault { vault: w as u32, block });
             }
         }
     }
@@ -1075,7 +1038,7 @@ impl<'a> Sim<'a> {
             done
         };
         let t1 = self.tsv[vault].transfer(t_ready, size::x_response_bytes(self.xs.len()));
-        self.q.schedule(t1, Ev::VaultXResp { vault: vault as u32, block });
+        self.q.schedule(t1, TraceEvent::XResponseAtVault { vault: vault as u32, block });
     }
 
     /// X response at a product bank group: fill L1 CAM, satisfy waiters.
@@ -1101,7 +1064,7 @@ impl<'a> Sim<'a> {
         let block = self.layout.block_of_element(row as usize);
         let bank = self.layout.home_bank_of_block(block);
         let t1 = self.tsv[v].transfer(t, size::y_partial_bytes(self.xs.len()));
-        self.q.schedule(t1, Ev::YAtBank { bank: bank as u32, row });
+        self.q.schedule(t1, TraceEvent::YAtBank { bank: bank as u32, row });
     }
 
     /// Accumulation-PE: merge the stashed per-vector partials into the
@@ -1475,18 +1438,51 @@ mod tests {
         assert!(plain.trace.is_none() && plain.timeline.is_none(), "a plain run records nothing");
         let obs = SamplerConfig::default();
         let out = machine.run(RunSpec::spmv(&a, &x, &mapping).observed(obs)).unwrap();
-        let log = out.trace.expect("an observed spec must yield a trace");
+        let trace = out.trace.expect("an observed spec must yield a trace");
         assert_eq!(plain.report.cycles, out.report.cycles, "observation must not perturb timing");
-        // Every processed event was offered; the first 65,536 are kept.
-        assert_eq!(log.offered(), out.report.events_processed);
-        assert_eq!(log.records().len(), OBSERVED_TRACE_CAPACITY);
-        assert!(log.dropped() > 0, "this run has more events than the trace keeps");
+        // The first 65,536 events are kept, of more than that.
+        assert_eq!(trace.len(), OBSERVED_TRACE_CAPACITY);
+        assert!(
+            (trace.len() as u64) < out.report.events_processed,
+            "this run has more events than the trace keeps"
+        );
         // Cycles in the trace are non-decreasing (event order).
-        for w in log.records().windows(2) {
+        for w in trace.windows(2) {
             assert!(w[0].cycle <= w[1].cycle);
         }
         // The trace starts with the first row loads.
-        assert!(matches!(log.records()[0].event, crate::trace::TraceEvent::RowLoaded { .. }));
+        assert!(matches!(trace[0].event, TraceEvent::RowLoaded { .. }));
+    }
+
+    #[test]
+    fn observed_run_samples_on_its_cadence_and_at_the_end() {
+        let a = banded(&BandedConfig { n: 200, ..Default::default() });
+        let cfg = HwConfig::tiny();
+        let x = vec![1.0; a.cols()];
+        let mapping = LocalityMapping::default().map(&a, &cfg.shape);
+        let every = 100;
+        let obs = SamplerConfig { every, capacity: 1 << 12 };
+        let out = Machine::new(cfg).run(RunSpec::spmv(&a, &x, &mapping).observed(obs)).unwrap();
+        let trace = out.trace.expect("an observed spec must yield a trace");
+        let timeline = out.timeline.expect("an observed spec must yield a timeline");
+        assert_eq!(trace.len() as u64, out.report.events_processed, "the trace is complete");
+        // Every drained cycle fires at least one event, so the trace's
+        // distinct cycles are the drained cycles. The first is sampled, then
+        // the first on or past each multiple of `every`; the end cycle adds
+        // one more snapshot.
+        let mut cycles: Vec<Cycle> = trace.iter().map(|r| r.cycle).collect();
+        cycles.dedup();
+        let (mut next, mut samples) = (0, 1);
+        for t in cycles {
+            if t >= next {
+                samples += 1;
+                next = t - t % every + every;
+            }
+        }
+        assert!(samples > 3, "the run spans several sampling windows: {samples}");
+        for (key, series) in &timeline.series {
+            assert_eq!(series.total_count(), samples, "{key}");
+        }
     }
 
     #[test]

@@ -1,5 +1,6 @@
-//! Typed trace records for the machine's event loop.
+//! The machine's events, and the trace records an observed run keeps.
 
+use crate::packet::Requester;
 use spacea_obs::Slice;
 use spacea_sim::Cycle;
 use std::collections::BTreeMap;
@@ -14,7 +15,9 @@ pub struct TraceRecord {
     pub event: TraceEvent,
 }
 
-/// The machine-level event kinds (mirrors the internal event enum).
+/// The machine's events: the event loop schedules and handles these, and
+/// an observed run traces them as they fire. Every event carries its
+/// destination component id.
 #[derive(Debug, Clone, Copy, PartialEq)]
 #[non_exhaustive]
 pub enum TraceEvent {
@@ -36,8 +39,11 @@ pub enum TraceEvent {
         vault: u32,
         /// Input-vector block index.
         block: u64,
+        /// Who the response is routed back to.
+        from: Requester,
     },
-    /// Type II: an X response reached a vault controller.
+    /// Type II: an X response reached a vault controller, which fills its
+    /// L2 CAM and answers the requests waiting on the block.
     XResponseAtVault {
         /// Global vault id.
         vault: u32,
@@ -51,7 +57,8 @@ pub enum TraceEvent {
         /// Input-vector block index.
         block: u64,
     },
-    /// An X response filled a product bank group's L1 CAM.
+    /// An X response filled a product bank group's L1 CAM, waking the PE
+    /// entries waiting on the block.
     L1Fill {
         /// Global product bank-group id.
         bg: u32,
@@ -59,6 +66,8 @@ pub enum TraceEvent {
         block: u64,
     },
     /// Type III: a Y partial reached the vault owning its output element.
+    /// The per-vector partial values travel out of band, so events stay
+    /// `Copy`.
     YAtVault {
         /// Global vault id.
         vault: u32,
@@ -82,7 +91,7 @@ impl fmt::Display for TraceRecord {
             TraceEvent::RowLoaded { pe, row_id } => {
                 write!(f, "pe {pe}: DRAM row {row_id} loaded into PE queue")
             }
-            TraceEvent::XRequestAtVault { vault, block } => {
+            TraceEvent::XRequestAtVault { vault, block, .. } => {
                 write!(f, "vault {vault}: X request for block {block} (type I)")
             }
             TraceEvent::XResponseAtVault { vault, block } => {
@@ -111,13 +120,13 @@ impl fmt::Display for TraceRecord {
 ///
 /// Unmatched opens (responses past the bounded trace prefix) are dropped —
 /// a slice with no known end would render as running forever.
-pub fn timeline_slices(records: &[TraceRecord]) -> Vec<Slice> {
+pub(crate) fn timeline_slices(records: &[TraceRecord]) -> Vec<Slice> {
     let mut open_x: BTreeMap<(u32, u64), Cycle> = BTreeMap::new();
     let mut open_y: BTreeMap<u32, (u32, Cycle)> = BTreeMap::new();
     let mut slices = Vec::new();
     for r in records {
         match r.event {
-            TraceEvent::XRequestAtVault { vault, block } => {
+            TraceEvent::XRequestAtVault { vault, block, .. } => {
                 open_x.entry((vault, block)).or_insert(r.cycle);
             }
             TraceEvent::XResponseAtVault { vault, block } => {
@@ -154,15 +163,23 @@ pub fn timeline_slices(records: &[TraceRecord]) -> Vec<Slice> {
 mod tests {
     use super::*;
 
+    const BG: Requester = Requester::BankGroup(0);
+
     #[test]
     fn request_response_pairs_become_slices() {
         let records = [
-            TraceRecord { cycle: 10, event: TraceEvent::XRequestAtVault { vault: 1, block: 4 } },
+            TraceRecord {
+                cycle: 10,
+                event: TraceEvent::XRequestAtVault { vault: 1, block: 4, from: BG },
+            },
             TraceRecord { cycle: 12, event: TraceEvent::YAtVault { vault: 0, row: 9 } },
             TraceRecord { cycle: 30, event: TraceEvent::XResponseAtVault { vault: 1, block: 4 } },
             TraceRecord { cycle: 35, event: TraceEvent::YAtBank { bank: 2, row: 9 } },
             // Unmatched request: no response in the bounded prefix.
-            TraceRecord { cycle: 40, event: TraceEvent::XRequestAtVault { vault: 2, block: 7 } },
+            TraceRecord {
+                cycle: 40,
+                event: TraceEvent::XRequestAtVault { vault: 2, block: 7, from: BG },
+            },
         ];
         let slices = timeline_slices(&records);
         assert_eq!(slices.len(), 2);
@@ -179,7 +196,7 @@ mod tests {
         let kinds = [
             TraceEvent::PeStep { pe: 1 },
             TraceEvent::RowLoaded { pe: 1, row_id: 2 },
-            TraceEvent::XRequestAtVault { vault: 3, block: 4 },
+            TraceEvent::XRequestAtVault { vault: 3, block: 4, from: Requester::Vault(0) },
             TraceEvent::XResponseAtVault { vault: 3, block: 4 },
             TraceEvent::XRequestAtBank { bank: 5, block: 4 },
             TraceEvent::L1Fill { bg: 6, block: 4 },

@@ -2,10 +2,11 @@
 //!
 //! Verbs:
 //!
-//! * `serve start [--port N] [--max-batch N] [--compact-every N]
-//!   [--chaos SPEC|--chaos-seed N]` — run the daemon in the foreground over
-//!   `--cache-dir` (default `target/spacea-cache`); `--quick` serves the
-//!   tiny machine. The bound port is published to `<cache-dir>/serve.port`
+//! * `serve start [--port N] [--compact-every N] [--chaos SPEC|--chaos-seed N]`
+//!   — run the daemon in the foreground over `--cache-dir` (default
+//!   `target/spacea-cache`); `--quick` serves the tiny machine. It fuses up
+//!   to `spacea_serve::service::MAX_BATCH` (16) same-matrix requests into
+//!   one pass. The bound port is published to `<cache-dir>/serve.port`
 //!   once the listener is up. `--compact-every N` auto-compacts the
 //!   acknowledgment journal (crash-safe, retaining the newest N files)
 //!   every N acknowledged batches; 0 (the default) disables it.
@@ -30,14 +31,13 @@ use spacea_bench::{ArgError, HarnessOptions};
 use spacea_serve::{run_daemon, seeded_vector, CallError, ChaosPlan, Client, ServeConfig};
 
 const SERVE_USAGE: &str = "serve: start|submit|register|compact|stat|shutdown | --port N | \
-     --max-batch N | --compact-every N | --chaos SPEC | --chaos-seed N | \
+     --compact-every N | --chaos SPEC | --chaos-seed N | \
      --matrix ID/SCALE[,ID/SCALE...] | --seeds N[,N...] | --deadline-ms N | --check | \
      --mtx PATH | --retain N";
 
 fn main() {
     let mut verb: Option<String> = None;
     let mut port = 0u16;
-    let mut max_batch: Option<usize> = None;
     let mut matrices = vec![(1u8, 256usize)];
     let mut seeds: Vec<u64> = (0..8).collect();
     let mut check = false;
@@ -57,7 +57,6 @@ fn main() {
                     .try_into()
                     .map_err(|_| ArgError::new("--port needs a TCP port (fits in 16 bits)"))?;
             }
-            "--max-batch" => max_batch = Some(args.usize_value("--max-batch")?.max(1)),
             "--compact-every" => compact_every = args.usize_value("--compact-every")? as u64,
             "--chaos" => {
                 chaos = ChaosPlan::parse(&args.value("--chaos")?)
@@ -79,7 +78,7 @@ fn main() {
     .unwrap_or_else(|e| e.exit_with_usage(SERVE_USAGE));
 
     match verb.as_deref() {
-        Some("start") => start(&opts, port, max_batch, compact_every, chaos),
+        Some("start") => start(&opts, port, compact_every, chaos),
         Some("submit") => submit(&opts, &matrices, &seeds, check, deadline_ms),
         Some("register") => register_mtx(&opts, mtx_path.as_deref()),
         Some("compact") => compact(&opts, retain),
@@ -108,20 +107,11 @@ fn parse_seeds(spec: &str) -> Result<Vec<u64>, ArgError> {
         .collect()
 }
 
-fn start(
-    opts: &HarnessOptions,
-    port: u16,
-    max_batch: Option<usize>,
-    compact_every: u64,
-    chaos: ChaosPlan,
-) {
+fn start(opts: &HarnessOptions, port: u16, compact_every: u64, chaos: ChaosPlan) {
     let mut cfg = ServeConfig::new(opts.cache_dir());
     cfg.hw = opts.cfg.hw.clone();
     cfg.chaos = chaos;
     cfg.compact_every = compact_every;
-    if let Some(mb) = max_batch {
-        cfg.max_batch = mb;
-    }
     if let Err(e) = run_daemon(cfg, port) {
         eprintln!("serve: daemon failed: {e}");
         std::process::exit(1);

@@ -3,9 +3,10 @@
 //!
 //! Run mode: `cargo run --release -p spacea-bench --bin timeline --
 //! [--id N] [--kind naive|proposed] [--scale N] [--every CYCLES]
-//! [--capacity WINDOWS] [--out FILE]` simulates one Table I matrix with the
-//! cycle-windowed sampler armed, writes the Chrome-trace JSON (default
-//! `timeline.json`), and prints a per-gauge sparkline summary to stdout.
+//! [--capacity WINDOWS] [--out FILE]` runs one Table I matrix observed (the
+//! machine samples its gauges every `--every` cycles), writes the
+//! Chrome-trace JSON (default `timeline.json`), and prints a per-gauge
+//! sparkline summary to stdout.
 //! Load the JSON at <https://ui.perfetto.dev>: one thread track per vault,
 //! one counter track per gauge, duration slices for X/Y traffic.
 //!

@@ -24,17 +24,17 @@ fn main() {
         std::process::exit(1)
     });
     let report = &out.report;
-    let Some(log) = out.trace else {
+    let Some(trace) = out.trace else {
         eprintln!("trace_dump: observed run yielded no trace");
         std::process::exit(1)
     };
-    let shown = &log.records()[..log.records().len().min(SHOWN)];
+    let shown = &trace[..trace.len().min(SHOWN)];
 
     println!(
         "bcsstk32 (scaled): {} cycles total; showing the first {} of {} events",
         report.cycles,
         shown.len(),
-        log.offered()
+        report.events_processed
     );
     for record in shown {
         println!("{record}");

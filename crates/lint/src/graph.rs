@@ -31,11 +31,12 @@
 //!   `Self::f()` uses the enclosing `impl`'s type. Unresolvable qualifiers
 //!   (`Vec::new`) produce no edge.
 //! - **Dynamic dispatch through closures and `dyn` trait objects is not
-//!   traced.** A closure executes with the obligations of the crate that
-//!   builds it, whose own rules cover it: the sampler's gauge probes, for
-//!   example, are closures `arch` builds. `Machine::run` takes no closure
-//!   from its caller, so every closure its event loop calls is built in
-//!   `arch`.
+//!   traced.** The graph attributes a closure's body to the function that
+//!   builds it, which is where the closure runs when it goes straight to an
+//!   iterator adapter. A closure stored and called later would run on a
+//!   path the graph cannot see. The event loop stores none: `Machine::run`
+//!   takes no closure from its caller, and an observed run reads its gauges
+//!   in a plain method (`Sim::sample_gauges`).
 //! - Macro-generated code is invisible; the workspace bans such codegen in
 //!   deterministic crates anyway.
 

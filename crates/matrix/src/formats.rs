@@ -284,11 +284,11 @@ impl SparseFormat for CooFormat {
 // ---------------------------------------------------------------------------
 
 /// Block shape (rows × cols per block). The occupancy mask of a block
-/// holds one bit per cell in a `u64`, so `rows × cols` must stay at most 64.
+/// holds one bit per cell in a `u16`, so `rows × cols` must stay at most 16.
 pub const BCSR_BLOCK: (usize, usize) = (4, 4);
 const BR: usize = BCSR_BLOCK.0;
 const BC: usize = BCSR_BLOCK.1;
-const _: () = assert!(BR * BC <= 64, "a BCSR block's occupancy mask is one u64");
+const _: () = assert!(BR * BC <= 16, "a BCSR block's occupancy mask is one u16");
 
 /// Blocked CSR: dense [`BCSR_BLOCK`] value blocks addressed by a
 /// block-level CSR, with an occupancy bitmask per block so explicit stored
@@ -301,7 +301,7 @@ pub struct BcsrFormat {
     nnz: usize,
     block_row_ptr: Vec<usize>,
     block_col: Vec<u32>,
-    mask: Vec<u64>,
+    mask: Vec<u16>,
     vals: Vec<f64>,
 }
 
@@ -335,13 +335,13 @@ impl BcsrFormat {
             for (b, &bj) in block_col.iter().enumerate().skip(first) {
                 block_of[bj as usize] = b;
             }
-            mask.resize(block_col.len(), 0u64);
+            mask.resize(block_col.len(), 0u16);
             vals.resize(block_col.len() * BR * BC, 0.0);
             for r in rows {
                 for (c, v) in a.row(r) {
                     let b = block_of[c as usize / BC];
                     let slot = (r - base) * BC + (c as usize % BC);
-                    mask[b] |= 1u64 << slot;
+                    mask[b] |= 1u16 << slot;
                     vals[b * BR * BC + slot] = v;
                 }
             }
@@ -374,7 +374,7 @@ impl BcsrFormat {
             let m = self.mask[b];
             for cc in 0..BC {
                 let slot = rr * BC + cc;
-                if m & (1u64 << slot) != 0 {
+                if m & (1u16 << slot) != 0 {
                     let c = self.block_col[b] * BC as u32 + cc as u32;
                     f(c, self.vals[b * BR * BC + slot]);
                 }
@@ -438,7 +438,7 @@ impl SparseFormat for BcsrFormat {
                 let m = self.mask[b];
                 for slot in 0..BR * BC {
                     let r = base + slot / BC;
-                    if m & (1u64 << slot) != 0 && r < self.rows {
+                    if m & (1u16 << slot) != 0 && r < self.rows {
                         out.push(r as u32);
                     } else {
                         out.push(PAD);

@@ -204,7 +204,7 @@ mod tests {
                 exact_sum += value;
                 max_value = max_value.max(*value);
                 s.record(cycle, *value);
-                // The sampler's memory bound: never more windows than
+                // A series' memory bound: never more windows than
                 // configured, no matter how many cycles go by.
                 prop_assert!(s.windows().len() <= capacity.max(2));
             }

@@ -52,8 +52,6 @@ pub struct ServeConfig {
     pub cache_dir: PathBuf,
     /// The machine every request is simulated on.
     pub hw: HwConfig,
-    /// Largest number of requests fused into one SpMM pass.
-    pub max_batch: usize,
     /// Load-shedding high-water mark: a submit that finds this many
     /// requests already waiting is rejected with an explicit
     /// `overloaded` error instead of queued. It also bounds the admission
@@ -84,13 +82,11 @@ pub struct ServeConfig {
 
 impl ServeConfig {
     /// The default configuration over `cache_dir`: the paper machine,
-    /// proposed mapping, batches of up to 16 fused requests, shedding at a
-    /// full admission queue.
+    /// proposed mapping, shedding at a full admission queue.
     pub fn new(cache_dir: impl Into<PathBuf>) -> Self {
         ServeConfig {
             cache_dir: cache_dir.into(),
             hw: HwConfig::default(),
-            max_batch: 16,
             shed_mark: 64,
             gather_window: Duration::from_millis(2),
             gather_idle: Duration::from_micros(100),

@@ -135,18 +135,13 @@ impl AckJournal {
     /// compaction emptied the directory.
     pub fn open(dir: impl Into<PathBuf>) -> Self {
         let dir = dir.into();
-        let floor = watermark(&dir).map_or(0, |(seq, _)| seq + 1);
-        let next = match std::fs::read_dir(&dir) {
-            Ok(entries) => entries
-                .filter_map(|e| e.ok())
-                .filter_map(|e| seq_of(&e.path()))
-                .max()
-                .map_or(0, |max| max + 1),
-            Err(_) => 0,
-        };
+        let floor = watermark(&dir).map(|(seq, _)| seq);
+        let (_, live) = ack_files(&dir, floor);
+        // Live files lie past the watermark; with none, continue after it.
+        let next = live.last().map(|&(seq, _)| seq).or(floor).map_or(0, |seq| seq + 1);
         AckJournal {
             dir,
-            seq: AtomicU64::new(next.max(floor)),
+            seq: AtomicU64::new(next),
             acked: AtomicU64::new(0),
             compaction: RwLock::new(()),
         }
@@ -190,19 +185,12 @@ impl AckJournal {
     /// the watermark write and the unlinks can leave some behind) and
     /// their records are already accounted for in [`JournalLoad::dropped`].
     pub fn load(dir: &Path) -> JournalLoad {
-        let mut out = JournalLoad::default();
         let wm = watermark(dir);
-        out.dropped = wm.map_or(0, |(_, records)| records);
-        let floor = wm.map(|(seq, _)| seq);
-        let Ok(entries) = std::fs::read_dir(dir) else { return out };
-        let mut files: Vec<(u64, PathBuf)> = entries
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter_map(|p| seq_of(&p).map(|seq| (seq, p)))
-            .filter(|&(seq, _)| floor.is_none_or(|through| seq > through))
-            .collect();
-        files.sort();
-        for (_, path) in files {
-            match std::fs::read_to_string(&path).ok().and_then(|t| decode_file(&t)) {
+        let mut out =
+            JournalLoad { dropped: wm.map_or(0, |(_, records)| records), ..JournalLoad::default() };
+        let (_, live) = ack_files(dir, wm.map(|(seq, _)| seq));
+        for (_, path) in live {
+            match read_acks(&path) {
                 Some(mut records) => out.records.append(&mut records),
                 None => out.corrupt_files += 1,
             }
@@ -214,17 +202,10 @@ impl AckJournal {
     /// compaction watermark — what the `stat` verb reports.
     pub fn disk_counts(&self) -> (u64, u64) {
         let _shared = self.compaction.read().unwrap_or_else(PoisonError::into_inner);
-        let load = AckJournal::load(&self.dir);
-        let floor = watermark(&self.dir).map(|(seq, _)| seq);
-        let files = match std::fs::read_dir(&self.dir) {
-            Ok(entries) => entries
-                .filter_map(|e| e.ok())
-                .filter_map(|e| seq_of(&e.path()))
-                .filter(|&seq| floor.is_none_or(|through| seq > through))
-                .count(),
-            Err(_) => 0,
-        };
-        (load.records.len() as u64, files as u64)
+        let (_, live) = ack_files(&self.dir, watermark(&self.dir).map(|(seq, _)| seq));
+        let records: usize =
+            live.iter().filter_map(|(_, path)| read_acks(path)).map(|r| r.len()).sum();
+        (records as u64, live.len() as u64)
     }
 
     /// Drops acked journal files beyond a retention budget, keeping the
@@ -241,20 +222,9 @@ impl AckJournal {
     pub fn compact(&self, retain: usize) -> std::io::Result<CompactionStats> {
         let _exclusive = self.compaction.write().unwrap_or_else(PoisonError::into_inner);
         let prior = watermark(&self.dir);
-        let floor = prior.map(|(seq, _)| seq);
-        let Ok(entries) = std::fs::read_dir(&self.dir) else {
-            return Ok(CompactionStats::default());
-        };
-        let mut files: Vec<(u64, PathBuf)> = entries
-            .filter_map(|e| e.ok().map(|e| e.path()))
-            .filter_map(|p| seq_of(&p).map(|seq| (seq, p)))
-            .collect();
-        files.sort();
         // Leftovers from a crashed pass sit at or below the old watermark:
         // already counted there, so sweep them without recounting.
-        let live_from =
-            files.partition_point(|&(seq, _)| floor.is_some_and(|through| seq <= through));
-        let (leftovers, live) = files.split_at(live_from);
+        let (leftovers, live) = ack_files(&self.dir, prior.map(|(seq, _)| seq));
         let keep_from = live.len().saturating_sub(retain);
         let (stale, kept) = live.split_at(keep_from);
         let mut stats = CompactionStats {
@@ -264,9 +234,7 @@ impl AckJournal {
         };
         if let Some(&(through, _)) = stale.last() {
             for (_, path) in stale {
-                if let Some(records) =
-                    std::fs::read_to_string(path).ok().and_then(|t| decode_file(&t))
-                {
+                if let Some(records) = read_acks(path) {
                     stats.dropped_records += records.len();
                 }
             }
@@ -299,6 +267,25 @@ fn watermark(dir: &Path) -> Option<(u64, u64)> {
     Some((v.get("dropped_through_seq")?.as_u64()?, v.get("dropped_records")?.as_u64()?))
 }
 
+/// Journal files as `(seq, path)`, in sequence order.
+type AckFiles = Vec<(u64, PathBuf)>;
+
+/// The `ack-<seq>.json` files of `dir`, split at the compaction watermark
+/// `floor`: the files at or below it (leftovers of a crashed compaction,
+/// already counted in the watermark), then the live ones. A missing
+/// directory lists none.
+fn ack_files(dir: &Path, floor: Option<u64>) -> (AckFiles, AckFiles) {
+    let Ok(entries) = std::fs::read_dir(dir) else { return Default::default() };
+    let mut files: AckFiles = entries
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter_map(|p| seq_of(&p).map(|seq| (seq, p)))
+        .collect();
+    files.sort();
+    let live = files
+        .split_off(files.partition_point(|&(seq, _)| floor.is_some_and(|through| seq <= through)));
+    (files, live)
+}
+
 /// The sequence number of an `ack-<seq>.json` path, if it is one.
 fn seq_of(path: &Path) -> Option<u64> {
     let name = path.file_name()?.to_str()?;
@@ -306,8 +293,10 @@ fn seq_of(path: &Path) -> Option<u64> {
     digits.parse().ok()
 }
 
-fn decode_file(text: &str) -> Option<Vec<AckRecord>> {
-    let v = parse(text).ok()?;
+/// The records of one journal file; `None` when it cannot be read or
+/// decoded.
+fn read_acks(path: &Path) -> Option<Vec<AckRecord>> {
+    let v = parse(&std::fs::read_to_string(path).ok()?).ok()?;
     if v.get("version")?.as_u64()? != 1 {
         return None;
     }

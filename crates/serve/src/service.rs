@@ -65,6 +65,9 @@ pub const DEFAULT_DEADLINE: Duration = Duration::from_secs(30);
 /// never retried).
 const MAX_RETRIES: u32 = 2;
 
+/// Largest number of requests fused into one SpMM pass.
+pub const MAX_BATCH: usize = 16;
+
 /// What one completed request returns to its submitter.
 #[derive(Debug, Clone, PartialEq)]
 pub struct SubmitReply {
@@ -322,12 +325,11 @@ fn next_batch(
     pending: &mut VecDeque<Pending>,
 ) -> Option<Batch> {
     let cfg = engine.config();
-    let max_batch = cfg.max_batch.max(1);
     loop {
         if pending.is_empty() {
             pending.push_back(rx.recv().ok()?);
             // Drain whatever already queued up behind it without waiting.
-            while pending.len() < max_batch {
+            while pending.len() < MAX_BATCH {
                 match rx.try_recv() {
                     Ok(p) => pending.push_back(p),
                     Err(_) => break,
@@ -340,7 +342,7 @@ fn next_batch(
         // A busy queue keeps the full window to maximize fusion.
         let gather = if pending.len() > 1 { cfg.gather_window } else { cfg.gather_idle };
         let gather_deadline = Instant::now() + gather;
-        while pending.len() < max_batch {
+        while pending.len() < MAX_BATCH {
             let left = gather_deadline.saturating_duration_since(Instant::now());
             if left.is_zero() {
                 break;
@@ -366,7 +368,7 @@ fn next_batch(
         for p in pending.drain(..) {
             if p.deadline <= now {
                 cancel(engine, depth, p);
-            } else if p.matrix == matrix && members.len() < max_batch {
+            } else if p.matrix == matrix && members.len() < MAX_BATCH {
                 members.push(p);
             } else {
                 rest.push_back(p);

@@ -53,7 +53,6 @@ pub mod link;
 pub mod noc;
 mod slab;
 pub mod stats;
-pub mod trace;
 pub mod workload;
 
 /// Simulation time in clock cycles (the machine runs at 1 GHz, Section II-C).

@@ -6,8 +6,8 @@
 //! energy tables. These counter types cover the *aggregate* half of that:
 //! whole-run totals that the `spacea-model` crate turns into joules. For
 //! the time-resolved half — when the activity happened, not just how much —
-//! see the `trace` module (bounded event prefix) and the `spacea-obs`
-//! crate (cycle-sampled gauge series and timeline export).
+//! an observed run of the machine (`spacea-arch`) keeps the opening of its
+//! event trace and samples gauge series into a `spacea-obs` timeline.
 
 use std::ops::AddAssign;
 
