@@ -80,6 +80,10 @@ cargo run --release -p spacea-bench --bin timeline -- --validate target/timeline
 for ex in quickstart mapping_comparison pagerank sensitivity jacobi_solver offload_amortization; do
   cargo run --release --example "$ex" > "target/example-$ex.txt"
 done
+# offload_amortization prints host-measured times on stderr only, so its
+# stdout must repeat byte for byte.
+cargo run --release --example offload_amortization > target/example-offload_amortization-2.txt
+cmp target/example-offload_amortization.txt target/example-offload_amortization-2.txt
 
 # Experiment entrypoint: `experiment ID` for every registry id, each output
 # followed by one blank line, must concatenate to exactly what
@@ -286,6 +290,26 @@ cargo run --release -p spacea-bench --bin serve -- stat --cache-dir "$SERVE_CACH
 cargo run --release -p spacea-bench --bin serve -- shutdown --cache-dir "$SERVE_CACHE"
 wait $SERVE_PID
 grep -q '"computed":0' "$SERVE_CACHE/serve-manifest.json"
+
+# The run memo: a daemon simulates each (matrix, batch width) once. On a
+# cache of its own, two sequential solo submits of one matrix: the first
+# pass simulates, the second answers from the stored run, and both replies
+# must still bitwise-match the offline SpMV.
+MEMO_CACHE=target/spacea-cache-serve-memo
+rm -rf "$MEMO_CACHE"
+cargo run --release -p spacea-bench --bin serve -- start --quick --cache-dir "$MEMO_CACHE" &
+SERVE_PID=$!
+for _ in $(seq 1 150); do [ -f "$MEMO_CACHE/serve.port" ] && break; sleep 0.1; done
+for seed in 0 1; do
+  cargo run --release -p spacea-bench --bin serve -- submit --cache-dir "$MEMO_CACHE" \
+    --matrix 1/256 --seeds "$seed" --check
+done
+cargo run --release -p spacea-bench --bin serve -- stat --cache-dir "$MEMO_CACHE" \
+  > target/serve-memo-stat.json
+cargo run --release -p spacea-bench --bin serve -- shutdown --cache-dir "$MEMO_CACHE"
+wait $SERVE_PID
+grep -qF '"simulations_run":1' target/serve-memo-stat.json
+grep -qF '"simulations_reused":1' target/serve-memo-stat.json
 
 # Chaos soak: 8 seeded service-layer fault plans against live daemons. The
 # invariant is absolute — every acknowledged response bitwise-matches the

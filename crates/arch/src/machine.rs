@@ -147,8 +147,19 @@ impl Machine {
         &self.cfg
     }
 
-    /// Validates configuration, dimensions, and mapping before a run.
-    fn preflight(&self, a: &Csr, xs: &[&[f64]], mapping: &Mapping) -> Result<(), SimError> {
+    /// Validates configuration, dimensions, and mapping before a run: the
+    /// checks [`Machine::run`] makes before it builds anything. A caller
+    /// that answers a pass without running it calls this first, so a
+    /// request the machine would refuse is refused the same way.
+    ///
+    /// # Errors
+    ///
+    /// [`SimError::BadConfig`] for a configuration that fails validation,
+    /// [`SimError::EmptyBatch`] for no input vectors,
+    /// [`SimError::DimensionMismatch`] for a vector whose length is not
+    /// `a.cols()`, and [`SimError::MappingMismatch`] for a mapping built
+    /// for another PE count or row count.
+    pub fn preflight(&self, a: &Csr, xs: &[&[f64]], mapping: &Mapping) -> Result<(), SimError> {
         self.cfg.validate().map_err(SimError::BadConfig)?;
         if xs.is_empty() {
             return Err(SimError::EmptyBatch);
@@ -268,6 +279,15 @@ impl<'a> RunSpec<'a> {
     /// run returns for that vector alone (row dot products are reduced in
     /// canonical CSR entry order, independent of batch composition), which
     /// is what lets a batching service fuse concurrent requests safely.
+    ///
+    /// The report depends on the batch only through its width: no event
+    /// reads a vector's values (they travel out of band and the oracle
+    /// checks them at the end), so two successful passes of equal width
+    /// over any vectors report the same cycles, events, activity, PE work,
+    /// hit rate and busy fractions, bit for bit. The serve daemon relies
+    /// on this to simulate each (matrix, width) once and answer later
+    /// passes of that width from the stored report
+    /// (`crates/arch/tests/spmm_equivalence.rs` checks it).
     pub fn spmm(a: &'a Csr, xs: &'a [Vec<f64>], mapping: &'a Mapping) -> Self {
         RunSpec { a, input: RunInput::Batch(xs), mapping, observe: None }
     }

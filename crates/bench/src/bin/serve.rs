@@ -24,7 +24,9 @@
 //! * `serve compact [--retain N]` — drop acked journal files beyond the
 //!   newest N (default 8); crash-safe (watermark first, unlink second).
 //! * `serve stat` — print the daemon's counters as JSON (including the
-//!   live `journal_records` / `journal_files` footprint).
+//!   live `journal_records` / `journal_files` footprint, and
+//!   `simulations_run` / `simulations_reused`: passes simulated versus
+//!   answered from a stored run of the same matrix and batch width).
 //! * `serve shutdown` — stop the daemon (it flushes manifest + timeline).
 
 use spacea_bench::{ArgError, HarnessOptions};

@@ -8,9 +8,12 @@
 //! spacea-lint --list                            # enumerate rules
 //! ```
 //!
-//! Exit codes: `0` clean, `1` violations, `2` usage or I/O error.
+//! Exit codes: `0` clean, `1` violations, `2` usage or I/O error. Every
+//! report goes to stdout through one locked handle; a reader that closes
+//! the pipe early (`| grep -q`, `| head`) ends the run with exit `0`.
 
 use spacea_lint::rules::RuleId;
+use std::io::{self, Write};
 use std::path::PathBuf;
 use std::process::ExitCode;
 
@@ -40,6 +43,7 @@ enum Mode {
     Why { symbol: String },
     Explain { rule: String },
     List,
+    Help,
 }
 
 struct Args {
@@ -78,10 +82,7 @@ fn parse_args() -> Result<Args, String> {
             }
             "--list" => set(Mode::List, &mut mode)?,
             "--root" => root = it.next().ok_or("--root needs a DIR")?.into(),
-            "--help" | "-h" => {
-                println!("{USAGE}");
-                std::process::exit(0);
-            }
+            "--help" | "-h" => return Ok(Args { root, mode: Mode::Help }),
             other => return Err(format!("unknown argument {other:?}")),
         }
     }
@@ -89,62 +90,66 @@ fn parse_args() -> Result<Args, String> {
     Ok(Args { root, mode })
 }
 
-fn run(args: Args) -> Result<bool, String> {
+fn run(args: Args, out: &mut impl Write) -> io::Result<bool> {
     match args.mode {
+        Mode::Help => {
+            writeln!(out, "{USAGE}")?;
+            Ok(true)
+        }
         Mode::List => {
             for r in RuleId::ALL {
-                println!("{}  {}", r.name(), r.summary());
+                writeln!(out, "{}  {}", r.name(), r.summary())?;
             }
             Ok(true)
         }
         Mode::Explain { rule } => {
             let r = RuleId::parse(&rule)
-                .ok_or_else(|| format!("unknown rule {rule:?} (try --list)"))?;
-            println!("{}", r.explain());
+                .ok_or_else(|| io::Error::other(format!("unknown rule {rule:?} (try --list)")))?;
+            writeln!(out, "{}", r.explain())?;
             Ok(true)
         }
         Mode::Graph { format } => {
-            let scans = spacea_lint::scan_workspace(&args.root).map_err(|e| e.to_string())?;
+            let scans = spacea_lint::scan_workspace(&args.root)?;
             let g = spacea_lint::build_graph(&scans);
             if format == "dot" {
-                print!("{}", g.to_dot());
+                write!(out, "{}", g.to_dot())?;
             } else {
-                print!("{}", g.to_json());
+                write!(out, "{}", g.to_json())?;
             }
             Ok(true)
         }
         Mode::Why { symbol } => {
-            let scans = spacea_lint::scan_workspace(&args.root).map_err(|e| e.to_string())?;
+            let scans = spacea_lint::scan_workspace(&args.root)?;
             let g = spacea_lint::build_graph(&scans);
             let ids = g.find(&symbol);
             if ids.is_empty() {
-                return Err(format!(
+                return Err(io::Error::other(format!(
                     "no function named {symbol:?} in the graphed crates (try Type::name)"
-                ));
+                )));
             }
             for id in ids {
                 let d = &g.defs[id];
-                println!("{} ({}:{})", d.qualified(), d.file, d.line);
+                writeln!(out, "{} ({}:{})", d.qualified(), d.file, d.line)?;
                 if g.roots.contains(&id) {
-                    println!("  PDES root");
+                    writeln!(out, "  PDES root")?;
                 }
                 match g.chain_to(id) {
-                    Some(chain) => println!("  reachable: {}", chain.join(" -> ")),
-                    None => println!("  not reachable from any PDES root"),
+                    Some(chain) => writeln!(out, "  reachable: {}", chain.join(" -> "))?,
+                    None => writeln!(out, "  not reachable from any PDES root")?,
                 }
                 for sink in &g.sinks[id] {
-                    println!("  sink at line {}: {}", sink.line, sink.what);
+                    writeln!(out, "  sink at line {}: {}", sink.line, sink.what)?;
                 }
             }
             Ok(true)
         }
         Mode::Check => {
-            let violations = spacea_lint::lint_workspace(&args.root).map_err(|e| e.to_string())?;
+            let violations = spacea_lint::lint_workspace(&args.root)?;
             for v in &violations {
                 eprintln!("{}:{}: {} [{}]", v.file, v.line, v.what, v.rule.name());
             }
             if violations.is_empty() {
-                println!("spacea-lint: ok (no violations)");
+                writeln!(out, "spacea-lint: ok (no violations)")?;
             } else {
                 eprintln!("spacea-lint: FAIL ({} violation(s))", violations.len());
                 eprintln!("fix them, suppress with `// lint:allow(RULE) reason`, or see --explain");
@@ -162,9 +167,17 @@ fn main() -> ExitCode {
             return ExitCode::from(2);
         }
     };
-    match run(args) {
+    let mut out = io::stdout().lock();
+    let verdict = run(args, &mut out).and_then(|ok| {
+        out.flush()?;
+        Ok(ok)
+    });
+    match verdict {
         Ok(true) => ExitCode::SUCCESS,
         Ok(false) => ExitCode::from(1),
+        // The reader has everything it wanted: a closed pipe is not a
+        // failure of the analysis.
+        Err(e) if e.kind() == io::ErrorKind::BrokenPipe => ExitCode::SUCCESS,
         Err(e) => {
             eprintln!("error: {e}");
             ExitCode::from(2)

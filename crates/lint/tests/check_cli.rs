@@ -1,10 +1,11 @@
 //! The `spacea-lint --check` gate, driven through the built binary: one
 //! unsuppressed violation fails the run, a `lint:allow` directive clears it,
-//! and no flag carries violations forward as accepted debt.
+//! and no flag carries violations forward as accepted debt. A report whose
+//! reader has gone (`| grep -q`) ends cleanly.
 
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::process::{Command, Output};
+use std::process::{Command, Output, Stdio};
 
 /// A scratch workspace root holding one `crates/sim/src/lib.rs`, removed on
 /// drop.
@@ -72,4 +73,23 @@ fn no_flag_records_violations_as_accepted_debt() {
     let out = lint(&["--update-baseline", file.to_str().expect("utf-8 path")], root.path());
     assert_eq!(out.status.code(), Some(2), "stderr: {}", String::from_utf8_lossy(&out.stderr));
     assert!(!file.exists(), "a rejected flag must not write {}", file.display());
+}
+
+#[test]
+fn why_exits_cleanly_when_its_reader_has_gone() {
+    let root = Root::new("pipe", UNWRAP);
+    // The read end closes before the child writes a byte, so every write
+    // it makes fails with a broken pipe.
+    let (reader, writer) = std::io::pipe().expect("create a pipe");
+    drop(reader);
+    let out = Command::new(env!("CARGO_BIN_EXE_spacea-lint"))
+        .args(["--why", "first", "--root"])
+        .arg(root.path())
+        .stdout(writer)
+        .stderr(Stdio::piped())
+        .output()
+        .expect("run spacea-lint");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(0), "stderr: {stderr}");
+    assert!(!stderr.contains("panicked"), "stderr: {stderr}");
 }

@@ -1,5 +1,6 @@
 //! The serve engine: content-addressed matrix registry, warm-mapping
-//! cache, fused-batch execution, and per-request telemetry.
+//! cache, fused-batch execution with a per-width run memo, and
+//! per-request telemetry.
 //!
 //! The engine owns everything the daemon shares across connections. It is
 //! deliberately free of any transport: `serve_bench` and the unit tests
@@ -12,9 +13,9 @@
 use crate::chaos::{ChaosPlan, ChaosState};
 use crate::error::ServeError;
 use crate::journal::{AckJournal, CompactionStats};
-use spacea_arch::{HwConfig, Machine, RunOutput, RunSpec};
+use spacea_arch::{HwConfig, Machine, RunOutput, RunSpec, SimReport};
 use spacea_harness::mapstore::matrix_key;
-use spacea_harness::{write_atomic, MappingStats, MappingStore, MatrixSource};
+use spacea_harness::{write_atomic, MappingStats, MappingStore, MatrixSource, SimulationStats};
 use spacea_mapping::{MapKind, Mapping};
 use spacea_matrix::Csr;
 use spacea_obs::json::Json;
@@ -140,6 +141,9 @@ pub struct EngineStats {
     /// Phase I/II computed-vs-warmed counters; `computed == 0` after a
     /// restart over a warm cache is the acceptance check.
     pub mappings: MappingStats,
+    /// Fused passes simulated (`Machine::run` calls, failed ones included)
+    /// versus answered from a stored run of the same matrix and width.
+    pub simulations: SimulationStats,
 }
 
 /// Per-request gauge series, one per `serve` [`Metric`].
@@ -174,12 +178,22 @@ impl Telemetry {
     }
 }
 
-/// One registered matrix and its mapping. The first caller to need the
-/// mapping runs (or warms) Phase I/II; concurrent callers wait for that
-/// one computation instead of starting their own.
+/// One batch width's run slot, filled only by a successful run: a failed
+/// run leaves it empty, so the next pass of that width simulates for
+/// itself.
+type RunSlot = Mutex<Option<SimReport>>;
+
+/// One registered matrix, its mapping and its runs. The first caller to
+/// need the mapping runs (or warms) Phase I/II; concurrent callers wait for
+/// that one computation instead of starting their own. A pass's report
+/// depends only on the matrix, the mapping, the machine and the batch
+/// width ([`RunSpec::spmm`]), so each width keeps the first successful
+/// run's report, and a pass that finds its width's run in flight waits
+/// for it.
 struct Entry {
     a: Arc<Csr>,
     mapping: OnceLock<Mapping>,
+    runs: Mutex<BTreeMap<usize, Arc<RunSlot>>>,
 }
 
 /// The shared state of one serve instance. See the crate docs for the
@@ -200,6 +214,8 @@ pub struct ServeEngine {
     retries: AtomicU64,
     queue_hwm: AtomicU64,
     acked_batches: AtomicU64,
+    sims_run: AtomicU64,
+    sims_reused: AtomicU64,
     telemetry: Mutex<Telemetry>,
 }
 
@@ -228,6 +244,8 @@ impl ServeEngine {
             retries: AtomicU64::new(0),
             queue_hwm: AtomicU64::new(0),
             acked_batches: AtomicU64::new(0),
+            sims_run: AtomicU64::new(0),
+            sims_reused: AtomicU64::new(0),
             telemetry: Mutex::new(Telemetry::new()),
         }
     }
@@ -272,11 +290,9 @@ impl ServeEngine {
     /// Re-registering the same content is an idempotent cheap no-op.
     pub fn register(&self, a: Csr) -> RegisterInfo {
         let key = matrix_key(&a);
-        let entry = Arc::clone(
-            lock(&self.matrices)
-                .entry(key)
-                .or_insert_with(|| Arc::new(Entry { a: Arc::new(a), mapping: OnceLock::new() })),
-        );
+        let entry = Arc::clone(lock(&self.matrices).entry(key).or_insert_with(|| {
+            Arc::new(Entry { a: Arc::new(a), mapping: OnceLock::new(), runs: Mutex::default() })
+        }));
         // Registration pays (or warms) Phase I/II, so submits never do.
         self.mapping(&entry);
         let a = &entry.a;
@@ -310,22 +326,49 @@ impl ServeEngine {
 
     /// Runs one fused SpMM pass over `xs` against the registered matrix
     /// `key`, returning its report and one output vector per input. Each
-    /// output vector is bitwise what a solo SpMV run of that vector
-    /// returns, so callers may fuse freely.
+    /// output vector is [`Csr::spmv`] of its input, bit for bit, so callers
+    /// may fuse freely.
+    ///
+    /// The machine simulates each (matrix, batch width) once: the first
+    /// successful pass of a width stores its report, and later passes of
+    /// that width return it without simulating. Every pass, stored or not,
+    /// answers with [`Csr::spmv`]; the stored run's oracle check proved
+    /// those bits equal to the simulated ones. The returned output carries
+    /// no trace or timeline.
     ///
     /// # Errors
     ///
     /// [`ServeError::UnknownMatrix`] for an unregistered key,
     /// [`ServeError::Sim`] for preflight and simulator failures
-    /// (mismatched vector lengths, empty batches, hangs).
+    /// (mismatched vector lengths, empty batches, hangs). The machine's
+    /// preflight runs on every pass, so a stored run never answers a
+    /// request the machine would refuse.
     pub fn run_batch(&self, key: u64, xs: &[Vec<f64>]) -> Result<RunOutput, ServeError> {
         let entry =
             lock(&self.matrices).get(&key).cloned().ok_or(ServeError::UnknownMatrix(key))?;
-        let out = self.machine.run(RunSpec::spmm(&entry.a, xs, self.mapping(&entry)))?;
+        let mapping = self.mapping(&entry);
+        let refs: Vec<&[f64]> = xs.iter().map(Vec::as_slice).collect();
+        self.machine.preflight(&entry.a, &refs, mapping)?;
+        let slot = Arc::clone(lock(&entry.runs).entry(xs.len()).or_default());
+        let report = {
+            let mut slot = lock(&slot);
+            match slot.as_ref() {
+                Some(report) => {
+                    self.sims_reused.fetch_add(1, Ordering::Relaxed);
+                    report.clone()
+                }
+                None => {
+                    self.sims_run.fetch_add(1, Ordering::Relaxed);
+                    let report = self.machine.run(RunSpec::spmm(&entry.a, xs, mapping))?.report;
+                    slot.insert(report).clone()
+                }
+            }
+        };
+        let outputs = xs.iter().map(|x| entry.a.spmv(x)).collect();
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.requests.fetch_add(xs.len() as u64, Ordering::Relaxed);
         self.fused_max.fetch_max(xs.len() as u64, Ordering::Relaxed);
-        Ok(out)
+        Ok(RunOutput { report, outputs, trace: None, timeline: None })
     }
 
     /// Records one completed request into the telemetry series and
@@ -414,6 +457,10 @@ impl ServeEngine {
             acked: self.journal.acked(),
             queue_hwm: self.queue_hwm.load(Ordering::Relaxed),
             mappings: self.store.stats(),
+            simulations: SimulationStats {
+                run: self.sims_run.load(Ordering::Relaxed),
+                reused: self.sims_reused.load(Ordering::Relaxed),
+            },
         }
     }
 
@@ -438,7 +485,7 @@ impl ServeEngine {
 
     /// The manifest JSON: engine counters plus the mapping compute/warm
     /// split (`mappings.computed == 0` on a restarted daemon is the
-    /// warm-cache guarantee).
+    /// warm-cache guarantee) and the simulated/reused pass split.
     pub fn manifest_json(&self) -> String {
         let s = self.stats();
         Json::obj(vec![
@@ -457,6 +504,13 @@ impl ServeEngine {
                     ("computed", Json::U64(s.mappings.computed)),
                     ("disk_hits", Json::U64(s.mappings.disk_hits)),
                     ("healed", Json::U64(s.mappings.healed)),
+                ]),
+            ),
+            (
+                "simulations",
+                Json::obj(vec![
+                    ("run", Json::U64(s.simulations.run)),
+                    ("reused", Json::U64(s.simulations.reused)),
                 ]),
             ),
         ])
@@ -571,6 +625,116 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    fn bits(ys: &[Vec<f64>]) -> Vec<Vec<u64>> {
+        ys.iter().map(|y| y.iter().map(|v| v.to_bits()).collect()).collect()
+    }
+
+    #[test]
+    fn a_repeat_pass_of_one_width_reuses_the_stored_run() {
+        let dir = tmp_dir("memo");
+        let _ = std::fs::remove_dir_all(&dir);
+        let engine = ServeEngine::new(ServeConfig::quick(&dir));
+        let info = engine.register_suite(1, 256).unwrap();
+        let a = engine.matrix(info.key).unwrap();
+        let first: Vec<Vec<f64>> = (0..2).map(|s| seeded_vector(info.cols, s)).collect();
+        let other: Vec<Vec<f64>> = (2..4).map(|s| seeded_vector(info.cols, s)).collect();
+        engine.run_batch(info.key, &first).unwrap();
+        let reused = engine.run_batch(info.key, &other).unwrap();
+        assert_eq!(engine.stats().simulations, SimulationStats { run: 1, reused: 1 });
+        assert!(reused.trace.is_none() && reused.timeline.is_none());
+        let want: Vec<Vec<f64>> = other.iter().map(|x| a.spmv(x)).collect();
+        assert_eq!(bits(&reused.outputs), bits(&want), "a reused pass answers with Csr::spmv");
+
+        // A fresh engine simulates the other vectors and reports the same
+        // run, bit for bit.
+        let fresh_dir = tmp_dir("memo-fresh");
+        let _ = std::fs::remove_dir_all(&fresh_dir);
+        let fresh = ServeEngine::new(ServeConfig::quick(&fresh_dir));
+        fresh.register_suite(1, 256).unwrap();
+        let simulated = fresh.run_batch(info.key, &other).unwrap();
+        assert_eq!(fresh.stats().simulations, SimulationStats { run: 1, reused: 0 });
+        assert_eq!(reused.report, simulated.report);
+        assert_eq!(bits(&reused.outputs), bits(&simulated.outputs));
+
+        // Another width is another run.
+        engine.run_batch(info.key, &other[..1]).unwrap();
+        assert_eq!(engine.stats().simulations, SimulationStats { run: 2, reused: 1 });
+        let s = engine.stats();
+        assert_eq!((s.requests, s.batches, s.fused_max), (5, 3, 2));
+        let _ = std::fs::remove_dir_all(&dir);
+        let _ = std::fs::remove_dir_all(&fresh_dir);
+    }
+
+    #[test]
+    fn concurrent_passes_of_one_width_simulate_once() {
+        // Eight threads submit a solo pass of one matrix at once: one
+        // simulation, which the other seven wait for and reuse. Four fresh
+        // engines each run the race.
+        for round in 0..4 {
+            let dir = tmp_dir(&format!("memo-race{round}"));
+            let _ = std::fs::remove_dir_all(&dir);
+            let engine = ServeEngine::new(ServeConfig::quick(&dir));
+            let info = engine.register_suite(1, 256).unwrap();
+            let barrier = std::sync::Barrier::new(8);
+            let cycles: Vec<u64> = std::thread::scope(|s| {
+                let handles: Vec<_> = (0..8)
+                    .map(|seed| {
+                        let (engine, barrier) = (&engine, &barrier);
+                        s.spawn(move || {
+                            let x = [seeded_vector(info.cols, seed)];
+                            barrier.wait();
+                            engine.run_batch(info.key, &x).unwrap().report.cycles
+                        })
+                    })
+                    .collect();
+                handles.into_iter().map(|h| h.join().unwrap()).collect()
+            });
+            assert!(cycles.iter().all(|&c| c == cycles[0]));
+            let sims = engine.stats().simulations;
+            assert_eq!(sims, SimulationStats { run: 1, reused: 7 }, "round {round}");
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn a_stored_run_still_refuses_bad_batches() {
+        let dir = tmp_dir("memo-bad");
+        let _ = std::fs::remove_dir_all(&dir);
+        let engine = ServeEngine::new(ServeConfig::quick(&dir));
+        let info = engine.register_suite(1, 256).unwrap();
+        engine.run_batch(info.key, &[seeded_vector(info.cols, 0)]).unwrap();
+        let e = engine.run_batch(info.key, &[]).unwrap_err();
+        assert_eq!(e.code(), "bad-request", "empty batch: {e}");
+        let e = engine.run_batch(info.key, &[vec![1.0; info.cols + 1]]).unwrap_err();
+        assert_eq!(e.code(), "bad-request", "wrong length: {e}");
+        let s = engine.stats();
+        assert_eq!(s.simulations, SimulationStats { run: 1, reused: 0 });
+        assert_eq!((s.requests, s.batches), (1, 1));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_faulted_machine_fails_every_pass_and_stores_nothing() {
+        let dir = tmp_dir("memo-fault");
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut cfg = ServeConfig::quick(&dir);
+        cfg.hw.faults.flip_accum_update = Some(0);
+        let engine = ServeEngine::new(cfg);
+        let info = engine.register_suite(1, 256).unwrap();
+        let x = [seeded_vector(info.cols, 0)];
+        for pass in 0..3 {
+            let e = engine.run_batch(info.key, &x).unwrap_err();
+            assert!(
+                matches!(e, ServeError::Sim(spacea_arch::SimError::ValidationFailed { .. })),
+                "pass {pass}: {e}"
+            );
+        }
+        let s = engine.stats();
+        assert_eq!(s.simulations, SimulationStats { run: 3, reused: 0 });
+        assert_eq!((s.requests, s.batches), (0, 0));
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     #[test]
     fn restart_performs_zero_mapping_computations() {
         let dir = tmp_dir("warm");
@@ -657,6 +821,9 @@ mod tests {
         let maps = v.get("mappings").unwrap();
         assert_eq!(maps.get("computed").unwrap().as_u64(), Some(1));
         assert_eq!(maps.get("healed").unwrap().as_u64(), Some(0));
+        let sims = v.get("simulations").unwrap();
+        assert_eq!(sims.get("run").unwrap().as_u64(), Some(1));
+        assert_eq!(sims.get("reused").unwrap().as_u64(), Some(0));
         let tl = engine.timeline();
         assert_eq!(tl.series.len(), 8);
         let count = |metric| tl.series(&MetricKey::global(metric)).map_or(0, Series::total_count);

@@ -17,12 +17,19 @@
 //!   performs zero mapping computations for previously seen matrices.
 //! * [`service::Service`] — a bounded admission queue plus a dispatcher
 //!   thread that fuses concurrent requests against the same matrix into
-//!   one simulated SpMM pass ([`spacea_arch::RunSpec::spmm`]), and a
-//!   persistent pool of one batch worker per core that runs those passes,
-//!   so batches for different matrices simulate concurrently. Fusing is
-//!   safe because each fused output vector is bitwise-identical to the
-//!   corresponding solo SpMV result, independent of batch composition
-//!   and arrival order.
+//!   one SpMM pass ([`spacea_arch::RunSpec::spmm`]), and a persistent pool
+//!   of one batch worker per core that runs those passes, so batches for
+//!   different matrices run concurrently. Fusing is safe because each
+//!   fused output vector is bitwise-identical to the corresponding solo
+//!   SpMV result, independent of batch composition and arrival order.
+//! * A run memo per matrix: a pass's report depends only on the matrix,
+//!   its mapping, the machine and the batch width, never on the vectors'
+//!   values. So a daemon simulates each (matrix, width) once, and repeat
+//!   passes of that width reuse that report
+//!   ([`engine::ServeEngine::run_batch`]). Every pass answers with
+//!   [`spacea_matrix::Csr::spmv`], which the stored run's oracle check
+//!   proved equal to the simulated values bit for bit. The memo lives in
+//!   memory only, so a restarted daemon simulates again.
 //! * [`protocol`] / [`server`] / [`client`] — a tiny line/JSON protocol
 //!   (`spacea_obs::json`: floats travel as IEEE-754 bit patterns; line
 //!   length and nesting are capped, a breach is a coded `bad-request`) over
@@ -35,7 +42,8 @@
 //! recorded under `spacea_obs::Metric` gauge keys and exported as a
 //! Chrome-trace timeline both periodically and on shutdown, next to a
 //! `serve-manifest.json` whose `mappings.computed` counter is the
-//! warm-cache acceptance check.
+//! warm-cache acceptance check and whose `simulations` object counts the
+//! passes simulated (`run`) and answered from the memo (`reused`).
 //!
 //! # Robustness
 //!

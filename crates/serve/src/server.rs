@@ -238,6 +238,8 @@ fn dispatch(req: Request, service: &Service, stop: &AtomicBool) -> Json {
                 ("mappings_computed", Json::U64(s.mappings.computed)),
                 ("mappings_disk_hits", Json::U64(s.mappings.disk_hits)),
                 ("mappings_healed", Json::U64(s.mappings.healed)),
+                ("simulations_run", Json::U64(s.simulations.run)),
+                ("simulations_reused", Json::U64(s.simulations.reused)),
                 ("journal_records", Json::U64(journal_records)),
                 ("journal_files", Json::U64(journal_files)),
             ])

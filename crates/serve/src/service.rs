@@ -1,7 +1,7 @@
 //! The batching service: a bounded admission queue in front of one
 //! dispatcher thread that fuses concurrent same-matrix requests into one
-//! simulated SpMM pass, and a persistent pool of batch workers that run
-//! those passes.
+//! SpMM pass, and a persistent pool of batch workers that run those
+//! passes.
 //!
 //! Fusing is correctness-free by construction: the engine guarantees each
 //! fused output vector is bitwise what a solo SpMV run of that vector
@@ -16,8 +16,11 @@
 //! takes a free-worker token *before* it gathers a batch: while every
 //! worker is busy, new requests wait in the admission queue and fuse into
 //! the next batch exactly as they would behind a single batcher. Batches
-//! for different matrices then simulate concurrently
-//! ([`spacea_arch::Machine::run`] takes `&self`). Each worker journals its
+//! for different matrices then run concurrently, and a pass whose
+//! (matrix, width) has no stored run yet simulates concurrently with the
+//! others ([`spacea_arch::Machine::run`] takes `&self`); a second pass of
+//! a (matrix, width) whose run is in flight waits for it (see
+//! [`ServeEngine::run_batch`]). Each worker journals its
 //! own batch before replying, so the journal-first order holds per batch;
 //! journal files are numbered by an atomic sequence in completion order,
 //! not admission order.
