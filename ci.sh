@@ -294,7 +294,8 @@ grep -q '"computed":0' "$SERVE_CACHE/serve-manifest.json"
 # The run memo: a daemon simulates each (matrix, batch width) once. On a
 # cache of its own, two sequential solo submits of one matrix: the first
 # pass simulates, the second answers from the stored run, and both replies
-# must still bitwise-match the offline SpMV.
+# must still bitwise-match the offline SpMV. The manifest, written at
+# shutdown, carries the final counters.
 MEMO_CACHE=target/spacea-cache-serve-memo
 rm -rf "$MEMO_CACHE"
 cargo run --release -p spacea-bench --bin serve -- start --quick --cache-dir "$MEMO_CACHE" &
@@ -310,6 +311,8 @@ cargo run --release -p spacea-bench --bin serve -- shutdown --cache-dir "$MEMO_C
 wait $SERVE_PID
 grep -qF '"simulations_run":1' target/serve-memo-stat.json
 grep -qF '"simulations_reused":1' target/serve-memo-stat.json
+grep -qF '"requests":2' "$MEMO_CACHE/serve-manifest.json"
+grep -qF '"simulations":{"run":1,"reused":1}' "$MEMO_CACHE/serve-manifest.json"
 
 # Chaos soak: 8 seeded service-layer fault plans against live daemons. The
 # invariant is absolute — every acknowledged response bitwise-matches the

@@ -25,7 +25,8 @@
 //! stream) and stream schedule (stalls). Padding slots cost bandwidth but
 //! also space out live elements, the classic ELLPACK trade.
 
-use crate::{check_dims, Backend, BackendKind, Partition, ScenarioRun, ScenarioSpec, NNZ_BYTES};
+use crate::{check_dims, Backend, BackendKind, Partition, ScenarioRun, ScenarioSpec};
+use spacea_gpu::csrmv::NNZ_BYTES;
 use spacea_matrix::formats::PAD;
 use spacea_obs::sampler::{Metric, MetricKey, Timeline};
 use spacea_obs::series::Series;

@@ -14,8 +14,8 @@
 //!
 //! * [`SpaceaBackend`] — the paper's machine, driven through
 //!   `Machine::run(RunSpec)`; needs a [`Mapping`].
-//! * [`GpuBackend`] — the Titan Xp csrmv roofline, with the matrix-stream
-//!   term re-derived from the format's storage model.
+//! * [`GpuBackend`] — the Titan Xp csrmv roofline, streaming the format's
+//!   storage instead of the CSR arrays.
 //! * [`CpuBackend`] — a bandwidth-bound stream model of the DGX-1 host.
 //! * [`hbm::HbmBackend`] — a Serpens-style HBM accelerator: the matrix is
 //!   sharded across channels ([`Partition`]), each channel streams its
@@ -30,16 +30,13 @@ pub mod hbm;
 pub use hbm::{HbmBackend, HbmDetail, HbmSpec};
 
 use spacea_arch::{HwConfig, Machine, RunSpec, SimReport};
+use spacea_gpu::csrmv::NNZ_BYTES;
 use spacea_gpu::spec::Dgx1CpuSpec;
-use spacea_gpu::{simulate_csrmv, TitanXpSpec};
+use spacea_gpu::{simulate_csrmv_with_stream, TitanXpSpec};
 use spacea_mapping::Mapping;
 use spacea_matrix::formats::SparseFormat;
 use spacea_matrix::Csr;
 use std::sync::Arc;
-
-/// Bytes of useful payload per logical non-zero (4 B column index + 8 B
-/// value), the unit behind every backend's effective-bandwidth metric.
-pub const NNZ_BYTES: u64 = 12;
 
 /// Titan Xp core clock, used to express GPU model time in cycles.
 pub const GPU_CLOCK_HZ: f64 = 1.582e9;
@@ -272,10 +269,9 @@ impl Backend for SpaceaBackend {
 
 /// The Titan Xp csrmv roofline behind the [`Backend`] trait.
 ///
-/// `simulate_csrmv` models the CSR stream + input-vector gather traffic;
-/// this wrapper swaps the CSR stream term for the scenario format's
-/// storage footprint and re-evaluates the bandwidth/ALU roofline, so COO's
-/// extra row indices and SELL/BCSR padding cost real modelled time.
+/// The model streams the scenario format's storage footprint in place of
+/// the CSR arrays ([`simulate_csrmv_with_stream`]), so COO's extra row
+/// indices and SELL/BCSR padding cost real modelled time.
 pub struct GpuBackend {
     /// Device parameters.
     pub spec: TitanXpSpec,
@@ -288,15 +284,8 @@ impl Backend for GpuBackend {
 
     fn run(&self, spec: &ScenarioSpec<'_>) -> Result<ScenarioRun, String> {
         check_dims(spec)?;
-        let base = simulate_csrmv(&self.spec, spec.a);
-        // Replace the CSR stream with the format's footprint, keeping the
-        // gather/write traffic the cache model already priced.
-        let csr_stream = spec.a.csr_bytes() as i64;
-        let fmt_stream = spec.format.bytes() as i64;
-        let dram_bytes = (base.dram_bytes as i64 + fmt_stream - csr_stream).max(0) as u64;
-        let mem_time = dram_bytes as f64 / (self.spec.dram_bw * base.bw_efficiency);
-        let alu_time = spec.a.nnz() as f64 / self.spec.peak_flops;
-        let time_s = mem_time.max(alu_time).max(f64::MIN_POSITIVE);
+        let run = simulate_csrmv_with_stream(&self.spec, spec.a, spec.format.bytes() as u64);
+        let time_s = run.time_s.max(f64::MIN_POSITIVE);
         Ok(ScenarioRun {
             y: spec.format.spmv(spec.x),
             cycles: (time_s * GPU_CLOCK_HZ).ceil() as u64,

@@ -4,8 +4,8 @@
 //! time:
 //!
 //! * memory time = total DRAM traffic / achieved bandwidth, where traffic is
-//!   the streamed CSR arrays, the output-vector read+write, and the
-//!   input-vector gather misses from an L2 cache simulation;
+//!   the streamed matrix (the CSR arrays, or another format's storage), the
+//!   output-vector read+write, and the input-vector gathers the L2 misses;
 //! * achieved bandwidth = peak bandwidth × an efficiency factor derived from
 //!   the row-length distribution: rows much shorter than a warp leave lanes
 //!   idle, and high row-length variance causes divergence and uncoalesced
@@ -15,9 +15,9 @@
 //! read throughput, effective read throughput (`nnz`·12 B / time) and ALU
 //! utilization (achieved over peak GFLOPs).
 
-use crate::cache::CacheSim;
 use crate::spec::TitanXpSpec;
 use spacea_matrix::Csr;
+use spacea_sim::cam::{Cam, CamConfig};
 
 /// Result of one modelled csrmv execution.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -41,30 +41,44 @@ pub struct GpuRun {
     pub bw_efficiency: f64,
 }
 
-/// Bytes per non-zero in the effective-throughput metric (4 B column index +
-/// 8 B double value).
+/// Bytes of useful payload per logical non-zero (4 B column index + 8 B
+/// double value): the unit behind every backend's effective-bandwidth
+/// metric.
 pub const NNZ_BYTES: u64 = 12;
 
-/// Models one `y = A·x` csrmv launch on the GPU.
-///
-/// Deterministic: the L2 cache simulation walks rows in order, mirroring the
-/// row-major scheduling of csrmv thread blocks.
+/// Models one `y = A·x` csrmv launch on the GPU, streaming `a`'s CSR
+/// arrays.
 pub fn simulate_csrmv(spec: &TitanXpSpec, a: &Csr) -> GpuRun {
+    simulate_csrmv_with_stream(spec, a, a.csr_bytes() as u64)
+}
+
+/// Models one `y = A·x` launch that streams `stream_bytes` of matrix
+/// storage: the format enters the model only through this term, so COO's
+/// row indices and SELL or BCSR padding cost modelled time.
+///
+/// Deterministic: the L2 walks rows in order, mirroring the row-major
+/// scheduling of csrmv thread blocks.
+pub fn simulate_csrmv_with_stream(spec: &TitanXpSpec, a: &Csr, stream_bytes: u64) -> GpuRun {
     let stats = a.stats();
     let nnz = a.nnz() as u64;
 
     // --- Traffic ---------------------------------------------------------
-    // CSR arrays stream once; y is read and written once per row.
-    let csr_stream = a.csr_bytes() as u64;
-    // Input-vector gathers filtered by the L2.
-    let mut l2 = CacheSim::new(spec.l2_bytes, spec.l2_ways, spec.line_bytes);
+    // The matrix streams once; y is read and written once per row.
+    // Input-vector gathers are filtered by the L2, keyed by line: a miss
+    // fills its line and costs one line of DRAM traffic.
+    let line_bytes = spec.line_bytes as u64;
+    let sets = (spec.l2_bytes / (spec.l2_ways * spec.line_bytes)).max(1);
+    let mut l2 = Cam::new(CamConfig { sets, ways: spec.l2_ways });
     for i in 0..a.rows() {
         for &c in a.row_cols(i) {
-            l2.access(c as u64 * 8);
+            let line = c as u64 * 8 / line_bytes;
+            if !l2.lookup(line) {
+                l2.insert(line);
+            }
         }
     }
-    let x_traffic = l2.miss_bytes();
-    let read_bytes = csr_stream + x_traffic + (a.rows() * 8) as u64;
+    let x_traffic = l2.counters().misses * line_bytes;
+    let read_bytes = stream_bytes + x_traffic + (a.rows() * 8) as u64;
     let write_bytes = (a.rows() * 8) as u64;
     let dram_bytes = read_bytes + write_bytes;
 

@@ -5,10 +5,12 @@
 //! a DGX-1 host CPU (Section V-F). Neither platform is available here, so
 //! this crate models them at the transaction level (see DESIGN.md §4):
 //!
-//! * [`csrmv`] — a Titan Xp csrmv model: CSR streaming traffic plus an L2
-//!   [cache simulation](cache) for input-vector gathers, a bandwidth/ALU
-//!   roofline, and an efficiency term derived from row-length statistics
-//!   (warp underutilization on short rows, divergence on skewed rows).
+//! * [`csrmv`] — a Titan Xp csrmv model: the matrix stream plus the
+//!   input-vector gathers an L2 misses, a bandwidth/ALU roofline, and an
+//!   efficiency term derived from row-length statistics (warp
+//!   underutilization on short rows, divergence on skewed rows). The L2 is
+//!   a [`spacea_sim::cam::Cam`], the same tag-only set-associative LRU
+//!   as SpaceA's CAMs, keyed by 32-byte line.
 //! * [`cpu`] — a bandwidth-bound analytic model of the DGX-1's Xeon host for
 //!   PageRank and SSSP iterations.
 //!
@@ -18,10 +20,9 @@
 
 #![warn(missing_docs)]
 
-pub mod cache;
 pub mod cpu;
 pub mod csrmv;
 pub mod spec;
 
-pub use csrmv::{simulate_csrmv, GpuRun};
+pub use csrmv::{simulate_csrmv, simulate_csrmv_with_stream, GpuRun};
 pub use spec::TitanXpSpec;

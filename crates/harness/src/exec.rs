@@ -8,6 +8,7 @@
 //! jobs carry a [`JobStatus`] explaining what happened instead of a result.
 
 use crate::job::{Fnv, JobSpec, MatrixSource};
+use crate::lock;
 use crate::mapstore::{MappingStats, MappingStore};
 use crate::store::{CacheOutcome, JobResult, ResultStore, ScenarioRec};
 use crate::telemetry::{JobRecord, JobStatus};
@@ -21,19 +22,11 @@ use spacea_matrix::formats::FormatKind;
 use spacea_matrix::{Csr, SparseFormat};
 use spacea_obs::Timeline;
 use std::collections::{HashMap, HashSet};
+use std::hash::Hash;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock, PoisonError};
 use std::time::Instant;
-
-/// Locks a mutex, recovering from poisoning: the memo maps only hold
-/// [`OnceLock`] cells and run slots that are filled only on success (an
-/// interrupted computation leaves its cell empty and retryable), and the
-/// record list only ever gains whole records, so a worker that panicked
-/// cannot leave torn state behind.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// The deterministic input vector used by every SpMV experiment.
 ///
@@ -44,7 +37,10 @@ pub fn input_vector(n: usize) -> Vec<f64> {
     (0..n).map(|i| 1.0 + (i % 7) as f64 * 0.25).collect()
 }
 
-type Memo<K, V> = Mutex<HashMap<K, Arc<OnceLock<Arc<V>>>>>;
+/// A memo map of one cell per key, each behind its own `Arc`: a caller
+/// holds the map's lock only to find its key's cell, and computes or waits
+/// on that cell alone.
+type Memo<K, Cell> = Mutex<HashMap<K, Arc<Cell>>>;
 
 /// What decides an unobserved single-vector run of [`input_vector`]: the
 /// operand, the mapping's *content* and the whole machine, fault plan
@@ -53,18 +49,81 @@ type Memo<K, V> = Mutex<HashMap<K, Arc<OnceLock<Arc<V>>>>>;
 /// same simulation to the same outcome.
 type RunKey = (MatrixSource, Arc<Mapping>, HwConfig);
 
-/// One run's memo slot, filled only by a successful run: a failed run
-/// leaves it empty, so the next job with that key simulates for itself.
-type RunSlot = Mutex<Option<Arc<SimReport>>>;
-
-/// How many single-vector simulations a [`JobCtx`] ran versus answered
-/// from its memo of earlier runs.
+/// How many simulations a [`RunMemo`] ran versus answered from a stored
+/// run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SimulationStats {
-    /// `Machine::run` calls made, observed and failed runs included.
+    /// `Machine::run` calls made, failed runs included.
     pub run: u64,
-    /// Unobserved runs answered from the memo instead of simulated again.
+    /// Runs answered from the memo instead of simulated again.
     pub reused: u64,
+}
+
+/// A memo of simulation reports by key: the first caller of a key runs
+/// the simulation, and later callers of that key get its report.
+///
+/// The caller's key must decide the run's outcome. The harness's
+/// [`JobCtx`] keys by operand, mapping content and machine; the serve
+/// daemon keys by matrix and batch width. Three rules hold:
+///
+/// - only a successful run fills a slot: a failed run is not kept, so the
+///   next caller of that key runs it again (a machine with a fault plan
+///   fails every time);
+/// - a second caller of a run in flight waits on that slot's lock, never
+///   on the whole map, so runs of other keys go on at the same time;
+/// - the memo lives in memory only, so a model change can never answer
+///   with an older model's report.
+///
+/// A run is counted before it starts, so failed runs count too.
+pub struct RunMemo<K> {
+    slots: Memo<K, Mutex<Option<Arc<SimReport>>>>,
+    run: AtomicU64,
+    reused: AtomicU64,
+}
+
+impl<K> Default for RunMemo<K> {
+    fn default() -> Self {
+        RunMemo { slots: Mutex::default(), run: AtomicU64::default(), reused: AtomicU64::default() }
+    }
+}
+
+impl<K: Eq + Hash> RunMemo<K> {
+    /// The stored report of `key`, or the report `run` returns, which is
+    /// stored if the run succeeds.
+    ///
+    /// # Errors
+    ///
+    /// Whatever `run` returns; the slot stays empty.
+    pub fn get_or_run(
+        &self,
+        key: K,
+        run: impl FnOnce() -> Result<SimReport, SimError>,
+    ) -> Result<Arc<SimReport>, SimError> {
+        let slot = Arc::clone(lock(&self.slots).entry(key).or_default());
+        let mut slot = lock(&slot);
+        if let Some(report) = slot.as_ref() {
+            self.reused.fetch_add(1, Ordering::Relaxed);
+            return Ok(Arc::clone(report));
+        }
+        self.note_run();
+        let report = Arc::new(run()?);
+        *slot = Some(Arc::clone(&report));
+        Ok(report)
+    }
+
+    /// How many runs this memo made and reused so far.
+    pub fn stats(&self) -> SimulationStats {
+        SimulationStats {
+            run: self.run.load(Ordering::Relaxed),
+            reused: self.reused.load(Ordering::Relaxed),
+        }
+    }
+
+    /// Counts a run made outside the memo (an observed run, whose timeline
+    /// cannot be shared).
+    pub(crate) fn note_run(&self) {
+        self.run.fetch_add(1, Ordering::Relaxed);
+    }
 }
 
 /// Shared in-process memoization of the *inputs* to jobs (generated
@@ -74,9 +133,9 @@ pub struct SimulationStats {
 /// These are not part of the [`ResultStore`] because they are intermediate
 /// artifacts, re-derivable and often large; but they must be shared across
 /// workers so that two jobs on the same matrix don't generate it twice.
-/// Each entry is a [`OnceLock`] (a run, a `RunSlot`): the first worker
-/// to need an artifact computes it while later workers block on that entry
-/// only (not on the whole map).
+/// Each entry is a [`OnceLock`] (a run, a [`RunMemo`] slot): the first
+/// worker to need an artifact computes it while later workers block on that
+/// entry only (not on the whole map).
 ///
 /// Mapping computation goes through a [`MappingStore`]: with
 /// [`JobCtx::with_mapping_dir`], the in-process memo warms from persisted
@@ -84,13 +143,12 @@ pub struct SimulationStats {
 /// per process.
 #[derive(Default)]
 pub struct JobCtx {
-    matrices: Memo<MatrixSource, Csr>,
-    references: Memo<MatrixSource, Vec<f64>>,
-    mappings: Memo<(MatrixSource, MapKind, MachineShape), Mapping>,
-    format_mappings: Memo<(MatrixSource, FormatKind, MapKind, MachineShape), Mapping>,
-    runs: Mutex<HashMap<RunKey, Arc<RunSlot>>>,
-    sims_run: AtomicU64,
-    sims_reused: AtomicU64,
+    matrices: Memo<MatrixSource, OnceLock<Arc<Csr>>>,
+    references: Memo<MatrixSource, OnceLock<Arc<Vec<f64>>>>,
+    mappings: Memo<(MatrixSource, MapKind, MachineShape), OnceLock<Arc<Mapping>>>,
+    format_mappings:
+        Memo<(MatrixSource, FormatKind, MapKind, MachineShape), OnceLock<Arc<Mapping>>>,
+    runs: RunMemo<RunKey>,
     mapstore: MappingStore,
 }
 
@@ -113,10 +171,7 @@ impl JobCtx {
 
     /// How many single-vector simulations this context ran versus reused.
     pub fn simulation_stats(&self) -> SimulationStats {
-        SimulationStats {
-            run: self.sims_run.load(Ordering::Relaxed),
-            reused: self.sims_reused.load(Ordering::Relaxed),
-        }
+        self.runs.stats()
     }
 
     /// The (memoized) matrix for a source.
@@ -202,8 +257,7 @@ impl JobCtx {
     ///
     /// Runs are keyed by mapping content (see `RunKey`), so a matrix's
     /// plain simulation point and every scenario cell whose format maps it
-    /// the same way share one run. A second caller of a run in flight
-    /// waits for it; a failed run is not kept.
+    /// the same way share one run ([`RunMemo`]).
     ///
     /// # Errors
     ///
@@ -214,19 +268,11 @@ impl JobCtx {
         mapping: &Arc<Mapping>,
         hw: &HwConfig,
     ) -> Result<Arc<SimReport>, SimError> {
-        let key = (*source, Arc::clone(mapping), hw.clone());
-        let slot = Arc::clone(lock(&self.runs).entry(key).or_default());
-        let mut slot = lock(&slot);
-        if let Some(report) = slot.as_ref() {
-            self.sims_reused.fetch_add(1, Ordering::Relaxed);
-            return Ok(Arc::clone(report));
-        }
-        let a = self.matrix(source);
-        let x = input_vector(a.cols());
-        self.sims_run.fetch_add(1, Ordering::Relaxed);
-        let report = Arc::new(Machine::new(hw.clone()).run(RunSpec::spmv(&a, &x, mapping))?.report);
-        *slot = Some(Arc::clone(&report));
-        Ok(report)
+        self.runs.get_or_run((*source, Arc::clone(mapping), hw.clone()), || {
+            let a = self.matrix(source);
+            let x = input_vector(a.cols());
+            Ok(Machine::new(hw.clone()).run(RunSpec::spmv(&a, &x, mapping))?.report)
+        })
     }
 }
 
@@ -301,7 +347,7 @@ pub fn execute_observed(
                 Some(cfg) => {
                     let a = ctx.matrix(source);
                     let x = input_vector(a.cols());
-                    ctx.sims_run.fetch_add(1, Ordering::Relaxed);
+                    ctx.runs.note_run();
                     let out = Machine::new(hw.clone())
                         .run(RunSpec::spmv(&a, &x, &mapping).observed(cfg.observe))
                         .map_err(ExecFailure::from_sim)?;

@@ -53,7 +53,7 @@ pub mod sweep;
 pub mod telemetry;
 pub mod timeline;
 
-pub use exec::{dedup_jobs, input_vector, run_jobs, ExecFailure, JobCtx, SimulationStats};
+pub use exec::{dedup_jobs, input_vector, run_jobs, ExecFailure, JobCtx, RunMemo, SimulationStats};
 pub use job::{GraphOperand, JobKey, JobSpec, MatrixSource};
 pub use mapstore::{MappingStats, MappingStore};
 pub use store::{
@@ -72,3 +72,13 @@ pub use spacea_arch::FaultPlan;
 
 /// The default on-disk cache location, relative to the workspace root.
 pub const DEFAULT_CACHE_DIR: &str = "target/spacea-cache";
+
+/// Locks a mutex, recovering the data from a poisoned lock. Every critical
+/// section in this crate changes its state in one step: one map insert, one
+/// pushed record or path, or one memo slot that only a finished
+/// computation fills. A worker that panicked while holding a lock therefore
+/// leaves nothing torn, and the surviving workers of a supervised sweep
+/// keep going.
+pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -8,6 +8,7 @@
 //! one directory (sweep shards) never overwrite each other's bookkeeping.
 
 use crate::job::JobKey;
+use crate::lock;
 use spacea_arch::SimReport;
 use spacea_gpu::GpuRun;
 use spacea_model::ActivitySummary;
@@ -17,16 +18,8 @@ use std::collections::HashMap;
 use std::fs::{File, Metadata};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::time::{SystemTime, UNIX_EPOCH};
-
-/// Locks a mutex, recovering the data from a poisoned lock. Every mutation
-/// under these locks is a single map/vec operation, so a worker that panicked
-/// mid-update can at worst leave a stale counter — never a torn result. The
-/// store must keep serving the surviving workers of a supervised sweep.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// A finished job's result.
 #[derive(Debug, Clone, PartialEq)]

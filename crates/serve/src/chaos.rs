@@ -16,20 +16,17 @@
 //! and an accepted request is never silently lost — chaos may slow,
 //! reject, or error a request, but never corrupt or swallow one.
 
+use crate::{splitmix64, GOLDEN_GAMMA};
 use spacea_arch::fault::{parse_at, parse_directives, parse_u64, write_directives};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Duration;
 
-/// One splitmix64 step (the same mixer the request vectors and the
-/// harness's backoff jitter use), so seed-derived plans are stable across
-/// platforms and processes.
+/// One splitmix64 step, so seed-derived plans are stable across platforms
+/// and processes.
 fn splitmix(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut z = *state;
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^ (z >> 31)
+    *state = state.wrapping_add(GOLDEN_GAMMA);
+    splitmix64(*state)
 }
 
 /// A deterministic service-layer fault plan. The default (empty) plan
@@ -357,6 +354,20 @@ mod tests {
         let distinct: std::collections::BTreeSet<String> =
             (0..64u64).map(|s| ChaosPlan::from_seed(s).to_string()).collect();
         assert!(distinct.len() > 16, "seeds should spread over many plans: {}", distinct.len());
+        // `serve_chaos --seed K` replays K's plan in any later build, so the
+        // plans themselves are pinned.
+        let plans: Vec<String> = (0..8u64).map(|s| ChaosPlan::from_seed(s).to_string()).collect();
+        let want = [
+            "drop-conn=3,delay-conn=1@32,corrupt-map=0",
+            "wedge-batch=3,truncate-map=0",
+            "kill-batch=2,wedge-batch=3,truncate-map=1",
+            "drop-conn=2,kill-batch=1",
+            "kill-batch=1,wedge-batch=3,stall-req=1@32,corrupt-map=0",
+            "delay-conn=3@13,truncate-map=0",
+            "drop-conn=0,stall-req=1@51,corrupt-map=0,truncate-map=1",
+            "kill-batch=2,stall-req=0@18",
+        ];
+        assert_eq!(plans, want);
     }
 
     #[test]

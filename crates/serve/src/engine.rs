@@ -1,5 +1,5 @@
 //! The serve engine: content-addressed matrix registry, warm-mapping
-//! cache, fused-batch execution with a per-width run memo, and
+//! cache, fused-batch execution with a run memo by matrix and width, and
 //! per-request telemetry.
 //!
 //! The engine owns everything the daemon shares across connections. It is
@@ -13,9 +13,12 @@
 use crate::chaos::{ChaosPlan, ChaosState};
 use crate::error::ServeError;
 use crate::journal::{AckJournal, CompactionStats};
-use spacea_arch::{HwConfig, Machine, RunOutput, RunSpec, SimReport};
+use crate::lock;
+use spacea_arch::{HwConfig, Machine, RunOutput, RunSpec};
 use spacea_harness::mapstore::matrix_key;
-use spacea_harness::{write_atomic, MappingStats, MappingStore, MatrixSource, SimulationStats};
+use spacea_harness::{
+    write_atomic, MappingStats, MappingStore, MatrixSource, RunMemo, SimulationStats,
+};
 use spacea_mapping::{MapKind, Mapping};
 use spacea_matrix::Csr;
 use spacea_obs::json::Json;
@@ -23,7 +26,7 @@ use spacea_obs::{Metric, MetricKey, Series, Timeline};
 use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
+use std::sync::{Arc, Mutex, OnceLock};
 use std::time::Duration;
 
 /// The daemon's on-disk manifest file name (under the cache directory).
@@ -36,13 +39,6 @@ pub const TIMELINE_FILE: &str = "serve-timeline.json";
 /// requests (in addition to the shutdown flush), so a crashed daemon still
 /// leaves a loadable artifact.
 pub const FLUSH_EVERY: u64 = 8;
-
-/// Recovers from lock poisoning: engine state is counters and memo maps,
-/// all valid at any intermediate point, so a panicked peer cannot leave
-/// torn state behind.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// Configuration of one serve engine / daemon instance.
 #[derive(Debug, Clone)]
@@ -178,22 +174,12 @@ impl Telemetry {
     }
 }
 
-/// One batch width's run slot, filled only by a successful run: a failed
-/// run leaves it empty, so the next pass of that width simulates for
-/// itself.
-type RunSlot = Mutex<Option<SimReport>>;
-
-/// One registered matrix, its mapping and its runs. The first caller to
-/// need the mapping runs (or warms) Phase I/II; concurrent callers wait for
-/// that one computation instead of starting their own. A pass's report
-/// depends only on the matrix, the mapping, the machine and the batch
-/// width ([`RunSpec::spmm`]), so each width keeps the first successful
-/// run's report, and a pass that finds its width's run in flight waits
-/// for it.
+/// One registered matrix and its mapping. The first caller to need the
+/// mapping runs (or warms) Phase I/II; concurrent callers wait for that one
+/// computation instead of starting their own.
 struct Entry {
     a: Arc<Csr>,
     mapping: OnceLock<Mapping>,
-    runs: Mutex<BTreeMap<usize, Arc<RunSlot>>>,
 }
 
 /// The shared state of one serve instance. See the crate docs for the
@@ -206,6 +192,10 @@ pub struct ServeEngine {
     journal: AckJournal,
     /// The registry, by matrix content key.
     matrices: Mutex<BTreeMap<u64, Arc<Entry>>>,
+    /// Fused-pass reports by matrix key and batch width: a pass's report
+    /// depends only on the matrix, its mapping, the machine and the width
+    /// ([`RunSpec::spmm`]), never on the vectors' values.
+    runs: RunMemo<(u64, usize)>,
     requests: AtomicU64,
     batches: AtomicU64,
     fused_max: AtomicU64,
@@ -214,8 +204,6 @@ pub struct ServeEngine {
     retries: AtomicU64,
     queue_hwm: AtomicU64,
     acked_batches: AtomicU64,
-    sims_run: AtomicU64,
-    sims_reused: AtomicU64,
     telemetry: Mutex<Telemetry>,
 }
 
@@ -236,6 +224,7 @@ impl ServeEngine {
             chaos,
             journal,
             matrices: Mutex::new(BTreeMap::new()),
+            runs: RunMemo::default(),
             requests: AtomicU64::new(0),
             batches: AtomicU64::new(0),
             fused_max: AtomicU64::new(0),
@@ -244,8 +233,6 @@ impl ServeEngine {
             retries: AtomicU64::new(0),
             queue_hwm: AtomicU64::new(0),
             acked_batches: AtomicU64::new(0),
-            sims_run: AtomicU64::new(0),
-            sims_reused: AtomicU64::new(0),
             telemetry: Mutex::new(Telemetry::new()),
         }
     }
@@ -268,7 +255,7 @@ impl ServeEngine {
     /// The live journal footprint on disk: `(records, files)` past the
     /// compaction watermark. Computed on demand (it re-reads the journal
     /// directory), so it is exposed through the `stat` verb rather than
-    /// folded into every manifest flush.
+    /// written into the manifest.
     pub fn journal_counts(&self) -> (u64, u64) {
         self.journal.disk_counts()
     }
@@ -290,9 +277,11 @@ impl ServeEngine {
     /// Re-registering the same content is an idempotent cheap no-op.
     pub fn register(&self, a: Csr) -> RegisterInfo {
         let key = matrix_key(&a);
-        let entry = Arc::clone(lock(&self.matrices).entry(key).or_insert_with(|| {
-            Arc::new(Entry { a: Arc::new(a), mapping: OnceLock::new(), runs: Mutex::default() })
-        }));
+        let entry = Arc::clone(
+            lock(&self.matrices)
+                .entry(key)
+                .or_insert_with(|| Arc::new(Entry { a: Arc::new(a), mapping: OnceLock::new() })),
+        );
         // Registration pays (or warms) Phase I/II, so submits never do.
         self.mapping(&entry);
         let a = &entry.a;
@@ -330,11 +319,11 @@ impl ServeEngine {
     /// may fuse freely.
     ///
     /// The machine simulates each (matrix, batch width) once: the first
-    /// successful pass of a width stores its report, and later passes of
-    /// that width return it without simulating. Every pass, stored or not,
-    /// answers with [`Csr::spmv`]; the stored run's oracle check proved
-    /// those bits equal to the simulated ones. The returned output carries
-    /// no trace or timeline.
+    /// successful pass of a width stores its report in a [`RunMemo`], and
+    /// later passes of that width return it without simulating. Every
+    /// pass, stored or not, answers with [`Csr::spmv`]; the stored run's
+    /// oracle check proved those bits equal to the simulated ones. The
+    /// returned output carries no trace or timeline.
     ///
     /// # Errors
     ///
@@ -349,26 +338,14 @@ impl ServeEngine {
         let mapping = self.mapping(&entry);
         let refs: Vec<&[f64]> = xs.iter().map(Vec::as_slice).collect();
         self.machine.preflight(&entry.a, &refs, mapping)?;
-        let slot = Arc::clone(lock(&entry.runs).entry(xs.len()).or_default());
-        let report = {
-            let mut slot = lock(&slot);
-            match slot.as_ref() {
-                Some(report) => {
-                    self.sims_reused.fetch_add(1, Ordering::Relaxed);
-                    report.clone()
-                }
-                None => {
-                    self.sims_run.fetch_add(1, Ordering::Relaxed);
-                    let report = self.machine.run(RunSpec::spmm(&entry.a, xs, mapping))?.report;
-                    slot.insert(report).clone()
-                }
-            }
-        };
+        let report = self.runs.get_or_run((key, xs.len()), || {
+            Ok(self.machine.run(RunSpec::spmm(&entry.a, xs, mapping))?.report)
+        })?;
         let outputs = xs.iter().map(|x| entry.a.spmv(x)).collect();
         self.batches.fetch_add(1, Ordering::Relaxed);
         self.requests.fetch_add(xs.len() as u64, Ordering::Relaxed);
         self.fused_max.fetch_max(xs.len() as u64, Ordering::Relaxed);
-        Ok(RunOutput { report, outputs, trace: None, timeline: None })
+        Ok(RunOutput { report: (*report).clone(), outputs, trace: None, timeline: None })
     }
 
     /// Records one completed request into the telemetry series and
@@ -457,10 +434,7 @@ impl ServeEngine {
             acked: self.journal.acked(),
             queue_hwm: self.queue_hwm.load(Ordering::Relaxed),
             mappings: self.store.stats(),
-            simulations: SimulationStats {
-                run: self.sims_run.load(Ordering::Relaxed),
-                reused: self.sims_reused.load(Ordering::Relaxed),
-            },
+            simulations: self.runs.stats(),
         }
     }
 
@@ -518,7 +492,9 @@ impl ServeEngine {
     }
 
     /// Writes the manifest to `<cache_dir>/serve-manifest.json` (tmp-file +
-    /// atomic rename, so a concurrent reader never sees a torn file).
+    /// atomic rename, so a concurrent reader never sees a torn file). The
+    /// daemon writes it at startup and at shutdown; the `stat` verb answers
+    /// the live counters in between.
     ///
     /// # Errors
     ///

@@ -22,13 +22,13 @@
 //!   different matrices run concurrently. Fusing is safe because each
 //!   fused output vector is bitwise-identical to the corresponding solo
 //!   SpMV result, independent of batch composition and arrival order.
-//! * A run memo per matrix: a pass's report depends only on the matrix,
-//!   its mapping, the machine and the batch width, never on the vectors'
-//!   values. So a daemon simulates each (matrix, width) once, and repeat
-//!   passes of that width reuse that report
-//!   ([`engine::ServeEngine::run_batch`]). Every pass answers with
-//!   [`spacea_matrix::Csr::spmv`], which the stored run's oracle check
-//!   proved equal to the simulated values bit for bit. The memo lives in
+//! * A run memo ([`spacea_harness::RunMemo`], keyed by matrix and batch
+//!   width): a pass's report depends only on the matrix, its mapping, the
+//!   machine and the batch width, never on the vectors' values. So a
+//!   daemon simulates each (matrix, width) once, and repeat passes of that
+//!   width reuse that report ([`engine::ServeEngine::run_batch`]). Every
+//!   pass answers with [`spacea_matrix::Csr::spmv`], which the stored
+//!   run's oracle check proved equal to the simulated values bit for bit. The memo lives in
 //!   memory only, so a restarted daemon simulates again.
 //! * [`protocol`] / [`server`] / [`client`] — a tiny line/JSON protocol
 //!   (`spacea_obs::json`: floats travel as IEEE-754 bit patterns; line
@@ -40,10 +40,12 @@
 //! Per-request telemetry — queue wait, fused batch width, cycles per
 //! request, queue depth, plus the shed/retry/deadline fault counters — is
 //! recorded under `spacea_obs::Metric` gauge keys and exported as a
-//! Chrome-trace timeline both periodically and on shutdown, next to a
-//! `serve-manifest.json` whose `mappings.computed` counter is the
-//! warm-cache acceptance check and whose `simulations` object counts the
-//! passes simulated (`run`) and answered from the memo (`reused`).
+//! Chrome-trace timeline both periodically and on shutdown. The `stat`
+//! verb answers the live counters. The daemon writes the same counters to
+//! `serve-manifest.json` only at startup and at shutdown: its
+//! `mappings.computed` counter is the warm-cache acceptance check, and its
+//! `simulations` object counts the passes simulated (`run`) and answered
+//! from the memo (`reused`).
 //!
 //! # Robustness
 //!
@@ -79,3 +81,26 @@ pub use journal::{vec_hash, AckJournal, AckRecord, CompactionStats, JournalLoad}
 pub use protocol::{seeded_vector, Request, MAX_LINE_BYTES, PORT_FILE};
 pub use server::run_daemon;
 pub use service::{Service, SubmitReply};
+
+/// The splitmix64 increment, 2⁶⁴ divided by the golden ratio.
+pub(crate) const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// splitmix64's output mixer. Request vectors, backoff jitter and seeded
+/// chaos plans all derive from it, and each is a replay contract: clients
+/// and daemons derive vectors independently, a batch retries on the same
+/// schedule in every process, and `serve_chaos --seed K` re-runs K's plan.
+pub(crate) fn splitmix64(mut z: u64) -> u64 {
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Locks a mutex, recovering the data from a poisoned lock. Every mutex in
+/// this crate guards state that is valid between any two of its updates:
+/// the matrix registry, the telemetry series, the admission sender, the
+/// worker handles and the batch receiver. A thread that panicked while
+/// holding one therefore leaves nothing torn, and the daemon keeps
+/// answering instead of failing every later request on the poison.
+pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
+}

@@ -9,6 +9,7 @@
 //! [`MAX_LINE_BYTES`] gets a `bad-request` and the connection closes; JSON
 //! nested deeper than [`spacea_obs::json::MAX_DEPTH`] is a `bad-request`.
 
+use crate::{splitmix64, GOLDEN_GAMMA};
 use spacea_obs::json::Json;
 
 /// Name of the file (under the daemon's cache directory) that holds the
@@ -208,10 +209,7 @@ pub fn y_from_bits(v: &Json) -> Option<Vec<f64>> {
 pub fn seeded_vector(n: usize, seed: u64) -> Vec<f64> {
     (0..n)
         .map(|i| {
-            let mut z = seed ^ (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-            z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-            z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-            z ^= z >> 31;
+            let z = splitmix64(seed ^ (i as u64).wrapping_mul(GOLDEN_GAMMA));
             ((z >> 11) as f64) * (1.0 / (1u64 << 53) as f64) * 2.0 - 1.0
         })
         .collect()
@@ -269,6 +267,20 @@ mod tests {
         assert_eq!(a, b);
         assert_ne!(a, seeded_vector(1024, 8));
         assert!(a.iter().all(|v| (-1.0..1.0).contains(v)));
+        // Clients and daemons derive vectors independently: the bits are a
+        // wire contract.
+        let bits: Vec<u64> = seeded_vector(8, 42).iter().map(|v| v.to_bits()).collect();
+        let want = [
+            4_599_209_813_076_490_552,
+            4_602_374_911_902_086_580,
+            4_604_465_416_047_894_890,
+            13_821_571_967_093_442_632,
+            13_822_657_277_820_721_808,
+            13_826_457_795_357_666_918,
+            4_604_052_805_907_465_358,
+            13_823_281_623_158_100_268,
+        ];
+        assert_eq!(bits, want);
     }
 
     #[test]

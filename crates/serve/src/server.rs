@@ -2,10 +2,12 @@
 //! protocol onto a [`Service`].
 //!
 //! Startup order is the readiness contract: the engine comes up, the
-//! listener binds, and only then is the bound port published to
-//! `<cache_dir>/serve.port` — a script that sees the port file can
-//! connect immediately. On shutdown the daemon flushes its manifest and
-//! telemetry timeline, then removes the port file.
+//! listener binds, the manifest is written, and only then is the bound
+//! port published to `<cache_dir>/serve.port` — a script that sees the
+//! port file can connect immediately. The manifest is written only then
+//! and at shutdown: while the daemon runs, the `stat` verb answers its
+//! live counters. On shutdown the daemon writes its manifest and telemetry
+//! timeline, then removes the port file.
 //!
 //! When a [`crate::chaos::ChaosPlan`] is configured, its startup faults
 //! (mapping-artifact corruption) are applied before the first register
@@ -15,7 +17,7 @@
 //! damage, deterministically.
 
 use crate::chaos::ConnFault;
-use crate::engine::{ServeConfig, ServeEngine};
+use crate::engine::{RegisterInfo, ServeConfig, ServeEngine};
 use crate::error::ServeError;
 use crate::protocol::{self, Request, MAX_LINE_BYTES, PORT_FILE};
 use crate::service::{Service, DEFAULT_DEADLINE};
@@ -164,21 +166,23 @@ fn err_of(e: &ServeError) -> Json {
     protocol::err_code(e.code(), &e.to_string())
 }
 
+/// The response to a registration: the matrix handle and its shape.
+fn registered(info: RegisterInfo) -> Json {
+    protocol::ok(vec![
+        ("matrix", Json::U64(info.key)),
+        ("rows", Json::U64(info.rows as u64)),
+        ("cols", Json::U64(info.cols as u64)),
+        ("nnz", Json::U64(info.nnz as u64)),
+    ])
+}
+
 /// Executes one request against the service and builds the response.
 fn dispatch(req: Request, service: &Service, stop: &AtomicBool) -> Json {
     let engine = service.engine();
     match req {
         Request::Ping => protocol::ok(vec![]),
         Request::Register { id, scale } => match engine.register_suite(id, scale) {
-            Ok(info) => {
-                note_flush(engine);
-                protocol::ok(vec![
-                    ("matrix", Json::U64(info.key)),
-                    ("rows", Json::U64(info.rows as u64)),
-                    ("cols", Json::U64(info.cols as u64)),
-                    ("nnz", Json::U64(info.nnz as u64)),
-                ])
-            }
+            Ok(info) => registered(info),
             Err(e) => err_of(&e),
         },
         Request::Submit { matrix, seed, deadline_ms } => {
@@ -188,29 +192,17 @@ fn dispatch(req: Request, service: &Service, stop: &AtomicBool) -> Json {
             let x = protocol::seeded_vector(a.cols(), seed);
             let deadline = deadline_ms.map_or(DEFAULT_DEADLINE, Duration::from_millis);
             match service.submit_within(matrix, x, deadline) {
-                Ok(reply) => {
-                    note_flush(engine);
-                    protocol::ok(vec![
-                        ("y", protocol::y_bits(&reply.y)),
-                        ("batch", Json::U64(reply.batch as u64)),
-                        ("cycles", Json::U64(reply.cycles)),
-                        ("queue_wait_us", Json::U64(reply.queue_wait_us)),
-                    ])
-                }
+                Ok(reply) => protocol::ok(vec![
+                    ("y", protocol::y_bits(&reply.y)),
+                    ("batch", Json::U64(reply.batch as u64)),
+                    ("cycles", Json::U64(reply.cycles)),
+                    ("queue_wait_us", Json::U64(reply.queue_wait_us)),
+                ]),
                 Err(e) => err_of(&e),
             }
         }
         Request::RegisterMtx { text } => match spacea_matrix::Csr::from_mtx(&text) {
-            Ok(a) => {
-                let info = engine.register(a);
-                note_flush(engine);
-                protocol::ok(vec![
-                    ("matrix", Json::U64(info.key)),
-                    ("rows", Json::U64(info.rows as u64)),
-                    ("cols", Json::U64(info.cols as u64)),
-                    ("nnz", Json::U64(info.nnz as u64)),
-                ])
-            }
+            Ok(a) => registered(engine.register(a)),
             Err(e) => protocol::err_code("bad-request", &format!("mtx: {e}")),
         },
         Request::Compact { retain } => match engine.compact_journal(retain) {
@@ -248,13 +240,5 @@ fn dispatch(req: Request, service: &Service, stop: &AtomicBool) -> Json {
             stop.store(true, Ordering::SeqCst);
             protocol::ok(vec![("stopping", Json::Bool(true))])
         }
-    }
-}
-
-/// Keeps the on-disk manifest current after state-changing requests so a
-/// crash (or an impatient script) still sees up-to-date counters.
-fn note_flush(engine: &ServeEngine) {
-    if let Err(e) = engine.write_manifest() {
-        eprintln!("serve: manifest write failed: {e}");
     }
 }

@@ -47,17 +47,14 @@
 use crate::engine::ServeEngine;
 use crate::error::ServeError;
 use crate::journal::{vec_hash, AckRecord};
+use crate::{lock, splitmix64, GOLDEN_GAMMA};
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
 
 /// The deadline of a request submitted without one ([`Service::submit`], or
 /// a wire `Submit` with no `deadline_ms`): a request not answered within it
@@ -419,6 +416,10 @@ fn execute_batch(
     let k = batch.len();
     let xs: Vec<Vec<f64>> = batch.iter_mut().map(|p| std::mem::take(&mut p.x)).collect();
     let cfg = engine.config();
+    // Execution starts here, so every member's queue wait ends now: it
+    // holds no pass, retry sleep or journal append.
+    let started = Instant::now();
+    let waited_us = |p: &Pending| started.duration_since(p.enqueued).as_micros() as u64;
     let mut attempt: u32 = 0;
     let outcome = loop {
         let result = match engine.chaos().on_batch_attempt() {
@@ -467,11 +468,10 @@ fn execute_batch(
             }
             // The batch's oldest member measures admission-queue age: it
             // waited the longest of anything that just left the queue.
-            let oldest_us =
-                batch.iter().map(|p| p.enqueued.elapsed().as_micros() as u64).max().unwrap_or(0);
+            let oldest_us = batch.iter().map(waited_us).max().unwrap_or(0);
             engine.note_queue_age(oldest_us as f64);
             for (p, y) in batch.into_iter().zip(rep.outputs) {
-                let queue_wait_us = p.enqueued.elapsed().as_micros() as u64;
+                let queue_wait_us = waited_us(&p);
                 depth.fetch_sub(1, Ordering::Relaxed);
                 engine.note_request(queue_wait_us as f64, k, cycles, queued_behind);
                 let _ = p.reply.send(Ok(SubmitReply { y, batch: k, cycles, queue_wait_us }));
@@ -492,10 +492,7 @@ fn execute_batch(
 /// process). Batches of different matrices that fail together back off on
 /// different phases instead of retrying in lockstep.
 fn jitter_factor(key: u64, attempt: u32) -> f64 {
-    let mut z = key ^ (attempt as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    z ^= z >> 31;
+    let z = splitmix64(key ^ u64::from(attempt).wrapping_mul(GOLDEN_GAMMA));
     // Top 53 bits give a uniform f64 in [0, 1).
     0.5 + (z >> 11) as f64 / (1u64 << 53) as f64
 }
@@ -642,9 +639,11 @@ mod tests {
     fn transient_batch_kill_is_retried_and_still_bitwise_correct() {
         let dir = tmp_dir("retry");
         let _ = std::fs::remove_dir_all(&dir);
+        // The retry sleeps at least half the 400 ms backoff, after the
+        // request's queue wait has ended.
         let cfg = ServeConfig {
             chaos: ChaosPlan::parse("kill-batch=0").unwrap(),
-            retry_backoff: Duration::from_millis(1),
+            retry_backoff: Duration::from_millis(400),
             ..ServeConfig::quick(&dir)
         };
         let engine = Arc::new(ServeEngine::new(cfg));
@@ -654,6 +653,7 @@ mod tests {
         let reply = service.submit(info.key, x.clone()).unwrap();
         let expect = engine.matrix(info.key).unwrap().spmv(&x);
         assert_eq!(reply.y, expect, "the retried batch answers bitwise correctly");
+        assert!(reply.queue_wait_us < 200_000, "queue wait {} µs", reply.queue_wait_us);
         service.stop();
         let s = engine.stats();
         assert_eq!(s.retries, 1, "{s:?}");
@@ -785,5 +785,11 @@ mod tests {
         assert!(across_keys.windows(2).any(|w| w[0] != w[1]));
         let across_attempts: Vec<f64> = (1..=8).map(|a| jitter_factor(42, a)).collect();
         assert!(across_attempts.windows(2).any(|w| w[0] != w[1]));
+        // A batch retries on the same schedule in every build.
+        let bits: Vec<u64> = (1..=3).map(|a| jitter_factor(0xDEAD_BEEF, a).to_bits()).collect();
+        assert_eq!(
+            bits,
+            [4_604_826_351_339_337_158, 4_607_501_203_896_368_068, 4_609_267_137_416_669_909]
+        );
     }
 }

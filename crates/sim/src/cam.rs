@@ -12,6 +12,10 @@
 //! elements, a fixed parameter of the machine (`spacea_arch::BLOCK_BYTES`).
 //! The CAM caches *blocks*, so spatial locality across neighbouring column
 //! indices turns into CAM hits.
+//!
+//! The GPU baseline's L2 (`spacea_gpu::csrmv`) is the same structure: a
+//! `Cam` keyed by 32-byte line, where a lookup miss inserts the line and
+//! costs one line of DRAM traffic.
 
 use crate::stats::CamCounters;
 
@@ -250,6 +254,12 @@ mod tests {
     #[should_panic(expected = "at least one set")]
     fn zero_sets_panics() {
         let _ = Cam::new(CamConfig { sets: 0, ways: 1 });
+    }
+
+    #[test]
+    #[should_panic(expected = "at least one way")]
+    fn zero_ways_panics() {
+        let _ = Cam::new(CamConfig { sets: 1, ways: 0 });
     }
 
     #[test]
