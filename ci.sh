@@ -56,23 +56,26 @@ cmp target/experiments-cold.txt target/experiments-warm.txt
 grep -q '"misses":0,' "$WARM_CACHE/last-run.json"
 grep -q '"simulations":{"run":0,"reused":0}' "$WARM_CACHE/last-run.json"
 
-# The study and tool binaries nothing else runs: each must exit 0 and
-# print something at --quick.
+# The studies (`studies()` in spacea-core's experiments module) and the
+# tool binaries nothing else runs: each must exit 0 and print something at
+# --quick.
 SMOKE_CACHE=target/spacea-cache-smoke
 rm -rf "$SMOKE_CACHE"
-for bin in ablations bandwidth_table hbm_comparison ordering_study utilization trace_dump; do
-  cargo run --release -p spacea-bench --bin "$bin" -- --quick \
-    --cache-dir "$SMOKE_CACHE" > "target/smoke-$bin.txt"
-  test -s "target/smoke-$bin.txt"
+for id in ablations bandwidth_table hbm_comparison ordering_study utilization; do
+  cargo run --release -p spacea-bench --bin experiment -- "$id" --quick \
+    --cache-dir "$SMOKE_CACHE" > "target/smoke-$id.txt"
+  test -s "target/smoke-$id.txt"
 done
 cargo run --release -p spacea-bench --bin run_mtx -- crates/matrix/tests/fixtures/bar5.mtx \
   --quick --cache-dir "$SMOKE_CACHE" > target/smoke-run_mtx.txt
 test -s target/smoke-run_mtx.txt
 # The timeline binary's run mode: it observes one simulation, prints its
-# series summary and writes a trace that its own --validate accepts.
+# series summary and then its opening trace records, and writes a trace
+# that its own --validate accepts.
 cargo run --release -p spacea-bench --bin timeline -- --quick --id 1 \
   --out target/timeline-run.json --cache-dir "$SMOKE_CACHE" > target/smoke-timeline.txt
 test -s target/smoke-timeline.txt
+grep -q '] pe 0:' target/smoke-timeline.txt
 cargo run --release -p spacea-bench --bin timeline -- --validate target/timeline-run.json
 
 # The six examples: `cargo test` only compiles them, so run each once; a

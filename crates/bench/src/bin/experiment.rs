@@ -1,5 +1,6 @@
-//! Regenerates one registered experiment — a table or figure of the paper's
-//! evaluation, or the `graphs`/`formats` study — by its registry id.
+//! Regenerates one experiment by its id: a table or figure of the paper's
+//! evaluation or the `graphs`/`formats` study (`registry()`), or one of the
+//! studies behind the paper's side claims (`studies()`).
 //!
 //! Run: `cargo run --release -p spacea-bench --bin experiment -- ID
 //! [--scale N] [--graph-scale N] [--cubes N] [--quick] [--jobs N]
@@ -7,13 +8,13 @@
 //!
 //! The experiment's jobs are computed in parallel first (the run summary
 //! goes to stderr), then its tables are rendered from the cache. A missing,
-//! unknown or second ID exits with status 2 and lists every registered id.
+//! unknown or second ID exits with status 2 and lists every id.
 
 use spacea_bench::{ArgError, HarnessOptions, HarnessSession};
-use spacea_core::experiments::registry;
+use spacea_core::experiments::{registry, studies};
 
 fn main() {
-    let experiments = registry();
+    let experiments: Vec<_> = registry().into_iter().chain(studies()).collect();
     let ids: Vec<&str> = experiments.iter().map(|e| e.id).collect();
     let usage = format!("usage: experiment ID [flags], ID one of: {}", ids.join(", "));
     let mut id: Option<String> = None;

@@ -6,7 +6,8 @@
 //! [--capacity WINDOWS] [--out FILE]` runs one Table I matrix observed (the
 //! machine samples its gauges every `--every` cycles), writes the
 //! Chrome-trace JSON (default `timeline.json`), and prints a per-gauge
-//! sparkline summary to stdout.
+//! sparkline summary to stdout, then the run's first 120 trace records —
+//! the paper's "detailed event trace", human-readable.
 //! Load the JSON at <https://ui.perfetto.dev>: one thread track per vault,
 //! one counter track per gauge, duration slices for X/Y traffic.
 //!
@@ -18,8 +19,12 @@
 use spacea_arch::{Machine, RunSpec};
 use spacea_bench::{ArgError, HarnessOptions};
 use spacea_core::experiments::MapKind;
+use spacea_matrix::suite;
 use spacea_obs::json::validate_chrome_trace;
 use spacea_obs::{Cycle, SamplerConfig};
+
+/// How many of the observed run's trace records to print.
+const SHOWN: usize = 120;
 
 const TIMELINE_USAGE: &str = "timeline: --validate FILE | --id N | --kind naive|proposed | \
      --every CYCLES | --capacity WINDOWS | --out FILE";
@@ -34,9 +39,13 @@ fn main() {
         match flag {
             "--validate" => validate = Some(args.value("--validate")?),
             "--id" => {
-                id = args.usize_value("--id")?.try_into().map_err(|_| {
-                    ArgError::new("--id needs a Table I matrix id (fits in a byte)")
-                })?;
+                let v = args.usize_value("--id")?;
+                id = u8::try_from(v)
+                    .ok()
+                    .filter(|&id| suite::entry_by_id(id).is_some())
+                    .ok_or_else(|| {
+                        ArgError::new(format!("--id needs a Table I matrix id, got {v}"))
+                    })?;
             }
             "--kind" => {
                 kind = match args.value("--kind")?.as_str() {
@@ -74,8 +83,8 @@ fn main() {
         std::process::exit(1)
     });
     let report = &out.report;
-    let Some(timeline) = out.timeline else {
-        eprintln!("timeline: observed run yielded no timeline");
+    let (Some(timeline), Some(trace)) = (out.timeline, out.trace) else {
+        eprintln!("timeline: observed run yielded no timeline or trace");
         std::process::exit(1)
     };
 
@@ -94,6 +103,12 @@ fn main() {
     println!("wrote {out_path} — load it at https://ui.perfetto.dev");
     println!();
     print!("{}", timeline.summary());
+    let shown = &trace[..trace.len().min(SHOWN)];
+    println!();
+    println!("the first {} of {} events:", shown.len(), report.events_processed);
+    for record in shown {
+        println!("{record}");
+    }
 }
 
 /// Parses and validates one exported artifact, printing its shape; exits

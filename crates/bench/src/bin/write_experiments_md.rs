@@ -62,8 +62,8 @@ fn main() {
          `--faults` injects deterministic faults to drill this. See the \
          README's \"Robustness\" section.\n\n\
          Observability: `sweep --timeline[=EVERY-CYCLES]` runs every sim \
-         point with the cycle-windowed sampler armed and writes one \
-         Chrome-trace JSON per successful job under \
+         point observed, so the machine samples its own gauges, and writes \
+         one Chrome-trace JSON per successful job under \
          `<cache-dir>/timelines/<job-key>.json` — load it at \
          [ui.perfetto.dev](https://ui.perfetto.dev) for per-vault occupancy, \
          CAM/DRAM hit-rate and NoC/TSV traffic counter tracks plus X/Y \

@@ -1,12 +1,14 @@
 //! Shared plumbing for the experiment harness binaries.
 //!
 //! Every paper table/figure is an entry of
-//! `spacea_core::experiments::registry()`, run by id through one binary
-//! (`cargo run --release -p spacea-bench --bin experiment -- fig5`); it and
-//! the study binaries accept the same flags:
+//! `spacea_core::experiments::registry()`, and every study behind a side
+//! claim an entry of `spacea_core::experiments::studies()`; one binary runs
+//! either by id (`cargo run --release -p spacea-bench --bin experiment --
+//! fig5`, `... -- ablations`). It, `all_experiments`,
+//! `write_experiments_md` and `sweep` accept the same flags:
 //!
 //! * `--scale N` — Table I matrix down-scale factor (default 8)
-//! * `--graph-scale N` — Table III graph down-scale factor (default 256)
+//! * `--graph-scale N` — Table III graph down-scale factor (default 64)
 //! * `--cubes N` — cube count of the machine under test (default 2)
 //! * `--quick` — the miniature smoke-test configuration (explicit flags
 //!   still apply, regardless of order)

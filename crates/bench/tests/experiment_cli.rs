@@ -1,9 +1,9 @@
 //! The `experiment ID` entrypoint: argument errors exit with status 2 and
-//! list every registered id, and a registered experiment prints exactly
-//! what [`HarnessSession::emit`] prints for it.
+//! list every registered id and study id, and a registered experiment or
+//! study prints exactly what [`HarnessSession::emit`] prints for it.
 
 use spacea_bench::{HarnessOptions, HarnessSession};
-use spacea_core::experiments::{registry, table2};
+use spacea_core::experiments::{bandwidth_table, registry, studies, table2};
 use std::process::{Command, Output};
 
 fn experiment(args: &[&str]) -> Output {
@@ -18,7 +18,7 @@ fn a_missing_unknown_or_second_id_exits_2_and_lists_every_id() {
         assert!(out.stdout.is_empty(), "{args:?}: an argument error printed a table");
         let stderr = String::from_utf8_lossy(&out.stderr);
         assert!(stderr.contains("usage: experiment ID"), "{args:?}: {stderr}");
-        for e in registry() {
+        for e in registry().iter().chain(&studies()) {
             assert!(stderr.contains(e.id), "{args:?}: stderr does not name '{}': {stderr}", e.id);
         }
     }
@@ -26,11 +26,17 @@ fn a_missing_unknown_or_second_id_exits_2_and_lists_every_id() {
 
 #[test]
 fn a_registered_id_prints_what_emit_prints() {
-    // Table II has no jobs, so with --no-cache nothing is written to disk.
-    let out = experiment(&["table2", "--no-cache", "--csv"]);
-    assert!(out.status.success(), "{}", String::from_utf8_lossy(&out.stderr));
+    // Table II and the bandwidth study have no jobs, so with --no-cache
+    // nothing is written to disk.
     let opts = HarnessOptions::from_args(["--no-cache", "--csv"].map(String::from).into_iter())
         .expect("flags parse");
-    let expected = HarnessSession::from_opts(opts).render(&table2::run());
-    assert_eq!(String::from_utf8(out.stdout).expect("utf-8 stdout"), expected);
+    let session = HarnessSession::from_opts(opts);
+    for (id, expected) in [
+        ("table2", session.render(&table2::run())),
+        ("bandwidth_table", session.render(&bandwidth_table::run(&session.opts.cfg.hw))),
+    ] {
+        let out = experiment(&[id, "--no-cache", "--csv"]);
+        assert!(out.status.success(), "{id}: {}", String::from_utf8_lossy(&out.stderr));
+        assert_eq!(String::from_utf8(out.stdout).expect("utf-8 stdout"), expected, "{id}");
+    }
 }

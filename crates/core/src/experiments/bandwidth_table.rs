@@ -2,16 +2,13 @@
 //! machine: per-bank, per-vault TSV, cube-internal, and external SerDes
 //! bandwidths — the motivation table for near-bank processing ("2 TB/s
 //! internal bandwidth at the bank-level, which is 8 times ... TSV").
-//!
-//! Run: `cargo run --release -p spacea-bench --bin bandwidth_table [--cubes N]`
 
-use spacea_arch::{DRAM_TIMING, SERDES_BYTES_PER_CYCLE};
-use spacea_core::table::{fmt, Table};
+use super::context::ExpOutput;
+use crate::table::{fmt, Table};
+use spacea_arch::{HwConfig, DRAM_TIMING, SERDES_BYTES_PER_CYCLE};
 
-fn main() {
-    let session = spacea_bench::harness();
-    let cache = &session.cache;
-    let hw = &cache.cfg.hw;
+/// Renders the bandwidth hierarchy of `hw`: pure arithmetic, no jobs.
+pub fn run(hw: &HwConfig) -> ExpOutput {
     let shape = hw.shape;
 
     // 1 GHz clock: bytes/cycle == GB/s.
@@ -53,5 +50,5 @@ fn main() {
         banks_per_cube,
         fmt(bank_gbs, 1)
     ));
-    session.emit_table(&t);
+    ExpOutput { id: "bandwidth_table", table: t, ..Default::default() }
 }

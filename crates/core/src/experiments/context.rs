@@ -228,18 +228,7 @@ impl SuiteCache {
 
     /// The mapping of matrix `id` for the cache's machine shape.
     pub fn mapping(&mut self, id: u8, kind: MapKind) -> Arc<Mapping> {
-        let shape = self.cfg.hw.shape;
-        self.mapping_for_shape(id, kind, shape)
-    }
-
-    /// The mapping of matrix `id` for an arbitrary shape (Figure 10 sweeps).
-    pub fn mapping_for_shape(
-        &mut self,
-        id: u8,
-        kind: MapKind,
-        shape: MachineShape,
-    ) -> Arc<Mapping> {
-        self.ctx.mapping(&self.cfg.source(id), kind, shape)
+        self.ctx.mapping(&self.cfg.source(id), kind, self.cfg.hw.shape)
     }
 
     /// Runs a job through the store: hit → cached result, miss → execute

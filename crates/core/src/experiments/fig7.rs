@@ -49,14 +49,11 @@ impl Fig7Sweep {
     }
 }
 
-/// The jobs for the default sweep.
+/// The jobs the default sweep consumes: each panel's tweaked machine
+/// simulated for every matrix, plus the GPU baselines the speedups divide
+/// by.
 pub fn jobs(cfg: &ExpConfig) -> Vec<JobSpec> {
-    jobs_with(cfg, &Fig7Sweep::default())
-}
-
-/// The jobs a custom sweep consumes: each panel's tweaked machine simulated
-/// for every matrix, plus the GPU baselines the speedups divide by.
-pub fn jobs_with(cfg: &ExpConfig, sweep: &Fig7Sweep) -> Vec<JobSpec> {
+    let sweep = Fig7Sweep::default();
     let mut configs: Vec<(MapKind, HwConfig)> = Vec::new();
     let tweaked = |kind: MapKind, f: &dyn Fn(&mut HwConfig)| {
         let mut hw = cfg.hw.clone();

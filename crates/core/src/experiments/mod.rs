@@ -17,11 +17,17 @@
 //! | [`graphs`] | Case-study workloads (BFS, CC, PR, SSSP) as harness jobs |
 //! | [`formats`] | Scenario matrix — backend × format × partitioning cells |
 //!
+//! The studies behind the paper's side claims ([`ablations`],
+//! [`bandwidth_table`], [`hbm_comparison`], [`ordering_study`],
+//! [`utilization`]) are a second list, [`studies`].
+//!
 //! All experiments share a [`SuiteCache`] so matrices, mappings and
 //! simulations are computed once per process. The default [`ExpConfig`]
 //! scales the Table I matrices by 1/8 and the machine to 2 cubes, preserving
 //! the paper's work-per-PE regime (see DESIGN.md §4).
 
+pub mod ablations;
+pub mod bandwidth_table;
 pub mod context;
 pub mod fig10;
 pub mod fig2;
@@ -32,21 +38,22 @@ pub mod fig8;
 pub mod fig9;
 pub mod formats;
 pub mod graphs;
+pub mod hbm_comparison;
+pub mod ordering_study;
 pub mod table1;
 pub mod table2;
 pub mod table3;
+pub mod utilization;
 
 pub use context::{ExpConfig, ExpOutput, MapKind, SuiteCache};
 
 use spacea_harness::JobSpec;
 
-/// A registered experiment: its id, paper artifact, the jobs it consumes
-/// (what the parallel harness pre-warms) and its table renderer.
+/// A registered experiment: its id, the jobs it consumes (what the
+/// parallel harness pre-warms) and its table renderer.
 pub struct Experiment {
     /// Output id (`"fig5"`, `"table3"`…), matching [`ExpOutput::id`].
     pub id: &'static str,
-    /// The paper artifact this experiment regenerates.
-    pub title: &'static str,
     /// Enumerates every expensive job the renderer will look up, so the
     /// harness can compute them in parallel (and cache them) up front.
     pub jobs: fn(&ExpConfig) -> Vec<JobSpec>,
@@ -54,79 +61,42 @@ pub struct Experiment {
     pub run: fn(&mut SuiteCache) -> ExpOutput,
 }
 
+fn no_jobs(_: &ExpConfig) -> Vec<JobSpec> {
+    Vec::new()
+}
+
 /// Every experiment, in paper order.
 pub fn registry() -> Vec<Experiment> {
-    fn no_jobs(_: &ExpConfig) -> Vec<JobSpec> {
-        Vec::new()
-    }
     vec![
+        Experiment { id: "table1", jobs: no_jobs, run: table1::run },
+        Experiment { id: "fig2", jobs: fig2::jobs, run: fig2::run },
+        Experiment { id: "fig5", jobs: fig5::jobs, run: fig5::run },
+        Experiment { id: "table2", jobs: no_jobs, run: |_| table2::run() },
+        Experiment { id: "fig6", jobs: fig6::jobs, run: fig6::run },
+        Experiment { id: "fig7", jobs: fig7::jobs, run: fig7::run },
+        Experiment { id: "fig8", jobs: fig8::jobs, run: fig8::run },
+        Experiment { id: "fig9", jobs: fig9::jobs, run: fig9::run },
+        Experiment { id: "fig10", jobs: fig10::jobs, run: fig10::run },
+        Experiment { id: "table3", jobs: table3::jobs, run: table3::run },
+        Experiment { id: "graphs", jobs: graphs::jobs, run: graphs::run },
+        Experiment { id: "formats", jobs: formats::jobs, run: formats::run },
+    ]
+}
+
+/// The studies behind the paper's side claims, in id order: `experiment
+/// ID` runs them like [`registry`] entries, but the full evaluation
+/// ([`all_jobs`], [`run_all`]) leaves them out.
+pub fn studies() -> Vec<Experiment> {
+    vec![
+        Experiment { id: "ablations", jobs: ablations::jobs, run: ablations::run },
         Experiment {
-            id: "table1",
-            title: "Table I: sparse matrix suite",
+            id: "bandwidth_table",
             jobs: no_jobs,
-            run: table1::run,
+            run: |cache| bandwidth_table::run(&cache.cfg.hw),
         },
-        Experiment { id: "fig2", title: "Figure 2: SpMV on GPU", jobs: fig2::jobs, run: fig2::run },
-        Experiment {
-            id: "fig5",
-            title: "Figure 5: speedup and energy saving",
-            jobs: fig5::jobs,
-            run: fig5::run,
-        },
-        Experiment {
-            id: "table2",
-            title: "Table II: bank-group area and power density",
-            jobs: no_jobs,
-            run: |_| table2::run(),
-        },
-        Experiment {
-            id: "fig6",
-            title: "Figure 6: mapping metrics",
-            jobs: fig6::jobs,
-            run: fig6::run,
-        },
-        Experiment {
-            id: "fig7",
-            title: "Figure 7: CAM sensitivity",
-            jobs: fig7::jobs,
-            run: fig7::run,
-        },
-        Experiment {
-            id: "fig8",
-            title: "Figure 8: energy breakdown",
-            jobs: fig8::jobs,
-            run: fig8::run,
-        },
-        Experiment {
-            id: "fig9",
-            title: "Figure 9: TSV latency sensitivity",
-            jobs: fig9::jobs,
-            run: fig9::run,
-        },
-        Experiment {
-            id: "fig10",
-            title: "Figure 10: cube-count scalability",
-            jobs: fig10::jobs,
-            run: fig10::run,
-        },
-        Experiment {
-            id: "table3",
-            title: "Table III: graph analytics case study",
-            jobs: table3::jobs,
-            run: table3::run,
-        },
-        Experiment {
-            id: "graphs",
-            title: "Graph case-study workloads as harness jobs",
-            jobs: graphs::jobs,
-            run: graphs::run,
-        },
-        Experiment {
-            id: "formats",
-            title: "Scenario matrix: backend x format x partitioning",
-            jobs: formats::jobs,
-            run: formats::run,
-        },
+        Experiment { id: "hbm_comparison", jobs: hbm_comparison::jobs, run: hbm_comparison::run },
+        Experiment { id: "ordering_study", jobs: no_jobs, run: ordering_study::run },
+        Experiment { id: "utilization", jobs: utilization::jobs, run: utilization::run },
     ]
 }
 

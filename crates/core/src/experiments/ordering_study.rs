@@ -4,16 +4,15 @@
 //! Real SuiteSparse matrices arrive bandwidth-reduced, so contiguous
 //! chunking inherits locality for free. Shuffling the matrix destroys that;
 //! RCM recovers it. Algorithm 1 regroups rows by column overlap and should
-//! be far more robust to bad orderings — this harness quantifies exactly
+//! be far more robust to bad orderings — this study quantifies exactly
 //! that, which the paper's random-baseline comparison cannot show.
-//!
-//! Run: `cargo run --release -p spacea-bench --bin ordering_study [--scale N]`
 
+use super::context::{ExpOutput, SuiteCache};
+use crate::table::{fmt, geo_mean, Table};
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 use spacea_arch::{Machine, RunSpec};
-use spacea_core::table::{fmt, geo_mean, Table};
-use spacea_mapping::{ChunkedMapping, LocalityMapping, MappingStrategy};
+use spacea_mapping::{ChunkedMapping, LocalityMapping, Mapping, MappingStrategy};
 use spacea_matrix::reorder::{rcm, Permutation};
 use spacea_matrix::suite;
 use spacea_matrix::Csr;
@@ -25,9 +24,13 @@ fn shuffled(a: &Csr, seed: u64) -> Csr {
     Permutation::new(order).apply_symmetric(a)
 }
 
-fn main() {
-    let mut session = spacea_bench::harness();
-    let cache = &mut session.cache;
+/// Renders the ordering table. Each reordered matrix is new, so its
+/// mappings and runs are computed here directly, not as jobs.
+///
+/// # Panics
+///
+/// Panics if a direct run fails.
+pub fn run(cache: &mut SuiteCache) -> ExpOutput {
     let hw = cache.cfg.hw.clone();
     let machine = Machine::new(hw.clone());
 
@@ -55,14 +58,13 @@ fn main() {
         let mut prop_ratio = Vec::new();
         let mut chunk_ratio = Vec::new();
         for (k, &id) in ids.iter().enumerate() {
-            let a0 = cache.matrix(id);
-            let a = transform(&a0);
+            let a = transform(&cache.matrix(id));
             let x = spacea_harness::input_vector(a.cols());
-            let run = |mapping: &spacea_mapping::Mapping| {
-                let r = machine.run(RunSpec::spmv(&a, &x, mapping)).unwrap_or_else(|e| {
-                    eprintln!("ordering_study: run failed: {e}");
-                    std::process::exit(1)
-                });
+            let run = |mapping: &Mapping| {
+                let r = machine
+                    .run(RunSpec::spmv(&a, &x, mapping))
+                    // lint:allow(R1) documented panic: the study simulates trusted suite matrices
+                    .unwrap_or_else(|e| panic!("ordering_study: run failed: {e}"));
                 r.report.cycles as f64
             };
             let prop = run(&LocalityMapping::default().map(&a, &hw.shape));
@@ -86,5 +88,5 @@ fn main() {
     table.push_note(
         "both degrade under shuffling because a symmetric permutation also scatters column ids,          killing the 4-element-block spatial locality the CAMs cache; RCM restores it",
     );
-    session.emit_table(&table);
+    ExpOutput { id: "ordering_study", table, ..Default::default() }
 }

@@ -2,19 +2,22 @@
 //!
 //! The paper's Figure 8 discussion observes that for the poorly-behaved
 //! matrices "DRAM banks and PEs are idle in most of the cycles" while
-//! interconnect traffic dominates. This harness reports the busy fractions
+//! interconnect traffic dominates. This study reports the busy fractions
 //! of the Product-PEs, the matrix banks and the vector banks per Table I
 //! matrix, confirming that claim quantitatively.
-//!
-//! Run: `cargo run --release -p spacea-bench --bin utilization [--scale N]`
 
-use spacea_core::experiments::MapKind;
-use spacea_core::table::{pct, Table};
+use super::context::{ExpConfig, ExpOutput, MapKind, SuiteCache};
+use crate::table::{pct, Table};
+use spacea_harness::JobSpec;
 use spacea_matrix::suite;
 
-fn main() {
-    let mut session = spacea_bench::harness();
-    let cache = &mut session.cache;
+/// Each Table I matrix simulated with the proposed mapping.
+pub fn jobs(cfg: &ExpConfig) -> Vec<JobSpec> {
+    suite::entries().iter().map(|e| cfg.sim_job(e.id, MapKind::Proposed)).collect()
+}
+
+/// Renders the per-matrix busy fractions.
+pub fn run(cache: &mut SuiteCache) -> ExpOutput {
     let mut table = Table::new(
         "Component busy fractions (proposed mapping)",
         &["ID", "Matrix", "PE busy", "Matrix banks busy", "Vector banks busy", "L1 hit"],
@@ -39,5 +42,5 @@ fn main() {
          (the paper singles out matrices 7, 12, 13 in its Figure 8 discussion)",
         if idle_heavy.is_empty() { "none".to_string() } else { idle_heavy.join(", ") }
     ));
-    session.emit_table(&table);
+    ExpOutput { id: "utilization", table, ..Default::default() }
 }

@@ -5,7 +5,8 @@
 //! * [`Accelerator`] — the one-stop public API: configure a machine, map a
 //!   matrix, run SpMV, get timing + energy.
 //! * [`experiments`] — one module per table/figure in the paper's evaluation
-//!   (Section V), each producing the same rows/series the paper reports.
+//!   (Section V), each producing the same rows/series the paper reports,
+//!   and one per study behind a side claim.
 //! * [`offload`] — the Section VII execution model: PCIe transfers, host
 //!   preprocessing, and the preprocessing-amortization analysis.
 //! * [`solvers`] — Jacobi and power iteration driven through the
