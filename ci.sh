@@ -284,15 +284,17 @@ for _ in $(seq 1 150); do [ -f "$SERVE_CACHE/serve.port" ] && break; sleep 0.1; 
 cargo run --release -p spacea-bench --bin serve -- submit --cache-dir "$SERVE_CACHE" \
   --matrix 1/256,2/256 --seeds 8,9,10,11 --check
 # Journal compaction: 12 acked requests are on disk across both lives;
-# compacting to the newest file keeps proof bounded (crash-safe watermark).
+# compacting to the newest batch keeps proof bounded (an atomic rewrite).
 cargo run --release -p spacea-bench --bin serve -- stat --cache-dir "$SERVE_CACHE" \
   | grep -q '"journal_records":12'
 cargo run --release -p spacea-bench --bin serve -- compact --retain 1 --cache-dir "$SERVE_CACHE"
 cargo run --release -p spacea-bench --bin serve -- stat --cache-dir "$SERVE_CACHE" \
-  | grep -q '"journal_files":1'
+  | grep -q '"journal_batches":1'
 cargo run --release -p spacea-bench --bin serve -- shutdown --cache-dir "$SERVE_CACHE"
 wait $SERVE_PID
 grep -q '"computed":0' "$SERVE_CACHE/serve-manifest.json"
+# Both lives journaled into one append-only file.
+test "$(ls -A "$SERVE_CACHE/journal")" = "acks.jsonl"
 
 # The run memo: a daemon simulates each (matrix, batch width) once. On a
 # cache of its own, two sequential solo submits of one matrix: the first

@@ -297,7 +297,7 @@ impl<'a> RunSpec<'a> {
     /// per gauge: eight per vault (L1 and L2 load-queue occupancy, the age
     /// of the oldest load-queue entry, PE entries waiting on X, L1 and L2
     /// CAM hit rates, DRAM row-buffer hit rate, TSV bytes), then NoC
-    /// byte-hops, event-queue depth and NoC utilization. It samples at the
+    /// byte-hops and event-queue depth. It samples at the
     /// first cycle it drains, then at the first drained cycle on or past
     /// each multiple of `obs.every` (clamped to at least 1), and once more
     /// at the end cycle. It also keeps the first 65,536 events it fires
@@ -428,8 +428,7 @@ const VAULT_GAUGES: [Metric; 8] = [
 ];
 
 /// The machine-wide gauges, published after every vault's.
-const MACHINE_GAUGES: [Metric; 3] =
-    [Metric::NocByteHops, Metric::EngineQueueDepth, Metric::NocUtilization];
+const MACHINE_GAUGES: [Metric; 2] = [Metric::NocByteHops, Metric::EngineQueueDepth];
 
 /// What an observed run records: one series per gauge, sampled on a cycle
 /// cadence, and the opening of its event trace.
@@ -438,9 +437,6 @@ struct Recording {
     every: Cycle,
     /// The cycle the next sample is due; 0 samples the first drained cycle.
     next: Cycle,
-    /// NoC byte-hops and cycle at the previous sample: utilization is the
-    /// byte-hop delta per cycle since then.
-    noc_prev: (u64, Cycle),
     /// One series per gauge: each vault's [`VAULT_GAUGES`], then
     /// [`MACHINE_GAUGES`].
     series: Vec<(MetricKey, Series)>,
@@ -457,7 +453,6 @@ impl Recording {
         Recording {
             every,
             next: 0,
-            noc_prev: (0, 0),
             series: keys.map(|key| (key, Series::new(cfg.capacity, every))).collect(),
             trace: Vec::new(),
         }
@@ -773,13 +768,9 @@ impl<'a> Sim<'a> {
         }
         let hops = self.nocs.iter().map(MeshNoc::byte_hops).sum::<u64>()
             + self.serdes.as_ref().map_or(0, MeshNoc::byte_hops);
-        let (prev_hops, prev_cycle) = std::mem::replace(&mut rec.noc_prev, (hops, t));
-        let dt = t.saturating_sub(prev_cycle);
-        let utilization =
-            if dt == 0 { 0.0 } else { hops.saturating_sub(prev_hops) as f64 / dt as f64 };
         // Pending events are the engine's own load gauge: how much
         // same-cycle batching the drain loop sees.
-        values.extend([hops as f64, self.q.len() as f64, utilization]);
+        values.extend([hops as f64, self.q.len() as f64]);
         for ((_, series), value) in rec.series.iter_mut().zip(values) {
             series.record(t, value);
         }

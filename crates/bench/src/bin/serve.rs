@@ -7,9 +7,9 @@
 //!   `target/spacea-cache`); `--quick` serves the tiny machine. It fuses up
 //!   to `spacea_serve::service::MAX_BATCH` (16) same-matrix requests into
 //!   one pass. The bound port is published to `<cache-dir>/serve.port`
-//!   once the listener is up. `--compact-every N` auto-compacts the
-//!   acknowledgment journal (crash-safe, retaining the newest N files)
-//!   every N acknowledged batches; 0 (the default) disables it.
+//!   once the listener is up. `--compact-every N` compacts the
+//!   acknowledgment journal `<cache-dir>/journal/acks.jsonl` to its newest
+//!   N batches every N acknowledged batches; 0 (the default) disables it.
 //!   `--chaos` arms a deterministic service-layer fault plan (see the
 //!   `spacea_serve::chaos` grammar); `--chaos-seed` derives one from a seed
 //!   exactly as the `serve_chaos` soak does, for replaying a failing seed.
@@ -21,10 +21,10 @@
 //! * `serve register --mtx PATH` — register a MatrixMarket file with the
 //!   daemon and print its content key; `submit` then works against that
 //!   key the same way it does for suite matrices.
-//! * `serve compact [--retain N]` — drop acked journal files beyond the
-//!   newest N (default 8); crash-safe (watermark first, unlink second).
+//! * `serve compact [--retain N]` — drop journaled batches beyond the
+//!   newest N (default 8); the journal file is rewritten atomically.
 //! * `serve stat` — print the daemon's counters as JSON (including the
-//!   live `journal_records` / `journal_files` footprint, and
+//!   journal's `journal_records` / `journal_batches`, and
 //!   `simulations_run` / `simulations_reused`: passes simulated versus
 //!   answered from a stored run of the same matrix and batch width).
 //! * `serve shutdown` — stop the daemon (it flushes manifest + timeline).
@@ -239,8 +239,8 @@ fn compact(opts: &HarnessOptions, retain: usize) {
     let mut client = connect(opts);
     match client.compact(retain) {
         Ok(c) => println!(
-            "journal compacted: dropped {} file(s) / {} record(s), {} file(s) retained",
-            c.dropped_files, c.dropped_records, c.retained_files
+            "journal compacted: dropped {} batch(es) / {} record(s), {} batch(es) retained",
+            c.dropped_batches, c.dropped_records, c.retained_batches
         ),
         Err(e) => {
             eprintln!("serve: compact failed: {e}");

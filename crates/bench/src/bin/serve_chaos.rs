@@ -21,7 +21,9 @@
 //!   with the plan's mapping-corruption faults biting at startup — heals
 //!   the damage and answers every journaled request correctly again;
 //! * in **both lives**, hostile request lines get their coded reply and a
-//!   clean close, and the next request is still acked bitwise.
+//!   clean close, and the next request is still acked bitwise;
+//! * after **each life**, the journal directory holds one file,
+//!   `acks.jsonl`.
 //!
 //! `serve_chaos --seeds 8` runs seeds 0..8 (the CI smoke);
 //! `serve_chaos --seed K` re-runs one seed. What repeats is the plan
@@ -230,10 +232,10 @@ fn soak_seed(seed: u64, requests: usize, root: &Path) -> Result<String, String> 
         }
     }
     let load = AckJournal::load(&dir.join(AckJournal::DIR));
-    if load.corrupt_files != 0 {
+    if load.corrupt_lines != 0 {
         return Err(format!(
-            "{} corrupt journal file(s) after a graceful shutdown",
-            load.corrupt_files
+            "{} corrupt journal line(s) after a graceful shutdown",
+            load.corrupt_lines
         ));
     }
     for rec in &load.records {
@@ -262,6 +264,7 @@ fn soak_seed(seed: u64, requests: usize, root: &Path) -> Result<String, String> 
             ));
         }
     }
+    one_journal_file(&dir)?;
 
     // ---- Life 2: restart; the plan's startup corruption bites. ---------
     let life2 = ServeConfig {
@@ -308,12 +311,26 @@ fn soak_seed(seed: u64, requests: usize, root: &Path) -> Result<String, String> 
     hostile_lines(&dir, keys[0].0, &offline[0]).map_err(|e| format!("life 2 {e}"))?;
     with_retry(&dir, Client::shutdown).map_err(|e| format!("life 2 shutdown: {e}"))?;
     join_daemon(daemon)?;
+    one_journal_file(&dir).map_err(|e| format!("life 2: {e}"))?;
 
     Ok(format!(
         "{acked} acked, {rejected} rejected (coded), {} journaled, {replayed} replayed \
          bitwise after restart",
         load.records.len()
     ))
+}
+
+/// Checks that the journal directory under `dir` holds exactly the one
+/// journal file: a daemon life appends to it and creates nothing else.
+fn one_journal_file(dir: &Path) -> Result<(), String> {
+    let names: Vec<_> = std::fs::read_dir(dir.join(AckJournal::DIR))
+        .map_err(|e| format!("journal directory: {e}"))?
+        .filter_map(|e| e.ok().map(|e| e.file_name()))
+        .collect();
+    if names != [AckJournal::FILE] {
+        return Err(format!("the journal directory holds {names:?}, not one {}", AckJournal::FILE));
+    }
+    Ok(())
 }
 
 /// Sends hostile request lines, each raw on its own connection: a

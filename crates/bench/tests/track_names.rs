@@ -20,7 +20,7 @@ fn sample() -> spacea_matrix::Csr {
 }
 
 #[test]
-fn an_observed_machine_run_publishes_eight_gauges_per_vault_then_three_global() {
+fn an_observed_machine_run_publishes_eight_gauges_per_vault_then_two_global() {
     let a = sample();
     let x = vec![1.0; a.cols()];
     let cfg = HwConfig::tiny();
@@ -44,7 +44,7 @@ fn an_observed_machine_run_publishes_eight_gauges_per_vault_then_three_global() 
             want.push(format!("vault{v}/{gauge}"));
         }
     }
-    want.extend(["noc/byte-hops", "engine/queue-depth", "noc/utilization"].map(String::from));
+    want.extend(["noc/byte-hops", "engine/queue-depth"].map(String::from));
     assert_eq!(tracks(&timeline), want);
 }
 

@@ -122,7 +122,7 @@ mod tests {
         Timeline {
             series: vec![
                 (MetricKey::vault(Metric::LdqL1Occupancy, 0), a),
-                (MetricKey::global(Metric::NocUtilization), b),
+                (MetricKey::global(Metric::NocByteHops), b),
             ],
             slices: vec![Slice { vault: Some(0), name: "X block 1".into(), start: 5, end: 25 }],
         }
@@ -135,7 +135,7 @@ mod tests {
         assert_eq!(summary.counter_events, 3);
         assert_eq!(summary.duration_events, 1);
         assert!(summary.counter_tracks.contains(&"vault0/ldq/l1-occupancy".to_string()));
-        assert!(summary.counter_tracks.contains(&"noc/utilization".to_string()));
+        assert!(summary.counter_tracks.contains(&"noc/byte-hops".to_string()));
         // Vault 0 got a thread_name metadata record alongside the process's.
         assert_eq!(summary.metadata_events, 2);
     }
@@ -154,6 +154,6 @@ mod tests {
         let text = sample_timeline().summary();
         assert_eq!(text.lines().count(), 2);
         assert!(text.contains("vault0/ldq/l1-occupancy"));
-        assert!(text.contains("noc/utilization"));
+        assert!(text.contains("noc/byte-hops"));
     }
 }

@@ -43,8 +43,6 @@ pub enum Metric {
     NocByteHops,
     /// Pending events in the calendar queue.
     EngineQueueDepth,
-    /// NoC byte-hops per cycle since the previous sample.
-    NocUtilization,
     /// Bytes an HBM channel streamed.
     HbmChannelBytes,
     /// Cycles an HBM channel took (stream plus stalls).
@@ -97,7 +95,6 @@ impl Metric {
             Metric::TsvBytes => ("tsv", "bytes"),
             Metric::NocByteHops => ("noc", "byte-hops"),
             Metric::EngineQueueDepth => ("engine", "queue-depth"),
-            Metric::NocUtilization => ("noc", "utilization"),
             Metric::HbmChannelBytes => ("hbm", "channel-bytes"),
             Metric::HbmChannelCycles => ("hbm", "channel-cycles"),
             Metric::HbmChannelStalls => ("hbm", "channel-stalls"),

@@ -66,12 +66,12 @@ pub struct RegisterReply {
 /// What a successful `compact` call returned.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CompactReply {
-    /// Journal files removed by the pass.
-    pub dropped_files: u64,
-    /// Acknowledgment records inside the removed files.
+    /// Batch lines removed by the pass.
+    pub dropped_batches: u64,
+    /// Acknowledgment records inside the removed batches.
     pub dropped_records: u64,
-    /// Journal files still on disk after the pass.
-    pub retained_files: u64,
+    /// Batch lines still in the journal after the pass.
+    pub retained_batches: u64,
 }
 
 /// What a successful `submit` call returned.
@@ -237,7 +237,7 @@ impl Client {
     }
 
     /// Compacts the daemon's acknowledgment journal down to the newest
-    /// `retain` files.
+    /// `retain` batches.
     ///
     /// # Errors
     ///
@@ -250,9 +250,9 @@ impl Client {
                 .ok_or_else(|| CallError::transport(format!("response lacks {name:?}")))
         };
         Ok(CompactReply {
-            dropped_files: field("dropped_files")?,
+            dropped_batches: field("dropped_batches")?,
             dropped_records: field("dropped_records")?,
-            retained_files: field("retained_files")?,
+            retained_batches: field("retained_batches")?,
         })
     }
 

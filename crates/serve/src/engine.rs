@@ -12,7 +12,7 @@
 
 use crate::chaos::{ChaosPlan, ChaosState};
 use crate::error::ServeError;
-use crate::journal::{AckJournal, CompactionStats};
+use crate::journal::AckJournal;
 use crate::lock;
 use spacea_arch::{HwConfig, Machine, RunOutput, RunSpec};
 use spacea_harness::mapstore::matrix_key;
@@ -67,10 +67,9 @@ pub struct ServeConfig {
     pub retry_backoff: Duration,
     /// Compact the acknowledgment journal automatically every this many
     /// acknowledged (journaled) batches, retaining the newest
-    /// `compact_every` files — each acknowledged batch is one journal
-    /// file, so the on-disk footprint stays bounded at roughly twice this
-    /// value. `0` disables auto-compaction (the `compact` verb remains
-    /// available). The pass is the same crash-safe watermark-first
+    /// `compact_every` batches, so the journal stays bounded at roughly
+    /// twice this many batch lines. `0` disables auto-compaction (the
+    /// `compact` verb remains available). The pass is the same
     /// [`AckJournal::compact`] the manual verb uses.
     pub compact_every: u64,
     /// The service-layer fault plan (empty outside chaos testing).
@@ -252,25 +251,6 @@ impl ServeEngine {
         &self.journal
     }
 
-    /// The live journal footprint on disk: `(records, files)` past the
-    /// compaction watermark. Computed on demand (it re-reads the journal
-    /// directory), so it is exposed through the `stat` verb rather than
-    /// written into the manifest.
-    pub fn journal_counts(&self) -> (u64, u64) {
-        self.journal.disk_counts()
-    }
-
-    /// Compacts the acknowledgment journal down to the newest `retain`
-    /// files (crash-safe: watermark first, unlink second).
-    ///
-    /// # Errors
-    ///
-    /// Propagates the watermark write failure; on error no journal file
-    /// was removed.
-    pub fn compact_journal(&self, retain: usize) -> std::io::Result<CompactionStats> {
-        self.journal.compact(retain)
-    }
-
     /// Registers a matrix by content: hashes it, stores it under its key,
     /// and warms its mapping (loaded from disk when a previous process —
     /// or a previous life of this daemon — already computed it).
@@ -378,18 +358,18 @@ impl ServeEngine {
     }
 
     /// Notes one acknowledged (journaled) batch and, when the configured
-    /// `compact_every` interval elapses, runs a crash-safe journal
-    /// compaction retaining the newest `compact_every` files. Compaction
-    /// failure is logged, never fatal — the journal simply stays longer.
+    /// `compact_every` interval elapses, compacts the journal to the
+    /// newest `compact_every` batches. Compaction failure is logged, never
+    /// fatal — the journal simply stays longer.
     pub fn note_acked_batch(&self) {
         let every = self.cfg.compact_every;
         let n = self.acked_batches.fetch_add(1, Ordering::Relaxed) + 1;
         if every > 0 && n.is_multiple_of(every) {
-            match self.compact_journal(every as usize) {
-                Ok(stats) if stats.dropped_files > 0 => {
+            match self.journal.compact(every as usize) {
+                Ok(stats) if stats.dropped_batches > 0 => {
                     eprintln!(
-                        "serve: auto-compacted journal: dropped {} file(s) / {} record(s), {} retained",
-                        stats.dropped_files, stats.dropped_records, stats.retained_files
+                        "serve: auto-compacted journal: dropped {} batch(es) / {} record(s), {} retained",
+                        stats.dropped_batches, stats.dropped_records, stats.retained_batches
                     );
                 }
                 Ok(_) => {}

@@ -2,28 +2,38 @@
 //! request that survives a daemon crash.
 //!
 //! Before a batch worker sends a success reply to any submitter, it appends
-//! one journal entry per fused member to `<cache-dir>/journal/` — a
-//! single `ack-<seq>.json` file per batch, written tmp-file + atomic
-//! rename. The ordering is the contract: **journal first, acknowledge
-//! second**, so the set of journaled requests is always a superset of the
-//! acknowledged ones. A daemon that is SIGKILLed mid-batch therefore
-//! leaves a journal from which a restarted daemon (or the chaos soak's
-//! invariant checker) can prove exactly which requests were answered, and
-//! — because each entry carries FNV content hashes of the input and
-//! output vectors — *what* was answered, bitwise.
+//! one line per batch, holding one record per fused member, to the single
+//! JSON-lines file `<cache-dir>/journal/acks.jsonl`. The ordering is the
+//! contract: **journal first, acknowledge second**, so the set of journaled
+//! requests is always a superset of the acknowledged ones. A daemon that
+//! is SIGKILLed mid-batch therefore leaves a journal from which a
+//! restarted daemon (or the chaos soak's invariant checker) can prove
+//! exactly which requests were answered, and — because each entry carries
+//! FNV content hashes of the input and output vectors — *what* was
+//! answered, bitwise.
 //!
 //! Each record holds `(matrix, x_hash, y_hash, batch, cycles)`. The
 //! checker recomputes the offline [`spacea_matrix::Csr::spmv`] for the
 //! request whose input hashes to `x_hash` and fails if the journaled
 //! `y_hash` differs: a journal can prove an answer lost, late, or
 //! rejected, but never wrong.
+//!
+//! Each complete line is one batch, `{"acks":[…]}`, or the compaction line
+//! `{"dropped":N}`, which counts the records compaction removed. An append
+//! is one write of one newline-terminated line, so a kill mid-append can
+//! leave only an unterminated last line. That batch was never
+//! acknowledged: it is not a record, and the next append cuts it off
+//! before writing.
 
+use crate::lock;
 use spacea_harness::job::Fnv;
 use spacea_harness::write_atomic;
 use spacea_obs::json::{parse, Json};
+use std::fs::{File, OpenOptions};
+use std::io::{ErrorKind, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{PoisonError, RwLock};
+use std::sync::Mutex;
 
 /// FNV content hash of a float vector over exact IEEE-754 bit patterns —
 /// the identity requests and responses are journaled under.
@@ -75,17 +85,18 @@ impl AckRecord {
     }
 }
 
-/// What loading a journal directory found.
+/// What loading a journal found.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct JournalLoad {
-    /// Every decodable record, in batch-sequence order.
+    /// Every decodable record, in append order.
     pub records: Vec<AckRecord>,
-    /// Files that were present but unreadable or undecodable. A nonzero
-    /// count after a *graceful* shutdown is a bug; after a crash it can
-    /// only be 0 — torn writes never survive the tmp+rename protocol.
-    pub corrupt_files: usize,
+    /// Batch lines on disk, corrupt ones included.
+    pub batches: usize,
+    /// Complete lines that do not decode. A nonzero count is a bug: a kill
+    /// can only leave an unterminated last line, which is no line at all.
+    pub corrupt_lines: usize,
     /// Records dropped by prior compaction passes (carried in the
-    /// watermark file, so the all-time acknowledgment count is
+    /// compaction line, so the all-time acknowledgment count is
     /// `dropped + records.len()` even after retention kicked in).
     pub dropped: u64,
 }
@@ -93,58 +104,41 @@ pub struct JournalLoad {
 /// What one [`AckJournal::compact`] pass did.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CompactionStats {
-    /// Journal files removed by this pass.
-    pub dropped_files: usize,
-    /// Acknowledgment records inside the removed files.
+    /// Batch lines removed by this pass.
+    pub dropped_batches: usize,
+    /// Acknowledgment records inside the removed batches.
     pub dropped_records: usize,
-    /// Journal files still on disk after the pass.
-    pub retained_files: usize,
+    /// Batch lines still on disk after the pass.
+    pub retained_batches: usize,
 }
 
-/// An append-only acknowledgment journal over one directory.
+/// An append-only acknowledgment journal: one JSON-lines file in one
+/// directory.
 ///
-/// Appends run concurrently (the sequence number is atomic); a compaction
-/// pass excludes every append and every other pass. Without that, two
-/// passes could both count the same files into the watermark, and a pass
-/// could set the watermark above a sequence number whose file an append
-/// had not yet renamed into place — losing that file from the count.
+/// Appends and compaction passes hold one mutex, so a pass never rewrites
+/// the file under an append, and two passes never count the same batches.
 #[derive(Debug)]
 pub struct AckJournal {
     dir: PathBuf,
-    seq: AtomicU64,
     acked: AtomicU64,
-    /// Shared by appends and `stat` reads, exclusive to [`AckJournal::compact`].
-    compaction: RwLock<()>,
+    /// The append handle, opened by the first append after [`open`] or
+    /// after a compaction pass replaced the file.
+    ///
+    /// [`open`]: AckJournal::open
+    file: Mutex<Option<File>>,
 }
 
 impl AckJournal {
     /// Name of the journal directory under the daemon's cache directory.
     pub const DIR: &'static str = "journal";
 
-    /// Name of the compaction watermark file inside the journal directory.
-    /// It records the highest sequence number dropped by compaction (and
-    /// how many records went with it); loaders skip any `ack-*.json` file
-    /// at or below the watermark, which is what makes compaction
-    /// crash-safe — the watermark is written atomically *before* any file
-    /// is unlinked.
-    pub const COMPACTED_FILE: &'static str = "compacted.json";
+    /// Name of the journal file inside the journal directory.
+    pub const FILE: &'static str = "acks.jsonl";
 
-    /// Opens (or starts) a journal in `dir`, continuing after the highest
-    /// existing sequence number — or the compaction watermark, whichever
-    /// is higher — so restarts never overwrite prior proof, even when
-    /// compaction emptied the directory.
+    /// A journal in `dir`. Nothing is read or written until the first
+    /// append, which continues after whatever a previous life proved.
     pub fn open(dir: impl Into<PathBuf>) -> Self {
-        let dir = dir.into();
-        let floor = watermark(&dir).map(|(seq, _)| seq);
-        let (_, live) = ack_files(&dir, floor);
-        // Live files lie past the watermark; with none, continue after it.
-        let next = live.last().map(|&(seq, _)| seq).or(floor).map_or(0, |seq| seq + 1);
-        AckJournal {
-            dir,
-            seq: AtomicU64::new(next),
-            acked: AtomicU64::new(0),
-            compaction: RwLock::new(()),
-        }
+        AckJournal { dir: dir.into(), acked: AtomicU64::new(0), file: Mutex::new(None) }
     }
 
     /// The journal directory.
@@ -158,149 +152,143 @@ impl AckJournal {
         self.acked.load(Ordering::Relaxed)
     }
 
-    /// Appends one batch worth of acknowledgments as a single atomic
-    /// file. Call this *before* sending any of the batch's replies.
+    /// Appends one batch worth of acknowledgments as one line. Call this
+    /// *before* sending any of the batch's replies.
     ///
     /// # Errors
     ///
-    /// Propagates directory-creation and write failures; on error nothing
-    /// was journaled (the tmp file never became visible).
-    pub fn append(&self, records: &[AckRecord]) -> std::io::Result<PathBuf> {
-        let _shared = self.compaction.read().unwrap_or_else(PoisonError::into_inner);
-        let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-        let path = self.dir.join(format!("ack-{seq:08}.json"));
-        let body = Json::obj(vec![
-            ("version", Json::U64(1)),
-            ("seq", Json::U64(seq)),
-            ("acks", Json::Arr(records.iter().map(|r| r.to_json()).collect())),
-        ]);
-        write_atomic(&path, &body.to_text())?;
+    /// Propagates open and write failures. On error nothing was journaled:
+    /// a partial line is cut off again, and if even that fails, the next
+    /// append cuts it off before writing.
+    pub fn append(&self, records: &[AckRecord]) -> std::io::Result<()> {
+        let acks = Json::Arr(records.iter().map(|r| r.to_json()).collect());
+        let mut line = Json::obj(vec![("acks", acks)]).to_text();
+        line.push('\n');
+        let mut handle = lock(&self.file);
+        // Taken out so that a failed append drops it.
+        let mut file = match handle.take() {
+            Some(file) => file,
+            None => open_for_append(&self.dir.join(Self::FILE))?,
+        };
+        let start = file.metadata()?.len();
+        if let Err(e) = file.write_all(line.as_bytes()) {
+            let _ = file.set_len(start);
+            return Err(e);
+        }
+        *handle = Some(file);
         self.acked.fetch_add(records.len() as u64, Ordering::Relaxed);
-        Ok(path)
+        Ok(())
     }
 
-    /// Loads every live journal file under `dir`, in sequence order.
-    /// Missing directory means an empty journal, not an error. Files at
-    /// or below the compaction watermark are skipped (a crash between
-    /// the watermark write and the unlinks can leave some behind) and
-    /// their records are already accounted for in [`JournalLoad::dropped`].
+    /// Loads the journal under `dir`, in append order. A missing or
+    /// unreadable file is an empty journal, not an error.
     pub fn load(dir: &Path) -> JournalLoad {
-        let wm = watermark(dir);
-        let mut out =
-            JournalLoad { dropped: wm.map_or(0, |(_, records)| records), ..JournalLoad::default() };
-        let (_, live) = ack_files(dir, wm.map(|(seq, _)| seq));
-        for (_, path) in live {
-            match read_acks(&path) {
-                Some(mut records) => out.records.append(&mut records),
-                None => out.corrupt_files += 1,
+        let bytes = read_complete(&dir.join(Self::FILE)).unwrap_or_default();
+        let mut out = JournalLoad::default();
+        for line in String::from_utf8_lossy(&bytes).lines() {
+            match Line::decode(line) {
+                Line::Dropped(n) => out.dropped += n,
+                Line::Batch(records) => {
+                    out.batches += 1;
+                    match records {
+                        Some(mut records) => out.records.append(&mut records),
+                        None => out.corrupt_lines += 1,
+                    }
+                }
             }
         }
         out
     }
 
-    /// The live journal footprint on disk: `(records, files)` past the
-    /// compaction watermark — what the `stat` verb reports.
-    pub fn disk_counts(&self) -> (u64, u64) {
-        let _shared = self.compaction.read().unwrap_or_else(PoisonError::into_inner);
-        let (_, live) = ack_files(&self.dir, watermark(&self.dir).map(|(seq, _)| seq));
-        let records: usize =
-            live.iter().filter_map(|(_, path)| read_acks(path)).map(|r| r.len()).sum();
-        (records as u64, live.len() as u64)
-    }
-
-    /// Drops acked journal files beyond a retention budget, keeping the
-    /// newest `retain` files. Crash-safe ordering: the watermark file is
-    /// written (tmp + atomic rename) *first*, the stale `ack-*.json`
-    /// files are unlinked *second* — a crash in between leaves files that
-    /// [`AckJournal::load`] already skips and that the next compaction
-    /// sweeps without recounting.
+    /// Drops the oldest batches beyond a retention budget, keeping the
+    /// newest `retain`. The file is rewritten whole, tmp file + atomic
+    /// rename, as the compaction line (carrying every record dropped so
+    /// far) followed by the kept batch lines: a crash leaves either the
+    /// old file or the new one.
     ///
     /// # Errors
     ///
-    /// Propagates the watermark write failure; on error no journal file
-    /// was removed.
+    /// Propagates read and rewrite failures; on error the file is as it
+    /// was.
     pub fn compact(&self, retain: usize) -> std::io::Result<CompactionStats> {
-        let _exclusive = self.compaction.write().unwrap_or_else(PoisonError::into_inner);
-        let prior = watermark(&self.dir);
-        // Leftovers from a crashed pass sit at or below the old watermark:
-        // already counted there, so sweep them without recounting.
-        let (leftovers, live) = ack_files(&self.dir, prior.map(|(seq, _)| seq));
-        let keep_from = live.len().saturating_sub(retain);
-        let (stale, kept) = live.split_at(keep_from);
-        let mut stats = CompactionStats {
-            dropped_files: stale.len(),
-            dropped_records: 0,
-            retained_files: kept.len(),
+        let mut handle = lock(&self.file);
+        let path = self.dir.join(Self::FILE);
+        let bytes = match read_complete(&path) {
+            Err(e) if e.kind() == ErrorKind::NotFound => Vec::new(),
+            read => read?,
         };
-        if let Some(&(through, _)) = stale.last() {
-            for (_, path) in stale {
-                if let Some(records) = read_acks(path) {
-                    stats.dropped_records += records.len();
-                }
-            }
-            let carried = prior.map_or(0, |(_, records)| records);
-            let body = Json::obj(vec![
-                ("version", Json::U64(1)),
-                ("dropped_through_seq", Json::U64(through)),
-                ("dropped_records", Json::U64(carried + stats.dropped_records as u64)),
-            ]);
-            write_atomic(&self.dir.join(Self::COMPACTED_FILE), &body.to_text())?;
-            for (_, path) in stale {
-                let _ = std::fs::remove_file(path);
+        let text = String::from_utf8_lossy(&bytes);
+        let mut dropped = 0;
+        let mut batches = Vec::new();
+        for line in text.lines() {
+            match Line::decode(line) {
+                Line::Dropped(n) => dropped += n,
+                Line::Batch(records) => batches.push((line, records.map_or(0, |r| r.len()))),
             }
         }
-        for (_, path) in leftovers {
-            let _ = std::fs::remove_file(path);
+        let (stale, kept) = batches.split_at(batches.len().saturating_sub(retain));
+        let stats = CompactionStats {
+            dropped_batches: stale.len(),
+            dropped_records: stale.iter().map(|&(_, n)| n).sum(),
+            retained_batches: kept.len(),
+        };
+        if !stale.is_empty() {
+            let dropped = dropped + stats.dropped_records as u64;
+            let mut body = Json::obj(vec![("dropped", Json::U64(dropped))]).to_text();
+            for (line, _) in kept {
+                body.push('\n');
+                body.push_str(line);
+            }
+            body.push('\n');
+            write_atomic(&path, &body)?;
+            *handle = None;
         }
         Ok(stats)
     }
 }
 
-/// The compaction watermark of a journal directory, if one was ever
-/// written: `(dropped_through_seq, dropped_records)`.
-fn watermark(dir: &Path) -> Option<(u64, u64)> {
-    let text = std::fs::read_to_string(dir.join(AckJournal::COMPACTED_FILE)).ok()?;
-    let v = parse(&text).ok()?;
-    if v.get("version")?.as_u64()? != 1 {
-        return None;
+/// One complete line of the journal file.
+enum Line {
+    /// The compaction line: records dropped by earlier passes.
+    Dropped(u64),
+    /// One acknowledged batch; `None` when the line does not decode.
+    Batch(Option<Vec<AckRecord>>),
+}
+
+impl Line {
+    fn decode(text: &str) -> Line {
+        let Ok(v) = parse(text) else { return Line::Batch(None) };
+        match v.get("dropped").and_then(Json::as_u64) {
+            Some(n) => Line::Dropped(n),
+            None => Line::Batch(
+                v.get("acks")
+                    .and_then(Json::as_arr)
+                    .and_then(|acks| acks.iter().map(AckRecord::from_json).collect()),
+            ),
+        }
     }
-    Some((v.get("dropped_through_seq")?.as_u64()?, v.get("dropped_records")?.as_u64()?))
 }
 
-/// Journal files as `(seq, path)`, in sequence order.
-type AckFiles = Vec<(u64, PathBuf)>;
-
-/// The `ack-<seq>.json` files of `dir`, split at the compaction watermark
-/// `floor`: the files at or below it (leftovers of a crashed compaction,
-/// already counted in the watermark), then the live ones. A missing
-/// directory lists none.
-fn ack_files(dir: &Path, floor: Option<u64>) -> (AckFiles, AckFiles) {
-    let Ok(entries) = std::fs::read_dir(dir) else { return Default::default() };
-    let mut files: AckFiles = entries
-        .filter_map(|e| e.ok().map(|e| e.path()))
-        .filter_map(|p| seq_of(&p).map(|seq| (seq, p)))
-        .collect();
-    files.sort();
-    let live = files
-        .split_off(files.partition_point(|&(seq, _)| floor.is_some_and(|through| seq <= through)));
-    (files, live)
+/// The complete lines of the journal file at `path`: its bytes through the
+/// last newline. The bytes after it are an append a kill interrupted,
+/// never acknowledged, so they are left out.
+fn read_complete(path: &Path) -> std::io::Result<Vec<u8>> {
+    let mut bytes = std::fs::read(path)?;
+    bytes.truncate(bytes.iter().rposition(|&b| b == b'\n').map_or(0, |end| end + 1));
+    Ok(bytes)
 }
 
-/// The sequence number of an `ack-<seq>.json` path, if it is one.
-fn seq_of(path: &Path) -> Option<u64> {
-    let name = path.file_name()?.to_str()?;
-    let digits = name.strip_prefix("ack-")?.strip_suffix(".json")?;
-    digits.parse().ok()
-}
-
-/// The records of one journal file; `None` when it cannot be read or
-/// decoded.
-fn read_acks(path: &Path) -> Option<Vec<AckRecord>> {
-    let v = parse(&std::fs::read_to_string(path).ok()?).ok()?;
-    if v.get("version")?.as_u64()? != 1 {
-        return None;
+/// Opens the journal file for appending, creating it and its directory as
+/// needed, and cuts off an unterminated last line (an append a kill
+/// interrupted) so that the next line starts on a line of its own. It
+/// reads the file once, as [`AckJournal::load`] does.
+fn open_for_append(path: &Path) -> std::io::Result<File> {
+    if let Some(dir) = path.parent() {
+        std::fs::create_dir_all(dir)?;
     }
-    v.get("acks")?.as_arr()?.iter().map(AckRecord::from_json).collect()
+    let file = OpenOptions::new().create(true).append(true).open(path)?;
+    file.set_len(read_complete(path)?.len() as u64)?;
+    Ok(file)
 }
 
 #[cfg(test)]
@@ -315,6 +303,27 @@ mod tests {
         AckRecord { matrix, x_hash: x, y_hash: x ^ 0xABCD, batch: 2, cycles: 1000 + x }
     }
 
+    /// `(records, batches)` on disk: what the `stat` verb reports.
+    fn disk_counts(dir: &Path) -> (usize, usize) {
+        let load = AckJournal::load(dir);
+        (load.records.len(), load.batches)
+    }
+
+    /// Appends raw bytes to the journal file, as a torn or foreign write would.
+    fn append_raw(dir: &Path, bytes: &str) {
+        let mut f = OpenOptions::new().append(true).open(dir.join(AckJournal::FILE)).unwrap();
+        f.write_all(bytes.as_bytes()).unwrap();
+    }
+
+    fn files_in(dir: &Path) -> Vec<String> {
+        let mut names: Vec<String> = std::fs::read_dir(dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().into_string().unwrap())
+            .collect();
+        names.sort();
+        names
+    }
+
     #[test]
     fn append_then_load_round_trips_in_order() {
         let dir = tmp_dir("rt");
@@ -324,14 +333,16 @@ mod tests {
         j.append(&[rec(2, 20)]).unwrap();
         assert_eq!(j.acked(), 3);
         let load = AckJournal::load(&dir);
-        assert_eq!(load.corrupt_files, 0);
+        assert_eq!(load.corrupt_lines, 0);
+        assert_eq!(load.batches, 2);
         assert_eq!(load.records, vec![rec(1, 10), rec(1, 11), rec(2, 20)]);
+        assert_eq!(files_in(&dir), vec![AckJournal::FILE], "one file holds every batch");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn restart_continues_the_sequence() {
-        let dir = tmp_dir("seq");
+    fn restart_appends_after_prior_proof() {
+        let dir = tmp_dir("restart");
         let _ = std::fs::remove_dir_all(&dir);
         let first = AckJournal::open(&dir);
         first.append(&[rec(1, 1)]).unwrap();
@@ -347,91 +358,120 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_files_are_counted_not_fatal() {
+    fn corrupt_lines_are_counted_not_fatal() {
         let dir = tmp_dir("corrupt");
         let _ = std::fs::remove_dir_all(&dir);
         let j = AckJournal::open(&dir);
         j.append(&[rec(1, 1)]).unwrap();
-        std::fs::write(dir.join("ack-00000099.json"), "{ torn").unwrap();
+        append_raw(&dir, "{ torn\n");
         std::fs::write(dir.join("not-a-journal.txt"), "ignored").unwrap();
         let load = AckJournal::load(&dir);
         assert_eq!(load.records, vec![rec(1, 1)]);
-        assert_eq!(load.corrupt_files, 1);
-        // And open() skips past the corrupt file's sequence number.
+        assert_eq!(load.corrupt_lines, 1);
+        // And the next append lands after the corrupt line.
         let next = AckJournal::open(&dir);
-        let path = next.append(&[rec(2, 2)]).unwrap();
-        assert!(path.file_name().unwrap().to_str().unwrap().contains("00000100"), "{path:?}");
+        next.append(&[rec(2, 2)]).unwrap();
+        let load = AckJournal::load(&dir);
+        assert_eq!(load.records, vec![rec(1, 1), rec(2, 2)]);
+        assert_eq!((load.batches, load.corrupt_lines), (3, 1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn compact_keeps_the_newest_files_and_restart_respects_the_watermark() {
+    fn a_torn_last_line_is_no_record_and_the_next_append_starts_a_line_of_its_own() {
+        let dir = tmp_dir("torn");
+        let _ = std::fs::remove_dir_all(&dir);
+        let j = AckJournal::open(&dir);
+        j.append(&[rec(1, 1)]).unwrap();
+        // A kill mid-append: half a batch line, no newline.
+        append_raw(&dir, "{\"acks\":[{\"matrix\":1,\"x_hash\":2");
+        let load = AckJournal::load(&dir);
+        assert_eq!(load.records, vec![rec(1, 1)], "a torn line is not a record");
+        assert_eq!((load.batches, load.corrupt_lines), (1, 0), "nor a corrupt line");
+
+        let reopened = AckJournal::open(&dir);
+        reopened.append(&[rec(2, 2)]).unwrap();
+        let load = AckJournal::load(&dir);
+        assert_eq!(load.records, vec![rec(1, 1), rec(2, 2)]);
+        assert_eq!((load.batches, load.corrupt_lines), (2, 0));
+        let text = std::fs::read_to_string(dir.join(AckJournal::FILE)).unwrap();
+        assert!(text.ends_with('\n'));
+        assert_eq!(text.lines().count(), 2, "the torn tail was cut off: {text:?}");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn compact_keeps_the_newest_batches_and_restart_keeps_the_dropped_count() {
         let dir = tmp_dir("compact");
         let _ = std::fs::remove_dir_all(&dir);
         let j = AckJournal::open(&dir);
         for i in 0..5 {
             j.append(&[rec(1, i), rec(1, 100 + i)]).unwrap();
         }
-        assert_eq!(j.disk_counts(), (10, 5));
+        assert_eq!(disk_counts(&dir), (10, 5));
 
         let stats = j.compact(2).unwrap();
         assert_eq!(
             stats,
-            CompactionStats { dropped_files: 3, dropped_records: 6, retained_files: 2 }
+            CompactionStats { dropped_batches: 3, dropped_records: 6, retained_batches: 2 }
         );
-        assert_eq!(j.disk_counts(), (4, 2));
+        assert_eq!(disk_counts(&dir), (4, 2));
         let load = AckJournal::load(&dir);
-        assert_eq!(load.dropped, 6, "the watermark carries the dropped-record count");
+        assert_eq!(load.dropped, 6, "the compaction line carries the dropped-record count");
         assert_eq!(load.records, vec![rec(1, 3), rec(1, 103), rec(1, 4), rec(1, 104)]);
+        assert_eq!(files_in(&dir), vec![AckJournal::FILE], "compaction leaves one file");
 
         // A second pass over an already-tight journal is a no-op.
         let again = j.compact(2).unwrap();
         assert_eq!(
             again,
-            CompactionStats { dropped_files: 0, dropped_records: 0, retained_files: 2 }
+            CompactionStats { dropped_batches: 0, dropped_records: 0, retained_batches: 2 }
         );
 
-        // Compacting everything away must not let a restart reuse seqs.
-        j.compact(0).unwrap();
-        assert_eq!(j.disk_counts(), (0, 0));
+        // Appends after a pass land in the rewritten file.
+        j.append(&[rec(1, 5)]).unwrap();
+        assert_eq!(disk_counts(&dir), (5, 3));
+
+        // Compacting everything away keeps the count, and a restart
+        // appends after it.
+        let all = j.compact(0).unwrap();
+        assert_eq!((all.dropped_batches, all.dropped_records), (3, 5));
+        assert_eq!(disk_counts(&dir), (0, 0));
         let restarted = AckJournal::open(&dir);
-        let path = restarted.append(&[rec(7, 7)]).unwrap();
-        assert!(path.file_name().unwrap().to_str().unwrap().contains("00000005"), "{path:?}");
+        restarted.append(&[rec(7, 7)]).unwrap();
         let load = AckJournal::load(&dir);
-        assert_eq!((load.dropped, load.records.len()), (10, 1));
+        assert_eq!((load.dropped, load.records.len()), (11, 1));
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn a_crash_between_watermark_and_unlink_is_harmless() {
-        let dir = tmp_dir("crash");
+    fn a_stray_compaction_tmp_file_is_ignored_by_load_and_append() {
+        let dir = tmp_dir("stray");
         let _ = std::fs::remove_dir_all(&dir);
         let j = AckJournal::open(&dir);
-        for i in 0..4 {
+        for i in 0..2 {
             j.append(&[rec(1, i)]).unwrap();
         }
-        // Simulate the crash: write the watermark covering seqs 0..=1 by
-        // hand and leave their files on disk.
-        std::fs::write(
-            dir.join(AckJournal::COMPACTED_FILE),
-            "{\"version\":1,\"dropped_through_seq\":1,\"dropped_records\":2}",
-        )
-        .unwrap();
-        let load = AckJournal::load(&dir);
-        assert_eq!(load.records, vec![rec(1, 2), rec(1, 3)], "stale files are skipped");
-        assert_eq!(load.dropped, 2);
-        assert_eq!(j.disk_counts(), (2, 2));
-
-        // The next pass sweeps the leftovers without recounting them.
-        let stats = j.compact(1).unwrap();
-        assert_eq!(
-            stats,
-            CompactionStats { dropped_files: 1, dropped_records: 1, retained_files: 1 }
+        // A pass killed before its rename leaves its tmp file behind; an
+        // older daemon's per-batch files are no journal either.
+        let stray = format!(
+            "{{\"dropped\":1}}\n{}\n",
+            Json::obj(vec![("acks", Json::Arr(vec![rec(1, 1).to_json()]))]).to_text()
         );
+        let tmp = dir.join(format!(".{}.4242.0.tmp", AckJournal::FILE));
+        std::fs::write(&tmp, &stray).unwrap();
+        std::fs::write(dir.join("ack-00000000.json"), "{\"version\":1,\"seq\":0,\"acks\":[]}")
+            .unwrap();
         let load = AckJournal::load(&dir);
-        assert_eq!(load.records, vec![rec(1, 3)]);
-        assert_eq!(load.dropped, 3, "2 carried + 1 newly dropped");
-        assert!(!dir.join("ack-00000000.json").exists(), "leftover swept");
+        assert_eq!(load.records, vec![rec(1, 0), rec(1, 1)]);
+        assert_eq!((load.dropped, load.corrupt_lines), (0, 0));
+
+        let next = AckJournal::open(&dir);
+        next.append(&[rec(1, 2)]).unwrap();
+        let load = AckJournal::load(&dir);
+        assert_eq!(load.records, vec![rec(1, 0), rec(1, 1), rec(1, 2)]);
+        assert_eq!(load.dropped, 0);
+        assert_eq!(std::fs::read_to_string(&tmp).unwrap(), stray, "the stray file is untouched");
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -462,11 +502,11 @@ mod tests {
             }
         });
         let load = AckJournal::load(&dir);
-        assert_eq!(load.corrupt_files, 0);
+        assert_eq!(load.corrupt_lines, 0);
         assert_eq!(
             load.dropped + load.records.len() as u64,
             appenders * per_thread * 2,
-            "watermark {} + live {}",
+            "dropped {} + live {}",
             load.dropped,
             load.records.len()
         );

@@ -56,11 +56,12 @@
 //! `serve start --chaos`, and the request-lifecycle guarantees in
 //! [`service::Service`] — explicit [`error::ServeError`] codes for
 //! overload and deadline rejection, bounded jittered retry of transient
-//! faults, and the write-ahead [`journal::AckJournal`] — are what make
-//! every fault survivable. The `serve_chaos` bench bin soaks seeded plans
-//! against a live daemon and enforces the core invariant: an acknowledged
-//! request is bitwise-correct and journaled; an accepted request is never
-//! silently lost.
+//! faults, and the write-ahead [`journal::AckJournal`], one appended line
+//! per acknowledged batch in `<cache-dir>/journal/acks.jsonl` — are what
+//! make every fault survivable. The `serve_chaos` bench bin soaks seeded
+//! plans against a live daemon and enforces the core invariant: an
+//! acknowledged request is bitwise-correct and journaled; an accepted
+//! request is never silently lost.
 
 #![warn(missing_docs)]
 
@@ -98,9 +99,11 @@ pub(crate) fn splitmix64(mut z: u64) -> u64 {
 /// Locks a mutex, recovering the data from a poisoned lock. Every mutex in
 /// this crate guards state that is valid between any two of its updates:
 /// the matrix registry, the telemetry series, the admission sender, the
-/// worker handles and the batch receiver. A thread that panicked while
-/// holding one therefore leaves nothing torn, and the daemon keeps
-/// answering instead of failing every later request on the poison.
+/// worker handles, the batch receiver and the journal's append handle
+/// (an append takes it out while it writes; a missing one is reopened). A
+/// thread that panicked while holding one therefore leaves nothing torn,
+/// and the daemon keeps answering instead of failing every later request
+/// on the poison.
 pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }

@@ -54,10 +54,10 @@ pub enum Request {
         text: String,
     },
     /// Compact the acknowledgment journal down to the newest `retain`
-    /// files (crash-safe watermark + unlink; see
+    /// batches (an atomic rewrite; see
     /// [`crate::journal::AckJournal::compact`]).
     Compact {
-        /// How many journal files to keep.
+        /// How many batches to keep.
         retain: usize,
     },
     /// Fetch engine counters.

@@ -19,6 +19,7 @@
 use crate::chaos::ConnFault;
 use crate::engine::{RegisterInfo, ServeConfig, ServeEngine};
 use crate::error::ServeError;
+use crate::journal::AckJournal;
 use crate::protocol::{self, Request, MAX_LINE_BYTES, PORT_FILE};
 use crate::service::{Service, DEFAULT_DEADLINE};
 use spacea_harness::write_atomic;
@@ -205,17 +206,17 @@ fn dispatch(req: Request, service: &Service, stop: &AtomicBool) -> Json {
             Ok(a) => registered(engine.register(a)),
             Err(e) => protocol::err_code("bad-request", &format!("mtx: {e}")),
         },
-        Request::Compact { retain } => match engine.compact_journal(retain) {
+        Request::Compact { retain } => match engine.journal().compact(retain) {
             Ok(c) => protocol::ok(vec![
-                ("dropped_files", Json::U64(c.dropped_files as u64)),
+                ("dropped_batches", Json::U64(c.dropped_batches as u64)),
                 ("dropped_records", Json::U64(c.dropped_records as u64)),
-                ("retained_files", Json::U64(c.retained_files as u64)),
+                ("retained_batches", Json::U64(c.retained_batches as u64)),
             ]),
             Err(e) => protocol::err(&format!("journal compaction failed: {e}")),
         },
         Request::Stat => {
             let s = engine.stats();
-            let (journal_records, journal_files) = engine.journal_counts();
+            let journal = AckJournal::load(engine.journal().dir());
             protocol::ok(vec![
                 ("registered", Json::U64(s.registered)),
                 ("requests", Json::U64(s.requests)),
@@ -232,8 +233,8 @@ fn dispatch(req: Request, service: &Service, stop: &AtomicBool) -> Json {
                 ("mappings_healed", Json::U64(s.mappings.healed)),
                 ("simulations_run", Json::U64(s.simulations.run)),
                 ("simulations_reused", Json::U64(s.simulations.reused)),
-                ("journal_records", Json::U64(journal_records)),
-                ("journal_files", Json::U64(journal_files)),
+                ("journal_records", Json::U64(journal.records.len() as u64)),
+                ("journal_batches", Json::U64(journal.batches as u64)),
             ])
         }
         Request::Shutdown => {

@@ -22,8 +22,7 @@
 //! a (matrix, width) whose run is in flight waits for it (see
 //! [`ServeEngine::run_batch`]). Each worker journals its
 //! own batch before replying, so the journal-first order holds per batch;
-//! journal files are numbered by an atomic sequence in completion order,
-//! not admission order.
+//! batch lines follow completion order, not admission order.
 //!
 //! # Request lifecycle guarantees
 //!
@@ -545,7 +544,7 @@ mod tests {
         // Every acknowledgment was journaled before it was sent.
         let load = AckJournal::load(engine.journal().dir());
         assert_eq!(load.records.len(), 8);
-        assert_eq!(load.corrupt_files, 0);
+        assert_eq!(load.corrupt_lines, 0);
         let _ = std::fs::remove_dir_all(&dir);
     }
 

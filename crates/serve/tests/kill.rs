@@ -7,8 +7,10 @@
 //!
 //! The daemon runs in a separate OS process (this same test binary,
 //! re-invoked on an `#[ignore]`d helper) so `Child::kill` delivers a real
-//! SIGKILL: no destructors, no flush-on-drop — only the tmp+rename write
-//! discipline stands between the daemon and a torn artifact.
+//! SIGKILL: no destructors, no flush-on-drop. Only the write discipline
+//! stands between the daemon and a torn artifact: tmp+rename for the
+//! mapping artifacts and the timeline, one whole line per append for the
+//! journal, whose loader skips an unterminated last line.
 
 use spacea_serve::engine::FLUSH_EVERY;
 use spacea_serve::{seeded_vector, AckJournal, Client, ServeConfig};
@@ -100,7 +102,7 @@ fn sigkill_mid_batch_leaves_mappings_journal_and_timeline_loadable() {
     // The journal proves exactly the pre-crash acknowledgments, in order,
     // with the right hashes.
     let journal = AckJournal::load(&dir.join(AckJournal::DIR));
-    assert_eq!(journal.corrupt_files, 0, "SIGKILL tore a journal file");
+    assert_eq!(journal.corrupt_lines, 0, "SIGKILL tore a journal line");
     assert_eq!(
         journal.records.len() as u64,
         FLUSH_EVERY,
@@ -136,6 +138,13 @@ fn sigkill_mid_batch_leaves_mappings_journal_and_timeline_loadable() {
     );
     client.shutdown().unwrap();
     daemon.join().unwrap().unwrap();
+
+    // The second life appended its two answers after the first life's,
+    // in the same one file.
+    let journal = AckJournal::load(&dir.join(AckJournal::DIR));
+    assert_eq!((journal.records.len() as u64, journal.corrupt_lines), (FLUSH_EVERY + 2, 0));
+    let files = std::fs::read_dir(dir.join(AckJournal::DIR)).unwrap().count();
+    assert_eq!(files, 1, "the journal is one file");
 
     let _ = std::fs::remove_dir_all(&dir);
 }

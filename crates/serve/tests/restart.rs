@@ -28,6 +28,15 @@ fn start_daemon(dir: &Path) -> std::thread::JoinHandle<()> {
     handle
 }
 
+/// The names of the files in the journal directory under `dir`.
+fn journal_files(dir: &Path) -> Vec<String> {
+    let entries = std::fs::read_dir(dir.join(AckJournal::DIR)).expect("journal directory exists");
+    let mut names: Vec<String> =
+        entries.map(|e| e.unwrap().file_name().into_string().unwrap()).collect();
+    names.sort();
+    names
+}
+
 fn manifest_counts(dir: &Path) -> (u64, u64) {
     let text = std::fs::read_to_string(dir.join("serve-manifest.json")).expect("manifest exists");
     let v = spacea_obs::json::parse(&text).expect("manifest parses");
@@ -63,26 +72,27 @@ fn mtx_registration_and_journal_compaction_over_the_wire() {
         assert_eq!(got, want, "seed {seed}: mtx-registered reply diverged");
     }
 
-    // Three sequential submits journal three single-record files; stat
-    // reports the live footprint and compact trims it to the budget.
+    // Three sequential submits journal three single-record batches; stat
+    // reports the journal's size and compact trims it to the budget.
     let stat = client.stat().unwrap();
     assert_eq!(stat.get("journal_records").and_then(|j| j.as_u64()), Some(3));
-    assert_eq!(stat.get("journal_files").and_then(|j| j.as_u64()), Some(3));
+    assert_eq!(stat.get("journal_batches").and_then(|j| j.as_u64()), Some(3));
     let c = client.compact(1).unwrap();
-    assert_eq!((c.dropped_files, c.dropped_records, c.retained_files), (2, 2, 1));
+    assert_eq!((c.dropped_batches, c.dropped_records, c.retained_batches), (2, 2, 1));
     let stat = client.stat().unwrap();
     assert_eq!(stat.get("journal_records").and_then(|j| j.as_u64()), Some(1));
-    assert_eq!(stat.get("journal_files").and_then(|j| j.as_u64()), Some(1));
+    assert_eq!(stat.get("journal_batches").and_then(|j| j.as_u64()), Some(1));
     let load = AckJournal::load(&dir.join(AckJournal::DIR));
-    assert_eq!((load.records.len(), load.dropped, load.corrupt_files), (1, 2, 0));
+    assert_eq!((load.records.len(), load.dropped, load.corrupt_lines), (1, 2, 0));
 
     client.shutdown().unwrap();
     daemon.join().unwrap();
+    assert_eq!(journal_files(&dir), vec![AckJournal::FILE], "one journal file per life");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
 #[test]
-fn auto_compaction_bounds_the_journal_and_its_watermark_survives_restart() {
+fn auto_compaction_bounds_the_journal_and_its_dropped_count_survives_restart() {
     let dir = tmp_dir("autocompact");
     let _ = std::fs::remove_dir_all(&dir);
 
@@ -92,22 +102,22 @@ fn auto_compaction_bounds_the_journal_and_its_watermark_survives_restart() {
     let info = engine.register_suite(1, 256).unwrap();
     let service = Service::over(Arc::clone(&engine));
     // Sequential submits: each is its own single-request batch, so each
-    // acknowledgment is one journal file. Five batches trigger the
+    // acknowledgment is one batch line. Five batches trigger the
     // auto-compaction pass twice (after batch 2: nothing beyond the
-    // 2-file budget yet; after batch 4: files 1-2 dropped).
+    // 2-batch budget yet; after batch 4: batches 1-2 dropped).
     for seed in 0..5u64 {
         service.submit(info.key, seeded_vector(info.cols, seed)).unwrap();
     }
     service.stop();
-    assert_eq!(engine.journal_counts(), (3, 3), "budget 2 + the post-compaction batch");
     let load = AckJournal::load(&dir.join(AckJournal::DIR));
-    assert_eq!(load.records.len(), 3);
-    assert_eq!(load.dropped, 2, "the watermark carries the auto-dropped records");
-    assert_eq!(load.corrupt_files, 0);
+    assert_eq!((load.records.len(), load.batches), (3, 3), "budget 2 + the post-compaction batch");
+    assert_eq!(load.dropped, 2, "the compaction line carries the auto-dropped records");
+    assert_eq!(load.corrupt_lines, 0);
     drop(engine);
+    assert_eq!(journal_files(&dir), vec![AckJournal::FILE], "one journal file per life");
 
-    // --- Restarted engine over the same cache dir: the watermark holds
-    // (dropped records stay counted, sequence numbers never reused). ---
+    // --- Restarted engine over the same cache dir: the dropped count
+    // holds and new acknowledgments append after the kept ones. ---
     let cfg = ServeConfig { compact_every: 2, ..ServeConfig::quick(&dir) };
     let engine = Arc::new(ServeEngine::new(cfg));
     let info = engine.register_suite(1, 256).unwrap();
@@ -115,9 +125,10 @@ fn auto_compaction_bounds_the_journal_and_its_watermark_survives_restart() {
     service.submit(info.key, seeded_vector(info.cols, 9)).unwrap();
     service.stop();
     let load = AckJournal::load(&dir.join(AckJournal::DIR));
-    assert_eq!(load.dropped, 2, "restart must not lose the compaction watermark");
-    assert_eq!(load.records.len(), 4, "the new acknowledgment lands past the watermark");
-    assert_eq!(load.corrupt_files, 0);
+    assert_eq!(load.dropped, 2, "restart must not lose the dropped count");
+    assert_eq!(load.records.len(), 4, "the new acknowledgment lands after the kept ones");
+    assert_eq!(load.corrupt_lines, 0);
+    assert_eq!(journal_files(&dir), vec![AckJournal::FILE], "one journal file per life");
     let _ = std::fs::remove_dir_all(&dir);
 }
 
@@ -175,7 +186,7 @@ fn concurrent_requests_match_reference_and_restart_is_warm() {
 
     // Every acknowledged request left a journal record proving its answer.
     let journal = AckJournal::load(&dir.join(AckJournal::DIR));
-    assert_eq!(journal.corrupt_files, 0, "graceful shutdown leaves no torn journal files");
+    assert_eq!(journal.corrupt_lines, 0, "graceful shutdown leaves no corrupt journal line");
     assert_eq!(journal.records.len(), 8, "one acknowledgment record per answered request");
 
     // --- Restarted daemon over the same cache dir: zero computations. ---
@@ -193,6 +204,7 @@ fn concurrent_requests_match_reference_and_restart_is_warm() {
     let (computed, disk_hits) = manifest_counts(&dir);
     assert_eq!(computed, 0, "a warm restart must not re-run Phase I/II mapping");
     assert_eq!(disk_hits, 2, "both mappings loaded from the persistent cache");
+    assert_eq!(journal_files(&dir), vec![AckJournal::FILE], "one journal file per life");
 
     let _ = std::fs::remove_dir_all(&dir);
 }
