@@ -271,6 +271,10 @@ cargo run --release -p spacea-bench --bin serve -- submit --cache-dir "$SERVE_CA
   --matrix 1/256,2/256 --seeds 0,1,2,3,4,5,6,7 --check
 cargo run --release -p spacea-bench --bin serve -- stat --cache-dir "$SERVE_CACHE" \
   | grep -q '"requests":8'
+# The first answered batch writes the request timeline (once its replies
+# are out), so the running daemon has already left a loadable one.
+for _ in $(seq 1 50); do [ -f "$SERVE_CACHE/serve-timeline.json" ] && break; sleep 0.1; done
+cargo run --release -p spacea-bench --bin timeline -- --validate "$SERVE_CACHE/serve-timeline.json"
 cargo run --release -p spacea-bench --bin serve -- shutdown --cache-dir "$SERVE_CACHE"
 wait $SERVE_PID
 grep -q '"computed":2' "$SERVE_CACHE/serve-manifest.json"

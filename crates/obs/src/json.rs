@@ -178,10 +178,24 @@ impl Json {
     }
 }
 
+/// Writes `s` quoted. A string with nothing to escape — most of them, the
+/// served reply vectors included — is copied whole.
 fn write_str(out: &mut String, s: &str) {
     out.push('"');
-    out.push_str(&escape(s));
+    if needs_escape(s) {
+        out.push_str(&escape(s));
+    } else {
+        out.push_str(s);
+    }
     out.push('"');
+}
+
+/// Whether [`escape`] would change `s`: a quote, a backslash or a control
+/// character. Characters below U+0020 are single bytes in UTF-8, so a scan
+/// of the bytes is exact. The fold has no early exit, so it compiles to a
+/// loop without a branch per byte.
+fn needs_escape(s: &str) -> bool {
+    s.bytes().fold(false, |any, b| any | (b < 0x20) | (b == b'"') | (b == b'\\'))
 }
 
 /// Parses a complete JSON document, rejecting trailing data and nesting
@@ -258,35 +272,37 @@ impl Parser<'_> {
     fn string(&mut self) -> Result<String, String> {
         self.consume(b'"')?;
         let mut out = Vec::new();
-        while let Some(&c) = self.b.get(self.pos) {
+        loop {
+            // The run up to the next quote or backslash is copied in one step.
+            let rest = &self.b[self.pos..];
+            let run = rest.iter().position(|&c| c == b'"' || c == b'\\').unwrap_or(rest.len());
+            out.extend_from_slice(&rest[..run]);
+            self.pos += run;
+            let Some(&c) = self.b.get(self.pos) else { break };
             self.pos += 1;
-            match c {
-                b'"' => return String::from_utf8(out).map_err(|e| e.to_string()),
-                b'\\' => {
-                    let esc = *self.b.get(self.pos).ok_or("unterminated escape")?;
-                    self.pos += 1;
-                    let ch = match esc {
-                        b'"' | b'\\' | b'/' => esc as char,
-                        b'n' => '\n',
-                        b'r' => '\r',
-                        b't' => '\t',
-                        b'b' => '\u{8}',
-                        b'f' => '\u{c}',
-                        b'u' => {
-                            let hex = self.b.get(self.pos..self.pos + 4).unwrap_or_default();
-                            let hex = std::str::from_utf8(hex).unwrap_or_default();
-                            let code =
-                                u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
-                            self.pos += 4;
-                            // The writer never emits surrogates; a lone one decodes as U+FFFD.
-                            char::from_u32(code).unwrap_or('\u{fffd}')
-                        }
-                        other => return Err(format!("unknown escape \\{}", other as char)),
-                    };
-                    out.extend_from_slice(ch.encode_utf8(&mut [0u8; 4]).as_bytes());
-                }
-                c => out.push(c),
+            if c == b'"' {
+                return String::from_utf8(out).map_err(|e| e.to_string());
             }
+            let esc = *self.b.get(self.pos).ok_or("unterminated escape")?;
+            self.pos += 1;
+            let ch = match esc {
+                b'"' | b'\\' | b'/' => esc as char,
+                b'n' => '\n',
+                b'r' => '\r',
+                b't' => '\t',
+                b'b' => '\u{8}',
+                b'f' => '\u{c}',
+                b'u' => {
+                    let hex = self.b.get(self.pos..self.pos + 4).unwrap_or_default();
+                    let hex = std::str::from_utf8(hex).unwrap_or_default();
+                    let code = u32::from_str_radix(hex, 16).map_err(|_| "bad \\u escape")?;
+                    self.pos += 4;
+                    // The writer never emits surrogates; a lone one decodes as U+FFFD.
+                    char::from_u32(code).unwrap_or('\u{fffd}')
+                }
+                other => return Err(format!("unknown escape \\{}", other as char)),
+            };
+            out.extend_from_slice(ch.encode_utf8(&mut [0u8; 4]).as_bytes());
         }
         Err("unterminated string".into())
     }
@@ -402,6 +418,7 @@ pub fn validate_chrome_trace(text: &str) -> Result<TraceSummary, String> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn round_trips_nested_values() {
@@ -433,6 +450,47 @@ mod tests {
         let v = Json::Str("a\"b\\c\nd\u{1}é\t".into());
         assert_eq!(parse(&v.to_text()).unwrap(), v);
         assert_eq!(parse(r#""\/\b\f\u0041""#).unwrap().as_str(), Some("/\u{8}\u{c}A"));
+    }
+
+    #[test]
+    fn a_long_plain_run_then_escapes_parses_whole() {
+        let plain = "0123456789abcdef".repeat(2048);
+        let s = format!("{plain}\"\\\n\t\u{1}é{plain}");
+        let text = Json::Str(s.clone()).to_text();
+        assert_eq!(text, format!("\"{}\"", escape(&s)));
+        assert_eq!(parse(&text).unwrap().as_str(), Some(s.as_str()));
+        let tail = format!("\"{plain}\\u0041\\/\"");
+        assert_eq!(parse(&tail).unwrap().as_str(), Some(format!("{plain}A/").as_str()));
+        assert!(parse(&format!("\"{plain}")).is_err(), "unterminated after a long run");
+        assert!(parse(&format!("\"{plain}\\")).is_err(), "unterminated escape after a long run");
+    }
+
+    /// Characters that take every path of the writer and the parser: plain
+    /// ASCII, the escaped printables, control characters and multi-byte
+    /// UTF-8.
+    const PICKS: [char; 14] =
+        ['a', 'Z', '0', ' ', '/', '"', '\\', '\n', '\t', '\u{1}', '\u{1f}', '\u{7f}', 'é', '😀'];
+
+    /// Strings mixing [`PICKS`] with arbitrary scalar values.
+    fn arb_string() -> impl Strategy<Value = String> {
+        proptest::collection::vec((0..PICKS.len() + 1, 0u32..0x11_0000), 0..48).prop_map(|picks| {
+            picks
+                .into_iter()
+                .map(|(i, code)| {
+                    PICKS.get(i).copied().unwrap_or_else(|| char::from_u32(code).unwrap_or('?'))
+                })
+                .collect()
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 512, ..ProptestConfig::default() })]
+        #[test]
+        fn strings_write_as_escape_and_parse_back(s in arb_string()) {
+            let text = Json::Str(s.clone()).to_text();
+            prop_assert_eq!(&text, &format!("\"{}\"", escape(&s)));
+            prop_assert_eq!(parse(&text).unwrap(), Json::Str(s));
+        }
     }
 
     #[test]

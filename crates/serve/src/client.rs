@@ -369,6 +369,29 @@ mod tests {
     }
 
     #[test]
+    fn a_reply_in_the_older_array_form_is_a_transport_error_never_a_vector() {
+        // A daemon from before the hex wire form answers `y` as an array of
+        // decimal bit patterns; this client cannot read it and says so.
+        let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let port = listener.local_addr().unwrap().port();
+        let daemon = std::thread::spawn(move || {
+            let (stream, _) = listener.accept().unwrap();
+            let mut request = String::new();
+            BufReader::new(&stream).read_line(&mut request).unwrap();
+            let old = format!(
+                "{{\"ok\":true,\"y\":[{}],\"batch\":1,\"cycles\":9,\"queue_wait_us\":0}}\n",
+                1.0f64.to_bits()
+            );
+            (&stream).write_all(old.as_bytes()).unwrap();
+            request
+        });
+        let e = Client::connect(port).unwrap().submit(7, 1).unwrap_err();
+        assert!(daemon.join().unwrap().contains("\"submit\""));
+        assert!(e.is_transport(), "{e}");
+        assert_eq!(e.message, "response lacks a decodable \"y\"");
+    }
+
+    #[test]
     fn call_error_displays_message_and_code() {
         let e = CallError { code: "overloaded".into(), message: "queue full".into() };
         assert_eq!(e.to_string(), "queue full [overloaded]");

@@ -9,6 +9,11 @@
 //! service layer hangs off: the [`ChaosState`] runtime of the configured
 //! fault plan, the write-ahead [`AckJournal`], and the shed / retry /
 //! deadline counters the `stat` verb and the manifest expose.
+//!
+//! The telemetry series live in memory. The timeline artifact is
+//! rewritten whole only on a clock, at the first answered batch and then
+//! at most once per [`FLUSH_INTERVAL`], after that batch's replies have
+//! gone out.
 
 use crate::chaos::{ChaosPlan, ChaosState};
 use crate::error::ServeError;
@@ -27,7 +32,7 @@ use std::collections::BTreeMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The daemon's on-disk manifest file name (under the cache directory).
 pub const MANIFEST_FILE: &str = "serve-manifest.json";
@@ -35,10 +40,12 @@ pub const MANIFEST_FILE: &str = "serve-manifest.json";
 /// The daemon's telemetry export file name (under the cache directory).
 pub const TIMELINE_FILE: &str = "serve-timeline.json";
 
-/// The telemetry timeline is flushed to disk every this many completed
-/// requests (in addition to the shutdown flush), so a crashed daemon still
-/// leaves a loadable artifact.
-pub const FLUSH_EVERY: u64 = 8;
+/// While requests complete, the telemetry timeline is rewritten at most
+/// once per this interval: the first answered batch writes it, and so does
+/// the first batch answered this long after the last write. A killed
+/// daemon therefore leaves a loadable artifact at most this stale (the
+/// shutdown flush writes the final one).
+pub const FLUSH_INTERVAL: Duration = Duration::from_secs(1);
 
 /// Configuration of one serve engine / daemon instance.
 #[derive(Debug, Clone)]
@@ -146,6 +153,8 @@ pub struct EngineStats {
 /// fault counters), so the exported timeline reads as request history.
 struct Telemetry {
     next: u64,
+    /// When a batch last claimed the periodic timeline write.
+    flushed: Option<Instant>,
     queue_wait_us: Series,
     batch_size: Series,
     cycles_per_request: Series,
@@ -161,6 +170,7 @@ impl Telemetry {
         let series = || Series::new(256, 1);
         Telemetry {
             next: 0,
+            flushed: None,
             queue_wait_us: series(),
             batch_size: series(),
             cycles_per_request: series(),
@@ -328,19 +338,34 @@ impl ServeEngine {
         Ok(RunOutput { report: (*report).clone(), outputs, trace: None, timeline: None })
     }
 
-    /// Records one completed request into the telemetry series and
-    /// periodically flushes the timeline artifact (crash safety).
-    pub fn note_request(&self, queue_wait_us: f64, batch: usize, cycles: u64, depth: usize) {
-        {
+    /// Records the requests one batch answered — one queue wait each, the
+    /// batch's `cycles`, and the queue `depth` behind it — into the
+    /// telemetry series, and writes the timeline artifact when it is due
+    /// (crash safety): at the first batch, then at most once per
+    /// [`FLUSH_INTERVAL`]. The batch claims the write under the telemetry
+    /// lock, so concurrent workers write at most once per interval between
+    /// them. The service calls this after the batch's replies have gone
+    /// out, so the write delays none of them.
+    pub fn note_requests(&self, queue_waits_us: &[u64], cycles: u64, depth: usize) {
+        let batch = queue_waits_us.len();
+        let now = Instant::now();
+        let flush = {
             let mut t = lock(&self.telemetry);
-            let at = t.next;
-            t.next += 1;
-            t.queue_wait_us.record(at, queue_wait_us);
-            t.batch_size.record(at, batch as f64);
-            t.cycles_per_request.record(at, cycles as f64 / batch.max(1) as f64);
-            t.queue_depth.record(at, depth as f64);
-        }
-        if self.requests.load(Ordering::Relaxed).is_multiple_of(FLUSH_EVERY) {
+            for &wait in queue_waits_us {
+                let at = t.next;
+                t.next += 1;
+                t.queue_wait_us.record(at, wait as f64);
+                t.batch_size.record(at, batch as f64);
+                t.cycles_per_request.record(at, cycles as f64 / batch.max(1) as f64);
+                t.queue_depth.record(at, depth as f64);
+            }
+            let due = t.flushed.is_none_or(|at| now.duration_since(at) >= FLUSH_INTERVAL);
+            if due {
+                t.flushed = Some(now);
+            }
+            due
+        };
+        if flush {
             if let Err(e) = self.write_timeline() {
                 eprintln!("serve: periodic timeline flush failed: {e}");
             }
@@ -487,9 +512,10 @@ impl ServeEngine {
 
     /// Writes the telemetry timeline to `<cache_dir>/serve-timeline.json`
     /// as Chrome trace JSON (loads in Perfetto). Called both periodically
-    /// (every [`FLUSH_EVERY`] requests) and on shutdown, always via
-    /// tmp+rename, so the artifact is loadable at every instant — even
-    /// after a SIGKILL between flushes.
+    /// (at the first answered batch, then at most once per
+    /// [`FLUSH_INTERVAL`]) and on shutdown, always via tmp+rename, so the
+    /// artifact is loadable at every instant — even after a SIGKILL between
+    /// flushes.
     ///
     /// # Errors
     ///
@@ -759,8 +785,7 @@ mod tests {
         let info = engine.register_suite(1, 256).unwrap();
         let xs = vec![seeded_vector(info.cols, 0), seeded_vector(info.cols, 1)];
         engine.run_batch(info.key, &xs).unwrap();
-        engine.note_request(12.5, 2, 1000, 0);
-        engine.note_request(3.0, 2, 1000, 0);
+        engine.note_requests(&[12, 3], 1000, 0);
         engine.note_shed(7);
         engine.note_retry(1);
         engine.note_deadline_miss(250);
@@ -791,6 +816,35 @@ mod tests {
         engine.write_timeline().unwrap();
         let text = std::fs::read_to_string(dir.join(TIMELINE_FILE)).unwrap();
         spacea_obs::json::validate_chrome_trace(&text).unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_first_batch_writes_the_timeline_and_later_ones_wait_out_the_interval() {
+        let dir = tmp_dir("flush");
+        let _ = std::fs::remove_dir_all(&dir);
+        let engine = ServeEngine::new(ServeConfig::quick(&dir));
+        let path = dir.join(TIMELINE_FILE);
+        let read = || std::fs::read_to_string(&path).expect("the timeline was written");
+        let started = Instant::now();
+        engine.note_requests(&[7], 1000, 0);
+        let first = read();
+        let first_events = spacea_obs::json::validate_chrome_trace(&first).unwrap().counter_events;
+        for wait in 0..100 {
+            engine.note_requests(&[wait], 1000, 0);
+        }
+        // The claim is made after `started`, so these 100 ran inside one
+        // interval when this holds (it does unless the host stalls a second).
+        if started.elapsed() < FLUSH_INTERVAL {
+            assert_eq!(read(), first, "no rewrite within the interval");
+        }
+        std::thread::sleep(FLUSH_INTERVAL);
+        engine.note_requests(&[9, 9], 1000, 0);
+        let later = spacea_obs::json::validate_chrome_trace(&read()).unwrap();
+        assert!(
+            later.counter_events > first_events,
+            "the next batch after the interval rewrote it"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -9,8 +9,8 @@
 //! is SIGKILLed mid-batch therefore leaves a journal from which a
 //! restarted daemon (or the chaos soak's invariant checker) can prove
 //! exactly which requests were answered, and — because each entry carries
-//! FNV content hashes of the input and output vectors — *what* was
-//! answered, bitwise.
+//! content hashes ([`vec_hash`]) of the input and output vectors — *what*
+//! was answered, bitwise.
 //!
 //! Each record holds `(matrix, x_hash, y_hash, batch, cycles)`. The
 //! checker recomputes the offline [`spacea_matrix::Csr::spmv`] for the
@@ -25,7 +25,7 @@
 //! acknowledged: it is not a record, and the next append cuts it off
 //! before writing.
 
-use crate::lock;
+use crate::{lock, splitmix64, GOLDEN_GAMMA};
 use spacea_harness::job::Fnv;
 use spacea_harness::write_atomic;
 use spacea_obs::json::{parse, Json};
@@ -35,16 +35,28 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-/// FNV content hash of a float vector over exact IEEE-754 bit patterns —
-/// the identity requests and responses are journaled under.
+/// Content hash of a float vector over exact IEEE-754 bit patterns — the
+/// identity requests and responses are journaled under.
+///
+/// FNV-1a over the tag `spacea-vec-v2` and the length seeds a word-wise
+/// fold: each element's 64-bit pattern is xor-ed into the state and
+/// multiplied, one step per element. A multiply carries bits only
+/// upwards, so each step also folds the high half down: without that, a
+/// difference in an element's sign bit would leave the state differing in
+/// its sign bit alone, and flipping the signs of any two elements would
+/// cancel. Every step is a bijection of the state for a fixed element and
+/// of the element for a fixed state, so vectors of one length that differ
+/// in one element never collide. The crate's `splitmix64` finishes the
+/// hash, so every input bit reaches the low output bits.
 pub fn vec_hash(v: &[f64]) -> u64 {
     let mut h = Fnv::new();
-    h.str("spacea-vec-v1");
+    h.str("spacea-vec-v2");
     h.usize(v.len());
-    for &x in v {
-        h.f64(x);
-    }
-    h.finish()
+    let folded = v.iter().fold(h.finish(), |state, x| {
+        let state = (state ^ x.to_bits()).wrapping_mul(GOLDEN_GAMMA);
+        state ^ state >> 32
+    });
+    splitmix64(folded)
 }
 
 /// One acknowledged request: what was asked, what was answered.
@@ -525,5 +537,34 @@ mod tests {
         assert_eq!(vec_hash(&[1.0, -0.0]), vec_hash(&[1.0, -0.0]));
         assert_ne!(vec_hash(&[1.0, -0.0]), vec_hash(&[1.0, 0.0]), "negative zero is distinct");
         assert_ne!(vec_hash(&[]), vec_hash(&[0.0]));
+    }
+
+    #[test]
+    fn vec_hash_has_a_fixed_value() {
+        // A restarted daemon and the chaos checker read journals that
+        // another process wrote: the value is part of the journal format.
+        let v = crate::protocol::seeded_vector(8, 42);
+        assert_eq!(vec_hash(&v), 16_983_787_013_784_028_682);
+    }
+
+    #[test]
+    fn flipping_any_one_or_two_bits_changes_vec_hash() {
+        let base = [1.5f64, -0.0, f64::MIN_POSITIVE];
+        let bits: Vec<u64> = base.iter().map(|v| v.to_bits()).collect();
+        let hash_with = |flips: &[usize]| {
+            let mut v = bits.clone();
+            for &f in flips {
+                v[f / 64] ^= 1 << (f % 64);
+            }
+            vec_hash(&v.iter().map(|&b| f64::from_bits(b)).collect::<Vec<_>>())
+        };
+        let want = vec_hash(&base);
+        for i in 0..192 {
+            assert_ne!(hash_with(&[i]), want, "bit {i}");
+            for j in i + 1..192 {
+                assert_ne!(hash_with(&[i, j]), want, "bits {i} and {j}");
+            }
+        }
+        assert_ne!(vec_hash(&[1.0, 1.0]), vec_hash(&[-1.0, -1.0]), "two sign flips do not cancel");
     }
 }

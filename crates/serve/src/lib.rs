@@ -31,8 +31,9 @@
 //!   run's oracle check proved equal to the simulated values bit for bit. The memo lives in
 //!   memory only, so a restarted daemon simulates again.
 //! * [`protocol`] / [`server`] / [`client`] — a tiny line/JSON protocol
-//!   (`spacea_obs::json`: floats travel as IEEE-754 bit patterns; line
-//!   length and nesting are capped, a breach is a coded `bad-request`) over
+//!   (`spacea_obs::json`: a reply vector travels as one string of
+//!   IEEE-754 bit patterns in hex; line length and nesting are capped, a
+//!   breach is a coded `bad-request`) over
 //!   localhost TCP, with `serve start/submit/stat/shutdown` CLI verbs in
 //!   `spacea-bench`. Both ends set `TCP_NODELAY` and send each line with
 //!   one write, so a round trip never waits on a delayed ACK.
@@ -40,7 +41,8 @@
 //! Per-request telemetry — queue wait, fused batch width, cycles per
 //! request, queue depth, plus the shed/retry/deadline fault counters — is
 //! recorded under `spacea_obs::Metric` gauge keys and exported as a
-//! Chrome-trace timeline both periodically and on shutdown. The `stat`
+//! Chrome-trace timeline at the first answered batch, then at most once a
+//! second ([`engine::FLUSH_INTERVAL`]), and on shutdown. The `stat`
 //! verb answers the live counters. The daemon writes the same counters to
 //! `serve-manifest.json` only at startup and at shutdown: its
 //! `mappings.computed` counter is the warm-cache acceptance check, and its
@@ -57,7 +59,8 @@
 //! [`service::Service`] — explicit [`error::ServeError`] codes for
 //! overload and deadline rejection, bounded jittered retry of transient
 //! faults, and the write-ahead [`journal::AckJournal`], one appended line
-//! per acknowledged batch in `<cache-dir>/journal/acks.jsonl` — are what
+//! per acknowledged batch in `<cache-dir>/journal/acks.jsonl`, each record
+//! naming its vectors by [`journal::vec_hash`] — are what
 //! make every fault survivable. The `serve_chaos` bench bin soaks seeded
 //! plans against a live daemon and enforces the core invariant: an
 //! acknowledged request is bitwise-correct and journaled; an accepted

@@ -2,10 +2,14 @@
 //!
 //! Each request is one line of `spacea_obs::json` text with a `"cmd"`
 //! discriminator; each response is one line with an `"ok"` boolean.
-//! Floats — the response vectors — travel as IEEE-754 bit patterns
-//! (`u64`), so the protocol preserves the simulator's bitwise guarantees
-//! end to end: what the client decodes is exactly what the machine
-//! produced, including negative zeros. A request line longer than
+//! Floats — the response vectors — travel as IEEE-754 bit patterns, so
+//! the protocol preserves the simulator's bitwise guarantees end to end:
+//! what the client decodes is exactly what the machine produced, including
+//! negative zeros and NaN payloads. A reply's `"y"` is one string of 16
+//! lowercase hex digits per element ([`y_bits`]), which both ends copy
+//! whole rather than handling a JSON value per element. Clients that
+//! expect the older array of decimal bit patterns cannot decode it. A
+//! request line longer than
 //! [`MAX_LINE_BYTES`] gets a `bad-request` and the connection closes; JSON
 //! nested deeper than [`spacea_obs::json::MAX_DEPTH`] is a `bad-request`.
 
@@ -192,15 +196,67 @@ pub fn code_of(v: &Json) -> &str {
     v.get("code").and_then(Json::as_str).unwrap_or("internal")
 }
 
-/// Encodes an output vector as an array of IEEE-754 bit patterns.
+/// The lowercase hex digits, by value.
+const HEX_DIGITS: &[u8; 16] = b"0123456789abcdef";
+
+/// Digits per encoded element: one per nibble of the bit pattern.
+const HEX_PER_F64: usize = 16;
+
+/// Marks a byte that is no lowercase hex digit: a bit no digit value has.
+const NOT_HEX: u8 = 0x10;
+
+/// The value of each lowercase hex digit by byte, and [`NOT_HEX`] for every
+/// other byte.
+static HEX_VALUE: [u8; 256] = {
+    let mut table = [NOT_HEX; 256];
+    let mut d = 0;
+    while d < HEX_DIGITS.len() {
+        table[HEX_DIGITS[d] as usize] = d as u8;
+        d += 1;
+    }
+    table
+};
+
+/// Encodes an output vector as one string of IEEE-754 bit patterns, 16
+/// lowercase hex digits each, most significant digit first.
 pub fn y_bits(y: &[f64]) -> Json {
-    Json::Arr(y.iter().map(|v| Json::U64(v.to_bits())).collect())
+    let mut digits = Vec::with_capacity(y.len() * HEX_PER_F64);
+    for v in y {
+        let bits = v.to_bits();
+        let mut hex = [0; HEX_PER_F64];
+        for (i, d) in hex.iter_mut().enumerate() {
+            *d = HEX_DIGITS[(bits >> (60 - 4 * i)) as usize & 0xf];
+        }
+        digits.extend_from_slice(&hex);
+    }
+    // lint:allow(R1) every byte is one of HEX_DIGITS, all ASCII
+    Json::Str(String::from_utf8(digits).expect("hex digits are ASCII"))
 }
 
-/// Decodes a [`y_bits`] array back into floats; `None` if the value is
-/// not an all-numeric array.
+/// Decodes a [`y_bits`] string back into floats; `None` for anything else:
+/// a length that is not a multiple of 16, a byte that is not a lowercase
+/// hex digit, or a value that is not a string (such as the array of
+/// decimal bit patterns daemons sent before).
 pub fn y_from_bits(v: &Json) -> Option<Vec<f64>> {
-    v.as_arr()?.iter().map(|e| e.as_u64().map(f64::from_bits)).collect()
+    let digits = v.as_str()?.as_bytes();
+    if digits.len() % HEX_PER_F64 != 0 {
+        return None;
+    }
+    // Every digit's table entry is or-ed into `seen`, so one check after
+    // the loop finds any invalid byte without a branch per digit.
+    let mut seen = 0;
+    let y = digits
+        .chunks_exact(HEX_PER_F64)
+        .map(|chunk| {
+            let bits = chunk.iter().fold(0u64, |bits, &d| {
+                let value = HEX_VALUE[usize::from(d)];
+                seen |= value;
+                bits << 4 | u64::from(value & 0xf)
+            });
+            f64::from_bits(bits)
+        })
+        .collect();
+    (seen & NOT_HEX == 0).then_some(y)
 }
 
 /// The deterministic request vector for `seed`: `n` values in `[-1, 1)`
@@ -218,6 +274,7 @@ pub fn seeded_vector(n: usize, seed: u64) -> Vec<f64> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn requests_round_trip_through_the_wire_format() {
@@ -258,6 +315,68 @@ mod tests {
         let want: Vec<u64> = y.iter().map(|v| v.to_bits()).collect();
         assert_eq!(got, want);
         assert!(y_from_bits(&Json::Str("nope".into())).is_none());
+        assert_eq!(y_from_bits(&y_bits(&[])), Some(vec![]), "an empty vector is an empty string");
+    }
+
+    /// Bit patterns a float codec can get wrong: ±0, the smallest and
+    /// largest subnormals, ±inf, quiet and signalling NaNs with payloads.
+    const EDGE_BITS: [u64; 10] = [
+        0,
+        1 << 63,
+        1,
+        0x000f_ffff_ffff_ffff,
+        0x7ff0_0000_0000_0000,
+        0xfff0_0000_0000_0000,
+        0x7ff8_0000_0000_0000,
+        0x7ff0_0000_0000_0001,
+        0xfff8_dead_beef_0001,
+        u64::MAX,
+    ];
+
+    proptest! {
+        #![proptest_config(ProptestConfig { cases: 256, ..ProptestConfig::default() })]
+        #[test]
+        fn arbitrary_bit_patterns_round_trip_bitwise(
+            picks in proptest::collection::vec((0..EDGE_BITS.len() + 1, any::<u64>()), 0..40),
+        ) {
+            let bits: Vec<u64> =
+                picks.iter().map(|&(i, any)| EDGE_BITS.get(i).copied().unwrap_or(any)).collect();
+            let y: Vec<f64> = bits.iter().map(|&b| f64::from_bits(b)).collect();
+            let wire = y_bits(&y);
+            prop_assert_eq!(wire.as_str().map(str::len), Some(16 * y.len()));
+            let back: Vec<u64> = y_from_bits(&wire).unwrap().iter().map(|v| v.to_bits()).collect();
+            prop_assert_eq!(back, bits);
+        }
+    }
+
+    #[test]
+    fn the_decoder_rejects_anything_but_lowercase_hex_in_whole_elements() {
+        let one = "3ff0000000000000";
+        assert_eq!(y_from_bits(&Json::Str(one.into())), Some(vec![1.0]));
+        let bad = [
+            "3ff000000000000".to_string(),    // 15 digits
+            format!("{one}0"),                // 17 digits
+            "3FF0000000000000".to_string(),   // uppercase
+            "3ff000000000000g".to_string(),   // not a hex digit
+            "3ff00000000000 0".to_string(),   // a space
+            "é00000000000000".to_string(),    // 16 bytes, two of them one character
+            format!("{one}-ff0000000000000"), // a sign in the second element
+        ];
+        for text in bad {
+            assert_eq!(y_from_bits(&Json::Str(text.clone())), None, "{text:?}");
+        }
+        let old_array = Json::Arr(vec![Json::U64(1.0f64.to_bits())]);
+        assert_eq!(y_from_bits(&old_array), None, "the older array form");
+        for other in [Json::U64(1), Json::Null, Json::Bool(true), Json::Obj(vec![])] {
+            assert_eq!(y_from_bits(&other), None, "{other:?}");
+        }
+    }
+
+    #[test]
+    fn reply_vectors_have_a_fixed_wire_text() {
+        // Clients decode what daemons encode: the text is a wire contract.
+        let want = "\"3fd3acf513ea39383fdeeb991317f5b43fe658e6801b216abfd01679681a0848\"";
+        assert_eq!(y_bits(&seeded_vector(4, 42)).to_text(), want);
     }
 
     #[test]

@@ -465,16 +465,16 @@ fn execute_batch(
             } else {
                 engine.note_acked_batch();
             }
+            let waits: Vec<u64> = batch.iter().map(waited_us).collect();
             // The batch's oldest member measures admission-queue age: it
             // waited the longest of anything that just left the queue.
-            let oldest_us = batch.iter().map(waited_us).max().unwrap_or(0);
-            engine.note_queue_age(oldest_us as f64);
-            for (p, y) in batch.into_iter().zip(rep.outputs) {
-                let queue_wait_us = waited_us(&p);
+            engine.note_queue_age(waits.iter().copied().max().unwrap_or(0) as f64);
+            for ((p, y), &queue_wait_us) in batch.into_iter().zip(rep.outputs).zip(&waits) {
                 depth.fetch_sub(1, Ordering::Relaxed);
-                engine.note_request(queue_wait_us as f64, k, cycles, queued_behind);
                 let _ = p.reply.send(Ok(SubmitReply { y, batch: k, cycles, queue_wait_us }));
             }
+            // After the replies, so a timeline write delays none of them.
+            engine.note_requests(&waits, cycles, queued_behind);
         }
         Err(e) => {
             for p in batch {

@@ -12,13 +12,16 @@
 //! mapping artifacts and the timeline, one whole line per append for the
 //! journal, whose loader skips an unterminated last line.
 
-use spacea_serve::engine::FLUSH_EVERY;
 use spacea_serve::{seeded_vector, AckJournal, Client, ServeConfig};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
 const DIR_ENV: &str = "SPACEA_KILL_DIR";
 const STALL_MS: u64 = 30_000;
+
+/// The admission ordinal (and seed) of the request the kill lands on:
+/// requests `0..STALLED` are acknowledged before it.
+const STALLED: u64 = 8;
 
 fn tmp_dir() -> PathBuf {
     std::env::temp_dir().join(format!("spacea-serve-kill-{}", std::process::id()))
@@ -33,12 +36,12 @@ fn tmp_dir() -> PathBuf {
 fn daemon_process_helper() {
     let Ok(dir) = std::env::var(DIR_ENV) else { return };
     let mut cfg = ServeConfig::quick(&dir);
-    // The request after the first `FLUSH_EVERY` (whose completion flushes
-    // the telemetry timeline, so the file on disk is mid-flight state, not
-    // a shutdown artifact) wedges inside the batcher for far longer than
-    // the parent waits — the kill lands mid-batch by construction.
+    // Request `STALLED` wedges inside the batcher for far longer than the
+    // parent waits — the kill lands mid-batch by construction. The first
+    // acknowledged request flushed the telemetry timeline, so the file on
+    // disk is mid-flight state, not a shutdown artifact.
     cfg.chaos = spacea_serve::ChaosPlan {
-        stall_req: Some((FLUSH_EVERY, STALL_MS)),
+        stall_req: Some((STALLED, STALL_MS)),
         ..spacea_serve::ChaosPlan::default()
     };
     spacea_serve::run_daemon(cfg, 0).expect("daemon runs until killed");
@@ -66,16 +69,16 @@ fn sigkill_mid_batch_leaves_mappings_journal_and_timeline_loadable() {
     let m = admin.register(1, 256).unwrap();
     let a = spacea_matrix::suite::entry_by_id(1).unwrap().generate(256);
 
-    // Requests 0..FLUSH_EVERY complete and are acknowledged before the
-    // crash; the last of them flushes the timeline.
+    // Requests 0..STALLED complete and are acknowledged before the crash;
+    // the first of them flushed the timeline.
     let want: Vec<Vec<f64>> =
-        (0..=FLUSH_EVERY).map(|seed| a.spmv(&seeded_vector(a.cols(), seed))).collect();
-    for seed in 0..FLUSH_EVERY {
+        (0..=STALLED).map(|seed| a.spmv(&seeded_vector(a.cols(), seed))).collect();
+    for seed in 0..STALLED {
         let out = admin.submit(m.matrix, seed).unwrap();
         assert_eq!(out.y, want[seed as usize], "pre-crash answer diverges from offline SpMV");
     }
 
-    // Request FLUSH_EVERY stalls inside the batcher (chaos stall-req);
+    // Request STALLED stalls inside the batcher (chaos stall-req);
     // SIGKILL lands while it is mid-batch. Its client must see a dead
     // transport, never a fabricated answer.
     let stalled = {
@@ -83,7 +86,7 @@ fn sigkill_mid_batch_leaves_mappings_journal_and_timeline_loadable() {
         let key = m.matrix;
         std::thread::spawn(move || {
             let mut client = Client::connect_dir(&dir).unwrap();
-            client.submit(key, FLUSH_EVERY)
+            client.submit(key, STALLED)
         })
     };
     let deadline = Instant::now() + Duration::from_secs(10);
@@ -103,11 +106,7 @@ fn sigkill_mid_batch_leaves_mappings_journal_and_timeline_loadable() {
     // with the right hashes.
     let journal = AckJournal::load(&dir.join(AckJournal::DIR));
     assert_eq!(journal.corrupt_lines, 0, "SIGKILL tore a journal line");
-    assert_eq!(
-        journal.records.len() as u64,
-        FLUSH_EVERY,
-        "exactly the pre-crash acks are journaled"
-    );
+    assert_eq!(journal.records.len() as u64, STALLED, "exactly the pre-crash acks are journaled");
     for (record, y) in journal.records.iter().zip(&want) {
         assert_eq!(record.matrix, m.matrix);
         assert_eq!(record.y_hash, spacea_serve::vec_hash(y));
@@ -126,7 +125,7 @@ fn sigkill_mid_batch_leaves_mappings_journal_and_timeline_loadable() {
     let mut client = Client::connect_dir_within(&dir, Duration::from_secs(30)).unwrap();
     let m2 = client.register(1, 256).unwrap();
     assert_eq!(m2.matrix, m.matrix);
-    for seed in [0, FLUSH_EVERY] {
+    for seed in [0, STALLED] {
         let out = client.submit(m.matrix, seed).unwrap();
         assert_eq!(out.y, want[seed as usize], "post-restart replay of seed {seed} diverged");
     }
@@ -142,7 +141,7 @@ fn sigkill_mid_batch_leaves_mappings_journal_and_timeline_loadable() {
     // The second life appended its two answers after the first life's,
     // in the same one file.
     let journal = AckJournal::load(&dir.join(AckJournal::DIR));
-    assert_eq!((journal.records.len() as u64, journal.corrupt_lines), (FLUSH_EVERY + 2, 0));
+    assert_eq!((journal.records.len() as u64, journal.corrupt_lines), (STALLED + 2, 0));
     let files = std::fs::read_dir(dir.join(AckJournal::DIR)).unwrap().count();
     assert_eq!(files, 1, "the journal is one file");
 
