@@ -188,6 +188,7 @@ mod tests {
 
     proptest! {
         #![proptest_config(ProptestConfig { cases: 64, ..ProptestConfig::default() })]
+        #[test]
         fn capacity_and_means_survive_downsampling(
             capacity in 2usize..10,
             resolution in 1u64..64,

@@ -248,7 +248,8 @@ impl ChaosState {
 
     /// Applies the startup mapping-store corruptions to `mappings_dir`:
     /// the Nth artifact in sorted filename order is overwritten with
-    /// garbage (`corrupt-map`) or truncated to half (`truncate-map`).
+    /// garbage (`corrupt-map`) or cut to the first half of its bytes
+    /// (`truncate-map`).
     /// Missing directories and out-of-range ordinals are no-ops — the
     /// plan is a standing order, not a precondition.
     pub fn apply_map_corruption(&self, mappings_dir: &Path) {
@@ -270,11 +271,10 @@ impl ChaosState {
         }
         if let Some(n) = self.plan.truncate_map {
             if let Some(path) = files.get(n as usize) {
-                if let Ok(text) = std::fs::read_to_string(path) {
-                    let half = &text[..text.len() / 2];
-                    if let Err(e) = std::fs::write(path, half) {
-                        eprintln!("serve: chaos truncate-map failed on {}: {e}", path.display());
-                    }
+                let cut = std::fs::read(path)
+                    .and_then(|bytes| std::fs::write(path, &bytes[..bytes.len() / 2]));
+                if let Err(e) = cut {
+                    eprintln!("serve: chaos truncate-map failed on {}: {e}", path.display());
                 }
             }
         }
@@ -407,6 +407,12 @@ mod tests {
         assert!(a.contains("chaos"), "{a}");
         let b = std::fs::read_to_string(dir.join("bbbb.json")).unwrap();
         assert_eq!(b.len(), "{\"b\":22222222}".len() / 2, "{b}");
+        // A non-ASCII artifact is cut at half its bytes, even where that
+        // splits a character (byte 7 of 14 falls inside the first `é`).
+        let accented = "{\"c\":\"ééé\"}".as_bytes();
+        std::fs::write(dir.join("cccc.json"), accented).unwrap();
+        ChaosState::new(ChaosPlan::parse("truncate-map=2").unwrap()).apply_map_corruption(&dir);
+        assert_eq!(std::fs::read(dir.join("cccc.json")).unwrap(), &accented[..7]);
         // A missing directory is a no-op, not an error.
         state.apply_map_corruption(&dir.join("nope"));
         let _ = std::fs::remove_dir_all(&dir);

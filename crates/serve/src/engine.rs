@@ -61,7 +61,7 @@ pub struct ServeConfig {
     /// `overloaded` error instead of queued. It also bounds the admission
     /// queue channel.
     pub shed_mark: usize,
-    /// How long the dispatcher waits after the first request of a batch for
+    /// How long a free worker waits after the first request of a batch for
     /// concurrent requests to arrive and fuse — when more work is
     /// already queued behind it.
     pub gather_window: Duration,
@@ -346,11 +346,20 @@ impl ServeEngine {
     /// lock, so concurrent workers write at most once per interval between
     /// them. The service calls this after the batch's replies have gone
     /// out, so the write delays none of them.
+    ///
+    /// The batch's largest wait is also its queue age, recorded at the
+    /// batch ordinal: the admission-queue analogue of the machine's
+    /// per-vault LDQ `queue-age` gauge, where a growing age under a steady
+    /// depth means the queue is stuck, not merely deep.
     pub fn note_requests(&self, queue_waits_us: &[u64], cycles: u64, depth: usize) {
         let batch = queue_waits_us.len();
+        let batch_ordinal = self.batches.load(Ordering::Relaxed);
         let now = Instant::now();
         let flush = {
             let mut t = lock(&self.telemetry);
+            if let Some(&age) = queue_waits_us.iter().max() {
+                t.queue_age_us.record(batch_ordinal, age as f64);
+            }
             for &wait in queue_waits_us {
                 let at = t.next;
                 t.next += 1;
@@ -370,16 +379,6 @@ impl ServeEngine {
                 eprintln!("serve: periodic timeline flush failed: {e}");
             }
         }
-    }
-
-    /// Records the age (µs since admission) of the longest-waiting member
-    /// of a batch at execution time — the admission-queue analogue of the
-    /// machine's per-vault LDQ `queue-age` gauge: a growing age under a
-    /// steady depth means the queue is stuck, not merely deep. The x-axis
-    /// is the batch ordinal.
-    pub fn note_queue_age(&self, age_us: f64) {
-        let at = self.batches.load(Ordering::Relaxed);
-        lock(&self.telemetry).queue_age_us.record(at, age_us);
     }
 
     /// Notes one acknowledged (journaled) batch and, when the configured
@@ -790,7 +789,6 @@ mod tests {
         engine.note_retry(1);
         engine.note_deadline_miss(250);
         engine.note_depth(5);
-        engine.note_queue_age(42.0);
         let path = engine.write_manifest().unwrap();
         let v = parse(&std::fs::read_to_string(path).unwrap()).unwrap();
         assert_eq!(v.get("requests").unwrap().as_u64(), Some(2));

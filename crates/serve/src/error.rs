@@ -43,10 +43,10 @@ pub enum ServeError {
         /// Which directive fired.
         what: String,
     },
-    /// The dispatcher or batch worker holding the request died while it
-    /// was in flight. This is the one code that should never be seen in a
-    /// healthy daemon: the lifecycle guarantee is that every admitted
-    /// request gets a reply.
+    /// The batch worker running the request died while it was in flight,
+    /// or every worker did while it was queued. This is the one code that
+    /// should never be seen in a healthy daemon: the lifecycle guarantee is
+    /// that every admitted request gets a reply.
     Lost,
 }
 
@@ -101,7 +101,7 @@ impl fmt::Display for ServeError {
                 let kind = if *transient { "transient" } else { "wedge" };
                 write!(f, "chaos-injected {kind} fault: {what}")
             }
-            ServeError::Lost => write!(f, "request lost (its dispatcher or worker died)"),
+            ServeError::Lost => write!(f, "request lost (the worker running its batch died)"),
         }
     }
 }

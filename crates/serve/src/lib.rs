@@ -15,10 +15,10 @@
 //!   ([`spacea_harness::mapstore::pattern_key`]), so Phase I/II is paid once
 //!   per pattern *ever*, not once per process. Restarting the daemon
 //!   performs zero mapping computations for previously seen matrices.
-//! * [`service::Service`] — a bounded admission queue plus a dispatcher
-//!   thread that fuses concurrent requests against the same matrix into
-//!   one SpMM pass ([`spacea_arch::RunSpec::spmm`]), and a persistent pool
-//!   of one batch worker per core that runs those passes, so batches for
+//! * [`service::Service`] — a bounded admission queue plus a persistent
+//!   pool of one batch worker per core. A free worker fuses concurrent
+//!   requests against the same matrix into one SpMM pass
+//!   ([`spacea_arch::RunSpec::spmm`]) and runs it itself, so batches for
 //!   different matrices run concurrently. Fusing is safe because each
 //!   fused output vector is bitwise-identical to the corresponding solo
 //!   SpMV result, independent of batch composition and arrival order.
@@ -102,11 +102,11 @@ pub(crate) fn splitmix64(mut z: u64) -> u64 {
 /// Locks a mutex, recovering the data from a poisoned lock. Every mutex in
 /// this crate guards state that is valid between any two of its updates:
 /// the matrix registry, the telemetry series, the admission sender, the
-/// worker handles, the batch receiver and the journal's append handle
-/// (an append takes it out while it writes; a missing one is reopened). A
-/// thread that panicked while holding one therefore leaves nothing torn,
-/// and the daemon keeps answering instead of failing every later request
-/// on the poison.
+/// worker handles, the workers' shared admission queue and the journal's
+/// append handle (an append takes it out while it writes; a missing one is
+/// reopened). A thread that panicked while holding one therefore leaves
+/// nothing torn, and the daemon keeps answering instead of failing every
+/// later request on the poison.
 pub(crate) fn lock<T>(m: &std::sync::Mutex<T>) -> std::sync::MutexGuard<'_, T> {
     m.lock().unwrap_or_else(std::sync::PoisonError::into_inner)
 }

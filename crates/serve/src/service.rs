@@ -1,28 +1,32 @@
-//! The batching service: a bounded admission queue in front of one
-//! dispatcher thread that fuses concurrent same-matrix requests into one
-//! SpMM pass, and a persistent pool of batch workers that run those
-//! passes.
+//! The batching service: a bounded admission queue in front of a
+//! persistent pool of batch workers, each of which, while free, gathers
+//! concurrent same-matrix requests into one SpMM pass and runs it.
 //!
 //! Fusing is correctness-free by construction: the engine guarantees each
 //! fused output vector is bitwise what a solo SpMV run of that vector
 //! returns (see the `spmm_equivalence` property tests in `spacea-arch`),
-//! so the dispatcher is pure scheduling — it only decides *latency*, never
+//! so gathering is pure scheduling — it only decides *latency*, never
 //! *values*.
 //!
 //! # Concurrency
 //!
 //! The pool holds one worker per available core
-//! ([`std::thread::available_parallelism`]), spawned once. The dispatcher
-//! takes a free-worker token *before* it gathers a batch: while every
-//! worker is busy, new requests wait in the admission queue and fuse into
-//! the next batch exactly as they would behind a single batcher. Batches
+//! ([`std::thread::available_parallelism`]), spawned once. The workers
+//! share the admission queue behind one mutex, and a free worker locks it,
+//! gathers the next batch, unlocks it and runs that batch itself: only a
+//! free worker gathers, and only one at a time, so while every worker is
+//! busy new requests wait in the admission queue and fuse into the next
+//! batch exactly as they would behind a single batcher. Batches
 //! for different matrices then run concurrently, and a pass whose
 //! (matrix, width) has no stored run yet simulates concurrently with the
 //! others ([`spacea_arch::Machine::run`] takes `&self`); a second pass of
 //! a (matrix, width) whose run is in flight waits for it (see
 //! [`ServeEngine::run_batch`]). Each worker journals its
 //! own batch before replying, so the journal-first order holds per batch;
-//! batch lines follow completion order, not admission order.
+//! batch lines follow completion order, not admission order. Only the
+//! workers hold the queue: once the last of them is gone, queued requests
+//! are answered [`ServeError::Lost`] and later submits
+//! [`ServeError::Stopped`].
 //!
 //! # Request lifecycle guarantees
 //!
@@ -38,10 +42,10 @@
 //!    elapses first, or a simulator/injection error after the bounded
 //!    retry budget (transient faults retried with splitmix-jittered
 //!    exponential backoff; hang-class never retried).
-//! 3. **[`ServeError::Lost`]** — the dispatcher or the worker running its
-//!    batch died. This code existing is what makes "silently lost"
-//!    impossible: a request that cannot be answered still gets a reply
-//!    naming that fact.
+//! 3. **[`ServeError::Lost`]** — the worker running its batch died, or
+//!    every worker did while it was queued. This code existing is what
+//!    makes "silently lost" impossible: a request that cannot be answered
+//!    still gets a reply naming that fact.
 
 use crate::engine::ServeEngine;
 use crate::error::ServeError;
@@ -50,7 +54,7 @@ use crate::{lock, splitmix64, GOLDEN_GAMMA};
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, SyncSender, TrySendError};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -91,12 +95,19 @@ struct Pending {
     reply: mpsc::Sender<Result<SubmitReply, ServeError>>,
 }
 
-/// One fused batch on its way from the dispatcher to a worker.
+/// One fused batch, gathered by the worker that runs it.
 struct Batch {
     matrix: u64,
     members: Vec<Pending>,
-    /// Requests still queued behind this batch when it left the dispatcher.
+    /// Requests still queued behind this batch when it was gathered.
     queued_behind: usize,
+}
+
+/// The admission queue the batch workers share: the receiving end of the
+/// admission channel, and the requests an earlier gather left unfused.
+struct Queue {
+    rx: Receiver<Pending>,
+    pending: VecDeque<Pending>,
 }
 
 /// A running batching service over a [`ServeEngine`].
@@ -110,7 +121,7 @@ struct Batch {
 pub struct Service {
     engine: Arc<ServeEngine>,
     tx: Mutex<Option<SyncSender<Pending>>>,
-    /// The batch workers and the dispatcher; joined by `stop`.
+    /// The batch workers; joined by `stop`.
     threads: Mutex<Vec<JoinHandle<()>>>,
     /// Requests admitted but not yet finished (replied or cancelled).
     depth: Arc<AtomicUsize>,
@@ -119,51 +130,30 @@ pub struct Service {
 }
 
 impl Service {
-    /// Starts the dispatcher and one batch worker per available core over
-    /// an existing engine.
+    /// Starts one batch worker per available core over an existing engine.
     pub fn over(engine: Arc<ServeEngine>) -> Self {
         let (tx, rx) = mpsc::sync_channel::<Pending>(engine.config().shed_mark.max(1));
         let depth = Arc::new(AtomicUsize::new(0));
-        let (batch_tx, batch_rx) = mpsc::channel::<Batch>();
-        let batch_rx = Arc::new(Mutex::new(batch_rx));
-        // One token per live worker: a worker hands its token back after
-        // each batch, and a worker that dies takes its token with it.
-        let (token_tx, token_rx) = mpsc::channel::<()>();
+        // Only the workers hold the queue, so the receiver drops with the
+        // last of them: queued requests then answer `Lost`, later submits
+        // `Stopped`.
+        let queue = Arc::new(Mutex::new(Queue { rx, pending: VecDeque::new() }));
         let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
-        let mut threads = Vec::with_capacity(workers + 1);
+        let mut threads = Vec::with_capacity(workers);
         for i in 0..workers {
-            let (engine, depth) = (Arc::clone(&engine), Arc::clone(&depth));
-            let (batches, tokens) = (Arc::clone(&batch_rx), token_tx.clone());
+            let (engine, depth, queue) =
+                (Arc::clone(&engine), Arc::clone(&depth), Arc::clone(&queue));
             let spawned = std::thread::Builder::new()
                 .name(format!("serve-worker-{i}"))
-                .spawn(move || worker_loop(&engine, &depth, &batches, &tokens));
+                .spawn(move || worker_loop(&engine, &depth, &queue));
             match spawned {
-                Ok(handle) => {
-                    let _ = token_tx.send(());
-                    threads.push(handle);
-                }
+                Ok(handle) => threads.push(handle),
                 Err(e) => eprintln!("serve: failed to spawn batch worker {i}: {e}"),
             }
         }
-        drop((token_tx, batch_rx));
-        let (dispatch_engine, dispatch_depth) = (Arc::clone(&engine), Arc::clone(&depth));
-        let spawned =
-            std::thread::Builder::new().name("serve-dispatcher".into()).spawn(move || {
-                dispatcher_loop(&dispatch_engine, &rx, &dispatch_depth, &token_rx, &batch_tx)
-            });
-        let tx = match spawned {
-            Ok(handle) => {
-                threads.push(handle);
-                Some(tx)
-            }
-            Err(e) => {
-                // Without a dispatcher the service is stopped from birth:
-                // dropping `tx` here makes every submit fail cleanly, and
-                // the workers exit once their batch channel hangs up.
-                eprintln!("serve: failed to spawn dispatcher thread: {e}");
-                None
-            }
-        };
+        // Without a worker the service is stopped from birth: every submit
+        // fails cleanly.
+        let tx = (!threads.is_empty()).then_some(tx);
         Service {
             engine,
             tx: Mutex::new(tx),
@@ -201,7 +191,7 @@ impl Service {
     /// [`ServeError::Overloaded`] when shed at admission,
     /// [`ServeError::DeadlineExceeded`] when the deadline elapses first,
     /// [`ServeError::Stopped`] after [`Service::stop`],
-    /// [`ServeError::Lost`] if its dispatcher or worker died, and the
+    /// [`ServeError::Lost`] if the worker running it died, and the
     /// engine's own errors for unknown matrices or simulator failures.
     pub fn submit_within(
         &self,
@@ -255,9 +245,9 @@ impl Service {
         }
     }
 
-    /// Stops the service: hangs up the admission queue, lets the
-    /// dispatcher drain what is already enqueued and the workers finish
-    /// every batch, and joins all threads. Idempotent.
+    /// Stops the service: hangs up the admission queue, lets the workers
+    /// drain what is already enqueued and finish every batch, and joins
+    /// them. Idempotent.
     pub fn stop(&self) {
         *lock(&self.tx) = None;
         let threads = std::mem::take(&mut *lock(&self.threads));
@@ -273,56 +263,28 @@ impl Drop for Service {
     }
 }
 
-/// The dispatcher: takes a free-worker token, then gathers and fuses the
-/// next batch and hands it to the pool. Returns once the admission queue
-/// is hung up and drained, or once every worker is gone.
-fn dispatcher_loop(
-    engine: &ServeEngine,
-    rx: &Receiver<Pending>,
-    depth: &AtomicUsize,
-    tokens: &Receiver<()>,
-    batches: &Sender<Batch>,
-) {
-    let mut pending: VecDeque<Pending> = VecDeque::new();
-    // Taking the token *before* gathering keeps fusion under saturation
-    // what it is with a single batcher: requests that arrive while every
-    // worker is busy fuse into the next batch instead of waiting behind
-    // one already formed.
-    while tokens.recv().is_ok() {
-        let Some(batch) = next_batch(engine, rx, depth, &mut pending) else { return };
-        if batches.send(batch).is_err() {
-            return; // every worker died; dropping the batch replies `Lost`
-        }
-    }
-}
-
-/// A batch worker: runs the batches the dispatcher hands it, returning its
-/// token after each, until the dispatcher hangs up.
-fn worker_loop(
-    engine: &ServeEngine,
-    depth: &AtomicUsize,
-    batches: &Mutex<Receiver<Batch>>,
-    tokens: &Sender<()>,
-) {
+/// A batch worker: while free, gathers the next batch from the shared
+/// queue, then runs it; returns once the admission queue is hung up and
+/// drained.
+fn worker_loop(engine: &ServeEngine, depth: &AtomicUsize, queue: &Mutex<Queue>) {
     loop {
-        // The guard drops at the end of this statement, so one idle worker
-        // waiting here never blocks another from executing.
-        let next = lock(batches).recv();
-        let Ok(Batch { matrix, members, queued_behind }) = next else { return };
-        execute_batch(engine, depth, matrix, members, queued_behind);
-        let _ = tokens.send(());
+        // The guard drops at the end of this statement, so the batch runs
+        // with the queue unlocked and the next free worker gathers
+        // meanwhile. Gathering only while free keeps fusion under
+        // saturation what it is with a single batcher: requests that arrive
+        // while every worker is busy fuse into the next batch instead of
+        // waiting behind one already formed.
+        let batch = next_batch(engine, &mut lock(queue), depth);
+        let Some(batch) = batch else { return };
+        execute_batch(engine, depth, batch);
     }
 }
 
 /// Waits for a request, gathers concurrent ones for a short window, and
 /// fuses the same-matrix prefix-by-arrival into the next batch. `None`
 /// once the admission queue is hung up and fully drained.
-fn next_batch(
-    engine: &ServeEngine,
-    rx: &Receiver<Pending>,
-    depth: &AtomicUsize,
-    pending: &mut VecDeque<Pending>,
-) -> Option<Batch> {
+fn next_batch(engine: &ServeEngine, queue: &mut Queue, depth: &AtomicUsize) -> Option<Batch> {
+    let Queue { rx, pending } = queue;
     let cfg = engine.config();
     loop {
         if pending.is_empty() {
@@ -391,9 +353,7 @@ fn cancel(engine: &ServeEngine, depth: &AtomicUsize, p: Pending) {
 fn execute_batch(
     engine: &ServeEngine,
     depth: &AtomicUsize,
-    key: u64,
-    mut batch: Vec<Pending>,
-    queued_behind: usize,
+    Batch { matrix: key, members: mut batch, queued_behind }: Batch,
 ) {
     // Chaos stall: the longest stall armed for any member delays the whole
     // batch (it is one fused pass). A stall can push members past their
@@ -466,9 +426,6 @@ fn execute_batch(
                 engine.note_acked_batch();
             }
             let waits: Vec<u64> = batch.iter().map(waited_us).collect();
-            // The batch's oldest member measures admission-queue age: it
-            // waited the longest of anything that just left the queue.
-            engine.note_queue_age(waits.iter().copied().max().unwrap_or(0) as f64);
             for ((p, y), &queue_wait_us) in batch.into_iter().zip(rep.outputs).zip(&waits) {
                 depth.fetch_sub(1, Ordering::Relaxed);
                 let _ = p.reply.send(Ok(SubmitReply { y, batch: k, cycles, queue_wait_us }));
@@ -684,10 +641,40 @@ mod tests {
     }
 
     #[test]
+    fn dead_workers_answer_lost_and_an_empty_pool_answers_stopped() {
+        let dir = tmp_dir("lost");
+        let _ = std::fs::remove_dir_all(&dir);
+        // Every simulated pass panics the worker running it, so each
+        // sequential submit kills one worker until none is left.
+        let mut cfg = ServeConfig::quick(&dir);
+        cfg.hw.faults = spacea_arch::FaultPlan::parse("panic").unwrap();
+        let engine = Arc::new(ServeEngine::new(cfg));
+        let info = engine.register_suite(1, 256).unwrap();
+        let service = Service::over(Arc::clone(&engine));
+        let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
+        let start = Instant::now();
+        let outcomes: Vec<ServeError> = (0..workers as u64 + 2)
+            .map(|seed| {
+                let x = seeded_vector(info.cols, seed);
+                service.submit_within(info.key, x, Duration::from_secs(20)).unwrap_err()
+            })
+            .collect();
+        assert!(start.elapsed() < Duration::from_secs(10), "took {:?}", start.elapsed());
+        for e in &outcomes {
+            assert!(matches!(e, ServeError::Lost | ServeError::Stopped), "{e}");
+        }
+        assert_eq!(outcomes.first(), Some(&ServeError::Lost), "a live pool took the first");
+        assert_eq!(outcomes.last(), Some(&ServeError::Stopped), "no worker was left for the last");
+        service.stop();
+        assert!(AckJournal::load(engine.journal().dir()).records.is_empty());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
     fn idle_queue_uses_the_short_gather_window() {
         let dir = tmp_dir("idle");
         let _ = std::fs::remove_dir_all(&dir);
-        // A pathological full window: if the dispatcher waited it out for a
+        // A pathological full window: if the worker waited it out for a
         // lone request, this test would take > 2 s. The adaptive window
         // must answer an idle-queue submit in a fraction of that.
         let cfg = ServeConfig {
