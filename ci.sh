@@ -138,6 +138,30 @@ GC_KEPT_BYTES=$(ls "$SWEEP_CACHE" | grep -E '^[0-9a-f]{16}\.json$' | sed "s|^|$S
 test "$GC_KEPT_BYTES" -le 2048
 cargo run --release -p spacea-bench --bin sweep -- $SWEEP_ARGS > target/sweep-regc.csv
 cmp target/sweep-regc.csv target/sweep-full.csv
+# A corrupt result entry is reported, recomputed and replaced where it lies:
+# one entry of ASCII garbage and one whose bytes are not UTF-8 both count as
+# corrupt, the output stays byte-identical, no quarantine/ directory
+# appears, and the next run finds nothing corrupt.
+GARBAGE_ENTRY=$(ls "$SWEEP_CACHE" | grep -E '^[0-9a-f]{16}\.json$' | sed -n 1p)
+NON_UTF8_ENTRY=$(ls "$SWEEP_CACHE" | grep -E '^[0-9a-f]{16}\.json$' | sed -n 2p)
+echo garbage > "$SWEEP_CACHE/$GARBAGE_ENTRY"
+printf '\377\376{"kind":"sim"}' > "$SWEEP_CACHE/$NON_UTF8_ENTRY"
+cargo run --release -p spacea-bench --bin sweep -- $SWEEP_ARGS > target/sweep-heal.csv
+cmp target/sweep-heal.csv target/sweep-full.csv
+if ! grep -qF '"corrupt":2' "$SWEEP_CACHE/last-run.json"; then
+  echo "ci.sh: the heal run did not count the 2 corrupt cache entries" >&2
+  exit 1
+fi
+if [ -e "$SWEEP_CACHE/quarantine" ]; then
+  echo "ci.sh: a corrupt cache entry was moved aside instead of healed in place" >&2
+  exit 1
+fi
+cargo run --release -p spacea-bench --bin sweep -- $SWEEP_ARGS > target/sweep-healed.csv
+cmp target/sweep-healed.csv target/sweep-full.csv
+if ! grep -qF '"corrupt":0' "$SWEEP_CACHE/last-run.json"; then
+  echo "ci.sh: a healed cache entry still read as corrupt" >&2
+  exit 1
+fi
 
 # Scenario-matrix smoke test: a tiny backend x format x partitioning grid
 # (every cell is bitwise-verified against the CSR reference inside the

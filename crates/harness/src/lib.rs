@@ -57,8 +57,7 @@ pub use exec::{dedup_jobs, input_vector, run_jobs, ExecFailure, JobCtx, RunMemo,
 pub use job::{GraphOperand, JobKey, JobSpec, MatrixSource};
 pub use mapstore::{MappingStats, MappingStore};
 pub use store::{
-    write_atomic, CacheOutcome, CacheStats, GcPolicy, GcReport, JobResult, ResultStore,
-    ScenarioRec, QUARANTINE_DIR,
+    write_atomic, CacheOutcome, CacheStats, GcPolicy, GcReport, JobResult, ResultStore, ScenarioRec,
 };
 // The benchmark package (`perf/`) still imports `spacea_harness::json`.
 pub use spacea_obs::json;

@@ -16,16 +16,17 @@
 //! only the pattern. [`matrix_key`], which hashes the values too, stays
 //! the identity of a registered matrix.
 //!
-//! Robustness mirrors [`crate::store::ResultStore`]: writes go through a
-//! tmp-file + atomic rename so concurrent processes never read a torn
-//! file, and a corrupt or stale artifact silently falls back to a fresh
-//! compute (which overwrites it).
+//! Robustness mirrors [`crate::store::ResultStore`]: both read their files
+//! through one reader, writes go through a tmp-file + atomic rename so
+//! concurrent processes never read a torn file, and a corrupt or stale
+//! artifact falls back to a fresh compute, which overwrites it and is
+//! counted in [`MappingStats::healed`].
 
 use crate::job::Fnv;
-use crate::store::write_atomic;
+use crate::store::{read_artifact, write_atomic, Artifact};
 use spacea_mapping::{MachineShape, MapKind, Mapping, Placement, RowAssignment};
 use spacea_matrix::Csr;
-use spacea_obs::json::{parse, Json};
+use spacea_obs::json::Json;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -146,16 +147,19 @@ impl MappingStore {
         let key = mapping_key(pattern_key(a), kind, shape);
         let mut damaged = false;
         if let Some(path) = self.path_for(key) {
-            match load_mapping(&path, a, shape) {
-                LoadOutcome::Loaded(m) => {
+            let decode = |v: &Json| {
+                decode_mapping(v, a, shape).ok_or_else(|| "fails its cross-check".into())
+            };
+            match read_artifact(&path, decode) {
+                Artifact::Valid(m) => {
                     self.disk_hits.fetch_add(1, Ordering::Relaxed);
                     return m;
                 }
                 // A present-but-undecodable artifact (torn write from a
                 // crashed peer, chaos corruption, hand edit) is healed by
                 // the recompute below, which overwrites it atomically.
-                LoadOutcome::Corrupt => damaged = true,
-                LoadOutcome::Absent => {}
+                Artifact::Corrupt(_) => damaged = true,
+                Artifact::Absent => {}
             }
         }
         let m = kind.strategy().map(a, shape);
@@ -226,22 +230,6 @@ fn decode_mapping(v: &Json, a: &Csr, shape: &MachineShape) -> Option<Mapping> {
         return None;
     }
     Some(Mapping { assignment, placement: Placement::from_table(table) })
-}
-
-/// What loading a persisted artifact found: a valid mapping, no file at
-/// all, or a file that exists but cannot be trusted.
-enum LoadOutcome {
-    Loaded(Mapping),
-    Absent,
-    Corrupt,
-}
-
-fn load_mapping(path: &Path, a: &Csr, shape: &MachineShape) -> LoadOutcome {
-    let Ok(text) = std::fs::read_to_string(path) else { return LoadOutcome::Absent };
-    parse(&text)
-        .ok()
-        .and_then(|v| decode_mapping(&v, a, shape))
-        .map_or(LoadOutcome::Corrupt, LoadOutcome::Loaded)
 }
 
 #[cfg(test)]
@@ -345,18 +333,23 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
         let a = banded(&BandedConfig { n: 96, ..Default::default() });
         let shape = MachineShape::tiny();
-        let store = MappingStore::with_dir(&dir);
         let key = mapping_key(pattern_key(&a), MapKind::Proposed, &shape);
-        let path = store.path_for(key).unwrap();
-        std::fs::create_dir_all(&dir).unwrap();
-        std::fs::write(&path, "{ not json").unwrap();
-        let m = store.get_or_compute(&a, MapKind::Proposed, &shape);
-        assert_eq!(store.stats(), MappingStats { computed: 1, disk_hits: 0, healed: 1 });
-        // The recompute overwrote the corrupt artifact; a fresh store hits.
-        let again = MappingStore::with_dir(&dir);
-        let m2 = again.get_or_compute(&a, MapKind::Proposed, &shape);
-        assert_eq!(again.stats(), MappingStats { computed: 0, disk_hits: 1, healed: 0 });
-        assert_eq!(m, m2);
+        let good = encode_mapping(&MapKind::Proposed.strategy().map(&a, &shape)).to_text();
+        // Malformed JSON, and valid JSON behind bytes that are not UTF-8.
+        for bad in [b"{ not json".to_vec(), [&[0xff, 0xfe], good.as_bytes()].concat()] {
+            let store = MappingStore::with_dir(&dir);
+            let path = store.path_for(key).unwrap();
+            std::fs::create_dir_all(&dir).unwrap();
+            std::fs::write(&path, bad).unwrap();
+            let m = store.get_or_compute(&a, MapKind::Proposed, &shape);
+            assert_eq!(store.stats(), MappingStats { computed: 1, disk_hits: 0, healed: 1 });
+            // The recompute overwrote the corrupt artifact; a fresh store hits.
+            let again = MappingStore::with_dir(&dir);
+            let m2 = again.get_or_compute(&a, MapKind::Proposed, &shape);
+            assert_eq!(again.stats(), MappingStats { computed: 0, disk_hits: 1, healed: 0 });
+            assert_eq!(m, m2);
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), good);
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

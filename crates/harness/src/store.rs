@@ -6,6 +6,12 @@
 //! that mtime, so [`ResultStore::gc`] reads an entry's size and recency from
 //! the entry's own file. The store writes nothing else, so processes sharing
 //! one directory (sweep shards) never overwrite each other's bookkeeping.
+//!
+//! A corrupt entry is healed in place: [`ResultStore::lookup`] reports it
+//! and misses, and the recompute's [`ResultStore::insert`] replaces the file
+//! by tmp file and rename. `read_artifact` reads this store's entries and
+//! the mapping store's artifacts alike, so both tell a missing file from a
+//! damaged one the same way.
 
 use crate::job::JobKey;
 use crate::lock;
@@ -16,6 +22,7 @@ use spacea_obs::json::{self, Json};
 use spacea_sim::stats::{CamCounters, LdqCounters, SramCounters};
 use std::collections::HashMap;
 use std::fs::{File, Metadata};
+use std::io::ErrorKind;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
@@ -96,17 +103,6 @@ pub struct CacheStats {
     pub corrupt: u64,
 }
 
-impl CacheStats {
-    /// Hits (memory + disk) as a fraction of all lookups.
-    pub fn hit_fraction(&self) -> f64 {
-        let total = self.mem_hits + self.disk_hits + self.misses;
-        if total == 0 {
-            return 0.0;
-        }
-        (self.mem_hits + self.disk_hits) as f64 / total as f64
-    }
-}
-
 /// Eviction budgets for [`ResultStore::gc`]. `None` disables that budget.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct GcPolicy {
@@ -133,23 +129,17 @@ pub struct GcReport {
     pub kept_bytes: u64,
     /// Entries exempt from eviction because this process hit or wrote them.
     pub protected: usize,
-    /// Quarantined (corrupt) files removed by this pass. Also counted in
-    /// `evicted`/`evicted_bytes`; this breaks out how many were quarantine
-    /// sweepings rather than live cache entries.
-    pub quarantined: usize,
 }
 
 impl GcReport {
     /// One-line human-readable summary.
     pub fn summary(&self) -> String {
         format!(
-            "gc: scanned {} entries ({} B), evicted {} ({} B, {} from quarantine), \
-             kept {} ({} B), {} protected",
+            "gc: scanned {} entries ({} B), evicted {} ({} B), kept {} ({} B), {} protected",
             self.scanned,
             self.scanned_bytes,
             self.evicted,
             self.evicted_bytes,
-            self.quarantined,
             self.kept,
             self.kept_bytes,
             self.protected
@@ -184,14 +174,12 @@ fn mtime_secs(meta: &Metadata, now: u64) -> u64 {
         .unwrap_or(now)
 }
 
-/// One file [`ResultStore::gc`] may remove. The derived order is the
-/// eviction order: quarantined files before live entries, then oldest
-/// mtime first, then path (for a live entry, its key).
+/// One entry [`ResultStore::gc`] may remove. The derived order is the
+/// eviction order: oldest mtime first, then key.
 #[derive(PartialEq, Eq, PartialOrd, Ord)]
 struct GcFile {
-    live: bool,
     mtime: u64,
-    path: PathBuf,
+    key: u64,
     bytes: u64,
     protected: bool,
 }
@@ -219,38 +207,33 @@ impl ResultStore {
     /// Looks up a result, recording a hit or miss in the stats.
     ///
     /// A disk hit is promoted into the in-memory map so later lookups are
-    /// memory hits. A corrupt on-disk entry counts as a miss *and* bumps
-    /// [`CacheStats::corrupt`], recording the offending path.
+    /// memory hits. A corrupt on-disk entry is reported on stderr and counts
+    /// as a miss *and* in [`CacheStats::corrupt`], recording the offending
+    /// path. The file stays where it is: the caller's recompute heals it,
+    /// because [`ResultStore::insert`] replaces it. A job that then fails is
+    /// never cached, so its corrupt entry stays on disk and the next lookup
+    /// reports it again.
     pub fn lookup(&self, key: JobKey) -> Option<(JobResult, CacheOutcome)> {
         if let Some(r) = lock(&self.mem).get(&key.0) {
             self.mem_hits.fetch_add(1, Ordering::Relaxed);
             return Some((r.clone(), CacheOutcome::MemoryHit));
         }
         if let Some(dir) = &self.disk {
-            match load_from_disk(dir, key) {
-                DiskRead::Hit(r) => {
+            let path = cache_path(dir, key);
+            match read_artifact(&path, decode_result) {
+                Artifact::Valid(r) => {
                     self.disk_hits.fetch_add(1, Ordering::Relaxed);
                     lock(&self.mem).insert(key.0, r.clone());
                     return Some((r, CacheOutcome::DiskHit));
                 }
-                DiskRead::Corrupt(reason) => {
-                    let path = cache_path(dir, key);
-                    match quarantine_entry(dir, key) {
-                        Ok(dest) => eprintln!(
-                            "spacea-harness: corrupt cache entry {} ({reason}); \
-                             quarantined to {} and recomputing",
-                            path.display(),
-                            dest.display()
-                        ),
-                        Err(e) => eprintln!(
-                            "spacea-harness: corrupt cache entry {} ({reason}); \
-                             quarantine failed ({e}); recomputing",
-                            path.display()
-                        ),
-                    }
+                Artifact::Corrupt(reason) => {
+                    eprintln!(
+                        "spacea-harness: corrupt cache entry {} ({reason}); recomputing",
+                        path.display()
+                    );
                     lock(&self.corrupt_paths).push(path);
                 }
-                DiskRead::Missing => {}
+                Artifact::Absent => {}
             }
         }
         self.misses.fetch_add(1, Ordering::Relaxed);
@@ -286,16 +269,12 @@ impl ResultStore {
     ///
     /// An entry's size is its file's length and its last hit is its file's
     /// mtime in whole seconds (ties broken by key). Only `<16-hex>.json`
-    /// files are entries; anything else in the directory is ignored.
-    ///
-    /// Files under [`QUARANTINE_DIR`] (corrupt entries moved aside by
-    /// [`ResultStore::lookup`]) count against the same budgets: the age pass
-    /// removes old ones by file mtime, and the size pass evicts them before
-    /// any live entry — corrupt bytes never outcompete real results.
+    /// files are entries; anything else in the directory is ignored, and
+    /// gc enters no subdirectory.
     pub fn gc(&self, policy: &GcPolicy) -> std::io::Result<GcReport> {
         let Some(dir) = &self.disk else { return Ok(GcReport::default()) };
         let now = now_secs();
-        let mut entries: Vec<(u64, Metadata)> = Vec::new();
+        let mut files: Vec<GcFile> = Vec::new();
         for entry in std::fs::read_dir(dir)? {
             let entry = entry?;
             let name = entry.file_name();
@@ -305,37 +284,18 @@ impl ResultStore {
                 continue; // last-run.json, foreign files
             }
             let Ok(key) = u64::from_str_radix(stem, 16) else { continue };
-            entries.push((key, entry.metadata()?));
+            let meta = entry.metadata()?;
+            let (mtime, bytes) = (mtime_secs(&meta, now), meta.len());
+            files.push(GcFile { mtime, key, bytes, protected: false });
         }
         // Protection is read after the scan: `insert` puts a key in `mem`
         // before it writes the file, so every file this process wrote that
         // the scan saw is protected.
         let mem = lock(&self.mem);
-        let mut files: Vec<GcFile> = entries
-            .into_iter()
-            .map(|(key, meta)| GcFile {
-                live: true,
-                mtime: mtime_secs(&meta, now),
-                path: cache_path(dir, JobKey(key)),
-                bytes: meta.len(),
-                protected: mem.contains_key(&key),
-            })
-            .collect();
-        drop(mem);
-        if let Ok(entries) = std::fs::read_dir(dir.join(QUARANTINE_DIR)) {
-            for entry in entries.flatten() {
-                let Ok(meta) = entry.metadata() else { continue };
-                if meta.is_file() {
-                    files.push(GcFile {
-                        live: false,
-                        mtime: mtime_secs(&meta, now),
-                        path: entry.path(),
-                        bytes: meta.len(),
-                        protected: false,
-                    });
-                }
-            }
+        for f in &mut files {
+            f.protected = mem.contains_key(&f.key);
         }
+        drop(mem);
         files.sort_unstable();
 
         let mut report = GcReport {
@@ -368,10 +328,9 @@ impl ResultStore {
 
         for (f, &e) in files.iter().zip(&evict) {
             if e {
-                std::fs::remove_file(&f.path)?;
+                std::fs::remove_file(cache_path(dir, JobKey(f.key)))?;
                 report.evicted += 1;
                 report.evicted_bytes += f.bytes;
-                report.quarantined += usize::from(!f.live);
             } else {
                 report.kept += 1;
                 report.kept_bytes += f.bytes;
@@ -401,12 +360,6 @@ impl ResultStore {
     }
 }
 
-/// Subdirectory of a cache directory holding corrupt entries moved aside by
-/// [`ResultStore::lookup`]. Swept by [`ResultStore::gc`] under the same
-/// budgets as live entries (quarantined files are evicted first and are
-/// never protected).
-pub const QUARANTINE_DIR: &str = "quarantine";
-
 /// Writes `text` to `path` via a tmp file in the same directory (created if
 /// missing) and a rename, so a concurrent reader never sees a torn file. The
 /// tmp name is unique per write (pid + sequence), so two writers of one path
@@ -426,38 +379,36 @@ fn cache_path(dir: &Path, key: JobKey) -> PathBuf {
     dir.join(format!("{key}.json"))
 }
 
-/// Moves a corrupt cache entry into `<dir>/quarantine/` so later runs do not
-/// keep re-parsing (and re-reporting) the same damaged file, while keeping
-/// the bytes around for a post-mortem.
-fn quarantine_entry(dir: &Path, key: JobKey) -> std::io::Result<PathBuf> {
-    let qdir = dir.join(QUARANTINE_DIR);
-    std::fs::create_dir_all(&qdir)?;
-    let dest = qdir.join(format!("{key}.json"));
-    std::fs::rename(cache_path(dir, key), &dest)?;
-    Ok(dest)
-}
-
-enum DiskRead {
-    /// No file for this key.
-    Missing,
-    /// The file decoded cleanly.
-    Hit(JobResult),
-    /// The file exists but cannot be decoded.
+/// What [`read_artifact`] found at a path.
+pub(crate) enum Artifact<T> {
+    /// No file exists there.
+    Absent,
+    /// The file read as UTF-8, parsed as JSON and decoded.
+    Valid(T),
+    /// The file exists but failed one of those steps, for this reason.
     Corrupt(String),
 }
 
-/// Reads and decodes one entry. A hit refreshes the file's mtime through
-/// the handle it read, since the mtime is the entry's recency for
-/// [`ResultStore::gc`]; a failure to set it is ignored.
-fn load_from_disk(dir: &Path, key: JobKey) -> DiskRead {
-    let Ok(file) = File::open(cache_path(dir, key)) else { return DiskRead::Missing };
-    let Ok(text) = std::io::read_to_string(&file) else { return DiskRead::Missing };
-    match json::parse(&text).and_then(|v| decode_result(&v)) {
-        Ok(r) => {
+/// Reads one persisted JSON file and decodes it with `decode`. Only a file
+/// that does not exist is absent. A valid read refreshes the file's mtime
+/// through the handle it read, since the mtime is a result entry's recency
+/// for [`ResultStore::gc`]; a failure to set it is ignored.
+pub(crate) fn read_artifact<T>(
+    path: &Path,
+    decode: impl FnOnce(&Json) -> Result<T, String>,
+) -> Artifact<T> {
+    let file = match File::open(path) {
+        Ok(file) => file,
+        Err(e) if e.kind() == ErrorKind::NotFound => return Artifact::Absent,
+        Err(e) => return Artifact::Corrupt(e.to_string()),
+    };
+    let text = std::io::read_to_string(&file).map_err(|e| e.to_string());
+    match text.and_then(|text| json::parse(&text)).and_then(|v| decode(&v)) {
+        Ok(value) => {
             let _ = file.set_modified(SystemTime::now());
-            DiskRead::Hit(r)
+            Artifact::Valid(value)
         }
-        Err(e) => DiskRead::Corrupt(e),
+        Err(reason) => Artifact::Corrupt(reason),
     }
 }
 
@@ -819,7 +770,6 @@ mod tests {
         assert_eq!(outcome, CacheOutcome::MemoryHit);
         let stats = store.stats();
         assert_eq!((stats.mem_hits, stats.disk_hits, stats.misses), (1, 0, 1));
-        assert!((stats.hit_fraction() - 0.5).abs() < 1e-12);
     }
 
     #[test]
@@ -975,81 +925,43 @@ mod tests {
     }
 
     #[test]
-    fn corrupt_entry_is_quarantined_not_reparsed() {
-        let dir = tmp_dir("quarantine");
+    fn corrupt_entry_is_healed_in_place() {
+        let dir = tmp_dir("heal");
         let store = ResultStore::with_disk(&dir).unwrap();
         let key = JobKey(11);
-        std::fs::write(cache_path(&dir, key), "{not json").unwrap();
-        assert!(store.lookup(key).is_none());
-        // The damaged file moved aside...
-        assert!(!cache_path(&dir, key).exists());
-        assert!(dir.join(QUARANTINE_DIR).join(format!("{key}.json")).exists());
-        // ...so the next lookup is a plain miss, not another corrupt parse.
+        std::fs::write(cache_path(&dir, key), "garbage").unwrap();
         assert!(store.lookup(key).is_none());
         assert_eq!(store.stats().corrupt, 1);
-        // And the slot is usable again.
+        // The recompute's insert replaces the damaged file where it lies.
         store.insert(key, JobResult::Gpu(sample_gpu()));
-        assert_eq!(store.lookup(key).unwrap().1, CacheOutcome::MemoryHit);
+        let fresh = ResultStore::with_disk(&dir).unwrap();
+        let hit = fresh.lookup(key);
+        assert_eq!(hit, Some((JobResult::Gpu(sample_gpu()), CacheOutcome::DiskHit)));
+        assert_eq!(fresh.stats().corrupt, 0);
+        assert!(!dir.join("quarantine").exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn float_or_negative_counters_are_quarantined_as_corrupt() {
+    fn float_or_negative_counters_are_corrupt() {
         // The parser reads `1.5` and `-3` as numbers; only the decoders'
         // `as_u64` rejects them, which must still make the entry corrupt.
+        // So must bytes that are not UTF-8 in front of valid JSON.
         let dir = tmp_dir("non-u64");
         let store = ResultStore::with_disk(&dir).unwrap();
         let good = encode_result(&JobResult::Scenario(sample_scenario())).to_text();
         assert!(good.contains("\"cycles\":9001"), "{good}");
-        for (i, bad) in ["1.5", "-3"].into_iter().enumerate() {
+        let mut inputs: Vec<Vec<u8>> = ["1.5", "-3"]
+            .into_iter()
+            .map(|bad| good.replace("\"cycles\":9001", &format!("\"cycles\":{bad}")).into_bytes())
+            .collect();
+        inputs.push([&[0xff, 0xfe], good.as_bytes()].concat());
+        for (i, bytes) in inputs.iter().enumerate() {
             let key = JobKey(0x100 + i as u64);
-            let text = good.replace("\"cycles\":9001", &format!("\"cycles\":{bad}"));
-            std::fs::write(cache_path(&dir, key), text).unwrap();
-            assert!(store.lookup(key).is_none(), "{bad} must not decode as a u64");
-            assert!(dir.join(QUARANTINE_DIR).join(format!("{key}.json")).exists(), "{bad}");
+            std::fs::write(cache_path(&dir, key), bytes).unwrap();
+            assert!(store.lookup(key).is_none(), "input {i} must not decode");
         }
-        assert_eq!(store.stats().corrupt, 2);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn gc_byte_budget_sweeps_quarantine_before_live_entries() {
-        let dir = tmp_dir("gc-quarantine");
-        let store = ResultStore::with_disk(&dir).unwrap();
-        store.insert(JobKey(1), JobResult::Gpu(sample_gpu()));
-        let bad = JobKey(0x2222);
-        std::fs::write(cache_path(&dir, bad), "{not json").unwrap();
-        assert!(store.lookup(bad).is_none());
-        let qfile = dir.join(QUARANTINE_DIR).join(format!("{bad}.json"));
-        assert!(qfile.exists());
-        // Byte budget 0: the entry written by this run is protected, but the
-        // quarantined file never is — it must go.
-        let report = store.gc(&GcPolicy { max_bytes: Some(0), max_age_secs: None }).unwrap();
-        assert_eq!(report.quarantined, 1, "{report:?}");
-        assert_eq!(report.scanned, 2);
-        assert!(!qfile.exists());
-        assert!(cache_path(&dir, JobKey(1)).exists());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn gc_age_budget_sweeps_old_quarantined_files() {
-        let dir = tmp_dir("gc-quarantine-age");
-        let store = ResultStore::with_disk(&dir).unwrap();
-        let bad = JobKey(0x3333);
-        std::fs::write(cache_path(&dir, bad), "{not json").unwrap();
-        assert!(store.lookup(bad).is_none());
-        let qfile = dir.join(QUARANTINE_DIR).join(format!("{bad}.json"));
-        // Backdate the quarantined file two hours; a one-hour age budget
-        // must sweep it while leaving a fresh one alone.
-        backdate(&qfile, 7200);
-        let fresh = JobKey(0x4444);
-        std::fs::write(cache_path(&dir, fresh), "{not json").unwrap();
-        assert!(store.lookup(fresh).is_none());
-        let report = store.gc(&GcPolicy { max_bytes: None, max_age_secs: Some(3600) }).unwrap();
-        assert_eq!(report.quarantined, 1, "{report:?}");
-        assert!(!qfile.exists());
-        assert!(dir.join(QUARANTINE_DIR).join(format!("{fresh}.json")).exists());
+        assert_eq!(store.stats().corrupt, 3);
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -1058,7 +970,10 @@ mod tests {
         let dir = tmp_dir("gc-foreign");
         let store = ResultStore::with_disk(&dir).unwrap();
         // `index.json` is what older versions of the store kept here.
-        let foreign = ["last-run.json", "index.json", "notes.txt"];
+        // So is a `quarantine/` directory, where they moved corrupt entries.
+        let foreign =
+            ["last-run.json", "index.json", "notes.txt", "quarantine/0000000000000001.json"];
+        std::fs::create_dir_all(dir.join("quarantine")).unwrap();
         for name in foreign {
             std::fs::write(dir.join(name), "{}").unwrap();
         }

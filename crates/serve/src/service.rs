@@ -23,10 +23,10 @@
 //! a (matrix, width) whose run is in flight waits for it (see
 //! [`ServeEngine::run_batch`]). Each worker journals its
 //! own batch before replying, so the journal-first order holds per batch;
-//! batch lines follow completion order, not admission order. Only the
-//! workers hold the queue: once the last of them is gone, queued requests
-//! are answered [`ServeError::Lost`] and later submits
-//! [`ServeError::Stopped`].
+//! batch lines follow completion order, not admission order. A worker runs
+//! each batch under [`std::panic::catch_unwind`]: a pass that panics drops
+//! its batch, whose members answer [`ServeError::Lost`], and the worker
+//! takes the next batch, so the pool never shrinks.
 //!
 //! # Request lifecycle guarantees
 //!
@@ -42,10 +42,13 @@
 //!    elapses first, or a simulator/injection error after the bounded
 //!    retry budget (transient faults retried with splitmix-jittered
 //!    exponential backoff; hang-class never retried).
-//! 3. **[`ServeError::Lost`]** — the worker running its batch died, or
-//!    every worker did while it was queued. This code existing is what
-//!    makes "silently lost" impossible: a request that cannot be answered
-//!    still gets a reply naming that fact.
+//! 3. **[`ServeError::Lost`]** — the pass answering it panicked. This
+//!    code existing is what makes "silently lost" impossible: a request
+//!    that cannot be answered still gets a reply naming that fact.
+//!
+//! An admitted request holds one unit of [`Service::depth`] from admission
+//! until it is answered or dropped, whichever comes first, so a lost
+//! request gives its unit back too.
 
 use crate::engine::ServeEngine;
 use crate::error::ServeError;
@@ -53,6 +56,7 @@ use crate::journal::{vec_hash, AckRecord};
 use crate::{lock, splitmix64, GOLDEN_GAMMA};
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex};
@@ -92,7 +96,29 @@ struct Pending {
     ordinal: u64,
     enqueued: Instant,
     deadline: Instant,
+    /// Declared before `reply`: fields drop in declaration order, so a
+    /// request dropped unanswered gives its unit of depth back before its
+    /// submitter can see [`ServeError::Lost`].
+    slot: Slot,
     reply: mpsc::Sender<Result<SubmitReply, ServeError>>,
+}
+
+impl Pending {
+    /// Answers the request, giving its unit of depth back first.
+    fn answer(self, result: Result<SubmitReply, ServeError>) {
+        let Pending { slot, reply, .. } = self;
+        drop(slot);
+        let _ = reply.send(result);
+    }
+}
+
+/// An admitted request's unit of [`Service::depth`], given back on drop.
+struct Slot(Arc<AtomicUsize>);
+
+impl Drop for Slot {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::Relaxed);
+    }
 }
 
 /// One fused batch, gathered by the worker that runs it.
@@ -123,7 +149,7 @@ pub struct Service {
     tx: Mutex<Option<SyncSender<Pending>>>,
     /// The batch workers; joined by `stop`.
     threads: Mutex<Vec<JoinHandle<()>>>,
-    /// Requests admitted but not yet finished (replied or cancelled).
+    /// Requests admitted and not yet answered or dropped: one [`Slot`] each.
     depth: Arc<AtomicUsize>,
     /// Admission ordinal counter for chaos stall addressing.
     admitted: AtomicU64,
@@ -133,19 +159,17 @@ impl Service {
     /// Starts one batch worker per available core over an existing engine.
     pub fn over(engine: Arc<ServeEngine>) -> Self {
         let (tx, rx) = mpsc::sync_channel::<Pending>(engine.config().shed_mark.max(1));
-        let depth = Arc::new(AtomicUsize::new(0));
-        // Only the workers hold the queue, so the receiver drops with the
-        // last of them: queued requests then answer `Lost`, later submits
-        // `Stopped`.
+        // Only the workers hold the queue, and a worker returns only once
+        // `stop` has hung the queue up and it is drained: a panicking pass
+        // costs its batch, never its worker.
         let queue = Arc::new(Mutex::new(Queue { rx, pending: VecDeque::new() }));
         let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
         let mut threads = Vec::with_capacity(workers);
         for i in 0..workers {
-            let (engine, depth, queue) =
-                (Arc::clone(&engine), Arc::clone(&depth), Arc::clone(&queue));
+            let (engine, queue) = (Arc::clone(&engine), Arc::clone(&queue));
             let spawned = std::thread::Builder::new()
                 .name(format!("serve-worker-{i}"))
-                .spawn(move || worker_loop(&engine, &depth, &queue));
+                .spawn(move || worker_loop(&engine, &queue));
             match spawned {
                 Ok(handle) => threads.push(handle),
                 Err(e) => eprintln!("serve: failed to spawn batch worker {i}: {e}"),
@@ -158,7 +182,7 @@ impl Service {
             engine,
             tx: Mutex::new(tx),
             threads: Mutex::new(threads),
-            depth,
+            depth: Arc::new(AtomicUsize::new(0)),
             admitted: AtomicU64::new(0),
         }
     }
@@ -191,7 +215,7 @@ impl Service {
     /// [`ServeError::Overloaded`] when shed at admission,
     /// [`ServeError::DeadlineExceeded`] when the deadline elapses first,
     /// [`ServeError::Stopped`] after [`Service::stop`],
-    /// [`ServeError::Lost`] if the worker running it died, and the
+    /// [`ServeError::Lost`] if the pass answering it panicked, and the
     /// engine's own errors for unknown matrices or simulator failures.
     pub fn submit_within(
         &self,
@@ -205,6 +229,11 @@ impl Service {
             self.engine.note_shed(waiting);
             return Err(ServeError::Overloaded { depth: waiting });
         }
+        // An admitted request owns one unit of depth, its slot, until it
+        // is answered or dropped; a refused send drops it straight away.
+        let depth_now = self.depth.fetch_add(1, Ordering::Relaxed) + 1;
+        let slot = Slot(Arc::clone(&self.depth));
+        self.engine.note_depth(depth_now);
         let now = Instant::now();
         let (reply_tx, reply_rx) = mpsc::channel();
         let pending = Pending {
@@ -213,22 +242,18 @@ impl Service {
             ordinal: self.admitted.fetch_add(1, Ordering::Relaxed),
             enqueued: now,
             deadline: now + deadline,
+            slot,
             reply: reply_tx,
         };
-        // Admitted requests own one unit of depth until the service
-        // finishes them (reply or cancellation); rejected sends give the
-        // unit straight back.
-        let depth_now = self.depth.fetch_add(1, Ordering::Relaxed) + 1;
-        self.engine.note_depth(depth_now);
         match tx.try_send(pending) {
             Ok(()) => {}
-            Err(TrySendError::Full(_)) => {
-                self.depth.fetch_sub(1, Ordering::Relaxed);
+            Err(TrySendError::Full(refused)) => {
+                drop(refused);
                 self.engine.note_shed(depth_now);
                 return Err(ServeError::Overloaded { depth: depth_now });
             }
-            Err(TrySendError::Disconnected(_)) => {
-                self.depth.fetch_sub(1, Ordering::Relaxed);
+            Err(TrySendError::Disconnected(refused)) => {
+                drop(refused);
                 return Err(ServeError::Stopped);
             }
         }
@@ -266,7 +291,7 @@ impl Drop for Service {
 /// A batch worker: while free, gathers the next batch from the shared
 /// queue, then runs it; returns once the admission queue is hung up and
 /// drained.
-fn worker_loop(engine: &ServeEngine, depth: &AtomicUsize, queue: &Mutex<Queue>) {
+fn worker_loop(engine: &ServeEngine, queue: &Mutex<Queue>) {
     loop {
         // The guard drops at the end of this statement, so the batch runs
         // with the queue unlocked and the next free worker gathers
@@ -274,16 +299,21 @@ fn worker_loop(engine: &ServeEngine, depth: &AtomicUsize, queue: &Mutex<Queue>) 
         // saturation what it is with a single batcher: requests that arrive
         // while every worker is busy fuse into the next batch instead of
         // waiting behind one already formed.
-        let batch = next_batch(engine, &mut lock(queue), depth);
+        let batch = next_batch(engine, &mut lock(queue));
         let Some(batch) = batch else { return };
-        execute_batch(engine, depth, batch);
+        // A panicking pass unwinds through its batch, dropping each member
+        // unanswered: its slot gives the depth unit back and its submitter
+        // sees `Lost`. AssertUnwindSafe: every engine lock is
+        // poison-tolerant, and a run memo slot stays empty after a run that
+        // did not finish.
+        let _ = catch_unwind(AssertUnwindSafe(|| execute_batch(engine, batch)));
     }
 }
 
 /// Waits for a request, gathers concurrent ones for a short window, and
 /// fuses the same-matrix prefix-by-arrival into the next batch. `None`
 /// once the admission queue is hung up and fully drained.
-fn next_batch(engine: &ServeEngine, queue: &mut Queue, depth: &AtomicUsize) -> Option<Batch> {
+fn next_batch(engine: &ServeEngine, queue: &mut Queue) -> Option<Batch> {
     let Queue { rx, pending } = queue;
     let cfg = engine.config();
     loop {
@@ -320,7 +350,7 @@ fn next_batch(engine: &ServeEngine, queue: &mut Queue, depth: &AtomicUsize) -> O
         let now = Instant::now();
         let Some(first) = pending.pop_front() else { continue };
         if first.deadline <= now {
-            cancel(engine, depth, first);
+            cancel(engine, first);
             continue;
         }
         let matrix = first.matrix;
@@ -328,7 +358,7 @@ fn next_batch(engine: &ServeEngine, queue: &mut Queue, depth: &AtomicUsize) -> O
         let mut rest = VecDeque::with_capacity(pending.len());
         for p in pending.drain(..) {
             if p.deadline <= now {
-                cancel(engine, depth, p);
+                cancel(engine, p);
             } else if p.matrix == matrix && members.len() < MAX_BATCH {
                 members.push(p);
             } else {
@@ -341,18 +371,16 @@ fn next_batch(engine: &ServeEngine, queue: &mut Queue, depth: &AtomicUsize) -> O
 }
 
 /// Cancels one expired request with an explicit coded reply.
-fn cancel(engine: &ServeEngine, depth: &AtomicUsize, p: Pending) {
-    depth.fetch_sub(1, Ordering::Relaxed);
+fn cancel(engine: &ServeEngine, p: Pending) {
     let waited_ms = p.enqueued.elapsed().as_millis() as u64;
     engine.note_deadline_miss(waited_ms);
-    let _ = p.reply.send(Err(ServeError::DeadlineExceeded { waited_ms }));
+    p.answer(Err(ServeError::DeadlineExceeded { waited_ms }));
 }
 
 /// Executes one fused batch — through the chaos hooks and the bounded
 /// retry policy — journals the acknowledgments, and distributes replies.
 fn execute_batch(
     engine: &ServeEngine,
-    depth: &AtomicUsize,
     Batch { matrix: key, members: mut batch, queued_behind }: Batch,
 ) {
     // Chaos stall: the longest stall armed for any member delays the whole
@@ -365,7 +393,7 @@ fn execute_batch(
         let now = Instant::now();
         let (live, expired): (Vec<_>, Vec<_>) = batch.into_iter().partition(|p| p.deadline > now);
         for p in expired {
-            cancel(engine, depth, p);
+            cancel(engine, p);
         }
         batch = live;
         if batch.is_empty() {
@@ -427,16 +455,14 @@ fn execute_batch(
             }
             let waits: Vec<u64> = batch.iter().map(waited_us).collect();
             for ((p, y), &queue_wait_us) in batch.into_iter().zip(rep.outputs).zip(&waits) {
-                depth.fetch_sub(1, Ordering::Relaxed);
-                let _ = p.reply.send(Ok(SubmitReply { y, batch: k, cycles, queue_wait_us }));
+                p.answer(Ok(SubmitReply { y, batch: k, cycles, queue_wait_us }));
             }
             // After the replies, so a timeline write delays none of them.
             engine.note_requests(&waits, cycles, queued_behind);
         }
         Err(e) => {
             for p in batch {
-                depth.fetch_sub(1, Ordering::Relaxed);
-                let _ = p.reply.send(Err(e.clone()));
+                p.answer(Err(e.clone()));
             }
         }
     }
@@ -641,11 +667,12 @@ mod tests {
     }
 
     #[test]
-    fn dead_workers_answer_lost_and_an_empty_pool_answers_stopped() {
+    fn a_panicking_pass_answers_lost_and_its_worker_serves_on() {
         let dir = tmp_dir("lost");
         let _ = std::fs::remove_dir_all(&dir);
-        // Every simulated pass panics the worker running it, so each
-        // sequential submit kills one worker until none is left.
+        // Every simulated pass panics. Twice as many sequential submits as
+        // there are workers, and two more, each answer `Lost`, never
+        // `Stopped`: the worker that ran a panicking pass takes the next.
         let mut cfg = ServeConfig::quick(&dir);
         cfg.hw.faults = spacea_arch::FaultPlan::parse("panic").unwrap();
         let engine = Arc::new(ServeEngine::new(cfg));
@@ -653,18 +680,13 @@ mod tests {
         let service = Service::over(Arc::clone(&engine));
         let workers = std::thread::available_parallelism().map_or(1, NonZeroUsize::get);
         let start = Instant::now();
-        let outcomes: Vec<ServeError> = (0..workers as u64 + 2)
-            .map(|seed| {
-                let x = seeded_vector(info.cols, seed);
-                service.submit_within(info.key, x, Duration::from_secs(20)).unwrap_err()
-            })
-            .collect();
-        assert!(start.elapsed() < Duration::from_secs(10), "took {:?}", start.elapsed());
-        for e in &outcomes {
-            assert!(matches!(e, ServeError::Lost | ServeError::Stopped), "{e}");
+        for seed in 0..2 * workers as u64 + 2 {
+            let x = seeded_vector(info.cols, seed);
+            let e = service.submit_within(info.key, x, Duration::from_secs(20)).unwrap_err();
+            assert_eq!(e, ServeError::Lost, "submit {seed}");
+            assert_eq!(service.depth(), 0, "submit {seed} kept its unit of depth");
         }
-        assert_eq!(outcomes.first(), Some(&ServeError::Lost), "a live pool took the first");
-        assert_eq!(outcomes.last(), Some(&ServeError::Stopped), "no worker was left for the last");
+        assert!(start.elapsed() < Duration::from_secs(10), "took {:?}", start.elapsed());
         service.stop();
         assert!(AckJournal::load(engine.journal().dir()).records.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
