@@ -141,15 +141,31 @@ cmp target/sweep-regc.csv target/sweep-full.csv
 # A corrupt result entry is reported, recomputed and replaced where it lies:
 # one entry of ASCII garbage and one whose bytes are not UTF-8 both count as
 # corrupt, the output stays byte-identical, no quarantine/ directory
-# appears, and the next run finds nothing corrupt.
+# appears, and the next run finds nothing corrupt. Every mapping artifact is
+# garbage too: the two recomputed jobs each read their own, name it on
+# stderr and heal it (the other two jobs are disk hits and read none).
 GARBAGE_ENTRY=$(ls "$SWEEP_CACHE" | grep -E '^[0-9a-f]{16}\.json$' | sed -n 1p)
 NON_UTF8_ENTRY=$(ls "$SWEEP_CACHE" | grep -E '^[0-9a-f]{16}\.json$' | sed -n 2p)
 echo garbage > "$SWEEP_CACHE/$GARBAGE_ENTRY"
 printf '\377\376{"kind":"sim"}' > "$SWEEP_CACHE/$NON_UTF8_ENTRY"
-cargo run --release -p spacea-bench --bin sweep -- $SWEEP_ARGS > target/sweep-heal.csv
+for f in "$SWEEP_CACHE"/mappings/*.json; do
+  echo garbage > "$f"
+done
+cargo run --release -p spacea-bench --bin sweep -- $SWEEP_ARGS > target/sweep-heal.csv \
+  2> target/sweep-heal.err
 cmp target/sweep-heal.csv target/sweep-full.csv
 if ! grep -qF '"corrupt":2' "$SWEEP_CACHE/last-run.json"; then
   echo "ci.sh: the heal run did not count the 2 corrupt cache entries" >&2
+  exit 1
+fi
+HEALED_MAPS=$(grep -cE "corrupt mapping artifact .*/mappings/[0-9a-f]{16}\.json \(unexpected byte 'g' at 0\); recomputing$" \
+  target/sweep-heal.err || true)
+if [ "$HEALED_MAPS" -ne 2 ]; then
+  echo "ci.sh: the heal run named $HEALED_MAPS corrupt mapping artifacts, not 2" >&2
+  exit 1
+fi
+if ! grep -qF '"healed":2' "$SWEEP_CACHE/last-run.json"; then
+  echo "ci.sh: the heal run did not count the 2 healed mapping artifacts" >&2
   exit 1
 fi
 if [ -e "$SWEEP_CACHE/quarantine" ]; then
@@ -160,6 +176,10 @@ cargo run --release -p spacea-bench --bin sweep -- $SWEEP_ARGS > target/sweep-he
 cmp target/sweep-healed.csv target/sweep-full.csv
 if ! grep -qF '"corrupt":0' "$SWEEP_CACHE/last-run.json"; then
   echo "ci.sh: a healed cache entry still read as corrupt" >&2
+  exit 1
+fi
+if ! grep -qF '"healed":0' "$SWEEP_CACHE/last-run.json"; then
+  echo "ci.sh: a healed mapping artifact still read as corrupt" >&2
   exit 1
 fi
 

@@ -2,17 +2,15 @@
 //!
 //! Verbs:
 //!
-//! * `serve start [--port N] [--compact-every N] [--chaos SPEC|--chaos-seed N]`
+//! * `serve start [--port N] [--chaos SPEC|--chaos-seed N]`
 //!   — run the daemon in the foreground over `--cache-dir` (default
 //!   `target/spacea-cache`); `--quick` serves the tiny machine. It fuses up
 //!   to `spacea_serve::service::MAX_BATCH` (16) same-matrix requests into
 //!   one pass. The bound port is published to `<cache-dir>/serve.port`
-//!   once the listener is up. `--compact-every N` compacts the
-//!   acknowledgment journal `<cache-dir>/journal/acks.jsonl` to its newest
-//!   N batches every N acknowledged batches; 0 (the default) disables it.
-//!   `--chaos` arms a deterministic service-layer fault plan (see the
-//!   `spacea_serve::chaos` grammar); `--chaos-seed` derives one from a seed
-//!   exactly as the `serve_chaos` soak does, for replaying a failing seed.
+//!   once the listener is up. `--chaos` arms a deterministic service-layer
+//!   fault plan (see the `spacea_serve::chaos` grammar); `--chaos-seed`
+//!   derives one from a seed exactly as the `serve_chaos` soak does, for
+//!   replaying a failing seed.
 //! * `serve submit --matrix 1/256,2/256 --seeds 0,1,2 [--check]
 //!   [--deadline-ms N]` — one concurrent client thread per seed,
 //!   round-robined over the matrix list; `--check` recomputes each result
@@ -33,7 +31,7 @@ use spacea_bench::{ArgError, HarnessOptions};
 use spacea_serve::{run_daemon, seeded_vector, CallError, ChaosPlan, Client, ServeConfig};
 
 const SERVE_USAGE: &str = "serve: start|submit|register|compact|stat|shutdown | --port N | \
-     --compact-every N | --chaos SPEC | --chaos-seed N | \
+     --chaos SPEC | --chaos-seed N | \
      --matrix ID/SCALE[,ID/SCALE...] | --seeds N[,N...] | --deadline-ms N | --check | \
      --mtx PATH | --retain N";
 
@@ -47,7 +45,6 @@ fn main() {
     let mut deadline_ms: Option<u64> = None;
     let mut mtx_path: Option<String> = None;
     let mut retain = 8usize;
-    let mut compact_every = 0u64;
     let opts = HarnessOptions::from_args_with(std::env::args().skip(1), |flag, args| {
         match flag {
             "start" | "submit" | "register" | "compact" | "stat" | "shutdown" if verb.is_none() => {
@@ -59,7 +56,6 @@ fn main() {
                     .try_into()
                     .map_err(|_| ArgError::new("--port needs a TCP port (fits in 16 bits)"))?;
             }
-            "--compact-every" => compact_every = args.usize_value("--compact-every")? as u64,
             "--chaos" => {
                 chaos = ChaosPlan::parse(&args.value("--chaos")?)
                     .map_err(|e| ArgError::new(format!("--chaos: {e}")))?;
@@ -80,7 +76,7 @@ fn main() {
     .unwrap_or_else(|e| e.exit_with_usage(SERVE_USAGE));
 
     match verb.as_deref() {
-        Some("start") => start(&opts, port, compact_every, chaos),
+        Some("start") => start(&opts, port, chaos),
         Some("submit") => submit(&opts, &matrices, &seeds, check, deadline_ms),
         Some("register") => register_mtx(&opts, mtx_path.as_deref()),
         Some("compact") => compact(&opts, retain),
@@ -109,11 +105,10 @@ fn parse_seeds(spec: &str) -> Result<Vec<u64>, ArgError> {
         .collect()
 }
 
-fn start(opts: &HarnessOptions, port: u16, compact_every: u64, chaos: ChaosPlan) {
+fn start(opts: &HarnessOptions, port: u16, chaos: ChaosPlan) {
     let mut cfg = ServeConfig::new(opts.cache_dir());
     cfg.hw = opts.cfg.hw.clone();
     cfg.chaos = chaos;
-    cfg.compact_every = compact_every;
     if let Err(e) = run_daemon(cfg, port) {
         eprintln!("serve: daemon failed: {e}");
         std::process::exit(1);

@@ -4,8 +4,8 @@
 //! Each seed derives a deterministic [`ChaosPlan`] (exactly the one
 //! `serve start --chaos-seed N` arms), boots a real daemon over a fresh
 //! cache directory, and fires concurrent client traffic through whatever
-//! the plan does to it — dropped connections, delayed accepts, killed and
-//! wedged batches, stalled requests. The soak then enforces the core
+//! the plan does to it — dropped connections, delayed accepts, wedged
+//! batches, stalled requests. The soak then enforces the core
 //! serving invariant, which no chaos plan may ever break:
 //!
 //! * every request the client saw **succeed** is bitwise equal to the
@@ -128,7 +128,6 @@ fn soak_seed(seed: u64, requests: usize, root: &Path) -> Result<String, String> 
         chaos: plan,
         // Small enough that concurrent clients can actually cross it.
         shed_mark: 4,
-        retry_backoff: Duration::from_millis(2),
         ..ServeConfig::quick(&dir)
     };
     let daemon = std::thread::Builder::new()

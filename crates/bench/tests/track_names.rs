@@ -74,7 +74,7 @@ fn the_hbm_timeline_publishes_three_gauges_per_channel_then_two_global() {
 }
 
 #[test]
-fn the_serve_timeline_publishes_its_eight_request_gauges() {
+fn the_serve_timeline_publishes_its_seven_request_gauges() {
     let dir = std::env::temp_dir().join(format!("spacea-track-names-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let engine = ServeEngine::new(ServeConfig::quick(&dir));
@@ -86,7 +86,6 @@ fn the_serve_timeline_publishes_its_eight_request_gauges() {
         "serve/cycles-per-request",
         "serve/queue-depth",
         "serve/shed",
-        "serve/retries",
         "serve/deadline-miss",
         "serve/queue-age-us",
     ];

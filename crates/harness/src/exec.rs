@@ -445,7 +445,8 @@ fn guarded_execute(
 ) -> Result<(JobResult, Option<Timeline>), ExecFailure> {
     // AssertUnwindSafe: the only state shared across the boundary is the
     // JobCtx memo (poison-tolerant locks over cells an interrupted
-    // computation leaves empty and retryable) and the panic payload itself.
+    // computation leaves empty for the next caller to fill) and the panic
+    // payload itself.
     match catch_unwind(AssertUnwindSafe(|| execute_observed(spec, ctx, timeline))) {
         Ok(r) => r,
         Err(payload) => Err(ExecFailure::Error {

@@ -158,7 +158,13 @@ impl MappingStore {
                 // A present-but-undecodable artifact (torn write from a
                 // crashed peer, chaos corruption, hand edit) is healed by
                 // the recompute below, which overwrites it atomically.
-                Artifact::Corrupt(_) => damaged = true,
+                Artifact::Corrupt(reason) => {
+                    eprintln!(
+                        "spacea-harness: corrupt mapping artifact {} ({reason}); recomputing",
+                        path.display()
+                    );
+                    damaged = true;
+                }
                 Artifact::Absent => {}
             }
         }

@@ -245,7 +245,9 @@ impl Parser<'_> {
             b't' => self.literal("true", Json::Bool(true)),
             b'f' => self.literal("false", Json::Bool(false)),
             b'n' => self.literal("null", Json::Null),
-            _ => self.number(),
+            // The only bytes that can start a number `number` accepts.
+            b'-' | b'+' | b'.' | b'0'..=b'9' => self.number(),
+            other => Err(format!("unexpected byte {:?} at {}", other as char, self.pos)),
         }
     }
 
@@ -503,6 +505,18 @@ mod tests {
         assert_eq!(parse("1.5").unwrap().as_u64(), None, "as_u64 rejects floats");
         assert_eq!(parse("-3").unwrap().as_u64(), None, "as_u64 rejects negatives");
         assert_eq!(parse("7").unwrap().as_num(), Some(7.0), "as_num reads both variants");
+    }
+
+    #[test]
+    fn a_value_that_cannot_start_a_number_names_its_byte() {
+        // Every byte a number can start with still reaches `number`.
+        assert_eq!(parse("-1").unwrap(), Json::Num(-1.0));
+        assert_eq!(parse("+1").unwrap(), Json::Num(1.0));
+        assert_eq!(parse(".5").unwrap(), Json::Num(0.5));
+        assert_eq!(parse("1e3").unwrap(), Json::Num(1000.0));
+        assert_eq!(parse("garbage").unwrap_err(), "unexpected byte 'g' at 0");
+        assert_eq!(parse(" x").unwrap_err(), "unexpected byte 'x' at 1");
+        assert_eq!(parse("[1,@]").unwrap_err(), "unexpected byte '@' at 3");
     }
 
     #[test]

@@ -63,8 +63,6 @@ pub enum Metric {
     ServeQueueDepth,
     /// Load sheds (admission rejections).
     ServeShed,
-    /// Transient-batch retries.
-    ServeRetries,
     /// Deadline cancellations.
     ServeDeadlineMiss,
     /// Age of a batch's longest-waiting request at execution, in
@@ -105,7 +103,6 @@ impl Metric {
             Metric::ServeCyclesPerRequest => ("serve", "cycles-per-request"),
             Metric::ServeQueueDepth => ("serve", "queue-depth"),
             Metric::ServeShed => ("serve", "shed"),
-            Metric::ServeRetries => ("serve", "retries"),
             Metric::ServeDeadlineMiss => ("serve", "deadline-miss"),
             Metric::ServeQueueAgeUs => ("serve", "queue-age-us"),
         }

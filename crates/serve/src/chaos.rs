@@ -3,11 +3,11 @@
 //! [`ChaosPlan`] extends the PR 3 simulator fault-injection philosophy
 //! ([`spacea_arch::FaultPlan`]) one layer up: instead of dropping NoC
 //! packets inside the machine, a chaos plan drops connections at the
-//! listener, kills or wedges a batch worker mid-batch, stalls individual
-//! admitted requests, and corrupts persisted mapping artifacts at daemon
-//! startup. Like `FaultPlan`, every fault is addressed by an ordinal
-//! counter, never a probability, so a plan replays exactly: the Nth
-//! accepted connection, the Nth batch attempt, the Nth admitted request.
+//! listener, wedges a batch, stalls individual admitted requests, and
+//! corrupts persisted mapping artifacts at daemon startup. Like
+//! `FaultPlan`, every fault is addressed by an ordinal counter, never a
+//! probability, so a plan replays exactly: the Nth accepted connection, the
+//! Nth batch, the Nth admitted request.
 //!
 //! Plans exist to *prove* the request-lifecycle guarantees, and the
 //! invariant they must never be able to break is the serving analogue of
@@ -16,6 +16,7 @@
 //! and an accepted request is never silently lost — chaos may slow,
 //! reject, or error a request, but never corrupt or swallow one.
 
+use crate::error::ServeError;
 use crate::{splitmix64, GOLDEN_GAMMA};
 use spacea_arch::fault::{parse_at, parse_directives, parse_u64, write_directives};
 use std::path::Path;
@@ -40,13 +41,9 @@ pub struct ChaosPlan {
     /// Delay handling of the Nth accepted connection by this many
     /// milliseconds before the first read (a slow-start client).
     pub delay_conn: Option<(u64, u64)>,
-    /// Fail the Nth batch execution attempt (0-based) with a *transient*
-    /// fault before the simulator runs — the worker's bounded retry must
-    /// absorb it and still answer every member correctly.
-    pub kill_batch: Option<u64>,
-    /// Fail the Nth batch execution attempt with a *hang-class* fault.
-    /// Hangs are never retried, so every member receives an explicit
-    /// coded error instead.
+    /// Fail the Nth batch (0-based) with a wedge fault before the
+    /// simulator runs: every member receives an explicit coded error
+    /// (`internal`), nothing is journaled, and the next batch runs clean.
     pub wedge_batch: Option<u64>,
     /// Stall the batch containing the Nth admitted request (0-based) by
     /// this many milliseconds before execution. Long stalls push members
@@ -71,8 +68,7 @@ impl ChaosPlan {
     ///
     /// * `drop-conn=N` — close the Nth accepted connection immediately
     /// * `delay-conn=N@MS` — delay connection N's handling by MS ms
-    /// * `kill-batch=N` — transient fault on the Nth batch attempt
-    /// * `wedge-batch=N` — hang-class fault on the Nth batch attempt
+    /// * `wedge-batch=N` — fail the Nth batch with a coded error
     /// * `stall-req=N@MS` — stall request N's batch by MS ms
     /// * `corrupt-map=N` — garbage the Nth persisted mapping at startup
     /// * `truncate-map=N` — truncate the Nth persisted mapping at startup
@@ -86,14 +82,13 @@ impl ChaosPlan {
     /// unknown, malformed or repeated.
     pub fn parse(s: &str) -> Result<ChaosPlan, String> {
         let mut plan = ChaosPlan::default();
-        let expected = "drop-conn=N, delay-conn=N@MS, kill-batch=N, wedge-batch=N, \
-                        stall-req=N@MS, corrupt-map=N, or truncate-map=N";
+        let expected = "drop-conn=N, delay-conn=N@MS, wedge-batch=N, stall-req=N@MS, \
+                        corrupt-map=N, or truncate-map=N";
         parse_directives(s, "chaos", expected, |name, value| {
             let Some(v) = value else { return Ok(false) };
             match name {
                 "drop-conn" => plan.drop_conn = Some(parse_u64(name, v)?),
                 "delay-conn" => plan.delay_conn = Some(parse_at(name, v)?),
-                "kill-batch" => plan.kill_batch = Some(parse_u64(name, v)?),
                 "wedge-batch" => plan.wedge_batch = Some(parse_u64(name, v)?),
                 "stall-req" => plan.stall_req = Some(parse_at(name, v)?),
                 "corrupt-map" => plan.corrupt_map = Some(parse_u64(name, v)?),
@@ -108,7 +103,9 @@ impl ChaosPlan {
     /// A pseudo-random plan derived deterministically from `seed`: the
     /// same seed always yields the same plan (the chaos soak's replay
     /// guarantee). Every seed injects at least one fault, and ordinals are
-    /// kept small so short request streams actually hit them.
+    /// kept small so short request streams actually hit them. Bit `0x04` of
+    /// a draw selects nothing, so every seed that never set it keeps the
+    /// plan earlier builds derived for it (`serve_chaos --seed K` replays).
     pub fn from_seed(seed: u64) -> ChaosPlan {
         let mut s = seed.wrapping_mul(0x2545_F491_4F6C_DD1D) ^ 0x5103_87D8_A380_17E5;
         let mut plan = ChaosPlan::default();
@@ -120,9 +117,6 @@ impl ChaosPlan {
             }
             if picks & 0x02 != 0 {
                 plan.delay_conn = Some((splitmix(&mut s) % 4, 5 + splitmix(&mut s) % 40));
-            }
-            if picks & 0x04 != 0 {
-                plan.kill_batch = Some(splitmix(&mut s) % 3);
             }
             if picks & 0x08 != 0 {
                 plan.wedge_batch = Some(2 + splitmix(&mut s) % 3);
@@ -137,14 +131,6 @@ impl ChaosPlan {
                 plan.truncate_map = Some(splitmix(&mut s) % 2);
             }
         }
-        // A plan that both kills and wedges the same attempt ordinal would
-        // be ambiguous; wedge wins at runtime, so keep them distinct for
-        // readability when both were drawn.
-        if let (Some(k), Some(w)) = (plan.kill_batch, plan.wedge_batch) {
-            if k == w {
-                plan.kill_batch = Some(k + 1);
-            }
-        }
         plan
     }
 }
@@ -156,7 +142,6 @@ impl std::fmt::Display for ChaosPlan {
             [
                 self.drop_conn.map(|n| format!("drop-conn={n}")),
                 self.delay_conn.map(|(n, ms)| format!("delay-conn={n}@{ms}")),
-                self.kill_batch.map(|n| format!("kill-batch={n}")),
                 self.wedge_batch.map(|n| format!("wedge-batch={n}")),
                 self.stall_req.map(|(n, ms)| format!("stall-req={n}@{ms}")),
                 self.corrupt_map.map(|n| format!("corrupt-map={n}")),
@@ -182,13 +167,13 @@ pub enum ConnFault {
 pub struct ChaosState {
     plan: ChaosPlan,
     conns: AtomicU64,
-    attempts: AtomicU64,
+    batches: AtomicU64,
 }
 
 impl ChaosState {
     /// Runtime state over `plan`.
     pub fn new(plan: ChaosPlan) -> Self {
-        ChaosState { plan, conns: AtomicU64::new(0), attempts: AtomicU64::new(0) }
+        ChaosState { plan, conns: AtomicU64::new(0), batches: AtomicU64::new(0) }
     }
 
     /// The underlying plan.
@@ -214,28 +199,12 @@ impl ChaosState {
         None
     }
 
-    /// Called once per batch execution *attempt* (retries count); returns
-    /// the injected failure, if any. A transient kill on attempt N leaves
-    /// attempt N+1 (the retry) healthy, which is exactly what makes the
-    /// bounded-retry path provable.
-    pub fn on_batch_attempt(&self) -> Option<crate::error::ServeError> {
-        if self.plan.kill_batch.is_none() && self.plan.wedge_batch.is_none() {
-            return None;
-        }
-        let ordinal = self.attempts.fetch_add(1, Ordering::Relaxed);
-        if self.plan.wedge_batch == Some(ordinal) {
-            return Some(crate::error::ServeError::Injected {
-                transient: false,
-                what: format!("wedge-batch={ordinal}"),
-            });
-        }
-        if self.plan.kill_batch == Some(ordinal) {
-            return Some(crate::error::ServeError::Injected {
-                transient: true,
-                what: format!("kill-batch={ordinal}"),
-            });
-        }
-        None
+    /// Called once per batch, just before it runs; returns the injected
+    /// failure, if any.
+    pub fn on_batch(&self) -> Option<ServeError> {
+        let wedge = self.plan.wedge_batch?;
+        let ordinal = self.batches.fetch_add(1, Ordering::Relaxed);
+        (ordinal == wedge).then(|| ServeError::Injected { what: format!("wedge-batch={ordinal}") })
     }
 
     /// The stall to apply to the batch containing admit-ordinal `req`.
@@ -284,7 +253,6 @@ impl ChaosState {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::error::ServeError;
 
     #[test]
     fn empty_plan_parses_and_is_empty() {
@@ -294,20 +262,19 @@ mod tests {
         assert_eq!(ChaosPlan::parse("none"), Ok(plan), "the printed empty plan parses back");
         let state = ChaosState::new(plan);
         assert_eq!(state.on_connection(), None);
-        assert!(state.on_batch_attempt().is_none());
+        assert!(state.on_batch().is_none());
         assert_eq!(state.request_stall(0), None);
     }
 
     #[test]
     fn directives_parse_into_the_right_fields() {
         let plan = ChaosPlan::parse(
-            "drop-conn=1, delay-conn=2@30, kill-batch=0, wedge-batch=3, stall-req=4@250, \
-             corrupt-map=0, truncate-map=1",
+            "drop-conn=1, delay-conn=2@30, wedge-batch=3, stall-req=4@250, corrupt-map=0, \
+             truncate-map=1",
         )
         .unwrap();
         assert_eq!(plan.drop_conn, Some(1));
         assert_eq!(plan.delay_conn, Some((2, 30)));
-        assert_eq!(plan.kill_batch, Some(0));
         assert_eq!(plan.wedge_batch, Some(3));
         assert_eq!(plan.stall_req, Some((4, 250)));
         assert_eq!(plan.corrupt_map, Some(0));
@@ -317,7 +284,7 @@ mod tests {
 
     #[test]
     fn display_round_trips_through_parse() {
-        for spec in ["kill-batch=2,corrupt-map=0", "drop-conn=0,stall-req=3@100", "wedge-batch=1"] {
+        for spec in ["corrupt-map=0", "drop-conn=0,stall-req=3@100", "wedge-batch=1"] {
             let plan = ChaosPlan::parse(spec).unwrap();
             assert_eq!(ChaosPlan::parse(&plan.to_string()).unwrap(), plan, "{spec}");
         }
@@ -329,8 +296,9 @@ mod tests {
             "drop-conn=x",
             "stall-req=5",
             "warp-core-breach",
-            "kill-batch",
-            "kill-batch=0,kill-batch=3",
+            "wedge-batch",
+            "wedge-batch=0,wedge-batch=3",
+            "kill-batch=0",
         ] {
             let err = ChaosPlan::parse(bad).unwrap_err();
             assert!(!err.is_empty(), "no message for '{bad}'");
@@ -347,9 +315,6 @@ mod tests {
             // Seeded plans must survive their own grammar (the CLI replay
             // path goes through Display + parse).
             assert_eq!(ChaosPlan::parse(&a.to_string()).unwrap(), a, "seed {seed}");
-            if let (Some(k), Some(w)) = (a.kill_batch, a.wedge_batch) {
-                assert_ne!(k, w, "seed {seed}: kill and wedge on the same attempt");
-            }
         }
         let distinct: std::collections::BTreeSet<String> =
             (0..64u64).map(|s| ChaosPlan::from_seed(s).to_string()).collect();
@@ -360,12 +325,12 @@ mod tests {
         let want = [
             "drop-conn=3,delay-conn=1@32,corrupt-map=0",
             "wedge-batch=3,truncate-map=0",
-            "kill-batch=2,wedge-batch=3,truncate-map=1",
-            "drop-conn=2,kill-batch=1",
-            "kill-batch=1,wedge-batch=3,stall-req=1@32,corrupt-map=0",
+            "wedge-batch=4,truncate-map=0",
+            "drop-conn=2",
+            "wedge-batch=3,stall-req=1@59,corrupt-map=0",
             "delay-conn=3@13,truncate-map=0",
             "drop-conn=0,stall-req=1@51,corrupt-map=0,truncate-map=1",
-            "kill-batch=2,stall-req=0@18",
+            "stall-req=2@46",
         ];
         assert_eq!(plans, want);
     }
@@ -384,14 +349,13 @@ mod tests {
     }
 
     #[test]
-    fn batch_faults_classify_transient_vs_wedge() {
-        let state = ChaosState::new(ChaosPlan::parse("kill-batch=0,wedge-batch=1").unwrap());
-        let kill = state.on_batch_attempt().unwrap();
-        assert!(kill.retryable(), "{kill}");
-        assert!(matches!(kill, ServeError::Injected { transient: true, .. }));
-        let wedge = state.on_batch_attempt().unwrap();
-        assert!(!wedge.retryable(), "{wedge}");
-        assert!(state.on_batch_attempt().is_none(), "attempt 2 healthy");
+    fn the_batch_fault_hits_its_ordinal_only() {
+        let state = ChaosState::new(ChaosPlan::parse("wedge-batch=1").unwrap());
+        assert!(state.on_batch().is_none(), "batch 0 runs clean");
+        let wedge = state.on_batch().unwrap();
+        assert_eq!(wedge, ServeError::Injected { what: "wedge-batch=1".into() });
+        assert_eq!(wedge.code(), "internal");
+        assert!(state.on_batch().is_none(), "batch 2 runs clean");
     }
 
     #[test]

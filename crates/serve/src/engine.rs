@@ -7,8 +7,8 @@
 //! drive it directly, the TCP [`crate::server`] drives it through
 //! [`crate::service::Service`]. It also owns the robustness state the
 //! service layer hangs off: the [`ChaosState`] runtime of the configured
-//! fault plan, the write-ahead [`AckJournal`], and the shed / retry /
-//! deadline counters the `stat` verb and the manifest expose.
+//! fault plan, the write-ahead [`AckJournal`], and the shed and deadline
+//! counters the `stat` verb and the manifest expose.
 //!
 //! The telemetry series live in memory. The timeline artifact is
 //! rewritten whole only on a clock, at the first answered batch and then
@@ -69,16 +69,6 @@ pub struct ServeConfig {
     /// queue: there is nothing to fuse with, so waiting the full window
     /// only adds latency.
     pub gather_idle: Duration,
-    /// Base backoff before the first retry; doubled per further attempt
-    /// and jittered deterministically from the matrix key.
-    pub retry_backoff: Duration,
-    /// Compact the acknowledgment journal automatically every this many
-    /// acknowledged (journaled) batches, retaining the newest
-    /// `compact_every` batches, so the journal stays bounded at roughly
-    /// twice this many batch lines. `0` disables auto-compaction (the
-    /// `compact` verb remains available). The pass is the same
-    /// [`AckJournal::compact`] the manual verb uses.
-    pub compact_every: u64,
     /// The service-layer fault plan (empty outside chaos testing).
     pub chaos: ChaosPlan,
 }
@@ -93,8 +83,6 @@ impl ServeConfig {
             shed_mark: 64,
             gather_window: Duration::from_millis(2),
             gather_idle: Duration::from_micros(100),
-            retry_backoff: Duration::from_millis(10),
-            compact_every: 0,
             chaos: ChaosPlan::default(),
         }
     }
@@ -134,8 +122,6 @@ pub struct EngineStats {
     pub shed: u64,
     /// Requests cancelled because their deadline elapsed.
     pub deadline_miss: u64,
-    /// Batch execution retries after transient failures.
-    pub retries: u64,
     /// Acknowledgments journaled by this engine instance.
     pub acked: u64,
     /// Highest admission-queue depth observed (the high-water mark).
@@ -160,7 +146,6 @@ struct Telemetry {
     cycles_per_request: Series,
     queue_depth: Series,
     shed: Series,
-    retries: Series,
     deadline_miss: Series,
     queue_age_us: Series,
 }
@@ -176,7 +161,6 @@ impl Telemetry {
             cycles_per_request: series(),
             queue_depth: series(),
             shed: series(),
-            retries: series(),
             deadline_miss: series(),
             queue_age_us: series(),
         }
@@ -210,9 +194,7 @@ pub struct ServeEngine {
     fused_max: AtomicU64,
     shed: AtomicU64,
     deadline_miss: AtomicU64,
-    retries: AtomicU64,
     queue_hwm: AtomicU64,
-    acked_batches: AtomicU64,
     telemetry: Mutex<Telemetry>,
 }
 
@@ -239,9 +221,7 @@ impl ServeEngine {
             fused_max: AtomicU64::new(0),
             shed: AtomicU64::new(0),
             deadline_miss: AtomicU64::new(0),
-            retries: AtomicU64::new(0),
             queue_hwm: AtomicU64::new(0),
-            acked_batches: AtomicU64::new(0),
             telemetry: Mutex::new(Telemetry::new()),
         }
     }
@@ -381,27 +361,6 @@ impl ServeEngine {
         }
     }
 
-    /// Notes one acknowledged (journaled) batch and, when the configured
-    /// `compact_every` interval elapses, compacts the journal to the
-    /// newest `compact_every` batches. Compaction failure is logged, never
-    /// fatal — the journal simply stays longer.
-    pub fn note_acked_batch(&self) {
-        let every = self.cfg.compact_every;
-        let n = self.acked_batches.fetch_add(1, Ordering::Relaxed) + 1;
-        if every > 0 && n.is_multiple_of(every) {
-            match self.journal.compact(every as usize) {
-                Ok(stats) if stats.dropped_batches > 0 => {
-                    eprintln!(
-                        "serve: auto-compacted journal: dropped {} batch(es) / {} record(s), {} retained",
-                        stats.dropped_batches, stats.dropped_records, stats.retained_batches
-                    );
-                }
-                Ok(_) => {}
-                Err(e) => eprintln!("serve: auto-compaction failed: {e}"),
-            }
-        }
-    }
-
     /// Records one shed (admission rejection) at `depth`.
     pub fn note_shed(&self, depth: usize) {
         let at = self.shed.fetch_add(1, Ordering::Relaxed);
@@ -412,12 +371,6 @@ impl ServeEngine {
     pub fn note_deadline_miss(&self, waited_ms: u64) {
         let at = self.deadline_miss.fetch_add(1, Ordering::Relaxed);
         lock(&self.telemetry).deadline_miss.record(at, waited_ms as f64);
-    }
-
-    /// Records one batch retry at backoff attempt `attempt`.
-    pub fn note_retry(&self, attempt: u32) {
-        let at = self.retries.fetch_add(1, Ordering::Relaxed);
-        lock(&self.telemetry).retries.record(at, f64::from(attempt));
     }
 
     /// Folds an observed admission-queue depth into the high-water mark.
@@ -434,7 +387,6 @@ impl ServeEngine {
             fused_max: self.fused_max.load(Ordering::Relaxed),
             shed: self.shed.load(Ordering::Relaxed),
             deadline_miss: self.deadline_miss.load(Ordering::Relaxed),
-            retries: self.retries.load(Ordering::Relaxed),
             acked: self.journal.acked(),
             queue_hwm: self.queue_hwm.load(Ordering::Relaxed),
             mappings: self.store.stats(),
@@ -453,7 +405,6 @@ impl ServeEngine {
                 (MetricKey::global(Metric::ServeCyclesPerRequest), t.cycles_per_request.clone()),
                 (MetricKey::global(Metric::ServeQueueDepth), t.queue_depth.clone()),
                 (MetricKey::global(Metric::ServeShed), t.shed.clone()),
-                (MetricKey::global(Metric::ServeRetries), t.retries.clone()),
                 (MetricKey::global(Metric::ServeDeadlineMiss), t.deadline_miss.clone()),
                 (MetricKey::global(Metric::ServeQueueAgeUs), t.queue_age_us.clone()),
             ],
@@ -473,7 +424,6 @@ impl ServeEngine {
             ("fused_max", Json::U64(s.fused_max)),
             ("shed", Json::U64(s.shed)),
             ("deadline_miss", Json::U64(s.deadline_miss)),
-            ("retries", Json::U64(s.retries)),
             ("acked", Json::U64(s.acked)),
             ("queue_hwm", Json::U64(s.queue_hwm)),
             (
@@ -786,7 +736,6 @@ mod tests {
         engine.run_batch(info.key, &xs).unwrap();
         engine.note_requests(&[12, 3], 1000, 0);
         engine.note_shed(7);
-        engine.note_retry(1);
         engine.note_deadline_miss(250);
         engine.note_depth(5);
         let path = engine.write_manifest().unwrap();
@@ -794,7 +743,7 @@ mod tests {
         assert_eq!(v.get("requests").unwrap().as_u64(), Some(2));
         assert_eq!(v.get("batches").unwrap().as_u64(), Some(1));
         assert_eq!(v.get("shed").unwrap().as_u64(), Some(1));
-        assert_eq!(v.get("retries").unwrap().as_u64(), Some(1));
+        assert!(v.get("retries").is_none(), "the manifest has no retry counter");
         assert_eq!(v.get("deadline_miss").unwrap().as_u64(), Some(1));
         assert_eq!(v.get("queue_hwm").unwrap().as_u64(), Some(5));
         let maps = v.get("mappings").unwrap();
@@ -804,11 +753,10 @@ mod tests {
         assert_eq!(sims.get("run").unwrap().as_u64(), Some(1));
         assert_eq!(sims.get("reused").unwrap().as_u64(), Some(0));
         let tl = engine.timeline();
-        assert_eq!(tl.series.len(), 8);
+        assert_eq!(tl.series.len(), 7);
         let count = |metric| tl.series(&MetricKey::global(metric)).map_or(0, Series::total_count);
         assert_eq!(count(Metric::ServeQueueWaitUs), 2);
         assert_eq!(count(Metric::ServeShed), 1);
-        assert_eq!(count(Metric::ServeRetries), 1);
         assert_eq!(count(Metric::ServeDeadlineMiss), 1);
         assert_eq!(count(Metric::ServeQueueAgeUs), 1);
         engine.write_timeline().unwrap();

@@ -6,6 +6,11 @@
 //! (`serve_chaos`) enforces the lifecycle contract on top of these codes:
 //! a request is either acknowledged with a bitwise-correct result or
 //! rejected with an explicit coded error — never silently dropped.
+//!
+//! A batch runs once, as the sweep harness runs each job once: every error
+//! a pass can return follows from its inputs (the matrix key, the vectors,
+//! the machine) and would recur on the same inputs, so each member of a
+//! failed batch is answered with the error of that one pass.
 
 use spacea_arch::SimError;
 use std::fmt;
@@ -33,13 +38,12 @@ pub enum ServeError {
     },
     /// The service has been stopped (daemon shutting down).
     Stopped,
-    /// The simulator failed; hang-class errors arrive here without retry,
-    /// transient ones only after the retry budget is exhausted.
+    /// The simulator refused or failed the pass: a preflight error (code
+    /// `bad-request`), or a validation, invariant or hang failure (code
+    /// `internal`).
     Sim(SimError),
     /// A chaos-plan fault injected at the service layer (testing only).
     Injected {
-        /// Transient faults are retried by the batch worker; wedges are not.
-        transient: bool,
         /// Which directive fired.
         what: String,
     },
@@ -70,18 +74,6 @@ impl ServeError {
             ServeError::Lost => "internal",
         }
     }
-
-    /// True when a bounded retry may succeed: transient injected faults
-    /// and non-hang simulator errors. Hang-class failures (deadlock,
-    /// livelock) are deterministic — retrying one stalls the same way
-    /// again — so they are never retried.
-    pub fn retryable(&self) -> bool {
-        match self {
-            ServeError::Injected { transient, .. } => *transient,
-            ServeError::Sim(e) => !e.is_hang(),
-            _ => false,
-        }
-    }
 }
 
 impl fmt::Display for ServeError {
@@ -97,10 +89,7 @@ impl fmt::Display for ServeError {
             }
             ServeError::Stopped => write!(f, "service is stopped"),
             ServeError::Sim(e) => write!(f, "simulation failed: {e}"),
-            ServeError::Injected { transient, what } => {
-                let kind = if *transient { "transient" } else { "wedge" };
-                write!(f, "chaos-injected {kind} fault: {what}")
-            }
+            ServeError::Injected { what } => write!(f, "chaos-injected wedge fault: {what}"),
             ServeError::Lost => write!(f, "request lost (the pass answering it panicked)"),
         }
     }
@@ -134,35 +123,10 @@ mod tests {
     }
 
     #[test]
-    fn only_transient_failures_are_retryable() {
-        assert!(ServeError::Injected { transient: true, what: "kill".into() }.retryable());
-        assert!(!ServeError::Injected { transient: false, what: "wedge".into() }.retryable());
-        assert!(ServeError::Sim(SimError::CounterInvariant("x".into())).retryable());
-        assert!(!ServeError::Overloaded { depth: 1 }.retryable());
-        assert!(!ServeError::DeadlineExceeded { waited_ms: 1 }.retryable());
-        assert!(!ServeError::Stopped.retryable());
-    }
-
-    #[test]
-    fn hang_class_is_never_retryable() {
-        use spacea_arch::StallDiagnosis;
-        let d = StallDiagnosis {
-            cycle: 1,
-            entries_left: 1,
-            y_left: 0,
-            pending_events: 0,
-            suspect_vault: None,
-            history: vec![],
-        };
-        assert!(!ServeError::Sim(SimError::Deadlock(d.clone())).retryable());
-        assert!(!ServeError::Sim(SimError::NoProgress(d)).retryable());
-    }
-
-    #[test]
     fn display_names_the_cause() {
         let e = ServeError::Overloaded { depth: 64 };
         assert!(e.to_string().contains("64"), "{e}");
-        let e = ServeError::Injected { transient: true, what: "kill-batch=2".into() };
-        assert!(e.to_string().contains("kill-batch=2"), "{e}");
+        let e = ServeError::Injected { what: "wedge-batch=2".into() };
+        assert_eq!(e.to_string(), "chaos-injected wedge fault: wedge-batch=2");
     }
 }

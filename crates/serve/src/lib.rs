@@ -39,7 +39,7 @@
 //!   one write, so a round trip never waits on a delayed ACK.
 //!
 //! Per-request telemetry — queue wait, fused batch width, cycles per
-//! request, queue depth, plus the shed/retry/deadline fault counters — is
+//! request, queue depth, plus the shed and deadline fault counters — is
 //! recorded under `spacea_obs::Metric` gauge keys and exported as a
 //! Chrome-trace timeline at the first answered batch, then at most once a
 //! second ([`engine::FLUSH_INTERVAL`]), and on shutdown. The `stat`
@@ -53,12 +53,12 @@
 //!
 //! The service layer carries the PR 3 fault-injection philosophy up from
 //! the simulator: [`chaos::ChaosPlan`] is a deterministic, seed-replayable
-//! fault plan (dropped/delayed connections, killed or wedged batches,
-//! stalled requests, corrupted mapping artifacts) injected via
-//! `serve start --chaos`, and the request-lifecycle guarantees in
-//! [`service::Service`] — explicit [`error::ServeError`] codes for
-//! overload and deadline rejection, bounded jittered retry of transient
-//! faults, and the write-ahead [`journal::AckJournal`], one appended line
+//! fault plan (dropped/delayed connections, wedged batches, stalled
+//! requests, corrupted mapping artifacts) injected via `serve start
+//! --chaos`, and the request-lifecycle guarantees in [`service::Service`]
+//! — explicit [`error::ServeError`] codes for overload, deadline rejection
+//! and a failed pass (each batch runs once, as the sweep harness runs each
+//! job once), and the write-ahead [`journal::AckJournal`], one appended line
 //! per acknowledged batch in `<cache-dir>/journal/acks.jsonl`, each record
 //! naming its vectors by [`journal::vec_hash`] — are what
 //! make every fault survivable. The `serve_chaos` bench bin soaks seeded
@@ -89,10 +89,10 @@ pub use service::{Service, SubmitReply};
 /// The splitmix64 increment, 2⁶⁴ divided by the golden ratio.
 pub(crate) const GOLDEN_GAMMA: u64 = 0x9E37_79B9_7F4A_7C15;
 
-/// splitmix64's output mixer. Request vectors, backoff jitter and seeded
-/// chaos plans all derive from it, and each is a replay contract: clients
-/// and daemons derive vectors independently, a batch retries on the same
-/// schedule in every process, and `serve_chaos --seed K` re-runs K's plan.
+/// splitmix64's output mixer. Request vectors and seeded chaos plans both
+/// derive from it, and each is a replay contract: clients and daemons
+/// derive vectors independently, and `serve_chaos --seed K` re-runs K's
+/// plan.
 pub(crate) fn splitmix64(mut z: u64) -> u64 {
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
     z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);

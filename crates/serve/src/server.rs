@@ -224,7 +224,6 @@ fn dispatch(req: Request, service: &Service, stop: &AtomicBool) -> Json {
                 ("fused_max", Json::U64(s.fused_max)),
                 ("shed", Json::U64(s.shed)),
                 ("deadline_miss", Json::U64(s.deadline_miss)),
-                ("retries", Json::U64(s.retries)),
                 ("acked", Json::U64(s.acked)),
                 ("queue_depth", Json::U64(service.depth() as u64)),
                 ("queue_hwm", Json::U64(s.queue_hwm)),

@@ -39,9 +39,9 @@
 //! 2. **Rejected with a coded error** — [`ServeError::Overloaded`] at
 //!    admission when the queue depth crosses the shed mark,
 //!    [`ServeError::DeadlineExceeded`] when the per-request deadline
-//!    elapses first, or a simulator/injection error after the bounded
-//!    retry budget (transient faults retried with splitmix-jittered
-//!    exponential backoff; hang-class never retried).
+//!    elapses first, or the simulator or injection error of its batch's
+//!    one pass. A batch runs once, as the sweep harness runs each job
+//!    once: every error a pass returns follows from its inputs.
 //! 3. **[`ServeError::Lost`]** — the pass answering it panicked. This
 //!    code existing is what makes "silently lost" impossible: a request
 //!    that cannot be answered still gets a reply naming that fact.
@@ -53,7 +53,7 @@
 use crate::engine::ServeEngine;
 use crate::error::ServeError;
 use crate::journal::{vec_hash, AckRecord};
-use crate::{lock, splitmix64, GOLDEN_GAMMA};
+use crate::lock;
 use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -67,10 +67,6 @@ use std::time::{Duration, Instant};
 /// a wire `Submit` with no `deadline_ms`): a request not answered within it
 /// is cancelled with an explicit `deadline-exceeded` error.
 pub const DEFAULT_DEADLINE: Duration = Duration::from_secs(30);
-
-/// Retries of a batch after a transient failure (hang-class failures are
-/// never retried).
-const MAX_RETRIES: u32 = 2;
 
 /// Largest number of requests fused into one SpMM pass.
 pub const MAX_BATCH: usize = 16;
@@ -377,8 +373,9 @@ fn cancel(engine: &ServeEngine, p: Pending) {
     p.answer(Err(ServeError::DeadlineExceeded { waited_ms }));
 }
 
-/// Executes one fused batch — through the chaos hooks and the bounded
-/// retry policy — journals the acknowledgments, and distributes replies.
+/// Executes one fused batch in one pass (unless the chaos plan fails it
+/// first), journals the acknowledgments of a pass that succeeded, and
+/// answers every member with that one outcome.
 fn execute_batch(
     engine: &ServeEngine,
     Batch { matrix: key, members: mut batch, queued_behind }: Batch,
@@ -402,30 +399,13 @@ fn execute_batch(
     }
     let k = batch.len();
     let xs: Vec<Vec<f64>> = batch.iter_mut().map(|p| std::mem::take(&mut p.x)).collect();
-    let cfg = engine.config();
     // Execution starts here, so every member's queue wait ends now: it
-    // holds no pass, retry sleep or journal append.
+    // holds no pass or journal append.
     let started = Instant::now();
     let waited_us = |p: &Pending| started.duration_since(p.enqueued).as_micros() as u64;
-    let mut attempt: u32 = 0;
-    let outcome = loop {
-        let result = match engine.chaos().on_batch_attempt() {
-            Some(injected) => Err(injected),
-            None => engine.run_batch(key, &xs),
-        };
-        match result {
-            Ok(rep) => break Ok(rep),
-            // Transient failures get a bounded, deterministically-jittered
-            // exponential backoff; hang-class failures are never retryable
-            // (ServeError::retryable), so they fall straight through.
-            Err(e) if e.retryable() && attempt < MAX_RETRIES => {
-                attempt += 1;
-                engine.note_retry(attempt);
-                let base = cfg.retry_backoff.saturating_mul(1u32 << (attempt - 1).min(16));
-                std::thread::sleep(base.mul_f64(jitter_factor(key, attempt)));
-            }
-            Err(e) => break Err(e),
-        }
+    let outcome = match engine.chaos().on_batch() {
+        Some(injected) => Err(injected),
+        None => engine.run_batch(key, &xs),
     };
     match outcome {
         Ok(rep) => {
@@ -450,8 +430,6 @@ fn execute_batch(
                 // submitter is acknowledged rather than failed over
                 // bookkeeping.
                 eprintln!("serve: acknowledgment journal append failed: {e}");
-            } else {
-                engine.note_acked_batch();
             }
             let waits: Vec<u64> = batch.iter().map(waited_us).collect();
             for ((p, y), &queue_wait_us) in batch.into_iter().zip(rep.outputs).zip(&waits) {
@@ -466,17 +444,6 @@ fn execute_batch(
             }
         }
     }
-}
-
-/// Deterministic backoff jitter in `[0.5, 1.5)`, derived from the matrix
-/// key and the attempt number (splitmix64-style bit mixing — no wall-clock
-/// randomness, so a given batch retries on the same schedule in every
-/// process). Batches of different matrices that fail together back off on
-/// different phases instead of retrying in lockstep.
-fn jitter_factor(key: u64, attempt: u32) -> f64 {
-    let z = splitmix64(key ^ u64::from(attempt).wrapping_mul(GOLDEN_GAMMA));
-    // Top 53 bits give a uniform f64 in [0, 1).
-    0.5 + (z >> 11) as f64 / (1u64 << 53) as f64
 }
 
 #[cfg(test)]
@@ -554,6 +521,9 @@ mod tests {
         let service = Service::over(Arc::clone(&engine));
         let e = service.submit(42, vec![1.0]).unwrap_err();
         assert_eq!(e.code(), "unknown-matrix");
+        let info = engine.register_suite(1, 256).unwrap();
+        let e = service.submit(info.key, vec![1.0; info.cols + 1]).unwrap_err();
+        assert_eq!(e.code(), "bad-request", "wrong length: {e}");
         service.stop();
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -618,33 +588,7 @@ mod tests {
     }
 
     #[test]
-    fn transient_batch_kill_is_retried_and_still_bitwise_correct() {
-        let dir = tmp_dir("retry");
-        let _ = std::fs::remove_dir_all(&dir);
-        // The retry sleeps at least half the 400 ms backoff, after the
-        // request's queue wait has ended.
-        let cfg = ServeConfig {
-            chaos: ChaosPlan::parse("kill-batch=0").unwrap(),
-            retry_backoff: Duration::from_millis(400),
-            ..ServeConfig::quick(&dir)
-        };
-        let engine = Arc::new(ServeEngine::new(cfg));
-        let info = engine.register_suite(1, 256).unwrap();
-        let service = Service::over(Arc::clone(&engine));
-        let x = seeded_vector(info.cols, 7);
-        let reply = service.submit(info.key, x.clone()).unwrap();
-        let expect = engine.matrix(info.key).unwrap().spmv(&x);
-        assert_eq!(reply.y, expect, "the retried batch answers bitwise correctly");
-        assert!(reply.queue_wait_us < 200_000, "queue wait {} µs", reply.queue_wait_us);
-        service.stop();
-        let s = engine.stats();
-        assert_eq!(s.retries, 1, "{s:?}");
-        assert_eq!(AckJournal::load(engine.journal().dir()).records.len(), 1);
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn wedge_class_faults_are_never_retried() {
+    fn an_injected_batch_fault_fails_its_members_once() {
         let dir = tmp_dir("wedge");
         let _ = std::fs::remove_dir_all(&dir);
         let cfg = ServeConfig {
@@ -655,14 +599,47 @@ mod tests {
         let info = engine.register_suite(1, 256).unwrap();
         let service = Service::over(Arc::clone(&engine));
         let e = service.submit(info.key, seeded_vector(info.cols, 0)).unwrap_err();
-        assert!(matches!(e, ServeError::Injected { transient: false, .. }), "{e}");
+        assert!(matches!(e, ServeError::Injected { .. }), "{e}");
+        assert_eq!(e.code(), "internal");
+        // The fault hits batch 0 only: the next batch runs clean.
+        let x = seeded_vector(info.cols, 7);
+        let reply = service.submit(info.key, x.clone()).unwrap();
+        let got: Vec<u64> = reply.y.iter().map(|v| v.to_bits()).collect();
+        let want: Vec<u64> =
+            engine.matrix(info.key).unwrap().spmv(&x).iter().map(|v| v.to_bits()).collect();
+        assert_eq!(got, want, "the batch after the fault answers bitwise correctly");
         service.stop();
         let s = engine.stats();
-        assert_eq!(s.retries, 0, "wedges must not burn the retry budget");
-        assert!(
-            AckJournal::load(engine.journal().dir()).records.is_empty(),
+        assert_eq!((s.batches, s.simulations.run), (1, 1), "{s:?}");
+        assert_eq!(
+            AckJournal::load(engine.journal().dir()).records.len(),
+            1,
             "a failed batch must never be journaled as acknowledged"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn a_failing_pass_is_answered_after_one_run() {
+        let dir = tmp_dir("fail-once");
+        let _ = std::fs::remove_dir_all(&dir);
+        // Every pass fails its oracle check. Each submit is answered after
+        // its batch's one simulation, and nothing is journaled.
+        let mut cfg = ServeConfig::quick(&dir);
+        cfg.hw.faults.flip_accum_update = Some(0);
+        let engine = Arc::new(ServeEngine::new(cfg));
+        let info = engine.register_suite(1, 256).unwrap();
+        let service = Service::over(Arc::clone(&engine));
+        for (seed, runs) in [(0, 1), (1, 2)] {
+            let e = service.submit(info.key, seeded_vector(info.cols, seed)).unwrap_err();
+            assert!(
+                matches!(e, ServeError::Sim(spacea_arch::SimError::ValidationFailed { .. })),
+                "submit {seed}: {e}"
+            );
+            assert_eq!(engine.stats().simulations.run, runs, "submit {seed}");
+        }
+        service.stop();
+        assert!(AckJournal::load(engine.journal().dir()).records.is_empty());
         let _ = std::fs::remove_dir_all(&dir);
     }
 
@@ -775,29 +752,5 @@ mod tests {
         service.stop();
         assert_eq!(AckJournal::load(engine.journal().dir()).records.len(), 5);
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn jitter_is_deterministic_bounded_and_spread() {
-        for key in [0u64, 1, 0xdead_beef, u64::MAX] {
-            for attempt in 1..=5u32 {
-                let a = jitter_factor(key, attempt);
-                let b = jitter_factor(key, attempt);
-                assert_eq!(a, b, "same (key, attempt) must jitter identically");
-                assert!((0.5..1.5).contains(&a), "factor {a} out of range");
-            }
-        }
-        // Distinct keys and distinct attempts should not all collapse onto
-        // one factor — that would defeat the point of jitter.
-        let across_keys: Vec<f64> = (0..8).map(|k| jitter_factor(k, 1)).collect();
-        assert!(across_keys.windows(2).any(|w| w[0] != w[1]));
-        let across_attempts: Vec<f64> = (1..=8).map(|a| jitter_factor(42, a)).collect();
-        assert!(across_attempts.windows(2).any(|w| w[0] != w[1]));
-        // A batch retries on the same schedule in every build.
-        let bits: Vec<u64> = (1..=3).map(|a| jitter_factor(0xDEAD_BEEF, a).to_bits()).collect();
-        assert_eq!(
-            bits,
-            [4_604_826_351_339_337_158, 4_607_501_203_896_368_068, 4_609_267_137_416_669_909]
-        );
     }
 }

@@ -45,13 +45,12 @@ fn fault_plan() -> impl Strategy<Value = FaultPlan> {
 
 fn chaos_plan() -> impl Strategy<Value = ChaosPlan> {
     (
-        (opt(ordinal()), opt((ordinal(), ordinal())), opt(ordinal()), opt(ordinal())),
+        (opt(ordinal()), opt((ordinal(), ordinal())), opt(ordinal())),
         (opt((ordinal(), ordinal())), opt(ordinal()), opt(ordinal())),
     )
-        .prop_map(|((drop, delay, kill, wedge), (stall, corrupt, truncate))| ChaosPlan {
+        .prop_map(|((drop, delay, wedge), (stall, corrupt, truncate))| ChaosPlan {
             drop_conn: drop,
             delay_conn: delay,
-            kill_batch: kill,
             wedge_batch: wedge,
             stall_req: stall,
             corrupt_map: corrupt,
@@ -69,7 +68,6 @@ const TOKENS: &[&str] = &[
     "panic",
     "drop-conn",
     "delay-conn",
-    "kill-batch",
     "wedge-batch",
     "stall-req",
     "corrupt-map",

@@ -3,11 +3,8 @@
 //! bitwise, and a restarted daemon performs zero Phase I/II mapping
 //! computations for previously registered matrices.
 
-use spacea_serve::{
-    run_daemon, seeded_vector, AckJournal, Client, ServeConfig, ServeEngine, Service, PORT_FILE,
-};
+use spacea_serve::{run_daemon, seeded_vector, AckJournal, Client, ServeConfig, PORT_FILE};
 use std::path::{Path, PathBuf};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 fn tmp_dir(tag: &str) -> PathBuf {
@@ -87,47 +84,6 @@ fn mtx_registration_and_journal_compaction_over_the_wire() {
 
     client.shutdown().unwrap();
     daemon.join().unwrap();
-    assert_eq!(journal_files(&dir), vec![AckJournal::FILE], "one journal file per life");
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-#[test]
-fn auto_compaction_bounds_the_journal_and_its_dropped_count_survives_restart() {
-    let dir = tmp_dir("autocompact");
-    let _ = std::fs::remove_dir_all(&dir);
-
-    // --- First life: compact every 2 acknowledged batches. ---
-    let cfg = ServeConfig { compact_every: 2, ..ServeConfig::quick(&dir) };
-    let engine = Arc::new(ServeEngine::new(cfg));
-    let info = engine.register_suite(1, 256).unwrap();
-    let service = Service::over(Arc::clone(&engine));
-    // Sequential submits: each is its own single-request batch, so each
-    // acknowledgment is one batch line. Five batches trigger the
-    // auto-compaction pass twice (after batch 2: nothing beyond the
-    // 2-batch budget yet; after batch 4: batches 1-2 dropped).
-    for seed in 0..5u64 {
-        service.submit(info.key, seeded_vector(info.cols, seed)).unwrap();
-    }
-    service.stop();
-    let load = AckJournal::load(&dir.join(AckJournal::DIR));
-    assert_eq!((load.records.len(), load.batches), (3, 3), "budget 2 + the post-compaction batch");
-    assert_eq!(load.dropped, 2, "the compaction line carries the auto-dropped records");
-    assert_eq!(load.corrupt_lines, 0);
-    drop(engine);
-    assert_eq!(journal_files(&dir), vec![AckJournal::FILE], "one journal file per life");
-
-    // --- Restarted engine over the same cache dir: the dropped count
-    // holds and new acknowledgments append after the kept ones. ---
-    let cfg = ServeConfig { compact_every: 2, ..ServeConfig::quick(&dir) };
-    let engine = Arc::new(ServeEngine::new(cfg));
-    let info = engine.register_suite(1, 256).unwrap();
-    let service = Service::over(Arc::clone(&engine));
-    service.submit(info.key, seeded_vector(info.cols, 9)).unwrap();
-    service.stop();
-    let load = AckJournal::load(&dir.join(AckJournal::DIR));
-    assert_eq!(load.dropped, 2, "restart must not lose the dropped count");
-    assert_eq!(load.records.len(), 4, "the new acknowledgment lands after the kept ones");
-    assert_eq!(load.corrupt_lines, 0);
     assert_eq!(journal_files(&dir), vec![AckJournal::FILE], "one journal file per life");
     let _ = std::fs::remove_dir_all(&dir);
 }
