@@ -168,6 +168,13 @@ if ! grep -qF '"healed":2' "$SWEEP_CACHE/last-run.json"; then
   echo "ci.sh: the heal run did not count the 2 healed mapping artifacts" >&2
   exit 1
 fi
+# corrupt_paths names both healed artifacts beside the 2 corrupt entries.
+LISTED_MAPS=$(grep -oE '"corrupt_paths":\[[^]]*\]' "$SWEEP_CACHE/last-run.json" \
+  | grep -oE '/mappings/[0-9a-f]{16}\.json"' | sort -u | wc -l)
+if [ "$LISTED_MAPS" -ne 2 ]; then
+  echo "ci.sh: corrupt_paths names $LISTED_MAPS healed mapping artifacts, not 2" >&2
+  exit 1
+fi
 if [ -e "$SWEEP_CACHE/quarantine" ]; then
   echo "ci.sh: a corrupt cache entry was moved aside instead of healed in place" >&2
   exit 1
@@ -362,16 +369,16 @@ cargo run --release -p spacea-bench --bin serve -- stat --cache-dir "$MEMO_CACHE
   > target/serve-memo-stat.json
 cargo run --release -p spacea-bench --bin serve -- shutdown --cache-dir "$MEMO_CACHE"
 wait $SERVE_PID
-grep -qF '"simulations_run":1' target/serve-memo-stat.json
-grep -qF '"simulations_reused":1' target/serve-memo-stat.json
+grep -qF '"simulations":{"run":1,"reused":1}' target/serve-memo-stat.json
 grep -qF '"requests":2' "$MEMO_CACHE/serve-manifest.json"
 grep -qF '"simulations":{"run":1,"reused":1}' "$MEMO_CACHE/serve-manifest.json"
 
 # Chaos soak: 8 seeded service-layer fault plans against live daemons. The
 # invariant is absolute — every acknowledged response bitwise-matches the
 # offline SpMV and is journaled, every rejection carries an explicit wire
-# code, and a restart over the (possibly corrupted) cache heals and replays
-# every journaled request correctly. --seed K re-runs a failing seed's plan.
+# code, and a restart over a cache whose two mapping artifacts the soak
+# damaged heals exactly those 2 and replays every journaled request
+# correctly. --seed K re-runs a failing seed.
 cargo run --release -p spacea-bench --bin serve_chaos -- --seeds 8
 
 # Service throughput ratchet: the deterministic cycles-per-batch snapshot

@@ -7,10 +7,12 @@
 //!   `target/spacea-cache`); `--quick` serves the tiny machine. It fuses up
 //!   to `spacea_serve::service::MAX_BATCH` (16) same-matrix requests into
 //!   one pass. The bound port is published to `<cache-dir>/serve.port`
-//!   once the listener is up. `--chaos` arms a deterministic service-layer
-//!   fault plan (see the `spacea_serve::chaos` grammar); `--chaos-seed`
-//!   derives one from a seed exactly as the `serve_chaos` soak does, for
-//!   replaying a failing seed.
+//!   once the listener is up. `--chaos` arms a deterministic fault plan in
+//!   the batch path, `wedge-batch=N` and `stall-req=N@MS` (see the
+//!   `spacea_serve::chaos` grammar); `--chaos-seed K` derives one from a
+//!   seed exactly as the `serve_chaos` soak does. That replays only the
+//!   in-daemon faults of seed K: `serve_chaos --seed K` is the full replay,
+//!   mapping-artifact damage between two daemon lives included.
 //! * `serve submit --matrix 1/256,2/256 --seeds 0,1,2 [--check]
 //!   [--deadline-ms N]` — one concurrent client thread per seed,
 //!   round-robined over the matrix list; `--check` recomputes each result
@@ -21,10 +23,11 @@
 //!   key the same way it does for suite matrices.
 //! * `serve compact [--retain N]` — drop journaled batches beyond the
 //!   newest N (default 8); the journal file is rewritten atomically.
-//! * `serve stat` — print the daemon's counters as JSON (including the
-//!   journal's `journal_records` / `journal_batches`, and
-//!   `simulations_run` / `simulations_reused`: passes simulated versus
-//!   answered from a stored run of the same matrix and batch width).
+//! * `serve stat` — print the daemon's counters as JSON: the fields of
+//!   `serve-manifest.json`, with `mappings` (`computed`, `disk_hits`,
+//!   `healed`) and `simulations` (`run`, `reused`: passes simulated versus
+//!   answered from a stored run of the same matrix and batch width) nested,
+//!   plus the live `queue_depth`, `journal_records` and `journal_batches`.
 //! * `serve shutdown` — stop the daemon (it flushes manifest + timeline).
 
 use spacea_bench::{ArgError, HarnessOptions};

@@ -3,10 +3,10 @@
 //!
 //! Each seed derives a deterministic [`ChaosPlan`] (exactly the one
 //! `serve start --chaos-seed N` arms), boots a real daemon over a fresh
-//! cache directory, and fires concurrent client traffic through whatever
-//! the plan does to it — dropped connections, delayed accepts, wedged
-//! batches, stalled requests. The soak then enforces the core
-//! serving invariant, which no chaos plan may ever break:
+//! cache directory with a shed mark of 4, and fires concurrent client
+//! traffic through whatever the plan does to it — wedged batches, stalled
+//! requests, shed admissions. The soak then enforces the core serving
+//! invariant, which no chaos plan may ever break:
 //!
 //! * every request the client saw **succeed** is bitwise equal to the
 //!   offline [`spacea_matrix::Csr::spmv`] reference AND present in the
@@ -15,23 +15,27 @@
 //!   prove an answer was given, never a wrong one;
 //! * every request that did **not** succeed carries an explicit coded
 //!   rejection (`overloaded`, `deadline-exceeded`, `internal`) — a
-//!   transport dead-end after retries means a request was silently lost
-//!   and fails the soak;
-//! * a **second life** of the daemon over the same cache directory —
-//!   with the plan's mapping-corruption faults biting at startup — heals
-//!   the damage and answers every journaled request correctly again;
+//!   transport failure means a request was silently lost and fails the
+//!   soak;
+//! * between the two lives the soak damages the mapping artifacts on disk,
+//!   as ci.sh does to a sweep cache: it overwrites the first in sorted
+//!   order with garbage and cuts the second to half its bytes. The
+//!   **second life**, with no plan armed, must report exactly those 2
+//!   artifacts healed and answer every journaled request correctly again;
 //! * in **both lives**, hostile request lines get their coded reply and a
-//!   clean close, and the next request is still acked bitwise;
+//!   clean close, a slow client's request split by a pause is answered,
+//!   and the next request is still acked bitwise;
 //! * after **each life**, the journal directory holds one file,
 //!   `acks.jsonl`.
 //!
 //! `serve_chaos --seeds 8` runs seeds 0..8 (the CI smoke);
-//! `serve_chaos --seed K` re-runs one seed. What repeats is the plan
-//! (`ChaosPlan::from_seed(K)`) and the invariants checked against it. The
-//! per-seed acked, rejected and journaled counts can differ from run to
-//! run: `drop-conn=N` closes the Nth *accepted* connection, and the soak's
-//! clients connect concurrently, so which request loses its connection
-//! depends on thread scheduling.
+//! `serve_chaos --seed K` re-runs one seed in full: its plan
+//! (`ChaosPlan::from_seed(K)`), the damage between the lives, and the
+//! invariants checked against both. `serve start --chaos-seed K` replays
+//! only the plan's in-daemon faults. The per-seed acked, rejected and
+//! journaled counts can differ from run to run: which of the concurrent
+//! requests find 4 others admitted and are shed depends on thread
+//! scheduling.
 
 use spacea_matrix::mmio::MAX_MTX_DIM;
 use spacea_matrix::Csr;
@@ -123,7 +127,7 @@ fn soak_seed(seed: u64, requests: usize, root: &Path) -> Result<String, String> 
     let dir = root.join(format!("seed-{seed}"));
     let _ = std::fs::remove_dir_all(&dir);
 
-    // ---- Life 1: the full plan against concurrent traffic. -------------
+    // ---- Life 1: the plan against concurrent traffic. ------------------
     let cfg = ServeConfig {
         chaos: plan,
         // Small enough that concurrent clients can actually cross it.
@@ -138,12 +142,11 @@ fn soak_seed(seed: u64, requests: usize, root: &Path) -> Result<String, String> 
         })
         .map_err(|e| format!("cannot spawn daemon thread: {e}"))?;
 
-    // Register through the chaos (a dropped admin connection is retried).
     let mut truth: BTreeMap<u64, Answer> = BTreeMap::new(); // keyed by x_hash
     let mut keys = Vec::new();
     let mut offline = Vec::new();
     for (id, scale) in MATRICES {
-        let reply = with_retry(&dir, |c| c.register(id, scale))
+        let reply = call(&dir, |c| c.register(id, scale))
             .map_err(|e| format!("register m{id}/{scale}: {e}"))?;
         let a = spacea_matrix::suite::entry_by_id(id)
             .ok_or_else(|| format!("suite id {id} vanished"))?
@@ -171,8 +174,7 @@ fn soak_seed(seed: u64, requests: usize, root: &Path) -> Result<String, String> 
                 let shot = shot.clone();
                 let dir = &dir;
                 scope.spawn(move || {
-                    let out =
-                        with_retry(dir, |c| c.submit_within(shot.matrix, shot.req_seed, 2_000));
+                    let out = call(dir, |c| c.submit_within(shot.matrix, shot.req_seed, 2_000));
                     (shot, out.map(|o| o.y))
                 })
             })
@@ -196,7 +198,7 @@ fn soak_seed(seed: u64, requests: usize, root: &Path) -> Result<String, String> 
 
     // The probes' submits are journaled like any other request.
     truth.extend(hostile_lines(&dir, keys[0].0, &offline[0])?);
-    with_retry(&dir, Client::shutdown).map_err(|e| format!("shutdown: {e}"))?;
+    call(&dir, Client::shutdown).map_err(|e| format!("shutdown: {e}"))?;
     join_daemon(daemon)?;
 
     // ---- Invariant check over life 1. ----------------------------------
@@ -265,30 +267,21 @@ fn soak_seed(seed: u64, requests: usize, root: &Path) -> Result<String, String> 
     }
     one_journal_file(&dir)?;
 
-    // ---- Life 2: restart; the plan's startup corruption bites. ---------
-    let life2 = ServeConfig {
-        chaos: ChaosPlan {
-            corrupt_map: plan.corrupt_map,
-            truncate_map: plan.truncate_map,
-            ..ChaosPlan::default()
-        },
-        ..ServeConfig::quick(&dir)
-    };
-    let corrupted = life2.chaos.corrupt_map.is_some() || life2.chaos.truncate_map.is_some();
+    // ---- Life 2: restart over damaged mapping artifacts, no plan. ------
+    damage_mappings(&dir)?;
+    let life2 = ServeConfig::quick(&dir);
     let daemon = std::thread::Builder::new()
         .name(format!("chaos-daemon-{seed}-life2"))
         .spawn(move || run_daemon(life2, 0))
         .map_err(|e| format!("cannot spawn life-2 daemon thread: {e}"))?;
     for (id, scale) in MATRICES {
-        with_retry(&dir, |c| c.register(id, scale))
+        call(&dir, |c| c.register(id, scale))
             .map_err(|e| format!("life 2 register m{id}/{scale}: {e}"))?;
     }
-    if corrupted {
-        let stat = with_retry(&dir, Client::stat).map_err(|e| format!("life 2 stat: {e}"))?;
-        let healed = stat.get("mappings_healed").and_then(Json::as_u64).unwrap_or(0);
-        if healed == 0 {
-            return Err("life 2 startup corruption was armed but nothing was healed".into());
-        }
+    let stat = call(&dir, Client::stat).map_err(|e| format!("life 2 stat: {e}"))?;
+    let healed = stat.get("mappings").and_then(|m| m.get("healed")).and_then(Json::as_u64);
+    if healed != Some(2) {
+        return Err(format!("life 2 healed {healed:?} mapping artifacts, not the 2 damaged"));
     }
     // Replay every journaled request: the restarted daemon must reproduce
     // each acknowledged answer bitwise from the healed cache.
@@ -297,7 +290,7 @@ fn soak_seed(seed: u64, requests: usize, root: &Path) -> Result<String, String> 
         if !load.records.iter().any(|r| r.x_hash == shot.x_hash) {
             continue;
         }
-        let out = with_retry(&dir, |c| c.submit_within(shot.matrix, shot.req_seed, 5_000))
+        let out = call(&dir, |c| c.submit_within(shot.matrix, shot.req_seed, 5_000))
             .map_err(|e| format!("life 2 replay (seed {}): {e}", shot.req_seed))?;
         if vec_hash(&out.y) != shot.y_hash {
             return Err(format!(
@@ -308,15 +301,35 @@ fn soak_seed(seed: u64, requests: usize, root: &Path) -> Result<String, String> 
         replayed += 1;
     }
     hostile_lines(&dir, keys[0].0, &offline[0]).map_err(|e| format!("life 2 {e}"))?;
-    with_retry(&dir, Client::shutdown).map_err(|e| format!("life 2 shutdown: {e}"))?;
+    call(&dir, Client::shutdown).map_err(|e| format!("life 2 shutdown: {e}"))?;
     join_daemon(daemon)?;
     one_journal_file(&dir).map_err(|e| format!("life 2: {e}"))?;
 
     Ok(format!(
-        "{acked} acked, {rejected} rejected (coded), {} journaled, {replayed} replayed \
-         bitwise after restart",
+        "{acked} acked, {rejected} rejected (coded), {} journaled; after restart 2 mappings \
+         healed, {replayed} replayed bitwise",
         load.records.len()
     ))
+}
+
+/// Damages the mapping artifacts under `dir` between the lives: the first
+/// in sorted order is overwritten with garbage, the second cut to half its
+/// bytes (a torn write). Each of the soak's two matrices has one artifact.
+fn damage_mappings(dir: &Path) -> Result<(), String> {
+    let mappings = dir.join("mappings");
+    let mut files: Vec<PathBuf> = std::fs::read_dir(&mappings)
+        .map_err(|e| format!("{}: {e}", mappings.display()))?
+        .filter_map(|e| e.ok().map(|e| e.path()))
+        .filter(|p| p.extension().is_some_and(|x| x == "json"))
+        .collect();
+    files.sort();
+    let [garbled, torn] = files.as_slice() else {
+        return Err(format!("expected 2 mapping artifacts after life 1, found {files:?}"));
+    };
+    std::fs::write(garbled, "{ chaos: corrupted")
+        .and_then(|()| std::fs::read(torn))
+        .and_then(|bytes| std::fs::write(torn, &bytes[..bytes.len() / 2]))
+        .map_err(|e| format!("damaging the mapping artifacts: {e}"))
 }
 
 /// Checks that the journal directory under `dir` holds exactly the one
@@ -362,7 +375,7 @@ fn hostile_lines(dir: &Path, key: u64, a: &Csr) -> Result<Vec<(u64, Answer)>, St
         // A life-1 plan may still hold a one-shot batch fault, which
         // rejects with a code; the retry runs clean.
         let out = (0..4)
-            .find_map(|_| with_retry(dir, |c| c.submit_within(key, seed, 5_000)).ok())
+            .find_map(|_| call(dir, |c| c.submit_within(key, seed, 5_000)).ok())
             .ok_or_else(|| format!("no request acknowledged after {what}"))?;
         if vec_hash(&out.y) != vec_hash(&y) {
             return Err(format!("request after {what} acknowledged WRONG"));
@@ -372,18 +385,12 @@ fn hostile_lines(dir: &Path, key: u64, a: &Csr) -> Result<Vec<(u64, Answer)>, St
     Ok(probes)
 }
 
-/// Writes `parts`, 500 ms apart, on a fresh connection that has answered a
-/// ping (so a chaos-dropped accept never eats a probe). Returns the reply's
+/// Writes `parts`, 500 ms apart, on a fresh connection. Returns the reply's
 /// `ok` or error code once the daemon has closed the connection cleanly.
 fn send_raw(dir: &Path, parts: &[&str]) -> Result<String, String> {
-    let mut conn = (0..4)
-        .find_map(|_| {
-            let stream = TcpStream::connect(("127.0.0.1", read_port(dir).ok()?)).ok()?;
-            let mut conn = BufReader::new(stream);
-            conn.get_mut().write_all((Request::Ping.to_line() + "\n").as_bytes()).ok()?;
-            (conn.read_line(&mut String::new()).ok()? > 0).then_some(conn)
-        })
-        .ok_or("no connection answered a ping")?;
+    let port = read_port(dir).map_err(|e| e.to_string())?;
+    let stream = TcpStream::connect(("127.0.0.1", port)).map_err(|e| e.to_string())?;
+    let mut conn = BufReader::new(stream);
     for (i, part) in parts.iter().enumerate() {
         std::thread::sleep(Duration::from_millis(if i > 0 { 500 } else { 0 }));
         conn.get_mut().write_all(part.as_bytes()).map_err(|e| e.to_string())?;
@@ -398,27 +405,15 @@ fn send_raw(dir: &Path, parts: &[&str]) -> Result<String, String> {
     Ok(if is_ok(&v) { "ok".into() } else { code_of(&v).to_string() })
 }
 
-/// Runs one call against a fresh connection, retrying transport failures
-/// (chaos-dropped connections, the port-file race) with fresh connections.
-/// Daemon-side coded rejections are final — they are the explicit outcome
-/// the soak classifies, not something to paper over.
-fn with_retry<T>(
+/// Runs one call on a fresh connection. Connecting waits out the port-file
+/// race of a starting daemon; the call's outcome is final. A coded
+/// rejection is the explicit outcome the soak classifies, and a transport
+/// failure on a connection the daemon accepted is a lost request.
+fn call<T>(
     dir: &Path,
-    mut call: impl FnMut(&mut Client) -> Result<T, CallError>,
+    op: impl FnOnce(&mut Client) -> Result<T, CallError>,
 ) -> Result<T, CallError> {
-    let mut last = CallError { code: "transport".into(), message: "never attempted".into() };
-    for attempt in 0..4u32 {
-        match Client::connect_dir_within(dir, CONNECT_PATIENCE) {
-            Ok(mut client) => match call(&mut client) {
-                Ok(v) => return Ok(v),
-                Err(e) if e.is_transport() => last = e,
-                Err(e) => return Err(e),
-            },
-            Err(e) => last = e,
-        }
-        std::thread::sleep(Duration::from_millis(5 << attempt));
-    }
-    Err(last)
+    Client::connect_dir_within(dir, CONNECT_PATIENCE).and_then(|mut client| op(&mut client))
 }
 
 fn join_daemon(handle: std::thread::JoinHandle<std::io::Result<()>>) -> Result<(), String> {

@@ -264,6 +264,7 @@ impl HarnessSession {
                 .store()
                 .corrupt_paths()
                 .iter()
+                .chain(&cache.ctx().healed_mapping_paths())
                 .map(|p| p.display().to_string())
                 .collect(),
         }

@@ -169,6 +169,11 @@ impl JobCtx {
         self.mapstore.stats()
     }
 
+    /// The mapping artifacts this context found damaged and rewrote.
+    pub fn healed_mapping_paths(&self) -> Vec<std::path::PathBuf> {
+        self.mapstore.healed_paths()
+    }
+
     /// How many single-vector simulations this context ran versus reused.
     pub fn simulation_stats(&self) -> SimulationStats {
         self.runs.stats()

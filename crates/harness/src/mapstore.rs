@@ -20,15 +20,18 @@
 //! through one reader, writes go through a tmp-file + atomic rename so
 //! concurrent processes never read a torn file, and a corrupt or stale
 //! artifact falls back to a fresh compute, which overwrites it and is
-//! counted in [`MappingStats::healed`].
+//! counted in [`MappingStats::healed`] and listed by
+//! [`MappingStore::healed_paths`].
 
 use crate::job::Fnv;
+use crate::lock;
 use crate::store::{read_artifact, write_atomic, Artifact};
 use spacea_mapping::{MachineShape, MapKind, Mapping, Placement, RowAssignment};
 use spacea_matrix::Csr;
 use spacea_obs::json::Json;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 /// How many mappings a store computed versus warmed from disk. Zero
 /// `computed` on a restarted daemon is the warm-cache acceptance check.
@@ -41,7 +44,7 @@ pub struct MappingStats {
     /// Recomputes that *replaced a present-but-bad artifact* (corrupt,
     /// truncated, or failing its cross-check) — a subset of `computed`.
     /// Nonzero `healed` means the store repaired damage, not that it
-    /// merely ran cold.
+    /// merely ran cold; [`MappingStore::healed_paths`] names the artifacts.
     pub healed: u64,
 }
 
@@ -51,7 +54,8 @@ pub struct MappingStore {
     dir: Option<PathBuf>,
     computed: AtomicU64,
     disk_hits: AtomicU64,
-    healed: AtomicU64,
+    /// The artifacts found damaged and recomputed, in the order healed.
+    healed: Mutex<Vec<PathBuf>>,
 }
 
 /// Content hash of a CSR matrix: dimensions plus every structural array,
@@ -131,8 +135,13 @@ impl MappingStore {
         MappingStats {
             computed: self.computed.load(Ordering::Relaxed),
             disk_hits: self.disk_hits.load(Ordering::Relaxed),
-            healed: self.healed.load(Ordering::Relaxed),
+            healed: lock(&self.healed).len() as u64,
         }
+    }
+
+    /// Paths of the damaged artifacts this store recomputed and rewrote.
+    pub fn healed_paths(&self) -> Vec<PathBuf> {
+        lock(&self.healed).clone()
     }
 
     /// The artifact path for one mapping key (when disk-backed).
@@ -145,19 +154,20 @@ impl MappingStore {
     /// otherwise.
     pub fn get_or_compute(&self, a: &Csr, kind: MapKind, shape: &MachineShape) -> Mapping {
         let key = mapping_key(pattern_key(a), kind, shape);
+        let path = self.path_for(key);
         let mut damaged = false;
-        if let Some(path) = self.path_for(key) {
+        if let Some(path) = &path {
             let decode = |v: &Json| {
                 decode_mapping(v, a, shape).ok_or_else(|| "fails its cross-check".into())
             };
-            match read_artifact(&path, decode) {
+            match read_artifact(path, decode) {
                 Artifact::Valid(m) => {
                     self.disk_hits.fetch_add(1, Ordering::Relaxed);
                     return m;
                 }
                 // A present-but-undecodable artifact (torn write from a
-                // crashed peer, chaos corruption, hand edit) is healed by
-                // the recompute below, which overwrites it atomically.
+                // crashed peer, damaged file, hand edit) is healed by the
+                // recompute below, which overwrites it atomically.
                 Artifact::Corrupt(reason) => {
                     eprintln!(
                         "spacea-harness: corrupt mapping artifact {} ({reason}); recomputing",
@@ -170,12 +180,12 @@ impl MappingStore {
         }
         let m = kind.strategy().map(a, shape);
         self.computed.fetch_add(1, Ordering::Relaxed);
-        if damaged {
-            self.healed.fetch_add(1, Ordering::Relaxed);
-        }
-        if let Some(path) = self.path_for(key) {
+        if let Some(path) = path {
             if let Err(e) = write_atomic(&path, &encode_mapping(&m).to_text()) {
                 eprintln!("spacea-harness: could not persist mapping {key:016x}: {e}");
+            }
+            if damaged {
+                lock(&self.healed).push(path);
             }
         }
         m
@@ -349,6 +359,11 @@ mod tests {
             std::fs::write(&path, bad).unwrap();
             let m = store.get_or_compute(&a, MapKind::Proposed, &shape);
             assert_eq!(store.stats(), MappingStats { computed: 1, disk_hits: 0, healed: 1 });
+            assert_eq!(
+                store.healed_paths(),
+                std::slice::from_ref(&path),
+                "the healed artifact is named"
+            );
             // The recompute overwrote the corrupt artifact; a fresh store hits.
             let again = MappingStore::with_dir(&dir);
             let m2 = again.get_or_compute(&a, MapKind::Proposed, &shape);

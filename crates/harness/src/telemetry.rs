@@ -78,8 +78,9 @@ pub struct RunManifest {
     pub records: Vec<JobRecord>,
     /// The store's aggregate counters at the end of the run.
     pub stats: CacheStats,
-    /// On-disk cache entries that failed to decode (treated as misses); the
-    /// run summary surfaces them so silent cache damage is visible.
+    /// On-disk cache entries that failed to decode (treated as misses),
+    /// then the mapping artifacts healed this run; the run summary surfaces
+    /// them so silent cache damage is visible.
     pub corrupt_paths: Vec<String>,
     /// Phase I/II mapping work this run: computed-from-scratch versus warmed
     /// from persisted artifacts. Zero `computed` after a restart is the
@@ -201,15 +202,13 @@ impl RunManifest {
         for r in slowest.iter().take(3) {
             out.push_str(&format!("harness:   slowest: {} ({:.0} ms)\n", r.label, r.wall_ms));
         }
-        if self.stats.corrupt > 0 {
+        let (entries, artifacts) = (self.stats.corrupt, self.mappings.healed);
+        if entries + artifacts > 0 {
             out.push_str(&format!(
-                "harness: {} corrupt cache entr{} recomputed:\n",
-                self.stats.corrupt,
-                if self.stats.corrupt == 1 {
-                    "y treated as a miss and"
-                } else {
-                    "ies treated as misses and"
-                },
+                "harness: {entries} corrupt cache entr{} and {artifacts} corrupt mapping \
+                 artifact{} recomputed:\n",
+                if entries == 1 { "y" } else { "ies" },
+                if artifacts == 1 { "" } else { "s" },
             ));
             for p in &self.corrupt_paths {
                 out.push_str(&format!("harness:   corrupt: {p}\n"));
@@ -321,5 +320,16 @@ mod tests {
         assert_eq!(v.get("cache").unwrap().get("corrupt").unwrap().as_u64(), Some(1));
         let paths = v.get("corrupt_paths").unwrap().as_arr().unwrap();
         assert_eq!(paths[0].as_str(), Some("target/spacea-cache/dead.json"));
+
+        // A healed mapping artifact is listed beside the entry, but the
+        // cache's corrupt count stays the entries'.
+        m.mappings.healed = 1;
+        m.corrupt_paths.push("target/spacea-cache/mappings/00000000000000aa.json".into());
+        let s = m.summary();
+        assert!(s.contains("1 corrupt cache entry and 1 corrupt mapping artifact recomputed"));
+        assert!(s.contains("corrupt: target/spacea-cache/mappings/00000000000000aa.json"), "{s}");
+        let v = json::parse(&m.to_json()).unwrap();
+        assert_eq!(v.get("cache").unwrap().get("corrupt").unwrap().as_u64(), Some(1));
+        assert_eq!(v.get("corrupt_paths").unwrap().as_arr().unwrap().len(), 2);
     }
 }

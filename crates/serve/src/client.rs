@@ -392,6 +392,19 @@ mod tests {
     }
 
     #[test]
+    fn a_connection_closed_unanswered_is_a_transport_error_never_a_value() {
+        // A peer that accepts the connection and closes it without reading
+        // or answering a byte.
+        let listener = std::net::TcpListener::bind(("127.0.0.1", 0)).unwrap();
+        let port = listener.local_addr().unwrap().port();
+        let peer = std::thread::spawn(move || drop(listener.accept().unwrap()));
+        let mut client = Client::connect(port).unwrap();
+        peer.join().unwrap();
+        let e = client.submit(7, 1).unwrap_err();
+        assert!(e.is_transport(), "{e}");
+    }
+
+    #[test]
     fn call_error_displays_message_and_code() {
         let e = CallError { code: "overloaded".into(), message: "queue full".into() };
         assert_eq!(e.to_string(), "queue full [overloaded]");

@@ -57,9 +57,8 @@ pub struct ServeConfig {
     /// The machine every request is simulated on.
     pub hw: HwConfig,
     /// Load-shedding high-water mark: a submit that finds this many
-    /// requests already waiting is rejected with an explicit
-    /// `overloaded` error instead of queued. It also bounds the admission
-    /// queue channel.
+    /// requests already admitted and unanswered is rejected with an
+    /// explicit `overloaded` error instead of queued.
     pub shed_mark: usize,
     /// How long a free worker waits after the first request of a batch for
     /// concurrent requests to arrive and fuse — when more work is
@@ -132,6 +131,42 @@ pub struct EngineStats {
     /// Fused passes simulated (`Machine::run` calls, failed ones included)
     /// versus answered from a stored run of the same matrix and width.
     pub simulations: SimulationStats,
+}
+
+impl EngineStats {
+    /// The counters as JSON fields, in the order `serve-manifest.json`
+    /// writes them: the mapping compute/warm/heal split nested under
+    /// `mappings` (`mappings.computed == 0` on a restarted daemon is the
+    /// warm-cache guarantee) and the simulated/reused pass split under
+    /// `simulations`. The `stat` verb answers these fields plus the live
+    /// queue depth and journal footprint.
+    pub fn json_fields(&self) -> Vec<(&'static str, Json)> {
+        vec![
+            ("registered", Json::U64(self.registered)),
+            ("requests", Json::U64(self.requests)),
+            ("batches", Json::U64(self.batches)),
+            ("fused_max", Json::U64(self.fused_max)),
+            ("shed", Json::U64(self.shed)),
+            ("deadline_miss", Json::U64(self.deadline_miss)),
+            ("acked", Json::U64(self.acked)),
+            ("queue_hwm", Json::U64(self.queue_hwm)),
+            (
+                "mappings",
+                Json::obj(vec![
+                    ("computed", Json::U64(self.mappings.computed)),
+                    ("disk_hits", Json::U64(self.mappings.disk_hits)),
+                    ("healed", Json::U64(self.mappings.healed)),
+                ]),
+            ),
+            (
+                "simulations",
+                Json::obj(vec![
+                    ("run", Json::U64(self.simulations.run)),
+                    ("reused", Json::U64(self.simulations.reused)),
+                ]),
+            ),
+        ]
+    }
 }
 
 /// Per-request gauge series, one per `serve` [`Metric`].
@@ -412,37 +447,9 @@ impl ServeEngine {
         }
     }
 
-    /// The manifest JSON: engine counters plus the mapping compute/warm
-    /// split (`mappings.computed == 0` on a restarted daemon is the
-    /// warm-cache guarantee) and the simulated/reused pass split.
+    /// The manifest JSON: [`EngineStats::json_fields`] of a fresh snapshot.
     pub fn manifest_json(&self) -> String {
-        let s = self.stats();
-        Json::obj(vec![
-            ("registered", Json::U64(s.registered)),
-            ("requests", Json::U64(s.requests)),
-            ("batches", Json::U64(s.batches)),
-            ("fused_max", Json::U64(s.fused_max)),
-            ("shed", Json::U64(s.shed)),
-            ("deadline_miss", Json::U64(s.deadline_miss)),
-            ("acked", Json::U64(s.acked)),
-            ("queue_hwm", Json::U64(s.queue_hwm)),
-            (
-                "mappings",
-                Json::obj(vec![
-                    ("computed", Json::U64(s.mappings.computed)),
-                    ("disk_hits", Json::U64(s.mappings.disk_hits)),
-                    ("healed", Json::U64(s.mappings.healed)),
-                ]),
-            ),
-            (
-                "simulations",
-                Json::obj(vec![
-                    ("run", Json::U64(s.simulations.run)),
-                    ("reused", Json::U64(s.simulations.reused)),
-                ]),
-            ),
-        ])
-        .to_text()
+        Json::obj(self.stats().json_fields()).to_text()
     }
 
     /// Writes the manifest to `<cache_dir>/serve-manifest.json` (tmp-file +
@@ -693,22 +700,24 @@ mod tests {
     }
 
     #[test]
-    fn chaos_corruption_is_healed_by_the_mapping_store() {
+    fn damaged_mapping_artifacts_are_healed_by_the_mapping_store() {
         let dir = tmp_dir("heal");
         let _ = std::fs::remove_dir_all(&dir);
         let first = ServeEngine::new(ServeConfig::quick(&dir));
         first.register_suite(1, 256).unwrap();
         first.register_suite(2, 256).unwrap();
 
-        // A chaos plan corrupts one artifact and truncates the other at
-        // "startup"; the restarted engine must recompute both, heal the
-        // files, and still answer correctly.
-        let cfg = ServeConfig {
-            chaos: ChaosPlan::parse("corrupt-map=0,truncate-map=1").unwrap(),
-            ..ServeConfig::quick(&dir)
-        };
-        let second = ServeEngine::new(cfg);
-        second.chaos().apply_map_corruption(&dir.join("mappings"));
+        // Between lives one artifact is overwritten with garbage and the
+        // other cut to half its bytes; the restarted engine must recompute
+        // both, heal the files, and still answer correctly.
+        let mut artifacts: Vec<PathBuf> =
+            std::fs::read_dir(dir.join("mappings")).unwrap().map(|e| e.unwrap().path()).collect();
+        artifacts.sort();
+        assert_eq!(artifacts.len(), 2, "{artifacts:?}");
+        std::fs::write(&artifacts[0], "{ garbage").unwrap();
+        let bytes = std::fs::read(&artifacts[1]).unwrap();
+        std::fs::write(&artifacts[1], &bytes[..bytes.len() / 2]).unwrap();
+        let second = ServeEngine::new(ServeConfig::quick(&dir));
         let info = second.register_suite(1, 256).unwrap();
         second.register_suite(2, 256).unwrap();
         let m = second.stats().mappings;

@@ -42,29 +42,31 @@
 //! request, queue depth, plus the shed and deadline fault counters — is
 //! recorded under `spacea_obs::Metric` gauge keys and exported as a
 //! Chrome-trace timeline at the first answered batch, then at most once a
-//! second ([`engine::FLUSH_INTERVAL`]), and on shutdown. The `stat`
-//! verb answers the live counters. The daemon writes the same counters to
-//! `serve-manifest.json` only at startup and at shutdown: its
-//! `mappings.computed` counter is the warm-cache acceptance check, and its
-//! `simulations` object counts the passes simulated (`run`) and answered
-//! from the memo (`reused`).
+//! second ([`engine::FLUSH_INTERVAL`]), and on shutdown. The daemon writes
+//! its counters ([`engine::EngineStats::json_fields`]) to
+//! `serve-manifest.json` only at startup and at shutdown; the `stat` verb
+//! answers the same fields live, plus the queue depth and the journal's
+//! record and batch counts. The manifest's `mappings.computed` counter is
+//! the warm-cache acceptance check, and its `simulations` object counts
+//! the passes simulated (`run`) and answered from the memo (`reused`).
 //!
 //! # Robustness
 //!
 //! The service layer carries the PR 3 fault-injection philosophy up from
 //! the simulator: [`chaos::ChaosPlan`] is a deterministic, seed-replayable
-//! fault plan (dropped/delayed connections, wedged batches, stalled
-//! requests, corrupted mapping artifacts) injected via `serve start
-//! --chaos`, and the request-lifecycle guarantees in [`service::Service`]
+//! fault plan of the two faults only the batch path can inject (wedged
+//! batches, stalled requests) armed via `serve start --chaos`, and the
+//! request-lifecycle guarantees in [`service::Service`]
 //! — explicit [`error::ServeError`] codes for overload, deadline rejection
 //! and a failed pass (each batch runs once, as the sweep harness runs each
 //! job once), and the write-ahead [`journal::AckJournal`], one appended line
 //! per acknowledged batch in `<cache-dir>/journal/acks.jsonl`, each record
 //! naming its vectors by [`journal::vec_hash`] — are what
 //! make every fault survivable. The `serve_chaos` bench bin soaks seeded
-//! plans against a live daemon and enforces the core invariant: an
-//! acknowledged request is bitwise-correct and journaled; an accepted
-//! request is never silently lost.
+//! plans against a live daemon, damages its mapping artifacts on disk
+//! between two lives, and enforces the core invariant: an acknowledged
+//! request is bitwise-correct and journaled; an accepted request is never
+//! silently lost.
 
 #![warn(missing_docs)]
 

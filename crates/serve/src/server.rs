@@ -8,15 +8,7 @@
 //! and at shutdown: while the daemon runs, the `stat` verb answers its
 //! live counters. On shutdown the daemon writes its manifest and telemetry
 //! timeline, then removes the port file.
-//!
-//! When a [`crate::chaos::ChaosPlan`] is configured, its startup faults
-//! (mapping-artifact corruption) are applied before the first register
-//! warms the cache, and its connection faults (drop/delay by accept
-//! ordinal) are applied here at the listener — so the client's connect
-//! retry and the mapping store's healing path are exercised against real
-//! damage, deterministically.
 
-use crate::chaos::ConnFault;
 use crate::engine::{RegisterInfo, ServeConfig, ServeEngine};
 use crate::error::ServeError;
 use crate::journal::AckJournal;
@@ -39,11 +31,7 @@ use std::time::Duration;
 /// Propagates listener-setup and cache-directory I/O failures. Per-
 /// connection errors are logged and never take the daemon down.
 pub fn run_daemon(cfg: ServeConfig, port: u16) -> std::io::Result<()> {
-    let mappings_dir = cfg.cache_dir.join("mappings");
     let engine = Arc::new(ServeEngine::new(cfg));
-    // Chaos startup faults bite before anything warms from disk, so the
-    // register path below sees (and heals) the damage.
-    engine.chaos().apply_map_corruption(&mappings_dir);
     let service = Service::over(Arc::clone(&engine));
     let listener = TcpListener::bind(("127.0.0.1", port))?;
     listener.set_nonblocking(true)?;
@@ -64,21 +52,8 @@ pub fn run_daemon(cfg: ServeConfig, port: u16) -> std::io::Result<()> {
         while !stop.load(Ordering::SeqCst) {
             match listener.accept() {
                 Ok((stream, _)) => {
-                    let fault = engine.chaos().on_connection();
-                    if fault == Some(ConnFault::Drop) {
-                        // Close before reading a byte: the client sees a
-                        // hangup on a connection that acknowledged nothing.
-                        drop(stream);
-                        continue;
-                    }
-                    let service = &service;
-                    let stop = &stop;
-                    scope.spawn(move || {
-                        if let Some(ConnFault::Delay(d)) = fault {
-                            std::thread::sleep(d);
-                        }
-                        handle_connection(stream, service, stop);
-                    });
+                    let (service, stop) = (&service, &stop);
+                    scope.spawn(move || handle_connection(stream, service, stop));
                 }
                 Err(e) if e.kind() == ErrorKind::WouldBlock => {
                     std::thread::sleep(Duration::from_millis(10));
@@ -215,26 +190,15 @@ fn dispatch(req: Request, service: &Service, stop: &AtomicBool) -> Json {
             Err(e) => protocol::err(&format!("journal compaction failed: {e}")),
         },
         Request::Stat => {
-            let s = engine.stats();
+            // The manifest's counters, plus what only a live daemon has.
             let journal = AckJournal::load(engine.journal().dir());
-            protocol::ok(vec![
-                ("registered", Json::U64(s.registered)),
-                ("requests", Json::U64(s.requests)),
-                ("batches", Json::U64(s.batches)),
-                ("fused_max", Json::U64(s.fused_max)),
-                ("shed", Json::U64(s.shed)),
-                ("deadline_miss", Json::U64(s.deadline_miss)),
-                ("acked", Json::U64(s.acked)),
+            let mut fields = engine.stats().json_fields();
+            fields.extend([
                 ("queue_depth", Json::U64(service.depth() as u64)),
-                ("queue_hwm", Json::U64(s.queue_hwm)),
-                ("mappings_computed", Json::U64(s.mappings.computed)),
-                ("mappings_disk_hits", Json::U64(s.mappings.disk_hits)),
-                ("mappings_healed", Json::U64(s.mappings.healed)),
-                ("simulations_run", Json::U64(s.simulations.run)),
-                ("simulations_reused", Json::U64(s.simulations.reused)),
                 ("journal_records", Json::U64(journal.records.len() as u64)),
                 ("journal_batches", Json::U64(journal.batches as u64)),
-            ])
+            ]);
+            protocol::ok(fields)
         }
         Request::Shutdown => {
             stop.store(true, Ordering::SeqCst);

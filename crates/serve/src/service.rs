@@ -58,7 +58,7 @@ use std::collections::VecDeque;
 use std::num::NonZeroUsize;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::mpsc::{self, Receiver, RecvTimeoutError, SyncSender, TrySendError};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -142,7 +142,7 @@ struct Queue {
 /// submitter is released with [`ServeError::DeadlineExceeded`].
 pub struct Service {
     engine: Arc<ServeEngine>,
-    tx: Mutex<Option<SyncSender<Pending>>>,
+    tx: Mutex<Option<Sender<Pending>>>,
     /// The batch workers; joined by `stop`.
     threads: Mutex<Vec<JoinHandle<()>>>,
     /// Requests admitted and not yet answered or dropped: one [`Slot`] each.
@@ -154,7 +154,7 @@ pub struct Service {
 impl Service {
     /// Starts one batch worker per available core over an existing engine.
     pub fn over(engine: Arc<ServeEngine>) -> Self {
-        let (tx, rx) = mpsc::sync_channel::<Pending>(engine.config().shed_mark.max(1));
+        let (tx, rx) = mpsc::channel::<Pending>();
         // Only the workers hold the queue, and a worker returns only once
         // `stop` has hung the queue up and it is drained: a panicking pass
         // costs its batch, never its worker.
@@ -220,14 +220,21 @@ impl Service {
         deadline: Duration,
     ) -> Result<SubmitReply, ServeError> {
         let tx = lock(&self.tx).clone().ok_or(ServeError::Stopped)?;
-        let waiting = self.depth.load(Ordering::Relaxed);
-        if waiting >= self.engine.config().shed_mark.max(1) {
-            self.engine.note_shed(waiting);
-            return Err(ServeError::Overloaded { depth: waiting });
-        }
-        // An admitted request owns one unit of depth, its slot, until it
-        // is answered or dropped; a refused send drops it straight away.
-        let depth_now = self.depth.fetch_add(1, Ordering::Relaxed) + 1;
+        // Admission takes a unit of depth only below the shed mark, in one
+        // step, so concurrent submitters can never together pass it. The
+        // admitted request owns that unit, its slot, until it is answered
+        // or dropped; a refused send drops it straight away.
+        let mark = self.engine.config().shed_mark.max(1);
+        let admitted = self.depth.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |depth| {
+            (depth < mark).then_some(depth + 1)
+        });
+        let depth_now = match admitted {
+            Ok(before) => before + 1,
+            Err(waiting) => {
+                self.engine.note_shed(waiting);
+                return Err(ServeError::Overloaded { depth: waiting });
+            }
+        };
         let slot = Slot(Arc::clone(&self.depth));
         self.engine.note_depth(depth_now);
         let now = Instant::now();
@@ -241,17 +248,8 @@ impl Service {
             slot,
             reply: reply_tx,
         };
-        match tx.try_send(pending) {
-            Ok(()) => {}
-            Err(TrySendError::Full(refused)) => {
-                drop(refused);
-                self.engine.note_shed(depth_now);
-                return Err(ServeError::Overloaded { depth: depth_now });
-            }
-            Err(TrySendError::Disconnected(refused)) => {
-                drop(refused);
-                return Err(ServeError::Stopped);
-            }
+        if tx.send(pending).is_err() {
+            return Err(ServeError::Stopped);
         }
         drop(tx);
         match reply_rx.recv_timeout(deadline) {

@@ -131,7 +131,7 @@ fn sigkill_mid_batch_leaves_mappings_journal_and_timeline_loadable() {
     }
     let stat = client.stat().unwrap();
     assert_eq!(
-        stat.get("mappings_computed").and_then(|j| j.as_u64()),
+        stat.get("mappings").and_then(|m| m.get("computed")).and_then(|j| j.as_u64()),
         Some(0),
         "the mapping artifact written before the crash must be loadable as-is"
     );

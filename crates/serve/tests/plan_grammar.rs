@@ -44,18 +44,8 @@ fn fault_plan() -> impl Strategy<Value = FaultPlan> {
 }
 
 fn chaos_plan() -> impl Strategy<Value = ChaosPlan> {
-    (
-        (opt(ordinal()), opt((ordinal(), ordinal())), opt(ordinal())),
-        (opt((ordinal(), ordinal())), opt(ordinal()), opt(ordinal())),
-    )
-        .prop_map(|((drop, delay, wedge), (stall, corrupt, truncate))| ChaosPlan {
-            drop_conn: drop,
-            delay_conn: delay,
-            wedge_batch: wedge,
-            stall_req: stall,
-            corrupt_map: corrupt,
-            truncate_map: truncate,
-        })
+    (opt(ordinal()), opt((ordinal(), ordinal())))
+        .prop_map(|(wedge, stall)| ChaosPlan { wedge_batch: wedge, stall_req: stall })
 }
 
 /// The grammar's alphabet: every directive name of both plans, its
@@ -66,12 +56,8 @@ const TOKENS: &[&str] = &[
     "stall-vault",
     "flip-accum",
     "panic",
-    "drop-conn",
-    "delay-conn",
     "wedge-batch",
     "stall-req",
-    "corrupt-map",
-    "truncate-map",
     "none",
     "=",
     "@",
